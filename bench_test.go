@@ -112,7 +112,7 @@ func BenchmarkFig8PolicySweep(b *testing.B) {
 	scens := replay.Fig8Scenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = replay.RunAll(scens, 0)
+		results = experiment.RunScenarios(scens, 0).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -125,7 +125,7 @@ func BenchmarkClaims24h(b *testing.B) {
 	scens := replay.Claims24hScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = replay.RunAll(scens, 0)
+		results = experiment.RunScenarios(scens, 0).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -140,7 +140,7 @@ func BenchmarkAblationGroupedShutdown(b *testing.B) {
 	scens := replay.AblationGroupingScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = replay.RunAll(scens, 0)
+		results = experiment.RunScenarios(scens, 0).Results()
 	}
 	if results[0].Err != nil || results[1].Err != nil {
 		b.Fatal("ablation run failed")
@@ -153,7 +153,7 @@ func BenchmarkAblationMixFloor(b *testing.B) {
 	scens := replay.AblationMixFloorScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = replay.RunAll(scens, 0)
+		results = experiment.RunScenarios(scens, 0).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -168,7 +168,7 @@ func BenchmarkAblationDynamicDVFS(b *testing.B) {
 	scens := replay.AblationDynamicDVFSScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = replay.RunAll(scens, 0)
+		results = experiment.RunScenarios(scens, 0).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -192,12 +192,12 @@ func BenchmarkAblationCompactPlacement(b *testing.B) {
 	// criterion) versus the default first-fit packing.
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = replay.RunAll([]replay.Scenario{s, func() replay.Scenario {
+		results = experiment.RunScenarios([]replay.Scenario{s, func() replay.Scenario {
 			c := s
 			c.Compact = true
 			c.Name += "/compact"
 			return c
-		}()}, 0)
+		}()}, 0).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {

@@ -133,25 +133,6 @@ func TestFederationRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestRunAllContextCancel pins the replay-level pool's drain behavior.
-func TestRunAllContextCancel(t *testing.T) {
-	scens := cancelGrid()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, err := replay.RunAllContext(ctx, scens, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	for i, r := range results {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("result %d error = %v, want context.Canceled", i, r.Err)
-		}
-		if r.Scenario.Name == "" {
-			t.Errorf("result %d lost its scenario", i)
-		}
-	}
-}
-
 // TestRunContextUncancelledMatchesRun: threading a live context through
 // changes nothing — same fingerprint as the legacy entry point.
 func TestRunContextUncancelledMatchesRun(t *testing.T) {

@@ -179,9 +179,9 @@ func poolSize(workers, cells int) int {
 }
 
 // runIndexed fans fn(0..n-1) out across a bounded worker pool — the
-// shared pool of the scenario and federation sweeps. fn must write its
-// result to its own index; runIndexed provides no other
-// synchronization. workers must already be clamped by poolSize.
+// repo's one sweep pool. fn must write its result to its own index;
+// runIndexed provides no other synchronization. workers must already be
+// clamped by poolSize.
 //
 // Cancelling ctx stops the run promptly but cleanly: the feeder stops
 // handing out cells, every worker finishes (or skips) the cell it
@@ -231,10 +231,41 @@ feed:
 	return ctx.Err()
 }
 
+// runCells is the one cell runner behind Runner and FederationRunner:
+// it runs cell(i) for every index on the pool, reports each finished
+// row through onResult (serialized across workers; done counts
+// finished cells so far), and fills the rows of cells that never ran
+// with skipped(i, ctx.Err()). Rows land at their index regardless of
+// which worker ran them or in what order they finished.
+func runCells[Row any](ctx context.Context, n, workers int, onResult func(done, total int, r Row),
+	cell func(i int) Row, skipped func(i int, err error) Row) ([]Row, error) {
+	rows := make([]Row, n)
+	ran := make([]bool, n) // index-owned by the cell's worker
+	var (
+		mu   sync.Mutex // serializes onResult and the done counter
+		done int
+	)
+	err := runIndexed(ctx, n, workers, func(i int) {
+		rows[i] = cell(i)
+		ran[i] = true
+		if onResult != nil {
+			mu.Lock()
+			done++
+			onResult(done, n, rows[i])
+			mu.Unlock()
+		}
+	})
+	for i := range rows {
+		if !ran[i] {
+			rows[i] = skipped(i, err)
+		}
+	}
+	return rows, err
+}
+
 // Run executes the scenario list and aggregates the table. Each cell
 // builds its own controller, so cells share nothing but the immutable
-// scenario inputs; rows land at their grid index regardless of which
-// worker ran them or in what order they finished.
+// scenario inputs.
 func (r Runner) Run(name string, scenarios []replay.Scenario) Table {
 	t, _ := r.RunContext(context.Background(), name, scenarios)
 	return t
@@ -247,42 +278,22 @@ func (r Runner) Run(name string, scenarios []replay.Scenario) Table {
 // rows that finished before the cancel are complete and identical to
 // an uncancelled run's.
 func (r Runner) RunContext(ctx context.Context, name string, scenarios []replay.Scenario) (Table, error) {
-	workers := poolSize(r.Workers, len(scenarios))
-	t := Table{Name: name, Rows: make([]Result, len(scenarios)), Workers: workers}
 	start := time.Now()
-
-	var (
-		mu   sync.Mutex // serializes OnResult and the done counter
-		done int
-	)
-	ran := make([]bool, len(scenarios)) // index-owned by the cell's worker
-	err := runIndexed(ctx, len(scenarios), workers, func(i int) {
-		t0 := time.Now()
-		var observe func(*rjms.Controller)
-		if r.Observe != nil {
-			observe = func(ctl *rjms.Controller) { r.Observe(i, scenarios[i], ctl) }
-		}
-		res := replay.RunContextWith(ctx, scenarios[i], observe)
-		row := Result{Result: res, Index: i, Elapsed: time.Since(t0)}
-		t.Rows[i] = row
-		ran[i] = true
-		if r.OnResult != nil {
-			mu.Lock()
-			done++
-			r.OnResult(done, len(scenarios), row)
-			mu.Unlock()
-		}
-	})
-	for i := range t.Rows {
-		if !ran[i] {
-			t.Rows[i] = Result{
-				Result: replay.Result{Scenario: scenarios[i], Err: err},
-				Index:  i,
+	workers := poolSize(r.Workers, len(scenarios))
+	rows, err := runCells(ctx, len(scenarios), workers, r.OnResult,
+		func(i int) Result {
+			t0 := time.Now()
+			var observe func(*rjms.Controller)
+			if r.Observe != nil {
+				observe = func(ctl *rjms.Controller) { r.Observe(i, scenarios[i], ctl) }
 			}
-		}
-	}
-	t.Elapsed = time.Since(start)
-	return t, err
+			res := replay.RunContextWith(ctx, scenarios[i], observe)
+			return Result{Result: res, Index: i, Elapsed: time.Since(t0)}
+		},
+		func(i int, err error) Result {
+			return Result{Result: replay.Result{Scenario: scenarios[i], Err: err}, Index: i}
+		})
+	return Table{Name: name, Rows: rows, Workers: workers, Elapsed: time.Since(start)}, err
 }
 
 // Run expands the grid and executes it with the given worker count.

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/federation"
@@ -131,42 +130,22 @@ func (r FederationRunner) Run(name string, scenarios []replay.FederationScenario
 // are identical to an uncancelled run's, and the pool is fully drained
 // before it returns.
 func (r FederationRunner) RunContext(ctx context.Context, name string, scenarios []replay.FederationScenario) (FederationTable, error) {
-	workers := poolSize(r.Workers, len(scenarios))
-	t := FederationTable{Name: name, Rows: make([]FederationResult, len(scenarios)), Workers: workers}
 	start := time.Now()
-
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	ran := make([]bool, len(scenarios))
-	err := runIndexed(ctx, len(scenarios), workers, func(i int) {
-		t0 := time.Now()
-		var observe federation.Observer
-		if r.Observe != nil {
-			observe = func(mi int, name string, ctl *rjms.Controller) { r.Observe(i, mi, name, ctl) }
-		}
-		res := federation.RunContext(ctx, scenarios[i], observe)
-		row := FederationResult{Result: res, Index: i, Elapsed: time.Since(t0)}
-		t.Rows[i] = row
-		ran[i] = true
-		if r.OnResult != nil {
-			mu.Lock()
-			done++
-			r.OnResult(done, len(scenarios), row)
-			mu.Unlock()
-		}
-	})
-	for i := range t.Rows {
-		if !ran[i] {
-			t.Rows[i] = FederationResult{
-				Result: federation.Result{Scenario: scenarios[i], Err: err},
-				Index:  i,
+	workers := poolSize(r.Workers, len(scenarios))
+	rows, err := runCells(ctx, len(scenarios), workers, r.OnResult,
+		func(i int) FederationResult {
+			t0 := time.Now()
+			var observe federation.Observer
+			if r.Observe != nil {
+				observe = func(mi int, name string, ctl *rjms.Controller) { r.Observe(i, mi, name, ctl) }
 			}
-		}
-	}
-	t.Elapsed = time.Since(start)
-	return t, err
+			res := federation.RunContext(ctx, scenarios[i], observe)
+			return FederationResult{Result: res, Index: i, Elapsed: time.Since(t0)}
+		},
+		func(i int, err error) FederationResult {
+			return FederationResult{Result: federation.Result{Scenario: scenarios[i], Err: err}, Index: i}
+		})
+	return FederationTable{Name: name, Rows: rows, Workers: workers, Elapsed: time.Since(start)}, err
 }
 
 // RunFederation expands the grid and executes it with the given worker

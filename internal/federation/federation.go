@@ -1,11 +1,12 @@
 // Package federation runs fleets of independent powercap-aware RJMS
 // controllers under one shared site power budget — the multi-cluster
-// extension of the paper's single-cluster controller. A Broker owns N
+// extension of the paper's single-cluster controller. A Fleet owns N
 // member clusters (one rjms.Controller per member, each on its own
-// simengine.Engine, preserving the single-goroutine contract), drives
-// them in lockstep epochs over virtual time, and redistributes the
-// global budget across members at every epoch boundary through
-// per-member open-ended powercap reservations.
+// simengine.Engine, preserving the single-goroutine contract), steps
+// them in lockstep over virtual time, and redistributes the global
+// budget across members at every epoch boundary through per-member
+// open-ended powercap reservations. RunContext is the batch broker over
+// a Fleet; internal/twin is the live one.
 //
 // Everything is deterministic: members are built, advanced, inspected
 // and re-budgeted in member-index order by one goroutine, so a
@@ -31,9 +32,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/replay"
-	"repro/internal/reservation"
 	"repro/internal/rjms"
-	"repro/internal/signal"
 )
 
 // MemberResult is the per-cluster outcome of a federation run.
@@ -101,21 +100,11 @@ type Result struct {
 	Err error
 }
 
-// Observer is the test hook of RunWith: it sees every member's
-// controller after its workload is loaded and its reservation placed,
-// before any virtual time passes — where the invariant checker
-// attaches.
+// Observer sees every member's controller as a Fleet enrolls it: after
+// its workload is loaded and its reservation placed, before any of its
+// virtual time passes — where invariant checkers and telemetry
+// collectors attach.
 type Observer func(i int, name string, ctl *rjms.Controller)
-
-// member is the broker's bookkeeping for one cluster.
-type member struct {
-	name     string
-	ctl      *rjms.Controller
-	cleanup  func()
-	capID    int
-	maxPower power.Watts
-	capW     power.Watts
-}
 
 // Run executes one federation scenario to completion.
 func Run(fs replay.FederationScenario) Result { return RunWith(fs, nil) }
@@ -141,78 +130,7 @@ func RunContext(ctx context.Context, fs replay.FederationScenario, observe Obser
 		return res
 	}
 
-	// Assemble the fleet: controllers with loaded workloads, then the
-	// global budget from the summed member maxima.
-	members := make([]*member, 0, len(fs.Members))
-	defer func() {
-		for _, m := range members {
-			m.cleanup()
-		}
-	}()
-	var sumMax power.Watts
-	for i, ms := range fs.Members {
-		ctl, cleanup, err := replay.Build(ms)
-		if err != nil {
-			res.Err = fmt.Errorf("federation: member %d (%s): %w", i, ms.Name, err)
-			return res
-		}
-		name := ms.Name
-		if name == "" {
-			name = fmt.Sprintf("member%d", i)
-		}
-		m := &member{name: name, ctl: ctl, cleanup: cleanup, maxPower: ctl.Cluster().MaxPower()}
-		members = append(members, m)
-		sumMax += m.maxPower
-	}
-	base := power.Watts(fs.GlobalCapFraction * float64(sumMax))
-	sig, err := signal.Build(fs.BudgetSignal)
-	if err != nil {
-		res.Err = fmt.Errorf("federation: budget signal: %w", err)
-		return res
-	}
-	// budgetAt is the effective site budget at an epoch boundary: the
-	// cap-fraction base scaled by the signal, clamped into [0, sumMax].
-	// Without a signal it is the constant base.
-	budgetAt := func(t int64) power.Watts {
-		b := power.Watts(float64(base) * sig.At(t))
-		if b < 0 {
-			b = 0
-		}
-		if b > sumMax {
-			b = sumMax
-		}
-		return b
-	}
-	global := budgetAt(0)
-	res.GlobalBudgetW = global
-
-	// Initial division: both policies start pro-rata — with no demand
-	// observed yet there is nothing to reallocate. Each member gets one
-	// open-ended powercap reservation; its offline plan (switch-offs
-	// under SHUT/MIX member policies) runs against this initial share.
-	duration := fs.Duration()
-	for i, m := range members {
-		m.capW = proRataShare(global, m.maxPower, sumMax)
-		id, _, err := m.ctl.ReservePowerCapID(0, reservation.Horizon, power.CapWatts(m.capW))
-		if err != nil {
-			res.Err = fmt.Errorf("federation: member %d (%s): %w", i, m.name, err)
-			return res
-		}
-		m.capID = id
-		if observe != nil {
-			observe(i, m.name, m.ctl)
-		}
-		if err := m.ctl.Start(duration); err != nil {
-			res.Err = fmt.Errorf("federation: member %d (%s): %w", i, m.name, err)
-			return res
-		}
-	}
-
-	// Lockstep epochs: advance every member to the boundary (member
-	// order), then redistribute. All of this happens on one goroutine,
-	// so every member engine keeps its single-goroutine contract and
-	// the whole run is a deterministic function of the scenario.
-	epoch := fs.Epoch()
+	duration, epoch := fs.Duration(), fs.Epoch()
 	if epoch <= 0 {
 		// Epoch() defaults a zero EpochSec and Validate rejects negative
 		// ones, so this only trips on a future change — but a
@@ -220,54 +138,49 @@ func RunContext(ctx context.Context, fs replay.FederationScenario, observe Obser
 		res.Err = fmt.Errorf("federation: epoch must be a positive duration, got %d", epoch)
 		return res
 	}
-	for t := epoch; t < duration; t += epoch {
+	fleet, err := NewFleet(fs, observe)
+	if err != nil {
+		res.Err = fmt.Errorf("federation: %w", err)
+		return res
+	}
+	defer fleet.Close()
+	res.GlobalBudgetW, _ = fleet.BudgetAt(0)
+
+	// Lockstep epochs: advance every member to the boundary, then
+	// redistribute; the last stretch runs to the horizon undivided.
+	for t := epoch; ; t += epoch {
+		if t > duration {
+			t = duration
+		}
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			return res
 		}
-		for i, m := range members {
-			if err := m.ctl.Advance(t); err != nil {
-				res.Err = fmt.Errorf("federation: member %d (%s) at t=%d: %w", i, m.name, t, err)
-				return res
-			}
+		if err := fleet.AdvanceAll(t); err != nil {
+			res.Err = fmt.Errorf("federation: %w", err)
+			return res
 		}
-		global = budgetAt(t)
-		shares := divide(fs.Division, global, members)
-		rec := EpochShares{T: t, BudgetW: global, CapW: make([]power.Watts, len(members)), PendingCores: make([]int, len(members))}
-		for i, m := range members {
-			rec.PendingCores[i] = m.ctl.PendingCores()
-			rec.CapW[i] = shares[i]
-			if shares[i] != m.capW {
-				m.capW = shares[i]
-				if err := m.ctl.AdjustPowerCap(m.capID, power.CapWatts(shares[i])); err != nil {
-					res.Err = fmt.Errorf("federation: member %d (%s) at t=%d: %w", i, m.name, t, err)
-					return res
-				}
-			}
+		if t == duration {
+			break
+		}
+		rec, err := fleet.Rebudget(t)
+		if err != nil {
+			res.Err = fmt.Errorf("federation: %w", err)
+			return res
 		}
 		res.Epochs = append(res.Epochs, rec)
 	}
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
-	}
-	for i, m := range members {
-		if err := m.ctl.Advance(duration); err != nil {
-			res.Err = fmt.Errorf("federation: member %d (%s): %w", i, m.name, err)
-			return res
-		}
-	}
 
 	// Close out and aggregate.
-	res.Members = make([]MemberResult, len(members))
-	for i, m := range members {
-		sum := m.ctl.Finish()
+	res.Members = make([]MemberResult, len(fleet.Members()))
+	for i, m := range fleet.Members() {
+		sum := m.Ctl.Finish()
 		res.Members[i] = MemberResult{
-			Name:      m.name,
+			Name:      m.Name,
 			Summary:   sum,
-			Samples:   m.ctl.Samples(),
-			MaxPower:  m.maxPower,
-			Cores:     m.ctl.Cluster().Cores(),
+			Samples:   m.Ctl.Samples(),
+			MaxPower:  m.MaxPower,
+			Cores:     m.Ctl.Cluster().Cores(),
 			FinalCapW: m.capW,
 		}
 	}
@@ -302,23 +215,9 @@ type MemberState struct {
 	PendingCores int
 }
 
-// divide adapts the broker's member bookkeeping onto Divide.
-func divide(div replay.Division, global power.Watts, members []*member) []power.Watts {
-	states := make([]MemberState, len(members))
-	for i, m := range members {
-		states[i] = MemberState{
-			MaxPower:     m.maxPower,
-			Draw:         m.ctl.Cluster().Power(),
-			PendingCores: m.ctl.PendingCores(),
-		}
-	}
-	return Divide(div, global, states)
-}
-
 // Divide computes every member's budget for the next epoch. It returns
 // shares in member order; their sum never exceeds the global budget
-// (up to float rounding). Exported so the twin's live broker divides
-// with exactly the batch broker's arithmetic.
+// (up to float rounding).
 func Divide(div replay.Division, global power.Watts, states []MemberState) []power.Watts {
 	shares := make([]power.Watts, len(states))
 	var sumMax power.Watts

@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/federation"
@@ -25,7 +26,7 @@ func TestLibraryScenariosHoldInvariants(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			var k *Checker
-			r := replay.RunWith(s, func(ctl *rjms.Controller) {
+			r := replay.RunContextWith(context.Background(), s, func(ctl *rjms.Controller) {
 				k = Attach(ctl, s.Name)
 			})
 			if r.Err != nil {
@@ -73,7 +74,7 @@ func TestKillOnOverrunHoldsInvariants(t *testing.T) {
 		KillOnOverrun: true,
 	}
 	var k *Checker
-	r := replay.RunWith(s, func(ctl *rjms.Controller) { k = Attach(ctl, s.Name) })
+	r := replay.RunContextWith(context.Background(), s, func(ctl *rjms.Controller) { k = Attach(ctl, s.Name) })
 	if r.Err != nil {
 		t.Fatalf("replay failed: %v", r.Err)
 	}

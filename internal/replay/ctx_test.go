@@ -1,45 +1,13 @@
 package replay
 
 import (
-	"bytes"
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rjms"
 	"repro/internal/trace"
 )
-
-// TestRunContextWithMatchesRun pins the stepping equivalence the
-// service's cancellable execution path relies on: Start + stepped
-// Advance + Finish replays the exact event sequence of one Run call, so
-// an uncancelled RunContextWith is bit-identical to Run.
-func TestRunContextWithMatchesRun(t *testing.T) {
-	s := Scenario{
-		Name:     "ctx-equiv",
-		Workload: shortWorkload(trace.MedianJob, 7),
-		Policy:   core.PolicyMix, CapFraction: 0.5, ScaleRacks: testRacks,
-	}
-	want := Run(s)
-	got := RunContextWith(context.Background(), s, nil)
-	if want.Err != nil || got.Err != nil {
-		t.Fatalf("errs: run=%v stepped=%v", want.Err, got.Err)
-	}
-	if !reflect.DeepEqual(want.Summary, got.Summary) {
-		t.Errorf("summaries differ:\nrun:     %+v\nstepped: %+v", want.Summary, got.Summary)
-	}
-	var a, b bytes.Buffer
-	if err := WriteSeriesCSV(&a, want.Samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSeriesCSV(&b, got.Samples); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("sample series differ between Run and RunContextWith")
-	}
-}
 
 // TestRunContextWithCancelled checks both cancellation points: a
 // pre-cancelled context never builds a controller, and a cancellation

@@ -31,7 +31,7 @@ func TestClaims24hShape(t *testing.T) {
 		mk(core.PolicyMix, 0.4),
 		mk(core.PolicyIdle, 0.4),
 	}
-	rs := RunAll(scens, 0)
+	rs := runEach(scens)
 	for _, r := range rs {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -134,7 +134,7 @@ func TestDynamicDVFSImprovesCompliance(t *testing.T) {
 			DynamicDVFS: dynamic,
 		}
 	}
-	rs := RunAll([]Scenario{mk(false), mk(true)}, 0)
+	rs := runEach([]Scenario{mk(false), mk(true)})
 	for _, r := range rs {
 		if r.Err != nil {
 			t.Fatal(r.Err)

@@ -2,8 +2,9 @@
 // replaying (synthetic) Curie workload intervals against the RJMS under a
 // powercap scenario — a policy, a cap fraction, and a one-hour reservation
 // window in the middle of the interval — and collecting the utilization
-// and power series plus the Figure 8 totals. A worker pool runs whole
-// scenario sweeps in parallel, one independent controller per scenario.
+// and power series plus the Figure 8 totals. One scenario is one
+// single-goroutine controller; running many at once is the job of the
+// worker pool in internal/experiment.
 //
 // The predefined scenario builders (Fig6/7/8, the claims, the
 // ablations, and the generic SweepScenarios cross product) are the
@@ -15,8 +16,6 @@ package replay
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -141,8 +140,8 @@ type Result struct {
 
 // Build constructs the controller of one scenario with its workload
 // loaded (materialized or streaming) but nothing reserved or run — the
-// shared front half of Run and of federation members, which reserve
-// and drive their controllers themselves. The returned cleanup releases
+// shared front half of RunContextWith and of federation members, which
+// reserve and drive their controllers themselves. The returned cleanup releases
 // a streaming source (it is non-nil even when there is nothing to
 // close) and must be called once the run is over.
 func Build(s Scenario) (ctl *rjms.Controller, cleanup func(), err error) {
@@ -202,44 +201,7 @@ func Build(s Scenario) (ctl *rjms.Controller, cleanup func(), err error) {
 }
 
 // Run executes one scenario to completion.
-func Run(s Scenario) Result { return RunWith(s, nil) }
-
-// RunWith executes one scenario like Run, invoking observe (when
-// non-nil) on the built controller before the replay starts — the
-// attach point of the invariant checker and other test probes.
-func RunWith(s Scenario, observe func(*rjms.Controller)) Result {
-	res := Result{Scenario: s}
-	ctl, cleanup, err := Build(s)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	defer cleanup()
-	res.MaxPower = ctl.Cluster().MaxPower()
-	res.Cores = ctl.Cluster().Cores()
-	if observe != nil {
-		observe(ctl)
-	}
-
-	if s.Capped() {
-		start, end := s.Window()
-		budget := power.CapFraction(s.CapFraction, ctl.Cluster().MaxPower())
-		plan, err := ctl.ReservePowerCap(start, end, budget)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		res.Plan = plan
-	}
-	sum, err := ctl.Run(s.Duration())
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Summary = sum
-	res.Samples = ctl.Samples()
-	return res
-}
+func Run(s Scenario) Result { return RunContextWith(context.Background(), s, nil) }
 
 // cancelSteps bounds how stale a cancellation check can get: a replay
 // advances in duration/cancelSteps chunks of virtual time, probing ctx
@@ -247,13 +209,13 @@ func RunWith(s Scenario, observe func(*rjms.Controller)) Result {
 // of its remaining wall-clock cost.
 const cancelSteps = 128
 
-// RunContextWith executes one scenario like RunWith but checks ctx
-// between bounded steps of virtual time, so a cancellation aborts the
-// replay mid-run instead of after it: the result then carries ctx.Err()
-// plus the samples recorded so far. Uncancelled runs are bit-identical
-// to Run's (Start + stepped Advance + Finish is the same event sequence
-// as one Run to the horizon — the federation broker's lockstep
-// contract; TestRunContextWithMatchesRun pins it).
+// RunContextWith is the scenario driver — every single-cluster replay
+// in the repo goes through it. It invokes observe (when non-nil) on the
+// built controller before the replay starts (the attach point of the
+// invariant checker, telemetry collectors and other probes), then
+// advances in bounded steps of virtual time, checking ctx between them,
+// so a cancellation aborts the replay mid-run instead of after it: the
+// result then carries ctx.Err() plus the samples recorded so far.
 func RunContextWith(ctx context.Context, s Scenario, observe func(*rjms.Controller)) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -314,80 +276,4 @@ func RunContextWith(ctx context.Context, s Scenario, observe func(*rjms.Controll
 	res.Summary = ctl.Finish()
 	res.Samples = ctl.Samples()
 	return res
-}
-
-// RunAll executes scenarios on a worker pool (one controller per worker;
-// controllers are single-threaded, the sweep is embarrassingly parallel).
-// workers <= 0 means GOMAXPROCS. Results keep the input order.
-//
-// RunAll is the minimal pool; the internal/experiment package layers
-// grid expansion, per-cell timing, progress callbacks, aggregation and
-// CSV/JSON/ASCII export on top — prefer it for new sweep code.
-func RunAll(scenarios []Scenario, workers int) []Result {
-	results, _ := RunAllContext(context.Background(), scenarios, workers)
-	return results
-}
-
-// RunAllContext is RunAll with cancellation: when ctx is cancelled the
-// feeder stops handing out scenarios, the in-flight workers finish
-// their cell, and the call returns the partial results plus ctx.Err().
-// The pool is always fully drained before returning — a worker never
-// outlives the call, and the feeder never blocks on workers that quit
-// (the early-exit goroutine leak the old hand-rolled pools risked).
-// Cells that never ran carry their scenario and ctx.Err().
-func RunAllContext(ctx context.Context, scenarios []Scenario, workers int) ([]Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	results := make([]Result, len(scenarios))
-	ran := make([]bool, len(scenarios)) // index-owned by the cell's worker
-	if workers <= 1 {
-		for i, s := range scenarios {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = RunContextWith(ctx, s, nil)
-			ran[i] = true
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					// Drain without running once cancelled, so the
-					// feeder can never block on a quit worker.
-					if ctx.Err() == nil {
-						results[i] = RunContextWith(ctx, scenarios[i], nil)
-						ran[i] = true
-					}
-				}
-			}()
-		}
-	feed:
-		for i := range scenarios {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(idx)
-		wg.Wait()
-	}
-	err := ctx.Err()
-	for i := range results {
-		if !ran[i] {
-			results[i] = Result{Scenario: scenarios[i], Err: err}
-		}
-	}
-	return results, err
 }

@@ -16,6 +16,16 @@ func shortWorkload(kind trace.Kind, seed int64) trace.Config {
 	return trace.Config{Kind: kind, Seed: seed, DurationSec: 2 * 3600}
 }
 
+// runEach replays scenarios one after another (the parallel pool lives
+// in internal/experiment, which this package cannot import).
+func runEach(scens []Scenario) []Result {
+	rs := make([]Result, len(scens))
+	for i, s := range scens {
+		rs[i] = Run(s)
+	}
+	return rs
+}
+
 func TestScenarioHelpers(t *testing.T) {
 	s := Scenario{Workload: trace.Config{Kind: trace.Day24h}, CapFraction: 0.4, Policy: core.PolicyMix}
 	if s.Duration() != 24*3600 {
@@ -162,29 +172,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunAllParallelMatchesSerial(t *testing.T) {
-	scens := []Scenario{
-		{Name: "a", Workload: shortWorkload(trace.MedianJob, 1), Policy: core.PolicyNone, ScaleRacks: testRacks},
-		{Name: "b", Workload: shortWorkload(trace.MedianJob, 1), Policy: core.PolicyShut, CapFraction: 0.6, ScaleRacks: testRacks},
-		{Name: "c", Workload: shortWorkload(trace.MedianJob, 1), Policy: core.PolicyDvfs, CapFraction: 0.6, ScaleRacks: testRacks},
-		{Name: "d", Workload: shortWorkload(trace.MedianJob, 1), Policy: core.PolicyMix, CapFraction: 0.6, ScaleRacks: testRacks},
-	}
-	serial := RunAll(scens, 1)
-	parallel := RunAll(scens, 4)
-	for i := range scens {
-		if serial[i].Err != nil || parallel[i].Err != nil {
-			t.Fatal(serial[i].Err, parallel[i].Err)
-		}
-		if serial[i].Scenario.Name != scens[i].Name || parallel[i].Scenario.Name != scens[i].Name {
-			t.Fatal("result order scrambled")
-		}
-		if serial[i].Summary.EnergyJ != parallel[i].Summary.EnergyJ {
-			t.Errorf("scenario %s: parallel energy %v != serial %v",
-				scens[i].Name, parallel[i].Summary.EnergyJ, serial[i].Summary.EnergyJ)
-		}
-	}
-}
-
 func TestRunExplicitJobs(t *testing.T) {
 	jobs := []*job.Job{
 		{ID: 1, User: "u", Cores: 64, Submit: 0, Runtime: 600, Walltime: 1200},
@@ -297,7 +284,7 @@ func TestPolicyShapeMedianjob(t *testing.T) {
 		mk(core.PolicyShut, 0.4),
 		mk(core.PolicyMix, 0.4),
 	}
-	rs := RunAll(scens, 0)
+	rs := runEach(scens)
 	for _, r := range rs {
 		if r.Err != nil {
 			t.Fatal(r.Err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 
 	"repro/internal/obs"
@@ -28,10 +27,14 @@ import (
 //	GET    /v1/fleet                member table
 //	POST   /v1/fleet/join           worker registration {name, url}
 //	POST   /v1/fleet/heartbeat      lease renewal {name}
+//	*      /v1/twin, /v1/twin/...   501: twin sessions are daemon-only
 //	GET    /healthz                 liveness
 //
 // Clients cannot tell a gateway from a daemon on the /v1/runs surface:
-// ids, errors, tenancy and cache-hit semantics match. With Auth
+// ids, errors, tenancy and cache-hit semantics match. The twin surface
+// is the one exception: a gateway routes no twin sessions and says so
+// with a JSON 501 (behind the same auth as everything else) rather
+// than the mux's plain-text 404 — address a worker directly. With Auth
 // configured the same bearer rules apply, and the fleet endpoints
 // additionally require an admin token — workers join with operator
 // credentials, tenants never see the member table.
@@ -45,54 +48,17 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/v1/fleet", g.adminOnly(g.handleFleet))
 	mux.HandleFunc("/v1/fleet/join", g.adminOnly(g.handleJoin))
 	mux.HandleFunc("/v1/fleet/heartbeat", g.adminOnly(g.handleHeartbeat))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, 200, map[string]string{"status": "ok"})
-	})
 	mux.HandleFunc("/metrics", g.handleMetrics)
-	// pprof mirrors the daemon's gating: open gateways expose it, authed
-	// gateways answer non-admins with the same 404 an absent route gets.
-	mux.HandleFunc("/debug/pprof/", g.gatePprof(pprof.Index))
-	mux.HandleFunc("/debug/pprof/cmdline", g.gatePprof(pprof.Cmdline))
-	mux.HandleFunc("/debug/pprof/profile", g.gatePprof(pprof.Profile))
-	mux.HandleFunc("/debug/pprof/symbol", g.gatePprof(pprof.Symbol))
-	mux.HandleFunc("/debug/pprof/trace", g.gatePprof(pprof.Trace))
-
-	var h http.Handler = mux
-	if g.cfg.Auth != nil {
-		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// /healthz and /metrics stay open: probes and scrapers run
-			// without tenant credentials, same as on a daemon.
-			if r.URL.Path == "/healthz" || r.URL.Path == "/metrics" {
-				mux.ServeHTTP(w, r)
-				return
-			}
-			tc, err := g.cfg.Auth.Authenticate(r.Header.Get("Authorization"))
-			if err != nil {
-				w.Header().Set("WWW-Authenticate", `Bearer realm="simd"`)
-				writeErr(w, err)
-				return
-			}
-			mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), tenantKey, tc)))
-		})
-	}
-	// Middleware outermost: auth refusals are counted and traced too.
-	return obs.Middleware(h, obs.MiddlewareOptions{
-		Metrics: g.met.httpMet,
-		Log:     g.cfg.Logger.Component("gateway-http"),
-		Route:   routeTemplate,
-	})
+	mux.HandleFunc("/v1/twin", twinsAreDaemonOnly)
+	mux.HandleFunc("/v1/twin/", twinsAreDaemonOnly)
+	return apiShell(mux, g.cfg.Auth, g.met.httpMet, g.cfg.Logger.Component("gateway-http"))
 }
 
-// gatePprof hides the profiler from non-admin tenants on authenticated
-// gateways: a plain 404, indistinguishable from the route not existing.
-func (g *Gateway) gatePprof(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if g.cfg.Auth != nil && !requestTenant(r).Admin {
-			writeErr(w, &Error{Status: 404, Msg: "not found"})
-			return
-		}
-		h(w, r)
-	}
+// twinsAreDaemonOnly answers the twin routes on a gateway: a twin is a
+// long-lived session pinned to the daemon that runs it, which the
+// gateway's stateless dispatch does not route.
+func twinsAreDaemonOnly(w http.ResponseWriter, r *http.Request) {
+	writeErr(w, &Error{Status: 501, Msg: "twin sessions are daemon-only; address a worker directly"})
 }
 
 // handleMetrics is the gateway's Prometheus exposition: its own

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
 )
@@ -442,5 +445,58 @@ func TestFleetMemberLeaseProtocol(t *testing.T) {
 	}
 	if done, err := c.Wait(context.Background(), v.ID, nil); err != nil || done.State != service.StateDone {
 		t.Fatalf("run via joined worker: state=%v err=%v", done.State, err)
+	}
+}
+
+// TestGatewayTwinRoutesAre501 pins the gateway's answer on the twin
+// surface: a JSON 501 through writeErr (request id stamped) behind the
+// auth wall, not the mux's plain-text 404.
+func TestGatewayTwinRoutesAre501(t *testing.T) {
+	auth, err := service.NewAuth([]service.TenantConfig{{Name: "alice", Token: "tok-alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := service.NewGateway(service.GatewayConfig{Auth: auth})
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		gw.Shutdown(ctx)
+		ts.Close()
+	})
+	do := func(method, path, token string) (*http.Response, string) {
+		req, _ := http.NewRequest(method, ts.URL+path, nil)
+		req.Header.Set(obs.RequestIDHeader, "twin-501-trace")
+		if token != "" {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, string(body)
+	}
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/twin"},
+		{http.MethodGet, "/v1/twin"},
+		{http.MethodGet, "/v1/twin/t000001/series"},
+	} {
+		resp, body := do(tc.method, tc.path, "tok-alice")
+		if resp.StatusCode != 501 {
+			t.Errorf("%s %s = %d, want 501", tc.method, tc.path, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s %s content type = %q, want JSON", tc.method, tc.path, ct)
+		}
+		for _, want := range []string{`"request_id": "twin-501-trace"`, "daemon-only"} {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s %s body lacks %q: %s", tc.method, tc.path, want, body)
+			}
+		}
+	}
+	if resp, _ := do(http.MethodGet, "/v1/twin", ""); resp.StatusCode != 401 {
+		t.Errorf("anonymous /v1/twin = %d, want 401", resp.StatusCode)
 	}
 }

@@ -80,23 +80,25 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, 200, s.Stats())
 	})
 	mux.HandleFunc("/metrics", s.handlePromMetrics)
+	return apiShell(mux, s.cfg.Auth, s.met.httpMet, s.cfg.Logger.Component("http"))
+}
+
+// apiShell finishes a daemon's or a gateway's mux into its handler —
+// the part of the HTTP surface the two share byte for byte: /healthz,
+// the admin-gated profiler, bearer authentication and the obs
+// middleware.
+func apiShell(mux *http.ServeMux, auth *Auth, httpMetrics *obs.HTTPMetrics, logger *obs.Logger) http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, 200, map[string]string{"status": "ok"})
 	})
-	// pprof is admin-gated: open daemons expose it (single-user, like
-	// everything else), authenticated daemons require an admin token —
-	// non-admin tokens get the generic 404 (profiles leak memory
-	// contents; their existence is not advertised), and tokenless
-	// requests never reach here (the auth wrapper's open list covers
-	// only /healthz and /metrics, so /debug/* is a 401).
-	mux.HandleFunc("/debug/pprof/", s.gatePprof(pprof.Index))
-	mux.HandleFunc("/debug/pprof/cmdline", s.gatePprof(pprof.Cmdline))
-	mux.HandleFunc("/debug/pprof/profile", s.gatePprof(pprof.Profile))
-	mux.HandleFunc("/debug/pprof/symbol", s.gatePprof(pprof.Symbol))
-	mux.HandleFunc("/debug/pprof/trace", s.gatePprof(pprof.Trace))
+	mux.HandleFunc("/debug/pprof/", gatePprof(auth, pprof.Index))
+	mux.HandleFunc("/debug/pprof/cmdline", gatePprof(auth, pprof.Cmdline))
+	mux.HandleFunc("/debug/pprof/profile", gatePprof(auth, pprof.Profile))
+	mux.HandleFunc("/debug/pprof/symbol", gatePprof(auth, pprof.Symbol))
+	mux.HandleFunc("/debug/pprof/trace", gatePprof(auth, pprof.Trace))
 
 	var h http.Handler = mux
-	if s.cfg.Auth != nil {
+	if auth != nil {
 		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// Liveness and the metric exposition stay open: load
 			// balancers and scrapers need no credentials, and neither
@@ -105,7 +107,7 @@ func (s *Server) Handler() http.Handler {
 				mux.ServeHTTP(w, r)
 				return
 			}
-			tc, err := s.cfg.Auth.Authenticate(r.Header.Get("Authorization"))
+			tc, err := auth.Authenticate(r.Header.Get("Authorization"))
 			if err != nil {
 				w.Header().Set("WWW-Authenticate", `Bearer realm="simd"`)
 				writeErr(w, err)
@@ -116,17 +118,19 @@ func (s *Server) Handler() http.Handler {
 	}
 	// The middleware wraps the auth layer, so denied requests are
 	// counted and traced like served ones.
-	return obs.Middleware(h, obs.MiddlewareOptions{
-		Metrics: s.met.httpMet,
-		Log:     s.cfg.Logger.Component("http"),
-		Route:   routeTemplate,
-	})
+	return obs.Middleware(h, obs.MiddlewareOptions{Metrics: httpMetrics, Log: logger, Route: routeTemplate})
 }
 
-// gatePprof admits pprof requests per the admin policy above.
-func (s *Server) gatePprof(h http.HandlerFunc) http.HandlerFunc {
+// gatePprof admits profiler requests per the admin policy: open
+// servers expose pprof (single-user, like everything else),
+// authenticated ones require an admin token — non-admin tokens get the
+// generic 404 (profiles leak memory contents; their existence is not
+// advertised), and tokenless requests never reach here (the auth
+// wrapper's open list covers only /healthz and /metrics, so /debug/*
+// is a 401).
+func gatePprof(auth *Auth, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.Auth != nil && !requestTenant(r).Admin {
+		if auth != nil && !requestTenant(r).Admin {
 			writeErr(w, &Error{Status: 404, Msg: "not found"})
 			return
 		}

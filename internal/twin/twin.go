@@ -25,7 +25,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/power"
 	"repro/internal/replay"
-	"repro/internal/reservation"
 	"repro/internal/rjms"
 	"repro/internal/signal"
 	"repro/internal/sim"
@@ -305,31 +304,20 @@ type Status struct {
 	Finished bool `json:"finished"`
 }
 
-// twinMember is the session's bookkeeping for one live member.
-type twinMember struct {
-	name     string
-	ctl      *rjms.Controller
-	cleanup  func()
-	capID    int
-	maxPower power.Watts
-	capW     power.Watts
-}
-
-// Session is one live twin. Run drives it on a single goroutine (the
-// controllers' single-goroutine contract); Status, Log and Mutate are
-// safe from any goroutine.
+// Session is one live twin: a federation.Fleet plus what is the twin's
+// own — pacing, the mutation queue, telemetry and the status snapshot.
+// Run drives it on a single goroutine (the controllers'
+// single-goroutine contract); Status, Log and Mutate are safe from any
+// goroutine.
 type Session struct {
-	spec     Spec
-	cfg      Config
-	division replay.Division
-	sig      signal.Source
-	members  []*twinMember
+	spec  Spec
+	cfg   Config
+	fleet *federation.Fleet // touched only by New and the Run goroutine
 
-	mu       sync.Mutex
-	fraction float64 // active cap fraction (mutable via set_budget)
-	queue    []Mutation
-	applied  []Applied
-	status   Status
+	mu      sync.Mutex
+	queue   []Mutation
+	applied []Applied
+	status  Status
 }
 
 // New validates, normalizes and assembles a session: members built and
@@ -344,73 +332,42 @@ func New(spec Spec, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("twin: %w", err)
 	}
-	sig, err := signal.Build(spec.Signal)
-	if err != nil {
-		return nil, fmt.Errorf("twin: budget signal: %w", err)
+	fs := replay.FederationScenario{
+		Name:              spec.Name,
+		GlobalCapFraction: spec.GlobalCapFraction,
+		Division:          div,
+		EpochSec:          spec.EpochSec,
+		DurationSec:       spec.HorizonSec,
+		BudgetSignal:      spec.Signal,
 	}
-	s := &Session{spec: spec, cfg: cfg, division: div, sig: sig, fraction: spec.GlobalCapFraction}
-	ok := false
-	defer func() {
-		if !ok {
-			s.close()
-		}
-	}()
-	for i, ms := range spec.Members {
-		m, err := s.buildMember(ms, i)
+	for _, ms := range spec.Members {
+		sc, err := memberScenario(ms)
 		if err != nil {
 			return nil, err
 		}
-		s.members = append(s.members, m)
+		fs.Members = append(fs.Members, sc)
 	}
-	// Initial division: pro-rata at the t=0 budget, like the batch
-	// broker — no demand observed yet.
-	budget, _ := s.budgetAt(0)
-	var sumMax power.Watts
-	for _, m := range s.members {
-		sumMax += m.maxPower
+	var observe federation.Observer
+	if cfg.Observe != nil {
+		observe = func(_ int, name string, ctl *rjms.Controller) { cfg.Observe(name, ctl) }
 	}
-	for _, m := range s.members {
-		m.capW = power.Watts(float64(budget) * float64(m.maxPower) / float64(sumMax))
-		id, _, err := m.ctl.ReservePowerCapID(0, reservation.Horizon, power.CapWatts(m.capW))
-		if err != nil {
-			return nil, fmt.Errorf("twin: member %s: %w", m.name, err)
-		}
-		m.capID = id
-		if cfg.Observe != nil {
-			cfg.Observe(m.name, m.ctl)
-		}
-		if err := m.ctl.Start(spec.HorizonSec); err != nil {
-			return nil, fmt.Errorf("twin: member %s: %w", m.name, err)
-		}
+	fleet, err := federation.NewFleet(fs, observe)
+	if err != nil {
+		return nil, fmt.Errorf("twin: %w", err)
 	}
+	s := &Session{spec: spec, cfg: cfg, fleet: fleet}
 	s.snapshot(0, false)
-	ok = true
 	return s, nil
 }
 
-// buildMember assembles one member controller with its workload
-// loaded; the caller reserves its cap and starts its clock.
-func (s *Session) buildMember(ms MemberSpec, i int) (*twinMember, error) {
-	name := memberName(ms, i)
-	sc, err := sim.MemberScenario(name, ms.Workload, ms.Policy, ms.Racks)
+// memberScenario lowers a normalized member spec onto its replay
+// scenario.
+func memberScenario(ms MemberSpec) (replay.Scenario, error) {
+	sc, err := sim.MemberScenario(ms.Name, ms.Workload, ms.Policy, ms.Racks)
 	if err != nil {
-		return nil, fmt.Errorf("twin: member %s: %w", name, err)
+		return sc, fmt.Errorf("twin: member %s: %w", ms.Name, err)
 	}
-	ctl, cleanup, err := replay.Build(sc)
-	if err != nil {
-		return nil, fmt.Errorf("twin: member %s: %w", name, err)
-	}
-	return &twinMember{name: name, ctl: ctl, cleanup: cleanup, maxPower: ctl.Cluster().MaxPower()}, nil
-}
-
-// close releases every member's resources.
-func (s *Session) close() {
-	for _, m := range s.members {
-		if m.cleanup != nil {
-			m.cleanup()
-		}
-	}
-	s.members = nil
+	return sc, nil
 }
 
 // Spec returns the session's normalized spec.
@@ -460,20 +417,20 @@ func (s *Session) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	defer s.close()
+	defer s.fleet.Close()
 	epoch, horizon := s.spec.EpochSec, s.spec.HorizonSec
 	s.telemetry(0)
 	for t := epoch; t <= horizon; t += epoch {
 		if err := s.pace(ctx, epoch); err != nil {
 			return err
 		}
-		for _, m := range s.members {
-			if err := m.ctl.Advance(t); err != nil {
-				return fmt.Errorf("twin: member %s at t=%d: %w", m.name, t, err)
-			}
+		if err := s.fleet.AdvanceAll(t); err != nil {
+			return fmt.Errorf("twin: %w", err)
 		}
 		s.applyDue(t)
-		s.redistribute(t)
+		if _, err := s.fleet.Rebudget(t); err != nil {
+			return fmt.Errorf("twin: %w", err)
+		}
 		s.telemetry(t)
 		s.snapshot(t, t+epoch > horizon)
 		if s.cfg.OnEpoch != nil {
@@ -550,140 +507,36 @@ func (s *Session) apply(m Mutation, t int64) error {
 		if m.BudgetFraction <= 0 || m.BudgetFraction >= 1 {
 			return fmt.Errorf("twin: set_budget fraction %v outside (0, 1)", m.BudgetFraction)
 		}
-		s.mu.Lock()
-		s.fraction = m.BudgetFraction
-		s.mu.Unlock()
+		s.fleet.SetFraction(m.BudgetFraction)
 		return nil
 	case OpAddMember:
 		if m.Member == nil {
 			return fmt.Errorf("twin: add_member without a member spec")
 		}
-		ms := normalizeMember(*m.Member, len(s.members))
-		if s.findMember(ms.Name) != nil {
-			return fmt.Errorf("twin: member %q already exists", ms.Name)
-		}
-		nm, err := s.buildMember(ms, len(s.members))
+		sc, err := memberScenario(normalizeMember(*m.Member, len(s.fleet.Members())))
 		if err != nil {
 			return err
 		}
-		// The newcomer reserves at its pro-rata share of the current
-		// budget (fleet including itself); the boundary's
-		// redistribution below refines it immediately.
-		var sumMax power.Watts
-		for _, mem := range s.members {
-			sumMax += mem.maxPower
+		if err := s.fleet.Join(sc, t); err != nil {
+			return fmt.Errorf("twin: %w", err)
 		}
-		sumMax += nm.maxPower
-		budget, _ := s.budgetWith(t, sumMax)
-		nm.capW = power.Watts(float64(budget) * float64(nm.maxPower) / float64(sumMax))
-		id, _, err := nm.ctl.ReservePowerCapID(0, reservation.Horizon, power.CapWatts(nm.capW))
-		if err != nil {
-			nm.cleanup()
-			return fmt.Errorf("twin: member %s: %w", nm.name, err)
-		}
-		nm.capID = id
-		if s.cfg.Observe != nil {
-			s.cfg.Observe(nm.name, nm.ctl)
-		}
-		// Catch up: the member's virtual clock starts at zero and
-		// fast-forwards to the boundary, replaying its workload's
-		// backlog deterministically.
-		if err := nm.ctl.Start(s.spec.HorizonSec); err != nil {
-			nm.cleanup()
-			return fmt.Errorf("twin: member %s: %w", nm.name, err)
-		}
-		if err := nm.ctl.Advance(t); err != nil {
-			nm.cleanup()
-			return fmt.Errorf("twin: member %s catch-up: %w", nm.name, err)
-		}
-		s.members = append(s.members, nm)
 		return nil
 	case OpRemoveMember:
-		if len(s.members) == 1 {
-			return fmt.Errorf("twin: cannot remove the last member %q", m.Name)
+		if err := s.fleet.Remove(m.Name); err != nil {
+			return fmt.Errorf("twin: %w", err)
 		}
-		for i, mem := range s.members {
-			if mem.name == m.Name {
-				mem.cleanup()
-				s.members = append(s.members[:i], s.members[i+1:]...)
-				return nil
-			}
-		}
-		return fmt.Errorf("twin: unknown member %q", m.Name)
-	case OpFailNode:
-		mem := s.findMember(m.Name)
+		return nil
+	case OpFailNode, OpRepairNode:
+		mem := s.fleet.Member(m.Name)
 		if mem == nil {
 			return fmt.Errorf("twin: unknown member %q", m.Name)
 		}
-		return mem.ctl.FailNode(cluster.NodeID(m.Node))
-	case OpRepairNode:
-		mem := s.findMember(m.Name)
-		if mem == nil {
-			return fmt.Errorf("twin: unknown member %q", m.Name)
+		if m.Op == OpFailNode {
+			return mem.Ctl.FailNode(cluster.NodeID(m.Node))
 		}
-		return mem.ctl.RepairNode(cluster.NodeID(m.Node))
+		return mem.Ctl.RepairNode(cluster.NodeID(m.Node))
 	default:
 		return fmt.Errorf("twin: unknown mutation op %q", m.Op)
-	}
-}
-
-func (s *Session) findMember(name string) *twinMember {
-	for _, m := range s.members {
-		if m.name == name {
-			return m
-		}
-	}
-	return nil
-}
-
-// budgetAt evaluates the effective site budget at virtual time t over
-// the current fleet.
-func (s *Session) budgetAt(t int64) (power.Watts, float64) {
-	var sumMax power.Watts
-	for _, m := range s.members {
-		sumMax += m.maxPower
-	}
-	return s.budgetWith(t, sumMax)
-}
-
-// budgetWith evaluates the budget against an explicit fleet maximum
-// (add_member sizes the joined fleet before appending).
-func (s *Session) budgetWith(t int64, sumMax power.Watts) (power.Watts, float64) {
-	s.mu.Lock()
-	fraction := s.fraction
-	s.mu.Unlock()
-	sv := s.sig.At(t)
-	b := power.Watts(fraction * float64(sumMax) * sv)
-	if b < 0 {
-		b = 0
-	}
-	if b > sumMax {
-		b = sumMax
-	}
-	return b, sv
-}
-
-// redistribute divides the boundary's budget across the fleet with the
-// batch broker's arithmetic and re-budgets members whose share moved.
-func (s *Session) redistribute(t int64) {
-	budget, _ := s.budgetAt(t)
-	states := make([]federation.MemberState, len(s.members))
-	for i, m := range s.members {
-		states[i] = federation.MemberState{
-			MaxPower:     m.maxPower,
-			Draw:         m.ctl.Cluster().Power(),
-			PendingCores: m.ctl.PendingCores(),
-		}
-	}
-	shares := federation.Divide(s.division, budget, states)
-	for i, m := range s.members {
-		if shares[i] != m.capW {
-			m.capW = shares[i]
-			// UpdateCap cannot fail on a live reservation id and the
-			// boundary reactions run inline; a failure here would be a
-			// programming error, surfaced via the telemetry flatline.
-			_ = m.ctl.AdjustPowerCap(m.capID, power.CapWatts(shares[i]))
-		}
 	}
 }
 
@@ -694,15 +547,15 @@ func (s *Session) telemetry(t int64) {
 	if s.cfg.Sink == nil {
 		return
 	}
-	budget, sv := s.budgetAt(t)
+	budget, sv := s.fleet.BudgetAt(t)
 	var total power.Watts
-	for _, m := range s.members {
-		p := m.ctl.Cluster().Power()
+	for _, m := range s.fleet.Members() {
+		p := m.Ctl.Cluster().Power()
 		total += p
-		_ = s.cfg.Sink.Append(m.name+"/power", t, float64(p))
-		_ = s.cfg.Sink.Append(m.name+"/cap", t, float64(m.capW))
-		_ = s.cfg.Sink.Append(m.name+"/pending_cores", t, float64(m.ctl.PendingCores()))
-		_ = s.cfg.Sink.Append(m.name+"/running_jobs", t, float64(m.ctl.RunningCount()))
+		_ = s.cfg.Sink.Append(m.Name+"/power", t, float64(p))
+		_ = s.cfg.Sink.Append(m.Name+"/cap", t, float64(m.CapW()))
+		_ = s.cfg.Sink.Append(m.Name+"/pending_cores", t, float64(m.Ctl.PendingCores()))
+		_ = s.cfg.Sink.Append(m.Name+"/running_jobs", t, float64(m.Ctl.RunningCount()))
 	}
 	_ = s.cfg.Sink.Append("power", t, float64(total))
 	_ = s.cfg.Sink.Append("budget", t, float64(budget))
@@ -711,21 +564,21 @@ func (s *Session) telemetry(t int64) {
 
 // snapshot refreshes the Status copy readers see.
 func (s *Session) snapshot(t int64, finished bool) {
-	budget, sv := s.budgetAt(t)
-	members := make([]MemberStatus, len(s.members))
+	budget, sv := s.fleet.BudgetAt(t)
+	members := make([]MemberStatus, len(s.fleet.Members()))
 	var total power.Watts
-	for i, m := range s.members {
-		p := m.ctl.Cluster().Power()
+	for i, m := range s.fleet.Members() {
+		p := m.Ctl.Cluster().Power()
 		total += p
 		ms := MemberStatus{
-			Name:         m.name,
-			CapW:         float64(m.capW),
+			Name:         m.Name,
+			CapW:         float64(m.CapW()),
 			PowerW:       float64(p),
-			MaxPowerW:    float64(m.maxPower),
-			PendingCores: m.ctl.PendingCores(),
-			RunningJobs:  m.ctl.RunningCount(),
+			MaxPowerW:    float64(m.MaxPower),
+			PendingCores: m.Ctl.PendingCores(),
+			RunningJobs:  m.Ctl.RunningCount(),
 		}
-		for _, id := range m.ctl.FailedNodes() {
+		for _, id := range m.Ctl.FailedNodes() {
 			ms.FailedNodes = append(ms.FailedNodes, int(id))
 		}
 		members[i] = ms
@@ -737,7 +590,7 @@ func (s *Session) snapshot(t int64, finished bool) {
 		HorizonSec:     s.spec.HorizonSec,
 		EpochSec:       s.spec.EpochSec,
 		RealTimeRatio:  s.spec.RealTimeRatio,
-		BudgetFraction: s.fraction,
+		BudgetFraction: s.fleet.Fraction(),
 		SignalValue:    sv,
 		BudgetW:        float64(budget),
 		PowerW:         float64(total),

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/federation"
 	"repro/internal/invariant"
+	"repro/internal/replay"
 	"repro/internal/rjms"
 	"repro/internal/signal"
 	"repro/internal/sim"
@@ -301,7 +303,7 @@ func TestMutateRejectsUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
+	defer s.fleet.Close()
 	if err := s.Mutate(Mutation{Op: "explode"}); err == nil {
 		t.Fatal("unknown op accepted")
 	}
@@ -412,5 +414,103 @@ func TestCheckedInTwinSpecs(t *testing.T) {
 		if norm := spec.Normalize(); !reflect.DeepEqual(norm, spec) {
 			t.Errorf("%s: stored spec is not normalized:\n stored %+v\n normal %+v", path, spec, norm)
 		}
+	}
+}
+
+// pointSink records every appended point by series name and time.
+type pointSink map[string]map[int64]float64
+
+func (p pointSink) Append(name string, t int64, v float64) error {
+	if p[name] == nil {
+		p[name] = map[int64]float64{}
+	}
+	p[name][t] = v
+	return nil
+}
+
+// TestTwinMatchesFederationWhereTheyOverlap is the differential between
+// the two brokers over one Fleet: a twin with no mutations, running as
+// fast as possible, divides exactly like a batch federation over the
+// same members, division, epoch and budget signal — every boundary's
+// budget and per-member shares are equal.
+func TestTwinMatchesFederationWhereTheyOverlap(t *testing.T) {
+	for _, div := range []replay.Division{replay.DivideProRata, replay.DivideDemand} {
+		t.Run(div.String(), func(t *testing.T) {
+			spec := smallSpec()
+			spec.Division = div.String()
+			spec.Signal = &signal.Spec{Kind: "sinusoid", Mean: 1, Amplitude: 0.2, PeriodSec: 3600}
+
+			fs := replay.FederationScenario{
+				GlobalCapFraction: spec.GlobalCapFraction,
+				Division:          div,
+				EpochSec:          spec.EpochSec,
+				DurationSec:       spec.HorizonSec,
+				BudgetSignal:      spec.Signal,
+			}
+			for _, ms := range spec.Members {
+				sc, err := sim.MemberScenario(ms.Name, ms.Workload, "DVFS", ms.Racks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs.Members = append(fs.Members, sc)
+			}
+			want := federation.Run(fs)
+			if want.Err != nil {
+				t.Fatal(want.Err)
+			}
+			if len(want.Epochs) != 3 {
+				t.Fatalf("federation recorded %d boundaries, want 3", len(want.Epochs))
+			}
+
+			sink := pointSink{}
+			s, err := New(spec, Config{Sink: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for _, ep := range want.Epochs {
+				if got, ok := sink["budget"][ep.T]; !ok || got != float64(ep.BudgetW) {
+					t.Errorf("t=%d: twin budget %v, federation %v", ep.T, got, ep.BudgetW)
+				}
+				for i, ms := range spec.Members {
+					if got, ok := sink[ms.Name+"/cap"][ep.T]; !ok || got != float64(ep.CapW[i]) {
+						t.Errorf("t=%d: twin %s cap %v, federation %v", ep.T, ms.Name, got, ep.CapW[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRebudgetErrorFailsSession: a member whose reservation the broker
+// cannot re-budget fails the session instead of letting the twin
+// diverge silently from its own mutation log. The reservation id is
+// invalidated by swapping in a started controller that never reserved.
+func TestRebudgetErrorFailsSession(t *testing.T) {
+	spec := smallSpec()
+	s, err := New(spec, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := spec.Members[0]
+	sc, err := sim.MemberScenario(alpha.Name, alpha.Workload, "DVFS", alpha.Racks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, cleanup, err := replay.Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	if err := ctl.Start(spec.HorizonSec); err != nil {
+		t.Fatal(err)
+	}
+	s.fleet.Member("alpha").Ctl = ctl
+
+	err = s.Run(context.Background())
+	if err == nil || !strings.HasPrefix(err.Error(), "twin: member alpha at t=900: ") {
+		t.Fatalf("Run error = %v, want the re-budget failure of member alpha at t=900", err)
 	}
 }
