@@ -27,7 +27,6 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -108,17 +107,6 @@ func (t Table) Results() []replay.Result {
 		out[i] = r.Result
 	}
 	return out
-}
-
-// Errs collects the per-cell errors (nil entries omitted).
-func (t Table) Errs() []error {
-	var errs []error
-	for _, r := range t.Rows {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", r.Scenario.Name, r.Err))
-		}
-	}
-	return errs
 }
 
 // SerialCost is the summed per-cell wall-clock time — what a one-worker

@@ -75,39 +75,11 @@ func exportRow(r Result) row {
 	return e
 }
 
-// exportedTable is the JSON envelope of a sweep.
-type exportedTable struct {
-	Name         string  `json:"name"`
-	Cells        int     `json:"cells"`
-	Workers      int     `json:"workers"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-	SerialCostMS float64 `json:"serial_cost_ms"`
-	Speedup      float64 `json:"speedup"`
-	Rows         []row   `json:"rows"`
-}
+func (e row) index() int { return e.Index }
 
-func (t Table) export() exportedTable {
-	out := exportedTable{
-		Name:         t.Name,
-		Cells:        len(t.Rows),
-		Workers:      t.Workers,
-		ElapsedMS:    float64(t.Elapsed.Microseconds()) / 1000,
-		SerialCostMS: float64(t.SerialCost().Microseconds()) / 1000,
-		Speedup:      t.Speedup(),
-		Rows:         make([]row, len(t.Rows)),
-	}
-	for i, r := range t.Rows {
-		out.Rows[i] = exportRow(r)
-	}
-	return out
-}
-
-// WriteJSON serializes the sweep (cells in grid order, sweep timing
-// included) as indented JSON.
-func (t Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.export())
+func (e row) untimed() row {
+	e.ElapsedMS = 0
+	return e
 }
 
 // csvHeader is the fixed column order of WriteCSV.
@@ -120,28 +92,114 @@ var csvHeader = []string{
 	"elapsed_ms", "error",
 }
 
+func (e row) record() []string {
+	return []string{
+		strconv.Itoa(e.Index), e.Name, e.Workload, e.Policy,
+		csvFloat(e.CapFraction), strconv.Itoa(e.Racks), strconv.Itoa(e.Cores),
+		csvFloat(e.EnergyJ), csvFloat(e.WorkCoreSec), csvFloat(e.PeakPowerW), csvFloat(e.MeanPowerW),
+		strconv.Itoa(e.Submitted), strconv.Itoa(e.Launched),
+		strconv.Itoa(e.Completed), strconv.Itoa(e.Killed),
+		strconv.Itoa(e.Rescales), csvFloat(e.MeanWaitSec), csvFloat(e.MeanBSLD),
+		csvFloat(e.NormEnergy), csvFloat(e.NormWork), csvFloat(e.NormLaunched),
+		strconv.Itoa(e.PlanOffNodes), csvFloat(e.ElapsedMS), e.Error,
+	}
+}
+
+func csvFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+func (t Table) cells() sweepCells[Result, row] {
+	return sweepCells[Result, row]{t.Rows, exportRow, csvHeader,
+		func(r Result) (string, error) { return r.Scenario.Name, r.Err }}
+}
+
+// Errs collects the per-cell errors (nil entries omitted).
+func (t Table) Errs() []error { return t.cells().errs() }
+
+// WriteJSON serializes the sweep (cells in grid order, sweep timing
+// included) as indented JSON.
+func (t Table) WriteJSON(w io.Writer) error {
+	serial, speedup := float64(t.SerialCost().Microseconds())/1000, t.Speedup()
+	return t.cells().writeJSON(w, envelope[row]{
+		Name:         t.Name,
+		Workers:      t.Workers,
+		ElapsedMS:    float64(t.Elapsed.Microseconds()) / 1000,
+		SerialCostMS: &serial,
+		Speedup:      &speedup,
+	})
+}
+
 // WriteCSV writes the summary table — one line per cell in grid order.
 // (Per-run time series stay with replay.WriteSeriesCSV; this file is
 // the cross-scenario comparison.)
-func (t Table) WriteCSV(w io.Writer) error {
+func (t Table) WriteCSV(w io.Writer) error { return t.cells().writeCSV(w) }
+
+// Fingerprint hashes the sweep's aggregated metrics — everything except
+// the timing fields, which legitimately vary run to run. Two sweeps of
+// the same grid must fingerprint identically at any worker count; the
+// sweep benchmark and the determinism tests rely on this.
+func (t Table) Fingerprint() string { return t.cells().fingerprint() }
+
+// exportedRow is what the shared table code needs from the stable
+// export form of one cell (row, fedRow).
+type exportedRow[E any] interface {
+	index() int
+	// untimed returns the row with its wall-clock field zeroed.
+	untimed() E
+	// record is the row's CSV line, in header order.
+	record() []string
+}
+
+// sweepCells is the half Table and FederationTable share — error
+// collection, the JSON envelope, the CSV loop and the fingerprint —
+// over sweep cells of type R, parameterised by the row exporter.
+type sweepCells[R any, E exportedRow[E]] struct {
+	rows   []R
+	export func(R) E
+	header []string
+	// failed names the cell's scenario and returns its error, if any.
+	failed func(R) (scenario string, err error)
+}
+
+func (c sweepCells[R, E]) errs() []error {
+	var errs []error
+	for _, r := range c.rows {
+		if name, err := c.failed(r); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", name, err))
+		}
+	}
+	return errs
+}
+
+// envelope is the JSON form of a sweep. Only single-cluster sweeps set
+// the serial-cost accounting; federated ones omit both keys.
+type envelope[E any] struct {
+	Name         string   `json:"name"`
+	Cells        int      `json:"cells"`
+	Workers      int      `json:"workers"`
+	ElapsedMS    float64  `json:"elapsed_ms"`
+	SerialCostMS *float64 `json:"serial_cost_ms,omitempty"`
+	Speedup      *float64 `json:"speedup,omitempty"`
+	Rows         []E      `json:"rows"`
+}
+
+func (c sweepCells[R, E]) writeJSON(w io.Writer, env envelope[E]) error {
+	env.Cells = len(c.rows)
+	env.Rows = make([]E, len(c.rows))
+	for i, r := range c.rows {
+		env.Rows[i] = c.export(r)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(env)
+}
+
+func (c sweepCells[R, E]) writeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	if err := cw.Write(c.header); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-	for _, r := range t.Rows {
-		e := exportRow(r)
-		rec := []string{
-			strconv.Itoa(e.Index), e.Name, e.Workload, e.Policy,
-			f(e.CapFraction), strconv.Itoa(e.Racks), strconv.Itoa(e.Cores),
-			f(e.EnergyJ), f(e.WorkCoreSec), f(e.PeakPowerW), f(e.MeanPowerW),
-			strconv.Itoa(e.Submitted), strconv.Itoa(e.Launched),
-			strconv.Itoa(e.Completed), strconv.Itoa(e.Killed),
-			strconv.Itoa(e.Rescales), f(e.MeanWaitSec), f(e.MeanBSLD),
-			f(e.NormEnergy), f(e.NormWork), f(e.NormLaunched),
-			strconv.Itoa(e.PlanOffNodes), f(e.ElapsedMS), e.Error,
-		}
-		if err := cw.Write(rec); err != nil {
+	for _, r := range c.rows {
+		if err := cw.Write(c.export(r).record()); err != nil {
 			return err
 		}
 	}
@@ -149,19 +207,14 @@ func (t Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Fingerprint hashes the sweep's aggregated metrics — everything except
-// the timing fields, which legitimately vary run to run. Two sweeps of
-// the same grid must fingerprint identically at any worker count; the
-// sweep benchmark and the determinism tests rely on this.
-func (t Table) Fingerprint() string {
-	rows := make([]row, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = exportRow(r)
-		rows[i].ElapsedMS = 0
+func (c sweepCells[R, E]) fingerprint() string {
+	rows := make([]E, len(c.rows))
+	for i, r := range c.rows {
+		rows[i] = c.export(r).untimed()
 	}
 	// Rows are already in grid order, but guard against callers that
 	// assembled a table by hand.
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].index() < rows[j].index() })
 	b, err := json.Marshal(rows)
 	if err != nil {
 		// row marshaling cannot fail on these field types

@@ -2,13 +2,8 @@ package experiment
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/csv"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -87,17 +82,6 @@ type FederationTable struct {
 	Rows    []FederationResult
 	Workers int
 	Elapsed time.Duration
-}
-
-// Errs collects the per-cell errors (nil entries omitted).
-func (t FederationTable) Errs() []error {
-	var errs []error
-	for _, r := range t.Rows {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", r.Scenario.Name, r.Err))
-		}
-	}
-	return errs
 }
 
 // FederationRunner executes federated sweeps on the bounded worker
@@ -232,28 +216,11 @@ func exportFedRow(r FederationResult) fedRow {
 	return e
 }
 
-// WriteJSON serializes the federated sweep as indented JSON (cells in
-// grid order, nested member rows included).
-func (t FederationTable) WriteJSON(w io.Writer) error {
-	out := struct {
-		Name      string   `json:"name"`
-		Cells     int      `json:"cells"`
-		Workers   int      `json:"workers"`
-		ElapsedMS float64  `json:"elapsed_ms"`
-		Rows      []fedRow `json:"rows"`
-	}{
-		Name:      t.Name,
-		Cells:     len(t.Rows),
-		Workers:   t.Workers,
-		ElapsedMS: float64(t.Elapsed.Microseconds()) / 1000,
-		Rows:      make([]fedRow, len(t.Rows)),
-	}
-	for i, r := range t.Rows {
-		out.Rows[i] = exportFedRow(r)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+func (e fedRow) index() int { return e.Index }
+
+func (e fedRow) untimed() fedRow {
+	e.ElapsedMS = 0
+	return e
 }
 
 // fedCSVHeader is the fixed column order of WriteCSV (cell-level only;
@@ -265,50 +232,43 @@ var fedCSVHeader = []string{
 	"mean_bsld", "max_bsld", "mean_wait_sec", "elapsed_ms", "error",
 }
 
-// WriteCSV writes the cell-level summary table in grid order.
-func (t FederationTable) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(fedCSVHeader); err != nil {
-		return err
+func (e fedRow) record() []string {
+	return []string{
+		strconv.Itoa(e.Index), e.Name, strconv.Itoa(e.Members),
+		csvFloat(e.CapFraction), e.Division, strconv.FormatInt(e.EpochSec, 10),
+		csvFloat(e.GlobalBudgetW), csvFloat(e.PeakGlobalW), csvFloat(e.EnergyJ), csvFloat(e.WorkCoreSec),
+		strconv.Itoa(e.Submitted), strconv.Itoa(e.Launched),
+		strconv.Itoa(e.Completed), strconv.Itoa(e.Killed),
+		csvFloat(e.MeanBSLD), csvFloat(e.MaxBSLD), csvFloat(e.MeanWaitSec),
+		csvFloat(e.ElapsedMS), e.Error,
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-	for _, r := range t.Rows {
-		e := exportFedRow(r)
-		rec := []string{
-			strconv.Itoa(e.Index), e.Name, strconv.Itoa(e.Members),
-			f(e.CapFraction), e.Division, strconv.FormatInt(e.EpochSec, 10),
-			f(e.GlobalBudgetW), f(e.PeakGlobalW), f(e.EnergyJ), f(e.WorkCoreSec),
-			strconv.Itoa(e.Submitted), strconv.Itoa(e.Launched),
-			strconv.Itoa(e.Completed), strconv.Itoa(e.Killed),
-			f(e.MeanBSLD), f(e.MaxBSLD), f(e.MeanWaitSec),
-			f(e.ElapsedMS), e.Error,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
+
+func (t FederationTable) cells() sweepCells[FederationResult, fedRow] {
+	return sweepCells[FederationResult, fedRow]{t.Rows, exportFedRow, fedCSVHeader,
+		func(r FederationResult) (string, error) { return r.Scenario.Name, r.Err }}
+}
+
+// Errs collects the per-cell errors (nil entries omitted).
+func (t FederationTable) Errs() []error { return t.cells().errs() }
+
+// WriteJSON serializes the federated sweep as indented JSON (cells in
+// grid order, nested member rows included).
+func (t FederationTable) WriteJSON(w io.Writer) error {
+	return t.cells().writeJSON(w, envelope[fedRow]{
+		Name:      t.Name,
+		Workers:   t.Workers,
+		ElapsedMS: float64(t.Elapsed.Microseconds()) / 1000,
+	})
+}
+
+// WriteCSV writes the cell-level summary table in grid order.
+func (t FederationTable) WriteCSV(w io.Writer) error { return t.cells().writeCSV(w) }
 
 // Fingerprint hashes the federated sweep's aggregated metrics with the
 // timing fields zeroed — identical for the same grid at any worker
 // count (the determinism gate of the federation sweeps).
-func (t FederationTable) Fingerprint() string {
-	rows := make([]fedRow, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = exportFedRow(r)
-		rows[i].ElapsedMS = 0
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-	b, err := json.Marshal(rows)
-	if err != nil {
-		// fedRow marshaling cannot fail on these field types
-		panic(fmt.Sprintf("experiment: federation fingerprint marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
+func (t FederationTable) Fingerprint() string { return t.cells().fingerprint() }
 
 // ASCII renders the federated comparison: one line per cell with the
 // headline metrics, followed by a stretch-comparison bar block (mean

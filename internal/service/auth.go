@@ -3,12 +3,15 @@ package service
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // TenantConfig is one tenant of a multi-tenant daemon: an identity, its
@@ -184,4 +187,78 @@ func (a *Auth) Tenant(name string) (TenantConfig, bool) {
 		return TenantConfig{}, false
 	}
 	return st.cfg, true
+}
+
+// owns is the one ownership rule, for reads and writes of runs and
+// twins alike: open daemons, admins, trusted in-process callers (empty
+// tenant name) and the owner pass. Everyone else must be answered with
+// the resource's unknown-id 404 (errUnknownRun / errUnknownTwin) — a
+// 403 would confirm the id is taken, handing a tenant walking the
+// sequential id space an existence oracle.
+func owns(auth *Auth, tenant TenantConfig, owner string) bool {
+	return auth == nil || tenant.Admin || tenant.Name == "" || tenant.Name == owner
+}
+
+// admit is the admission gate every submission — run or twin, daemon or
+// gateway — crosses before it touches a queue: the tenant's rate limit
+// (429 with Retry-After), then spec validation (400).
+func admit[S interface{ Validate() error }](auth *Auth, tenant TenantConfig, spec S) *Error {
+	if auth != nil && tenant.Name != "" {
+		if wait, ok := auth.AllowSubmit(tenant.Name); !ok {
+			return &Error{
+				Status:     429,
+				Msg:        fmt.Sprintf("service: tenant %s over submission rate", tenant.Name),
+				RetryAfter: wait,
+			}
+		}
+	}
+	if err := spec.Validate(); err != nil {
+		return &Error{Status: 400, Msg: err.Error()}
+	}
+	return nil
+}
+
+// admitRun is admit for a run spec, which is then normalized and
+// content-addressed: the hash is the result-cache key.
+func admitRun(auth *Auth, tenant TenantConfig, spec sim.RunSpec) (norm sim.RunSpec, hash string, apiErr *Error) {
+	if apiErr := admit(auth, tenant, spec); apiErr != nil {
+		return sim.RunSpec{}, "", apiErr
+	}
+	norm = spec.Normalize()
+	hash, err := sim.SpecHash(norm)
+	if err != nil {
+		return sim.RunSpec{}, "", &Error{Status: 400, Msg: err.Error()}
+	}
+	return norm, hash, nil
+}
+
+// overQuota bills a fresh execution (never a cache hit) against the
+// tenant's MaxQueued. live counts the tenant's non-terminal runs and is
+// only called when a quota applies.
+func overQuota(auth *Auth, tenant TenantConfig, live func() int) *Error {
+	if auth == nil || tenant.Name == "" || tenant.MaxQueued <= 0 {
+		return nil
+	}
+	n := live()
+	if n < tenant.MaxQueued {
+		return nil
+	}
+	return &Error{
+		Status:     429,
+		Msg:        fmt.Sprintf("service: tenant %s has %d live runs (quota %d)", tenant.Name, n, tenant.MaxQueued),
+		RetryAfter: time.Second,
+	}
+}
+
+// errDraining refuses intake ("submissions", "twins") during Shutdown.
+func errDraining(what string) *Error {
+	return &Error{Status: 503, Msg: "service: draining, not accepting " + what}
+}
+
+// errEnqueue maps a refused Scheduler.Enqueue to its 503.
+func errEnqueue(err error, depth int) *Error {
+	if errors.Is(err, ErrQueueFull) {
+		return &Error{Status: 503, Msg: fmt.Sprintf("service: queue full (%d pending)", depth)}
+	}
+	return &Error{Status: 503, Msg: err.Error()}
 }

@@ -46,10 +46,12 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
+// request sends one request with the client's token and the context's
+// request ID attached; the caller owns the response body.
+func (c *Client) request(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -62,7 +64,15 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return fmt.Errorf("service: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("service: %s %s: %w", method, path, err)
+	}
+	return resp, nil
+}
+
+func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
+	resp, err := c.request(ctx, method, path, body)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
@@ -156,6 +166,11 @@ type SeriesQuery struct {
 // (/v1/runs/{id}/series). An empty metric name enumerates the run's
 // recorded metrics instead of returning points.
 func (c *Client) Series(ctx context.Context, id, metric string, sq SeriesQuery) (SeriesResponse, error) {
+	return c.series(ctx, "/v1/runs/"+id+"/series", metric, sq)
+}
+
+// series is the one series-query builder behind Series and TwinSeries.
+func (c *Client) series(ctx context.Context, path, metric string, sq SeriesQuery) (SeriesResponse, error) {
 	q := url.Values{}
 	if metric != "" {
 		q.Set("metric", metric)
@@ -169,7 +184,6 @@ func (c *Client) Series(ctx context.Context, id, metric string, sq SeriesQuery) 
 	if sq.Res != 0 {
 		q.Set("res", strconv.FormatInt(sq.Res, 10))
 	}
-	path := "/v1/runs/" + id + "/series"
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
@@ -289,17 +303,7 @@ func (c *Client) writeReportFile(ctx context.Context, id string, exp Export, opt
 // — the remote counterpart of sim.Export on a local report.
 func (c *Client) WriteReport(ctx context.Context, id, format string, opt sim.SinkOptions, w io.Writer) error {
 	path := fmt.Sprintf("/v1/runs/%s/report?format=%s&width=%d&height=%d", id, format, opt.Width, opt.Height)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return err
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
-	resp, err := c.http().Do(req)
+	resp, err := c.request(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}

@@ -83,29 +83,13 @@ type member struct {
 	alive    bool
 }
 
-// gwRun is the gateway-side record of one submission: who owns it,
-// where it executes, and the last state the watcher observed. The
-// gateway never runs physics — a gwRun is a routing entry, and every
-// heavy read (report, telemetry, events) proxies to the assigned
-// worker.
+// gwRun is the gateway-side entry of one submission: the Record every
+// view and listing renders from — owner, spec, and the last state the
+// watcher observed — plus where the run executes. The gateway never
+// runs physics — a gwRun is a routing entry, and every heavy read
+// (report, telemetry, events) proxies to the assigned worker.
 type gwRun struct {
-	id     string
-	seq    int
-	hash   string
-	spec   sim.RunSpec
-	tenant string
-
-	policies []string
-	kinds    []string
-
-	state     State
-	errMsg    string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	hits      int
-	done      int
-	total     int
+	Record
 
 	// worker/workerRunID bind the run to its executing member; both
 	// empty while queued (or requeued after a worker death).
@@ -119,56 +103,17 @@ type gwRun struct {
 	reqID string
 }
 
+// view renders the routing entry (no spec: the worker's view carries it
+// once the run is assigned); g.mu must be held.
 func (r *gwRun) view() RunView {
-	v := RunView{
-		ID:          r.id,
-		SpecHash:    r.hash,
-		Name:        r.spec.Name,
-		Mode:        r.spec.Mode,
-		State:       r.state,
-		Error:       r.errMsg,
-		Tenant:      r.tenant,
-		CacheHits:   r.hits,
-		CellsDone:   r.done,
-		CellsTotal:  r.total,
-		SubmittedAt: r.submitted,
-	}
-	if !r.started.IsZero() {
-		t := r.started
-		v.StartedAt = &t
-		end := time.Now()
-		if !r.finished.IsZero() {
-			end = r.finished
-		}
-		v.ElapsedMS = float64(end.Sub(r.started).Microseconds()) / 1000
-	}
-	if !r.finished.IsZero() {
-		t := r.finished
-		v.FinishedAt = &t
-	}
-	return v
+	return viewFromRecord(r.Record, time.Now(), false, false)
 }
 
-// record builds the run's list-view Record (for the shared paging
-// helpers).
-func (r *gwRun) record() Record {
-	return Record{
-		ID:         r.id,
-		Seq:        r.seq,
-		Tenant:     r.tenant,
-		SpecHash:   r.hash,
-		Name:       r.spec.Name,
-		Mode:       r.spec.Mode,
-		Policies:   r.policies,
-		Kinds:      r.kinds,
-		State:      r.state,
-		Error:      r.errMsg,
-		Submitted:  r.submitted,
-		Started:    r.started,
-		Finished:   r.finished,
-		CacheHits:  r.hits,
-		CellsDone:  r.done,
-		CellsTotal: r.total,
+// endLocked moves a still-live run to a terminal state the gateway
+// decided itself (no worker reported it); g.mu must be held.
+func (r *gwRun) endLocked(state State, msg string) {
+	if !r.State.Terminal() {
+		r.State, r.Error, r.Finished = state, msg, time.Now()
 	}
 }
 
@@ -347,11 +292,11 @@ func (g *Gateway) markDead(name string) {
 	m.alive = false
 	var requeue []*gwRun
 	for _, r := range g.runs {
-		if r.worker == name && !r.state.Terminal() {
+		if r.worker == name && !r.State.Terminal() {
 			r.worker, r.workerRunID = "", ""
-			r.state = StateQueued
-			r.started = time.Time{}
-			r.done = 0
+			r.State = StateQueued
+			r.Started = time.Time{}
+			r.CellsDone = 0
 			r.requeues++
 			g.requeues++
 			requeue = append(requeue, r)
@@ -363,13 +308,9 @@ func (g *Gateway) markDead(name string) {
 		g.log.Warn("worker declared dead", "member", name, "requeued", len(requeue))
 	}
 	for _, r := range requeue {
-		if err := g.sched.Enqueue(r.id); err != nil {
+		if err := g.sched.Enqueue(r.ID); err != nil {
 			g.mu.Lock()
-			if !r.state.Terminal() {
-				r.state = StateFailed
-				r.errMsg = fmt.Sprintf("gateway: requeue after worker %s died: %v", name, err)
-				r.finished = time.Now()
-			}
+			r.endLocked(StateFailed, fmt.Sprintf("gateway: requeue after worker %s died: %v", name, err))
 			g.mu.Unlock()
 		}
 	}
@@ -383,7 +324,7 @@ func (g *Gateway) markDead(name string) {
 func (g *Gateway) dispatch(id string) error {
 	g.mu.Lock()
 	r := g.runs[id]
-	if r == nil || r.state.Terminal() || r.worker != "" {
+	if r == nil || r.State.Terminal() || r.worker != "" {
 		g.mu.Unlock()
 		return nil
 	}
@@ -397,10 +338,10 @@ func (g *Gateway) dispatch(id string) error {
 		g.mu.Unlock()
 		return errNoWorkers
 	}
-	pick := RendezvousPick(alive, r.hash)
+	pick := RendezvousPick(alive, r.SpecHash)
 	m := g.members[pick]
 	client := m.client
-	spec := r.spec
+	spec := r.Spec
 	reqID := r.reqID
 	g.mu.Unlock()
 
@@ -423,11 +364,7 @@ func (g *Gateway) dispatch(id string) error {
 			// The spec itself was refused: retrying re-submits the same
 			// bytes to the same verdict.
 			g.mu.Lock()
-			if !r.state.Terminal() {
-				r.state = StateFailed
-				r.errMsg = apiErr.Msg
-				r.finished = time.Now()
-			}
+			r.endLocked(StateFailed, apiErr.Msg)
 			g.mu.Unlock()
 			g.log.Info("dispatch refused", "run", id, "member", pick, "error", apiErr.Msg, "request_id", reqID)
 			return nil
@@ -439,7 +376,7 @@ func (g *Gateway) dispatch(id string) error {
 	}
 
 	g.mu.Lock()
-	if r.state.Terminal() {
+	if r.State.Terminal() {
 		// Cancelled while the submit was in flight — undo on the worker.
 		g.mu.Unlock()
 		go func() {
@@ -452,7 +389,7 @@ func (g *Gateway) dispatch(id string) error {
 	r.worker = pick
 	r.workerRunID = v.ID
 	if v.State != "" {
-		r.state = v.State
+		r.State = v.State
 	}
 	g.mu.Unlock()
 	g.log.Info("run dispatched", "run", id, "member", pick, "worker_run", v.ID, "request_id", reqID)
@@ -494,111 +431,86 @@ func (g *Gateway) observe(id, memberName string, rv RunView) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	r := g.runs[id]
-	if r == nil || r.worker != memberName || r.state.Terminal() {
+	if r == nil || r.worker != memberName || r.State.Terminal() {
 		return
 	}
-	r.state = rv.State
-	r.errMsg = rv.Error
-	r.done, r.total = rv.CellsDone, rv.CellsTotal
-	if rv.StartedAt != nil && r.started.IsZero() {
-		r.started = *rv.StartedAt
+	r.State = rv.State
+	r.Error = rv.Error
+	r.CellsDone, r.CellsTotal = rv.CellsDone, rv.CellsTotal
+	if rv.StartedAt != nil && r.Started.IsZero() {
+		r.Started = *rv.StartedAt
 	}
 	if rv.Terminal() {
 		if rv.FinishedAt != nil {
-			r.finished = *rv.FinishedAt
+			r.Finished = *rv.FinishedAt
 		} else {
-			r.finished = time.Now()
+			r.Finished = time.Now()
 		}
 	}
 }
 
-// SubmitAs is the gateway's submission path: validate and
+// SubmitTraced is the gateway's submission path: validate and
 // content-address exactly as a daemon would, dedupe against every run
 // the gateway has routed, then queue for dispatch. The gateway bills
-// quotas itself — workers run open behind it.
-func (g *Gateway) SubmitAs(tenant TenantConfig, spec sim.RunSpec) (RunView, bool, error) {
-	return g.submitAs(tenant, spec, "")
-}
-
-// SubmitTraced is SubmitAs carrying the request's trace id, which the
-// gateway pins to the run and forwards on every worker call it makes
-// for it.
+// quotas itself — workers run open behind it. The request's trace id
+// (from ctx) is pinned to the run and forwarded on every worker call
+// the gateway makes for it.
 func (g *Gateway) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim.RunSpec) (RunView, bool, error) {
-	return g.submitAs(tenant, spec, obs.RequestIDFrom(ctx))
-}
-
-func (g *Gateway) submitAs(tenant TenantConfig, spec sim.RunSpec, reqID string) (RunView, bool, error) {
-	if g.cfg.Auth != nil && tenant.Name != "" {
-		if wait, ok := g.cfg.Auth.AllowSubmit(tenant.Name); !ok {
-			return RunView{}, false, &Error{
-				Status:     429,
-				Msg:        fmt.Sprintf("service: tenant %s over submission rate", tenant.Name),
-				RetryAfter: wait,
-			}
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		return RunView{}, false, &Error{Status: 400, Msg: err.Error()}
-	}
-	norm := spec.Normalize()
-	hash, err := sim.SpecHash(norm)
-	if err != nil {
-		return RunView{}, false, &Error{Status: 400, Msg: err.Error()}
+	reqID := obs.RequestIDFrom(ctx)
+	norm, hash, apiErr := admitRun(g.cfg.Auth, tenant, spec)
+	if apiErr != nil {
+		return RunView{}, false, apiErr
 	}
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.draining {
-		return RunView{}, false, &Error{Status: 503, Msg: "service: draining, not accepting submissions"}
+		return RunView{}, false, errDraining("submissions")
 	}
-	if prev := g.byHash[hash]; prev != nil && prev.state != StateFailed && prev.state != StateCancelled {
-		prev.hits++
+	if prev := g.byHash[hash]; prev != nil && prev.State != StateFailed && prev.State != StateCancelled {
+		prev.CacheHits++
 		g.cacheHits++
-		g.log.Debug("cache hit", "run", prev.id, "hash", hash[:12], "request_id", reqID)
+		g.log.Debug("cache hit", "run", prev.ID, "hash", hash[:12], "request_id", reqID)
 		return prev.view(), true, nil
 	}
-	if g.cfg.Auth != nil && tenant.Name != "" && tenant.MaxQueued > 0 {
-		live := 0
+	if apiErr := overQuota(g.cfg.Auth, tenant, func() (live int) {
 		for _, r := range g.runs {
-			if r.tenant == tenant.Name && !r.state.Terminal() {
+			if r.Tenant == tenant.Name && !r.State.Terminal() {
 				live++
 			}
 		}
-		if live >= tenant.MaxQueued {
-			return RunView{}, false, &Error{
-				Status:     429,
-				Msg:        fmt.Sprintf("service: tenant %s has %d live runs (quota %d)", tenant.Name, live, tenant.MaxQueued),
-				RetryAfter: time.Second,
-			}
-		}
+		return live
+	}); apiErr != nil {
+		return RunView{}, false, apiErr
 	}
 	policies, kinds := derivePolicyKinds(norm)
 	r := &gwRun{
-		id:        fmt.Sprintf("g%06d", g.nextSeq+1),
-		seq:       g.nextSeq,
-		hash:      hash,
-		spec:      norm,
-		tenant:    tenant.Name,
-		policies:  policies,
-		kinds:     kinds,
-		state:     StateQueued,
-		submitted: time.Now(),
-		reqID:     reqID,
+		Record: Record{
+			ID:        fmt.Sprintf("g%06d", g.nextSeq+1),
+			Seq:       g.nextSeq,
+			Tenant:    tenant.Name,
+			SpecHash:  hash,
+			Name:      norm.Name,
+			Mode:      norm.Mode,
+			Policies:  policies,
+			Kinds:     kinds,
+			State:     StateQueued,
+			Submitted: time.Now(),
+			Spec:      norm,
+		},
+		reqID: reqID,
 	}
 	g.nextSeq++
-	g.runs[r.id] = r
+	g.runs[r.ID] = r
 	g.order = append(g.order, r)
 	g.byHash[hash] = r
-	if err := g.sched.Enqueue(r.id); err != nil {
-		delete(g.runs, r.id)
+	if err := g.sched.Enqueue(r.ID); err != nil {
+		delete(g.runs, r.ID)
 		delete(g.byHash, hash)
 		g.order = g.order[:len(g.order)-1]
-		if errors.Is(err, ErrQueueFull) {
-			return RunView{}, false, &Error{Status: 503, Msg: fmt.Sprintf("service: queue full (%d pending)", g.cfg.QueueDepth)}
-		}
-		return RunView{}, false, &Error{Status: 503, Msg: err.Error()}
+		return RunView{}, false, errEnqueue(err, g.cfg.QueueDepth)
 	}
-	g.log.Info("run queued", "run", r.id, "hash", hash[:12], "tenant", tenant.Name, "request_id", reqID)
+	g.log.Info("run queued", "run", r.ID, "hash", hash[:12], "tenant", tenant.Name, "request_id", reqID)
 	return r.view(), false, nil
 }
 
@@ -622,13 +534,22 @@ func (g *Gateway) lookup(tenant TenantConfig, id string) (*gwRun, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	r := g.runs[id]
-	if r == nil {
+	if r == nil || !owns(g.cfg.Auth, tenant, r.Tenant) {
 		return nil, errUnknownRun(id)
 	}
-	if err := readAllowed(g.cfg.Auth, tenant, r.tenant, id); err != nil {
-		return nil, err
-	}
 	return r, nil
+}
+
+// owner names the tenant a routed run belongs to; false for ids the
+// gateway never issued.
+func (g *Gateway) owner(id string) (string, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r := g.runs[id]
+	if r == nil {
+		return "", false
+	}
+	return r.Tenant, true
 }
 
 // assignment snapshots a run's current worker binding.
@@ -682,38 +603,26 @@ func (g *Gateway) GetAs(tenant TenantConfig, id string, withReport bool) (RunVie
 func (g *Gateway) patchView(r *gwRun, wv RunView) RunView {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	wv.ID = r.id
-	wv.Tenant = r.tenant
-	wv.CacheHits = r.hits
-	wv.SubmittedAt = r.submitted
+	wv.ID = r.ID
+	wv.Tenant = r.Tenant
+	wv.CacheHits = r.CacheHits
+	wv.SubmittedAt = r.Submitted
 	return wv
 }
 
 // CancelAs cancels a run fleet-wide: unassigned runs transition locally
 // (dispatch skips terminal runs), assigned runs proxy the cancel to the
-// executing worker. Cross-tenant cancels stay 403 — cancel is a
-// mutation, and the CancelAs contract on a single daemon already
-// confirms run existence to its owner only.
+// executing worker. Cross-tenant cancels answer the unknown-run 404,
+// exactly as on a single daemon.
 func (g *Gateway) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 	g.mu.Lock()
 	r := g.runs[id]
-	if r == nil {
+	if r == nil || !owns(g.cfg.Auth, tenant, r.Tenant) {
 		g.mu.Unlock()
 		return RunView{}, errUnknownRun(id)
 	}
-	if err := cancelAllowed(g.cfg.Auth, tenant, r.tenant); err != nil {
-		g.mu.Unlock()
-		return RunView{}, err
-	}
-	if r.state.Terminal() {
-		v := r.view()
-		g.mu.Unlock()
-		return v, nil
-	}
-	if r.worker == "" {
-		r.state = StateCancelled
-		r.errMsg = context.Canceled.Error()
-		r.finished = time.Now()
+	if r.worker == "" || r.State.Terminal() {
+		r.endLocked(StateCancelled, context.Canceled.Error()) // a no-op once terminal
 		v := r.view()
 		g.mu.Unlock()
 		return v, nil
@@ -732,10 +641,8 @@ func (g *Gateway) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 			g.markDead(m.name)
 		}
 		g.mu.Lock()
-		if !r.state.Terminal() && r.worker == "" {
-			r.state = StateCancelled
-			r.errMsg = context.Canceled.Error()
-			r.finished = time.Now()
+		if r.worker == "" {
+			r.endLocked(StateCancelled, context.Canceled.Error())
 		}
 		v := r.view()
 		g.mu.Unlock()
@@ -751,7 +658,7 @@ func (g *Gateway) List(f ListFilter) ([]RunView, string, error) {
 	g.mu.Lock()
 	records := make([]Record, 0, len(g.order))
 	for _, r := range g.order {
-		records = append(records, r.record())
+		records = append(records, r.Record)
 	}
 	g.mu.Unlock()
 	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
@@ -759,11 +666,7 @@ func (g *Gateway) List(f ListFilter) ([]RunView, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	views := make([]RunView, 0, len(page))
-	for _, rec := range page {
-		views = append(views, viewFromRecord(rec, false, false))
-	}
-	return views, next, nil
+	return viewsFromRecords(page), next, nil
 }
 
 // MemberView is one worker's row in the fleet listing.
@@ -790,7 +693,7 @@ func (g *Gateway) Fleet() FleetView {
 	defer g.mu.Unlock()
 	assigned := map[string]int{}
 	for _, r := range g.runs {
-		if r.worker != "" && !r.state.Terminal() {
+		if r.worker != "" && !r.State.Terminal() {
 			assigned[r.worker]++
 		}
 	}
@@ -863,7 +766,7 @@ func (g *Gateway) Stats(ctx context.Context) FleetStats {
 		}
 	}
 	for _, r := range g.runs {
-		switch r.state {
+		switch r.State {
 		case StateQueued:
 			gs.Queued++
 		case StateRunning:

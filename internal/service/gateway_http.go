@@ -6,10 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-
-	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Handler returns the gateway's HTTP API — the daemon /v1 surface plus
@@ -40,8 +36,6 @@ import (
 // credentials, tenants never see the member table.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/runs", g.handleRuns)
-	mux.HandleFunc("/v1/runs/", g.handleRun)
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, 200, g.Stats(r.Context()))
 	})
@@ -51,7 +45,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/metrics", g.handleMetrics)
 	mux.HandleFunc("/v1/twin", twinsAreDaemonOnly)
 	mux.HandleFunc("/v1/twin/", twinsAreDaemonOnly)
-	return apiShell(mux, g.cfg.Auth, g.met.httpMet, g.cfg.Logger.Component("gateway-http"))
+	return apiShell(mux, g, g.cfg.Auth, g.met.httpMet, g.cfg.Logger.Component("gateway-http"))
 }
 
 // twinsAreDaemonOnly answers the twin routes on a gateway: a twin is a
@@ -66,7 +60,7 @@ func twinsAreDaemonOnly(w http.ResponseWriter, r *http.Request) {
 // out to every member's /v1/stats, like GET /v1/stats does).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -85,97 +79,18 @@ func (g *Gateway) adminOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (g *Gateway) handleRuns(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		spec, err := sim.DecodeJSON(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		if err != nil {
-			writeErr(w, &Error{Status: 400, Msg: err.Error()})
-			return
-		}
-		v, hit, err := g.SubmitTraced(r.Context(), requestTenant(r), spec)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		status := http.StatusCreated
-		if hit {
-			status = http.StatusOK
-		}
-		writeJSON(w, status, submitResponse{Run: v, CacheHit: hit})
-	case http.MethodGet:
-		q := r.URL.Query()
-		tenant := requestTenant(r)
-		if err := checkTenantScope(q.Get("tenant"), g.cfg.Auth, tenant); err != nil {
-			writeErr(w, err)
-			return
-		}
-		f, err := ParseListFilter(q)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		applyTenantScope(&f, g.cfg.Auth, tenant)
-		views, next, err := g.List(f)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, 200, listResponse{Runs: views, NextCursor: next})
-	default:
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-	}
-}
-
-func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/runs/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if id == "" {
-		writeErr(w, &Error{Status: 404, Msg: "missing run id"})
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			v, err := g.GetAs(requestTenant(r), id, r.URL.Query().Get("report") != "0")
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, 200, v)
-		case http.MethodDelete:
-			v, err := g.CancelAs(requestTenant(r), id)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, 200, v)
-		default:
-			writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-		}
-	case "report", "metrics", "series", "events":
-		if r.Method != http.MethodGet {
-			writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-			return
-		}
-		g.proxySubresource(w, r, id, sub)
-	default:
-		writeErr(w, &Error{Status: 404, Msg: fmt.Sprintf("unknown resource %q", sub)})
-	}
-}
-
-// proxySubresource forwards a per-run read to the assigned worker,
-// translating the run id both ways. Unassigned runs answer from
-// gateway state (a queued run has no report, telemetry or events yet);
-// a worker that fails mid-proxy is declared dead — the client retries
-// and finds the run requeued.
-func (g *Gateway) proxySubresource(w http.ResponseWriter, r *http.Request, id, sub string) {
-	gr, err := g.lookup(requestTenant(r), id)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+// serveSub is the gateway's sub-resource half of the runs front: it
+// forwards a per-run read to the assigned worker, translating the run
+// id both ways. Unassigned runs answer from gateway state (a queued run
+// has no report, telemetry or events yet); a worker that fails
+// mid-proxy is declared dead — the client retries and finds the run
+// requeued.
+func (g *Gateway) serveSub(w http.ResponseWriter, r *http.Request, id, sub string) {
+	// The front resolved the id for this caller already, and routed runs
+	// are never dropped.
+	g.mu.Lock()
+	gr := g.runs[id]
+	g.mu.Unlock()
 	m, workerRunID, local := g.assignment(gr)
 	if m == nil || workerRunID == "" {
 		switch sub {
@@ -193,15 +108,7 @@ func (g *Gateway) proxySubresource(w http.ResponseWriter, r *http.Request, id, s
 	if raw := r.URL.RawQuery; raw != "" {
 		path += "?" + raw
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, m.client.Base+path, nil)
-	if err != nil {
-		writeErr(w, &Error{Status: 500, Msg: err.Error()})
-		return
-	}
-	if reqID := obs.RequestIDFrom(r.Context()); reqID != "" {
-		req.Header.Set(obs.RequestIDHeader, reqID)
-	}
-	resp, err := m.client.http().Do(req)
+	resp, err := m.client.request(r.Context(), http.MethodGet, path, nil)
 	if err != nil {
 		g.met.proxyErrors.Inc()
 		if g.baseCtx.Err() == nil && r.Context().Err() == nil {
@@ -215,7 +122,7 @@ func (g *Gateway) proxySubresource(w http.ResponseWriter, r *http.Request, id, s
 	switch sub {
 	case "metrics", "series":
 		// Small JSON bodies naming the worker's run id — rewrite it.
-		g.patchRunField(w, resp, gr.id)
+		g.patchRunField(w, resp, id)
 	default:
 		// report: opaque rendering; events: SSE stream. Neither carries
 		// run ids — relay verbatim, flushing per chunk so live event
@@ -319,7 +226,7 @@ type joinResponse struct {
 
 func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 		return
 	}
 	var req joinRequest
@@ -337,7 +244,7 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 		return
 	}
 	var req joinRequest
@@ -354,7 +261,7 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 		return
 	}
 	writeJSON(w, 200, g.Fleet())

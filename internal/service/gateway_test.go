@@ -358,12 +358,8 @@ func TestGatewayTenancy(t *testing.T) {
 			t.Errorf("%s gateway report status = %d (%s), want 200", token, status, body)
 		}
 	}
-	// Foreign cancel: 403, as on a daemon.
-	alice := authClient(base, "tok-alice")
-	_, err = alice.Cancel(ctx, v.ID)
-	if apiErr, ok := err.(*service.Error); !ok || apiErr.Status != 403 {
-		t.Errorf("foreign gateway cancel error = %v, want 403", err)
-	}
+	// Foreign cancel: the unknown-run 404, as on a daemon.
+	assertForeignCancelIsUnknown(t, base, "tok-alice", v.ID, "g999999")
 
 	// Fleet management: tenants are refused, admins pass.
 	status, _ := getPath(t, base, "tok-alice", "/v1/fleet")

@@ -72,22 +72,46 @@ func requestTenant(r *http.Request) TenantConfig {
 // go 1.21).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/runs", s.handleRuns)
-	mux.HandleFunc("/v1/runs/", s.handleRun)
 	mux.HandleFunc("/v1/twin", s.handleTwins)
 	mux.HandleFunc("/v1/twin/", s.handleTwin)
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, 200, s.Stats())
 	})
 	mux.HandleFunc("/metrics", s.handlePromMetrics)
-	return apiShell(mux, s.cfg.Auth, s.met.httpMet, s.cfg.Logger.Component("http"))
+	return apiShell(mux, s, s.cfg.Auth, s.met.httpMet, s.cfg.Logger.Component("http"))
+}
+
+// runBackend is what the shared /v1/runs front needs from whoever owns
+// the runs — a daemon executing them or a gateway routing them.
+type runBackend interface {
+	SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim.RunSpec) (RunView, bool, error)
+	GetAs(tenant TenantConfig, id string, withReport bool) (RunView, error)
+	CancelAs(tenant TenantConfig, id string) (RunView, error)
+	List(f ListFilter) ([]RunView, string, error)
+	// owner names the tenant run id belongs to (false: no such run)
+	// without rendering it — the sub-resource ownership probe.
+	owner(id string) (string, bool)
+	// serveSub answers GET /v1/runs/{id}/{report|metrics|series|events}
+	// for a caller the front has already shown to own the run.
+	serveSub(w http.ResponseWriter, r *http.Request, id, sub string)
+}
+
+// runsFront is the one /v1/runs handler, serving daemon and gateway
+// alike: routing, method checks, body bounds, tenant scoping and
+// ownership live here; only sub-resource bodies are per-backend.
+type runsFront struct {
+	runBackend
+	auth *Auth
 }
 
 // apiShell finishes a daemon's or a gateway's mux into its handler —
-// the part of the HTTP surface the two share byte for byte: /healthz,
-// the admin-gated profiler, bearer authentication and the obs
-// middleware.
-func apiShell(mux *http.ServeMux, auth *Auth, httpMetrics *obs.HTTPMetrics, logger *obs.Logger) http.Handler {
+// the part of the HTTP surface the two share byte for byte: the
+// /v1/runs front, /healthz, the admin-gated profiler, bearer
+// authentication and the obs middleware.
+func apiShell(mux *http.ServeMux, runs runBackend, auth *Auth, httpMetrics *obs.HTTPMetrics, logger *obs.Logger) http.Handler {
+	front := runsFront{runs, auth}
+	mux.HandleFunc("/v1/runs", front.handleRuns)
+	mux.HandleFunc("/v1/runs/", front.handleRun)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, 200, map[string]string{"status": "ok"})
 	})
@@ -175,7 +199,7 @@ func subTemplate(base, rest string, known ...string) string {
 	return base + "/{sub}"
 }
 
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
+func (f runsFront) handleRuns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		// Specs are small; a bounded body keeps a hostile or broken
@@ -185,7 +209,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, &Error{Status: 400, Msg: err.Error()})
 			return
 		}
-		v, hit, err := s.SubmitTraced(r.Context(), requestTenant(r), spec)
+		v, hit, err := f.SubmitTraced(r.Context(), requestTenant(r), spec)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -202,24 +226,24 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		// a malformed cursor — a 400 first would let an attacker use
 		// validation ordering to learn which tenants exist to be denied.
 		tenant := requestTenant(r)
-		if err := checkTenantScope(q.Get("tenant"), s.cfg.Auth, tenant); err != nil {
+		if err := checkTenantScope(q.Get("tenant"), f.auth, tenant); err != nil {
 			writeErr(w, err)
 			return
 		}
-		f, err := ParseListFilter(q)
+		filter, err := ParseListFilter(q)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		applyTenantScope(&f, s.cfg.Auth, tenant)
-		views, next, err := s.List(f)
+		applyTenantScope(&filter, f.auth, tenant)
+		views, next, err := f.List(filter)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
 		writeJSON(w, 200, listResponse{Runs: views, NextCursor: next})
 	default:
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 	}
 }
 
@@ -272,43 +296,71 @@ type listResponse struct {
 	NextCursor string    `json:"next_cursor,omitempty"`
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+func (f runsFront) handleRun(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/runs/")
 	id, sub, _ := strings.Cut(rest, "/")
 	if id == "" {
 		writeErr(w, &Error{Status: 404, Msg: "missing run id"})
 		return
 	}
+	tenant := requestTenant(r)
 	switch sub {
 	case "":
+		var (
+			v   RunView
+			err error
+		)
 		switch r.Method {
 		case http.MethodGet:
-			v, err := s.GetAs(requestTenant(r), id, r.URL.Query().Get("report") != "0")
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, 200, v)
+			v, err = f.GetAs(tenant, id, r.URL.Query().Get("report") != "0")
 		case http.MethodDelete:
-			v, err := s.CancelAs(requestTenant(r), id)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, 200, v)
+			v, err = f.CancelAs(tenant, id)
 		default:
-			writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+			err = errMethodNotAllowed
 		}
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, 200, v)
+	case "report", "metrics", "series", "events":
+		if r.Method != http.MethodGet {
+			writeErr(w, errMethodNotAllowed)
+			return
+		}
+		// Ownership first: a foreign tenant's probe answers the
+		// unknown-run 404 before any report or telemetry machinery runs.
+		if owner, ok := f.owner(id); !ok || !owns(f.auth, tenant, owner) {
+			writeErr(w, errUnknownRun(id))
+			return
+		}
+		f.serveSub(w, r, id, sub)
+	default:
+		writeErr(w, &Error{Status: 404, Msg: fmt.Sprintf("unknown resource %q", sub)})
+	}
+}
+
+// errMethodNotAllowed is the shared 405.
+var errMethodNotAllowed = &Error{Status: 405, Msg: "method not allowed"}
+
+// serveSub is the daemon's sub-resource half of the runs front.
+func (s *Server) serveSub(w http.ResponseWriter, r *http.Request, id, sub string) {
+	switch sub {
 	case "report":
 		s.handleReport(w, r, id)
 	case "metrics":
 		s.handleMetrics(w, r, id)
 	case "series":
-		s.handleSeries(w, r, id)
+		rs, err := s.runSeries(id)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeSeries(w, r.URL.Query(), id, rs)
 	case "events":
-		s.handleEvents(w, r, id)
-	default:
-		writeErr(w, &Error{Status: 404, Msg: fmt.Sprintf("unknown resource %q", sub)})
+		serveSSE(w, r, s.cfg.SSEKeepalive, func(ctx context.Context, emit func(Event) error) error {
+			return s.Follow(ctx, id, emit)
+		})
 	}
 }
 
@@ -317,16 +369,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // byte-compatible with a local run's exports. Runs that survive only in
 // the archive serve the rendering captured at completion.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-		return
-	}
-	// Ownership first: a foreign tenant's probe answers the unknown-run
-	// 404 before any report machinery runs.
-	if _, err := s.GetAs(requestTenant(r), id, false); err != nil {
-		writeErr(w, err)
-		return
-	}
 	q := r.URL.Query()
 	format := q.Get("format")
 	if format == "" {
@@ -461,14 +503,6 @@ func timeRangeParams(q url.Values) (from, to, res int64, err error) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-		return
-	}
-	if _, err := s.GetAs(requestTenant(r), id, false); err != nil {
-		writeErr(w, err)
-		return
-	}
 	rs, err := s.runSeries(id)
 	if err != nil {
 		writeErr(w, err)
@@ -520,30 +554,18 @@ type SeriesResponse struct {
 	DroppedSeries []string `json:"dropped_series,omitempty"`
 }
 
-// handleSeries serves GET /v1/runs/{id}/series?metric=&res=&from=&to=.
-// It answers from wherever the run's telemetry lives — the live store
-// for in-flight runs, the hot tier for recent ones, or the archive
-// snapshot restored on first touch — so a dashboard needs no knowledge
-// of the run's lifecycle stage. Malformed res/from/to are 400s; an
-// unknown metric is a 404 naming the miss.
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-		return
-	}
-	if _, err := s.GetAs(requestTenant(r), id, false); err != nil {
-		writeErr(w, err)
-		return
-	}
-	rs, err := s.runSeries(id)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	q := r.URL.Query()
-	metric := q.Get("metric")
-	if metric == "" {
-		writeJSON(w, 200, SeriesResponse{Run: id, Metrics: rs.Series(), DroppedSeries: rs.Dropped()})
+// writeSeries answers a series query (?metric=&res=&from=&to=) over one
+// run's or twin's telemetry, wherever the caller found it — the live
+// store for in-flight runs and twins, the hot tier for recent runs, or
+// the archive snapshot restored on first touch — so a dashboard needs no
+// knowledge of the lifecycle stage. Without ?metric= it enumerates the
+// recorded metrics; malformed res/from/to are 400s; an unknown metric
+// is a 404 naming the miss.
+func writeSeries(w http.ResponseWriter, q url.Values, id string, rs *tsdb.Run) {
+	resp := SeriesResponse{Run: id, DroppedSeries: rs.Dropped()}
+	if resp.Metric = q.Get("metric"); resp.Metric == "" {
+		resp.Metrics = rs.Series()
+		writeJSON(w, 200, resp)
 		return
 	}
 	from, to, res, err := timeRangeParams(q)
@@ -551,36 +573,12 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, id string)
 		writeErr(w, err)
 		return
 	}
-	pts, per, err := rs.Query(metric, from, to, res)
+	resp.Points, resp.RawPerPoint, err = rs.Query(resp.Metric, from, to, res)
 	if err != nil {
 		writeErr(w, &Error{Status: 404, Msg: err.Error()})
 		return
 	}
-	writeJSON(w, 200, SeriesResponse{
-		Run:           id,
-		Metric:        metric,
-		RawPerPoint:   per,
-		Points:        pts,
-		DroppedSeries: rs.Dropped(),
-	})
-}
-
-// handleEvents streams the run's progress log as server-sent events:
-// replayed from the start for late subscribers, then followed live
-// until the run is terminal. Event types: queued, started, cell, done,
-// failed, cancelled.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-		return
-	}
-	if _, err := s.GetAs(requestTenant(r), id, false); err != nil {
-		writeErr(w, err)
-		return
-	}
-	serveSSE(w, r, s.cfg.SSEKeepalive, func(ctx context.Context, emit func(Event) error) error {
-		return s.Follow(ctx, id, emit)
-	})
+	writeJSON(w, 200, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

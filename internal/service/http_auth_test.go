@@ -183,9 +183,10 @@ func TestCancelOwnership(t *testing.T) {
 	}
 	_, err = alice.Cancel(ctx, v.ID)
 	apiErr, ok := err.(*service.Error)
-	if !ok || apiErr.Status != 403 {
-		t.Fatalf("cross-tenant cancel error = %v, want 403", err)
+	if !ok || apiErr.Status != 404 {
+		t.Fatalf("cross-tenant cancel error = %v, want the unknown-run 404", err)
 	}
+	assertForeignCancelIsUnknown(t, base, "tok-alice", v.ID, "r999999")
 	if _, err := ops.Cancel(ctx, v.ID); err != nil {
 		t.Errorf("admin cancel: %v", err)
 	}

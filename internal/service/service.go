@@ -121,21 +121,6 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Event is one entry of a run's progress log, streamed over SSE and
-// replayed to late subscribers in order. Seq increases by one per
-// event.
-type Event struct {
-	Seq  int    `json:"seq"`
-	Type string `json:"type"` // queued|started|cell|done|failed|cancelled
-	// Cell/Done/Total/ElapsedMS describe finished sweep cells (type
-	// "cell").
-	Cell      string  `json:"cell,omitempty"`
-	Done      int     `json:"done,omitempty"`
-	Total     int     `json:"total,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
-	Error     string  `json:"error,omitempty"`
-}
-
 // run is the server-side record of one live (queued or running)
 // submission. Terminal runs are retired into the store tiers and no
 // longer live here.
@@ -159,9 +144,7 @@ type run struct {
 	reqID    string
 	setupDur time.Duration
 
-	mu        sync.Mutex
-	cond      *sync.Cond // signals event appends and state changes
-	state     State
+	eventLog  // state + events; its mu guards the fields below
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -174,19 +157,12 @@ type run struct {
 	// must not re-serialize hundreds of cells per request.
 	reportJSON []byte
 	errMsg     string
-	events     []Event
 }
 
-func (r *run) appendEventLocked(typ string, e Event) {
-	e.Seq = len(r.events)
-	e.Type = typ
-	r.events = append(r.events, e)
-	r.cond.Broadcast()
-}
-
-// recordLocked builds the run's Record from its current fields; r.mu
-// must be held. Heavy payloads (events copy, renders, telemetry) are
-// attached by the caller.
+// recordLocked builds the run's Record — the one row shape every view,
+// listing and store tier renders from — out of its current fields; r.mu
+// must be held. Heavy payloads (events copy, report, renders, telemetry)
+// are attached by retire.
 func (r *run) recordLocked() Record {
 	return Record{
 		ID:         r.id,
@@ -205,6 +181,7 @@ func (r *run) recordLocked() Record {
 		CacheHits:  r.hits,
 		CellsDone:  r.done,
 		CellsTotal: r.total,
+		Spec:       r.spec,
 	}
 }
 
@@ -239,6 +216,9 @@ type Server struct {
 	cfg   Config
 	tsdb  *tsdb.Store
 	store *MemStore // hot tier: terminal runs completed in this process
+	// tiers is the store read order: the hot tier, then the archive when
+	// one is configured.
+	tiers []RunStore
 
 	// met is the metric registry and instruments (always present); log
 	// is the component-scoped logger (nil-safe when Config.Logger is
@@ -298,7 +278,9 @@ func New(cfg Config) *Server {
 	// Hot-tier eviction drops the run's live telemetry with it; the
 	// archived copy keeps a snapshot for later restore.
 	s.store = NewMemStore(cfg.MaxRuns, func(rec Record) { s.tsdb.Drop(rec.ID) })
+	s.tiers = []RunStore{s.store}
 	if cfg.Archive != nil {
+		s.tiers = append(s.tiers, cfg.Archive)
 		if max, err := cfg.Archive.MaxSeq(); err == nil && max >= 0 {
 			s.nextSeq = max + 1
 		}
@@ -342,7 +324,7 @@ func (s *Server) Stats() Stats {
 		ArchiveErrors: s.archiveErrs,
 	}
 	for _, r := range s.runs {
-		switch r.snapshot().State {
+		switch r.current() {
 		case StateQueued:
 			st.Queued++
 		case StateRunning:
@@ -362,58 +344,38 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Submit is SubmitAs for the open (unauthenticated) daemon.
+// Submit is SubmitTraced for the open (unauthenticated) daemon.
 func (s *Server) Submit(spec sim.RunSpec) (RunView, bool, error) {
-	return s.SubmitAs(TenantConfig{}, spec)
+	return s.SubmitTraced(context.Background(), TenantConfig{}, spec)
 }
 
-// SubmitAs validates, normalizes and content-addresses a spec on behalf
-// of a tenant. An identical spec already queued, running or done —
-// live, hot or archived — dedupes into that run and reports cacheHit
+// SubmitTraced validates, normalizes and content-addresses a spec on
+// behalf of a tenant. An identical spec already queued, running or done
+// — live, hot or archived — dedupes into that run and reports cacheHit
 // true; the result cache is shared across tenants (identical physics is
 // identical physics), while quotas bill only fresh executions. Failed
 // and cancelled runs never serve as cache entries: resubmitting their
-// spec starts a fresh execution.
-func (s *Server) SubmitAs(tenant TenantConfig, spec sim.RunSpec) (RunView, bool, error) {
-	return s.submitAs(tenant, spec, "")
-}
-
-// SubmitTraced is SubmitAs with the caller's request ID (from the
-// request context, see obs.WithRequestID) bound to the run, so the
-// run's lifecycle log lines correlate with the submitting HTTP request
-// across gateway and worker logs.
+// spec starts a fresh execution. The caller's request ID (from ctx, see
+// obs.WithRequestID) is bound to the run, so its lifecycle log lines
+// correlate with the submitting HTTP request across gateway and worker
+// logs.
 func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim.RunSpec) (RunView, bool, error) {
-	return s.submitAs(tenant, spec, obs.RequestIDFrom(ctx))
-}
-
-func (s *Server) submitAs(tenant TenantConfig, spec sim.RunSpec, reqID string) (RunView, bool, error) {
+	reqID := obs.RequestIDFrom(ctx)
 	setupStart := time.Now()
-	if s.cfg.Auth != nil && tenant.Name != "" {
-		if wait, ok := s.cfg.Auth.AllowSubmit(tenant.Name); !ok {
-			return RunView{}, false, &Error{
-				Status:     429,
-				Msg:        fmt.Sprintf("service: tenant %s over submission rate", tenant.Name),
-				RetryAfter: wait,
-			}
-		}
+	norm, hash, apiErr := admitRun(s.cfg.Auth, tenant, spec)
+	if apiErr != nil {
+		return RunView{}, false, apiErr
 	}
-	if err := spec.Validate(); err != nil {
-		return RunView{}, false, &Error{Status: 400, Msg: err.Error()}
-	}
-	norm := spec.Normalize()
+	// The clamp follows the hash on purpose: SpecHash ignores Workers.
 	if s.cfg.SweepWorkers > 0 && (norm.Workers == 0 || norm.Workers > s.cfg.SweepWorkers) {
 		norm.Workers = s.cfg.SweepWorkers
-	}
-	hash, err := sim.SpecHash(norm)
-	if err != nil {
-		return RunView{}, false, &Error{Status: 400, Msg: err.Error()}
 	}
 	setupDur := time.Since(setupStart)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return RunView{}, false, &Error{Status: 503, Msg: "service: draining, not accepting submissions"}
+		return RunView{}, false, errDraining("submissions")
 	}
 	if prev := s.byHash[hash]; prev != nil {
 		prev.mu.Lock()
@@ -443,31 +405,26 @@ func (s *Server) submitAs(tenant TenantConfig, spec sim.RunSpec, reqID string) (
 			s.met.tierHot.Inc()
 		}
 		if err := s.store.Put(rec); err == nil {
-			v := viewFromRecord(rec, false, false)
+			v := viewFromRecord(rec, time.Now(), false, false)
 			s.log.Debug("cache hit", "run", v.ID, "tier", tier, "request_id", reqID)
 			return v, true, nil
 		}
 	}
 
 	// A fresh execution: this is the submission quotas bill.
-	if s.cfg.Auth != nil && tenant.Name != "" && tenant.MaxQueued > 0 {
-		live := 0
+	if apiErr := overQuota(s.cfg.Auth, tenant, func() (live int) {
 		for _, r := range s.runs {
-			if r.tenant == tenant.Name && !r.snapshot().State.Terminal() {
+			if r.tenant == tenant.Name && !r.current().Terminal() {
 				live++
 			}
 		}
-		if live >= tenant.MaxQueued {
-			return RunView{}, false, &Error{
-				Status:     429,
-				Msg:        fmt.Sprintf("service: tenant %s has %d live runs (quota %d)", tenant.Name, live, tenant.MaxQueued),
-				RetryAfter: time.Second,
-			}
-		}
+		return live
+	}); apiErr != nil {
+		return RunView{}, false, apiErr
 	}
 
 	policies, kinds := derivePolicyKinds(norm)
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	runCtx, cancel := context.WithCancel(s.baseCtx)
 	r := &run{
 		id:        fmt.Sprintf("r%06d", s.nextSeq+1),
 		hash:      hash,
@@ -476,19 +433,18 @@ func (s *Server) submitAs(tenant TenantConfig, spec sim.RunSpec, reqID string) (
 		tenant:    tenant.Name,
 		policies:  policies,
 		kinds:     kinds,
-		ctx:       ctx,
+		ctx:       runCtx,
 		cancel:    cancel,
 		reqID:     reqID,
 		setupDur:  setupDur,
-		state:     StateQueued,
 		submitted: time.Now(),
 	}
 	s.nextSeq++
-	r.cond = sync.NewCond(&r.mu)
+	r.init(StateQueued)
 	// The queued event lands before the run is visible to any worker,
 	// so the event log always starts queued -> started.
 	r.mu.Lock()
-	r.appendEventLocked("queued", Event{})
+	r.appendLocked("queued", Event{})
 	v := r.viewLocked(false, false)
 	r.mu.Unlock()
 	// Register before enqueueing: a scheduler slot resolves the id
@@ -503,39 +459,33 @@ func (s *Server) submitAs(tenant TenantConfig, spec sim.RunSpec, reqID string) (
 		delete(s.byHash, hash)
 		s.order = s.order[:len(s.order)-1]
 		cancel()
-		if errors.Is(err, ErrQueueFull) {
-			return RunView{}, false, &Error{Status: 503, Msg: fmt.Sprintf("service: queue full (%d pending)", s.cfg.QueueDepth)}
-		}
-		return RunView{}, false, &Error{Status: 503, Msg: err.Error()}
+		return RunView{}, false, errEnqueue(err, s.cfg.QueueDepth)
 	}
 	s.log.Info("run queued", "run", r.id, "hash", hash[:12], "tenant", tenant.Name,
 		"mode", string(norm.Mode), "request_id", reqID)
 	return v, false, nil
 }
 
-// storeByHashLocked resolves a spec hash through the store tiers (hot
-// first) and names the tier that answered ("hot" or "archive") for the
-// cache-tier metrics; s.mu must be held (it serializes hit-count
-// updates).
+// tierNames labels Server.tiers, index for index, in the cache-tier
+// metrics.
+var tierNames = [...]string{"hot", "archive"}
+
+// storeByHashLocked resolves a spec hash through the store tiers and
+// names the tier that answered ("hot" or "archive") for the cache-tier
+// metrics; s.mu must be held (it serializes hit-count updates).
 func (s *Server) storeByHashLocked(hash string) (Record, string, bool) {
-	if rec, ok, err := s.store.ByHash(hash); err == nil && ok {
-		return rec, "hot", true
-	}
-	if s.cfg.Archive != nil {
-		if rec, ok, err := s.cfg.Archive.ByHash(hash); err == nil && ok {
-			return rec, "archive", true
+	for i, tier := range s.tiers {
+		if rec, ok, err := tier.ByHash(hash); err == nil && ok {
+			return rec, tierNames[i], true
 		}
 	}
 	return Record{}, "", false
 }
 
-// storeRecord resolves a run id through the store tiers (hot first).
+// storeRecord resolves a run id through the store tiers.
 func (s *Server) storeRecord(id string) (Record, bool) {
-	if rec, ok, err := s.store.Get(id); err == nil && ok {
-		return rec, true
-	}
-	if s.cfg.Archive != nil {
-		if rec, ok, err := s.cfg.Archive.Get(id); err == nil && ok {
+	for _, tier := range s.tiers {
+		if rec, ok, err := tier.Get(id); err == nil && ok {
 			return rec, true
 		}
 	}
@@ -553,7 +503,6 @@ func (s *Server) retire(r *run) {
 	r.mu.Lock()
 	rec := r.recordLocked()
 	rec.Events = append([]Event(nil), r.events...)
-	rec.Spec = r.spec
 	rec.Report = r.report
 	r.mu.Unlock()
 
@@ -666,36 +615,37 @@ func (s *Server) GetAs(tenant TenantConfig, id string, withReport bool) (RunView
 	r := s.runs[id]
 	s.mu.Unlock()
 	if r != nil {
+		if !owns(s.cfg.Auth, tenant, r.tenant) {
+			return RunView{}, errUnknownRun(id)
+		}
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if err := readAllowed(s.cfg.Auth, tenant, r.tenant, id); err != nil {
-			return RunView{}, err
-		}
 		return r.viewLocked(withReport, true), nil
 	}
-	if rec, ok := s.storeRecord(id); ok {
-		if err := readAllowed(s.cfg.Auth, tenant, rec.Tenant, id); err != nil {
-			return RunView{}, err
-		}
-		return viewFromRecord(rec, withReport, true), nil
+	if rec, ok := s.storeRecord(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
+		return viewFromRecord(rec, time.Now(), withReport, true), nil
 	}
 	return RunView{}, errUnknownRun(id)
 }
 
-// errUnknownRun is THE not-found answer for a run id: foreign-tenant
-// reads reuse it verbatim so the two cases are indistinguishable.
-func errUnknownRun(id string) *Error {
-	return &Error{Status: 404, Msg: fmt.Sprintf("service: unknown run %q", id)}
+// owner names the tenant a run belongs to, wherever the run lives; false
+// when no tier knows the id.
+func (s *Server) owner(id string) (string, bool) {
+	s.mu.Lock()
+	r := s.runs[id]
+	s.mu.Unlock()
+	if r != nil {
+		return r.tenant, true
+	}
+	rec, ok := s.storeRecord(id)
+	return rec.Tenant, ok
 }
 
-// readAllowed is the per-run read ownership check: open daemons,
-// admins, trusted in-process callers (empty tenant name) and owners
-// pass; every other tenant gets the unknown-run 404.
-func readAllowed(auth *Auth, tenant TenantConfig, owner, id string) error {
-	if auth == nil || tenant.Admin || tenant.Name == "" || tenant.Name == owner {
-		return nil
-	}
-	return errUnknownRun(id)
+// errUnknownRun is THE not-found answer for a run id: every read and
+// write on someone else's run reuses it verbatim, so "never existed" and
+// "not yours" are indistinguishable.
+func errUnknownRun(id string) *Error {
+	return &Error{Status: 404, Msg: fmt.Sprintf("service: unknown run %q", id)}
 }
 
 // Report hands the run's sim.Report to fn while the run is terminal —
@@ -720,7 +670,7 @@ func (s *Server) Report(id string, fn func(rep sim.Report) error) error {
 	}
 	rec, ok := s.storeRecord(id)
 	if !ok {
-		return &Error{Status: 404, Msg: fmt.Sprintf("service: unknown run %q", id)}
+		return errUnknownRun(id)
 	}
 	if rec.Report == nil {
 		return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s (%s) has no report in this process", id, rec.State)}
@@ -781,22 +731,12 @@ func (s *Server) List(f ListFilter) ([]RunView, string, error) {
 	}
 	s.mu.Unlock()
 
-	hot, _, err := s.store.List(base)
-	if err != nil {
-		return nil, "", err
-	}
-	for _, rec := range hot {
-		if !seen[rec.ID] {
-			records = append(records, rec)
-			seen[rec.ID] = true
-		}
-	}
-	if s.cfg.Archive != nil {
-		arch, _, err := s.cfg.Archive.List(base)
+	for _, tier := range s.tiers {
+		stored, _, err := tier.List(base)
 		if err != nil {
 			return nil, "", err
 		}
-		for _, rec := range arch {
+		for _, rec := range stored {
 			if !seen[rec.ID] {
 				records = append(records, rec)
 				seen[rec.ID] = true
@@ -808,11 +748,7 @@ func (s *Server) List(f ListFilter) ([]RunView, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	views := make([]RunView, 0, len(page))
-	for _, rec := range page {
-		views = append(views, viewFromRecord(rec, false, false))
-	}
-	return views, next, nil
+	return viewsFromRecords(page), next, nil
 }
 
 // Cancel is CancelAs with operator rights (trusted in-process callers).
@@ -825,50 +761,45 @@ func (s *Server) Cancel(id string) (RunView, error) {
 // transitions when the engine unwinds (bounded-step checks keep that
 // prompt). Cancelling a terminal run is a no-op; the returned view
 // reports the state reached. With auth enabled, a tenant may cancel
-// only its own runs unless marked admin.
+// only its own runs unless marked admin; anyone else's run answers the
+// unknown-run 404, exactly like a read.
 func (s *Server) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 	s.mu.Lock()
 	r := s.runs[id]
 	s.mu.Unlock()
 	if r == nil {
-		if rec, ok := s.storeRecord(id); ok {
-			if err := cancelAllowed(s.cfg.Auth, tenant, rec.Tenant); err != nil {
-				return RunView{}, err
-			}
+		if rec, ok := s.storeRecord(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
 			// Already terminal: cancelling is a no-op.
-			return viewFromRecord(rec, false, false), nil
+			return viewFromRecord(rec, time.Now(), false, false), nil
 		}
-		return RunView{}, &Error{Status: 404, Msg: fmt.Sprintf("service: unknown run %q", id)}
+		return RunView{}, errUnknownRun(id)
 	}
-	if err := cancelAllowed(s.cfg.Auth, tenant, r.tenant); err != nil {
-		return RunView{}, err
+	if !owns(s.cfg.Auth, tenant, r.tenant) {
+		return RunView{}, errUnknownRun(id)
 	}
+	return s.cancel(r, context.Canceled.Error()), nil
+}
+
+// cancel cancels a live run's context; a still-queued run also
+// transitions (with msg as its error) and retires here — the worker
+// that later pops it sees it non-queued and skips it, so this is the
+// only retire. The view reports the state reached.
+func (s *Server) cancel(r *run, msg string) RunView {
 	r.cancel()
-	retired := false
 	r.mu.Lock()
-	if r.state == StateQueued {
+	queued := r.state == StateQueued
+	if queued {
 		r.state = StateCancelled
 		r.finished = time.Now()
-		r.errMsg = context.Canceled.Error()
-		r.appendEventLocked("cancelled", Event{Error: r.errMsg})
-		retired = true
+		r.errMsg = msg
+		r.appendLocked("cancelled", Event{Error: msg})
 	}
 	v := r.viewLocked(false, false)
 	r.mu.Unlock()
-	if retired {
-		// The worker that later pops this run sees it non-queued and
-		// skips it, so this is the only retire.
+	if queued {
 		s.retire(r)
 	}
-	return v, nil
-}
-
-// cancelAllowed is the cancellation ownership check.
-func cancelAllowed(auth *Auth, tenant TenantConfig, owner string) error {
-	if auth == nil || tenant.Admin || tenant.Name == "" || tenant.Name == owner {
-		return nil
-	}
-	return &Error{Status: 403, Msg: "service: run belongs to another tenant"}
+	return v
 }
 
 // Follow replays a run's event log from the start and then follows live
@@ -879,47 +810,19 @@ func (s *Server) Follow(ctx context.Context, id string, fn func(Event) error) er
 	s.mu.Lock()
 	r := s.runs[id]
 	s.mu.Unlock()
-	if r == nil {
-		rec, ok := s.storeRecord(id)
-		if !ok {
-			return &Error{Status: 404, Msg: fmt.Sprintf("service: unknown run %q", id)}
-		}
-		for _, e := range rec.Events {
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-		return nil
+	if r != nil {
+		return r.follow(ctx, fn)
 	}
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
-
-	idx := 0
-	r.mu.Lock()
-	for {
-		for idx < len(r.events) {
-			e := r.events[idx]
-			idx++
-			r.mu.Unlock()
-			if err := fn(e); err != nil {
-				return err
-			}
-			r.mu.Lock()
-		}
-		if r.state.Terminal() {
-			r.mu.Unlock()
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			r.mu.Unlock()
+	rec, ok := s.storeRecord(id)
+	if !ok {
+		return errUnknownRun(id)
+	}
+	for _, e := range rec.Events {
+		if err := fn(e); err != nil {
 			return err
 		}
-		r.cond.Wait()
 	}
+	return nil
 }
 
 // execute runs one queued submission on the calling worker.
@@ -936,7 +839,7 @@ func (s *Server) execute(r *run) {
 	r.state = StateRunning
 	r.started = time.Now()
 	wait := r.started.Sub(r.submitted)
-	r.appendEventLocked("started", Event{})
+	r.appendLocked("started", Event{})
 	r.mu.Unlock()
 
 	s.met.schedWait.Observe(wait.Seconds())
@@ -965,11 +868,11 @@ func (s *Server) execute(r *run) {
 	case ctxErr && !complete:
 		r.state = StateCancelled
 		r.errMsg = err.Error()
-		r.appendEventLocked("cancelled", Event{Error: r.errMsg})
+		r.appendLocked("cancelled", Event{Error: r.errMsg})
 	case err != nil && !ctxErr:
 		r.state = StateFailed
 		r.errMsg = err.Error()
-		r.appendEventLocked("failed", Event{Error: r.errMsg})
+		r.appendLocked("failed", Event{Error: r.errMsg})
 	default:
 		r.state = StateDone
 		if errs := rep.Errs(); len(errs) > 0 {
@@ -977,9 +880,9 @@ func (s *Server) execute(r *run) {
 			// failed: a cached result must never silently hide errors.
 			r.state = StateFailed
 			r.errMsg = errs[0].Error()
-			r.appendEventLocked("failed", Event{Error: r.errMsg})
+			r.appendLocked("failed", Event{Error: r.errMsg})
 		} else {
-			r.appendEventLocked("done", Event{Done: r.done, Total: r.total})
+			r.appendLocked("done", Event{Done: r.done, Total: r.total})
 		}
 	}
 	state, errMsg, elapsed := r.state, r.errMsg, r.finished.Sub(r.started)
@@ -999,7 +902,7 @@ func (s *Server) progressFn(r *run) sim.Progress {
 		}
 		r.mu.Lock()
 		r.done, r.total = done, total
-		r.appendEventLocked("cell", e)
+		r.appendLocked("cell", e)
 		r.mu.Unlock()
 	}
 }
@@ -1083,7 +986,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	queued := make([]*run, 0)
 	for _, r := range s.runs {
-		if r.snapshot().State == StateQueued {
+		if r.current() == StateQueued {
 			queued = append(queued, r)
 		}
 	}
@@ -1091,20 +994,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	sort.Slice(queued, func(i, j int) bool { return queued[i].seq < queued[j].seq })
 	for _, r := range queued {
-		r.cancel()
-		retired := false
-		r.mu.Lock()
-		if r.state == StateQueued {
-			r.state = StateCancelled
-			r.finished = time.Now()
-			r.errMsg = "service: shut down before the run started"
-			r.appendEventLocked("cancelled", Event{Error: r.errMsg})
-			retired = true
-		}
-		r.mu.Unlock()
-		if retired {
-			s.retire(r)
-		}
+		s.cancel(r, "service: shut down before the run started")
 	}
 
 	// Twins are cancelled outright — a live session has no batch result
@@ -1130,13 +1020,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return err
-}
-
-// snapshot reads the run's mutable fields under its lock.
-func (r *run) snapshot() RunView {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.viewLocked(false, false)
 }
 
 // Error is an API error with its HTTP status.

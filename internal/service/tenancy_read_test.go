@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"repro/internal/service"
 )
 
 // getPath GETs an authenticated path and returns status + body. Every
@@ -17,7 +15,12 @@ import (
 // client-controlled ID the middleware adopts, not a fresh random one.
 func getPath(t *testing.T, base, token, path string) (int, string) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+path, nil)
+	return doPath(t, http.MethodGet, base, token, path)
+}
+
+func doPath(t *testing.T, method, base, token, path string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +47,27 @@ func unknownRunBody(id string) string {
 	return fmt.Sprintf("{\n  \"error\": \"service: unknown run \\\"%s\\\"\",\n  \"request_id\": \"tenancy-probe\"\n}\n", id)
 }
 
+// assertForeignCancelIsUnknown pins the write side of the oracle fix: a
+// tenant's DELETE of someone else's run answers 404 with exactly the
+// bytes a DELETE of an id that never existed answers — a 403 would
+// confirm the (sequential) id is taken.
+func assertForeignCancelIsUnknown(t *testing.T, base, token, foreignID, unknownID string) {
+	t.Helper()
+	for _, id := range []string{foreignID, unknownID} {
+		status, body := doPath(t, http.MethodDelete, base, token, "/v1/runs/"+id)
+		if status != 404 || body != unknownRunBody(id) {
+			t.Errorf("%s DELETE %s = %d %q, want 404 %q", token, id, status, body, unknownRunBody(id))
+		}
+	}
+}
+
 // TestCrossTenantReads404 pins the read-side ownership matrix: on an
 // authenticated daemon, every per-run GET — the run itself and each
 // subresource — answers a foreign tenant with the byte-identical 404 an
 // unknown id gets. A 403 would confirm the id exists; with sequential
 // run ids that is an enumeration oracle over other tenants' activity.
-// Owners and admins keep full access, and cross-tenant DELETE stays the
-// explicit 403 it has always been (mutations already confirm existence
-// to their owner only).
+// Owners and admins keep full access, and cross-tenant DELETE answers
+// the same unknown-run 404.
 func TestCrossTenantReads404(t *testing.T) {
 	_, base := newAuthServer(t)
 	ctx := context.Background()
@@ -99,12 +115,9 @@ func TestCrossTenantReads404(t *testing.T) {
 		}
 	}
 
-	// Foreign cancel stays 403 — the pre-existing mutation contract.
-	alice := authClient(base, "tok-alice")
-	_, err = alice.Cancel(ctx, v.ID)
-	if apiErr, ok := err.(*service.Error); !ok || apiErr.Status != 403 {
-		t.Errorf("foreign cancel error = %v, want 403", err)
-	}
+	// Foreign cancel: the same unknown-run 404, for a stored run here
+	// and a live one below.
+	assertForeignCancelIsUnknown(t, base, "tok-alice", v.ID, "r999999")
 
 	// A live (running) run hides from foreign tenants the same way.
 	long, _, err := bob.Submit(ctx, longSpec())
@@ -115,6 +128,10 @@ func TestCrossTenantReads404(t *testing.T) {
 	status, body := getPath(t, base, "tok-alice", "/v1/runs/"+long.ID)
 	if status != 404 || body != unknownRunBody(long.ID) {
 		t.Errorf("foreign GET of live run = %d %q, want the unknown-run 404", status, body)
+	}
+	assertForeignCancelIsUnknown(t, base, "tok-alice", long.ID, "r999998")
+	if lv, err := bob.Get(ctx, long.ID); err != nil || lv.Terminal() {
+		t.Errorf("foreign cancel touched the run: %+v, %v", lv, err)
 	}
 }
 

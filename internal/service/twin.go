@@ -14,11 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/twin"
@@ -35,20 +32,10 @@ type twinRun struct {
 	session *twin.Session
 	cancel  context.CancelFunc
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	state     State
+	eventLog  // state + events; its mu guards the fields below
 	errMsg    string
 	submitted time.Time
 	finished  time.Time
-	events    []Event
-}
-
-func (t *twinRun) appendEventLocked(typ string, e Event) {
-	e.Seq = len(t.events)
-	e.Type = typ
-	t.events = append(t.events, e)
-	t.cond.Broadcast()
 }
 
 // TwinView is the wire form of one twin session.
@@ -101,31 +88,22 @@ func (t *twinRun) view(full bool) TwinView {
 	return v
 }
 
-// errUnknownTwin is THE not-found answer for a twin id: foreign-tenant
-// reads reuse it verbatim so "never existed" and "someone else's" are
-// indistinguishable (same oracle-closing contract as errUnknownRun).
+// errUnknownTwin is THE not-found answer for a twin id: every read and
+// write on someone else's twin reuses it verbatim (same oracle-closing
+// contract as errUnknownRun).
 func errUnknownTwin(id string) *Error {
 	return &Error{Status: 404, Msg: fmt.Sprintf("service: unknown twin %q", id)}
 }
 
-// twinReadAllowed is the per-twin read ownership check, mirroring
-// readAllowed.
-func twinReadAllowed(auth *Auth, tenant TenantConfig, owner, id string) error {
-	if auth == nil || tenant.Admin || tenant.Name == "" || tenant.Name == owner {
-		return nil
+// twinFor resolves a twin id under the caller's tenancy.
+func (s *Server) twinFor(tenant TenantConfig, id string) (*twinRun, error) {
+	s.twinMu.Lock()
+	t := s.twins[id]
+	s.twinMu.Unlock()
+	if t == nil || !owns(s.cfg.Auth, tenant, t.tenant) {
+		return nil, errUnknownTwin(id)
 	}
-	return errUnknownTwin(id)
-}
-
-// twinWriteAllowed is the mutation/stop ownership check, mirroring
-// cancelAllowed (the id was already confirmed readable or the caller
-// owns it, so a 403 here leaks nothing new to an owner; foreign
-// writers without read rights never reach it).
-func twinWriteAllowed(auth *Auth, tenant TenantConfig, owner string) error {
-	if auth == nil || tenant.Admin || tenant.Name == "" || tenant.Name == owner {
-		return nil
-	}
-	return &Error{Status: 403, Msg: "service: twin belongs to another tenant"}
+	return t, nil
 }
 
 // StartTwin is StartTwinAs for the open daemon / trusted callers.
@@ -139,24 +117,15 @@ func (s *Server) StartTwin(spec twin.Spec) (TwinView, error) {
 // Twin starts share the tenant's submission rate limit with runs — a
 // live session is strictly more expensive than a batch run.
 func (s *Server) StartTwinAs(tenant TenantConfig, spec twin.Spec) (TwinView, error) {
-	if s.cfg.Auth != nil && tenant.Name != "" {
-		if wait, ok := s.cfg.Auth.AllowSubmit(tenant.Name); !ok {
-			return TwinView{}, &Error{
-				Status:     429,
-				Msg:        fmt.Sprintf("service: tenant %s over submission rate", tenant.Name),
-				RetryAfter: wait,
-			}
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		return TwinView{}, &Error{Status: 400, Msg: err.Error()}
+	if apiErr := admit(s.cfg.Auth, tenant, spec); apiErr != nil {
+		return TwinView{}, apiErr
 	}
 
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		return TwinView{}, &Error{Status: 503, Msg: "service: draining, not accepting twins"}
+		return TwinView{}, errDraining("twins")
 	}
 
 	// Claim the id before the (potentially slow) member build so
@@ -167,19 +136,19 @@ func (s *Server) StartTwinAs(tenant TenantConfig, spec twin.Spec) (TwinView, err
 	s.nextTwinSeq++
 	s.twinMu.Unlock()
 
-	t := &twinRun{id: id, seq: seq, tenant: tenant.Name, state: StateRunning, submitted: time.Now()}
-	t.cond = sync.NewCond(&t.mu)
+	t := &twinRun{id: id, seq: seq, tenant: tenant.Name, submitted: time.Now()}
+	t.init(StateRunning)
 	sink := s.tsdb.Run(id)
 	session, err := twin.New(spec, twin.Config{
 		Sink: sink,
 		OnEpoch: func(st twin.Status) {
 			t.mu.Lock()
-			t.appendEventLocked("epoch", Event{Done: int(st.VirtualTime), Total: int(st.HorizonSec)})
+			t.appendLocked("epoch", Event{Done: int(st.VirtualTime), Total: int(st.HorizonSec)})
 			t.mu.Unlock()
 		},
 		OnApplied: func(a twin.Applied) {
 			t.mu.Lock()
-			t.appendEventLocked("mutation", Event{Cell: string(a.Mutation.Op), Done: int(a.AtEpoch), Error: a.Err})
+			t.appendLocked("mutation", Event{Cell: string(a.Mutation.Op), Done: int(a.AtEpoch), Error: a.Err})
 			t.mu.Unlock()
 		},
 	})
@@ -197,7 +166,7 @@ func (s *Server) StartTwinAs(tenant TenantConfig, spec twin.Spec) (TwinView, err
 	s.twinMu.Unlock()
 
 	t.mu.Lock()
-	t.appendEventLocked("started", Event{})
+	t.appendLocked("started", Event{})
 	t.mu.Unlock()
 
 	s.twinWG.Add(1)
@@ -210,26 +179,19 @@ func (s *Server) StartTwinAs(tenant TenantConfig, spec twin.Spec) (TwinView, err
 		switch {
 		case err == nil:
 			t.state = StateDone
-			t.appendEventLocked("done", Event{})
+			t.appendLocked("done", Event{})
 		case ctx.Err() != nil:
 			t.state = StateCancelled
 			t.errMsg = err.Error()
-			t.appendEventLocked("cancelled", Event{Error: t.errMsg})
+			t.appendLocked("cancelled", Event{Error: t.errMsg})
 		default:
 			t.state = StateFailed
 			t.errMsg = err.Error()
-			t.appendEventLocked("failed", Event{Error: t.errMsg})
+			t.appendLocked("failed", Event{Error: t.errMsg})
 		}
 		t.mu.Unlock()
 	}()
 	return t.view(false), nil
-}
-
-// twinByID resolves a twin id without tenancy (internal).
-func (s *Server) twinByID(id string) *twinRun {
-	s.twinMu.Lock()
-	defer s.twinMu.Unlock()
-	return s.twins[id]
 }
 
 // Twin is TwinAs with operator rights.
@@ -241,11 +203,8 @@ func (s *Server) Twin(id string) (TwinView, error) {
 // with the caller's tenancy applied: someone else's twin answers the
 // exact 404 an id that never existed answers.
 func (s *Server) TwinAs(tenant TenantConfig, id string) (TwinView, error) {
-	t := s.twinByID(id)
-	if t == nil {
-		return TwinView{}, errUnknownTwin(id)
-	}
-	if err := twinReadAllowed(s.cfg.Auth, tenant, t.tenant, id); err != nil {
+	t, err := s.twinFor(tenant, id)
+	if err != nil {
 		return TwinView{}, err
 	}
 	return t.view(true), nil
@@ -260,10 +219,9 @@ func (s *Server) ListTwinsAs(tenant TenantConfig) []TwinView {
 	sort.Slice(order, func(i, j int) bool { return order[i].seq < order[j].seq })
 	views := make([]TwinView, 0, len(order))
 	for _, t := range order {
-		if twinReadAllowed(s.cfg.Auth, tenant, t.tenant, t.id) != nil {
-			continue
+		if owns(s.cfg.Auth, tenant, t.tenant) {
+			views = append(views, t.view(false))
 		}
-		views = append(views, t.view(false))
 	}
 	return views
 }
@@ -273,20 +231,11 @@ func (s *Server) ListTwinsAs(tenant TenantConfig) []TwinView {
 // finished twin is 409; the returned view shows the queue growing
 // (application is asynchronous by design — the boundary contract).
 func (s *Server) MutateTwinAs(tenant TenantConfig, id string, m twin.Mutation) (TwinView, error) {
-	t := s.twinByID(id)
-	if t == nil {
-		return TwinView{}, errUnknownTwin(id)
-	}
-	if err := twinReadAllowed(s.cfg.Auth, tenant, t.tenant, id); err != nil {
+	t, err := s.twinFor(tenant, id)
+	if err != nil {
 		return TwinView{}, err
 	}
-	if err := twinWriteAllowed(s.cfg.Auth, tenant, t.tenant); err != nil {
-		return TwinView{}, err
-	}
-	t.mu.Lock()
-	terminal := t.state.Terminal()
-	t.mu.Unlock()
-	if terminal {
+	if t.current().Terminal() {
 		return TwinView{}, &Error{Status: 409, Msg: fmt.Sprintf("service: twin %s is finished; mutations no longer apply", id)}
 	}
 	if err := t.session.Mutate(m); err != nil {
@@ -300,14 +249,8 @@ func (s *Server) MutateTwinAs(tenant TenantConfig, id string, m twin.Mutation) (
 // Stopping a finished twin is a no-op; the view reports the state
 // reached. The twin's status, log and telemetry remain readable.
 func (s *Server) StopTwinAs(tenant TenantConfig, id string) (TwinView, error) {
-	t := s.twinByID(id)
-	if t == nil {
-		return TwinView{}, errUnknownTwin(id)
-	}
-	if err := twinReadAllowed(s.cfg.Auth, tenant, t.tenant, id); err != nil {
-		return TwinView{}, err
-	}
-	if err := twinWriteAllowed(s.cfg.Auth, tenant, t.tenant); err != nil {
+	t, err := s.twinFor(tenant, id)
+	if err != nil {
 		return TwinView{}, err
 	}
 	t.cancel()
@@ -318,39 +261,11 @@ func (s *Server) StopTwinAs(tenant TenantConfig, id string) (TwinView, error) {
 // follows live appends until the twin finishes, fn errors or ctx ends
 // — the twin SSE loop, same discipline as Follow.
 func (s *Server) FollowTwin(ctx context.Context, id string, fn func(Event) error) error {
-	t := s.twinByID(id)
-	if t == nil {
-		return errUnknownTwin(id)
+	t, err := s.twinFor(TenantConfig{Admin: true}, id)
+	if err != nil {
+		return err
 	}
-	stop := context.AfterFunc(ctx, func() {
-		t.mu.Lock()
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	})
-	defer stop()
-
-	idx := 0
-	t.mu.Lock()
-	for {
-		for idx < len(t.events) {
-			e := t.events[idx]
-			idx++
-			t.mu.Unlock()
-			if err := fn(e); err != nil {
-				return err
-			}
-			t.mu.Lock()
-		}
-		if t.state.Terminal() {
-			t.mu.Unlock()
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			t.mu.Unlock()
-			return err
-		}
-		t.cond.Wait()
-	}
+	return t.follow(ctx, fn)
 }
 
 // twinStats counts the registry for Stats (live = still running).
@@ -358,11 +273,9 @@ func (s *Server) twinStats() (live, total int) {
 	s.twinMu.Lock()
 	defer s.twinMu.Unlock()
 	for _, t := range s.twins {
-		t.mu.Lock()
-		if !t.state.Terminal() {
+		if !t.current().Terminal() {
 			live++
 		}
-		t.mu.Unlock()
 	}
 	return live, len(s.twins)
 }
@@ -411,7 +324,7 @@ func (s *Server) handleTwins(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, 200, twinListResponse{Twins: s.ListTwinsAs(requestTenant(r))})
 	default:
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 	}
 }
 
@@ -420,7 +333,12 @@ type twinListResponse struct {
 	Twins []TwinView `json:"twins"`
 }
 
-// handleTwin routes /v1/twin/{id}[/mutations|series|events].
+// handleTwin routes /v1/twin/{id}[/mutations|series|events]. The two
+// read-only sub-resources share one GET-only check and one ownership
+// probe: series is the run series endpoint over the twin's telemetry
+// (twins have no archive tier — the live tsdb is the only source);
+// events streams the twin's log as SSE: started, epoch (virtual-clock
+// ticks), mutation, done/failed/cancelled.
 func (s *Server) handleTwin(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/twin/")
 	id, sub, _ := strings.Cut(rest, "/")
@@ -428,32 +346,50 @@ func (s *Server) handleTwin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &Error{Status: 404, Msg: "missing twin id"})
 		return
 	}
+	tenant := requestTenant(r)
 	switch sub {
 	case "":
+		var (
+			v   TwinView
+			err error
+		)
 		switch r.Method {
 		case http.MethodGet:
-			v, err := s.TwinAs(requestTenant(r), id)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, 200, v)
+			v, err = s.TwinAs(tenant, id)
 		case http.MethodDelete:
-			v, err := s.StopTwinAs(requestTenant(r), id)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeJSON(w, 200, v)
+			v, err = s.StopTwinAs(tenant, id)
 		default:
-			writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+			err = errMethodNotAllowed
 		}
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, 200, v)
 	case "mutations":
 		s.handleTwinMutations(w, r, id)
-	case "series":
-		s.handleTwinSeries(w, r, id)
-	case "events":
-		s.handleTwinEvents(w, r, id)
+	case "series", "events":
+		if r.Method != http.MethodGet {
+			writeErr(w, errMethodNotAllowed)
+			return
+		}
+		t, err := s.twinFor(tenant, id)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		if sub == "events" {
+			serveSSE(w, r, s.cfg.SSEKeepalive, func(ctx context.Context, emit func(Event) error) error {
+				return t.follow(ctx, emit)
+			})
+			return
+		}
+		rs := s.tsdb.Lookup(id)
+		if rs == nil {
+			writeErr(w, &Error{Status: 404, Msg: fmt.Sprintf("twin %s recorded no telemetry", id)})
+			return
+		}
+		writeSeries(w, r.URL.Query(), id, rs)
 	default:
 		writeErr(w, &Error{Status: 404, Msg: fmt.Sprintf("unknown resource %q", sub)})
 	}
@@ -488,66 +424,8 @@ func (s *Server) handleTwinMutations(w http.ResponseWriter, r *http.Request, id 
 		}
 		writeJSON(w, 200, v.Mutations)
 	default:
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 	}
-}
-
-// handleTwinSeries serves GET /v1/twin/{id}/series?metric=&from=&to=
-// &res= — the run series endpoint over the twin's telemetry. Twins
-// have no archive tier: the live tsdb is the only source.
-func (s *Server) handleTwinSeries(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-		return
-	}
-	if _, err := s.TwinAs(requestTenant(r), id); err != nil {
-		writeErr(w, err)
-		return
-	}
-	rs := s.tsdb.Lookup(id)
-	if rs == nil {
-		writeErr(w, &Error{Status: 404, Msg: fmt.Sprintf("twin %s recorded no telemetry", id)})
-		return
-	}
-	q := r.URL.Query()
-	metric := q.Get("metric")
-	if metric == "" {
-		writeJSON(w, 200, SeriesResponse{Run: id, Metrics: rs.Series(), DroppedSeries: rs.Dropped()})
-		return
-	}
-	from, to, res, err := timeRangeParams(q)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	pts, per, err := rs.Query(metric, from, to, res)
-	if err != nil {
-		writeErr(w, &Error{Status: 404, Msg: err.Error()})
-		return
-	}
-	writeJSON(w, 200, SeriesResponse{
-		Run:           id,
-		Metric:        metric,
-		RawPerPoint:   per,
-		Points:        pts,
-		DroppedSeries: rs.Dropped(),
-	})
-}
-
-// handleTwinEvents streams the twin's event log as SSE: started,
-// epoch (virtual-clock ticks), mutation, done/failed/cancelled.
-func (s *Server) handleTwinEvents(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
-		return
-	}
-	if _, err := s.TwinAs(requestTenant(r), id); err != nil {
-		writeErr(w, err)
-		return
-	}
-	serveSSE(w, r, s.cfg.SSEKeepalive, func(ctx context.Context, emit func(Event) error) error {
-		return s.FollowTwin(ctx, id, emit)
-	})
 }
 
 // handlePromMetrics serves the Prometheus text exposition on /metrics
@@ -558,7 +436,7 @@ func (s *Server) handleTwinEvents(w http.ResponseWriter, r *http.Request, id str
 // counters, cache-tier hits and run stage timings.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, &Error{Status: 405, Msg: "method not allowed"})
+		writeErr(w, errMethodNotAllowed)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -613,24 +491,5 @@ func (c *Client) StopTwin(ctx context.Context, id string) (TwinView, error) {
 // TwinSeries fetches one metric's points from a twin's telemetry; an
 // empty metric enumerates the recorded metrics.
 func (c *Client) TwinSeries(ctx context.Context, id, metric string, sq SeriesQuery) (SeriesResponse, error) {
-	q := url.Values{}
-	if metric != "" {
-		q.Set("metric", metric)
-	}
-	if sq.From != 0 {
-		q.Set("from", strconv.FormatInt(sq.From, 10))
-	}
-	if sq.To != 0 {
-		q.Set("to", strconv.FormatInt(sq.To, 10))
-	}
-	if sq.Res != 0 {
-		q.Set("res", strconv.FormatInt(sq.Res, 10))
-	}
-	path := "/v1/twin/" + id + "/series"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var resp SeriesResponse
-	err := c.do(ctx, http.MethodGet, path, nil, &resp)
-	return resp, err
+	return c.series(ctx, "/v1/twin/"+id+"/series", metric, sq)
 }

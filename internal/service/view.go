@@ -69,38 +69,10 @@ func (v RunView) Terminal() bool { return v.State.Terminal() }
 
 // viewLocked renders the run; r.mu must be held. withSpec embeds the
 // full normalized spec (the single-run GET), withReport the encoded
-// report payload.
+// report payload — present only between execution and retirement, while
+// the run is terminal but still live.
 func (r *run) viewLocked(withReport, withSpec bool) RunView {
-	v := RunView{
-		ID:          r.id,
-		SpecHash:    r.hash,
-		Name:        r.spec.Name,
-		Mode:        r.spec.Mode,
-		State:       r.state,
-		Error:       r.errMsg,
-		Tenant:      r.tenant,
-		CacheHits:   r.hits,
-		CellsDone:   r.done,
-		CellsTotal:  r.total,
-		SubmittedAt: r.submitted,
-	}
-	if withSpec {
-		sp := r.spec
-		v.Spec = &sp
-	}
-	if !r.started.IsZero() {
-		t := r.started
-		v.StartedAt = &t
-		end := time.Now()
-		if !r.finished.IsZero() {
-			end = r.finished
-		}
-		v.ElapsedMS = float64(end.Sub(r.started).Microseconds()) / 1000
-	}
-	if !r.finished.IsZero() {
-		t := r.finished
-		v.FinishedAt = &t
-	}
+	v := viewFromRecord(r.recordLocked(), time.Now(), false, withSpec)
 	if withReport && r.report != nil {
 		if r.reportJSON == nil {
 			var buf bytes.Buffer
@@ -113,11 +85,13 @@ func (r *run) viewLocked(withReport, withSpec bool) RunView {
 	return v
 }
 
-// viewFromRecord renders a stored (terminal) run the same way
-// viewLocked renders a live one, so clients cannot tell which tier
-// answered. The report payload comes from the stored json rendering
-// when present, else is rendered from the hot tier's live Report.
-func viewFromRecord(rec Record, withReport, withSpec bool) RunView {
+// viewFromRecord is the one Record -> RunView renderer: live daemon
+// runs, gateway routing entries and stored records all render through
+// it, so clients cannot tell which tier (or which front) answered. now
+// closes the elapsed-time interval of a run still executing. The report
+// payload comes from the stored json rendering when present, else is
+// rendered from the hot tier's live Report.
+func viewFromRecord(rec Record, now time.Time, withReport, withSpec bool) RunView {
 	v := RunView{
 		ID:          rec.ID,
 		SpecHash:    rec.SpecHash,
@@ -140,7 +114,7 @@ func viewFromRecord(rec Record, withReport, withSpec bool) RunView {
 		v.StartedAt = &t
 		end := rec.Finished
 		if end.IsZero() {
-			end = rec.Started
+			end = now
 		}
 		v.ElapsedMS = float64(end.Sub(rec.Started).Microseconds()) / 1000
 	}
@@ -163,4 +137,15 @@ func viewFromRecord(rec Record, withReport, withSpec bool) RunView {
 		}
 	}
 	return v
+}
+
+// viewsFromRecords renders one listing page (no spec, no report) at a
+// single instant.
+func viewsFromRecords(page []Record) []RunView {
+	now := time.Now()
+	views := make([]RunView, 0, len(page))
+	for _, rec := range page {
+		views = append(views, viewFromRecord(rec, now, false, false))
+	}
+	return views
 }
