@@ -24,9 +24,11 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/experiment"
 	"repro/internal/figures"
+	"repro/internal/job"
 	"repro/internal/model"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/reservation"
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -350,6 +352,61 @@ func BenchmarkAllocateFullCurie(b *testing.B) {
 		if sched.Allocate(c, 512, nil) == nil {
 			b.Fatal("allocation failed")
 		}
+	}
+}
+
+// BenchmarkAllocateBlockedCurie probes the machine as a capped replay
+// sees it: the upper 60 % of Curie is reserved for a switch-off whose
+// lead-in has begun (preferred, yet blocked for any job reaching the
+// window), the rest is busy except for a partly used node in eight and
+// an idle one in sixteen. Each probe decides eligibility once
+// (Book.BlockedSet) and first-fits into a reused buffer; the 8 192-core
+// request passes the free-core bound and must fail.
+func BenchmarkAllocateBlockedCurie(b *testing.B) {
+	c := cluster.NewCurie()
+	per := c.Topology().CoresPerNode
+	group := cluster.SelectGrouped(c, c.Nodes()*6/10, nil)
+	book := reservation.NewBook()
+	if _, err := book.AddSwitchOff(1000, 5000, group); err != nil {
+		b.Fatal(err)
+	}
+	for _, id := range group {
+		if err := c.SetReserved(id, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for id := cluster.NodeID(0); int(id) < c.Nodes()-len(group); id++ {
+		used := per
+		switch {
+		case id%16 == 0:
+			continue
+		case id%8 == 0:
+			used = per / 2
+		}
+		if err := c.Occupy(id, used, dvfs.F2700); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const now, wall, lead = 0, 86400, 1800
+	var (
+		dst     []job.Alloc
+		scratch cluster.NodeSet
+	)
+	for _, req := range []struct {
+		cores int
+		fits  bool
+	}{{16, true}, {512, true}, {8192, false}} {
+		b.Run(fmt.Sprintf("cores%d", req.cores), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blocked := book.BlockedSet(now, now+wall, lead, &scratch)
+				allocs, found := sched.AllocateInto(dst, c, req.cores, blocked, c.ReservedSet())
+				dst = allocs[:0]
+				if found != req.fits {
+					b.Fatalf("%d cores: found = %v", req.cores, found)
+				}
+			}
+		})
 	}
 }
 

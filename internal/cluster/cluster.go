@@ -35,11 +35,14 @@ type Cluster struct {
 	reservedDraw float64           // sum over reserved nodes of draw-down
 	maxPowerOnce power.Watts
 
-	// Allocation candidate indexes, maintained by transition: busy nodes
-	// with at least one free core, and idle nodes. Allocation probes walk
-	// these instead of scanning every node.
-	partialBusy bitset
-	idleSet     bitset
+	// Allocation candidate indexes: busy nodes with at least one free
+	// core and idle nodes (maintained by transition), and the nodes
+	// flagged by switch-off reservations (maintained by SetReserved).
+	// Allocation probes intersect these word by word instead of scanning
+	// every node.
+	partialBusy NodeSet
+	idleSet     NodeSet
+	reserved    NodeSet
 }
 
 // New builds a cluster with every node powered on and idle.
@@ -63,12 +66,13 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 		offChassisCount: make([]int, topo.Racks),
 		fullOffRack:     make([]bool, topo.Racks),
 		coresByFreq:     make(map[dvfs.Freq]int),
-		partialBusy:     newBitset(topo.Nodes()),
-		idleSet:         newBitset(topo.Nodes()),
+		partialBusy:     NewNodeSet(topo.Nodes()),
+		idleSet:         NewNodeSet(topo.Nodes()),
+		reserved:        NewNodeSet(topo.Nodes()),
 	}
 	for i := range c.nodes {
 		c.nodes[i].state = StateIdle
-		c.idleSet.set(i)
+		c.idleSet.Add(NodeID(i))
 	}
 	c.counts[StateIdle] = topo.Nodes()
 	c.nodeWatts = float64(profile.Idle()) * float64(topo.Nodes())
@@ -150,20 +154,20 @@ func (c *Cluster) transition(id NodeID, st NodeState, f dvfs.Freq, usedCores int
 	}
 	if isIdle := st == StateIdle; isIdle != wasIdle {
 		if isIdle {
-			c.idleSet.set(int(id))
+			c.idleSet.Add(id)
 		} else {
-			c.idleSet.clear(int(id))
+			c.idleSet.Remove(id)
 		}
 	}
 	if isPartialBusy := st == StateBusy && usedCores < c.topo.CoresPerNode; isPartialBusy != wasPartialBusy {
 		if isPartialBusy {
-			c.partialBusy.set(int(id))
+			c.partialBusy.Add(id)
 		} else {
-			c.partialBusy.clear(int(id))
+			c.partialBusy.Remove(id)
 		}
 	}
 	c.nodeWatts += c.draw(n) - before
-	if n.reserved {
+	if c.reserved.Has(id) {
 		c.reservedDraw += c.draw(n) - before
 	}
 
@@ -313,14 +317,14 @@ func (c *Cluster) SetReserved(id NodeID, v bool) error {
 	if err := c.checkID(id); err != nil {
 		return err
 	}
-	n := &c.nodes[id]
-	if n.reserved != v {
-		n.reserved = v
-		margin := c.draw(n) - float64(c.profile.Down())
+	if c.reserved.Has(id) != v {
+		margin := c.draw(&c.nodes[id]) - float64(c.profile.Down())
 		if v {
+			c.reserved.Add(id)
 			c.reservedOff++
 			c.reservedDraw += margin
 		} else {
+			c.reserved.Remove(id)
 			c.reservedOff--
 			c.reservedDraw -= margin
 		}
@@ -346,7 +350,7 @@ func (c *Cluster) Info(id NodeID) (NodeInfo, error) {
 		return NodeInfo{}, err
 	}
 	n := &c.nodes[id]
-	return NodeInfo{ID: id, State: n.state, Freq: n.freq, UsedCores: n.usedCores, Reserved: n.reserved}, nil
+	return NodeInfo{ID: id, State: n.state, Freq: n.freq, UsedCores: n.usedCores, Reserved: c.reserved.Has(id)}, nil
 }
 
 // State returns the state of node id; out-of-range IDs report StateOff.
@@ -371,10 +375,7 @@ func (c *Cluster) FreeCores(id NodeID) int {
 
 // Reserved reports the switch-off reservation flag of node id.
 func (c *Cluster) Reserved(id NodeID) bool {
-	if c.checkID(id) != nil {
-		return false
-	}
-	return c.nodes[id].reserved
+	return c.reserved.Has(id)
 }
 
 // Count returns the number of nodes in state st.
@@ -474,33 +475,25 @@ func (c *Cluster) BonusWatts() power.Watts {
 	return power.Watts(w)
 }
 
-// ForEachBusyFree calls fn in ascending ID order for every busy node
-// with at least one free core, passing the free-core count. fn
-// returning false stops the walk; fn must not mutate the cluster.
-// This walks the maintained candidate index, so a full machine costs
-// nothing to scan — the allocation hot path of the scheduling pass.
-func (c *Cluster) ForEachBusyFree(fn func(id NodeID, free int) bool) {
-	per := c.topo.CoresPerNode
-	c.partialBusy.forEach(func(i int) bool {
-		return fn(NodeID(i), per-c.nodes[i].usedCores)
-	})
-}
+// PartialBusySet, IdleSet and ReservedSet expose the maintained node
+// sets — busy nodes with at least one free core, idle nodes, nodes
+// flagged by SetReserved — for word-parallel allocation probes. The
+// sets alias live cluster state: callers must not modify them, and a
+// set is only current until the next cluster mutation.
+func (c *Cluster) PartialBusySet() NodeSet { return c.partialBusy }
 
-// ForEachIdle calls fn in ascending ID order for every idle node (all
-// cores free). fn returning false stops the walk; fn must not mutate
-// the cluster.
-func (c *Cluster) ForEachIdle(fn func(id NodeID) bool) {
-	c.idleSet.forEach(func(i int) bool {
-		return fn(NodeID(i))
-	})
-}
+// IdleSet: see PartialBusySet.
+func (c *Cluster) IdleSet() NodeSet { return c.idleSet }
+
+// ReservedSet: see PartialBusySet.
+func (c *Cluster) ReservedSet() NodeSet { return c.reserved }
 
 // ForEach calls fn for every node in ID order; fn returning false stops the
 // walk.
 func (c *Cluster) ForEach(fn func(NodeInfo) bool) {
 	for i := range c.nodes {
 		n := &c.nodes[i]
-		if !fn(NodeInfo{ID: NodeID(i), State: n.state, Freq: n.freq, UsedCores: n.usedCores, Reserved: n.reserved}) {
+		if !fn(NodeInfo{ID: NodeID(i), State: n.state, Freq: n.freq, UsedCores: n.usedCores, Reserved: c.reserved.Has(NodeID(i))}) {
 			return
 		}
 	}

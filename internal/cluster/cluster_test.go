@@ -355,7 +355,7 @@ func TestScatteredVersusGrouped(t *testing.T) {
 	if len(ids) != 20 {
 		t.Fatalf("scattered selection returned %d nodes", len(ids))
 	}
-	if got := PlannedSaving(c, ids); got != 6880 {
+	if got := PlannedSaving(c, ids, c.Profile().Max()); got != 6880 {
 		t.Errorf("scattered 20-node saving = %v, want 6880 W", got)
 	}
 	first, n := c.Topology().ChassisNodes(0)
@@ -363,7 +363,7 @@ func TestScatteredVersusGrouped(t *testing.T) {
 	for i := range chassis {
 		chassis[i] = first + NodeID(i)
 	}
-	if got := PlannedSaving(c, chassis); got != 6692 {
+	if got := PlannedSaving(c, chassis, c.Profile().Max()); got != 6692 {
 		t.Errorf("chassis saving = %v, want 6692 W", got)
 	}
 }
@@ -383,7 +383,7 @@ func TestSelectGroupedPrefersWholeRacks(t *testing.T) {
 	if len(racks) != 1 {
 		t.Errorf("selection spans %d racks, want exactly 1 full rack", len(racks))
 	}
-	if got := PlannedSaving(c, ids); got != 34360 {
+	if got := PlannedSaving(c, ids, c.Profile().Max()); got != 34360 {
 		t.Errorf("full-rack planned saving = %v, want 34360", got)
 	}
 }
@@ -411,7 +411,7 @@ func TestSelectGroupedChassisAlignment(t *testing.T) {
 	}
 	// Grouped selection must beat scattered selection on planned savings.
 	scat := SelectScattered(c, 40, nil)
-	if g, s := PlannedSaving(c, ids), PlannedSaving(c, scat); g <= s {
+	if g, s := PlannedSaving(c, ids, c.Profile().Max()), PlannedSaving(c, scat, c.Profile().Max()); g <= s {
 		t.Errorf("grouped saving %v <= scattered %v", g, s)
 	}
 }
@@ -665,10 +665,10 @@ func TestCountsConsistency(t *testing.T) {
 func TestPlannedSavingDeduplicates(t *testing.T) {
 	c := NewCurie()
 	ids := []NodeID{0, 0, 1}
-	if got := PlannedSaving(c, ids); got != 2*344 {
+	if got := PlannedSaving(c, ids, c.Profile().Max()); got != 2*344 {
 		t.Errorf("deduplicated saving = %v, want 688", got)
 	}
-	if got := PlannedSaving(c, []NodeID{-1, 9999999}); got != 0 {
+	if got := PlannedSaving(c, []NodeID{-1, 9999999}, c.Profile().Max()); got != 0 {
 		t.Errorf("invalid IDs saving = %v, want 0", got)
 	}
 }

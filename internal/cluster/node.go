@@ -41,7 +41,6 @@ type node struct {
 	state     NodeState
 	freq      dvfs.Freq // frequency charged while busy (highest among jobs)
 	usedCores int       // cores currently allocated
-	reserved  bool      // captured by a switch-off reservation
 }
 
 // NodeInfo is the read-only view of one node handed to callers.

@@ -23,14 +23,14 @@ func SelectGrouped(c *Cluster, want int, eligible func(NodeID) bool) []NodeID {
 		ok = func(NodeID) bool { return true }
 	}
 	topo := c.Topology()
-	taken := make(map[NodeID]bool, want)
+	taken := NewNodeSet(topo.Nodes())
 	out := make([]NodeID, 0, want)
 
 	take := func(first NodeID, n int) {
 		for i := 0; i < n; i++ {
 			id := first + NodeID(i)
-			if !taken[id] {
-				taken[id] = true
+			if !taken.Has(id) {
+				taken.Add(id)
 				out = append(out, id)
 			}
 		}
@@ -38,7 +38,7 @@ func SelectGrouped(c *Cluster, want int, eligible func(NodeID) bool) []NodeID {
 	groupEligible := func(first NodeID, n int) bool {
 		for i := 0; i < n; i++ {
 			id := first + NodeID(i)
-			if taken[id] || !ok(id) {
+			if taken.Has(id) || !ok(id) {
 				return false
 			}
 		}
@@ -62,8 +62,8 @@ func SelectGrouped(c *Cluster, want int, eligible func(NodeID) bool) []NodeID {
 	}
 	// Single nodes, highest IDs first.
 	for id := NodeID(topo.Nodes() - 1); id >= 0 && len(out) < want; id-- {
-		if !taken[id] && ok(id) {
-			taken[id] = true
+		if !taken.Has(id) && ok(id) {
+			taken.Add(id)
 			out = append(out, id)
 		}
 	}
@@ -83,7 +83,7 @@ func SelectScattered(c *Cluster, want int, eligible func(NodeID) bool) []NodeID 
 	}
 	topo := c.Topology()
 	out := make([]NodeID, 0, want)
-	taken := make(map[NodeID]bool, want)
+	taken := NewNodeSet(topo.Nodes())
 	for sweep := 0; sweep < topo.NodesPerChassis && len(out) < want; sweep++ {
 		for ch := 0; ch < topo.Chassis() && len(out) < want; ch++ {
 			first, n := topo.ChassisNodes(ch)
@@ -91,8 +91,8 @@ func SelectScattered(c *Cluster, want int, eligible func(NodeID) bool) []NodeID 
 				continue
 			}
 			id := first + NodeID(sweep)
-			if !taken[id] && ok(id) {
-				taken[id] = true
+			if !taken.Has(id) && ok(id) {
+				taken.Add(id)
 				out = append(out, id)
 			}
 		}
@@ -101,36 +101,41 @@ func SelectScattered(c *Cluster, want int, eligible func(NodeID) bool) []NodeID 
 }
 
 // PlannedSaving returns the power that switching off exactly the given node
-// set would save relative to those nodes running busy at nominal frequency,
+// set would save relative to those nodes running at the assumed busy draw
+// (nominal for SHUT; the MIX floor draw in the combined regime),
 // including every chassis and rack bonus the set completes. This is the
-// quantity the offline planner maximizes (the paper's worked example:
-// 20 scattered nodes save 20x344 W = 6880 W, one full 18-node chassis saves
-// 6692 W).
-func PlannedSaving(c *Cluster, ids []NodeID) power.Watts {
+// quantity the offline planner maximizes (the paper's worked example at
+// nominal: 20 scattered nodes save 20x344 W = 6880 W, one full 18-node
+// chassis saves 6692 W). Duplicate and out-of-range IDs count once and
+// not at all. The sum is formed in a fixed order — the per-node product,
+// then one constant per full chassis, then one per full rack — so equal
+// sets give bit-equal results.
+func PlannedSaving(c *Cluster, ids []NodeID, busy power.Watts) power.Watts {
 	topo := c.Topology()
 	prof := c.Profile()
 	ov := c.Overhead()
-	perNode := float64(prof.Max() - prof.Down())
 
-	inSet := make(map[NodeID]bool, len(ids))
-	chassisHit := make(map[int]int)
+	inSet := NewNodeSet(topo.Nodes())
+	perChassis := make([]int, topo.Chassis())
+	distinct := 0
 	for _, id := range ids {
-		if c.checkID(id) != nil || inSet[id] {
+		if c.checkID(id) != nil || inSet.Has(id) {
 			continue
 		}
-		inSet[id] = true
-		chassisHit[topo.ChassisOf(id)]++
+		inSet.Add(id)
+		distinct++
+		perChassis[topo.ChassisOf(id)]++
 	}
-	saving := perNode * float64(len(inSet))
+	saving := float64(busy-prof.Down()) * float64(distinct)
 
-	rackFull := make(map[int]int)
-	for ch, n := range chassisHit {
+	fullPerRack := make([]int, topo.Racks)
+	for ch, n := range perChassis {
 		if n == topo.NodesPerChassis {
 			saving += ov.ChassisWatts + float64(prof.Down())*float64(topo.NodesPerChassis)
-			rackFull[ch/topo.ChassisPerRack]++
+			fullPerRack[ch/topo.ChassisPerRack]++
 		}
 	}
-	for _, n := range rackFull {
+	for _, n := range fullPerRack {
 		if n == topo.ChassisPerRack {
 			saving += ov.RackWatts
 		}

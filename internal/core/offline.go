@@ -96,7 +96,7 @@ func PlanOffline(c *cluster.Cluster, pm PolicyModel, cap power.Cap, grouped bool
 
 	sel := selectForSaving(c, busy, need, grouped, eligible)
 	plan.OffNodes = sel
-	plan.PlannedSaving = plannedSavingAt(c, sel, busy)
+	plan.PlannedSaving = cluster.PlannedSaving(c, sel, busy)
 	return plan
 }
 
@@ -108,38 +108,6 @@ func wattsAllBusy(c *cluster.Cluster, busy power.Watts) power.Watts {
 	return power.Watts(float64(busy)*float64(topo.Nodes()) +
 		ov.ChassisWatts*float64(topo.Chassis()) +
 		ov.RackWatts*float64(topo.Racks))
-}
-
-// plannedSavingAt generalizes cluster.PlannedSaving to an arbitrary
-// assumed busy draw (the MIX floor draw in the combined regime).
-func plannedSavingAt(c *cluster.Cluster, ids []cluster.NodeID, busy power.Watts) power.Watts {
-	topo := c.Topology()
-	prof := c.Profile()
-	ov := c.Overhead()
-
-	inSet := make(map[cluster.NodeID]bool, len(ids))
-	chassisHit := map[int]int{}
-	for _, id := range ids {
-		if inSet[id] {
-			continue
-		}
-		inSet[id] = true
-		chassisHit[topo.ChassisOf(id)]++
-	}
-	saving := float64(busy-prof.Down()) * float64(len(inSet))
-	rackFull := map[int]int{}
-	for ch, n := range chassisHit {
-		if n == topo.NodesPerChassis {
-			saving += ov.ChassisWatts + float64(prof.Down())*float64(topo.NodesPerChassis)
-			rackFull[ch/topo.ChassisPerRack]++
-		}
-	}
-	for _, n := range rackFull {
-		if n == topo.ChassisPerRack {
-			saving += ov.RackWatts
-		}
-	}
-	return power.Watts(saving)
 }
 
 // selectForSaving grows a switch-off group until it sheds at least `need`
@@ -161,7 +129,7 @@ func selectForSaving(c *cluster.Cluster, busy power.Watts, need power.Watts, gro
 		pick = cluster.SelectScattered
 	}
 	sel := pick(c, want, eligible)
-	for plannedSavingAt(c, sel, busy) < need && len(sel) < c.Nodes() {
+	for cluster.PlannedSaving(c, sel, busy) < need && len(sel) < c.Nodes() {
 		more := pick(c, len(sel)+c.Topology().NodesPerChassis, eligible)
 		if len(more) <= len(sel) {
 			break // eligibility exhausted
@@ -171,7 +139,7 @@ func selectForSaving(c *cluster.Cluster, busy power.Watts, need power.Watts, gro
 	// Trim trailing nodes while the saving still meets the need. The
 	// grouped selector appends loose single nodes last, so trimming from
 	// the tail removes exactly the nodes the bonus made redundant.
-	for len(sel) > 0 && plannedSavingAt(c, sel[:len(sel)-1], busy) >= need {
+	for len(sel) > 0 && cluster.PlannedSaving(c, sel[:len(sel)-1], busy) >= need {
 		sel = sel[:len(sel)-1]
 	}
 	return sel

@@ -50,10 +50,10 @@ type Book struct {
 	nextID int
 	caps   []PowerCap
 	offs   []SwitchOff
-	// offSets[i] is the node-membership lookup of offs[i]: a dense
-	// []bool indexed by NodeID, so the per-probe NodeBlocked check is
-	// O(windows) instead of O(windows x group size).
-	offSets [][]bool
+	// offSets[i] is the node membership of offs[i] as a set sized to its
+	// highest member, so a probe decides eligibility once per window
+	// (BlockedSet) instead of once per node and group member.
+	offSets []cluster.NodeSet
 }
 
 // NewBook returns an empty reservation book.
@@ -89,19 +89,7 @@ func (b *Book) AddSwitchOff(start, end int64, nodes []cluster.NodeID) (int, erro
 	cp := make([]cluster.NodeID, len(nodes))
 	copy(cp, nodes)
 	b.offs = append(b.offs, SwitchOff{ID: id, Start: start, End: end, Nodes: cp})
-	maxID := cluster.NodeID(0)
-	for _, n := range cp {
-		if n > maxID {
-			maxID = n
-		}
-	}
-	set := make([]bool, int(maxID)+1)
-	for _, n := range cp {
-		if n >= 0 {
-			set[n] = true
-		}
-	}
-	b.offSets = append(b.offSets, set)
+	b.offSets = append(b.offSets, cluster.NodeSetOf(cp))
 	return id, nil
 }
 
@@ -232,19 +220,52 @@ func (b *Book) SwitchOffs() []SwitchOff {
 // stays high until the window, then the group powers down sharply).
 func (b *Book) NodeBlocked(id cluster.NodeID, from, to int64, lead int64) bool {
 	for i := range b.offs {
-		o := &b.offs[i]
-		if o.Start >= to || o.End <= from {
-			continue // job span does not touch the window
-		}
-		if from < o.Start-lead {
-			continue // reservation not yet blocking allocations
-		}
-		set := b.offSets[i]
-		if int(id) >= 0 && int(id) < len(set) && set[id] {
+		if b.offs[i].blocks(from, to, lead) && b.offSets[i].Has(id) {
 			return true
 		}
 	}
 	return false
+}
+
+// blocks reports whether the window refuses work on its members for a
+// job spanning [from, to): the span touches the window and the lead-in
+// has begun.
+func (o *SwitchOff) blocks(from, to, lead int64) bool {
+	return o.Start < to && from < o.End && from >= o.Start-lead
+}
+
+// BlockedSet returns the nodes NodeBlocked refuses for the span
+// [from, to) at the given lead, as one set: the verdict depends on the
+// window, not on the node asked about, so an allocation probe decides it
+// once and intersects. The result is nil when no window blocks, the
+// blocking window's own membership set when there is exactly one (the
+// common case; callers must not modify it), and otherwise the union,
+// written into *scratch (grown as needed and reused across calls).
+func (b *Book) BlockedSet(from, to int64, lead int64, scratch *cluster.NodeSet) cluster.NodeSet {
+	var out cluster.NodeSet
+	blocking := 0
+	for i := range b.offs {
+		if !b.offs[i].blocks(from, to, lead) {
+			continue
+		}
+		set := b.offSets[i]
+		blocking++
+		if blocking == 1 {
+			out = set
+			continue
+		}
+		if blocking == 2 {
+			out = append((*scratch)[:0], out...) // leave the first window's set intact
+		}
+		for len(out) < len(set) {
+			out = append(out, 0)
+		}
+		for w, word := range set {
+			out[w] |= word
+		}
+		*scratch = out
+	}
+	return out
 }
 
 // offPhase classifies instant t against a switch-off window's blocking

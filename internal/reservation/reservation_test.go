@@ -1,6 +1,7 @@
 package reservation
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -232,5 +233,88 @@ func TestUpdateCap(t *testing.T) {
 	}
 	if err := b.UpdateCap(offID, power.CapWatts(100)); err == nil {
 		t.Error("UpdateCap of a switch-off ID: want error")
+	}
+}
+
+// nodeBlockedRef decides NodeBlocked from the reservations' node lists
+// alone — the definition, independent of the book's membership sets.
+func nodeBlockedRef(offs []SwitchOff, id cluster.NodeID, from, to, lead int64) bool {
+	for _, o := range offs {
+		if o.Start >= to || o.End <= from || from < o.Start-lead {
+			continue
+		}
+		for _, n := range o.Nodes {
+			if n == id {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
+	const nodes = 200 // four words; most groups are shorter
+	rng := rand.New(rand.NewSource(3))
+	var scratch cluster.NodeSet
+	for round := 0; round < 60; round++ {
+		b := NewBook()
+		var ids []int
+		for w := 0; w < 1+rng.Intn(5); w++ {
+			start := int64(rng.Intn(1000))
+			span := 1 + rng.Intn(nodes) // highest possible member: groups differ in length
+			var group []cluster.NodeID
+			for n := 0; n < 1+rng.Intn(40); n++ {
+				group = append(group, cluster.NodeID(rng.Intn(span)))
+			}
+			id, err := b.AddSwitchOff(start, start+1+int64(rng.Intn(500)), group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		check := func() {
+			offs := b.SwitchOffs()
+			for probe := 0; probe < 40; probe++ {
+				from := int64(rng.Intn(1600)) - 50
+				to := from + 1 + int64(rng.Intn(800))
+				for _, lead := range []int64{0, 30, 1 << 40} {
+					set := b.BlockedSet(from, to, lead, &scratch)
+					for id := cluster.NodeID(-1); id <= nodes; id++ {
+						want := nodeBlockedRef(offs, id, from, to, lead)
+						if got := b.NodeBlocked(id, from, to, lead); got != want {
+							t.Fatalf("round %d: NodeBlocked(%d, %d, %d, %d) = %v, want %v", round, id, from, to, lead, got, want)
+						}
+						if got := set.Has(id); got != want {
+							t.Fatalf("round %d: BlockedSet(%d, %d, %d).Has(%d) = %v, want %v", round, from, to, lead, id, got, want)
+						}
+					}
+				}
+			}
+		}
+		check()
+		b.Remove(ids[rng.Intn(len(ids))])
+		check()
+	}
+}
+
+// A union must be written into the scratch, never into a window's own
+// membership set.
+func TestBlockedSetLeavesWindowSetsIntact(t *testing.T) {
+	b := NewBook()
+	if _, err := b.AddSwitchOff(100, 200, []cluster.NodeID{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddSwitchOff(150, 250, []cluster.NodeID{70}); err != nil {
+		t.Fatal(err)
+	}
+	var scratch cluster.NodeSet
+	if u := b.BlockedSet(160, 170, 0, &scratch); !u.Has(1) || !u.Has(70) {
+		t.Fatalf("union = %v", u)
+	}
+	if one := b.BlockedSet(110, 120, 0, &scratch); !one.Has(1) || one.Has(70) {
+		t.Errorf("first window's set after a union = %v", one)
+	}
+	if b.BlockedSet(0, 50, 0, &scratch) != nil {
+		t.Error("no window blocks [0,50), want a nil set")
 	}
 }

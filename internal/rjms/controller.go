@@ -95,24 +95,21 @@ type Controller struct {
 	// allocation for up to BackfillDepth jobs at every event; without
 	// reuse each probe allocates candidate slices that die immediately
 	// (see the sweep benchmark for the aggregate cost).
-	viewBuf  []sched.RunningJob // running view, sorted by expected end
-	allocBuf []job.Alloc        // allocation probe candidates
-	nodeBuf  []cluster.NodeID   // node list of the current probe
-	orderer  sched.Orderer      // priority-ordered pending queue
+	viewBuf    []sched.RunningJob // running view, sorted by expected end
+	allocBuf   []job.Alloc        // allocation probe candidates
+	nodeBuf    []cluster.NodeID   // node list of the current probe
+	blockedBuf cluster.NodeSet    // union of several blocking switch-off groups
+	orderer    sched.Orderer      // priority-ordered pending queue
 
-	// Pre-bound probe closures with their parameter fields. plan() runs
-	// up to BackfillDepth times per event; literal closures there would
-	// escape to the heap on every probe (they dominated the sweep's
-	// allocation profile), so the closures are built once in New and
-	// read the plan* fields the current probe sets.
+	// Pre-bound closures with their parameter fields. plan() runs up to
+	// BackfillDepth times per event; a literal admit closure there would
+	// escape to the heap on every probe, so it is built once in New and
+	// reads the plan* fields the current probe sets.
 	planNow    int64
-	planEndMax int64
 	planJob    *job.Job
 	planCapNow power.Cap
 	planNodes  []cluster.NodeID
-	eligibleFn func(cluster.NodeID) bool
 	admitFn    func(dvfs.Freq) bool
-	reservedFn func(cluster.NodeID) bool
 	passFn     simengine.Handler
 }
 
@@ -157,10 +154,6 @@ func New(cfg Config) (*Controller, error) {
 		est.Sample(clus.Power())
 	}
 	c.rec = metrics.NewRecorder(0, clus.Power(), 0)
-	c.eligibleFn = func(id cluster.NodeID) bool {
-		return !c.book.NodeBlocked(id, c.planNow, c.planEndMax, c.cfg.ReservationLead)
-	}
-	c.reservedFn = clus.Reserved
 	c.admitFn = func(f dvfs.Freq) bool {
 		now, j := c.planNow, c.planJob
 		end := now + j.ScaledWalltime(c.pm.Deg, f)
@@ -806,9 +799,10 @@ func (c *Controller) noteState(now int64) {
 
 // --- scheduling -----------------------------------------------------
 
-// planned is a successful allocation probe. allocs is owned by the
-// planned value (copied out of the probe scratch buffer: commit stores
-// it in the job's state, which outlives the next probe).
+// planned is a successful allocation probe. allocs aliases the
+// controller's probe scratch buffer and is overwritten by the next
+// probe: the pass either commits a planned value (commit copies the
+// allocation into the job's state) or drops it before probing again.
 type planned struct {
 	allocs []job.Alloc
 	freq   dvfs.Freq
@@ -822,56 +816,59 @@ func (c *Controller) freeCoresUpperBound() int {
 	return c.clus.Cores() - c.clus.BusyCores() - off
 }
 
-// plan finds an allocation and frequency for a job, or nil. The node
-// eligibility uses the job's longest possible span (ladder minimum) so a
-// chosen allocation stays valid for any frequency the online algorithm
-// settles on. allocFail reports that the failure happened while finding
-// cores (as opposed to the power check) — the scheduling pass uses it to
-// prune same-or-larger requests within the same pass.
-func (c *Controller) plan(j *job.Job, now int64) (pl *planned, allocFail bool) {
+// plan finds an allocation and frequency for a job; ok is false when
+// there is none. Node eligibility is one set per probe — the members of
+// the switch-off groups that refuse work over the job's longest possible
+// span (ladder minimum), so a chosen allocation stays valid for any
+// frequency the online algorithm settles on. allocFail reports that the
+// failure happened while finding cores (as opposed to the power check) —
+// the scheduling pass uses it to prune same-or-larger requests within
+// the same pass. Nothing is allocated: pl.allocs aliases allocBuf, so a
+// probe the pass then refuses costs no heap traffic.
+func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool) {
 	if j.Cores > c.freeCoresUpperBound() {
-		return nil, true
+		return planned{}, false, true
 	}
 	wallMax := j.ScaledWalltime(c.pm.Deg, c.pm.Ladder.Min())
-	c.planNow, c.planEndMax = now, now+wallMax
+	blocked := c.book.BlockedSet(now, now+wallMax, c.cfg.ReservationLead, &c.blockedBuf)
 	var (
 		allocs []job.Alloc
 		found  bool
 	)
-	if c.clus.ReservedCount() > 0 {
-		// Pack nodes earmarked for switch-off first: work there drains
-		// away before the window, saving the survivors' budget.
-		allocs, found = sched.AllocateInto(c.allocBuf, c.clus, j.Cores, c.eligibleFn, c.reservedFn)
-		c.allocBuf = allocs[:0] // keep the grown probe buffer
-	} else if c.cfg.CompactPlacement {
-		allocs = sched.AllocateCompact(c.clus, j.Cores, c.eligibleFn)
+	if c.cfg.CompactPlacement && c.clus.ReservedCount() == 0 {
+		allocs = sched.AllocateCompact(c.clus, j.Cores, blocked)
 		found = allocs != nil
 	} else {
-		allocs, found = sched.AllocateInto(c.allocBuf, c.clus, j.Cores, c.eligibleFn, nil)
-		c.allocBuf = allocs[:0]
+		// Pack nodes earmarked for switch-off first: work there drains
+		// away before the window, saving the survivors' budget.
+		allocs, found = sched.AllocateInto(c.allocBuf, c.clus, j.Cores, blocked, c.clus.ReservedSet())
+		c.allocBuf = allocs[:0] // keep the grown probe buffer
 	}
 	if !found {
-		return nil, true
+		return planned{}, false, true
 	}
 	nodes := c.nodeBuf[:0]
 	for _, a := range allocs {
 		nodes = append(nodes, a.Node)
 	}
 	c.nodeBuf = nodes[:0] // same backing array; only alive within this call
+	c.planNow = now
 	c.planJob = j
 	c.planNodes = nodes
 	c.planCapNow = c.book.CapAt(now)
 	f, ok := core.SelectFreq(c.pm, c.admitFn)
 	if !ok {
-		return nil, false
+		return planned{}, false, false
 	}
-	owned := append([]job.Alloc(nil), allocs...)
-	return &planned{allocs: owned, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, false
+	return planned{allocs: allocs, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
 }
 
-func (c *Controller) commit(j *job.Job, pl *planned, now int64) {
+// commit starts j on the planned allocation, taking the one owned copy
+// of it (j.Allocs outlives the pass; pl.allocs is probe scratch).
+func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	c.invalidatePassMemo()
-	for _, a := range pl.allocs {
+	j.Allocs = append([]job.Alloc(nil), pl.allocs...)
+	for _, a := range j.Allocs {
 		if err := c.clus.Occupy(a.Node, a.Cores, pl.freq); err != nil {
 			panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
 		}
@@ -880,7 +877,6 @@ func (c *Controller) commit(j *job.Job, pl *planned, now int64) {
 	j.State = job.StateRunning
 	j.Freq = pl.freq
 	j.StartTime = now
-	j.Allocs = pl.allocs
 	c.running[j.ID] = j
 	c.viewInsert(c.viewKey(j))
 	c.rec.NoteLaunch(pl.freq, now-j.Submit)
@@ -982,19 +978,21 @@ func (c *Controller) pass(now int64) {
 	minAllocFail := math.MaxInt
 	minPowerFail := math.MaxInt
 
-	tryPlan := func(j *job.Job) (*planned, bool) {
+	// Nothing may run between a successful tryPlan and the commit or
+	// continue that consumes it: pl.allocs is the probe scratch.
+	tryPlan := func(j *job.Job) (planned, bool) {
 		if j.Cores >= minAllocFail || j.Cores >= minPowerFail {
-			return nil, j.Cores >= minAllocFail
+			return planned{}, false
 		}
-		pl, allocFail := c.plan(j, now)
-		if pl == nil {
+		pl, ok, allocFail := c.plan(j, now)
+		if !ok {
 			if allocFail {
 				minAllocFail = j.Cores
 			} else {
 				minPowerFail = j.Cores
 			}
 		}
-		return pl, allocFail
+		return pl, ok
 	}
 
 	considered := 0
@@ -1005,7 +1003,7 @@ func (c *Controller) pass(now int64) {
 		considered++
 
 		if shadowAt < 0 {
-			if pl, _ := tryPlan(j); pl != nil {
+			if pl, ok := tryPlan(j); ok {
 				c.commit(j, pl, now)
 				startedCount++
 				continue
@@ -1028,8 +1026,8 @@ func (c *Controller) pass(now int64) {
 		}
 
 		// Backfill candidate: must not delay the head reservation.
-		pl, _ := tryPlan(j)
-		if pl == nil {
+		pl, ok := tryPlan(j)
+		if !ok {
 			continue
 		}
 		if now+pl.wall > shadowAt && shadowAt != math.MaxInt64 {

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/bits"
+
 	"repro/internal/cluster"
 	"repro/internal/job"
 )
@@ -8,104 +10,91 @@ import (
 // Allocate finds cores for a job on the cluster. It packs partially used
 // busy nodes first (cheapest under the powercap: the paper notes jobs
 // "filling partially used nodes will always pass the powercapping
-// criteria"), then idle nodes in ascending ID order. eligible filters
-// nodes (nil accepts all powered-on nodes); off nodes are never used.
-// Returns nil when the request cannot be satisfied.
-func Allocate(c *cluster.Cluster, cores int, eligible func(cluster.NodeID) bool) []job.Alloc {
-	return AllocatePreferring(c, cores, eligible, nil)
-}
-
-// AllocatePreferring is Allocate with a node preference: preferred nodes
-// are packed before the others (busy-partial first within each class).
-// The powercap controller prefers nodes earmarked for an upcoming
-// switch-off — work placed there drains away before the window while the
-// surviving nodes' power budget is saved for jobs that outlast it.
-func AllocatePreferring(c *cluster.Cluster, cores int, eligible, prefer func(cluster.NodeID) bool) []job.Alloc {
-	allocs, found := AllocateInto(nil, c, cores, eligible, prefer)
+// criteria"), then idle nodes in ascending ID order. Nodes in blocked are
+// skipped (nil blocks none); off nodes are never used. Returns nil when
+// the request cannot be satisfied.
+func Allocate(c *cluster.Cluster, cores int, blocked cluster.NodeSet) []job.Alloc {
+	allocs, found := AllocateInto(nil, c, cores, blocked, nil)
 	if !found {
 		return nil
 	}
 	return allocs
 }
 
-// AllocateInto is AllocatePreferring appending into dst[:0]. A
-// scheduling pass probes allocations for many jobs per event and most
-// probes fail (the cluster is full or the power check refuses); reusing
-// one candidate buffer across probes removes that churn. The returned
-// slice always carries the (possibly grown) buffer so the caller can
-// keep reusing it; found reports whether it holds a complete
-// allocation. The slice aliases dst's backing array — callers that
-// retain a successful allocation (e.g. in job state) must copy it out
-// first.
-func AllocateInto(dst []job.Alloc, c *cluster.Cluster, cores int, eligible, prefer func(cluster.NodeID) bool) (allocs []job.Alloc, found bool) {
-	if cores <= 0 {
-		return dst[:0], false
-	}
-	ok := eligible
-	if ok == nil {
-		ok = func(cluster.NodeID) bool { return true }
-	}
-	need := cores
+// AllocateInto is Allocate with a node preference, appending into
+// dst[:0]. Nodes in prefer are packed before the others (busy-partial
+// first within each class, ascending ID inside each); a nil prefer means
+// no preference. The powercap controller prefers nodes earmarked for an
+// upcoming switch-off — work placed there drains away before the window
+// while the surviving nodes' power budget is saved for jobs that outlast
+// it.
+//
+// Both node filters are sets, so the walk intersects the cluster's
+// candidate sets with them 64 nodes at a time and only ever visits nodes
+// it takes. A scheduling pass probes allocations for many jobs per event;
+// reusing one candidate buffer across probes keeps a probe free of heap
+// traffic. The returned slice always carries the (possibly grown) buffer
+// so the caller can keep reusing it; found reports whether it holds a
+// complete allocation. The slice aliases dst's backing array — callers
+// that retain a successful allocation (e.g. in job state) must copy it
+// out first.
+func AllocateInto(dst []job.Alloc, c *cluster.Cluster, cores int, blocked, prefer cluster.NodeSet) (allocs []job.Alloc, found bool) {
 	allocs = dst[:0]
-
-	grabNode := func(id cluster.NodeID, free int, preferred bool) bool {
-		if need <= 0 {
-			return false
-		}
-		if prefer != nil && prefer(id) != preferred {
-			return true
-		}
-		if !ok(id) {
-			return true
-		}
-		grab := free
-		if grab > need {
-			grab = need
-		}
-		allocs = append(allocs, job.Alloc{Node: id, Cores: grab})
-		need -= grab
-		return true
+	if cores <= 0 {
+		return allocs, false
 	}
-	// The cluster's candidate indexes (busy-with-free-cores, idle) walk
-	// in ascending ID order, exactly the nodes the old full scan kept:
-	// full busy nodes were skipped (free <= 0) and off nodes never
-	// qualify for either state.
-	perNode := c.Topology().CoresPerNode
-	takeBusy := func(preferred bool) {
-		c.ForEachBusyFree(func(id cluster.NodeID, free int) bool {
-			return grabNode(id, free, preferred)
-		})
-	}
-	takeIdle := func(preferred bool) {
-		c.ForEachIdle(func(id cluster.NodeID) bool {
-			return grabNode(id, perNode, preferred)
-		})
-	}
+	f := fit{c: c, blocked: blocked, prefer: prefer, allocs: allocs, need: cores}
+	busy, idle, perNode := c.PartialBusySet(), c.IdleSet(), c.Topology().CoresPerNode
 	if prefer != nil {
-		takeBusy(true)
-		takeIdle(true)
+		f.take(busy, true, 0)
+		f.take(idle, true, perNode)
 	}
-	takeBusy(false)
-	if need > 0 {
-		takeIdle(false)
-	}
-	return allocs, need <= 0
+	f.take(busy, false, 0)
+	f.take(idle, false, perNode)
+	return f.allocs, f.need == 0
 }
 
-// FreeCores returns the total free cores on powered-on nodes accepted by
-// eligible (nil accepts all). Used as the quick feasibility check before
-// a full Allocate scan.
-func FreeCores(c *cluster.Cluster, eligible func(cluster.NodeID) bool) int {
-	total := 0
-	c.ForEach(func(n cluster.NodeInfo) bool {
-		if n.State == cluster.StateOff {
-			return true
+// fit is one first-fit probe in progress: the allocation so far and the
+// cores still missing.
+type fit struct {
+	c               *cluster.Cluster
+	blocked, prefer cluster.NodeSet
+	allocs          []job.Alloc
+	need            int
+}
+
+// take grabs free cores, in ascending node order, from the members of
+// cand outside blocked that are inside prefer (preferred) or outside it
+// (!preferred), until need reaches zero. free is the free-core count
+// every member of cand shares (idle nodes), or 0 to ask the cluster node
+// by node (partly used ones).
+func (f *fit) take(cand cluster.NodeSet, preferred bool, free int) {
+	if f.need == 0 {
+		return
+	}
+	for w, word := range cand {
+		if word == 0 {
+			continue
 		}
-		if eligible != nil && !eligible(n.ID) {
-			return true
+		mask := f.prefer.Word(w)
+		if !preferred {
+			mask = ^mask
 		}
-		total += c.FreeCores(n.ID)
-		return true
-	})
-	return total
+		word &= mask &^ f.blocked.Word(w)
+		for word != 0 {
+			id := cluster.NodeID(w<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			grab := free
+			if grab == 0 {
+				grab = f.c.FreeCores(id)
+			}
+			if grab > f.need {
+				grab = f.need
+			}
+			f.allocs = append(f.allocs, job.Alloc{Node: id, Cores: grab})
+			if f.need -= grab; f.need == 0 {
+				return
+			}
+		}
+	}
 }

@@ -12,15 +12,12 @@ import (
 // selection Section IV-A lists among the RJMS's allocation criteria
 // (jobs packed into few chassis share first-level switches). The greedy
 // strategy fills the chassis with the most eligible free cores first,
-// breaking ties by chassis index for determinism. Returns nil when the
-// request cannot be satisfied.
-func AllocateCompact(c *cluster.Cluster, cores int, eligible func(cluster.NodeID) bool) []job.Alloc {
+// breaking ties by chassis index for determinism. Nodes in blocked are
+// skipped (nil blocks none). Returns nil when the request cannot be
+// satisfied.
+func AllocateCompact(c *cluster.Cluster, cores int, blocked cluster.NodeSet) []job.Alloc {
 	if cores <= 0 {
 		return nil
-	}
-	ok := eligible
-	if ok == nil {
-		ok = func(cluster.NodeID) bool { return true }
 	}
 	topo := c.Topology()
 
@@ -34,7 +31,7 @@ func AllocateCompact(c *cluster.Cluster, cores int, eligible func(cluster.NodeID
 	}
 	total := 0
 	c.ForEach(func(n cluster.NodeInfo) bool {
-		if n.State == cluster.StateOff || !ok(n.ID) {
+		if n.State == cluster.StateOff || blocked.Has(n.ID) {
 			return true
 		}
 		f := c.FreeCores(n.ID)
@@ -68,7 +65,7 @@ func AllocateCompact(c *cluster.Cluster, cores int, eligible func(cluster.NodeID
 		for _, wantState := range []cluster.NodeState{cluster.StateBusy, cluster.StateIdle} {
 			for i := 0; i < n && need > 0; i++ {
 				id := first + cluster.NodeID(i)
-				if c.State(id) != wantState || !ok(id) {
+				if c.State(id) != wantState || blocked.Has(id) {
 					continue
 				}
 				free := c.FreeCores(id)

@@ -82,7 +82,7 @@ func TestAllocateCompactRespectsEligibilityAndOff(t *testing.T) {
 	if err := c.PowerOff(12); err != nil { // a node of chassis 3
 		t.Fatal(err)
 	}
-	allocs := AllocateCompact(c, 8, func(id cluster.NodeID) bool { return id != 0 })
+	allocs := AllocateCompact(c, 8, cluster.NodeSetOf([]cluster.NodeID{0}))
 	if allocs == nil {
 		t.Fatal("allocation failed")
 	}

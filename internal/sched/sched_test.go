@@ -157,7 +157,7 @@ func TestAllocateSkipsIneligibleAndOff(t *testing.T) {
 	if err := c.PowerOff(0); err != nil {
 		t.Fatal(err)
 	}
-	allocs := Allocate(c, 4, func(id cluster.NodeID) bool { return id != 1 })
+	allocs := Allocate(c, 4, cluster.NodeSetOf([]cluster.NodeID{1}))
 	if allocs == nil {
 		t.Fatal("allocation failed")
 	}
@@ -186,25 +186,6 @@ func TestAllocateExactFit(t *testing.T) {
 	}
 	if len(got) != 6 {
 		t.Errorf("allocation spans %d nodes, want 6", len(got))
-	}
-}
-
-func TestFreeCores(t *testing.T) {
-	c := testCluster()
-	if got := FreeCores(c, nil); got != 24 {
-		t.Errorf("FreeCores = %d, want 24", got)
-	}
-	if err := c.Occupy(0, 3, dvfs.F2700); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PowerOff(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := FreeCores(c, nil); got != 24-3-4 {
-		t.Errorf("FreeCores = %d, want 17", got)
-	}
-	if got := FreeCores(c, func(id cluster.NodeID) bool { return id != 1 }); got != 13 {
-		t.Errorf("filtered FreeCores = %d, want 13", got)
 	}
 }
 
@@ -307,7 +288,7 @@ func TestAllocateProperty(t *testing.T) {
 		}
 		need := int(req)%30 + 1
 		allocs := Allocate(c, need, nil)
-		free := FreeCores(c, nil)
+		free := c.Cores() - c.BusyCores() // no node is off
 		if allocs == nil {
 			return need > free
 		}
