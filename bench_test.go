@@ -219,7 +219,7 @@ func BenchmarkAblationKillOnOverrun(b *testing.B) {
 
 func BenchmarkAblationReservationLead(b *testing.B) {
 	s := replay.Fig7aScenario(benchRacks)
-	s.ReservationLead = 1800
+	s.ReservationLeadSec = 1800
 	runScenario(b, s)
 }
 

@@ -71,7 +71,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/slurmconf"
 	"repro/internal/twin"
 )
 
@@ -102,7 +101,6 @@ func run(args []string, out io.Writer) error {
 		workers   = fs.Int("workers", 0, "sweep mode: parallel workers (0 = GOMAXPROCS)")
 		jsonOut   = fs.String("json", "", "write the run summary (or the sweep results) as JSON to this file")
 		csvOut    = fs.String("csv", "", "write the time series (or the sweep summary table) as CSV to this file")
-		confPath  = fs.String("conf", "", "print the controller configuration of this run as a slurmconf file and exit")
 		swfPath   = fs.String("swf", "", "stream this SWF trace instead of the synthetic workload (bounded memory at any trace size; must be submit-sorted, the archive convention)")
 		swfWindow = fs.String("window", "", "with -swf: replay the submit window START:END (seconds), re-based to t=0")
 		timeScale = fs.Float64("timescale", 0, "with -swf: multiply submit times (0.5 = double the arrival rate)")
@@ -153,10 +151,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "run spec written to %s\n", *dumpSpec)
 		return nil
-	}
-
-	if *confPath != "" {
-		return writeConf(*confPath, spec, out)
 	}
 
 	if *remote != "" {
@@ -228,35 +222,6 @@ func specFromFlags(kind, policy, capList string, racks int, seed int64,
 		spec.Workload.SWF = swf
 	}
 	return spec, nil
-}
-
-// writeConf prints the controller configuration of the run as a
-// slurmconf file.
-func writeConf(path string, spec sim.RunSpec, out io.Writer) error {
-	if spec.Mode == sim.ModeFederation {
-		return fmt.Errorf("-conf describes a single controller; federated specs have one per member")
-	}
-	if len(spec.Policies) == 0 {
-		return fmt.Errorf("-conf needs a policy axis; cell-list specs carry per-cell policies")
-	}
-	p, err := sim.Policies.Lookup(spec.Policies[0])
-	if err != nil {
-		return err
-	}
-	f := slurmconf.CurieFile(p)
-	f.Config.Topology = replay.Scenario{ScaleRacks: spec.Racks}.Machine()
-	f.Config.KillOnOverrun = spec.Options.KillOnOverrun
-	f.Config.ScatteredShutdown = spec.Options.Scattered
-	f.Config.ReservationLead = spec.Options.ReservationLeadSec
-	f.Config.CapPlanningHorizon = spec.Options.PlanningHorizonSec
-	f.Config.DynamicDVFS = spec.Options.DynamicDVFS
-	if err := writeFile(path, func(w io.Writer) error {
-		return slurmconf.Write(w, f)
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "configuration written to %s\n", path)
-	return nil
 }
 
 // export writes the report through the named sink when path is set.
@@ -550,16 +515,4 @@ func parseCaps(s string) ([]float64, error) {
 		return nil, fmt.Errorf("no cap fractions given")
 	}
 	return out, nil
-}
-
-func writeFile(path string, fn func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

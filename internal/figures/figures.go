@@ -109,15 +109,15 @@ func Fig5() string {
 }
 
 // TimeSeries renders the Figure 6/7 style stacked plots for a run: cores
-// by frequency (plus switched-off cores) and power by category, with the
-// cap overlaid.
+// by frequency (plus switched-off cores) and the cluster power draw,
+// with the cap overlaid.
 func TimeSeries(r replay.Result, width, height int) string {
 	samples := r.Samples
 	if len(samples) == 0 {
 		return "no samples recorded\n"
 	}
 	freqs := metrics.FreqsUsed(samples)
-	// Ascending frequency bands, idle-floor last for the power plot.
+	// Ascending frequency bands.
 	runeFor := map[dvfs.Freq]rune{
 		dvfs.F1200: '1', dvfs.F1400: '2', dvfs.F1600: '3', dvfs.F1800: '4',
 		dvfs.F2000: 'o', dvfs.F2200: '5', dvfs.F2400: '6', dvfs.F2700: '#',
@@ -148,22 +148,17 @@ func TimeSeries(r replay.Result, width, height int) string {
 		"cores by CPU frequency (top plot of the paper's figure)", "cores"))
 	b.WriteByte('\n')
 
-	// Power plot: idle floor, then per-frequency surplus, cap as ref.
-	idleFloor := make([]float64, len(samples))
-	surplus := make([]float64, len(samples))
+	// Power plot: the cluster draw, cap as ref.
+	draw := make([]float64, len(samples))
 	var capLine float64
 	for i, s := range samples {
-		idleFloor[i] = float64(s.Power)
-		surplus[i] = 0
+		draw[i] = float64(s.Power)
 		if s.Cap > 0 {
 			capLine = float64(s.Cap)
 		}
 	}
-	powerSeries := []ascii.Series{
-		{Label: "cluster draw", Values: idleFloor, Rune: '#'},
-		{Label: "", Values: surplus, Rune: ' '},
-	}
-	b.WriteString(ascii.StackedArea(powerSeries[:1], width, height, float64(r.MaxPower), capLine,
+	powerSeries := []ascii.Series{{Label: "cluster draw", Values: draw, Rune: '#'}}
+	b.WriteString(ascii.StackedArea(powerSeries, width, height, float64(r.MaxPower), capLine,
 		"cluster power draw (bottom plot; == marks the reserved cap)", "watts"))
 	return b.String()
 }

@@ -72,7 +72,7 @@ func smallRun(t *testing.T, policy core.Policy, frac float64) replay.Result {
 		Name:     "test/" + policy.String(),
 		Workload: trace.Config{Kind: trace.MedianJob, Seed: 3, DurationSec: 3600},
 		Policy:   policy, CapFraction: frac, ScaleRacks: 1,
-		CapStart: 1200, CapDuration: 900,
+		Cap: replay.CapWindow{StartSec: 1200, DurationSec: 900},
 	})
 	if r.Err != nil {
 		t.Fatal(r.Err)

@@ -66,12 +66,12 @@ func TestFederationHoldsInvariants(t *testing.T) {
 // kills must keep the bookkeeping consistent too.
 func TestKillOnOverrunHoldsInvariants(t *testing.T) {
 	s := replay.Scenario{
-		Name:          "killer",
-		Workload:      replay.LibraryScenarios(2)[0].Workload,
-		Policy:        replay.LibraryScenarios(2)[8].Policy, // a capped cell's policy
-		CapFraction:   0.4,
-		ScaleRacks:    2,
-		KillOnOverrun: true,
+		Name:        "killer",
+		Workload:    replay.LibraryScenarios(2)[0].Workload,
+		Policy:      replay.LibraryScenarios(2)[8].Policy, // a capped cell's policy
+		CapFraction: 0.4,
+		ScaleRacks:  2,
+		Options:     rjms.Options{KillOnOverrun: true},
 	}
 	var k *Checker
 	r := replay.RunContextWith(context.Background(), s, func(ctl *rjms.Controller) { k = Attach(ctl, s.Name) })

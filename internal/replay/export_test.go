@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rjms"
 	"repro/internal/trace"
 )
 
@@ -68,7 +69,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 	s := Scenario{
 		Workload: shortWorkload(trace.MedianJob, 5),
 		Policy:   core.PolicyDvfs, CapFraction: 0.5, ScaleRacks: testRacks,
-		SampleEvery: 300,
+		Options: rjms.Options{SampleEverySec: 300},
 	}
 	r := Run(s)
 	if r.Err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rjms"
 	"repro/internal/trace"
 )
 
@@ -131,7 +132,7 @@ func TestDynamicDVFSImprovesCompliance(t *testing.T) {
 		return Scenario{
 			Name: fmt.Sprintf("dyn=%v", dynamic), Workload: wl,
 			Policy: core.PolicyDvfs, CapFraction: 0.6, ScaleRacks: 4,
-			DynamicDVFS: dynamic,
+			Options: rjms.Options{DynamicDVFS: dynamic},
 		}
 	}
 	rs := runEach([]Scenario{mk(false), mk(true)})

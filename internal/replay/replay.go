@@ -36,13 +36,8 @@ type Scenario struct {
 	// CapFraction is the power budget as a fraction of the machine's
 	// maximum draw; >= 1 (or 0) means no powercap reservation.
 	CapFraction float64
-	// CapStart/CapDuration position the reservation window; zero means
-	// the paper's default: one hour centred in the interval.
-	CapStart    int64
-	CapDuration int64
-	// OpenEnded makes the cap start at CapStart and never end
-	// (the "powercap set for now" mode).
-	OpenEnded bool
+	// Cap positions the reservation window.
+	Cap CapWindow
 
 	// ScaleRacks shrinks the machine to this many racks (0 = full 56).
 	// The workload's Cores is adjusted to match automatically.
@@ -64,20 +59,33 @@ type Scenario struct {
 	// DurationSec bounds the replayed interval.
 	SWF *trace.SWFSource
 
-	// Ablations and options, forwarded to the controller.
-	Scattered       bool
-	KillOnOverrun   bool
-	BackfillDepth   int
-	SampleEvery     int64
-	ReservationLead int64
-	PlanningHorizon int64
-	DynamicDVFS     bool
-	// MeasuredNoise > 0 switches the active-cap checks to the noisy
-	// sensor path (relative stddev).
-	MeasuredNoise float64
-	// Compact enables topology-aware (chassis-span-minimizing) node
-	// selection.
-	Compact bool
+	// Options are the ablations and switches, handed to the controller
+	// as they are.
+	rjms.Options
+}
+
+// CapWindow positions a scenario's powercap reservation window; the
+// zero value is the paper's default, one hour centred in the interval.
+// sim.CapSpec is an alias, so the JSON tags are the RunSpec wire format.
+type CapWindow struct {
+	// StartSec is the window start; 0 centres the window.
+	StartSec int64 `json:"start_sec,omitempty"`
+	// DurationSec is the window length; 0 means the paper's hour.
+	DurationSec int64 `json:"duration_sec,omitempty"`
+	// OpenEnded makes the cap start at StartSec and never end (the
+	// "powercap set for now" mode).
+	OpenEnded bool `json:"open_ended,omitempty"`
+}
+
+// Validate rejects windows that lie before t=0 or run backwards.
+func (w CapWindow) Validate() error {
+	if w.StartSec < 0 {
+		return fmt.Errorf("replay: negative cap window start %d", w.StartSec)
+	}
+	if w.DurationSec < 0 {
+		return fmt.Errorf("replay: negative cap window duration %d", w.DurationSec)
+	}
+	return nil
 }
 
 // Machine returns the topology the scenario runs on.
@@ -102,18 +110,18 @@ func (s Scenario) Capped() bool { return s.CapFraction > 0 && s.CapFraction < 1 
 
 // Window returns the powercap reservation window.
 func (s Scenario) Window() (start, end int64) {
-	dur := s.CapDuration
+	dur := s.Cap.DurationSec
 	if dur == 0 {
 		dur = 3600
 	}
-	start = s.CapStart
+	start = s.Cap.StartSec
 	if start == 0 {
 		start = (s.Duration() - dur) / 2
 		if start < 0 {
 			start = 0
 		}
 	}
-	if s.OpenEnded {
+	if s.Cap.OpenEnded {
 		return start, reservation.Horizon
 	}
 	return start, start + dur
@@ -139,63 +147,42 @@ type Result struct {
 }
 
 // Build constructs the controller of one scenario with its workload
-// loaded (materialized or streaming) but nothing reserved or run — the
-// shared front half of RunContextWith and of federation members, which
-// reserve and drive their controllers themselves. The returned cleanup releases
-// a streaming source (it is non-nil even when there is nothing to
-// close) and must be called once the run is over.
+// loaded but nothing reserved or run — the shared front half of
+// RunContextWith and of federation members, which reserve and drive
+// their controllers themselves. The returned cleanup releases an SWF
+// source (it is non-nil even when there is nothing to close) and must
+// be called once the run is over.
 func Build(s Scenario) (ctl *rjms.Controller, cleanup func(), err error) {
 	topo := s.Machine()
 	cleanup = func() {}
-
-	jobs := s.Jobs
-	var stream *trace.FileStream
-	switch {
-	case jobs != nil:
-	case s.SWF != nil:
-		stream, err = s.SWF.Open()
+	ctl, err = rjms.New(rjms.Config{Topology: topo, Policy: s.Policy, Options: s.Options})
+	if err != nil {
+		return nil, cleanup, err
+	}
+	if s.Jobs == nil && s.SWF != nil {
+		// The controller pulls submissions from the file as the virtual
+		// clock advances, so only pending and running jobs are ever
+		// materialized.
+		stream, err := s.SWF.Open()
 		if err != nil {
 			return nil, cleanup, err
 		}
-		cleanup = func() { stream.Close() }
-	default:
+		if err := ctl.LoadWorkloadStream(stream); err != nil {
+			stream.Close()
+			return nil, cleanup, err
+		}
+		return ctl, func() { stream.Close() }, nil
+	}
+	jobs := s.Jobs
+	if jobs == nil {
 		wl := s.Workload
 		wl.Cores = topo.Cores()
-		jobs, err = trace.Generate(wl)
-		if err != nil {
+		if jobs, err = trace.Generate(wl); err != nil {
 			return nil, cleanup, err
 		}
 	}
-
-	cfg := rjms.Config{
-		Topology:           topo,
-		Policy:             s.Policy,
-		ScatteredShutdown:  s.Scattered,
-		KillOnOverrun:      s.KillOnOverrun,
-		BackfillDepth:      s.BackfillDepth,
-		SampleInterval:     s.SampleEvery,
-		ReservationLead:    s.ReservationLead,
-		CapPlanningHorizon: s.PlanningHorizon,
-		DynamicDVFS:        s.DynamicDVFS,
-		MeasuredPowerNoise: s.MeasuredNoise,
-		CompactPlacement:   s.Compact,
-	}
-	ctl, err = rjms.New(cfg)
-	if err != nil {
-		cleanup()
-		return nil, func() {}, err
-	}
-	if stream != nil {
-		// Lazy ingestion: the controller pulls submissions from the
-		// stream as the virtual clock advances, so only pending and
-		// running jobs are ever materialized.
-		err = ctl.LoadWorkloadStream(stream)
-	} else {
-		err = ctl.LoadWorkload(jobs)
-	}
-	if err != nil {
-		cleanup()
-		return nil, func() {}, err
+	if err := ctl.LoadWorkload(jobs); err != nil {
+		return nil, cleanup, err
 	}
 	return ctl, cleanup, nil
 }

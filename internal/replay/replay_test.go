@@ -50,7 +50,7 @@ func TestScenarioHelpers(t *testing.T) {
 	if got := (Scenario{}).Label(); got != "100%/None" {
 		t.Errorf("uncapped label = %q", got)
 	}
-	open := Scenario{Workload: shortWorkload(trace.MedianJob, 1), CapFraction: 0.5, CapStart: 100, OpenEnded: true}
+	open := Scenario{Workload: shortWorkload(trace.MedianJob, 1), CapFraction: 0.5, Cap: CapWindow{StartSec: 100, OpenEnded: true}}
 	if _, end := open.Window(); end <= open.Duration() {
 		t.Error("open-ended window should extend past the interval")
 	}

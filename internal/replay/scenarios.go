@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/registry"
+	"repro/internal/rjms"
 	"repro/internal/signal"
 	"repro/internal/trace"
 )
@@ -208,7 +209,7 @@ func (f FederationScenario) Validate() error {
 			f.Name, f.GlobalCapFraction)
 	}
 	for i, m := range f.Members {
-		if m.CapFraction != 0 || m.CapStart != 0 || m.CapDuration != 0 || m.OpenEnded {
+		if m.CapFraction != 0 || m.Cap != (CapWindow{}) {
 			return fmt.Errorf("replay: federation %q member %d sets its own powercap; the broker owns member caps", f.Name, i)
 		}
 	}
@@ -391,7 +392,7 @@ func AblationGroupingScenarios(scaleRacks int) []Scenario {
 		{
 			Name: "medianjob/40%/SHUT/scattered", Workload: wl,
 			Policy: core.PolicyShut, CapFraction: 0.4, ScaleRacks: scaleRacks,
-			Scattered: true,
+			Options: rjms.Options{Scattered: true},
 		},
 	}
 }
@@ -409,7 +410,7 @@ func AblationDynamicDVFSScenarios(scaleRacks int) []Scenario {
 		{
 			Name: "medianjob/40%/DVFS/dynamic", Workload: wl,
 			Policy: core.PolicyDvfs, CapFraction: 0.4, ScaleRacks: scaleRacks,
-			DynamicDVFS: true,
+			Options: rjms.Options{DynamicDVFS: true},
 		},
 	}
 }

@@ -119,11 +119,12 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pm, err := core.NewPolicyModel(cfg.Policy, cfg.Profile, cfg.DegMinFull, cfg.DegMinMix, cfg.MixFloor)
+	profile := power.CurieProfile()
+	pm, err := core.NewPolicyModel(cfg.Policy, profile, dvfs.DegMinCommon, dvfs.DegMinMix, core.DefaultMixFloor)
 	if err != nil {
 		return nil, err
 	}
-	clus, err := cluster.New(cfg.Topology, cfg.Profile, *cfg.Overhead)
+	clus, err := cluster.New(cfg.Topology, profile, cluster.CurieOverhead())
 	if err != nil {
 		return nil, err
 	}
@@ -136,17 +137,17 @@ func New(cfg Config) (*Controller, error) {
 		running:    map[job.ID]*job.Job{},
 		runStates:  map[job.ID]runState{},
 		nodeJobs:   make([][]nodeJobEntry, cfg.Topology.Nodes()),
-		fairshare:  sched.NewFairshare(cfg.FairshareHalfLife),
+		fairshare:  sched.NewFairshare(fairshareHalfLife),
 		weights:    sched.DefaultMultifactor(cfg.Topology.Cores()),
 		offPending: map[cluster.NodeID]bool{},
 		failed:     map[cluster.NodeID]bool{},
 	}
-	if cfg.MeasuredPowerNoise > 0 {
-		sensor, err := powerlog.NewSensor(cfg.MeasuredPowerSeed, cfg.MeasuredPowerNoise, 0)
+	if cfg.MeasuredNoise > 0 {
+		sensor, err := powerlog.NewSensor(cfg.MeasuredPowerSeed, cfg.MeasuredNoise, 0)
 		if err != nil {
 			return nil, err
 		}
-		est, err := powerlog.NewEstimator(sensor, cfg.MeasuredPowerWindow, cfg.MeasuredPowerGuard)
+		est, err := powerlog.NewEstimator(sensor, measuredPowerWindow, measuredPowerGuard)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +169,7 @@ func New(cfg Config) (*Controller, error) {
 		// run busy within the budget. Jobs still launch — the paper's
 		// Figure 6 shows the system "preparing itself" by running at
 		// 2.0 GHz ahead of the reservation, not by idling.
-		if fut := c.book.MinFutureCapOver(now, end, c.cfg.CapPlanningHorizon); fut.IsSet() {
+		if fut := c.book.MinFutureCapOver(now, end, c.cfg.PlanningHorizonSec); fut.IsSet() {
 			if f > c.optimalFutureFreq(fut) {
 				return false
 			}
@@ -192,6 +193,10 @@ func (c *Controller) observedPower() power.Watts {
 	return c.clus.Power()
 }
 
+// Options returns the switches the controller runs with, defaults
+// resolved.
+func (c *Controller) Options() Options { return c.cfg.Options }
+
 // Cluster exposes the machine state (read-only use expected).
 func (c *Controller) Cluster() *cluster.Cluster { return c.clus }
 
@@ -207,20 +212,45 @@ func (c *Controller) PendingCount() int { return len(c.pending) }
 // RunningCount returns the dispatched-job count.
 func (c *Controller) RunningCount() int { return len(c.running) }
 
-// LoadWorkload schedules the submission events of a workload. Jobs wider
-// than the machine are rejected.
+// LoadWorkload loads a materialized workload: every job is checked up
+// front (a bad one anywhere in the list is this call's error, not a
+// mid-Run one) and cloned, the clones are put in submit order — stably,
+// so equal-time jobs keep their list order — and handed to
+// LoadWorkloadStream, the one ingestion mechanism.
 func (c *Controller) LoadWorkload(jobs []*job.Job) error {
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
+	owned := make([]*job.Job, len(jobs))
+	for i, j := range jobs {
+		if err := c.checkJob(j); err != nil {
 			return err
 		}
-		if j.Cores > c.clus.Cores() {
-			return fmt.Errorf("rjms: job %d wants %d cores, machine has %d", j.ID, j.Cores, c.clus.Cores())
-		}
-		jj := j.Clone()
-		if _, err := c.eng.At(jj.Submit, func(now int64) { c.submit(jj, now) }); err != nil {
-			return err
-		}
+		owned[i] = j.Clone()
+	}
+	sort.SliceStable(owned, func(a, b int) bool { return owned[a].Submit < owned[b].Submit })
+	return c.LoadWorkloadStream(&sliceSource{jobs: owned})
+}
+
+// sliceSource is the JobSource over a job list, yielded in list order.
+type sliceSource struct {
+	jobs []*job.Job
+	i    int
+}
+
+func (s *sliceSource) Next() (*job.Job, error) {
+	if s.i >= len(s.jobs) {
+		return nil, nil
+	}
+	j := s.jobs[s.i]
+	s.i++
+	return j, nil
+}
+
+// checkJob rejects jobs the machine cannot run.
+func (c *Controller) checkJob(j *job.Job) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if j.Cores > c.clus.Cores() {
+		return fmt.Errorf("rjms: job %d wants %d cores, machine has %d", j.ID, j.Cores, c.clus.Cores())
 	}
 	return nil
 }
@@ -235,11 +265,10 @@ type JobSource interface {
 
 // LoadWorkloadStream schedules submissions lazily from src: only the
 // next future submission event exists at any moment, and each fired
-// submission pulls the records sharing its timestamp plus the one after.
-// Memory stays bounded by the jobs pending or running in the simulated
-// machine, not by the trace length — the streaming counterpart of
-// LoadWorkload, with identical event ordering (all equal-time
-// submissions enter the queue before the scheduling pass they trigger).
+// submission pulls the records sharing its timestamp plus the one after
+// (all equal-time submissions enter the queue before the scheduling
+// pass they trigger). Memory stays bounded by the jobs pending or
+// running in the simulated machine, not by the trace length.
 // The source must yield jobs in nondecreasing submit order and hands
 // over ownership of each job. Errors found mid-replay stop ingestion and
 // surface from Run.
@@ -257,11 +286,8 @@ func (c *Controller) pullStream(src JobSource) (*job.Job, error) {
 	if err != nil || j == nil {
 		return nil, err
 	}
-	if err := j.Validate(); err != nil {
+	if err := c.checkJob(j); err != nil {
 		return nil, err
-	}
-	if j.Cores > c.clus.Cores() {
-		return nil, fmt.Errorf("rjms: job %d wants %d cores, machine has %d", j.ID, j.Cores, c.clus.Cores())
 	}
 	return j, nil
 }
@@ -319,7 +345,7 @@ func (c *Controller) ReservePowerCapID(start, end int64, budget power.Cap) (int,
 	}
 	c.invalidatePassMemo()
 	eligible := func(id cluster.NodeID) bool { return !c.clus.Reserved(id) }
-	plan := core.PlanOffline(c.clus, c.pm, budget, !c.cfg.ScatteredShutdown, eligible)
+	plan := core.PlanOffline(c.clus, c.pm, budget, !c.cfg.Scattered, eligible)
 	if c.cfg.Policy == core.PolicyIdle {
 		// IDLE keeps nodes powered; no switch-off reservation.
 		plan.OffNodes = nil
@@ -380,11 +406,11 @@ func (c *Controller) Start(until int64) error {
 		return fmt.Errorf("rjms: non-positive horizon %d", until)
 	}
 	c.horizon = until
-	if c.cfg.SampleInterval > 0 && !c.sampling {
+	if c.cfg.SampleEverySec > 0 && !c.sampling {
 		c.sampling = true
 		// The sample count is known up front — pre-size the series so
 		// long replays don't regrow the buffer dozens of times.
-		c.rec.Reserve(int(until/c.cfg.SampleInterval) + 2)
+		c.rec.Reserve(int(until/c.cfg.SampleEverySec) + 2)
 		if _, err := c.eng.At(0, c.sampleTick); err != nil {
 			return err
 		}
@@ -754,7 +780,7 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 
 func (c *Controller) sampleTick(now int64) {
 	c.addSample(now)
-	next := now + c.cfg.SampleInterval
+	next := now + c.cfg.SampleEverySec
 	if next <= c.horizon {
 		if _, err := c.eng.At(next, c.sampleTick); err != nil {
 			panic(fmt.Sprintf("rjms: sample scheduling: %v", err))
@@ -830,12 +856,12 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 		return planned{}, false, true
 	}
 	wallMax := j.ScaledWalltime(c.pm.Deg, c.pm.Ladder.Min())
-	blocked := c.book.BlockedSet(now, now+wallMax, c.cfg.ReservationLead, &c.blockedBuf)
+	blocked := c.book.BlockedSet(now, now+wallMax, c.cfg.ReservationLeadSec, &c.blockedBuf)
 	var (
 		allocs []job.Alloc
 		found  bool
 	)
-	if c.cfg.CompactPlacement && c.clus.ReservedCount() == 0 {
+	if c.cfg.Compact && c.clus.ReservedCount() == 0 {
 		allocs = sched.AllocateCompact(c.clus, j.Cores, blocked)
 		found = allocs != nil
 	} else {
@@ -959,7 +985,7 @@ func (c *Controller) pass(now int64) {
 		// time-independent, and every switch-off reservation in the same
 		// blocking phase — so a re-run would provably refuse everything
 		// again. Skip it.
-		if c.book.OffsPhaseStable(c.passMemoNow, now, c.cfg.ReservationLead) {
+		if c.book.OffsPhaseStable(c.passMemoNow, now, c.cfg.ReservationLeadSec) {
 			c.statPassesSkipped++
 			return
 		}

@@ -178,9 +178,9 @@ func TestLaunchedByFreqAccounting(t *testing.T) {
 func TestCompactPlacementReducesChassisSpan(t *testing.T) {
 	span := func(compact bool) int {
 		cfg := Config{
-			Topology:         cluster.Topology{Racks: 1, ChassisPerRack: 4, NodesPerChassis: 4, CoresPerNode: 4},
-			Policy:           core.PolicyNone,
-			CompactPlacement: compact,
+			Topology: cluster.Topology{Racks: 1, ChassisPerRack: 4, NodesPerChassis: 4, CoresPerNode: 4},
+			Policy:   core.PolicyNone,
+			Options:  Options{Compact: compact},
 		}
 		c := mustNew(t, cfg)
 		// Fragment: a 2-core job per chassis, then a 12-core job.

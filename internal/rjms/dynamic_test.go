@@ -129,7 +129,7 @@ func TestDynamicCompletionAccountingExact(t *testing.T) {
 	}
 	// And not earlier than the exact time.
 	c2 := startLongJob(t, Config{
-		Topology: cfg.Topology, Policy: core.PolicyDvfs, DynamicDVFS: true,
+		Topology: cfg.Topology, Policy: core.PolicyDvfs, Options: Options{DynamicDVFS: true},
 	}, runtime)
 	if _, err := c2.ReservePowerCap(100, 100000, budget); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 func TestMeasuredModeValidation(t *testing.T) {
 	cfg := tinyConfig(core.PolicyShut)
-	cfg.MeasuredPowerNoise = -0.1
+	cfg.MeasuredNoise = -0.1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative noise accepted")
 	}
@@ -19,7 +19,7 @@ func TestMeasuredModeValidation(t *testing.T) {
 func TestMeasuredModeDeterministic(t *testing.T) {
 	run := func() float64 {
 		cfg := tinyConfig(core.PolicyDvfs)
-		cfg.MeasuredPowerNoise = 0.03
+		cfg.MeasuredNoise = 0.03
 		cfg.MeasuredPowerSeed = 99
 		c := mustNew(t, cfg)
 		if _, err := c.ReservePowerCap(0, 100000, power.CapFraction(0.7, c.Cluster().MaxPower())); err != nil {
@@ -52,7 +52,7 @@ func TestMeasuredModeDeterministic(t *testing.T) {
 func TestMeasuredModeConservative(t *testing.T) {
 	mk := func(noise float64) (*Controller, power.Cap) {
 		cfg := tinyConfig(core.PolicyShut)
-		cfg.MeasuredPowerNoise = noise
+		cfg.MeasuredNoise = noise
 		cfg.MeasuredPowerSeed = 7
 		c := mustNew(t, cfg)
 		budget := power.CapWatts(c.Cluster().IdlePower() + 3*241 + 10)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/power"
 	"repro/internal/reservation"
+	"repro/internal/trace"
 )
 
 // A successful probe's allocation lives in the controller's probe
@@ -59,10 +60,9 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 func backlogged(t *testing.T) (c *Controller, capID int, wide, hot, narrow *job.Job) {
 	t.Helper()
 	c = mustNew(t, Config{
-		Topology:        cluster.Topology{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16},
-		Policy:          core.PolicyShut,
-		BackfillDepth:   256,
-		ReservationLead: 100,
+		Topology: cluster.Topology{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16},
+		Policy:   core.PolicyShut,
+		Options:  Options{BackfillDepth: 256, ReservationLeadSec: 100},
 	})
 	max := c.clus.MaxPower()
 	capID, _, err := c.ReservePowerCapID(0, reservation.Horizon, power.CapFraction(0.9, max))
@@ -83,7 +83,7 @@ func backlogged(t *testing.T) (c *Controller, capID int, wide, hot, narrow *job.
 	const longWall = 20000
 	usable := 0
 	c.clus.ForEach(func(n cluster.NodeInfo) bool {
-		if n.State == cluster.StateIdle && !c.book.NodeBlocked(n.ID, 1, 1+longWall, c.cfg.ReservationLead) {
+		if n.State == cluster.StateIdle && !c.book.NodeBlocked(n.ID, 1, 1+longWall, c.cfg.ReservationLeadSec) {
 			usable++
 		}
 		return true
@@ -134,7 +134,7 @@ func TestRefusedProbesAllocateNothing(t *testing.T) {
 		t.Fatal("one-node job: probe failed, want a success the shadow check then refuses")
 	}
 	var scratch cluster.NodeSet
-	if c.book.BlockedSet(now, now+narrow.Walltime, c.cfg.ReservationLead, &scratch); scratch == nil {
+	if c.book.BlockedSet(now, now+narrow.Walltime, c.cfg.ReservationLeadSec, &scratch); scratch == nil {
 		t.Fatal("probe eligibility is a single window's set, want a union of two")
 	}
 	if c.clus.ReservedCount() <= c.clus.Count(cluster.StateOff) {
@@ -191,5 +191,40 @@ func TestPassAllocationsScaleWithStartsNotProbes(t *testing.T) {
 	// would cost at least one object for each of the refused ones.
 	if limit := float64(6 * k); allocs > limit || limit >= float64(probes) {
 		t.Errorf("a pass starting %d jobs over %d probes allocates %v times, want at most %v", k, probes, allocs, limit)
+	}
+}
+
+// TestSchedulePassAllocCeiling bounds what one whole capped replay
+// allocates — root BenchmarkSchedulePass's scenario (5 h medianjob,
+// seed 3, 4 racks, SHUT at a 50 % cap over the middle hour), workload
+// generation included as there. 105 547 objects before the probes
+// stopped copying, 21 478 after, 17 572 once submissions were always
+// streamed; the ceiling keeps the diet from regressing silently.
+func TestSchedulePassAllocCeiling(t *testing.T) {
+	const ceiling = 19000
+	topo := cluster.CurieTopology()
+	topo.Racks = 4
+	wl := trace.Config{Kind: trace.MedianJob, Seed: 3, Cores: topo.Cores()}
+	dur := wl.Kind.Duration()
+	allocs := testing.AllocsPerRun(1, func() {
+		jobs, err := trace.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mustNew(t, Config{Topology: topo, Policy: core.PolicyShut})
+		if err := c.LoadWorkload(jobs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReservePowerCap((dur-3600)/2, (dur+3600)/2, power.CapFraction(0.5, c.clus.MaxPower())); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := c.Run(dur)
+		if err != nil || sum.JobsCompleted == 0 {
+			t.Fatalf("replay completed %d jobs, err %v", sum.JobsCompleted, err)
+		}
+	})
+	t.Logf("one capped replay allocates %.0f objects (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("one capped replay allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
 }

@@ -30,14 +30,11 @@ func mustNew(t *testing.T, cfg Config) *Controller {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{BackfillDepth: -1}); err == nil {
+	if _, err := New(Config{Options: Options{BackfillDepth: -1}}); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if _, err := New(Config{SampleInterval: -1}); err == nil {
+	if _, err := New(Config{Options: Options{SampleEverySec: -1}}); err == nil {
 		t.Error("negative sample interval accepted")
-	}
-	if _, err := New(Config{DegMinFull: 0.5}); err == nil {
-		t.Error("degMin < 1 accepted")
 	}
 	if _, err := New(Config{}); err != nil {
 		t.Errorf("default config rejected: %v", err)
@@ -446,7 +443,7 @@ func TestNoKillWithoutFlag(t *testing.T) {
 
 func TestSamplesRecorded(t *testing.T) {
 	cfg := tinyConfig(core.PolicyNone)
-	cfg.SampleInterval = 50
+	cfg.SampleEverySec = 50
 	c := mustNew(t, cfg)
 	if _, err := c.Run(200); err != nil {
 		t.Fatal(err)

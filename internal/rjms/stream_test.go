@@ -11,26 +11,10 @@ import (
 	"repro/internal/trace"
 )
 
-// sliceSource yields pre-built jobs, handing over ownership like a real
-// trace stream does.
-type sliceSource struct {
-	jobs []*job.Job
-	i    int
-}
-
-func (s *sliceSource) Next() (*job.Job, error) {
-	if s.i >= len(s.jobs) {
-		return nil, nil
-	}
-	j := s.jobs[s.i]
-	s.i++
-	return j, nil
-}
-
-// TestLoadWorkloadStreamMatchesPreload replays the same workload through
-// the preloaded and the streaming ingestion paths under an active
-// powercap and requires identical summaries and time series — the
-// streaming path must not change a single scheduling decision.
+// TestLoadWorkloadStreamMatchesPreload replays the same workload loaded
+// as a list and pulled from a source under an active powercap and
+// requires identical summaries and time series — LoadWorkload's clone
+// and sort must not change a single scheduling decision.
 func TestLoadWorkloadStreamMatchesPreload(t *testing.T) {
 	wl, err := trace.Generate(trace.Config{Kind: trace.MedianJob, Seed: 77, Cores: 48, DurationSec: 3600})
 	if err != nil {
@@ -68,6 +52,50 @@ func TestLoadWorkloadStreamMatchesPreload(t *testing.T) {
 	}
 	if !reflect.DeepEqual(samplesA, samplesB) {
 		t.Fatal("time series differ between preload and stream ingestion")
+	}
+}
+
+// TestLoadWorkloadRejectsAnyJobUpfront pins what the list form must keep
+// although it feeds the stream: a bad job anywhere in the list — not
+// only the first, which is all a stream can see before the clock moves
+// — is LoadWorkload's own error, and nothing was scheduled.
+func TestLoadWorkloadRejectsAnyJobUpfront(t *testing.T) {
+	ok := &job.Job{ID: 1, Cores: 4, Submit: 0, Runtime: 10, Walltime: 10}
+	for name, bad := range map[string]*job.Job{
+		"invalid":  {ID: 2, Cores: 0, Submit: 50, Runtime: 10, Walltime: 10},
+		"too wide": {ID: 2, Cores: 49, Submit: 50, Runtime: 10, Walltime: 10},
+	} {
+		c := mustNew(t, tinyConfig(core.PolicyNone))
+		if err := c.LoadWorkload([]*job.Job{ok, bad}); err == nil {
+			t.Errorf("%s job at index 1 accepted by LoadWorkload", name)
+		}
+		sum, err := c.Run(1000)
+		if err != nil {
+			t.Errorf("%s: rejected load left an error for Run: %v", name, err)
+		}
+		if sum.JobsSubmitted != 0 {
+			t.Errorf("%s: rejected load still submitted %d jobs", name, sum.JobsSubmitted)
+		}
+	}
+}
+
+// TestLoadWorkloadSortsBySubmit: a list need not be in submit order —
+// the stream it feeds must be.
+func TestLoadWorkloadSortsBySubmit(t *testing.T) {
+	c := mustNew(t, tinyConfig(core.PolicyNone))
+	err := c.LoadWorkload([]*job.Job{
+		{ID: 1, Cores: 4, Submit: 100, Runtime: 10, Walltime: 10},
+		{ID: 2, Cores: 4, Submit: 50, Runtime: 10, Walltime: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := c.Run(1000)
+	if err != nil {
+		t.Fatalf("unsorted list failed the replay: %v", err)
+	}
+	if sum.JobsCompleted != 2 {
+		t.Errorf("completed %d of 2 jobs", sum.JobsCompleted)
 	}
 }
 

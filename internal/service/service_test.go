@@ -374,12 +374,19 @@ func TestListFiltersAndErrors(t *testing.T) {
 		t.Errorf("unknown run error = %v", err)
 	}
 
-	bad := fastSpec("bad")
-	bad.Policies = []string{"NOPE"}
-	if _, _, err := c.Submit(ctx, bad); err == nil {
-		t.Error("invalid spec accepted")
-	} else if apiErr, ok := err.(*service.Error); !ok || apiErr.Status != 400 {
-		t.Errorf("invalid spec error = %v", err)
+	// A spec no controller would accept is refused at submit — an
+	// unknown policy, or an option value rjms.New rejects — instead of
+	// taking a queue slot and failing inside the worker.
+	badPolicy := fastSpec("bad")
+	badPolicy.Policies = []string{"NOPE"}
+	badOption := fastSpec("bad")
+	badOption.Options.BackfillDepth = -1
+	for _, bad := range []sim.RunSpec{badPolicy, badOption} {
+		if _, _, err := c.Submit(ctx, bad); err == nil {
+			t.Error("invalid spec accepted")
+		} else if apiErr, ok := err.(*service.Error); !ok || apiErr.Status != 400 {
+			t.Errorf("invalid spec error = %v", err)
+		}
 	}
 }
 

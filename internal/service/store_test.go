@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/service"
 	"repro/internal/service/storetest"
+	"repro/internal/sim"
 )
 
 // TestMemStoreConformance runs the cross-backend suite on the hot tier.
@@ -124,6 +127,68 @@ func TestFSStoreReopen(t *testing.T) {
 	}
 	if max, _ := second.MaxSeq(); max != rec.Seq {
 		t.Errorf("reopened MaxSeq = %d, want %d", max, rec.Seq)
+	}
+}
+
+// TestFSStoreServesParentWrittenEnvelope opens an archive written by
+// the simd binary that predates the shared rjms.Options struct
+// (testdata/archive, one single run with every option and the cap
+// window set): the envelope must index under its recorded hash with its
+// seal intact, answer the identical spec as a cache hit without
+// executing anything, and hold the report bytes today's engine renders
+// for that spec. A renamed or reordered option field fails the first, a
+// changed scheduling decision the last.
+func TestFSStoreServesParentWrittenEnvelope(t *testing.T) {
+	const hash = "fb518e50d40b7acce493955d4212ff2a6694c974f1ae884ed98f7fa3773e0791"
+	env, err := os.ReadFile(filepath.Join("testdata", "archive", hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cache hit rewrites the envelope; serve a copy.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, hash+".json"), env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := service.OpenFSStore(dir, service.FSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped := st.Skipped(); len(skipped) != 0 {
+		t.Fatalf("parent-written envelope skipped: %v", skipped)
+	}
+	rec, ok, err := st.ByHash(hash)
+	if err != nil || !ok {
+		t.Fatalf("ByHash = ok:%v err:%v", ok, err)
+	}
+	if rec.Spec.Options.BackfillDepth != 50 || rec.Spec.Cap.DurationSec != 1200 {
+		t.Fatalf("archived spec decoded as %+v", rec.Spec)
+	}
+
+	s, c := newTestServer(t, service.Config{Workers: 1, Archive: st})
+	ctx := context.Background()
+	v, hit, err := c.Submit(ctx, rec.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || v.ID != rec.ID || v.State != service.StateDone {
+		t.Fatalf("resubmission = hit:%v id:%s state:%s, want a hit on %s", hit, v.ID, v.State, rec.ID)
+	}
+	if n := s.Stats().Executions; n != 0 {
+		t.Errorf("serving the archived run executed %d runs", n)
+	}
+	var served, local bytes.Buffer
+	if err := c.WriteReport(ctx, v.ID, "json", sim.SinkOptions{}, &served); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.Run(ctx, rec.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Export(&local, "json", rep, sim.SinkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served.Bytes(), local.Bytes()) {
+		t.Errorf("archived report differs from a local run of its spec:\narchived: %.400s\nlocal:    %.400s", served.Bytes(), local.Bytes())
 	}
 }
 

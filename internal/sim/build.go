@@ -86,22 +86,7 @@ func (s RunSpec) baseScenario() (replay.Scenario, error) {
 	if err != nil {
 		return replay.Scenario{}, err
 	}
-	base := replay.Scenario{
-		Workload:        wl,
-		ScaleRacks:      s.Racks,
-		CapStart:        s.Cap.StartSec,
-		CapDuration:     s.Cap.DurationSec,
-		OpenEnded:       s.Cap.OpenEnded,
-		KillOnOverrun:   s.Options.KillOnOverrun,
-		Scattered:       s.Options.Scattered,
-		ReservationLead: s.Options.ReservationLeadSec,
-		PlanningHorizon: s.Options.PlanningHorizonSec,
-		DynamicDVFS:     s.Options.DynamicDVFS,
-		Compact:         s.Options.Compact,
-		MeasuredNoise:   s.Options.MeasuredNoise,
-		SampleEvery:     s.Options.SampleEverySec,
-		BackfillDepth:   s.Options.BackfillDepth,
-	}
+	base := replay.Scenario{Workload: wl, ScaleRacks: s.Racks, Cap: s.Cap, Options: s.Options}
 	if s.Workload.SWF != nil {
 		src := s.Workload.SWF.swfSource(base.Machine().Cores())
 		base.SWF = &src
@@ -293,21 +278,10 @@ func CellsFromScenarios(scens []replay.Scenario) ([]CellSpec, error) {
 			Policy:      sc.Policy.String(),
 			CapFraction: sc.CapFraction,
 		}
-		if sc.CapStart != 0 || sc.CapDuration != 0 || sc.OpenEnded {
-			cell.Cap = &CapSpec{StartSec: sc.CapStart, DurationSec: sc.CapDuration, OpenEnded: sc.OpenEnded}
+		if window := sc.Cap; window != (CapSpec{}) {
+			cell.Cap = &window
 		}
-		opt := OptionSpec{
-			KillOnOverrun:      sc.KillOnOverrun,
-			Scattered:          sc.Scattered,
-			ReservationLeadSec: sc.ReservationLead,
-			PlanningHorizonSec: sc.PlanningHorizon,
-			DynamicDVFS:        sc.DynamicDVFS,
-			Compact:            sc.Compact,
-			MeasuredNoise:      sc.MeasuredNoise,
-			SampleEverySec:     sc.SampleEvery,
-			BackfillDepth:      sc.BackfillDepth,
-		}
-		if opt != (OptionSpec{}) {
+		if opt := sc.Options; opt != (OptionSpec{}) {
 			cell.Options = &opt
 		}
 		out = append(out, cell)

@@ -160,8 +160,8 @@ func init() {
 		name, desc string
 		fn         func() string
 	}{
-		{"2", "walltime degradation vs frequency (hardware model)", figures.Fig2},
-		{"3", "per-node power by state and frequency", figures.Fig3},
+		{"2", "power consumption and switch-off bonus per hierarchy level", figures.Fig2},
+		{"3", "max power vs normalized execution time per app and frequency", figures.Fig3},
 		{"4", "the measured Curie power table", figures.Fig4},
 		{"5", "the rho mechanism-selection criterion", figures.Fig5},
 	}

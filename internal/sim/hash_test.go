@@ -148,3 +148,45 @@ func TestRegistryCanonical(t *testing.T) {
 		t.Error("Canonical of an unknown name succeeded")
 	}
 }
+
+// TestCheckedInSpecHashesPinned pins the content address of every
+// checked-in spec as a literal. An archive on disk is keyed by these
+// hashes (FSStore names each envelope "<hash>.json" and DecodeEnvelope
+// recomputes the address), so a renamed, retagged or reordered RunSpec
+// field — rjms.Options' and replay.CapWindow's included — would orphan
+// every stored result without failing anything else. The literals are
+// what the binary that predates the shared Options struct computes; a
+// new spec file pins its hash here when it is added, and an existing
+// literal never changes.
+func TestCheckedInSpecHashesPinned(t *testing.T) {
+	pinned := map[string]string{
+		"../../examples/specs/dynamic_dvfs.json":     "ea9ab3a23d4fadb16a650124e52626232df9171d59cf469a6f18b18b0ef8b3bb",
+		"../../examples/specs/federation_sweep.json": "d78475bb6321952cf2ba6b078803d6485554d093c04efca7e5c780f4e67ec773",
+		"../../examples/specs/fig8.json":             "4d884a2d7600fabb3bd6dfbe40a129a743fce35426214276c31131633ed06266",
+		"../../examples/specs/policy_cap_sweep.json": "da03e10b603c213e3f4e6a1b8c9270d55a53610051746b13206be8acc61efd81",
+		"../../examples/specs/quick_single.json":     "08f7cb038cae86aa01b77ca60b2afdbd42f8c8e6e02405ced55026f4a597a0cb",
+		"../../examples/specs/quick_sweep.json":      "3886d98e7a153c2242096292f76c4176035be601e699e943daaf980556de0bf6",
+		"../../examples/quickstart/spec.json":        "4369076cd08b16757e076667c1ae48b54d2dfc050921a3593ffa5b57a386c893",
+	}
+	files := specFiles(t)
+	if len(files) != len(pinned) {
+		t.Errorf("%d checked-in spec files, %d pinned hashes", len(files), len(pinned))
+	}
+	for _, path := range files {
+		spec, err := LoadSpec(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		got, err := SpecHash(spec)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if want, ok := pinned[path]; !ok {
+			t.Errorf("%s: no pinned hash; add %q", path, got)
+		} else if got != want {
+			t.Errorf("%s: SpecHash = %s, pinned %s — the spec encoding drifted; stored archives would be orphaned", path, got, want)
+		}
+	}
+}

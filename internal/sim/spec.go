@@ -35,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/replay"
+	"repro/internal/rjms"
 	"repro/internal/signal"
 	"repro/internal/trace"
 )
@@ -152,29 +153,14 @@ type SWFSpec struct {
 	MaxJobs int `json:"max_jobs,omitempty"`
 }
 
-// CapSpec positions the powercap reservation window.
-type CapSpec struct {
-	// StartSec is the window start; 0 centres the default window.
-	StartSec int64 `json:"start_sec,omitempty"`
-	// DurationSec is the window length; 0 means the paper's hour.
-	DurationSec int64 `json:"duration_sec,omitempty"`
-	// OpenEnded makes the cap start at StartSec and never end.
-	OpenEnded bool `json:"open_ended,omitempty"`
-}
+// CapSpec positions the powercap reservation window: the scenario's
+// own window struct, so lowering a spec copies it.
+type CapSpec = replay.CapWindow
 
-// OptionSpec carries the controller options and ablation switches of
-// replay.Scenario.
-type OptionSpec struct {
-	KillOnOverrun      bool    `json:"kill_on_overrun,omitempty"`
-	Scattered          bool    `json:"scattered,omitempty"`
-	ReservationLeadSec int64   `json:"reservation_lead_sec,omitempty"`
-	PlanningHorizonSec int64   `json:"planning_horizon_sec,omitempty"`
-	DynamicDVFS        bool    `json:"dynamic_dvfs,omitempty"`
-	Compact            bool    `json:"compact,omitempty"`
-	MeasuredNoise      float64 `json:"measured_noise,omitempty"`
-	SampleEverySec     int64   `json:"sample_every_sec,omitempty"`
-	BackfillDepth      int     `json:"backfill_depth,omitempty"`
-}
+// OptionSpec carries the controller options and ablation switches: the
+// controller's own option struct, so every layer between a spec file
+// and rjms.New copies it whole.
+type OptionSpec = rjms.Options
 
 // CellSpec is one explicit sweep cell. Nil Workload/Cap/Options inherit
 // the spec-level values, so a cell usually just names its policy and
@@ -351,10 +337,10 @@ func canonicalNames[T any](reg *registry.Registry[T], names []string) []string {
 
 // Validate reports the first structural problem a run would trip over:
 // unregistered policy/kind/division names (the error enumerates what is
-// registered), impossible windows, bad federation axes, a mode that
-// contradicts the populated fields. Valid specs may still fail at run
-// time (a missing SWF file, an empty window) — Validate checks the
-// description, not the world.
+// registered), impossible windows, option values no controller accepts,
+// bad federation axes, a mode that contradicts the populated fields.
+// Valid specs may still fail at run time (a missing SWF file, an empty
+// window) — Validate checks the description, not the world.
 func (s RunSpec) Validate() error {
 	if s.Mode != "" && s.Mode != s.EffectiveMode() {
 		return fmt.Errorf("sim: spec says mode %q but its fields derive %q", s.Mode, s.EffectiveMode())
@@ -368,8 +354,11 @@ func (s RunSpec) Validate() error {
 	if err := s.Workload.validate(); err != nil {
 		return err
 	}
-	if err := s.Cap.validate(); err != nil {
-		return err
+	if err := s.Cap.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if err := s.Options.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	for _, p := range s.Policies {
 		if _, err := Policies.Lookup(p); err != nil {
@@ -388,7 +377,12 @@ func (s RunSpec) Validate() error {
 			}
 		}
 		if c.Cap != nil {
-			if err := c.Cap.validate(); err != nil {
+			if err := c.Cap.Validate(); err != nil {
+				return fmt.Errorf("sim: cell %d: %w", i, err)
+			}
+		}
+		if c.Options != nil {
+			if err := c.Options.Validate(); err != nil {
 				return fmt.Errorf("sim: cell %d: %w", i, err)
 			}
 		}
@@ -456,16 +450,6 @@ func (w WorkloadSpec) validate() error {
 		if swf.MaxJobs < 0 {
 			return fmt.Errorf("sim: negative swf max jobs %d", swf.MaxJobs)
 		}
-	}
-	return nil
-}
-
-func (c CapSpec) validate() error {
-	if c.StartSec < 0 {
-		return fmt.Errorf("sim: negative cap window start %d", c.StartSec)
-	}
-	if c.DurationSec < 0 {
-		return fmt.Errorf("sim: negative cap window duration %d", c.DurationSec)
 	}
 	return nil
 }

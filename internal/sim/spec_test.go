@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/replay"
 	"repro/internal/signal"
 )
 
@@ -161,6 +162,13 @@ func TestValidateRejectsStructuralProblems(t *testing.T) {
 		{CapFractions: []float64{0.5}, Federation: &FederationSpec{Signal: &signal.Spec{Kind: "bogus"}}}, // unknown signal kind
 		{CapFractions: []float64{0.5}, Federation: &FederationSpec{Signal: &signal.Spec{Kind: "step"}}},  // step without breakpoints
 		{Cap: CapSpec{StartSec: -5}}, // negative window
+		// Option values rjms.New would refuse, spec-level and per cell.
+		{Options: OptionSpec{BackfillDepth: -1}},
+		{Options: OptionSpec{SampleEverySec: -1}},
+		{Options: OptionSpec{MeasuredNoise: -0.1}},
+		{Cells: []CellSpec{{Policy: "SHUT", Options: &OptionSpec{BackfillDepth: -1}}}},
+		{Cells: []CellSpec{{Policy: "SHUT", Options: &OptionSpec{SampleEverySec: -1}}}},
+		{Cells: []CellSpec{{Policy: "SHUT", Options: &OptionSpec{MeasuredNoise: -0.1}}}},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -232,5 +240,50 @@ func TestFacadeRegistriesExposeEntries(t *testing.T) {
 	}
 	if got := Sinks.Join("|"); got != "json|csv|ascii" {
 		t.Errorf("Sinks = %q", got)
+	}
+}
+
+// TestEveryOptionReachesTheController walks rjms.Options by reflection:
+// each field, set alone to a non-zero value in a RunSpec — spec-level,
+// then as a cell override — must be what the controller built for that
+// spec runs with. Nothing is listed by hand, so an option added to the
+// struct and dropped somewhere between the spec and rjms.New fails here.
+func TestEveryOptionReachesTheController(t *testing.T) {
+	typ := reflect.TypeOf(OptionSpec{})
+	for i := 0; i < typ.NumField(); i++ {
+		var opt OptionSpec
+		field := reflect.ValueOf(&opt).Elem().Field(i)
+		switch field.Kind() {
+		case reflect.Bool:
+			field.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			field.SetInt(7)
+		case reflect.Float64:
+			field.SetFloat(0.25)
+		default:
+			t.Fatalf("option %s has kind %s; teach this test to set it", typ.Field(i).Name, field.Kind())
+		}
+		base := RunSpec{Workload: WorkloadSpec{Kind: "smalljob", DurationSec: 600}, Racks: 1}
+		specLevel, cellLevel := base, base
+		specLevel.Options = opt
+		cellLevel.Cells = []CellSpec{{Policy: "SHUT", CapFraction: 0.6, Options: &opt}}
+		for name, spec := range map[string]RunSpec{"spec-level": specLevel, "cell override": cellLevel} {
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("%s %s: %v", typ.Field(i).Name, name, err)
+			}
+			scens, err := spec.Scenarios()
+			if err != nil {
+				t.Fatalf("%s %s: %v", typ.Field(i).Name, name, err)
+			}
+			ctl, cleanup, err := replay.Build(scens[0])
+			if err != nil {
+				t.Fatalf("%s %s: %v", typ.Field(i).Name, name, err)
+			}
+			cleanup()
+			got := reflect.ValueOf(ctl.Options()).Field(i).Interface()
+			if got != field.Interface() {
+				t.Errorf("%s set %s to %v, the controller runs with %v", name, typ.Field(i).Name, field.Interface(), got)
+			}
+		}
 	}
 }
