@@ -349,20 +349,17 @@ func BenchmarkAllocateFullCurie(b *testing.B) {
 	c := cluster.NewCurie()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sched.Allocate(c, 512, nil) == nil {
+		if _, found := sched.AllocateInto(nil, c, 512, nil, nil); !found {
 			b.Fatal("allocation failed")
 		}
 	}
 }
 
-// BenchmarkAllocateBlockedCurie probes the machine as a capped replay
-// sees it: the upper 60 % of Curie is reserved for a switch-off whose
-// lead-in has begun (preferred, yet blocked for any job reaching the
-// window), the rest is busy except for a partly used node in eight and
-// an idle one in sixteen. Each probe decides eligibility once
-// (Book.BlockedSet) and first-fits into a reused buffer; the 8 192-core
-// request passes the free-core bound and must fail.
-func BenchmarkAllocateBlockedCurie(b *testing.B) {
+// blockedCurie is the machine as a capped replay sees it: the upper 60 %
+// of Curie is reserved for a switch-off whose lead-in has begun
+// (preferred, yet blocked for any job reaching the window), the rest is
+// busy except for a partly used node in eight and an idle one in sixteen.
+func blockedCurie(b *testing.B) (*cluster.Cluster, *reservation.Book) {
 	c := cluster.NewCurie()
 	per := c.Topology().CoresPerNode
 	group := cluster.SelectGrouped(c, c.Nodes()*6/10, nil)
@@ -387,15 +384,28 @@ func BenchmarkAllocateBlockedCurie(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return c, book
+}
+
+// blockedCurieRequests are the probes of the two benchmarks below; the
+// 8 192-core request passes the free-core bound and must fail.
+var blockedCurieRequests = []struct {
+	cores int
+	fits  bool
+}{{16, true}, {512, true}, {8192, false}}
+
+// BenchmarkAllocateBlockedCurie materialises an allocation on
+// blockedCurie, as a commit does: eligibility decided once
+// (Book.BlockedSet), first fit into a reused buffer. Its cost grows with
+// the nodes the request spans.
+func BenchmarkAllocateBlockedCurie(b *testing.B) {
+	c, book := blockedCurie(b)
 	const now, wall, lead = 0, 86400, 1800
 	var (
 		dst     []job.Alloc
 		scratch cluster.NodeSet
 	)
-	for _, req := range []struct {
-		cores int
-		fits  bool
-	}{{16, true}, {512, true}, {8192, false}} {
+	for _, req := range blockedCurieRequests {
 		b.Run(fmt.Sprintf("cores%d", req.cores), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -403,6 +413,31 @@ func BenchmarkAllocateBlockedCurie(b *testing.B) {
 				allocs, found := sched.AllocateInto(dst, c, req.cores, blocked, c.ReservedSet())
 				dst = allocs[:0]
 				if found != req.fits {
+					b.Fatalf("%d cores: found = %v", req.cores, found)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkProbeBlockedCurie asks the same questions as a scheduling
+// probe does: eligibility decided once, then the standing first-fit
+// frontier counts what the request would take. Its cost must be flat in
+// the request size — where the allocator's above grows — and it
+// allocates nothing.
+func BenchmarkProbeBlockedCurie(b *testing.B) {
+	c, book := blockedCurie(b)
+	const now, wall, lead = 0, 86400, 1800
+	var (
+		frontiers sched.Frontiers
+		scratch   cluster.NodeSet
+	)
+	for _, req := range blockedCurieRequests {
+		b.Run(fmt.Sprintf("cores%d", req.cores), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blocked := book.BlockedSet(now, now+wall, lead, &scratch)
+				if _, _, found := frontiers.For(c, blocked).Fit(req.cores); found != req.fits {
 					b.Fatalf("%d cores: found = %v", req.cores, found)
 				}
 			}

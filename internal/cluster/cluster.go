@@ -43,6 +43,8 @@ type Cluster struct {
 	partialBusy NodeSet
 	idleSet     NodeSet
 	reserved    NodeSet
+
+	gen uint64 // see Generation
 }
 
 // New builds a cluster with every node powered on and idle.
@@ -107,11 +109,18 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // Cores returns the total core count.
 func (c *Cluster) Cores() int { return c.topo.Cores() }
 
+// checkID must stay inlinable — the per-node accessors run it for every
+// node a probe or a commit touches — so the error is built out of line.
 func (c *Cluster) checkID(id NodeID) error {
-	if int(id) < 0 || int(id) >= len(c.nodes) {
-		return fmt.Errorf("cluster: node %d out of range [0,%d)", id, len(c.nodes))
+	if uint(id) >= uint(len(c.nodes)) {
+		return c.errID(id)
 	}
 	return nil
+}
+
+//go:noinline
+func (c *Cluster) errID(id NodeID) error {
+	return fmt.Errorf("cluster: node %d out of range [0,%d)", id, len(c.nodes))
 }
 
 // draw returns the current contribution of one node, before group bonuses.
@@ -144,6 +153,9 @@ func (c *Cluster) transition(id NodeID, st NodeState, f dvfs.Freq, usedCores int
 		c.busyCores -= n.usedCores
 	}
 	c.counts[n.state]--
+	if st != n.state || usedCores != n.usedCores {
+		c.gen++
+	}
 
 	n.state, n.freq, n.usedCores = st, f, usedCores
 
@@ -318,6 +330,7 @@ func (c *Cluster) SetReserved(id NodeID, v bool) error {
 		return err
 	}
 	if c.reserved.Has(id) != v {
+		c.gen++
 		margin := c.draw(&c.nodes[id]) - float64(c.profile.Down())
 		if v {
 			c.reserved.Add(id)
@@ -457,6 +470,15 @@ func (c *Cluster) OccupyDelta(ids []NodeID, f dvfs.Freq) power.Watts {
 	return power.Watts(d)
 }
 
+// IdleOccupyDelta is OccupyDelta for n idle nodes, from their count — a
+// probe knows how many it would take without naming them. Added to the
+// OccupyDelta of the probe's other nodes it gives exactly the node-by-
+// node sum as long as the profile's draws are whole watts (every partial
+// sum is an integer); power.TestCurieProfileIntegralWatts pins that.
+func (c *Cluster) IdleOccupyDelta(n int, f dvfs.Freq) power.Watts {
+	return power.Watts(float64(n) * (float64(c.profile.Busy(f)) - float64(c.profile.Idle())))
+}
+
 // FullyOffChassis returns how many chassis currently enjoy the full
 // switch-off bonus.
 func (c *Cluster) FullyOffChassis() int { return c.nFullOffChassis }
@@ -487,6 +509,12 @@ func (c *Cluster) IdleSet() NodeSet { return c.idleSet }
 
 // ReservedSet: see PartialBusySet.
 func (c *Cluster) ReservedSet() NodeSet { return c.reserved }
+
+// Generation changes whenever PartialBusySet, IdleSet, ReservedSet or a
+// node's FreeCores does (counted where they change: transition and
+// SetReserved; a re-clock moves none of them), so a summary of those —
+// sched.Frontier — is current while the generation it was built at stands.
+func (c *Cluster) Generation() uint64 { return c.gen }
 
 // ForEach calls fn for every node in ID order; fn returning false stops the
 // walk.

@@ -486,6 +486,13 @@ func TestOccupyDelta(t *testing.T) {
 	if got := c.OccupyDelta([]NodeID{0}, 0); got != 241 {
 		t.Errorf("delta f=0 = %v, want 241", got)
 	}
+	// Idle nodes priced from their count alone.
+	if got, want := c.IdleOccupyDelta(3, dvfs.F2000), c.OccupyDelta([]NodeID{0, 4, 5}, dvfs.F2000); got != want || got != 3*(269-117) {
+		t.Errorf("delta of 3 idle nodes by count = %v, node by node %v, want 456", got, want)
+	}
+	if got := c.IdleOccupyDelta(2, 0); got != 2*241 {
+		t.Errorf("counted delta f=0 = %v, want 482", got)
+	}
 	// OccupyDelta must match the real power change for idle nodes.
 	before := c.Power()
 	delta := c.OccupyDelta([]NodeID{0}, dvfs.F2000)

@@ -47,3 +47,17 @@ func (s NodeSet) Word(w int) uint64 {
 	}
 	return 0
 }
+
+// Equal reports whether s and o hold the same members; their lengths
+// may differ.
+func (s NodeSet) Equal(o NodeSet) bool {
+	if len(s) < len(o) {
+		s, o = o, s
+	}
+	for w, word := range s {
+		if word != o.Word(w) {
+			return false
+		}
+	}
+	return true
+}

@@ -29,6 +29,55 @@ func TestNodeSetMembership(t *testing.T) {
 	}
 }
 
+func TestNodeSetEqual(t *testing.T) {
+	short, long := NodeSetOf([]NodeID{3, 63}), NewNodeSet(200)
+	long.Add(3)
+	long.Add(63)
+	if !short.Equal(long) || !long.Equal(short) || !NodeSet(nil).Equal(NewNodeSet(70)) {
+		t.Error("sets with the same members and different lengths compare unequal")
+	}
+	long.Add(130)
+	if short.Equal(long) || long.Equal(short) || long.Equal(nil) {
+		t.Error("a member beyond the shorter set's length goes unnoticed")
+	}
+}
+
+// The generation moves exactly when something a probe reads moves: a
+// candidate set, a node's free cores, a reserved flag.
+func TestGenerationCountsWhatProbesSee(t *testing.T) {
+	c, err := New(Topology{Racks: 1, ChassisPerRack: 1, NodesPerChassis: 4, CoresPerNode: 4}, power.CurieProfile(), CurieOverhead())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name  string
+		do    func() error
+		moves bool
+	}{
+		{"occupy idle", func() error { return c.Occupy(0, 2, dvfs.F2000) }, true},
+		{"occupy more", func() error { return c.Occupy(0, 1, dvfs.F2700) }, true},
+		{"re-clock", func() error { return c.SetFreq(0, dvfs.F1200) }, false},
+		{"vacate part", func() error { return c.Vacate(0, 1, dvfs.F2000) }, true},
+		{"vacate rest", func() error { return c.Vacate(0, 2, 0) }, true},
+		{"power off", func() error { return c.PowerOff(1) }, true},
+		{"power off again", func() error { return c.PowerOff(1) }, false},
+		{"power on", func() error { return c.PowerOn(1) }, true},
+		{"power on again", func() error { return c.PowerOn(1) }, false},
+		{"reserve", func() error { return c.SetReserved(2, true) }, true},
+		{"reserve again", func() error { return c.SetReserved(2, true) }, false},
+		{"release", func() error { return c.SetReserved(2, false) }, true},
+	}
+	for _, s := range steps {
+		gen := c.Generation()
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if moved := c.Generation() != gen; moved != s.moves {
+			t.Errorf("%s: generation moved = %v, want %v", s.name, moved, s.moves)
+		}
+	}
+}
+
 // The maintained sets must agree with the per-node state after any
 // sequence of transitions and reservation flags.
 func TestCandidateSetsTrackNodeState(t *testing.T) {

@@ -38,6 +38,29 @@ func TestCurieProfileFigure4(t *testing.T) {
 	}
 }
 
+// The scheduler prices a probed launch as a sum over the partly used
+// nodes it would take plus (idle nodes taken) x (Busy(f) - Idle)
+// (cluster.IdleOccupyDelta), and the goldens were captured adding the
+// same terms node by node in allocation order. The two agree bit for bit
+// only because every draw the sum can contain is a whole number of
+// watts: partial sums are then integers far below 2^53, which float64
+// adds exactly in any order. A fractional draw at any ladder rung would
+// make the result depend on the order.
+func TestCurieProfileIntegralWatts(t *testing.T) {
+	p := CurieProfile()
+	draws := map[string]Watts{"down": p.Down(), "idle": p.Idle()}
+	for _, ladder := range []dvfs.Ladder{dvfs.CurieLadder(), dvfs.MixLadder()} {
+		for _, f := range ladder {
+			draws[f.String()] = p.Busy(f)
+		}
+	}
+	for name, w := range draws {
+		if w != Watts(math.Trunc(float64(w))) || w < 0 || w > 1e6 {
+			t.Errorf("%s draw %v is not a whole number of watts", name, float64(w))
+		}
+	}
+}
+
 func TestProfileInterpolationAndClamp(t *testing.T) {
 	p := CurieProfile()
 	// Between 2.4 (317) and 2.7 (358): 2.55 GHz midpoint -> 337.5.

@@ -82,6 +82,8 @@ type Controller struct {
 	// path; sampled out-of-band via SchedCounters.
 	statPasses        uint64
 	statPassesSkipped uint64
+	statProbes        uint64 // plan calls
+	statStarts        uint64 // commits
 
 	// estimator is non-nil in measurement-based capping mode: active-cap
 	// checks use its guarded estimate instead of the exact bookkeeping.
@@ -91,24 +93,26 @@ type Controller struct {
 	// invariant checker's hook; see SetObserver).
 	observer func(now int64)
 
-	// Scratch buffers reused across scheduling passes. A pass probes an
-	// allocation for up to BackfillDepth jobs at every event; without
-	// reuse each probe allocates candidate slices that die immediately
-	// (see the sweep benchmark for the aggregate cost).
+	// Scratch reused across scheduling passes. A pass probes up to
+	// BackfillDepth jobs at every event and starts few of them, so a
+	// probe builds nothing: it reads a first-fit frontier that stands
+	// until the cluster changes.
 	viewBuf    []sched.RunningJob // running view, sorted by expected end
-	allocBuf   []job.Alloc        // allocation probe candidates
-	nodeBuf    []cluster.NodeID   // node list of the current probe
+	frontiers  sched.Frontiers    // what first fit can take, per blocked set
+	nodeBuf    []cluster.NodeID   // node list of the current compact-placement probe
 	blockedBuf cluster.NodeSet    // union of several blocking switch-off groups
 	orderer    sched.Orderer      // priority-ordered pending queue
 
 	// Pre-bound closures with their parameter fields. plan() runs up to
 	// BackfillDepth times per event; a literal admit closure there would
 	// escape to the heap on every probe, so it is built once in New and
-	// reads the plan* fields the current probe sets.
+	// reads the plan* fields the current probe sets: the nodes the launch
+	// would take, the idle ones among them (planIdle) as a count only.
 	planNow    int64
 	planJob    *job.Job
 	planCapNow power.Cap
 	planNodes  []cluster.NodeID
+	planIdle   int
 	admitFn    func(dvfs.Freq) bool
 	passFn     simengine.Handler
 }
@@ -160,7 +164,8 @@ func New(cfg Config) (*Controller, error) {
 		end := now + j.ScaledWalltime(c.pm.Deg, f)
 		// Active cap: checked against the observed draw (Algorithm 2;
 		// exact bookkeeping, or the guarded measurement estimate).
-		if c.planCapNow.IsSet() && !c.planCapNow.Allows(c.observedPower()+c.clus.OccupyDelta(c.planNodes, f)) {
+		if c.planCapNow.IsSet() && !c.planCapNow.Allows(c.observedPower()+
+			c.clus.OccupyDelta(c.planNodes, f)+c.clus.IdleOccupyDelta(c.planIdle, f)) {
 			return false
 		}
 		// A future window the job's walltime crosses caps the launch
@@ -567,6 +572,9 @@ type SchedCounters struct {
 	PassesSkipped      uint64
 	ProjectionMemoHits uint64
 	ProjectionMemoMiss uint64
+	Probes             uint64 // jobs a pass asked plan about
+	Starts             uint64 // probes committed
+	FrontierBuilds     uint64 // first-fit frontiers (re)built for those probes
 }
 
 // SchedCounters returns the current counter snapshot. Call only from
@@ -580,6 +588,9 @@ func (c *Controller) SchedCounters() SchedCounters {
 		PassesSkipped:      c.statPassesSkipped,
 		ProjectionMemoHits: hits,
 		ProjectionMemoMiss: misses,
+		Probes:             c.statProbes,
+		Starts:             c.statStarts,
+		FrontierBuilds:     c.frontiers.Builds(),
 	}
 }
 
@@ -825,14 +836,13 @@ func (c *Controller) noteState(now int64) {
 
 // --- scheduling -----------------------------------------------------
 
-// planned is a successful allocation probe. allocs aliases the
-// controller's probe scratch buffer and is overwritten by the next
-// probe: the pass either commits a planned value (commit copies the
-// allocation into the job's state) or drops it before probing again.
+// planned is a successful probe: the frequency Algorithm 2 settled on,
+// the walltime at it, and how many nodes the allocation spans. The
+// allocation itself does not exist yet — commit builds it.
 type planned struct {
-	allocs []job.Alloc
-	freq   dvfs.Freq
-	wall   int64
+	nodes int
+	freq  dvfs.Freq
+	wall  int64
 }
 
 // freeCoresUpperBound is the quick-reject bound: cores not allocated and
@@ -842,58 +852,76 @@ func (c *Controller) freeCoresUpperBound() int {
 	return c.clus.Cores() - c.clus.BusyCores() - off
 }
 
-// plan finds an allocation and frequency for a job; ok is false when
-// there is none. Node eligibility is one set per probe — the members of
-// the switch-off groups that refuse work over the job's longest possible
-// span (ladder minimum), so a chosen allocation stays valid for any
-// frequency the online algorithm settles on. allocFail reports that the
-// failure happened while finding cores (as opposed to the power check) —
-// the scheduling pass uses it to prune same-or-larger requests within
-// the same pass. Nothing is allocated: pl.allocs aliases allocBuf, so a
-// probe the pass then refuses costs no heap traffic.
+// blockedFor returns the nodes j may not use if started now — the
+// members of the switch-off groups that refuse work over the job's
+// longest possible span (ladder minimum), so a placement stays valid for
+// any frequency the online algorithm settles on. The set may alias
+// blockedBuf: it is current until the next call.
+func (c *Controller) blockedFor(j *job.Job, now int64) cluster.NodeSet {
+	wallMax := j.ScaledWalltime(c.pm.Deg, c.pm.Ladder.Min())
+	return c.book.BlockedSet(now, now+wallMax, c.cfg.ReservationLeadSec, &c.blockedBuf)
+}
+
+// compactPlacement reports whether placements come from the chassis-
+// greedy allocator instead of first fit; probe and commit must agree.
+func (c *Controller) compactPlacement() bool {
+	return c.cfg.Compact && c.clus.ReservedCount() == 0
+}
+
+// plan finds a placement and a frequency for a job; ok is false when
+// there is none. allocFail reports that the failure happened while
+// finding cores (as opposed to the power check) — the scheduling pass
+// uses it to prune same-or-larger requests within the same pass.
+//
+// Nothing is allocated: first fit is read off the standing frontier as
+// the partly used nodes the launch would take plus a count of idle ones,
+// which is all Algorithm 2 needs to price it — most successful probes are
+// then refused by the pass's shadow check. Compact placement has no such
+// summary (its order depends on per-chassis totals) and keeps walking.
 func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool) {
+	c.statProbes++
 	if j.Cores > c.freeCoresUpperBound() {
 		return planned{}, false, true
 	}
-	wallMax := j.ScaledWalltime(c.pm.Deg, c.pm.Ladder.Min())
-	blocked := c.book.BlockedSet(now, now+wallMax, c.cfg.ReservationLeadSec, &c.blockedBuf)
-	var (
-		allocs []job.Alloc
-		found  bool
-	)
-	if c.cfg.Compact && c.clus.ReservedCount() == 0 {
-		allocs = sched.AllocateCompact(c.clus, j.Cores, blocked)
-		found = allocs != nil
+	blocked := c.blockedFor(j, now)
+	var found bool
+	if c.compactPlacement() {
+		nodes := c.nodeBuf[:0]
+		for _, a := range sched.AllocateCompact(c.clus, j.Cores, blocked) {
+			nodes = append(nodes, a.Node)
+		}
+		c.nodeBuf = nodes[:0] // same backing array; only alive within this call
+		c.planNodes, c.planIdle, found = nodes, 0, len(nodes) > 0
 	} else {
-		// Pack nodes earmarked for switch-off first: work there drains
-		// away before the window, saving the survivors' budget.
-		allocs, found = sched.AllocateInto(c.allocBuf, c.clus, j.Cores, blocked, c.clus.ReservedSet())
-		c.allocBuf = allocs[:0] // keep the grown probe buffer
+		c.planNodes, c.planIdle, found = c.frontiers.For(c.clus, blocked).Fit(j.Cores)
 	}
 	if !found {
 		return planned{}, false, true
 	}
-	nodes := c.nodeBuf[:0]
-	for _, a := range allocs {
-		nodes = append(nodes, a.Node)
-	}
-	c.nodeBuf = nodes[:0] // same backing array; only alive within this call
 	c.planNow = now
 	c.planJob = j
-	c.planNodes = nodes
 	c.planCapNow = c.book.CapAt(now)
 	f, ok := core.SelectFreq(c.pm, c.admitFn)
 	if !ok {
 		return planned{}, false, false
 	}
-	return planned{allocs: allocs, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
+	return planned{nodes: len(c.planNodes) + c.planIdle, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
 }
 
-// commit starts j on the planned allocation, taking the one owned copy
-// of it (j.Allocs outlives the pass; pl.allocs is probe scratch).
+// commit starts j as planned. This is the one place an allocation is
+// built, straight into the slice the job owns; it must come out as the
+// probe counted it and occupy cleanly — anything else is a bug.
 func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	c.invalidatePassMemo()
-	j.Allocs = append([]job.Alloc(nil), pl.allocs...)
+	c.statStarts++
+	if blocked := c.blockedFor(j, now); c.compactPlacement() {
+		j.Allocs = sched.AllocateCompact(c.clus, j.Cores, blocked)
+	} else {
+		j.Allocs, _ = sched.AllocateInto(make([]job.Alloc, 0, pl.nodes), c.clus, j.Cores, blocked, c.clus.ReservedSet())
+	}
+	if len(j.Allocs) != pl.nodes {
+		panic(fmt.Sprintf("rjms: job %d probed onto %d nodes, allocated on %d", j.ID, pl.nodes, len(j.Allocs)))
+	}
 	for _, a := range j.Allocs {
 		if err := c.clus.Occupy(a.Node, a.Cores, pl.freq); err != nil {
 			panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
@@ -1004,8 +1032,8 @@ func (c *Controller) pass(now int64) {
 	minAllocFail := math.MaxInt
 	minPowerFail := math.MaxInt
 
-	// Nothing may run between a successful tryPlan and the commit or
-	// continue that consumes it: pl.allocs is the probe scratch.
+	// Nothing may change the cluster between a successful tryPlan and the
+	// commit that consumes it: commit re-derives the allocation pl counted.
 	tryPlan := func(j *job.Job) (planned, bool) {
 		if j.Cores >= minAllocFail || j.Cores >= minPowerFail {
 			return planned{}, false
@@ -1067,15 +1095,23 @@ func (c *Controller) pass(now int64) {
 	}
 
 	if startedCount > 0 {
-		// commit flipped started jobs to StateRunning, so the pending
-		// queue filters on state — no per-pass started set needed.
-		kept := c.pending[:0]
-		for _, j := range c.pending {
-			if j.State == job.StatePending {
-				kept = append(kept, j)
+		// commit flipped the started jobs to StateRunning, so they are
+		// found by state — no per-pass started set. Most of a backlogged
+		// queue is untouched: nothing is written before the first started
+		// job, and once the last one is passed the rest moves in one copy.
+		q := c.pending
+		r, w := 0, 0
+		for seen := 0; seen < startedCount && r < len(q); r++ {
+			if q[r].State != job.StatePending {
+				seen++
+				continue
 			}
+			if w != r {
+				q[w] = q[r]
+			}
+			w++
 		}
-		c.pending = kept
+		c.pending = q[:w+copy(q[w:], q[r:])]
 		return
 	}
 	// Nothing launched: memoize the refusal so the next pass can skip

@@ -12,9 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// A successful probe's allocation lives in the controller's probe
-// scratch; commit must take its own copy, or the next probe of the same
-// pass rewrites the started job's allocation.
+// Probes build no allocation; commit builds the one the probe counted,
+// straight into a slice the started job owns — exactly as long as the
+// allocation, and out of reach of every later probe.
 func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	c := mustNew(t, tinyConfig(core.PolicyNone))
 	jobs := []*job.Job{
@@ -36,11 +36,30 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	if len(c.running) != 2 || c.running[1] == nil || c.running[4] == nil {
 		t.Fatalf("running = %v, want jobs 1 and 4", c.running)
 	}
-	if got, want := c.running[1].Allocs, []job.Alloc{{Node: 0, Cores: 4}, {Node: 1, Cores: 4}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("job 1 allocs = %v after later probes, want %v", got, want)
+	check := func(when string) {
+		t.Helper()
+		for id, want := range map[job.ID][]job.Alloc{
+			1: {{Node: 0, Cores: 4}, {Node: 1, Cores: 4}},
+			4: {{Node: 2, Cores: 4}},
+		} {
+			got := c.running[id].Allocs
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: job %d allocs = %v, want %v", when, id, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Errorf("%s: job %d allocs have len %d in cap %d, want an exact-size slice", when, id, len(got), cap(got))
+			}
+		}
 	}
-	if got, want := c.running[4].Allocs, []job.Alloc{{Node: 2, Cores: 4}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("job 4 allocs = %v, want %v", got, want)
+	check("after the pass")
+	for _, j := range c.pending {
+		c.plan(j, 0)
+	}
+	c.invalidatePassMemo()
+	c.pass(0)
+	check("after later probes")
+	if a, b := c.running[1].Allocs, c.running[4].Allocs; &a[0] == &b[0] {
+		t.Error("two started jobs share one allocation array")
 	}
 }
 
@@ -191,6 +210,76 @@ func TestPassAllocationsScaleWithStartsNotProbes(t *testing.T) {
 	// would cost at least one object for each of the refused ones.
 	if limit := float64(6 * k); allocs > limit || limit >= float64(probes) {
 		t.Errorf("a pass starting %d jobs over %d probes allocates %v times, want at most %v", k, probes, allocs, limit)
+	}
+}
+
+// Frontier rebuilds follow cluster changes, not probes: a pass that
+// refuses every probe builds one frontier per distinct blocked set it
+// met (and none at all when the previous pass's still stand); a pass
+// that starts k jobs builds at most k+1 per set — one before the first
+// start and one after each.
+func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
+	c, capID, _, _, _ := backlogged(t)
+	const now = 10
+	distinctBlocked := func() int {
+		var sets []cluster.NodeSet
+	next:
+		for _, j := range c.pending {
+			if j.Cores > c.freeCoresUpperBound() {
+				continue // refused before any node is looked at
+			}
+			b := c.blockedFor(j, now)
+			for _, s := range sets {
+				if s.Equal(b) {
+					continue next
+				}
+			}
+			sets = append(sets, append(cluster.NodeSet(nil), b...))
+		}
+		return len(sets)
+	}
+	pass := func() (probes, starts, builds uint64) {
+		before := c.SchedCounters()
+		c.invalidatePassMemo()
+		c.pass(now)
+		after := c.SchedCounters()
+		return after.Probes - before.Probes, after.Starts - before.Starts, after.FrontierBuilds - before.FrontierBuilds
+	}
+
+	if probes, starts, builds := pass(); probes != uint64(len(c.pending)) || starts != 0 || builds != 0 {
+		t.Errorf("unchanged cluster: %d probes, %d starts, %d frontier builds; want %d, 0, 0", probes, starts, builds, len(c.pending))
+	}
+	// Retire every frontier without changing what a probe decides: flip
+	// one reserved flag and flip it back.
+	flag := c.clus.Reserved(0)
+	for _, v := range []bool{!flag, flag} {
+		if err := c.clus.SetReserved(0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sets := distinctBlocked()
+	if probes, starts, builds := pass(); probes < 150 || starts != 0 || builds != uint64(sets) {
+		t.Errorf("all-refusing pass: %d probes, %d starts, %d frontier builds; want one build for each of %d blocked sets", probes, starts, builds, sets)
+	}
+
+	// k short jobs behind the backlog, startable once the cap has room
+	// (TestPassAllocationsScaleWithStartsNotProbes' scenario): they see a
+	// second blocked set, and every start retires the frontiers.
+	if err := c.AdjustPowerCap(capID, power.CapWatts(c.clus.MaxPower())); err != nil {
+		t.Fatal(err)
+	}
+	const k = 4
+	for i := 0; i < k; i++ {
+		c.submit(&job.Job{ID: job.ID(1000 + i), User: "k", Cores: c.cfg.Topology.CoresPerNode, Submit: now, Runtime: 20, Walltime: 30}, now)
+	}
+	sets = distinctBlocked()
+	probes, starts, builds := pass()
+	if starts != k || sets < 2 {
+		t.Fatalf("%d jobs started over %d blocked sets, want %d over at least 2", starts, sets, k)
+	}
+	t.Logf("a pass starting %d jobs: %d probes, %d blocked sets, %d frontier builds", k, probes, sets, builds)
+	if limit := uint64((k + 1) * sets); builds > limit || limit >= probes {
+		t.Errorf("a pass starting %d jobs over %d probes builds %d frontiers, want at most %d", k, probes, builds, limit)
 	}
 }
 

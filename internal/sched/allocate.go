@@ -7,37 +7,25 @@ import (
 	"repro/internal/job"
 )
 
-// Allocate finds cores for a job on the cluster. It packs partially used
-// busy nodes first (cheapest under the powercap: the paper notes jobs
-// "filling partially used nodes will always pass the powercapping
-// criteria"), then idle nodes in ascending ID order. Nodes in blocked are
-// skipped (nil blocks none); off nodes are never used. Returns nil when
-// the request cannot be satisfied.
-func Allocate(c *cluster.Cluster, cores int, blocked cluster.NodeSet) []job.Alloc {
-	allocs, found := AllocateInto(nil, c, cores, blocked, nil)
-	if !found {
-		return nil
-	}
-	return allocs
-}
-
-// AllocateInto is Allocate with a node preference, appending into
-// dst[:0]. Nodes in prefer are packed before the others (busy-partial
-// first within each class, ascending ID inside each); a nil prefer means
-// no preference. The powercap controller prefers nodes earmarked for an
-// upcoming switch-off — work placed there drains away before the window
-// while the surviving nodes' power budget is saved for jobs that outlast
-// it.
+// AllocateInto finds cores for a job on the cluster, appending into
+// dst[:0]. It packs partially used busy nodes first (cheapest under the
+// powercap: the paper notes jobs "filling partially used nodes will
+// always pass the powercapping criteria"), then idle nodes, in ascending
+// ID order. Nodes in blocked are skipped (nil blocks none); off nodes are
+// never used. Nodes in prefer are packed before the others (busy-partial
+// first within each class); a nil prefer means no preference. The
+// powercap controller prefers nodes earmarked for an upcoming switch-off
+// — work placed there drains away before the window while the surviving
+// nodes' power budget is saved for jobs that outlast it.
 //
 // Both node filters are sets, so the walk intersects the cluster's
 // candidate sets with them 64 nodes at a time and only ever visits nodes
-// it takes. A scheduling pass probes allocations for many jobs per event;
-// reusing one candidate buffer across probes keeps a probe free of heap
-// traffic. The returned slice always carries the (possibly grown) buffer
-// so the caller can keep reusing it; found reports whether it holds a
-// complete allocation. The slice aliases dst's backing array — callers
-// that retain a successful allocation (e.g. in job state) must copy it
-// out first.
+// it takes. The controller calls this once per started job, into a
+// buffer sized by the probe that preceded it (a probe only counts: see
+// Frontier). The returned slice always carries the (possibly grown)
+// buffer, so a caller that does not keep the allocation can reuse it;
+// found reports whether it holds a complete allocation. The slice
+// aliases dst's backing array.
 func AllocateInto(dst []job.Alloc, c *cluster.Cluster, cores int, blocked, prefer cluster.NodeSet) (allocs []job.Alloc, found bool) {
 	allocs = dst[:0]
 	if cores <= 0 {

@@ -68,13 +68,57 @@ func randomSet(rng *rand.Rand, span int, density float64) cluster.NodeSet {
 	return s
 }
 
-func TestAllocateIntoMatchesPerNodeReference(t *testing.T) {
-	topos := []cluster.Topology{
-		{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16}, // 180 nodes: not a multiple of 64
-		{Racks: 1, ChassisPerRack: 4, NodesPerChassis: 16, CoresPerNode: 4},  // 64 nodes: exactly one word
-		cluster.CurieTopology(), // 5040 nodes
+// diffTopologies are the machines the differential tests run on.
+var diffTopologies = []cluster.Topology{
+	{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16}, // 180 nodes: not a multiple of 64
+	{Racks: 1, ChassisPerRack: 4, NodesPerChassis: 16, CoresPerNode: 4},  // 64 nodes: exactly one word
+	cluster.CurieTopology(), // 5040 nodes
+}
+
+// randomCluster draws a machine state: off / idle / partly used / full
+// nodes at random ladder frequencies, some of them flagged reserved.
+func randomCluster(t *testing.T, rng *rand.Rand, topo cluster.Topology) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.New(topo, power.CurieProfile(), cluster.CurieOverhead())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, topo := range topos {
+	ladder := dvfs.CurieLadder()
+	pOff, pBusy, pReserved := rng.Float64()*0.5, rng.Float64(), rng.Float64()*0.5
+	for id := cluster.NodeID(0); int(id) < topo.Nodes(); id++ {
+		switch r := rng.Float64(); {
+		case r < pOff:
+			err = c.PowerOff(id)
+		case r < pOff+(1-pOff)*pBusy:
+			err = c.Occupy(id, 1+rng.Intn(topo.CoresPerNode), ladder[rng.Intn(len(ladder))])
+		}
+		if err == nil && rng.Float64() < pReserved {
+			err = c.SetReserved(id, true)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// randomFilter draws a probe filter: absent, full-length, or shorter
+// than the cluster (the highest member of a short set is node 70).
+func randomFilter(rng *rand.Rand, nodes int) cluster.NodeSet {
+	switch rng.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		s := randomSet(rng, 70, rng.Float64())
+		s.Add(70)
+		return s
+	default:
+		return randomSet(rng, nodes, rng.Float64())
+	}
+}
+
+func TestAllocateIntoMatchesPerNodeReference(t *testing.T) {
+	for _, topo := range diffTopologies {
 		topo := topo
 		t.Run(fmt.Sprintf("%dnodes", topo.Nodes()), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(topo.Nodes())))
@@ -84,39 +128,8 @@ func TestAllocateIntoMatchesPerNodeReference(t *testing.T) {
 			}
 			var dst []job.Alloc
 			for round := 0; round < rounds; round++ {
-				c, err := cluster.New(topo, power.CurieProfile(), cluster.CurieOverhead())
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Random machine state: off / idle / partial / full nodes.
-				pOff, pBusy := rng.Float64()*0.5, rng.Float64()
-				for id := cluster.NodeID(0); int(id) < topo.Nodes(); id++ {
-					switch r := rng.Float64(); {
-					case r < pOff:
-						if err := c.PowerOff(id); err != nil {
-							t.Fatal(err)
-						}
-					case r < pOff+(1-pOff)*pBusy:
-						if err := c.Occupy(id, 1+rng.Intn(topo.CoresPerNode), dvfs.F2700); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				// Filters: absent, full-length, or shorter than the cluster
-				// (the highest member of a short set is node 70).
-				pick := func() cluster.NodeSet {
-					switch rng.Intn(4) {
-					case 0:
-						return nil
-					case 1:
-						s := randomSet(rng, 70, rng.Float64())
-						s.Add(70)
-						return s
-					default:
-						return randomSet(rng, topo.Nodes(), rng.Float64())
-					}
-				}
-				blocked, prefer := pick(), pick()
+				c := randomCluster(t, rng, topo)
+				blocked, prefer := randomFilter(rng, topo.Nodes()), randomFilter(rng, topo.Nodes())
 				var eligibleFn, preferFn func(cluster.NodeID) bool
 				if blocked != nil {
 					eligibleFn = func(id cluster.NodeID) bool { return !blocked.Has(id) }

@@ -62,7 +62,7 @@ func TestAllocateCompactBeatsFirstFit(t *testing.T) {
 			}
 		}
 	}
-	firstFit := Allocate(c, 12, nil)
+	firstFit := allocate(c, 12, nil)
 	compact := AllocateCompact(c, 12, nil)
 	if firstFit == nil || compact == nil {
 		t.Fatal("allocation failed")
@@ -118,7 +118,7 @@ func TestAllocateCompactProperty(t *testing.T) {
 		}
 		need := int(req)%40 + 1
 		compact := AllocateCompact(c, need, nil)
-		firstFit := Allocate(c, need, nil)
+		firstFit := allocate(c, need, nil)
 		if (compact == nil) != (firstFit == nil) {
 			return false // both see identical feasibility
 		}

@@ -1,0 +1,135 @@
+package sched
+
+import (
+	"math/bits"
+	"sort"
+
+	"repro/internal/cluster"
+)
+
+// Frontier is everything first fit can take from one cluster state under
+// one blocked set, summarised so that a probe is answered by counting:
+// the eligible partly used nodes with their free cores, and the eligible
+// idle nodes as a count, once for the preferred class and once for the
+// rest. A scheduling pass probes many jobs against one state and starts
+// few; only a start needs the allocation itself (AllocateInto). Frontiers
+// are obtained from Frontiers.For.
+type Frontier struct {
+	// Validity key; blocked is an owned copy.
+	clus    *cluster.Cluster
+	gen     uint64
+	blocked cluster.NodeSet
+
+	// ids lists the eligible partly used nodes in the order first fit
+	// takes them — preferred (ids[:split]) before the others, ascending
+	// ID in each class — and cum[i] is the free-core total of ids[i]'s
+	// class up to and including ids[i].
+	ids   []cluster.NodeID
+	cum   []int
+	split int
+	idle  [2]int // eligible idle nodes: preferred, other
+}
+
+// build summarises c under AllocateInto's two filters, reusing f's buffers.
+func (f *Frontier) build(c *cluster.Cluster, blocked, prefer cluster.NodeSet) {
+	f.clus, f.gen = c, c.Generation()
+	f.blocked = append(f.blocked[:0], blocked...)
+	f.ids, f.cum = f.ids[:0], f.cum[:0]
+	busy, idle := c.PartialBusySet(), c.IdleSet()
+	for class := range f.idle {
+		free, n := 0, 0
+		for w := range busy {
+			mask := prefer.Word(w)
+			if class == 1 {
+				mask = ^mask
+			}
+			mask &^= blocked.Word(w)
+			n += bits.OnesCount64(idle.Word(w) & mask)
+			for word := busy[w] & mask; word != 0; word &= word - 1 {
+				id := cluster.NodeID(w<<6 + bits.TrailingZeros64(word))
+				free += c.FreeCores(id)
+				f.ids = append(f.ids, id)
+				f.cum = append(f.cum, free)
+			}
+		}
+		f.idle[class] = n
+		if class == 0 {
+			f.split = len(f.ids)
+		}
+	}
+}
+
+// Fit reports what AllocateInto would allocate for a request of cores,
+// at a cost independent of its size: the partly used nodes it would take
+// (a view — do not modify, or keep past the frontier) and how many idle
+// ones; ok is false when the request cannot be satisfied.
+//
+// The class order is AllocateInto's: preferred partly used, preferred
+// idle, other partly used, other idle. The other partly used nodes are
+// reached only once every preferred one is taken, so the answer is
+// always a prefix of ids.
+func (f *Frontier) Fit(cores int) (partial []cluster.NodeID, idle int, ok bool) {
+	if cores <= 0 {
+		return nil, 0, false
+	}
+	need, lo, perNode := cores, 0, f.clus.Topology().CoresPerNode
+	for class, hi := range [2]int{f.split, len(f.ids)} {
+		if cum := f.cum[lo:hi]; len(cum) > 0 {
+			if cum[len(cum)-1] >= need {
+				return f.ids[:lo+sort.SearchInts(cum, need)+1], idle, true
+			}
+			need -= cum[len(cum)-1]
+		}
+		if n := (need + perNode - 1) / perNode; n <= f.idle[class] {
+			return f.ids[:hi], idle + n, true
+		}
+		idle += f.idle[class]
+		need -= f.idle[class] * perNode
+		lo = hi
+	}
+	return nil, 0, false
+}
+
+// frontierSlots is how many blocked sets keep a frontier at once. A pass
+// meets one set per combination of switch-off windows its jobs' spans
+// reach (nil and one group in a single-window replay); one set too many
+// costs rebuilds, nothing else.
+const frontierSlots = 4
+
+// Frontiers hands out the frontier of a cluster's current state under a
+// blocked set, preferring the cluster's reserved nodes. One is built only
+// when no slot holds that state: a slot answers while the cluster's
+// generation stands and the blocked set has the same members (compared
+// by content, so callers may pass a reused scratch set). A build
+// overwrites a slot of a past state, or — all being current — the next
+// in turn. The zero value is ready to use.
+type Frontiers struct {
+	slots  [frontierSlots]Frontier
+	next   int
+	builds uint64
+}
+
+// For returns the frontier of c under blocked, valid until c changes.
+func (fs *Frontiers) For(c *cluster.Cluster, blocked cluster.NodeSet) *Frontier {
+	gen, victim := c.Generation(), -1
+	for i := range fs.slots {
+		f := &fs.slots[i]
+		if f.clus != c || f.gen != gen {
+			if victim < 0 {
+				victim = i
+			}
+		} else if f.blocked.Equal(blocked) {
+			return f
+		}
+	}
+	if victim < 0 {
+		victim, fs.next = fs.next, (fs.next+1)%frontierSlots
+	}
+	f := &fs.slots[victim]
+	fs.builds++
+	f.build(c, blocked, c.ReservedSet())
+	return f
+}
+
+// Builds returns how many frontiers have been built so far.
+func (fs *Frontiers) Builds() uint64 { return fs.builds }

@@ -1,0 +1,139 @@
+package sched
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/dvfs"
+	"repro/internal/job"
+)
+
+// checkFrontier holds fr.Fit to what AllocateInto materialises under the
+// same filters, for each request size: found alike, the same partly used
+// nodes in the same order, the same idle and total node counts, and a
+// counted power delta equal — as floats, at every ladder rung — to the
+// one summed over all the allocated nodes.
+func checkFrontier(t *testing.T, c *cluster.Cluster, fr *Frontier, blocked, prefer cluster.NodeSet, sizes []int) {
+	t.Helper()
+	var (
+		dst   []job.Alloc
+		nodes []cluster.NodeID
+	)
+	for _, cores := range sizes {
+		allocs, found := AllocateInto(dst, c, cores, blocked, prefer)
+		dst = allocs[:0]
+		partial, idle, ok := fr.Fit(cores)
+		if ok != found {
+			t.Fatalf("cores %d: Fit found = %v, AllocateInto %v", cores, ok, found)
+		}
+		if !found {
+			continue
+		}
+		var wantPartial []cluster.NodeID
+		wantIdle := 0
+		nodes = nodes[:0]
+		for _, a := range allocs {
+			nodes = append(nodes, a.Node)
+			if c.State(a.Node) == cluster.StateIdle {
+				wantIdle++
+			} else {
+				wantPartial = append(wantPartial, a.Node)
+			}
+		}
+		if idle != wantIdle || len(partial)+idle != len(allocs) || !slices.Equal(partial, wantPartial) {
+			t.Fatalf("cores %d: Fit takes partly used %v + %d idle, the allocation %v + %d idle (%d nodes)",
+				cores, partial, idle, wantPartial, wantIdle, len(allocs))
+		}
+		for _, f := range dvfs.CurieLadder() {
+			if got, want := c.OccupyDelta(partial, f)+c.IdleOccupyDelta(idle, f), c.OccupyDelta(nodes, f); got != want {
+				t.Fatalf("cores %d at %v: counted delta %v, per-node delta %v", cores, f, got, want)
+			}
+		}
+	}
+}
+
+// mutate applies one random effective cluster mutation — each kind the
+// generation must count.
+func mutate(t *testing.T, rng *rand.Rand, c *cluster.Cluster) {
+	t.Helper()
+	id := cluster.NodeID(rng.Intn(c.Nodes()))
+	per := c.Topology().CoresPerNode
+	var err error
+	switch free := c.FreeCores(id); {
+	case rng.Intn(4) == 0:
+		err = c.SetReserved(id, !c.Reserved(id))
+	case c.State(id) == cluster.StateOff:
+		err = c.PowerOn(id)
+	case c.State(id) == cluster.StateIdle && rng.Intn(2) == 0:
+		err = c.PowerOff(id)
+	case free > 0 && (free == per || rng.Intn(2) == 0):
+		err = c.Occupy(id, 1+rng.Intn(free), dvfs.F2000)
+	default:
+		err = c.Vacate(id, 1+rng.Intn(per-free), dvfs.F2000)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzFrontierMatchesAllocate is the differential test of the counting
+// probe against the materialising allocator, over random machine states
+// and filters (randomCluster, randomFilter: absent, full-length, shorter
+// than the cluster). Small machines are checked at every request size,
+// Curie at the small sizes and a random sample. It then mutates the
+// cluster and requires the generation to move and a Frontiers slot to
+// come back equal to a frontier built from scratch.
+func FuzzFrontierMatchesAllocate(f *testing.F) {
+	for topo := range diffTopologies {
+		f.Add(int64(topo+1), uint8(topo))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, machine uint8) {
+		topo := diffTopologies[int(machine)%len(diffTopologies)]
+		rng := rand.New(rand.NewSource(seed))
+		c := randomCluster(t, rng, topo)
+		blocked, prefer := randomFilter(rng, topo.Nodes()), randomFilter(rng, topo.Nodes())
+
+		var sizes []int
+		if most := topo.Cores() + 1; most <= 4096 { // one more than the machine holds
+			for cores := 0; cores <= most; cores++ {
+				sizes = append(sizes, cores)
+			}
+		} else {
+			for cores := 0; cores <= 2*topo.CoresPerNode+1; cores++ {
+				sizes = append(sizes, cores)
+			}
+			for i := 0; i < 48; i++ {
+				sizes = append(sizes, 1+rng.Intn(most))
+			}
+		}
+
+		var fr Frontier
+		fr.build(c, blocked, prefer)
+		checkFrontier(t, c, &fr, blocked, prefer, sizes)
+
+		// The cache: same state and same members (in another backing
+		// array) reuse the slot; any counted mutation retires it.
+		var fs Frontiers
+		first := fs.For(c, blocked)
+		if again := fs.For(c, append(cluster.NodeSet(nil), blocked...)); again != first || fs.Builds() != 1 {
+			t.Fatalf("unchanged cluster: %d builds, want the one frontier reused", fs.Builds())
+		}
+		for step := 0; step < 4; step++ {
+			gen := c.Generation()
+			mutate(t, rng, c)
+			if c.Generation() == gen {
+				t.Fatalf("mutation %d left the generation at %d", step, gen)
+			}
+			reused := fs.For(c, blocked)
+			var fresh Frontier
+			fresh.build(c, blocked, c.ReservedSet())
+			if reused.split != fresh.split || reused.idle != fresh.idle ||
+				!slices.Equal(reused.ids, fresh.ids) || !slices.Equal(reused.cum, fresh.cum) {
+				t.Fatalf("mutation %d: cached frontier %+v, fresh %+v", step, reused, fresh)
+			}
+		}
+		checkFrontier(t, c, fs.For(c, blocked), blocked, c.ReservedSet(), sizes)
+	})
+}

@@ -8,10 +8,10 @@
 // The package holds no state of its own — everything operates on the
 // caller's cluster and job slices — so it is safe for the parallel
 // sweeps of internal/experiment, where each worker drives its own
-// controller. The scratch-reusing variants (Orderer, AllocateInto,
-// ShadowTimeSorted) exist for the controller's hot scheduling pass:
-// they let one event loop reuse its buffers instead of allocating per
-// probe.
+// controller. The scratch-reusing variants (Orderer, Frontiers,
+// AllocateInto, ShadowTimeSorted) exist for the controller's hot
+// scheduling pass: they let one event loop reuse its buffers instead of
+// allocating per probe.
 package sched
 
 import (

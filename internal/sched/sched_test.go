@@ -121,9 +121,19 @@ func TestFairshareNoDecay(t *testing.T) {
 	}
 }
 
+// allocate is first fit without a preference into a fresh slice, nil
+// when the request cannot be satisfied.
+func allocate(c *cluster.Cluster, cores int, blocked cluster.NodeSet) []job.Alloc {
+	allocs, found := AllocateInto(nil, c, cores, blocked, nil)
+	if !found {
+		return nil
+	}
+	return allocs
+}
+
 func TestAllocateIdleNodes(t *testing.T) {
 	c := testCluster()
-	allocs := Allocate(c, 6, nil)
+	allocs := allocate(c, 6, nil)
 	if allocs == nil {
 		t.Fatal("allocation failed on an empty cluster")
 	}
@@ -146,7 +156,7 @@ func TestAllocatePrefersPartiallyUsed(t *testing.T) {
 	if err := c.Occupy(3, 2, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
-	allocs := Allocate(c, 2, nil)
+	allocs := allocate(c, 2, nil)
 	if len(allocs) != 1 || allocs[0].Node != 3 {
 		t.Errorf("allocation should fill the busy node first: %+v", allocs)
 	}
@@ -157,7 +167,7 @@ func TestAllocateSkipsIneligibleAndOff(t *testing.T) {
 	if err := c.PowerOff(0); err != nil {
 		t.Fatal(err)
 	}
-	allocs := Allocate(c, 4, cluster.NodeSetOf([]cluster.NodeID{1}))
+	allocs := allocate(c, 4, cluster.NodeSetOf([]cluster.NodeID{1}))
 	if allocs == nil {
 		t.Fatal("allocation failed")
 	}
@@ -170,17 +180,17 @@ func TestAllocateSkipsIneligibleAndOff(t *testing.T) {
 
 func TestAllocateInsufficient(t *testing.T) {
 	c := testCluster() // 24 cores total
-	if got := Allocate(c, 25, nil); got != nil {
+	if got := allocate(c, 25, nil); got != nil {
 		t.Errorf("oversized request satisfied: %+v", got)
 	}
-	if got := Allocate(c, 0, nil); got != nil {
+	if got := allocate(c, 0, nil); got != nil {
 		t.Errorf("zero request returned %+v", got)
 	}
 }
 
 func TestAllocateExactFit(t *testing.T) {
 	c := testCluster()
-	got := Allocate(c, 24, nil)
+	got := allocate(c, 24, nil)
 	if got == nil {
 		t.Fatal("whole-machine allocation failed")
 	}
@@ -287,7 +297,7 @@ func TestAllocateProperty(t *testing.T) {
 			}
 		}
 		need := int(req)%30 + 1
-		allocs := Allocate(c, need, nil)
+		allocs := allocate(c, need, nil)
 		free := c.Cores() - c.BusyCores() // no node is off
 		if allocs == nil {
 			return need > free
