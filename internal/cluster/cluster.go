@@ -9,9 +9,13 @@ import (
 
 // Cluster tracks the power-relevant state of every node and derives the
 // instantaneous cluster draw incrementally. All mutating operations are
-// O(1); reading the total power is O(1). The struct is not safe for
-// concurrent mutation; the RJMS controller serializes access (the
-// experiment harness runs many independent Clusters in parallel instead).
+// O(1); reading the total power is O(1). Per-node state is arrays and
+// bitsets only — a job start or finish touches every node it spans, so
+// nothing on that path hashes: each node caches its own draw and the
+// per-frequency core histogram is a handful of scanned entries. The
+// struct is not safe for concurrent mutation; the RJMS controller
+// serializes access (the experiment harness runs many independent
+// Clusters in parallel instead).
 type Cluster struct {
 	topo     Topology
 	profile  *power.Profile
@@ -28,11 +32,11 @@ type Cluster struct {
 	nFullOffChassis int
 	nFullOffRacks   int
 
-	counts       [3]int            // nodes per NodeState
-	busyCores    int               // cores currently allocated
-	coresByFreq  map[dvfs.Freq]int // allocated cores keyed by node frequency
-	reservedOff  int               // nodes flagged by switch-off reservations
-	reservedDraw float64           // sum over reserved nodes of draw-down
+	counts       [3]int      // nodes per NodeState
+	busyCores    int         // cores currently allocated
+	coresByFreq  []freqCores // allocated cores per node frequency; no zero entry
+	reservedOff  int         // nodes flagged by switch-off reservations
+	reservedDraw float64     // sum over reserved nodes of draw-down
 	maxPowerOnce power.Watts
 
 	// Allocation candidate indexes: busy nodes with at least one free
@@ -67,13 +71,13 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 		fullOffChassis:  make([]bool, topo.Chassis()),
 		offChassisCount: make([]int, topo.Racks),
 		fullOffRack:     make([]bool, topo.Racks),
-		coresByFreq:     make(map[dvfs.Freq]int),
 		partialBusy:     NewNodeSet(topo.Nodes()),
 		idleSet:         NewNodeSet(topo.Nodes()),
 		reserved:        NewNodeSet(topo.Nodes()),
 	}
 	for i := range c.nodes {
 		c.nodes[i].state = StateIdle
+		c.nodes[i].watts = float64(profile.Idle())
 		c.idleSet.Add(NodeID(i))
 	}
 	c.counts[StateIdle] = topo.Nodes()
@@ -123,45 +127,70 @@ func (c *Cluster) errID(id NodeID) error {
 	return fmt.Errorf("cluster: node %d out of range [0,%d)", id, len(c.nodes))
 }
 
-// draw returns the current contribution of one node, before group bonuses.
-func (c *Cluster) draw(n *node) float64 {
-	switch n.state {
+// stateDraw returns what a node in state st, charged at f while busy,
+// contributes before group bonuses — the value node.watts caches.
+func (c *Cluster) stateDraw(st NodeState, f dvfs.Freq) float64 {
+	switch st {
 	case StateOff:
 		return float64(c.profile.Down())
 	case StateIdle:
 		return float64(c.profile.Idle())
 	default:
-		return float64(c.profile.Busy(n.freq))
+		return float64(c.profile.Busy(f))
 	}
+}
+
+// freqCores is one bar of the cores-by-frequency histogram.
+type freqCores struct {
+	freq  dvfs.Freq
+	cores int
+}
+
+// addFreqCores moves the histogram bar of f by d cores. The live bars are
+// the few frequencies jobs currently run at, so a scan beats hashing; a
+// bar that reaches zero is dropped.
+func (c *Cluster) addFreqCores(f dvfs.Freq, d int) {
+	h := c.coresByFreq
+	for i := range h {
+		if h[i].freq != f {
+			continue
+		}
+		if h[i].cores += d; h[i].cores == 0 {
+			h[i] = h[len(h)-1]
+			c.coresByFreq = h[:len(h)-1]
+		}
+		return
+	}
+	c.coresByFreq = append(h, freqCores{freq: f, cores: d})
 }
 
 // transition moves node id to a new (state, freq) pair and maintains all
 // aggregates, including the chassis/rack full-off bonuses.
 func (c *Cluster) transition(id NodeID, st NodeState, f dvfs.Freq, usedCores int) {
 	n := &c.nodes[id]
-	before := c.draw(n)
+	before := n.watts
 	wasOff := n.state == StateOff
 	wasIdle := n.state == StateIdle
 	wasPartialBusy := n.state == StateBusy && n.usedCores < c.topo.CoresPerNode
 
 	// Core accounting keyed by node frequency.
 	if n.state == StateBusy {
-		c.coresByFreq[n.freq] -= n.usedCores
-		if c.coresByFreq[n.freq] == 0 {
-			delete(c.coresByFreq, n.freq)
-		}
+		c.addFreqCores(n.freq, -n.usedCores)
 		c.busyCores -= n.usedCores
 	}
 	c.counts[n.state]--
 	if st != n.state || usedCores != n.usedCores {
 		c.gen++
 	}
+	if st != n.state || f != n.freq {
+		n.watts = c.stateDraw(st, f)
+	}
 
 	n.state, n.freq, n.usedCores = st, f, usedCores
 
 	c.counts[st]++
 	if st == StateBusy {
-		c.coresByFreq[f] += usedCores
+		c.addFreqCores(f, usedCores)
 		c.busyCores += usedCores
 	}
 	if isIdle := st == StateIdle; isIdle != wasIdle {
@@ -178,9 +207,9 @@ func (c *Cluster) transition(id NodeID, st NodeState, f dvfs.Freq, usedCores int
 			c.partialBusy.Remove(id)
 		}
 	}
-	c.nodeWatts += c.draw(n) - before
+	c.nodeWatts += n.watts - before
 	if c.reserved.Has(id) {
-		c.reservedDraw += c.draw(n) - before
+		c.reservedDraw += n.watts - before
 	}
 
 	if isOff := st == StateOff; isOff != wasOff {
@@ -331,7 +360,7 @@ func (c *Cluster) SetReserved(id NodeID, v bool) error {
 	}
 	if c.reserved.Has(id) != v {
 		c.gen++
-		margin := c.draw(&c.nodes[id]) - float64(c.profile.Down())
+		margin := c.nodes[id].watts - float64(c.profile.Down())
 		if v {
 			c.reserved.Add(id)
 			c.reservedOff++
@@ -406,8 +435,8 @@ func (c *Cluster) BusyCores() int { return c.busyCores }
 // node frequency they are charged at (the Figure 6/7 core series).
 func (c *Cluster) CoresByFreq() map[dvfs.Freq]int {
 	out := make(map[dvfs.Freq]int, len(c.coresByFreq))
-	for f, n := range c.coresByFreq {
-		out[f] = n
+	for _, e := range c.coresByFreq {
+		out[e.freq] = e.cores
 	}
 	return out
 }
@@ -444,7 +473,8 @@ func (c *Cluster) IdlePower() power.Watts {
 // nodes "always pass the powercapping criteria"); idle nodes add
 // busy(f)-idle; busy nodes below f add the frequency uplift. Off nodes are
 // rejected by Occupy later, but contribute busy(f)-down here so callers
-// probing them see the true cost of powering on.
+// probing them see the true cost of powering on. All three are busy(f)
+// minus the node's cached draw.
 func (c *Cluster) OccupyDelta(ids []NodeID, f dvfs.Freq) power.Watts {
 	if f == 0 {
 		f = c.profile.Nominal()
@@ -455,16 +485,8 @@ func (c *Cluster) OccupyDelta(ids []NodeID, f dvfs.Freq) power.Watts {
 		if c.checkID(id) != nil {
 			continue
 		}
-		n := &c.nodes[id]
-		switch n.state {
-		case StateIdle:
-			d += target - float64(c.profile.Idle())
-		case StateOff:
-			d += target - float64(c.profile.Down())
-		default:
-			if n.freq < f {
-				d += target - float64(c.profile.Busy(n.freq))
-			}
+		if n := &c.nodes[id]; n.state != StateBusy || n.freq < f {
+			d += target - n.watts
 		}
 	}
 	return power.Watts(d)

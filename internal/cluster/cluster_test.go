@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -592,8 +593,91 @@ func TestNodeStateString(t *testing.T) {
 	}
 }
 
-// Property test: after any random sequence of operations the incremental
-// power equals the brute-force recomputation and counts are consistent.
+// curieBusyWatts is Figure 4 as the frequency→watts map the profile used
+// to keep — the oracle the cached per-node draws are held to.
+var curieBusyWatts = map[dvfs.Freq]float64{
+	dvfs.F1200: 193, dvfs.F1400: 213, dvfs.F1600: 234, dvfs.F1800: 248,
+	dvfs.F2000: 269, dvfs.F2200: 289, dvfs.F2400: 317, dvfs.F2700: 358,
+}
+
+// checkAggregatesBrute recomputes, from ForEach and the map above, every
+// aggregate the cluster maintains incrementally and every OccupyDelta it
+// would answer, and compares with ==: Curie draws are whole watts, so the
+// incremental float sums are exact.
+func checkAggregatesBrute(t *testing.T, c *Cluster) {
+	t.Helper()
+	const down, idle = 14.0, 117.0
+	topo, ov := c.Topology(), c.Overhead()
+	draw := func(n NodeInfo) float64 {
+		switch n.State {
+		case StateOff:
+			return down
+		case StateIdle:
+			return idle
+		}
+		return curieBusyWatts[n.Freq]
+	}
+	var nodes []NodeInfo
+	watts, reservedOn, busyCores := 0.0, 0.0, 0
+	byFreq := map[dvfs.Freq]int{}
+	offPerChassis := make([]int, topo.Chassis())
+	c.ForEach(func(n NodeInfo) bool {
+		nodes = append(nodes, n)
+		watts += draw(n)
+		if n.Reserved {
+			reservedOn += draw(n) - down
+		}
+		if n.State == StateBusy {
+			busyCores += n.UsedCores
+			byFreq[n.Freq] += n.UsedCores
+		}
+		if n.State == StateOff {
+			offPerChassis[topo.ChassisOf(n.ID)]++
+		}
+		return true
+	})
+	watts += ov.ChassisWatts*float64(topo.Chassis()) + ov.RackWatts*float64(topo.Racks)
+	fullPerRack := make([]int, topo.Racks)
+	for ch, off := range offPerChassis {
+		if off == topo.NodesPerChassis {
+			watts -= ov.ChassisWatts + down*float64(topo.NodesPerChassis)
+			fullPerRack[ch/topo.ChassisPerRack]++
+		}
+	}
+	for _, full := range fullPerRack {
+		if full == topo.ChassisPerRack {
+			watts -= ov.RackWatts
+		}
+	}
+
+	if got := float64(c.Power()); got != watts {
+		t.Errorf("Power() = %v, recomputed %v", got, watts)
+	}
+	if got := float64(c.ReservedOnWatts()); got != reservedOn {
+		t.Errorf("ReservedOnWatts() = %v, recomputed %v", got, reservedOn)
+	}
+	if got := c.BusyCores(); got != busyCores {
+		t.Errorf("BusyCores() = %d, recomputed %d", got, busyCores)
+	}
+	if got := c.CoresByFreq(); !reflect.DeepEqual(got, byFreq) {
+		t.Errorf("CoresByFreq() = %v, recomputed %v (no zero entries)", got, byFreq)
+	}
+	for _, f := range dvfs.CurieLadder() {
+		for _, n := range nodes {
+			want := curieBusyWatts[f] - draw(n)
+			if n.State == StateBusy && n.Freq >= f {
+				want = 0
+			}
+			if got := float64(c.OccupyDelta([]NodeID{n.ID}, f)); got != want {
+				t.Errorf("OccupyDelta(node %d %v at %v, %v) = %v, recomputed %v", n.ID, n.State, n.Freq, f, got, want)
+			}
+		}
+	}
+}
+
+// Property: after any sequence of operations the incremental power equals
+// the brute-force recomputation, and no cached per-node draw, histogram
+// bar or reserved margin has drifted from the node states.
 func TestPowerIncrementalMatchesBrute(t *testing.T) {
 	type op struct {
 		Kind  uint8
@@ -607,38 +691,47 @@ func TestPowerIncrementalMatchesBrute(t *testing.T) {
 		held := make(map[NodeID]int)
 		for _, o := range ops {
 			id := NodeID(int(o.Node) % c.Nodes())
-			switch o.Kind % 4 {
+			fr := ladder[int(o.Rung)%len(ladder)]
+			var err error
+			switch o.Kind % 6 {
 			case 0:
 				cores := int(o.Cores)%2 + 1
-				fr := ladder[int(o.Rung)%len(ladder)]
 				if c.FreeCores(id) >= cores && c.State(id) != StateOff {
-					if err := c.Occupy(id, cores, fr); err != nil {
-						return false
-					}
+					err = c.Occupy(id, cores, fr)
 					held[id] += cores
 				}
 			case 1:
-				if held[id] > 0 {
-					if err := c.Vacate(id, held[id], 0); err != nil {
-						return false
+				// All of the node's cores, or one of them with the rest
+				// re-charged at fr.
+				if cores := held[id]; cores > 0 {
+					if o.Cores%2 == 0 {
+						cores = 1
 					}
-					delete(held, id)
+					err = c.Vacate(id, cores, fr)
+					held[id] -= cores
 				}
 			case 2:
 				if c.State(id) == StateIdle {
-					if err := c.PowerOff(id); err != nil {
-						return false
-					}
+					err = c.PowerOff(id)
 				}
 			case 3:
 				if c.State(id) == StateOff {
-					if err := c.PowerOn(id); err != nil {
-						return false
-					}
+					err = c.PowerOn(id)
 				}
+			case 4:
+				if c.State(id) == StateBusy {
+					err = c.SetFreq(id, fr)
+				}
+			case 5:
+				err = c.SetReserved(id, o.Cores%2 == 0)
+			}
+			if err != nil {
+				t.Error(err)
+				return false
 			}
 		}
-		return math.Abs(float64(c.Power()-brutePower(c))) < 1e-6
+		checkAggregatesBrute(t, c)
+		return !t.Failed() && math.Abs(float64(c.Power()-brutePower(c))) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -41,6 +41,7 @@ type node struct {
 	state     NodeState
 	freq      dvfs.Freq // frequency charged while busy (highest among jobs)
 	usedCores int       // cores currently allocated
+	watts     float64   // draw before group bonuses; transition rewrites it when state or freq changes
 }
 
 // NodeInfo is the read-only view of one node handed to callers.

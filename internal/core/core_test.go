@@ -347,24 +347,6 @@ func TestSelectFreqPartialNodeFreeRide(t *testing.T) {
 	}
 }
 
-func TestOptimalClusterFreq(t *testing.T) {
-	c := smallCurie()
-	pm := CuriePolicyModel(PolicyDvfs)
-	if f, ok := OptimalClusterFreq(c, pm, power.NoCap); !ok || f != dvfs.F2700 {
-		t.Errorf("uncapped optimal = %v,%v", f, ok)
-	}
-	// Budget = all nodes busy at 2.0 GHz plus overheads.
-	budget := wattsAllBusy(c, c.Profile().Busy(dvfs.F2000))
-	f, ok := OptimalClusterFreq(c, pm, power.CapWatts(budget))
-	if !ok || f != dvfs.F2000 {
-		t.Errorf("optimal = %v,%v want 2.0 GHz", f, ok)
-	}
-	// Budget below all-idle: impossible.
-	if _, ok := OptimalClusterFreq(c, pm, power.CapWatts(1)); ok {
-		t.Error("impossible budget reported feasible")
-	}
-}
-
 func TestCuriePolicyModelMixFloorConstant(t *testing.T) {
 	if DefaultMixFloor != dvfs.F2000 {
 		t.Errorf("DefaultMixFloor = %v", DefaultMixFloor)

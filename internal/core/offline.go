@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/cluster"
 	"repro/internal/dvfs"
 	"repro/internal/power"
@@ -136,11 +138,13 @@ func selectForSaving(c *cluster.Cluster, busy power.Watts, need power.Watts, gro
 		}
 		sel = more
 	}
-	// Trim trailing nodes while the saving still meets the need. The
-	// grouped selector appends loose single nodes last, so trimming from
-	// the tail removes exactly the nodes the bonus made redundant.
-	for len(sel) > 0 && cluster.PlannedSaving(c, sel[:len(sel)-1], busy) >= need {
-		sel = sel[:len(sel)-1]
-	}
-	return sel
+	// Keep the shortest prefix whose saving still meets the need. The
+	// grouped selector appends loose single nodes last, so cutting the
+	// tail removes exactly the nodes the bonus made redundant. A prefix
+	// saves more the longer it is — each node sheds perNode > 0, the
+	// selectors repeat none, and a bonus is never negative — so the cut is
+	// found by bisection instead of one PlannedSaving per dropped node.
+	return sel[:sort.Search(len(sel), func(k int) bool {
+		return cluster.PlannedSaving(c, sel[:k], busy) >= need
+	})]
 }

@@ -22,9 +22,8 @@ func SelectFreq(pm PolicyModel, admit func(dvfs.Freq) bool) (dvfs.Freq, bool) {
 	if pm.Policy == PolicyNone {
 		return pm.Ladder.Max(), true
 	}
-	// Descending index walk, not Ladder.Descending(): this probe runs
-	// per backfill candidate and the reversed-copy allocation dominated
-	// the scheduler's heap churn.
+	// Walk the ascending ladder from its top by index: this probe runs per
+	// backfill candidate and must not allocate.
 	for i := len(pm.Ladder) - 1; i >= 0; i-- {
 		if admit(pm.Ladder[i]) {
 			return pm.Ladder[i], true
@@ -48,25 +47,4 @@ func SelectFreqUnderCap(c *cluster.Cluster, pm PolicyModel, nodes []cluster.Node
 	return SelectFreq(pm, func(f dvfs.Freq) bool {
 		return capFor(f).Allows(c.Power() + c.OccupyDelta(nodes, f))
 	})
-}
-
-// OptimalClusterFreq returns the highest ladder frequency at which every
-// currently idle node could be put to work while the cluster stays within
-// the budget — the "optimal CPU frequency" notion of Section IV-B the
-// scheduler reasons about between jobs. Returns false when even the
-// minimum frequency would blow the budget.
-func OptimalClusterFreq(c *cluster.Cluster, pm PolicyModel, budget power.Cap) (dvfs.Freq, bool) {
-	if !budget.IsSet() {
-		return pm.Ladder.Max(), true
-	}
-	prof := c.Profile()
-	idle := c.Count(cluster.StateIdle)
-	current := c.Power()
-	for _, f := range pm.Ladder.Descending() {
-		delta := power.Watts(float64(idle) * float64(prof.Busy(f)-prof.Idle()))
-		if budget.Allows(current + delta) {
-			return f, true
-		}
-	}
-	return 0, false
 }

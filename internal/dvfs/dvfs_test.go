@@ -84,18 +84,6 @@ func TestLadderClamp(t *testing.T) {
 	}
 }
 
-func TestLadderDescending(t *testing.T) {
-	d := CurieLadder().Descending()
-	if d[0] != F2700 || d[len(d)-1] != F1200 {
-		t.Fatalf("Descending = %v", d)
-	}
-	for i := 1; i < len(d); i++ {
-		if d[i] >= d[i-1] {
-			t.Fatalf("Descending not strictly decreasing at %d: %v", i, d)
-		}
-	}
-}
-
 func TestParseFreq(t *testing.T) {
 	cases := []struct {
 		in   string

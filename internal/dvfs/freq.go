@@ -144,16 +144,6 @@ func (l Ladder) Clamp(f Freq) Freq {
 	return l[i-1]
 }
 
-// Descending returns a copy of the ladder sorted from the nominal frequency
-// downwards, the order in which the online algorithm probes frequencies.
-func (l Ladder) Descending() []Freq {
-	out := make([]Freq, len(l))
-	for i, f := range l {
-		out[len(l)-1-i] = f
-	}
-	return out
-}
-
 // Clone returns an independent copy of the ladder.
 func (l Ladder) Clone() Ladder {
 	out := make(Ladder, len(l))

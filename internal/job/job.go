@@ -77,7 +77,11 @@ type Job struct {
 	Freq      dvfs.Freq // frequency assigned at launch (0 until then)
 	StartTime int64     // launch time (meaningful once running)
 	EndTime   int64     // completion/kill time (once terminated)
-	Allocs    []Alloc   // node/core allocation while running
+	// Allocs is the node/core allocation, valid while the job runs and
+	// only then: the controller builds it at start in a slice it recycles
+	// at finish, when the field goes back to nil. Whoever needs it past
+	// the job's end copies it while the job is running (Clone does).
+	Allocs []Alloc
 }
 
 // Validate reports structural problems with a job record.

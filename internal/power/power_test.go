@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,63 @@ func TestCurieProfileIntegralWatts(t *testing.T) {
 	for name, w := range draws {
 		if w != Watts(math.Trunc(float64(w))) || w < 0 || w > 1e6 {
 			t.Errorf("%s draw %v is not a whole number of watts", name, float64(w))
+		}
+	}
+}
+
+// busyMapRef is Busy as it was while the profile kept a frequency→watts
+// map: exact hit, clamp, or a binary search for the interpolation pair.
+// Kept as the oracle for the slice scan that replaced it.
+func busyMapRef(freqW map[dvfs.Freq]Watts, f dvfs.Freq) Watts {
+	order := make([]dvfs.Freq, 0, len(freqW))
+	for k := range freqW {
+		order = append(order, k)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	if f == 0 {
+		return freqW[order[len(order)-1]]
+	}
+	if w, ok := freqW[f]; ok {
+		return w
+	}
+	lo, hi := order[0], order[len(order)-1]
+	if f <= lo {
+		return freqW[lo]
+	}
+	if f >= hi {
+		return freqW[hi]
+	}
+	i := sort.Search(len(order), func(i int) bool { return order[i] > f })
+	a, b := order[i-1], order[i]
+	wa, wb := freqW[a], freqW[b]
+	t := float64(f-a) / float64(b-a)
+	return wa + Watts(t*float64(wb-wa))
+}
+
+func TestProfileBusyMatchesMapLookup(t *testing.T) {
+	for name, freqW := range map[string]map[dvfs.Freq]Watts{
+		"curie": {
+			dvfs.F1200: 193, dvfs.F1400: 213, dvfs.F1600: 234, dvfs.F1800: 248,
+			dvfs.F2000: 269, dvfs.F2200: 289, dvfs.F2400: 317, dvfs.F2700: 358,
+		},
+		"one rung": {dvfs.F2000: 250},
+		"uneven":   {1300: 150.5, 1750: 201.25, 2900: 333.125},
+	} {
+		p, err := NewProfile(10, 100, freqW)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		probes := []dvfs.Freq{0}
+		for f := range freqW {
+			probes = append(probes, f)
+		}
+		for f := dvfs.Freq(1000); f <= 3000; f += 50 {
+			probes = append(probes, f)
+		}
+		for _, f := range probes {
+			if got, want := p.Busy(f), busyMapRef(freqW, f); got != want {
+				t.Errorf("%s: Busy(%d) = %v, map lookup gives %v", name, int(f), float64(got), float64(want))
+			}
 		}
 	}
 }

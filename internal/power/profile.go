@@ -11,11 +11,13 @@ import (
 // the SLURM parameters DownWatts, IdleWatts, MaxWatts and CpuFreqXWatts of
 // Section V of the paper. Draws for intermediate frequencies that were not
 // measured are linearly interpolated between the nearest configured rungs.
+// The rungs are two short parallel slices, not a map: Busy runs for every
+// node a job start, finish or power check touches.
 type Profile struct {
-	down  Watts // node switched off (BMC still powered)
-	idle  Watts // node powered on, no job
-	freqW map[dvfs.Freq]Watts
-	order []dvfs.Freq // ascending keys of freqW
+	down  Watts       // node switched off (BMC still powered)
+	idle  Watts       // node powered on, no job
+	order []dvfs.Freq // configured frequencies, ascending
+	watts []Watts     // watts[i] is the busy draw at order[i]
 }
 
 // NewProfile builds a profile. freqW must contain at least one frequency;
@@ -40,19 +42,16 @@ func NewProfile(down, idle Watts, freqW map[dvfs.Freq]Watts) (*Profile, error) {
 		order = append(order, f)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	watts := make([]Watts, len(order))
 	prev := idle
-	for _, f := range order {
+	for i, f := range order {
 		w := freqW[f]
 		if w < prev {
 			return nil, fmt.Errorf("power: draw %v at %v below previous %v (non-monotonic)", w, f, prev)
 		}
-		prev = w
+		watts[i], prev = w, w
 	}
-	m := make(map[dvfs.Freq]Watts, len(freqW))
-	for f, w := range freqW {
-		m[f] = w
-	}
-	return &Profile{down: down, idle: idle, freqW: m, order: order}, nil
+	return &Profile{down: down, idle: idle, order: order, watts: watts}, nil
 }
 
 // CurieProfile returns the measured Curie node profile of Figure 4:
@@ -84,11 +83,11 @@ func (p *Profile) Idle() Watts { return p.idle }
 
 // Max returns the draw of a fully busy node at nominal frequency
 // (the MaxWatts controller parameter).
-func (p *Profile) Max() Watts { return p.freqW[p.order[len(p.order)-1]] }
+func (p *Profile) Max() Watts { return p.watts[len(p.watts)-1] }
 
 // MinBusy returns the draw of a busy node at the lowest configured
 // frequency.
-func (p *Profile) MinBusy() Watts { return p.freqW[p.order[0]] }
+func (p *Profile) MinBusy() Watts { return p.watts[0] }
 
 // Nominal returns the highest configured frequency.
 func (p *Profile) Nominal() dvfs.Freq { return p.order[len(p.order)-1] }
@@ -110,19 +109,20 @@ func (p *Profile) Busy(f dvfs.Freq) Watts {
 	if f == 0 {
 		return p.Max()
 	}
-	if w, ok := p.freqW[f]; ok {
-		return w
+	// Scan from the top: nominal is the common case and there are at most
+	// a handful of rungs. i ends at the highest rung not above f.
+	i := len(p.order) - 1
+	for i >= 0 && p.order[i] > f {
+		i--
 	}
-	lo, hi := p.order[0], p.order[len(p.order)-1]
-	if f <= lo {
-		return p.freqW[lo]
+	if i < 0 {
+		return p.watts[0]
 	}
-	if f >= hi {
-		return p.freqW[hi]
+	if p.order[i] == f || i == len(p.order)-1 {
+		return p.watts[i]
 	}
-	i := sort.Search(len(p.order), func(i int) bool { return p.order[i] > f })
-	a, b := p.order[i-1], p.order[i]
-	wa, wb := p.freqW[a], p.freqW[b]
+	a, b := p.order[i], p.order[i+1]
+	wa, wb := p.watts[i], p.watts[i+1]
 	t := float64(f-a) / float64(b-a)
 	return wa + Watts(t*float64(wb-wa))
 }

@@ -3,6 +3,7 @@ package rjms
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cluster"
@@ -36,15 +37,21 @@ type Controller struct {
 	fairshare *sched.Fairshare
 	weights   sched.MultifactorWeights
 
+	// allocFree recycles the Allocs slices of finished jobs: bucket k
+	// holds slices with room for at least 1<<k entries. A start takes one
+	// from the bucket of its node count, a finish returns it, so the
+	// slices kept never outnumber the allocations that ran at once.
+	allocFree [bits.UintSize][][]job.Alloc
+
 	// offPending holds reserved nodes that were busy when their
 	// switch-off window opened; they power down as their jobs drain.
-	offPending map[cluster.NodeID]bool
+	offPending cluster.NodeSet
 
 	// failed holds nodes taken out by an injected failure (FailNode);
 	// they stay off — windowClose must not power them back on — until
 	// RepairNode returns them. requeueSeq numbers the fresh IDs of
 	// requeued victim clones deterministically.
-	failed     map[cluster.NodeID]bool
+	failed     cluster.NodeSet
 	requeueSeq int64
 
 	horizon    int64
@@ -143,8 +150,8 @@ func New(cfg Config) (*Controller, error) {
 		nodeJobs:   make([][]nodeJobEntry, cfg.Topology.Nodes()),
 		fairshare:  sched.NewFairshare(fairshareHalfLife),
 		weights:    sched.DefaultMultifactor(cfg.Topology.Cores()),
-		offPending: map[cluster.NodeID]bool{},
-		failed:     map[cluster.NodeID]bool{},
+		offPending: cluster.NewNodeSet(cfg.Topology.Nodes()),
+		failed:     cluster.NewNodeSet(cfg.Topology.Nodes()),
 	}
 	if cfg.MeasuredNoise > 0 {
 		sensor, err := powerlog.NewSensor(cfg.MeasuredPowerSeed, cfg.MeasuredNoise, 0)
@@ -479,7 +486,7 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 	if int(id) < 0 || int(id) >= len(c.nodeJobs) {
 		return fmt.Errorf("rjms: fail node %d: no such node", id)
 	}
-	if c.failed[id] {
+	if c.failed.Has(id) {
 		return fmt.Errorf("rjms: fail node %d: already failed", id)
 	}
 	now := c.eng.Now()
@@ -510,7 +517,7 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 	if err := c.clus.PowerOff(id); err != nil {
 		return fmt.Errorf("rjms: fail node %d: %w", id, err)
 	}
-	c.failed[id] = true
+	c.failed.Add(id)
 	c.invalidatePassMemo()
 	c.survivorFresh = false
 	c.futureFreqMemo.Invalidate()
@@ -526,11 +533,11 @@ func (c *Controller) RepairNode(id cluster.NodeID) error {
 	if int(id) < 0 || int(id) >= len(c.nodeJobs) {
 		return fmt.Errorf("rjms: repair node %d: no such node", id)
 	}
-	if !c.failed[id] {
+	if !c.failed.Has(id) {
 		return fmt.Errorf("rjms: repair node %d: not failed", id)
 	}
 	now := c.eng.Now()
-	delete(c.failed, id)
+	c.failed.Remove(id)
 	if !c.clus.Reserved(id) {
 		_ = c.clus.PowerOn(id)
 	}
@@ -544,15 +551,16 @@ func (c *Controller) RepairNode(id cluster.NodeID) error {
 
 // NodeFailed reports whether the node is currently failure-injected —
 // the invariant checker's hook for the kill path.
-func (c *Controller) NodeFailed(id cluster.NodeID) bool { return c.failed[id] }
+func (c *Controller) NodeFailed(id cluster.NodeID) bool { return c.failed.Has(id) }
 
 // FailedNodes returns the failure-injected nodes, sorted.
 func (c *Controller) FailedNodes() []cluster.NodeID {
-	out := make([]cluster.NodeID, 0, len(c.failed))
-	for id := range c.failed {
-		out = append(out, id)
+	out := []cluster.NodeID{}
+	for id := cluster.NodeID(0); int(id) < c.clus.Nodes(); id++ {
+		if c.failed.Has(id) {
+			out = append(out, id)
+		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
 	return out
 }
 
@@ -711,7 +719,7 @@ func (c *Controller) windowOpen(nodes []cluster.NodeID, now int64) {
 				continue
 			}
 		case cluster.StateBusy:
-			c.offPending[id] = true
+			c.offPending.Add(id)
 		}
 	}
 	c.noteState(now)
@@ -723,10 +731,10 @@ func (c *Controller) windowOpen(nodes []cluster.NodeID, now int64) {
 func (c *Controller) windowClose(nodes []cluster.NodeID, now int64) {
 	c.invalidatePassMemo()
 	for _, id := range nodes {
-		delete(c.offPending, id)
+		c.offPending.Remove(id)
 		// A failed node stays off past its window; RepairNode brings
 		// it back.
-		if !c.failed[id] {
+		if !c.failed.Has(id) {
 			_ = c.clus.PowerOn(id)
 		}
 		_ = c.clus.SetReserved(id, false)
@@ -763,12 +771,13 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 			panic(fmt.Sprintf("rjms: vacate inconsistency for job %d node %d: %v", j.ID, a.Node, err))
 		}
 		// Drain-to-off: reserved node freed inside its window.
-		if c.offPending[a.Node] && c.clus.State(a.Node) == cluster.StateIdle {
+		if c.offPending.Has(a.Node) && c.clus.State(a.Node) == cluster.StateIdle {
 			if err := c.clus.PowerOff(a.Node); err == nil {
-				delete(c.offPending, a.Node)
+				c.offPending.Remove(a.Node)
 			}
 		}
 	}
+	c.recycleAllocs(j)
 	if killed {
 		j.State = job.StateKilled
 	} else {
@@ -908,16 +917,38 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 	return planned{nodes: len(c.planNodes) + c.planIdle, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
 }
 
+// takeAllocs returns an empty slice with room for n entries, off the
+// free list when a finished job left one of that class.
+func (c *Controller) takeAllocs(n int) []job.Alloc {
+	k := bits.Len(uint(n - 1))
+	if free := c.allocFree[k]; len(free) > 0 {
+		s := free[len(free)-1]
+		c.allocFree[k] = free[:len(free)-1]
+		return s
+	}
+	return make([]job.Alloc, 0, 1<<k)
+}
+
+// recycleAllocs ends a running job's allocation: the slice goes back to
+// the free list, filed under the largest class it can serve (the compact
+// allocator's slices have any capacity), and the job forgets it.
+func (c *Controller) recycleAllocs(j *job.Job) {
+	k := bits.Len(uint(cap(j.Allocs))) - 1
+	c.allocFree[k] = append(c.allocFree[k], j.Allocs[:0])
+	j.Allocs = nil
+}
+
 // commit starts j as planned. This is the one place an allocation is
-// built, straight into the slice the job owns; it must come out as the
-// probe counted it and occupy cleanly — anything else is a bug.
+// built, straight into a slice the job owns until it finishes; it must
+// come out as the probe counted it and occupy cleanly — anything else is
+// a bug.
 func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	c.invalidatePassMemo()
 	c.statStarts++
 	if blocked := c.blockedFor(j, now); c.compactPlacement() {
 		j.Allocs = sched.AllocateCompact(c.clus, j.Cores, blocked)
 	} else {
-		j.Allocs, _ = sched.AllocateInto(make([]job.Alloc, 0, pl.nodes), c.clus, j.Cores, blocked, c.clus.ReservedSet())
+		j.Allocs, _ = sched.AllocateInto(c.takeAllocs(pl.nodes), c.clus, j.Cores, blocked, c.clus.ReservedSet())
 	}
 	if len(j.Allocs) != pl.nodes {
 		panic(fmt.Sprintf("rjms: job %d probed onto %d nodes, allocated on %d", j.ID, pl.nodes, len(j.Allocs)))

@@ -1,6 +1,7 @@
 package rjms
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -13,16 +14,19 @@ import (
 )
 
 // Probes build no allocation; commit builds the one the probe counted,
-// straight into a slice the started job owns — exactly as long as the
-// allocation, and out of reach of every later probe.
+// straight into a slice the started job owns until it finishes — sized to
+// the power-of-two class of its node count, out of reach of every later
+// probe, and untouched when another job's finish hands its own slice to a
+// later start.
 func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	c := mustNew(t, tinyConfig(core.PolicyNone))
 	jobs := []*job.Job{
-		{ID: 1, User: "a", Cores: 8, Submit: 0, Runtime: 90, Walltime: 100},  // head: starts on nodes 0,1
+		{ID: 1, User: "a", Cores: 12, Submit: 0, Runtime: 90, Walltime: 100}, // head: starts on nodes 0,1,2
 		{ID: 2, User: "b", Cores: 48, Submit: 0, Runtime: 50, Walltime: 50},  // blocked: shadow at t=100
-		{ID: 3, User: "c", Cores: 4, Submit: 0, Runtime: 500, Walltime: 500}, // probe succeeds (node 2), shadow refuses
-		{ID: 4, User: "d", Cores: 4, Submit: 0, Runtime: 20, Walltime: 50},   // backfills on node 2
+		{ID: 3, User: "c", Cores: 4, Submit: 0, Runtime: 500, Walltime: 500}, // probe succeeds (node 3), shadow refuses
+		{ID: 4, User: "d", Cores: 4, Submit: 0, Runtime: 20, Walltime: 50},   // backfills on node 3
 		{ID: 5, User: "e", Cores: 12, Submit: 0, Runtime: 500, Walltime: 500},
+		{ID: 6, User: "f", Cores: 4, Submit: 30, Runtime: 20, Walltime: 50}, // backfills on node 3 once job 4 is gone
 	}
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
@@ -36,31 +40,232 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	if len(c.running) != 2 || c.running[1] == nil || c.running[4] == nil {
 		t.Fatalf("running = %v, want jobs 1 and 4", c.running)
 	}
-	check := func(when string) {
+	check := func(when string, want map[job.ID][]job.Alloc) {
 		t.Helper()
-		for id, want := range map[job.ID][]job.Alloc{
-			1: {{Node: 0, Cores: 4}, {Node: 1, Cores: 4}},
-			4: {{Node: 2, Cores: 4}},
-		} {
+		for id, allocs := range want {
 			got := c.running[id].Allocs
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: job %d allocs = %v, want %v", when, id, got, want)
+			if !reflect.DeepEqual(got, allocs) {
+				t.Errorf("%s: job %d allocs = %v, want %v", when, id, got, allocs)
 			}
-			if cap(got) != len(got) {
-				t.Errorf("%s: job %d allocs have len %d in cap %d, want an exact-size slice", when, id, len(got), cap(got))
+			if class := 1 << bits.Len(uint(len(got)-1)); cap(got) != class {
+				t.Errorf("%s: job %d allocs have len %d in cap %d, want the class capacity %d", when, id, len(got), cap(got), class)
 			}
 		}
 	}
-	check("after the pass")
+	head := []job.Alloc{{Node: 0, Cores: 4}, {Node: 1, Cores: 4}, {Node: 2, Cores: 4}}
+	started := map[job.ID][]job.Alloc{1: head, 4: {{Node: 3, Cores: 4}}}
+	check("after the pass", started)
 	for _, j := range c.pending {
 		c.plan(j, 0)
 	}
 	c.invalidatePassMemo()
 	c.pass(0)
-	check("after later probes")
+	check("after later probes", started)
 	if a, b := c.running[1].Allocs, c.running[4].Allocs; &a[0] == &b[0] {
 		t.Error("two started jobs share one allocation array")
 	}
+
+	// Job 4 ends at t=20; job 6 arrives at t=30 and takes over its node —
+	// and its slice.
+	freed := &c.running[4].Allocs[0]
+	if err := c.Advance(30); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.running) != 2 || c.running[6] == nil {
+		t.Fatalf("running = %v, want jobs 1 and 6", c.running)
+	}
+	check("after a finish and a later start", map[job.ID][]job.Alloc{1: head, 6: {{Node: 3, Cores: 4}}})
+	if &c.running[6].Allocs[0] != freed {
+		t.Error("the later start did not reuse the slice the finished job gave back")
+	}
+}
+
+// freeAllocs lists the backing arrays on the controller's free list.
+func freeAllocs(c *Controller) []*job.Alloc {
+	var out []*job.Alloc
+	for _, bucket := range c.allocFree {
+		for _, s := range bucket {
+			out = append(out, &s[:1][0])
+		}
+	}
+	return out
+}
+
+// A job's allocation is valid while it runs and recycled when it ends:
+// once the free list is warm no start allocates a slice, a finished or
+// killed job keeps none, and no two running jobs ever share one.
+func TestStartFinishRecyclesAllocs(t *testing.T) {
+	t.Run("steady stream", func(t *testing.T) {
+		c := mustNew(t, tinyConfig(core.PolicyNone))
+		if err := c.Start(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		// Each cycle runs three 3-node jobs side by side and drains them;
+		// once warm is set, every start must come off the free list.
+		var warm map[*job.Alloc]bool
+		var last []*job.Job
+		nextID := job.ID(1)
+		cycle := func() {
+			now := c.Now()
+			last = last[:0]
+			for i := 0; i < 3; i++ {
+				j := &job.Job{ID: nextID, User: "u", Cores: 12, Submit: now, Runtime: 10, Walltime: 10}
+				nextID++
+				last = append(last, j)
+				c.submit(j, now)
+			}
+			c.pass(now)
+			for _, j := range last {
+				if j.State != job.StateRunning || len(j.Allocs) != 3 {
+					t.Fatalf("job %d is %v on %d nodes, want running on 3", j.ID, j.State, len(j.Allocs))
+				}
+				if warm != nil && !warm[&j.Allocs[0]] {
+					t.Fatalf("job %d did not start on a recycled slice", j.ID)
+				}
+			}
+			if err := c.Advance(now + 10); err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range last {
+				if j.State != job.StateCompleted || j.Allocs != nil {
+					t.Fatalf("finished job %d is %v with allocs %v, want completed with none", j.ID, j.State, j.Allocs)
+				}
+			}
+		}
+		cycle() // three class-4 slices end up on the free list
+		warm = map[*job.Alloc]bool{}
+		for _, p := range freeAllocs(c) {
+			warm[p] = true
+		}
+		if len(warm) != 3 {
+			t.Fatalf("%d slices on the free list after the warm-up, want 3", len(warm))
+		}
+		const runs = 20
+		perCycle := testing.AllocsPerRun(runs, cycle)
+		after := freeAllocs(c)
+		if len(after) != len(warm) {
+			t.Errorf("%d slices on the free list after %d cycles, want the %d of the warm-up", len(after), runs+1, len(warm))
+		}
+		for _, p := range after {
+			if !warm[p] {
+				t.Error("a slice allocated after the warm-up is on the free list")
+			}
+		}
+		// What a start/finish still allocates is the job record this test
+		// builds and the end-event closure; a slice per start would make
+		// it three objects a job.
+		t.Logf("a cycle of 3 jobs allocates %v objects", perCycle)
+		if perCycle >= 3*3 {
+			t.Errorf("a cycle of 3 jobs allocates %v objects, want fewer than %d", perCycle, 3*3)
+		}
+	})
+
+	t.Run("capped replay", func(t *testing.T) {
+		topo := cluster.CurieTopology()
+		topo.Racks = 4
+		wl := trace.Config{Kind: trace.MedianJob, Seed: 3, Cores: topo.Cores()}
+		dur := wl.Kind.Duration()
+		jobs, err := trace.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mustNew(t, Config{Topology: topo, Policy: core.PolicyShut})
+		if err := c.LoadWorkload(jobs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReservePowerCap((dur-3600)/2, (dur+3600)/2, power.CapFraction(0.5, c.clus.MaxPower())); err != nil {
+			t.Fatal(err)
+		}
+		owner := map[*job.Alloc]job.ID{} // last job seen on each backing array
+		samples, reused, most := 0, 0, 0
+		c.SetObserver(func(now int64) {
+			samples++
+			if len(c.running) > most {
+				most = len(c.running)
+			}
+			seen := map[*job.Alloc]job.ID{}
+			perNode := make([]int, topo.Nodes())
+			for id, j := range c.running {
+				p := &j.Allocs[0]
+				if other, dup := seen[p]; dup {
+					t.Errorf("t=%d: running jobs %d and %d share one allocation array", now, id, other)
+				}
+				seen[p] = id
+				if prev, ok := owner[p]; ok && prev != id {
+					reused++
+				}
+				owner[p] = id
+				for _, a := range j.Allocs {
+					perNode[a.Node] += a.Cores
+				}
+			}
+			c.clus.ForEach(func(n cluster.NodeInfo) bool {
+				if perNode[n.ID] != n.UsedCores {
+					t.Errorf("t=%d: node %d books %d cores, running jobs hold %d", now, n.ID, n.UsedCores, perNode[n.ID])
+				}
+				return !t.Failed()
+			})
+		})
+		sum, err := c.Run(dur)
+		if err != nil || sum.JobsCompleted == 0 {
+			t.Fatalf("replay completed %d jobs, err %v", sum.JobsCompleted, err)
+		}
+		t.Logf("%d samples, at most %d jobs running, %d sightings of a slice under a new job, %d slices retained",
+			samples, most, reused, len(freeAllocs(c))+len(c.running))
+		if samples < 100 || most < 2 || reused == 0 {
+			t.Errorf("%d samples, at most %d running, %d reuses: the replay does not exercise recycling", samples, most, reused)
+		}
+	})
+
+	t.Run("failed node", func(t *testing.T) {
+		c := mustNew(t, tinyConfig(core.PolicyNone))
+		if err := c.Start(1000); err != nil {
+			t.Fatal(err)
+		}
+		victims := []*job.Job{
+			{ID: 1, User: "a", Cores: 2, Submit: 0, Runtime: 500, Walltime: 500}, // node 0
+			{ID: 2, User: "b", Cores: 6, Submit: 0, Runtime: 500, Walltime: 500}, // nodes 0, 1
+		}
+		bystander := &job.Job{ID: 3, User: "c", Cores: 8, Submit: 0, Runtime: 500, Walltime: 500} // nodes 1..3
+		for _, j := range append(victims, bystander) {
+			c.submit(j, 0)
+		}
+		c.pass(0)
+		if len(c.running) != 3 || len(freeAllocs(c)) != 0 {
+			t.Fatalf("%d running, %d free slices; want 3 and 0", len(c.running), len(freeAllocs(c)))
+		}
+		held := map[*job.Alloc]bool{&victims[0].Allocs[0]: true, &victims[1].Allocs[0]: true}
+		kept := append([]job.Alloc(nil), bystander.Allocs...)
+		if err := c.FailNode(0); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range victims {
+			if j.State != job.StateKilled || j.Allocs != nil {
+				t.Errorf("victim %d is %v with allocs %v, want killed with none", j.ID, j.State, j.Allocs)
+			}
+		}
+		free := freeAllocs(c)
+		if len(free) != len(victims) {
+			t.Errorf("%d slices on the free list, want one per victim (%d)", len(free), len(victims))
+		}
+		for _, p := range free {
+			if !held[p] {
+				t.Error("a slice on the free list is no victim's, or one victim's is there twice")
+			}
+			delete(held, p)
+		}
+		if len(c.pending) != len(victims) {
+			t.Fatalf("%d jobs requeued, want %d", len(c.pending), len(victims))
+		}
+		for _, j := range c.pending {
+			if j.State != job.StatePending || j.Allocs != nil {
+				t.Errorf("requeued clone %d is %v with allocs %v, want pending with none", j.ID, j.State, j.Allocs)
+			}
+		}
+		if bystander.State != job.StateRunning || !reflect.DeepEqual(bystander.Allocs, kept) {
+			t.Errorf("bystander is %v on %v, want running on %v", bystander.State, bystander.Allocs, kept)
+		}
+	})
 }
 
 // backlogged builds a 180-node SHUT controller at t=10 whose pass probes
@@ -288,9 +493,10 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 // seed 3, 4 racks, SHUT at a 50 % cap over the middle hour), workload
 // generation included as there. 105 547 objects before the probes
 // stopped copying, 21 478 after, 17 572 once submissions were always
-// streamed; the ceiling keeps the diet from regressing silently.
+// streamed, 15.7 k now that a start takes its allocation off the free
+// list; the ceiling keeps the diet from regressing silently.
 func TestSchedulePassAllocCeiling(t *testing.T) {
-	const ceiling = 19000
+	const ceiling = 17000
 	topo := cluster.CurieTopology()
 	topo.Racks = 4
 	wl := trace.Config{Kind: trace.MedianJob, Seed: 3, Cores: topo.Cores()}
