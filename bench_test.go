@@ -1,13 +1,14 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (Figures 2-8 and the Section VII-C claims), plus ablations
-// of the design choices DESIGN.md calls out and micro-benchmarks of the
+// of the design choices ARCHITECTURE.md calls out and micro-benchmarks of the
 // hot paths. Replayed figures run on a 4-rack (360-node) slice so a full
 // `go test -bench=.` stays in laptop territory; pass the full machine via
 // the cmd/expfig tool instead when absolute fidelity matters.
 //
 // Benchmarks report normalized work/energy through b.ReportMetric so the
-// paper-shape comparisons of EXPERIMENTS.md regenerate from the bench
-// output alone.
+// paper-shape comparisons `expfig -fig claims` prints (README,
+// "Reproducing a figure end to end") regenerate from the bench output
+// alone.
 package repro_test
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/experiment"
-	"repro/internal/figures"
 	"repro/internal/job"
 	"repro/internal/model"
 	"repro/internal/power"
@@ -40,10 +40,20 @@ const benchRacks = 4 // 360 nodes, 5760 cores
 
 // --- Figures 2-5: model tables --------------------------------------
 
+// figureText renders one static figure through the registry.
+func figureText(b *testing.B, name string) string {
+	b.Helper()
+	text, _, err := sim.RunFigure(context.Background(), name, sim.FigureOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return text
+}
+
 func BenchmarkFig2PowerBonus(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = figures.Fig2()
+		out = figureText(b, "2")
 	}
 	if len(out) == 0 {
 		b.Fatal("empty artifact")
@@ -63,7 +73,7 @@ func BenchmarkFig3PowerTimeTradeoff(b *testing.B) {
 func BenchmarkFig4PowerTable(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = figures.Fig4()
+		out = figureText(b, "4")
 	}
 	if len(out) == 0 {
 		b.Fatal("empty artifact")
@@ -114,7 +124,7 @@ func BenchmarkFig8PolicySweep(b *testing.B) {
 	scens := replay.Fig8Scenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = experiment.RunScenarios(scens, 0).Results()
+		results = experiment.Runner{}.Run("sweep", scens).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -127,7 +137,7 @@ func BenchmarkClaims24h(b *testing.B) {
 	scens := replay.Claims24hScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = experiment.RunScenarios(scens, 0).Results()
+		results = experiment.Runner{}.Run("sweep", scens).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -142,7 +152,7 @@ func BenchmarkAblationGroupedShutdown(b *testing.B) {
 	scens := replay.AblationGroupingScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = experiment.RunScenarios(scens, 0).Results()
+		results = experiment.Runner{}.Run("sweep", scens).Results()
 	}
 	if results[0].Err != nil || results[1].Err != nil {
 		b.Fatal("ablation run failed")
@@ -155,7 +165,7 @@ func BenchmarkAblationMixFloor(b *testing.B) {
 	scens := replay.AblationMixFloorScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = experiment.RunScenarios(scens, 0).Results()
+		results = experiment.Runner{}.Run("sweep", scens).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -170,7 +180,7 @@ func BenchmarkAblationDynamicDVFS(b *testing.B) {
 	scens := replay.AblationDynamicDVFSScenarios(benchRacks)
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = experiment.RunScenarios(scens, 0).Results()
+		results = experiment.Runner{}.Run("sweep", scens).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -194,12 +204,12 @@ func BenchmarkAblationCompactPlacement(b *testing.B) {
 	// criterion) versus the default first-fit packing.
 	var results []replay.Result
 	for i := 0; i < b.N; i++ {
-		results = experiment.RunScenarios([]replay.Scenario{s, func() replay.Scenario {
+		results = experiment.Runner{}.Run("sweep", []replay.Scenario{s, func() replay.Scenario {
 			c := s
 			c.Compact = true
 			c.Name += "/compact"
 			return c
-		}()}, 0).Results()
+		}()}).Results()
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -459,12 +469,14 @@ func BenchmarkEventEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStep measures the event queue's steady-state cycle —
-// the At/Cancel/Step trio every simulated event pays. A pool of
-// self-rescheduling handlers keeps the heap at constant depth, and each
-// iteration also schedules-and-cancels one event so tombstone purging
-// is part of the measured cost.
-func BenchmarkEngineStep(b *testing.B) {
+// BenchmarkEngineCycle measures the event queue's steady-state cycle —
+// the At/Cancel/fire trio every simulated event pays, on Run, the loop
+// the controller drives. A pool of self-rescheduling handlers, one per
+// second of virtual time, keeps the heap at constant depth; each
+// iteration runs one second further (one event fires) and also
+// schedules-and-cancels one event so tombstone purging is part of the
+// measured cost.
+func BenchmarkEngineCycle(b *testing.B) {
 	e := simengine.New(0)
 	const pool = 512
 	var tick func(now simengine.Time)
@@ -486,9 +498,12 @@ func BenchmarkEngineStep(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.Cancel(id)
-		if !e.Step() {
-			b.Fatal("engine drained")
+		if err := e.Run(int64(i)); err != nil {
+			b.Fatal(err)
 		}
+	}
+	if e.Fired() != uint64(b.N) {
+		b.Fatalf("fired %d events in %d cycles", e.Fired(), b.N)
 	}
 }
 

@@ -2,14 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
-	"repro/internal/figures"
 	"repro/internal/replay"
 	"repro/internal/sim"
 )
@@ -72,19 +73,30 @@ func stripFedTimings(t *experiment.FederationTable) {
 	}
 }
 
+// figureText renders one registered figure through sim.RunFigure.
+func figureText(t *testing.T, name string, opt sim.FigureOptions) string {
+	t.Helper()
+	text, _, err := sim.RunFigure(context.Background(), name, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
 func TestGoldenStaticFigures(t *testing.T) {
-	checkGolden(t, "fig2", []byte(figures.Fig2()))
-	checkGolden(t, "fig3", []byte(figures.Fig3()))
-	checkGolden(t, "fig4", []byte(figures.Fig4()))
-	checkGolden(t, "fig5", []byte(figures.Fig5()))
+	for _, name := range []string{"2", "3", "4", "5"} {
+		checkGolden(t, "fig"+name, []byte(figureText(t, name, sim.FigureOptions{})))
+	}
 }
 
 func TestGoldenTimeSeriesFigure(t *testing.T) {
-	r := replay.Run(replay.Fig7bScenario(2))
-	if r.Err != nil {
-		t.Fatal(r.Err)
+	text := figureText(t, "7b", sim.FigureOptions{Racks: 2, Width: 96, Height: 14})
+	// The golden is the chart alone, below the figure's header line.
+	_, chart, ok := strings.Cut(text, "\n\n")
+	if !ok {
+		t.Fatalf("figure 7b has no header paragraph:\n%s", text)
 	}
-	checkGolden(t, "fig7b_2racks", []byte(figures.TimeSeries(r, 96, 14)))
+	checkGolden(t, "fig7b_2racks", []byte(chart))
 }
 
 // TestGoldenSweepExports pins the single-cluster sweep artifacts: the

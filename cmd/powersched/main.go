@@ -67,7 +67,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/figures"
 	"repro/internal/replay"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -304,11 +303,9 @@ func runSingle(spec sim.RunSpec, width, height int, csvOut, jsonOut string, out 
 			r.Plan.Mechanism, len(r.Plan.OffNodes), r.Plan.PlannedSaving, r.Plan.NeededSaving)
 	}
 	fmt.Fprintln(out)
-	fmt.Fprint(out, figures.TimeSeries(r, width, height))
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, "summary:", r.Summary)
-	fmt.Fprintf(out, "normalized: energy=%.3f work=%.3f launched=%.3f mean-wait=%.0fs\n",
-		r.Summary.NormEnergy, r.Summary.NormWork, r.Summary.NormLaunched, r.Summary.MeanWaitSec)
+	if err := sim.Export(out, "ascii", rep, sim.SinkOptions{Width: width, Height: height}); err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "launch frequencies: %v\n", r.Summary.LaunchedByFreq)
 	if r.Summary.Rescales > 0 {
 		fmt.Fprintf(out, "dynamic re-clocks: %d\n", r.Summary.Rescales)

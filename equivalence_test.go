@@ -74,13 +74,17 @@ func swfEquivalenceScenarios(t testing.TB, dir string) []replay.Scenario {
 	if err := f.Close(); err != nil {
 		t.Fatalf("closing SWF file: %v", err)
 	}
-	dur := wl.Kind.Duration()
-	src := trace.SWFSource{Path: path}
-	uncapped := replay.FromSWF("swf/100%/None", src, core.PolicyNone, 0, dur)
-	uncapped.ScaleRacks = 2
-	capped := replay.FromSWF("swf/40%/MIX", src, core.PolicyMix, 0.4, dur)
-	capped.ScaleRacks = 2
-	return []replay.Scenario{uncapped, capped}
+	swf := func(name string, policy core.Policy, capFraction float64) replay.Scenario {
+		return replay.Scenario{
+			Name:        name,
+			Workload:    trace.Config{DurationSec: wl.Kind.Duration()},
+			Policy:      policy,
+			CapFraction: capFraction,
+			SWF:         &trace.SWFSource{Path: path},
+			ScaleRacks:  2,
+		}
+	}
+	return []replay.Scenario{swf("swf/100%/None", core.PolicyNone, 0), swf("swf/40%/MIX", core.PolicyMix, 0.4)}
 }
 
 func federationEquivalenceGrid() experiment.FederationGrid {

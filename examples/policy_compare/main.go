@@ -2,8 +2,8 @@
 // workload intervals under every policy/cap combination, described as a
 // declarative sim.RunSpec (the predefined Figure 8 grid as an explicit
 // cell list), executed through the facade's worker pool, and summarized
-// as the paper's normalized energy / jobs / work bars plus the sweep's
-// parallel speedup accounting.
+// by the ascii sink's comparison table plus the sweep's parallel speedup
+// accounting.
 package main
 
 import (
@@ -11,8 +11,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
-	"repro/internal/figures"
 	"repro/internal/replay"
 	"repro/internal/sim"
 )
@@ -43,18 +43,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	t := rep.Table
-	fmt.Printf("done in %v with %d workers (serial cost %v, speedup %.2fx)\n\n",
-		t.Elapsed.Round(1e6), t.Workers, t.SerialCost().Round(1e6), t.Speedup())
-
 	if errs := rep.Errs(); len(errs) > 0 {
 		fmt.Printf("sweep failed: %v\n", errs[0])
 		return
 	}
-	results := t.Results()
-	fmt.Print(figures.Fig8(results))
-	fmt.Println()
-	fmt.Print(figures.SummaryTable(results))
+	if err := sim.Export(os.Stdout, "ascii", rep, sim.SinkOptions{}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nexpected shape (paper, Section VII-C): work and energy fall with the")
 	fmt.Println("cap; DVFS accumulates more core-time than SHUT (slowed jobs run longer);")
 	fmt.Println("MIX tends to the lowest energy at comparable work.")

@@ -1,9 +1,9 @@
 // Powercap day: the Figure 6 experiment at reduced scale — a 24-hour
 // Curie-like workload under the MIX policy with a one-hour reservation of
 // 40% of the machine's power, rendered as the paper's stacked core and
-// power time series. The run is described by converting the predefined
-// Figure 6 scenario into a declarative sim.RunSpec and executing it
-// through the facade.
+// power time series by the ascii sink. The run is described by
+// converting the predefined Figure 6 scenario into a declarative
+// sim.RunSpec and executing it through the facade.
 package main
 
 import (
@@ -11,8 +11,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
-	"repro/internal/figures"
 	"repro/internal/replay"
 	"repro/internal/sim"
 )
@@ -49,11 +49,9 @@ func main() {
 		"(planned saving %v, needed %v)\n\n",
 		r.Plan.Mechanism, len(r.Plan.OffNodes), r.Plan.PlannedSaving, r.Plan.NeededSaving)
 
-	fmt.Print(figures.TimeSeries(r, 96, 14))
-
-	fmt.Println("\nsummary:", r.Summary)
-	fmt.Printf("normalized work %.3f, normalized energy %.3f\n",
-		r.Summary.NormWork, r.Summary.NormEnergy)
+	if err := sim.Export(os.Stdout, "ascii", rep, sim.SinkOptions{Width: 96, Height: 14}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("launch frequencies: %v\n", r.Summary.LaunchedByFreq)
 	fmt.Println("\nnote how 2.0 GHz launches appear ahead of the window (the system")
 	fmt.Println("\"prepares itself\"), the reserved group drains to off as the window")

@@ -7,7 +7,6 @@
 package apps
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/dvfs"
@@ -125,14 +124,4 @@ func Figure3Points(prof *power.Profile) []Point {
 		}
 	}
 	return out
-}
-
-// ByName finds a profile among the Figure 5 rows.
-func ByName(name string) (Profile, error) {
-	for _, p := range Figure5Rows() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("apps: unknown application %q", name)
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -55,9 +56,19 @@ func TestMeasuredApps(t *testing.T) {
 	}
 }
 
+// byName finds a profile among the Figure 5 rows.
+func byName(name string) (Profile, error) {
+	for _, p := range Figure5Rows() {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("apps: unknown application %q", name)
+}
+
 func TestMaxPowerEndpoints(t *testing.T) {
 	prof := power.CurieProfile()
-	lp, err := ByName("linpack")
+	lp, err := byName("linpack")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +81,7 @@ func TestMaxPowerEndpoints(t *testing.T) {
 		t.Errorf("linpack at 1.2 GHz = %v, want 193", got)
 	}
 	// Lower-alpha codes draw strictly less at every frequency.
-	st, err := ByName("STREAM")
+	st, err := byName("STREAM")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +114,7 @@ func TestNormTimeEndpointsAndMonotonicity(t *testing.T) {
 
 func TestNormTimeClamps(t *testing.T) {
 	prof := power.CurieProfile()
-	lp, _ := ByName("linpack")
+	lp, _ := byName("linpack")
 	if got := lp.NormTimeAt(prof, 0); got != 1 {
 		t.Errorf("NormTime(0=nominal) = %v", got)
 	}
@@ -124,7 +135,7 @@ func TestFigure3Points(t *testing.T) {
 	// The 1/f interpolation bows below the straight line in f: mid-range
 	// frequencies cost less slowdown than a linear model would claim,
 	// with the penalty accelerating toward the ladder bottom.
-	lp, _ := ByName("linpack")
+	lp, _ := byName("linpack")
 	mid := lp.NormTimeAt(prof, dvfs.F1800)
 	linear := 1 + (lp.DegMin-1)*float64(dvfs.F2700-dvfs.F1800)/float64(dvfs.F2700-dvfs.F1200)
 	if mid >= linear {
@@ -138,11 +149,5 @@ func TestFigure3Points(t *testing.T) {
 		if p.NormTime < 1 || p.NormTime > 2.27 {
 			t.Errorf("%s@%v time %v outside [1, 2.27]", p.App, p.Freq, p.NormTime)
 		}
-	}
-}
-
-func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("doom"); err == nil {
-		t.Error("unknown app accepted")
 	}
 }

@@ -36,7 +36,6 @@ type Cluster struct {
 	busyCores    int         // cores currently allocated
 	coresByFreq  []freqCores // allocated cores per node frequency; no zero entry
 	reservedOff  int         // nodes flagged by switch-off reservations
-	reservedDraw float64     // sum over reserved nodes of draw-down
 	maxPowerOnce power.Watts
 
 	// Allocation candidate indexes: busy nodes with at least one free
@@ -208,9 +207,6 @@ func (c *Cluster) transition(id NodeID, st NodeState, f dvfs.Freq, usedCores int
 		}
 	}
 	c.nodeWatts += n.watts - before
-	if c.reserved.Has(id) {
-		c.reservedDraw += n.watts - before
-	}
 
 	if isOff := st == StateOff; isOff != wasOff {
 		ch := c.topo.ChassisOf(id)
@@ -360,28 +356,16 @@ func (c *Cluster) SetReserved(id NodeID, v bool) error {
 	}
 	if c.reserved.Has(id) != v {
 		c.gen++
-		margin := c.nodes[id].watts - float64(c.profile.Down())
 		if v {
 			c.reserved.Add(id)
 			c.reservedOff++
-			c.reservedDraw += margin
 		} else {
 			c.reserved.Remove(id)
 			c.reservedOff--
-			c.reservedDraw -= margin
 		}
 	}
 	return nil
 }
-
-// ReservedOnWatts returns the power the pending switch-off reservations
-// will still shed: the sum over reserved nodes of their current draw
-// minus the switched-off draw (zero for reserved nodes already off).
-// The online algorithm subtracts this from the current power when
-// checking a job against a future powercap window — the planned shutdown
-// has not happened yet, but it will have by the time the window opens.
-// Group bonuses are not projected (conservative).
-func (c *Cluster) ReservedOnWatts() power.Watts { return power.Watts(c.reservedDraw) }
 
 // ReservedCount returns how many nodes carry the reservation flag.
 func (c *Cluster) ReservedCount() int { return c.reservedOff }
@@ -500,14 +484,6 @@ func (c *Cluster) OccupyDelta(ids []NodeID, f dvfs.Freq) power.Watts {
 func (c *Cluster) IdleOccupyDelta(n int, f dvfs.Freq) power.Watts {
 	return power.Watts(float64(n) * (float64(c.profile.Busy(f)) - float64(c.profile.Idle())))
 }
-
-// FullyOffChassis returns how many chassis currently enjoy the full
-// switch-off bonus.
-func (c *Cluster) FullyOffChassis() int { return c.nFullOffChassis }
-
-// FullyOffRacks returns how many racks currently enjoy the full switch-off
-// bonus.
-func (c *Cluster) FullyOffRacks() int { return c.nFullOffRacks }
 
 // BonusWatts returns the power currently saved by group bonuses beyond the
 // per-node off savings: eliminated BMC draw and shared equipment of

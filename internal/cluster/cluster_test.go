@@ -315,8 +315,8 @@ func TestChassisBonusFigure2(t *testing.T) {
 	if saved != 6692 {
 		t.Errorf("full-chassis saving = %v, want 6692 W (Figure 2)", saved)
 	}
-	if c.FullyOffChassis() != 1 {
-		t.Errorf("FullyOffChassis = %d, want 1", c.FullyOffChassis())
+	if c.nFullOffChassis != 1 {
+		t.Errorf("fully-off chassis = %d, want 1", c.nFullOffChassis)
 	}
 	if got := c.BonusWatts(); got != 500 {
 		t.Errorf("BonusWatts = %v, want 500 (chassis bonus)", got)
@@ -339,8 +339,8 @@ func TestChassisBonusFigure2(t *testing.T) {
 	if savedRack != 34360 {
 		t.Errorf("full-rack saving = %v, want 34360 W (Figure 2)", savedRack)
 	}
-	if c.FullyOffRacks() != 1 {
-		t.Errorf("FullyOffRacks = %d, want 1", c.FullyOffRacks())
+	if c.nFullOffRacks != 1 {
+		t.Errorf("fully-off racks = %d, want 1", c.nFullOffRacks)
 	}
 	if got, want := c.Power(), brutePower(c); got != want {
 		t.Errorf("Power = %v, want brute %v", got, want)
@@ -618,15 +618,12 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 		return curieBusyWatts[n.Freq]
 	}
 	var nodes []NodeInfo
-	watts, reservedOn, busyCores := 0.0, 0.0, 0
+	watts, busyCores := 0.0, 0
 	byFreq := map[dvfs.Freq]int{}
 	offPerChassis := make([]int, topo.Chassis())
 	c.ForEach(func(n NodeInfo) bool {
 		nodes = append(nodes, n)
 		watts += draw(n)
-		if n.Reserved {
-			reservedOn += draw(n) - down
-		}
 		if n.State == StateBusy {
 			busyCores += n.UsedCores
 			byFreq[n.Freq] += n.UsedCores
@@ -652,9 +649,6 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 
 	if got := float64(c.Power()); got != watts {
 		t.Errorf("Power() = %v, recomputed %v", got, watts)
-	}
-	if got := float64(c.ReservedOnWatts()); got != reservedOn {
-		t.Errorf("ReservedOnWatts() = %v, recomputed %v", got, reservedOn)
 	}
 	if got := c.BusyCores(); got != busyCores {
 		t.Errorf("BusyCores() = %d, recomputed %d", got, busyCores)

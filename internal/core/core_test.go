@@ -17,12 +17,12 @@ func TestPolicyParseAndString(t *testing.T) {
 		" idle ": PolicyIdle,
 	}
 	for in, want := range cases {
-		got, err := ParsePolicy(in)
+		got, err := Policies.Lookup(in)
 		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v,%v want %v", in, got, err, want)
+			t.Errorf("Policies.Lookup(%q) = %v,%v want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
+	if _, err := Policies.Lookup("bogus"); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	for p, want := range map[Policy]string{
@@ -36,12 +36,6 @@ func TestPolicyParseAndString(t *testing.T) {
 }
 
 func TestPolicyCapabilities(t *testing.T) {
-	if !PolicyShut.CanShutdown() || !PolicyMix.CanShutdown() {
-		t.Error("SHUT/MIX must be able to shut down")
-	}
-	if PolicyDvfs.CanShutdown() || PolicyIdle.CanShutdown() || PolicyNone.CanShutdown() {
-		t.Error("DVFS/IDLE/NONE must not shut down")
-	}
 	if !PolicyDvfs.CanScale() || !PolicyMix.CanScale() {
 		t.Error("DVFS/MIX must scale")
 	}

@@ -51,30 +51,17 @@ func (p Policy) String() string {
 }
 
 // Policies is the powercap-policy registry. The five paper policies
-// self-register below; ParsePolicy, flag help and the sim facade all
+// self-register below; flag help and the sim facade all
 // read this, so an added policy shows up everywhere at once.
 var Policies = registry.New[Policy]("policy")
 
 func init() {
-	Policies.Register("NONE", PolicyNone, "no powercap handling (the 100% baseline)", "off")
-	Policies.Register("SHUT", PolicyShut, "switch nodes off, jobs stay at nominal frequency", "shutdown")
-	Policies.Register("DVFS", PolicyDvfs, "slow jobs down to the ladder minimum, no switch-off")
-	Policies.Register("MIX", PolicyMix, "switch-off plus DVFS with the 2.0 GHz floor", "mixed")
-	Policies.Register("IDLE", PolicyIdle, "neither mechanism: leave nodes idle, jobs wait")
+	Policies.Register("NONE", PolicyNone, "off")      // no powercap handling (the 100% baseline)
+	Policies.Register("SHUT", PolicyShut, "shutdown") // switch nodes off, jobs stay at nominal frequency
+	Policies.Register("DVFS", PolicyDvfs)             // slow jobs down to the ladder minimum, no switch-off
+	Policies.Register("MIX", PolicyMix, "mixed")      // switch-off plus DVFS with the 2.0 GHz floor
+	Policies.Register("IDLE", PolicyIdle)             // neither mechanism: leave nodes idle, jobs wait
 }
-
-// ParsePolicy parses the policy names used on command lines — a
-// registry lookup, so unknown-name errors enumerate what is registered.
-func ParsePolicy(s string) (Policy, error) {
-	p, err := Policies.Lookup(s)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	return p, nil
-}
-
-// CanShutdown reports whether the policy may power nodes off.
-func (p Policy) CanShutdown() bool { return p == PolicyShut || p == PolicyMix }
 
 // CanScale reports whether the policy may lower job frequencies.
 func (p Policy) CanScale() bool { return p == PolicyDvfs || p == PolicyMix }

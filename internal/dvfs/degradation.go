@@ -96,10 +96,6 @@ func (d *Degradation) ScaleDuration(nominal int64, f Freq) int64 {
 	return out
 }
 
-// Speed returns the relative computational speed at frequency f, i.e.
-// 1/Factor(f). Speed(nominal) == 1.
-func (d *Degradation) Speed(f Freq) float64 { return 1 / d.Factor(f) }
-
 // Rho computes the Section III-A criterion deciding between DVFS and
 // shutdown, exactly as tabulated in Figure 5 of the paper:
 //

@@ -60,54 +60,9 @@ func TestLadderBelowAbove(t *testing.T) {
 	if _, ok := l.Below(F1200); ok {
 		t.Errorf("Below(1.2) should fail at ladder bottom")
 	}
-	if f, ok := l.Above(F1200); !ok || f != F1400 {
-		t.Errorf("Above(1.2) = %v,%v want 1.4,true", f, ok)
-	}
-	if _, ok := l.Above(F2700); ok {
-		t.Errorf("Above(2.7) should fail at ladder top")
-	}
 	// Below on a non-member frequency snaps to the next lower member.
 	if f, ok := l.Below(2500); !ok || f != F2400 {
 		t.Errorf("Below(2500) = %v,%v want 2.4,true", f, ok)
-	}
-}
-
-func TestLadderClamp(t *testing.T) {
-	l := CurieLadder()
-	for _, tc := range []struct{ in, want Freq }{
-		{500, F1200}, {F1200, F1200}, {1300, F1200}, {F2000, F2000},
-		{2699, F2400}, {F2700, F2700}, {9999, F2700},
-	} {
-		if got := l.Clamp(tc.in); got != tc.want {
-			t.Errorf("Clamp(%d) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestParseFreq(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Freq
-		ok   bool
-	}{
-		{"2.7", F2700, true},
-		{"2.7GHz", F2700, true},
-		{"2700", F2700, true},
-		{"2700MHz", F2700, true},
-		{" 1.2 ghz ", F1200, true},
-		{"garbage", 0, false},
-		{"-3", 0, false},
-		{"0", 0, false},
-	}
-	for _, tc := range cases {
-		got, err := ParseFreq(tc.in)
-		if (err == nil) != tc.ok {
-			t.Errorf("ParseFreq(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && got != tc.want {
-			t.Errorf("ParseFreq(%q) = %v, want %v", tc.in, got, tc.want)
-		}
 	}
 }
 
@@ -200,15 +155,6 @@ func TestScaleDurationNeverShrinks(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSpeedInverse(t *testing.T) {
-	d := CurieDegradation()
-	for _, f := range CurieLadder() {
-		if got := d.Speed(f) * d.Factor(f); math.Abs(got-1) > 1e-12 {
-			t.Errorf("Speed*Factor at %v = %v, want 1", f, got)
-		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Freq is a CPU frequency in megahertz. The zero value means "unspecified";
@@ -42,26 +41,6 @@ func (f Freq) String() string {
 	}
 	s := strconv.FormatFloat(f.GHz(), 'f', -1, 64)
 	return s + " GHz"
-}
-
-// ParseFreq parses strings such as "2.7", "2.7GHz", "2700", "2700MHz".
-func ParseFreq(s string) (Freq, error) {
-	t := strings.TrimSpace(strings.ToLower(s))
-	t = strings.TrimSuffix(t, "ghz")
-	t = strings.TrimSuffix(t, "mhz")
-	t = strings.TrimSpace(t)
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("dvfs: cannot parse frequency %q: %v", s, err)
-	}
-	// Values below 100 are interpreted as GHz, otherwise MHz.
-	if v < 100 {
-		v *= 1000
-	}
-	if v <= 0 {
-		return 0, fmt.Errorf("dvfs: non-positive frequency %q", s)
-	}
-	return Freq(v + 0.5), nil
 }
 
 // Ladder is an ordered set of available frequencies, ascending.
@@ -119,29 +98,6 @@ func (l Ladder) Below(f Freq) (Freq, bool) {
 		return 0, false
 	}
 	return l[i-1], true
-}
-
-// Above returns the next frequency strictly above f, or 0 and false when f
-// already is the nominal frequency.
-func (l Ladder) Above(f Freq) (Freq, bool) {
-	i := sort.Search(len(l), func(i int) bool { return l[i] > f })
-	if i == len(l) {
-		return 0, false
-	}
-	return l[i], true
-}
-
-// Clamp returns f limited to the ladder's range and snapped to the nearest
-// rung at or below f (or the minimum rung when f is below the range).
-func (l Ladder) Clamp(f Freq) Freq {
-	if f <= l.Min() {
-		return l.Min()
-	}
-	if f >= l.Max() {
-		return l.Max()
-	}
-	i := sort.Search(len(l), func(i int) bool { return l[i] > f })
-	return l[i-1]
 }
 
 // Clone returns an independent copy of the ladder.

@@ -21,7 +21,7 @@
 //		Policies:     []core.Policy{core.PolicyShut, core.PolicyMix},
 //		Base:         replay.Scenario{ScaleRacks: 4},
 //	}
-//	table := experiment.Run(grid, runtime.GOMAXPROCS(0))
+//	table := experiment.Runner{}.Run("sweep", grid.Scenarios())
 //	fmt.Print(table.ASCII(80))
 package experiment
 
@@ -42,7 +42,7 @@ import (
 // (machine scale, ablation switches, sampling period, an explicit SWF
 // job list, ...).
 type Grid struct {
-	// Name labels the sweep in exports; empty means "sweep".
+	// Name labels the sweep; callers hand it to Runner.Run.
 	Name string
 	// Workloads is the trace axis (kind + seed + optional duration).
 	Workloads []trace.Config
@@ -65,16 +65,6 @@ func (g Grid) Scenarios() []replay.Scenario {
 	return replay.SweepScenarios(g.Base, g.Workloads, g.CapFractions, g.Policies)
 }
 
-// Size returns the number of cells the grid expands to.
-func (g Grid) Size() int { return len(g.Scenarios()) }
-
-func (g Grid) name() string {
-	if g.Name != "" {
-		return g.Name
-	}
-	return "sweep"
-}
-
 // Result is one sweep cell's outcome plus its position and wall-clock
 // cost.
 type Result struct {
@@ -89,7 +79,7 @@ type Result struct {
 // Table is an aggregated sweep: one row per cell in grid order, plus
 // the sweep-level accounting needed to judge parallel speedup.
 type Table struct {
-	// Name is the sweep label (Grid.Name or "sweep").
+	// Name is the sweep label handed to Runner.Run.
 	Name string
 	// Rows hold the per-cell results in grid order.
 	Rows []Result
@@ -282,15 +272,4 @@ func (r Runner) RunContext(ctx context.Context, name string, scenarios []replay.
 			return Result{Result: replay.Result{Scenario: scenarios[i], Err: err}, Index: i}
 		})
 	return Table{Name: name, Rows: rows, Workers: workers, Elapsed: time.Since(start)}, err
-}
-
-// Run expands the grid and executes it with the given worker count.
-func Run(g Grid, workers int) Table {
-	return Runner{Workers: workers}.Run(g.name(), g.Scenarios())
-}
-
-// RunScenarios executes an explicit scenario list (e.g. the predefined
-// figure grids of internal/replay) with the given worker count.
-func RunScenarios(scenarios []replay.Scenario, workers int) Table {
-	return Runner{Workers: workers}.Run("sweep", scenarios)
 }

@@ -26,14 +26,16 @@ func testGrid() Grid {
 	}
 }
 
+// run expands the grid and executes it with the given worker count.
+func run(g Grid, workers int) Table {
+	return Runner{Workers: workers}.Run(g.Name, g.Scenarios())
+}
+
 func TestGridExpansion(t *testing.T) {
 	g := testGrid()
 	scens := g.Scenarios()
 	if len(scens) != 10 {
 		t.Fatalf("cells = %d, want 10", len(scens))
-	}
-	if g.Size() != len(scens) {
-		t.Fatalf("Size() = %d != %d", g.Size(), len(scens))
 	}
 	// First cell per workload is the collapsed uncapped baseline.
 	if scens[0].Name != "smalljob/100%/None" || scens[0].Policy != core.PolicyNone {
@@ -77,13 +79,13 @@ func TestGridExpansion(t *testing.T) {
 // the aggregated table is identical at any worker count.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	g := testGrid()
-	ref := Run(g, 1)
+	ref := run(g, 1)
 	if errs := ref.Errs(); len(errs) != 0 {
 		t.Fatalf("serial sweep errors: %v", errs)
 	}
 	refFP := ref.Fingerprint()
 	for _, workers := range []int{2, 3, 16} {
-		got := Run(g, workers)
+		got := run(g, workers)
 		if errs := got.Errs(); len(errs) != 0 {
 			t.Fatalf("%d-worker sweep errors: %v", workers, errs)
 		}
@@ -101,7 +103,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestTableOrderAndAccounting(t *testing.T) {
 	g := testGrid()
 	scens := g.Scenarios()
-	tab := Run(g, 4)
+	tab := run(g, 4)
 	if tab.Workers != 4 {
 		t.Fatalf("workers = %d", tab.Workers)
 	}
@@ -166,7 +168,7 @@ func TestWorkerClamp(t *testing.T) {
 	g.CapFractions = []float64{0.4}
 	g.Policies = []core.Policy{core.PolicyShut}
 	for _, workers := range []int{-1, 0, 1, 99} {
-		tab := Run(g, workers)
+		tab := run(g, workers)
 		if len(tab.Rows) != 1 || tab.Rows[0].Err != nil {
 			t.Fatalf("workers=%d: rows=%d err=%v", workers, len(tab.Rows), tab.Rows[0].Err)
 		}

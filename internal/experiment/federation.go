@@ -62,11 +62,6 @@ func (g FederationGrid) Scenarios() []replay.FederationScenario {
 	return out
 }
 
-// Size returns the number of cells the grid expands to.
-func (g FederationGrid) Size() int {
-	return len(g.MemberCounts) * len(g.CapFractions) * len(g.Divisions)
-}
-
 // FederationResult is one federated sweep cell's outcome plus its
 // position and wall-clock cost.
 type FederationResult struct {

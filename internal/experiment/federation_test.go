@@ -25,8 +25,8 @@ func testFedGrid() FederationGrid {
 func TestFederationGridExpansion(t *testing.T) {
 	g := testFedGrid()
 	scens := g.Scenarios()
-	if len(scens) != g.Size() {
-		t.Fatalf("expanded %d cells, Size says %d", len(scens), g.Size())
+	if want := len(g.MemberCounts) * len(g.CapFractions) * len(g.Divisions); len(scens) != want {
+		t.Fatalf("expanded %d cells, want %d", len(scens), want)
 	}
 	wantNames := []string{
 		"fed2/50%/prorata", "fed2/50%/demand",

@@ -106,9 +106,6 @@ type Result struct {
 // collectors attach.
 type Observer func(i int, name string, ctl *rjms.Controller)
 
-// Run executes one federation scenario to completion.
-func Run(fs replay.FederationScenario) Result { return RunWith(fs, nil) }
-
 // RunWith executes one federation scenario, invoking observe on each
 // member as it is assembled.
 func RunWith(fs replay.FederationScenario, observe Observer) Result {

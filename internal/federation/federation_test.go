@@ -19,17 +19,17 @@ func testScenario(div replay.Division) replay.FederationScenario {
 func TestValidateRejectsBadScenarios(t *testing.T) {
 	fs := testScenario(replay.DivideProRata)
 	fs.Members = nil
-	if r := Run(fs); r.Err == nil {
+	if r := RunWith(fs, nil); r.Err == nil {
 		t.Error("no members: want error")
 	}
 	fs = testScenario(replay.DivideProRata)
 	fs.GlobalCapFraction = 1.2
-	if r := Run(fs); r.Err == nil {
+	if r := RunWith(fs, nil); r.Err == nil {
 		t.Error("cap fraction 1.2: want error")
 	}
 	fs = testScenario(replay.DivideProRata)
 	fs.Members[1].CapFraction = 0.4
-	if r := Run(fs); r.Err == nil {
+	if r := RunWith(fs, nil); r.Err == nil {
 		t.Error("member-level cap: want error")
 	}
 }
@@ -79,8 +79,8 @@ func TestLockstepMatchesSingleRun(t *testing.T) {
 
 func TestFederationDeterminism(t *testing.T) {
 	for _, div := range []replay.Division{replay.DivideProRata, replay.DivideDemand} {
-		a := Run(testScenario(div))
-		b := Run(testScenario(div))
+		a := RunWith(testScenario(div), nil)
+		b := RunWith(testScenario(div), nil)
 		if a.Err != nil || b.Err != nil {
 			t.Fatalf("%v: run errors %v / %v", div, a.Err, b.Err)
 		}
@@ -100,7 +100,7 @@ func TestFederationDeterminism(t *testing.T) {
 // below zero.
 func TestSharesConserveGlobalBudget(t *testing.T) {
 	for _, div := range []replay.Division{replay.DivideProRata, replay.DivideDemand} {
-		r := Run(testScenario(div))
+		r := RunWith(testScenario(div), nil)
 		if r.Err != nil {
 			t.Fatalf("%v: %v", div, r.Err)
 		}
@@ -128,7 +128,7 @@ func TestSharesConserveGlobalBudget(t *testing.T) {
 // stays under the global budget for the whole run.
 func TestGlobalCapSafety(t *testing.T) {
 	for _, div := range []replay.Division{replay.DivideProRata, replay.DivideDemand} {
-		r := Run(testScenario(div))
+		r := RunWith(testScenario(div), nil)
 		if r.Err != nil {
 			t.Fatalf("%v: %v", div, r.Err)
 		}
@@ -147,8 +147,8 @@ func TestGlobalCapSafety(t *testing.T) {
 // demand-driven division: with one backlogged bursty member among idle
 // ones, reallocating idle headroom must improve aggregate stretch.
 func TestDemandBeatsProRataOnBurstyFleet(t *testing.T) {
-	pro := Run(testScenario(replay.DivideProRata))
-	dem := Run(testScenario(replay.DivideDemand))
+	pro := RunWith(testScenario(replay.DivideProRata), nil)
+	dem := RunWith(testScenario(replay.DivideDemand), nil)
 	if pro.Err != nil || dem.Err != nil {
 		t.Fatalf("run errors: %v / %v", pro.Err, dem.Err)
 	}
@@ -191,7 +191,7 @@ func sumMaxPower(r Result) float64 {
 func TestEpochBoundaryCount(t *testing.T) {
 	fs := testScenario(replay.DivideDemand)
 	fs.EpochSec = 3600
-	r := Run(fs)
+	r := RunWith(fs, nil)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

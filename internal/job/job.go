@@ -121,24 +121,6 @@ func (j *Job) AllocatedCores() int {
 	return n
 }
 
-// CoreSeconds returns the work the job accumulated: allocated cores times
-// wall-clock running time (the paper's "accumulated cpu time" of Figure 8).
-// For running jobs pass the current time as now; for finished jobs now is
-// ignored.
-func (j *Job) CoreSeconds(now int64) int64 {
-	switch j.State {
-	case StateRunning:
-		if now < j.StartTime {
-			return 0
-		}
-		return int64(j.Cores) * (now - j.StartTime)
-	case StateCompleted, StateKilled:
-		return int64(j.Cores) * (j.EndTime - j.StartTime)
-	default:
-		return 0
-	}
-}
-
 // Clone returns a deep copy (fresh Allocs slice) so replays can reuse an
 // immutable workload across runs.
 func (j *Job) Clone() *Job {

@@ -44,30 +44,6 @@ func TestScaledRuntimeAndWalltime(t *testing.T) {
 	}
 }
 
-func TestCoreSeconds(t *testing.T) {
-	j := valid()
-	if got := j.CoreSeconds(1000); got != 0 {
-		t.Errorf("pending work = %d, want 0", got)
-	}
-	j.State = StateRunning
-	j.StartTime = 100
-	if got := j.CoreSeconds(160); got != 32*60 {
-		t.Errorf("running work = %d, want %d", got, 32*60)
-	}
-	if got := j.CoreSeconds(50); got != 0 {
-		t.Errorf("work before start = %d, want 0", got)
-	}
-	j.State = StateCompleted
-	j.EndTime = 220
-	if got := j.CoreSeconds(0); got != 32*120 {
-		t.Errorf("completed work = %d, want %d", got, 32*120)
-	}
-	j.State = StateKilled
-	if got := j.CoreSeconds(0); got != 32*120 {
-		t.Errorf("killed work = %d", got)
-	}
-}
-
 func TestAllocatedCores(t *testing.T) {
 	j := valid()
 	j.Allocs = []Alloc{{Node: 0, Cores: 16}, {Node: 1, Cores: 16}}

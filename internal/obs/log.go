@@ -88,13 +88,6 @@ func (l *Logger) SetClock(now func() time.Time) {
 	}
 }
 
-// SetLevel changes the level for the whole logger tree.
-func (l *Logger) SetLevel(level Level) {
-	if l != nil && l.core != nil {
-		l.core.level.Store(int32(level))
-	}
-}
-
 // Enabled reports whether the level would be written.
 func (l *Logger) Enabled(level Level) bool {
 	return l != nil && l.core != nil && level >= Level(l.core.level.Load())

@@ -39,11 +39,6 @@ func TestLoggerLevelFilter(t *testing.T) {
 	if strings.Count(out, "\n") != 2 {
 		t.Errorf("want 2 lines, got %q", out)
 	}
-	l.SetLevel(LevelDebug)
-	l.Debug("now visible")
-	if !strings.Contains(buf.String(), "now visible") {
-		t.Error("SetLevel did not open debug")
-	}
 }
 
 func TestLoggerQuoting(t *testing.T) {

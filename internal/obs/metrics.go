@@ -177,12 +177,6 @@ type CounterVec struct{ fam *family }
 // first use).
 func (v *CounterVec) With(lvs ...string) *Counter { return v.fam.child(lvs).counter }
 
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ fam *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(lvs ...string) *Gauge { return v.fam.child(lvs).gauge }
-
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ fam *family }
 
@@ -246,11 +240,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // Gauge registers (or returns) a plain gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, "gauge", nil, nil, nil).child(nil).gauge
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{fam: r.register(name, help, "gauge", labels, nil, nil)}
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at

@@ -15,12 +15,6 @@ type Meter struct {
 	startAt int64
 }
 
-// NewMeter returns a meter whose integration starts at time 'at' (seconds)
-// with draw w.
-func NewMeter(at int64, w Watts) *Meter {
-	return &Meter{last: w, lastAt: at, peak: w, started: true, startAt: at}
-}
-
 // Set records that the draw changed to w at time 'at'. Calls must have
 // non-decreasing times; out-of-order calls are rejected with an error so
 // simulator bugs surface instead of silently corrupting energy totals.
@@ -40,9 +34,6 @@ func (m *Meter) Set(at int64, w Watts) error {
 	}
 	return nil
 }
-
-// Current returns the draw of the open segment.
-func (m *Meter) Current() Watts { return m.last }
 
 // Peak returns the highest draw ever recorded.
 func (m *Meter) Peak() Watts { return m.peak }

@@ -31,8 +31,8 @@ func TestCurieProfileFigure4(t *testing.T) {
 	if p.Max() != 358 {
 		t.Errorf("Max = %v, want 358", p.Max())
 	}
-	if p.MinBusy() != 193 {
-		t.Errorf("MinBusy = %v, want 193", p.MinBusy())
+	if got := p.Busy(p.MinFreq()); got != 193 {
+		t.Errorf("Busy(MinFreq) = %v, want 193", got)
 	}
 	if p.Nominal() != dvfs.F2700 || p.MinFreq() != dvfs.F1200 {
 		t.Errorf("freq range = [%v,%v]", p.MinFreq(), p.Nominal())
@@ -194,12 +194,6 @@ func TestCapBasics(t *testing.T) {
 	if !c.Allows(1000) || c.Allows(1000.5) {
 		t.Error("Allows boundary wrong")
 	}
-	if h := c.Headroom(400); h != 600 {
-		t.Errorf("Headroom = %v, want 600", h)
-	}
-	if h := NoCap.Headroom(400); !math.IsInf(float64(h), 1) {
-		t.Errorf("NoCap headroom = %v, want +Inf", h)
-	}
 	if CapWatts(-5).Watts() != 0 {
 		t.Error("negative cap should clamp to 0")
 	}
@@ -272,8 +266,18 @@ func TestEnergy(t *testing.T) {
 	}
 }
 
+// newMeter starts a meter the way metrics.Recorder does: the zero value
+// and a first Set.
+func newMeter(at int64, w Watts) *Meter {
+	var m Meter
+	if err := m.Set(at, w); err != nil {
+		panic(err)
+	}
+	return &m
+}
+
 func TestMeterIntegration(t *testing.T) {
-	m := NewMeter(0, 100)
+	m := newMeter(0, 100)
 	if err := m.Set(10, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -290,33 +294,33 @@ func TestMeterIntegration(t *testing.T) {
 	if m.Peak() != 200 {
 		t.Errorf("Peak = %v, want 200", m.Peak())
 	}
-	if m.Current() != 50 {
-		t.Errorf("Current = %v, want 50", m.Current())
+	if m.last != 50 {
+		t.Errorf("open segment = %v, want 50", m.last)
 	}
 }
 
 func TestMeterRejectsTimeTravel(t *testing.T) {
-	m := NewMeter(100, 10)
+	m := newMeter(100, 10)
 	if err := m.Set(50, 20); err == nil {
 		t.Error("out-of-order update accepted")
 	}
 }
 
 func TestMeterZeroDurationUpdates(t *testing.T) {
-	m := NewMeter(5, 10)
+	m := newMeter(5, 10)
 	if err := m.Set(5, 99); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.EnergyAt(5); got != 0 {
 		t.Errorf("zero-span energy = %v, want 0", got)
 	}
-	if m.Current() != 99 {
-		t.Errorf("Current = %v, want most recent value", m.Current())
+	if m.last != 99 {
+		t.Errorf("open segment = %v, want most recent value", m.last)
 	}
 }
 
 func TestMeterMean(t *testing.T) {
-	m := NewMeter(0, 100)
+	m := newMeter(0, 100)
 	if err := m.Set(10, 300); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +334,7 @@ func TestMeterMean(t *testing.T) {
 }
 
 func TestMeterEnergyBeforeLastUpdate(t *testing.T) {
-	m := NewMeter(0, 100)
+	m := newMeter(0, 100)
 	if err := m.Set(10, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +358,7 @@ func TestMeterZeroValueSet(t *testing.T) {
 // monotone schedules.
 func TestMeterPiecewiseProperty(t *testing.T) {
 	f := func(steps []uint8, watts []uint16) bool {
-		m := NewMeter(0, 0)
+		m := newMeter(0, 0)
 		at := int64(0)
 		last := Watts(0)
 		var want Joules

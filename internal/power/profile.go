@@ -85,10 +85,6 @@ func (p *Profile) Idle() Watts { return p.idle }
 // (the MaxWatts controller parameter).
 func (p *Profile) Max() Watts { return p.watts[len(p.watts)-1] }
 
-// MinBusy returns the draw of a busy node at the lowest configured
-// frequency.
-func (p *Profile) MinBusy() Watts { return p.watts[0] }
-
 // Nominal returns the highest configured frequency.
 func (p *Profile) Nominal() dvfs.Freq { return p.order[len(p.order)-1] }
 

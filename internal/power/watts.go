@@ -89,15 +89,6 @@ func (c Cap) Watts() Watts { return c.watts }
 // An unset cap allows everything.
 func (c Cap) Allows(w Watts) bool { return !c.set || w <= c.watts }
 
-// Headroom returns how many watts remain below the cap at draw w
-// (negative when over budget). An unset cap has infinite headroom.
-func (c Cap) Headroom(w Watts) Watts {
-	if !c.set {
-		return Watts(math.Inf(1))
-	}
-	return c.watts - w
-}
-
 // Fraction returns the cap as a fraction of max, or +Inf when unset.
 func (c Cap) Fraction(max Watts) float64 {
 	if !c.set {

@@ -153,12 +153,3 @@ func (e *Estimator) Estimate() power.Watts {
 	guard := e.guardSigmas * e.sensor.relStddev * mean / math.Sqrt(float64(n))
 	return power.Watts(mean + guard)
 }
-
-// Headroom returns how many watts the estimate leaves below the cap
-// (negative when the estimate violates it).
-func (e *Estimator) Headroom(budget power.Cap) power.Watts {
-	if !budget.IsSet() {
-		return power.Watts(math.Inf(1))
-	}
-	return budget.Watts() - e.Estimate()
-}

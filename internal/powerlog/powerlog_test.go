@@ -173,7 +173,7 @@ func TestEstimatorGuardKeepsTruthUnderCap(t *testing.T) {
 		if e.window.Len() < 20 {
 			continue
 		}
-		if e.Headroom(budget) >= 0 {
+		if budget.Allows(e.Estimate()) {
 			admitted++
 			if truth > budget.Watts() {
 				violations++
@@ -198,13 +198,5 @@ func TestEstimatorValidation(t *testing.T) {
 	}
 	if _, err := NewEstimator(s, 5, -1); err == nil {
 		t.Error("negative guard accepted")
-	}
-}
-
-func TestHeadroomUncapped(t *testing.T) {
-	s, _ := NewSensor(1, 0.01, 0)
-	e, _ := NewEstimator(s, 5, 2)
-	if h := e.Headroom(power.NoCap); !math.IsInf(float64(h), 1) {
-		t.Errorf("uncapped headroom = %v", h)
 	}
 }

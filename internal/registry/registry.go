@@ -15,7 +15,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -33,7 +32,6 @@ type Registry[T any] struct {
 type entry[T any] struct {
 	canonical string
 	value     T
-	help      string
 }
 
 // New returns an empty registry whose error messages call the entries
@@ -45,10 +43,10 @@ func New[T any](kind string) *Registry[T] {
 // Register adds a value under its canonical name plus any aliases.
 // Registering a name (or alias) twice panics: two packages claiming the
 // same name is a programming error worth failing loudly at init time.
-func (r *Registry[T]) Register(name string, value T, help string, aliases ...string) {
+func (r *Registry[T]) Register(name string, value T, aliases ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := entry[T]{canonical: name, value: value, help: help}
+	e := entry[T]{canonical: name, value: value}
 	for _, n := range append([]string{name}, aliases...) {
 		key := strings.ToLower(strings.TrimSpace(n))
 		if key == "" {
@@ -109,34 +107,4 @@ func (r *Registry[T]) Names() []string {
 // block of registry-derived flag descriptions ("medianjob|smalljob|...").
 func (r *Registry[T]) Join(sep string) string {
 	return strings.Join(r.Names(), sep)
-}
-
-// Help returns "name - help" lines, one per canonical entry in
-// registration order (entries without help collapse to the name).
-func (r *Registry[T]) Help() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var b strings.Builder
-	for _, n := range r.order {
-		e := r.entries[strings.ToLower(n)]
-		if e.help == "" {
-			fmt.Fprintf(&b, "%s\n", n)
-			continue
-		}
-		fmt.Fprintf(&b, "%s - %s\n", n, e.help)
-	}
-	return b.String()
-}
-
-// Aliases returns every registered spelling (canonical plus aliases),
-// sorted — mainly for tests asserting the legacy spellings survive.
-func (r *Registry[T]) Aliases() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for k := range r.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,8 +7,8 @@ import (
 
 func TestLookupCanonicalAliasAndCase(t *testing.T) {
 	r := New[int]("thing")
-	r.Register("SHUT", 1, "switch nodes off", "shutdown")
-	r.Register("DVFS", 2, "slow jobs down")
+	r.Register("SHUT", 1, "shutdown")
+	r.Register("DVFS", 2)
 
 	for _, name := range []string{"SHUT", "shut", " Shutdown ", "dvfs"} {
 		if _, err := r.Lookup(name); err != nil {
@@ -23,8 +23,8 @@ func TestLookupCanonicalAliasAndCase(t *testing.T) {
 
 func TestUnknownNameEnumeratesRegistered(t *testing.T) {
 	r := New[int]("policy")
-	r.Register("SHUT", 1, "")
-	r.Register("MIX", 2, "")
+	r.Register("SHUT", 1)
+	r.Register("MIX", 2)
 	_, err := r.Lookup("nope")
 	if err == nil {
 		t.Fatal("want error for unknown name")
@@ -38,9 +38,9 @@ func TestUnknownNameEnumeratesRegistered(t *testing.T) {
 
 func TestNamesKeepRegistrationOrder(t *testing.T) {
 	r := New[int]("x")
-	r.Register("b", 1, "")
-	r.Register("a", 2, "")
-	r.Register("c", 3, "")
+	r.Register("b", 1)
+	r.Register("a", 2)
+	r.Register("c", 3)
 	if got := r.Join("|"); got != "b|a|c" {
 		t.Fatalf("Join = %q, want b|a|c", got)
 	}
@@ -53,16 +53,6 @@ func TestDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r := New[int]("x")
-	r.Register("a", 1, "")
-	r.Register("A", 2, "") // case-insensitive clash
-}
-
-func TestHelpRendersEntries(t *testing.T) {
-	r := New[int]("x")
-	r.Register("a", 1, "first")
-	r.Register("b", 2, "")
-	want := "a - first\nb\n"
-	if got := r.Help(); got != want {
-		t.Fatalf("Help = %q, want %q", got, want)
-	}
+	r.Register("a", 1)
+	r.Register("A", 2) // case-insensitive clash
 }

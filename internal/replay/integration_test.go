@@ -12,7 +12,8 @@ import (
 // TestClaims24hShape is the Section VII-C integration test at reduced
 // scale (8 racks, 720 nodes): the 24-hour workload under a one-hour 40%
 // reservation across all policies. Asserts the shape relations the paper
-// reports; see EXPERIMENTS.md for the full-scale record.
+// reports; `expfig -fig claims` (README, "Reproducing a figure end to
+// end") prints the full-scale comparison.
 func TestClaims24hShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute integration sweep")
@@ -64,8 +65,8 @@ func TestClaims24hShape(t *testing.T) {
 		}
 	}
 	// At reduced scale the MIX/SHUT energy gap sits inside trace noise;
-	// allow half a percent (the full-scale record in EXPERIMENTS.md has
-	// MIX strictly lowest).
+	// allow half a percent (at full scale, `expfig -fig claims`, MIX is
+	// strictly lowest).
 	if float64(mix.Summary.EnergyJ) > float64(shut.Summary.EnergyJ)*1.005 {
 		t.Errorf("MIX energy %v above SHUT %v", mix.Summary.EnergyJ, shut.Summary.EnergyJ)
 	}

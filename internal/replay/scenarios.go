@@ -74,21 +74,6 @@ func LibraryScenarios(scaleRacks int) []Scenario {
 	)
 }
 
-// FromSWF builds a scenario replaying an SWF trace file through the
-// streaming pipeline: src configures the file plus its window/rescale
-// transform chain, durationSec bounds the replayed interval (0 means the
-// kind default of 5 h). The trace streams into the controller lazily, so
-// trace length does not bound memory.
-func FromSWF(name string, src trace.SWFSource, policy core.Policy, capFraction float64, durationSec int64) Scenario {
-	return Scenario{
-		Name:        name,
-		Workload:    trace.Config{DurationSec: durationSec},
-		Policy:      policy,
-		CapFraction: capFraction,
-		SWF:         &src,
-	}
-}
-
 // Division selects how the federation broker splits the global site
 // budget across member clusters at redistribution boundaries.
 type Division int
@@ -121,23 +106,13 @@ func (d Division) String() string {
 }
 
 // Divisions is the budget-division registry. The two broker policies
-// self-register below; ParseDivision, flag help and the sim facade all
+// self-register below; flag help and the sim facade all
 // read this, so a new division shows up everywhere at once.
 var Divisions = registry.New[Division]("division policy")
 
 func init() {
-	Divisions.Register("prorata", DivideProRata, "static split in proportion to member max draw", "static")
-	Divisions.Register("demand", DivideDemand, "move idle members' headroom to backlogged ones each epoch", "dynamic")
-}
-
-// ParseDivision parses a division-policy name — a registry lookup, so
-// unknown-name errors enumerate what is registered.
-func ParseDivision(s string) (Division, error) {
-	d, err := Divisions.Lookup(s)
-	if err != nil {
-		return 0, fmt.Errorf("replay: %w", err)
-	}
-	return d, nil
+	Divisions.Register("prorata", DivideProRata, "static") // static split in proportion to member max draw
+	Divisions.Register("demand", DivideDemand, "dynamic")  // move idle members' headroom to backlogged ones each epoch
 }
 
 // FederationScenario is one cell of a federated multi-cluster

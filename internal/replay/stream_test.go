@@ -125,12 +125,18 @@ func TestStreamedSWFMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestFromSWFScenario exercises the FromSWF constructor end to end.
+// TestFromSWFScenario runs an SWF-backed scenario end to end.
 func TestFromSWFScenario(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.swf")
 	writeBigSWF(t, path, 800, 1700)
-	s := FromSWF("swf/40%/DVFS", trace.SWFSource{Path: path}, core.PolicyDvfs, 0.4, 1800)
-	s.ScaleRacks = 1
+	s := Scenario{
+		Name:        "swf/40%/DVFS",
+		Workload:    trace.Config{DurationSec: 1800},
+		Policy:      core.PolicyDvfs,
+		CapFraction: 0.4,
+		SWF:         &trace.SWFSource{Path: path},
+		ScaleRacks:  1,
+	}
 	if got := s.Duration(); got != 1800 {
 		t.Fatalf("Duration = %d, want 1800", got)
 	}

@@ -143,23 +143,6 @@ func (b *Book) CapAt(t int64) power.Cap {
 	return out
 }
 
-// MinCapOver returns the tightest cap over the span [from, to) — the budget
-// the online algorithm must respect for a job expected to run over that
-// span (Section IV-B: the job "may overlap with any future reservation of
-// power"). Returns NoCap when no window overlaps.
-func (b *Book) MinCapOver(from, to int64) power.Cap {
-	out := power.NoCap
-	for _, c := range b.caps {
-		if c.Start >= to {
-			break
-		}
-		if c.Overlaps(from, to) && (!out.IsSet() || c.Cap.Watts() < out.Watts()) {
-			out = c.Cap
-		}
-	}
-	return out
-}
-
 // MinFutureCapOver returns the tightest cap among windows that open
 // strictly after `from` (but within `horizon` seconds of it) and overlap
 // [from, to). Windows already active at `from` are excluded — the online
@@ -190,57 +173,28 @@ func (b *Book) MinFutureCapOver(from, to, horizon int64) power.Cap {
 	return out
 }
 
-// PowerCaps returns the powercap windows sorted by start.
-func (b *Book) PowerCaps() []PowerCap {
-	out := make([]PowerCap, len(b.caps))
-	copy(out, b.caps)
-	return out
-}
-
-// SwitchOffs returns the switch-off reservations in insertion order.
-func (b *Book) SwitchOffs() []SwitchOff {
-	out := make([]SwitchOff, len(b.offs))
-	for i, o := range b.offs {
-		nodes := make([]cluster.NodeID, len(o.Nodes))
-		copy(nodes, o.Nodes)
-		o.Nodes = nodes
-		out[i] = o
-	}
-	return out
-}
-
-// NodeBlocked reports whether scheduling a job on the node over
-// [from, to) would collide with a switch-off reservation. With user
-// walltimes overestimated by four orders of magnitude (Section VII-B),
-// blocking on walltime overlap alone would idle the reserved group hours
-// ahead of the window; instead a reservation starts refusing work only
-// `lead` seconds before its window opens, and nodes still busy at the
-// window start drain to off as their jobs end. lead = 0 reproduces the
-// pure drain behaviour visible in the paper's Figures 6/7 (utilization
-// stays high until the window, then the group powers down sharply).
-func (b *Book) NodeBlocked(id cluster.NodeID, from, to int64, lead int64) bool {
-	for i := range b.offs {
-		if b.offs[i].blocks(from, to, lead) && b.offSets[i].Has(id) {
-			return true
-		}
-	}
-	return false
-}
-
 // blocks reports whether the window refuses work on its members for a
 // job spanning [from, to): the span touches the window and the lead-in
-// has begun.
+// has begun. With user walltimes overestimated by four orders of
+// magnitude (Section VII-B), blocking on walltime overlap alone would
+// idle the reserved group hours ahead of the window; instead a
+// reservation starts refusing work only `lead` seconds before its window
+// opens, and nodes still busy at the window start drain to off as their
+// jobs end. lead = 0 reproduces the pure drain behaviour visible in the
+// paper's Figures 6/7 (utilization stays high until the window, then the
+// group powers down sharply).
 func (o *SwitchOff) blocks(from, to, lead int64) bool {
 	return o.Start < to && from < o.End && from >= o.Start-lead
 }
 
-// BlockedSet returns the nodes NodeBlocked refuses for the span
-// [from, to) at the given lead, as one set: the verdict depends on the
-// window, not on the node asked about, so an allocation probe decides it
-// once and intersects. The result is nil when no window blocks, the
-// blocking window's own membership set when there is exactly one (the
-// common case; callers must not modify it), and otherwise the union,
-// written into *scratch (grown as needed and reused across calls).
+// BlockedSet returns the nodes on which scheduling a job over
+// [from, to) would collide with a switch-off reservation at the given
+// lead, as one set: the verdict depends on the window, not on the node
+// asked about, so an allocation probe decides it once and intersects.
+// The result is nil when no window blocks, the blocking window's own
+// membership set when there is exactly one (the common case; callers
+// must not modify it), and otherwise the union, written into *scratch
+// (grown as needed and reused across calls).
 func (b *Book) BlockedSet(from, to int64, lead int64, scratch *cluster.NodeSet) cluster.NodeSet {
 	var out cluster.NodeSet
 	blocking := 0
@@ -287,7 +241,7 @@ func offPhase(o *SwitchOff, t, lead int64) int {
 }
 
 // OffsPhaseStable reports whether every switch-off reservation gives
-// the same NodeBlocked verdicts at probe times t0 and t1 (t0 <= t1)
+// the same BlockedSet verdicts at probe times t0 and t1 (t0 <= t1)
 // for any fixed job span length: each window must sit in the same
 // phase at both instants, and the lead-in phase — where the verdict
 // depends on how far the probe instant is from the window start — only
@@ -306,29 +260,4 @@ func (b *Book) OffsPhaseStable(t0, t1, lead int64) bool {
 		}
 	}
 	return true
-}
-
-// Boundaries returns every distinct Start/End instant of all reservations
-// strictly after t, ascending — the wake-up points of the controller.
-func (b *Book) Boundaries(t int64) []int64 {
-	set := map[int64]bool{}
-	add := func(v int64) {
-		if v > t && v != Horizon {
-			set[v] = true
-		}
-	}
-	for _, c := range b.caps {
-		add(c.Start)
-		add(c.End)
-	}
-	for _, o := range b.offs {
-		add(o.Start)
-		add(o.End)
-	}
-	out := make([]int64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -62,26 +62,33 @@ func mustCap(t *testing.T, b *Book, start, end int64, w power.Watts) int {
 	return id
 }
 
-func TestMinCapOver(t *testing.T) {
+// MinFutureCapOver is what the online algorithm asks about a launch: the
+// tightest window that opens after the launch instant, within the
+// planning horizon, and overlaps the job's span.
+func TestMinFutureCapOver(t *testing.T) {
 	b := NewBook()
 	mustCap(t, b, 100, 200, 500)
 	mustCap(t, b, 400, 500, 200)
 
-	if got := b.MinCapOver(0, 50); got.IsSet() {
-		t.Errorf("span before any window capped: %v", got)
-	}
-	if got := b.MinCapOver(0, 150); got != power.CapWatts(500) {
-		t.Errorf("span into first window = %v", got)
-	}
-	if got := b.MinCapOver(0, 450); got != power.CapWatts(200) {
-		t.Errorf("span across both = %v, want tightest 200", got)
-	}
-	if got := b.MinCapOver(200, 400); got.IsSet() {
-		t.Errorf("gap span capped: %v", got)
-	}
-	// Touching boundaries exactly does not overlap.
-	if got := b.MinCapOver(500, 600); got.IsSet() {
-		t.Errorf("span after window capped: %v", got)
+	for _, tc := range []struct {
+		name              string
+		from, to, horizon int64
+		want              power.Cap
+	}{
+		{"span before any window", 0, 50, 0, power.NoCap},
+		{"span into the first window", 0, 150, 0, power.CapWatts(500)},
+		{"span across both: the tightest", 0, 450, 0, power.CapWatts(200)},
+		{"span in the gap", 200, 400, 0, power.NoCap},
+		{"span ending exactly at a start", 0, 100, 0, power.NoCap},
+		{"span after the last window", 500, 600, 0, power.NoCap},
+		{"a window already open at from is not a future one", 150, 450, 0, power.CapWatts(200)},
+		{"a window opening exactly at from is not a future one", 100, 150, 0, power.NoCap},
+		{"a window beyond the horizon is not prepared for yet", 0, 450, 150, power.CapWatts(500)},
+		{"a window exactly at the horizon is", 0, 450, 400, power.CapWatts(200)},
+	} {
+		if got := b.MinFutureCapOver(tc.from, tc.to, tc.horizon); got != tc.want {
+			t.Errorf("%s: MinFutureCapOver(%d, %d, %d) = %v, want %v", tc.name, tc.from, tc.to, tc.horizon, got, tc.want)
+		}
 	}
 }
 
@@ -93,7 +100,7 @@ func TestOpenEndedCap(t *testing.T) {
 	if got := b.CapAt(1 << 50); got != power.CapWatts(700) {
 		t.Errorf("open-ended cap at far future = %v", got)
 	}
-	if got := b.MinCapOver(99, 100); got.IsSet() {
+	if got := b.MinFutureCapOver(99, 100, 0); got.IsSet() {
 		t.Errorf("span ending at start capped: %v", got)
 	}
 }
@@ -111,14 +118,15 @@ func TestSwitchOffValidationAndCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[0] = 99 // the book must hold a copy
-	offs := b.SwitchOffs()
-	if len(offs) != 1 || offs[0].Nodes[0] != 1 {
-		t.Errorf("book aliases the caller's slice: %+v", offs)
+	if len(b.offs) != 1 || b.offs[0].Nodes[0] != 1 {
+		t.Errorf("book aliases the caller's slice: %+v", b.offs)
 	}
-	offs[0].Nodes[0] = 77 // and the accessor returns a copy too
-	if b.SwitchOffs()[0].Nodes[0] != 1 {
-		t.Error("SwitchOffs aliases the book's slice")
-	}
+}
+
+// nodeBlocked asks BlockedSet about one node.
+func (b *Book) nodeBlocked(id cluster.NodeID, from, to int64, lead int64) bool {
+	var scratch cluster.NodeSet
+	return b.BlockedSet(from, to, lead, &scratch).Has(id)
 }
 
 func TestNodeBlockedDrainSemantics(t *testing.T) {
@@ -127,19 +135,19 @@ func TestNodeBlockedDrainSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// lead = 0: the reservation only refuses work once its window opens.
-	if !b.NodeBlocked(5, 150, 160, 0) {
+	if !b.nodeBlocked(5, 150, 160, 0) {
 		t.Error("node inside window not blocked")
 	}
-	if b.NodeBlocked(5, 50, 101, 0) {
+	if b.nodeBlocked(5, 50, 101, 0) {
 		t.Error("pre-window job blocked with zero lead (drain semantics)")
 	}
-	if b.NodeBlocked(5, 50, 100, 0) {
+	if b.nodeBlocked(5, 50, 100, 0) {
 		t.Error("job ending exactly at window start blocked")
 	}
-	if b.NodeBlocked(5, 200, 300, 0) {
+	if b.nodeBlocked(5, 200, 300, 0) {
 		t.Error("job starting at window end blocked")
 	}
-	if b.NodeBlocked(7, 150, 160, 0) {
+	if b.nodeBlocked(7, 150, 160, 0) {
 		t.Error("unreserved node blocked")
 	}
 }
@@ -151,14 +159,14 @@ func TestNodeBlockedWithLead(t *testing.T) {
 	}
 	// lead = 30: allocations within 30 s of the window that overlap it
 	// are refused; earlier ones are not.
-	if !b.NodeBlocked(5, 80, 150, 30) {
+	if !b.nodeBlocked(5, 80, 150, 30) {
 		t.Error("overlapping job within the lead not blocked")
 	}
-	if b.NodeBlocked(5, 60, 150, 30) {
+	if b.nodeBlocked(5, 60, 150, 30) {
 		t.Error("overlapping job before the lead blocked")
 	}
 	// Non-overlapping spans are never blocked regardless of lead.
-	if b.NodeBlocked(5, 80, 100, 1<<40) {
+	if b.nodeBlocked(5, 80, 100, 1<<40) {
 		t.Error("non-overlapping job blocked by a huge lead")
 	}
 }
@@ -175,36 +183,10 @@ func TestRemove(t *testing.T) {
 		t.Error("removed cap still active")
 	}
 	b.Remove(idOff)
-	if b.NodeBlocked(1, 0, 100, 1<<40) {
+	if b.nodeBlocked(1, 0, 100, 1<<40) {
 		t.Error("removed switch-off still blocks")
 	}
 	b.Remove(424242) // unknown ID: no-op
-}
-
-func TestBoundaries(t *testing.T) {
-	b := NewBook()
-	mustCap(t, b, 100, 200, 500)
-	if _, err := b.AddSwitchOff(100, 250, []cluster.NodeID{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.AddPowerCap(300, Horizon, power.CapWatts(10)); err != nil {
-		t.Fatal(err)
-	}
-	got := b.Boundaries(0)
-	want := []int64{100, 200, 250, 300}
-	if len(got) != len(want) {
-		t.Fatalf("Boundaries = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Boundaries = %v, want %v", got, want)
-		}
-	}
-	// Strictly-after filter and deduplication.
-	got = b.Boundaries(200)
-	if len(got) != 2 || got[0] != 250 || got[1] != 300 {
-		t.Errorf("Boundaries(200) = %v, want [250 300]", got)
-	}
 }
 
 func TestUpdateCap(t *testing.T) {
@@ -236,8 +218,9 @@ func TestUpdateCap(t *testing.T) {
 	}
 }
 
-// nodeBlockedRef decides NodeBlocked from the reservations' node lists
-// alone — the definition, independent of the book's membership sets.
+// nodeBlockedRef decides whether a node is blocked from the
+// reservations' node lists alone — the definition, independent of the
+// book's membership sets.
 func nodeBlockedRef(offs []SwitchOff, id cluster.NodeID, from, to, lead int64) bool {
 	for _, o := range offs {
 		if o.Start >= to || o.End <= from || from < o.Start-lead {
@@ -273,7 +256,7 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 			ids = append(ids, id)
 		}
 		check := func() {
-			offs := b.SwitchOffs()
+			offs := b.offs
 			for probe := 0; probe < 40; probe++ {
 				from := int64(rng.Intn(1600)) - 50
 				to := from + 1 + int64(rng.Intn(800))
@@ -281,9 +264,6 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 					set := b.BlockedSet(from, to, lead, &scratch)
 					for id := cluster.NodeID(-1); id <= nodes; id++ {
 						want := nodeBlockedRef(offs, id, from, to, lead)
-						if got := b.NodeBlocked(id, from, to, lead); got != want {
-							t.Fatalf("round %d: NodeBlocked(%d, %d, %d, %d) = %v, want %v", round, id, from, to, lead, got, want)
-						}
 						if got := set.Has(id); got != want {
 							t.Fatalf("round %d: BlockedSet(%d, %d, %d).Has(%d) = %v, want %v", round, from, to, lead, id, got, want)
 						}

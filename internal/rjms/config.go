@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // DefaultCapPlanningHorizon is how far ahead (seconds) the online
@@ -120,9 +119,9 @@ const (
 	measuredPowerWindow = 10
 	// measuredPowerGuard is the guard band in noise sigmas.
 	measuredPowerGuard = 3
-	// fairshareHalfLife (seconds) decays the multifactor policy's
-	// per-user usage: 7 days.
-	fairshareHalfLife = 7 * 24 * 3600
+	// measuredPowerSeed seeds the sensor noise of MeasuredNoise, so a
+	// measured run is reproducible.
+	measuredPowerSeed = 1
 )
 
 // Config assembles a controller. Zero fields take the documented
@@ -134,12 +133,6 @@ type Config struct {
 	Policy core.Policy
 	// Options are the per-run switches.
 	Options
-
-	// MeasuredPowerSeed makes the sensor noise of MeasuredNoise
-	// reproducible; zero means 1.
-	MeasuredPowerSeed int64
-	// Priority selects the pending-queue order; default FCFS.
-	Priority sched.PriorityPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -161,9 +154,6 @@ func (c Config) withDefaults() Config {
 		c.PlanningHorizonSec = DefaultCapPlanningHorizon
 	} else if c.PlanningHorizonSec < 0 {
 		c.PlanningHorizonSec = 1 << 40 // effectively unbounded
-	}
-	if c.MeasuredNoise > 0 && c.MeasuredPowerSeed == 0 {
-		c.MeasuredPowerSeed = 1
 	}
 	return c
 }

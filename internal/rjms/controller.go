@@ -34,9 +34,6 @@ type Controller struct {
 	nodeJobs  [][]nodeJobEntry    // per-node running jobs and their frequencies (SoA, swap-removal)
 	runStates map[job.ID]runState // progress accounting for dynamic DVFS (value map, no per-job alloc)
 
-	fairshare *sched.Fairshare
-	weights   sched.MultifactorWeights
-
 	// allocFree recycles the Allocs slices of finished jobs: bucket k
 	// holds slices with room for at least 1<<k entries. A start takes one
 	// from the bucket of its node count, a finish returns it, so the
@@ -79,7 +76,7 @@ type Controller struct {
 	// crossed, and every submission since needs at least as many cores
 	// as the smallest request the memoized pass refused (the same
 	// within-pass pruning rule, carried across passes). Restricted to
-	// FCFS ordering (time-independent) and exact power bookkeeping.
+	// exact power bookkeeping.
 	passMemoValid   bool
 	passMemoNow     int64
 	passMemoMinFail int
@@ -108,7 +105,6 @@ type Controller struct {
 	frontiers  sched.Frontiers    // what first fit can take, per blocked set
 	nodeBuf    []cluster.NodeID   // node list of the current compact-placement probe
 	blockedBuf cluster.NodeSet    // union of several blocking switch-off groups
-	orderer    sched.Orderer      // priority-ordered pending queue
 
 	// Pre-bound closures with their parameter fields. plan() runs up to
 	// BackfillDepth times per event; a literal admit closure there would
@@ -148,13 +144,11 @@ func New(cfg Config) (*Controller, error) {
 		running:    map[job.ID]*job.Job{},
 		runStates:  map[job.ID]runState{},
 		nodeJobs:   make([][]nodeJobEntry, cfg.Topology.Nodes()),
-		fairshare:  sched.NewFairshare(fairshareHalfLife),
-		weights:    sched.DefaultMultifactor(cfg.Topology.Cores()),
 		offPending: cluster.NewNodeSet(cfg.Topology.Nodes()),
 		failed:     cluster.NewNodeSet(cfg.Topology.Nodes()),
 	}
 	if cfg.MeasuredNoise > 0 {
-		sensor, err := powerlog.NewSensor(cfg.MeasuredPowerSeed, cfg.MeasuredNoise, 0)
+		sensor, err := powerlog.NewSensor(measuredPowerSeed, cfg.MeasuredNoise, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -217,9 +211,6 @@ func (c *Controller) PolicyModel() core.PolicyModel { return c.pm }
 
 // Now returns the virtual clock.
 func (c *Controller) Now() int64 { return c.eng.Now() }
-
-// PendingCount returns the queued-job count.
-func (c *Controller) PendingCount() int { return len(c.pending) }
 
 // RunningCount returns the dispatched-job count.
 func (c *Controller) RunningCount() int { return len(c.running) }
@@ -789,7 +780,6 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 		delete(c.runStates, j.ID)
 	}
 	delete(c.running, j.ID)
-	c.fairshare.Charge(j.User, float64(j.CoreSeconds(now)), now)
 	c.rec.NoteCompletion(killed)
 	if !killed {
 		c.rec.NoteJobDone(j.StartTime-j.Submit, now-j.StartTime)
@@ -1040,7 +1030,7 @@ func (c *Controller) pass(now int64) {
 		// change its outcome has happened since: same cluster and cap
 		// state (any commit/finish/re-clock/boundary invalidates), every
 		// newer submission at least as wide as the smallest refused
-		// request (pruned by the pass's own rule), FCFS order
+		// request (pruned by the pass's own rule), the queue order
 		// time-independent, and every switch-off reservation in the same
 		// blocking phase — so a re-run would provably refuse everything
 		// again. Skip it.
@@ -1051,10 +1041,6 @@ func (c *Controller) pass(now int64) {
 		c.invalidatePassMemo()
 	}
 	c.statPasses++
-	order := c.pending
-	if c.cfg.Priority != sched.FCFS {
-		order = c.orderer.Order(c.pending, c.cfg.Priority, c.weights, c.fairshare, now)
-	}
 	startedCount := 0
 
 	shadowAt := int64(-1)
@@ -1081,7 +1067,9 @@ func (c *Controller) pass(now int64) {
 	}
 
 	considered := 0
-	for _, j := range order {
+	// One queue order: arrival (submissions in time order, requeued
+	// victims at the back).
+	for _, j := range c.pending {
 		if considered >= c.cfg.BackfillDepth {
 			break
 		}
@@ -1147,10 +1135,9 @@ func (c *Controller) pass(now int64) {
 	}
 	// Nothing launched: memoize the refusal so the next pass can skip
 	// the whole probe cycle unless the frontier moves. Only sound when
-	// the queue order cannot change with time (FCFS) and the power
-	// checks use the exact bookkeeping (a measurement estimator's
-	// guarded estimate drifts between samples).
-	if c.cfg.Priority == sched.FCFS && c.estimator == nil {
+	// the power checks use the exact bookkeeping (a measurement
+	// estimator's guarded estimate drifts between samples).
+	if c.estimator == nil {
 		mf := minAllocFail
 		if minPowerFail < mf {
 			mf = minPowerFail

@@ -1,6 +1,8 @@
 package rjms
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -11,32 +13,75 @@ import (
 	"repro/internal/sched"
 )
 
-func TestMultifactorFairsharePrioritizesLightUser(t *testing.T) {
-	cfg := tinyConfig(core.PolicyNone)
-	cfg.Priority = sched.Multifactor
-	c := mustNew(t, cfg)
-	// "heavy" burns the machine first; then one job from each user is
-	// queued while the machine is full. When it frees, the light user's
-	// job should start first despite the later submit time.
+// The controller has one queue order: arrival. Equal-submit jobs keep
+// their list order (not their ID order), a failed node's victims requeue
+// at the back, the head of the queue gets the EASY reservation, later
+// jobs backfill only where they do not delay it, and a pass that
+// committed nothing is not re-run for a submission as wide as what it
+// refused.
+func TestPendingWalkedInArrivalOrder(t *testing.T) {
+	c := mustNew(t, tinyConfig(core.PolicyNone)) // 12 nodes x 4 cores
 	jobs := []*job.Job{
-		{ID: 1, User: "heavy", Cores: 48, Submit: 0, Runtime: 1000, Walltime: 1200},
-		{ID: 2, User: "heavy", Cores: 48, Submit: 10, Runtime: 100, Walltime: 200},
-		{ID: 3, User: "light", Cores: 48, Submit: 20, Runtime: 100, Walltime: 200},
+		{ID: 1, User: "a", Cores: 36, Submit: 0, Runtime: 1000, Walltime: 1200},
+		// A tie on submit time, listed against ID order: 3 is the head.
+		{ID: 3, User: "b", Cores: 44, Submit: 10, Runtime: 100, Walltime: 200},
+		{ID: 2, User: "c", Cores: 44, Submit: 10, Runtime: 100, Walltime: 200},
+		// As wide as what the last pass refused: the memo answers.
+		{ID: 4, User: "d", Cores: 44, Submit: 20, Runtime: 100, Walltime: 200},
+		// Narrower and over before the head's reservation (t=1200).
+		{ID: 5, User: "e", Cores: 4, Submit: 30, Runtime: 50, Walltime: 100},
+		// Outlasts the reservation but takes the 4 cores it leaves spare.
+		{ID: 6, User: "f", Cores: 4, Submit: 40, Runtime: 3000, Walltime: 5000},
+		// Fits by cores (node 11 is idle), would delay the head: held.
+		{ID: 7, User: "g", Cores: 4, Submit: 50, Runtime: 3000, Walltime: 5000},
 	}
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(1050); err != nil {
-		t.Fatal(err)
-	}
-	if c.RunningCount() != 1 {
-		t.Fatalf("running = %d, want 1", c.RunningCount())
-	}
-	for _, j := range c.running {
-		if j.User != "light" {
-			t.Errorf("running job belongs to %q, want the light user first", j.User)
+	requeued := job.ID(requeueIDBase + 1)
+	expect := func(pending, running []job.ID) {
+		t.Helper()
+		var gotP, gotR []job.ID
+		for _, j := range c.pending {
+			gotP = append(gotP, j.ID)
+		}
+		for id := range c.running {
+			gotR = append(gotR, id)
+		}
+		sort.Slice(gotR, func(i, k int) bool { return gotR[i] < gotR[k] })
+		if !reflect.DeepEqual(gotP, pending) || !reflect.DeepEqual(gotR, running) {
+			t.Fatalf("t=%d: pending %v running %v, want %v and %v", c.Now(), gotP, gotR, pending, running)
 		}
 	}
+	check := func(until int64, pending, running []job.ID) {
+		t.Helper()
+		if _, err := c.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		expect(pending, running)
+	}
+	check(15, []job.ID{3, 2}, []job.ID{1})
+	skipped := c.SchedCounters().PassesSkipped
+	check(25, []job.ID{3, 2, 4}, []job.ID{1})
+	if got := c.SchedCounters().PassesSkipped; got <= skipped {
+		t.Errorf("passes skipped %d -> %d: a submission as wide as the refused head re-ran the pass", skipped, got)
+	}
+	check(55, []job.ID{3, 2, 4, 7}, []job.ID{1, 5, 6})
+
+	check(100, []job.ID{3, 2, 4, 7}, []job.ID{1, 6})
+	if err := c.FailNode(0); err != nil { // job 1 runs there
+		t.Fatal(err)
+	}
+	expect([]job.ID{3, 2, 4, 7, requeued}, []job.ID{6})
+	// The victim's clone backfills from the back (it ends before job 6
+	// frees the head's cores at t=5040); 7 is still held behind the head.
+	check(101, []job.ID{3, 2, 4, 7}, []job.ID{6, requeued})
+
+	// Job 6 ends at t=3040; the 44 cores left go to the queue in order.
+	check(3050, []job.ID{2, 4, 7}, []job.ID{3})
+	check(3150, []job.ID{4, 7}, []job.ID{2})
+	check(3250, []job.ID{7}, []job.ID{4})
+	check(3350, nil, []job.ID{7})
 }
 
 func TestNodeSharingAcrossJobs(t *testing.T) {

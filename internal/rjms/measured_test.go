@@ -20,7 +20,6 @@ func TestMeasuredModeDeterministic(t *testing.T) {
 	run := func() float64 {
 		cfg := tinyConfig(core.PolicyDvfs)
 		cfg.MeasuredNoise = 0.03
-		cfg.MeasuredPowerSeed = 99
 		c := mustNew(t, cfg)
 		if _, err := c.ReservePowerCap(0, 100000, power.CapFraction(0.7, c.Cluster().MaxPower())); err != nil {
 			t.Fatal(err)
@@ -53,7 +52,6 @@ func TestMeasuredModeConservative(t *testing.T) {
 	mk := func(noise float64) (*Controller, power.Cap) {
 		cfg := tinyConfig(core.PolicyShut)
 		cfg.MeasuredNoise = noise
-		cfg.MeasuredPowerSeed = 7
 		c := mustNew(t, cfg)
 		budget := power.CapWatts(c.Cluster().IdlePower() + 3*241 + 10)
 		if _, err := c.ReservePowerCap(0, 100000, budget); err != nil {

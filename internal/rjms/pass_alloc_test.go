@@ -306,8 +306,10 @@ func backlogged(t *testing.T) (c *Controller, capID int, wide, hot, narrow *job.
 	}
 	const longWall = 20000
 	usable := 0
+	var scratch cluster.NodeSet
+	blocked := c.book.BlockedSet(1, 1+longWall, c.cfg.ReservationLeadSec, &scratch)
 	c.clus.ForEach(func(n cluster.NodeInfo) bool {
-		if n.State == cluster.StateIdle && !c.book.NodeBlocked(n.ID, 1, 1+longWall, c.cfg.ReservationLeadSec) {
+		if n.State == cluster.StateIdle && !blocked.Has(n.ID) {
 			usable++
 		}
 		return true

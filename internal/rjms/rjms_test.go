@@ -67,8 +67,8 @@ func TestSingleJobLifecycle(t *testing.T) {
 	if got := float64(sum.EnergyJ); got != wantJ {
 		t.Errorf("energy = %v J, want %v", got, wantJ)
 	}
-	if c.PendingCount() != 0 || c.RunningCount() != 0 {
-		t.Errorf("queues not drained: %d pending, %d running", c.PendingCount(), c.RunningCount())
+	if len(c.pending) != 0 || c.RunningCount() != 0 {
+		t.Errorf("queues not drained: %d pending, %d running", len(c.pending), c.RunningCount())
 	}
 }
 
@@ -339,8 +339,8 @@ func TestJobsPendUnderCapAndResumeAfter(t *testing.T) {
 	if _, err := c.Run(499); err != nil {
 		t.Fatal(err)
 	}
-	if c.PendingCount() != 1 {
-		t.Fatalf("job ran under an impossible cap (pending=%d)", c.PendingCount())
+	if len(c.pending) != 1 {
+		t.Fatalf("job ran under an impossible cap (pending=%d)", len(c.pending))
 	}
 	sum, err := c.Run(1000)
 	if err != nil {

@@ -1,6 +1,17 @@
+// Package sched provides the generic scheduling building blocks of the
+// RJMS the powercapping algorithm plugs into (Section IV-A): core-level
+// node allocation that prefers filling partially used nodes, the
+// first-fit frontier that prices a launch by counting, and the
+// shadow-time computation of EASY backfilling. The queue order is not
+// here: the controller walks its pending queue in arrival order.
+//
+// The package holds no state of its own — everything operates on the
+// caller's cluster and job slices — so it is safe for the parallel
+// sweeps of internal/experiment, where each worker drives its own
+// controller. The scratch-reusing forms (Frontiers, AllocateInto,
+// ShadowTimeSorted) exist for the controller's hot scheduling pass: they
+// let one event loop reuse its buffers instead of allocating per probe.
 package sched
-
-import "sort"
 
 // RunningJob is the view of a dispatched job the backfill logic needs:
 // its core count and the time the scheduler must assume it ends (start +
@@ -12,41 +23,24 @@ type RunningJob struct {
 	ExpectedEnd int64
 }
 
-// ShadowTime computes the EASY-backfill reservation point for the head
-// blocked job: the earliest instant at which at least `need` cores are
-// free, assuming running jobs release their cores at their expected ends.
-// freeNow is the currently free core count. Returns ok=false when even
-// with everything released the job does not fit (it then waits for state
-// changes such as nodes powering back on).
+// ShadowTimeSorted computes the EASY-backfill reservation point for the
+// head blocked job: the earliest instant at which at least `need` cores
+// are free, assuming running jobs release their cores at their expected
+// ends. freeNow is the currently free core count; running is sorted by
+// ascending ExpectedEnd. Returns ok=false when even with everything
+// released the job does not fit (it then waits for state changes such as
+// nodes powering back on).
 //
-// The input is copied and sorted; callers that already keep their
-// running view ordered by ExpectedEnd should use ShadowTimeSorted and
-// skip the per-call copy.
-func ShadowTime(running []RunningJob, freeNow, need int, now int64) (int64, bool) {
-	if need <= freeNow {
-		return now, true
-	}
-	rs := make([]RunningJob, len(running))
-	copy(rs, running)
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ExpectedEnd < rs[j].ExpectedEnd })
-	return shadowFromSorted(rs, freeNow, need, now)
-}
-
-// ShadowTimeSorted is ShadowTime for a running view already sorted by
-// ascending ExpectedEnd. It allocates nothing — the scheduling pass
-// calls it once per blocked head with a reused, pre-sorted view. The
-// result only depends on the (end, cores) multiset, so any tie order
-// among equal ends yields the same reservation point.
+// It allocates nothing — the scheduling pass calls it once per blocked
+// head with a reused, pre-sorted view. The result only depends on the
+// (end, cores) multiset, so any tie order among equal ends yields the
+// same reservation point.
 func ShadowTimeSorted(running []RunningJob, freeNow, need int, now int64) (int64, bool) {
 	if need <= freeNow {
 		return now, true
 	}
-	return shadowFromSorted(running, freeNow, need, now)
-}
-
-func shadowFromSorted(rs []RunningJob, freeNow, need int, now int64) (int64, bool) {
 	free := freeNow
-	for _, r := range rs {
+	for _, r := range running {
 		free += r.Cores
 		if free >= need {
 			end := r.ExpectedEnd

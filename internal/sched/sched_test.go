@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -18,107 +19,6 @@ func testCluster() *cluster.Cluster {
 		panic(err)
 	}
 	return c
-}
-
-func TestOrderFCFS(t *testing.T) {
-	jobs := []*job.Job{
-		{ID: 3, Submit: 20},
-		{ID: 1, Submit: 10},
-		{ID: 2, Submit: 10},
-	}
-	got := Order(jobs, FCFS, MultifactorWeights{}, nil, 100)
-	want := []job.ID{1, 2, 3}
-	for i, id := range want {
-		if got[i].ID != id {
-			t.Fatalf("order = %v %v %v, want %v", got[0].ID, got[1].ID, got[2].ID, want)
-		}
-	}
-	// Input order untouched.
-	if jobs[0].ID != 3 {
-		t.Error("Order mutated its input")
-	}
-}
-
-func TestOrderMultifactorAge(t *testing.T) {
-	w := MultifactorWeights{AgeWeight: 1000, AgeSaturation: 100}
-	jobs := []*job.Job{
-		{ID: 1, Submit: 90}, // young
-		{ID: 2, Submit: 0},  // old
-	}
-	got := Order(jobs, Multifactor, w, nil, 100)
-	if got[0].ID != 2 {
-		t.Errorf("older job should lead: got %v first", got[0].ID)
-	}
-}
-
-func TestOrderMultifactorSize(t *testing.T) {
-	w := MultifactorWeights{SizeWeight: 1000, MaxCores: 1000}
-	jobs := []*job.Job{
-		{ID: 1, Submit: 0, Cores: 10},
-		{ID: 2, Submit: 0, Cores: 900},
-	}
-	got := Order(jobs, Multifactor, w, nil, 0)
-	if got[0].ID != 2 {
-		t.Errorf("bigger job should lead with size weight: got %v first", got[0].ID)
-	}
-}
-
-func TestOrderMultifactorFairshare(t *testing.T) {
-	fs := NewFairshare(0)
-	fs.Charge("heavy", 1e6, 0)
-	w := MultifactorWeights{FairshareWeight: 1000}
-	jobs := []*job.Job{
-		{ID: 1, Submit: 0, User: "heavy"},
-		{ID: 2, Submit: 0, User: "light"},
-	}
-	got := Order(jobs, Multifactor, w, fs, 10)
-	if got[0].ID != 2 {
-		t.Errorf("light user should lead: got %v first", got[0].ID)
-	}
-}
-
-func TestOrderMultifactorTieBreak(t *testing.T) {
-	w := DefaultMultifactor(1000)
-	jobs := []*job.Job{
-		{ID: 2, Submit: 5, Cores: 10, User: "u"},
-		{ID: 1, Submit: 5, Cores: 10, User: "u"},
-	}
-	got := Order(jobs, Multifactor, w, nil, 10)
-	if got[0].ID != 1 {
-		t.Errorf("equal-priority tie should break by ID: got %v first", got[0].ID)
-	}
-}
-
-func TestFairshareDecay(t *testing.T) {
-	fs := NewFairshare(100)
-	fs.Charge("u", 1000, 0)
-	got := fs.Usage("u", 100)
-	if math.Abs(got-500) > 1e-9 {
-		t.Errorf("usage after one half-life = %v, want 500", got)
-	}
-	if got := fs.Usage("u", 300); math.Abs(got-125) > 1e-9 {
-		t.Errorf("usage after three half-lives = %v, want 125", got)
-	}
-	// Charging re-anchors the decay clock.
-	fs.Charge("u", 0, 200)
-	if got := fs.Usage("u", 300); math.Abs(got-125) > 1e-9 {
-		t.Errorf("re-anchored usage = %v, want 125", got)
-	}
-}
-
-func TestFairshareNoDecay(t *testing.T) {
-	var fs Fairshare // zero value usable
-	fs.Charge("u", 100, 0)
-	if got := fs.Usage("u", 1e9); got != 100 {
-		t.Errorf("undecayed usage = %v, want 100", got)
-	}
-	if got := fs.MaxUsage(0); got != 100 {
-		t.Errorf("MaxUsage = %v, want 100", got)
-	}
-	empty := NewFairshare(0)
-	if got := empty.MaxUsage(0); got != 1 {
-		t.Errorf("empty MaxUsage = %v, want 1", got)
-	}
 }
 
 // allocate is first fit without a preference into a fresh slice, nil
@@ -199,6 +99,14 @@ func TestAllocateExactFit(t *testing.T) {
 	}
 }
 
+// shadowTime is ShadowTimeSorted for a running view in any order: it
+// sorts a copy, so the caller's slice is left alone.
+func shadowTime(running []RunningJob, freeNow, need int, now int64) (int64, bool) {
+	rs := append([]RunningJob(nil), running...)
+	sort.Slice(rs, func(i, j int) bool { return rs[i].ExpectedEnd < rs[j].ExpectedEnd })
+	return ShadowTimeSorted(rs, freeNow, need, now)
+}
+
 func TestShadowTime(t *testing.T) {
 	running := []RunningJob{
 		{Cores: 10, ExpectedEnd: 300},
@@ -206,27 +114,23 @@ func TestShadowTime(t *testing.T) {
 		{Cores: 5, ExpectedEnd: 200},
 	}
 	// Need 12, have 4 free: after t=100 we have 9, after t=200 we have 14.
-	at, ok := ShadowTime(running, 4, 12, 50)
+	at, ok := shadowTime(running, 4, 12, 50)
 	if !ok || at != 200 {
 		t.Errorf("ShadowTime = %d,%v want 200,true", at, ok)
 	}
 	// Fits immediately.
-	at, ok = ShadowTime(running, 20, 12, 50)
+	at, ok = shadowTime(running, 20, 12, 50)
 	if !ok || at != 50 {
 		t.Errorf("immediate ShadowTime = %d,%v", at, ok)
 	}
 	// Never fits.
-	if _, ok := ShadowTime(running, 4, 100, 50); ok {
+	if _, ok := shadowTime(running, 4, 100, 50); ok {
 		t.Error("impossible demand reported satisfiable")
 	}
 	// Expected end in the past clamps to now.
-	at, ok = ShadowTime([]RunningJob{{Cores: 10, ExpectedEnd: 10}}, 0, 5, 50)
+	at, ok = shadowTime([]RunningJob{{Cores: 10, ExpectedEnd: 10}}, 0, 5, 50)
 	if !ok || at != 50 {
 		t.Errorf("past-end ShadowTime = %d,%v want 50,true", at, ok)
-	}
-	// Does not mutate its input order.
-	if running[0].ExpectedEnd != 300 {
-		t.Error("ShadowTime mutated the running slice")
 	}
 }
 
@@ -262,7 +166,7 @@ func TestShadowTimeEarliest(t *testing.T) {
 			})
 		}
 		now := int64(10)
-		at, ok := ShadowTime(running, int(freeNow%16), int(need%64)+1, now)
+		at, ok := shadowTime(running, int(freeNow%16), int(need%64)+1, now)
 		if !ok {
 			// Verify it truly never fits.
 			return FreeCoresAt(running, int(freeNow%16), math.MaxInt64/2) < int(need%64)+1

@@ -169,7 +169,8 @@ func (c *Client) Series(ctx context.Context, id, metric string, sq SeriesQuery) 
 	return c.series(ctx, "/v1/runs/"+id+"/series", metric, sq)
 }
 
-// series is the one series-query builder behind Series and TwinSeries.
+// series builds and sends the series query of a run (Series) or, from
+// the tests' twin client, of a twin.
 func (c *Client) series(ctx context.Context, path, metric string, sq SeriesQuery) (SeriesResponse, error) {
 	q := url.Values{}
 	if metric != "" {

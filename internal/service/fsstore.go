@@ -105,9 +105,6 @@ func OpenFSStore(dir string, opt FSOptions) (*FSStore, error) {
 	return st, nil
 }
 
-// Dir returns the archive directory.
-func (st *FSStore) Dir() string { return st.dir }
-
 // Skipped reports the files the open scan could not decode (corrupt or
 // foreign), one "name: reason" line each.
 func (st *FSStore) Skipped() []string {

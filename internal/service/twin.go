@@ -9,7 +9,6 @@ package service
 // the SSE idiom and the drain discipline.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -106,11 +105,6 @@ func (s *Server) twinFor(tenant TenantConfig, id string) (*twinRun, error) {
 	return t, nil
 }
 
-// StartTwin is StartTwinAs for the open daemon / trusted callers.
-func (s *Server) StartTwin(spec twin.Spec) (TwinView, error) {
-	return s.StartTwinAs(TenantConfig{}, spec)
-}
-
 // StartTwinAs validates and boots a twin session on behalf of a
 // tenant: members built, reservations placed, the lockstep loop
 // running on its own goroutine until the horizon, a stop or shutdown.
@@ -194,11 +188,6 @@ func (s *Server) StartTwinAs(tenant TenantConfig, spec twin.Spec) (TwinView, err
 	return t.view(false), nil
 }
 
-// Twin is TwinAs with operator rights.
-func (s *Server) Twin(id string) (TwinView, error) {
-	return s.TwinAs(TenantConfig{Admin: true}, id)
-}
-
 // TwinAs returns one twin's view — spec and mutation log included —
 // with the caller's tenancy applied: someone else's twin answers the
 // exact 404 an id that never existed answers.
@@ -255,17 +244,6 @@ func (s *Server) StopTwinAs(tenant TenantConfig, id string) (TwinView, error) {
 	}
 	t.cancel()
 	return t.view(false), nil
-}
-
-// FollowTwin replays a twin's event log from the start and then
-// follows live appends until the twin finishes, fn errors or ctx ends
-// — the twin SSE loop, same discipline as Follow.
-func (s *Server) FollowTwin(ctx context.Context, id string, fn func(Event) error) error {
-	t, err := s.twinFor(TenantConfig{Admin: true}, id)
-	if err != nil {
-		return err
-	}
-	return t.follow(ctx, fn)
 }
 
 // twinStats counts the registry for Stats (live = still running).
@@ -441,55 +419,4 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.met.scrape(w, s.Stats())
-}
-
-// --- Client ---
-
-// StartTwin posts a twin spec and returns the live session's view.
-func (c *Client) StartTwin(ctx context.Context, spec twin.Spec) (TwinView, error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(spec); err != nil {
-		return TwinView{}, err
-	}
-	var v TwinView
-	err := c.do(ctx, http.MethodPost, "/v1/twin", &buf, &v)
-	return v, err
-}
-
-// Twin fetches one twin's status, spec and mutation log.
-func (c *Client) Twin(ctx context.Context, id string) (TwinView, error) {
-	var v TwinView
-	err := c.do(ctx, http.MethodGet, "/v1/twin/"+id, nil, &v)
-	return v, err
-}
-
-// ListTwins fetches the caller-visible twin sessions.
-func (c *Client) ListTwins(ctx context.Context) ([]TwinView, error) {
-	var resp twinListResponse
-	err := c.do(ctx, http.MethodGet, "/v1/twin", nil, &resp)
-	return resp.Twins, err
-}
-
-// MutateTwin enqueues a live mutation on a twin.
-func (c *Client) MutateTwin(ctx context.Context, id string, m twin.Mutation) (TwinView, error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(m); err != nil {
-		return TwinView{}, err
-	}
-	var v TwinView
-	err := c.do(ctx, http.MethodPost, "/v1/twin/"+id+"/mutations", &buf, &v)
-	return v, err
-}
-
-// StopTwin stops a twin session (its telemetry stays queryable).
-func (c *Client) StopTwin(ctx context.Context, id string) (TwinView, error) {
-	var v TwinView
-	err := c.do(ctx, http.MethodDelete, "/v1/twin/"+id, nil, &v)
-	return v, err
-}
-
-// TwinSeries fetches one metric's points from a twin's telemetry; an
-// empty metric enumerates the recorded metrics.
-func (c *Client) TwinSeries(ctx context.Context, id, metric string, sq SeriesQuery) (SeriesResponse, error) {
-	return c.series(ctx, "/v1/twin/"+id+"/series", metric, sq)
 }

@@ -319,7 +319,7 @@ func TestTwinTenancy(t *testing.T) {
 // draining.
 func TestTwinDrainOnShutdown(t *testing.T) {
 	s := service.New(service.Config{Workers: 1})
-	v, err := s.StartTwin(pacedTwinSpec("drain"))
+	v, err := s.StartTwinAs(service.TenantConfig{}, pacedTwinSpec("drain"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,14 +328,14 @@ func TestTwinDrainOnShutdown(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	got, err := s.Twin(v.ID)
+	got, err := s.TwinAs(service.TenantConfig{Admin: true}, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.State != service.StateCancelled {
 		t.Fatalf("drained twin state = %s", got.State)
 	}
-	if _, err := s.StartTwin(fastTwinSpec("late")); err == nil {
+	if _, err := s.StartTwinAs(service.TenantConfig{}, fastTwinSpec("late")); err == nil {
 		t.Fatal("draining daemon accepted a twin")
 	}
 }

@@ -81,14 +81,14 @@ type Builder func(*Spec) (Source, error)
 var Kinds = registry.New[Builder]("signal kind")
 
 func init() {
-	Kinds.Register("constant", buildConstant, "fixed level (value)")
-	Kinds.Register("step", buildStep, "piecewise-hold breakpoints (times/values)", "steps")
-	Kinds.Register("sinusoid", buildSinusoid, "mean + amplitude*sin(2*pi*(t+phase)/period)", "sine", "sin")
-	Kinds.Register("diurnal", buildDiurnal, "24h cycle: trough at midnight, crest mid-afternoon")
-	Kinds.Register("trace", buildTrace, "CSV trace replay with step-hold (path or inline times/values)", "csv")
-	Kinds.Register("clamp", buildClamp, "bound input into [min,max]")
-	Kinds.Register("scale", buildScale, "input * factor")
-	Kinds.Register("compose", buildCompose, "pointwise product of inputs", "product")
+	Kinds.Register("constant", buildConstant)                // fixed level (value)
+	Kinds.Register("step", buildStep, "steps")               // piecewise-hold breakpoints (times/values)
+	Kinds.Register("sinusoid", buildSinusoid, "sine", "sin") // mean + amplitude*sin(2*pi*(t+phase)/period)
+	Kinds.Register("diurnal", buildDiurnal)                  // 24h cycle: trough at midnight, crest mid-afternoon
+	Kinds.Register("trace", buildTrace, "csv")               // CSV trace replay with step-hold (path or inline times/values)
+	Kinds.Register("clamp", buildClamp)                      // bound input into [min,max]
+	Kinds.Register("scale", buildScale)                      // input * factor
+	Kinds.Register("compose", buildCompose, "product")       // pointwise product of inputs
 }
 
 // Normalize canonicalizes kind spellings and fills defaults (constant

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/figures"
 	"repro/internal/registry"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -134,9 +133,9 @@ func singleFigure(name, desc, header string, scen func(scaleRacks int) replay.Sc
 			return SpecFromScenario(scen(opt.Racks))
 		},
 		Render: func(rep Report, opt FigureOptions) string {
-			return header + "\n\n" + figures.TimeSeries(*rep.Single, opt.Width, opt.Height)
+			return header + "\n\n" + timeSeries(*rep.Single, opt.Width, opt.Height)
 		},
-	}, desc)
+	})
 }
 
 // summaryFigure registers a cell-list sweep rendered as a header plus
@@ -150,9 +149,9 @@ func summaryFigure(name, desc, header string, inAll bool, scens func(scaleRacks 
 			return specFromList(name, opt.Racks, scens(opt.Racks))
 		},
 		Render: func(rep Report, opt FigureOptions) string {
-			return header + figures.SummaryTable(rep.Table.Results())
+			return header + summaryTable(rep.Table.Results())
 		},
-	}, desc)
+	})
 }
 
 func init() {
@@ -160,14 +159,14 @@ func init() {
 		name, desc string
 		fn         func() string
 	}{
-		{"2", "power consumption and switch-off bonus per hierarchy level", figures.Fig2},
-		{"3", "max power vs normalized execution time per app and frequency", figures.Fig3},
-		{"4", "the measured Curie power table", figures.Fig4},
-		{"5", "the rho mechanism-selection criterion", figures.Fig5},
+		{"2", "power consumption and switch-off bonus per hierarchy level", fig2},
+		{"3", "max power vs normalized execution time per app and frequency", fig3},
+		{"4", "the measured Curie power table", fig4},
+		{"5", "the rho mechanism-selection criterion", fig5},
 	}
 	for _, f := range staticFigs {
 		fn := f.fn
-		Figures.Register(f.name, Figure{Name: f.name, Desc: f.desc, InAll: true, Static: fn}, f.desc)
+		Figures.Register(f.name, Figure{Name: f.name, Desc: f.desc, InAll: true, Static: fn})
 	}
 
 	singleFigure("6", "24 h workload under MIX with a 1 h 40% reservation",
@@ -186,9 +185,9 @@ func init() {
 		},
 		Render: func(rep Report, opt FigureOptions) string {
 			rs := rep.Table.Results()
-			return figures.Fig8(rs) + "\n" + figures.SummaryTable(rs)
+			return fig8(rs) + "\n" + summaryTable(rs)
 		},
-	}, "Figure 8 grid")
+	})
 
 	summaryFigure("claims", "the Section VII-C 24 h policy comparison",
 		"Section VII-C 24 h claims (SHUT vs DVFS vs MIX vs IDLE at 40%)\n\n",
@@ -221,7 +220,7 @@ func init() {
 		Render: func(rep Report, opt FigureOptions) string {
 			return rep.Table.ASCII(40)
 		},
-	}, "full evaluation grid")
+	})
 
 	Figures.Register("scenarios", Figure{
 		Name: "scenarios",
@@ -232,7 +231,7 @@ func init() {
 		Render: func(rep Report, opt FigureOptions) string {
 			return "Scenario library: paper intervals + diurnal/bursty/heavytail\n\n" + rep.Table.ASCII(40)
 		},
-	}, "extended workload library sweep")
+	})
 
 	Figures.Register("federation", Figure{
 		Name: "federation",
@@ -252,5 +251,5 @@ func init() {
 			return "Federated multi-cluster sweep: fleet size x site budget x division policy\n\n" +
 				rep.FederationTable.ASCII(opt.Width)
 		},
-	}, "federated multi-cluster sweep")
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/figures"
 	"repro/internal/replay"
 )
 
@@ -31,8 +30,8 @@ func TestStaticFigureRendersWithoutRunning(t *testing.T) {
 	if rep != nil {
 		t.Error("static figure produced a report")
 	}
-	if text != figures.Fig2() {
-		t.Error("figure 2 drifted from figures.Fig2")
+	if text != fig2() {
+		t.Error("figure 2 drifted from fig2")
 	}
 }
 
@@ -54,7 +53,7 @@ func TestReplayedFigureMatchesDirectPath(t *testing.T) {
 		t.Fatal(direct.Err)
 	}
 	want := "Figure 7b: smalljob workload, DVFS policy, 40% cap\n\n" +
-		figures.TimeSeries(direct, 96, 14)
+		timeSeries(direct, 96, 14)
 	if text != want {
 		t.Error("figure 7b rendering drifted from the direct replay path")
 	}
@@ -88,7 +87,7 @@ func TestFigureSpecsValidateAndDump(t *testing.T) {
 			t.Errorf("figure %s: encode: %v", name, err)
 			continue
 		}
-		if err := RoundTrips([]byte(buf.String())); err != nil {
+		if err := roundTrips([]byte(buf.String())); err != nil {
 			t.Errorf("figure %s: %v", name, err)
 		}
 	}

@@ -1,11 +1,10 @@
-// Package figures regenerates every table and figure of the paper's
-// evaluation as text: the Figure 2 power-bonus table, the Figure 3
-// power/time trade-off scatter, the Figure 4 node power table, the
-// Figure 5 rho table, the Figure 6/7 utilization and power time series,
-// and the Figure 8 policy comparison bars. Each function returns a
-// self-contained string so the same code serves cmd/expfig, the examples
-// and the benchmark harness.
-package figures
+package sim
+
+// The text renderers behind the figure registry and the ascii sink: the
+// Figure 2 power-bonus table, the Figure 3 power/time trade-off scatter,
+// the Figure 4 node power table, the Figure 5 rho table, the Figure 6/7
+// utilization and power time series, and the Figure 8 policy comparison
+// bars. Each returns a self-contained string.
 
 import (
 	"fmt"
@@ -21,10 +20,10 @@ import (
 	"repro/internal/replay"
 )
 
-// Fig2 renders the per-level power consumption and bonus table of
+// fig2 renders the per-level power consumption and bonus table of
 // Figure 2 for the Curie hierarchy, deriving every value from the
 // cluster model rather than hard-coding the paper's numbers.
-func Fig2() string {
+func fig2() string {
 	c := cluster.NewCurie()
 	topo := c.Topology()
 	prof := c.Profile()
@@ -55,10 +54,10 @@ func Fig2() string {
 	return b.String()
 }
 
-// Fig3 renders the maximum power versus normalized execution time
+// fig3 renders the maximum power versus normalized execution time
 // trade-off of the four measured applications across the frequency
 // ladder.
-func Fig3() string {
+func fig3() string {
 	prof := power.CurieProfile()
 	pts := apps.Figure3Points(prof)
 
@@ -78,8 +77,8 @@ func Fig3() string {
 	return b.String()
 }
 
-// Fig4 renders the node power table.
-func Fig4() string {
+// fig4 renders the node power table.
+func fig4() string {
 	prof := power.CurieProfile()
 	var b strings.Builder
 	b.WriteString("Figure 4: maximum power consumption of a Curie node per state\n\n")
@@ -92,8 +91,8 @@ func Fig4() string {
 	return b.String()
 }
 
-// Fig5 renders the degradation/rho/mechanism table.
-func Fig5() string {
+// fig5 renders the degradation/rho/mechanism table.
+func fig5() string {
 	prof := power.CurieProfile()
 	var b strings.Builder
 	b.WriteString("Figure 5: DVFS vs switch-off comparison on Curie per benchmark\n\n")
@@ -108,10 +107,10 @@ func Fig5() string {
 	return b.String()
 }
 
-// TimeSeries renders the Figure 6/7 style stacked plots for a run: cores
+// timeSeries renders the Figure 6/7 style stacked plots for a run: cores
 // by frequency (plus switched-off cores) and the cluster power draw,
 // with the cap overlaid.
-func TimeSeries(r replay.Result, width, height int) string {
+func timeSeries(r replay.Result, width, height int) string {
 	samples := r.Samples
 	if len(samples) == 0 {
 		return "no samples recorded\n"
@@ -163,9 +162,9 @@ func TimeSeries(r replay.Result, width, height int) string {
 	return b.String()
 }
 
-// Fig8 renders the normalized energy / launched jobs / work bars for a
+// fig8 renders the normalized energy / launched jobs / work bars for a
 // scenario sweep, grouped by workload the way Figure 8 stacks its rows.
-func Fig8(results []replay.Result) string {
+func fig8(results []replay.Result) string {
 	byWorkload := map[string][]replay.Result{}
 	var order []string
 	for _, r := range results {
@@ -196,8 +195,8 @@ func Fig8(results []replay.Result) string {
 	return b.String()
 }
 
-// SummaryTable renders one row per result with the headline metrics.
-func SummaryTable(results []replay.Result) string {
+// summaryTable renders one row per result with the headline metrics.
+func summaryTable(results []replay.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %10s %10s %10s %8s %8s %7s\n",
 		"scenario", "energy", "work", "launched", "normE", "normW", "killed")

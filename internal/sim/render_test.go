@@ -1,4 +1,4 @@
-package figures
+package sim
 
 import (
 	"strings"
@@ -10,7 +10,7 @@ import (
 )
 
 func TestFig2ReproducesPaperTable(t *testing.T) {
-	out := Fig2()
+	out := fig2()
 	// The published Figure 2 values must appear verbatim.
 	for _, want := range []string{"14 W", "358 W", "248 W", "500 W", "6692 W", "900 W", "3400 W", "34360 W", "6880 W"} {
 		if !strings.Contains(out, want) {
@@ -20,7 +20,7 @@ func TestFig2ReproducesPaperTable(t *testing.T) {
 }
 
 func TestFig3ContainsAllAppsAndFreqs(t *testing.T) {
-	out := Fig3()
+	out := fig3()
 	for _, app := range []string{"linpack", "STREAM", "IMB", "GROMACS"} {
 		if !strings.Contains(out, app) {
 			t.Errorf("Fig3 missing app %s", app)
@@ -34,7 +34,7 @@ func TestFig3ContainsAllAppsAndFreqs(t *testing.T) {
 }
 
 func TestFig4ReproducesPaperTable(t *testing.T) {
-	out := Fig4()
+	out := fig4()
 	rows := []string{
 		"Switch-off       14 W",
 		"Idle             117 W",
@@ -55,7 +55,7 @@ func TestFig4ReproducesPaperTable(t *testing.T) {
 }
 
 func TestFig5VerdictsAllShutdown(t *testing.T) {
-	out := Fig5()
+	out := fig5()
 	if strings.Count(out, "Switch-off") != 8 {
 		t.Errorf("Fig5 should mark all 8 benchmarks switch-off:\n%s", out)
 	}
@@ -82,7 +82,7 @@ func smallRun(t *testing.T, policy core.Policy, frac float64) replay.Result {
 
 func TestTimeSeriesRenders(t *testing.T) {
 	r := smallRun(t, core.PolicyShut, 0.6)
-	out := TimeSeries(r, 60, 10)
+	out := timeSeries(r, 60, 10)
 	for _, frag := range []string{"cores by CPU frequency", "cluster power draw", "powercap", "2.7 GHz"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("TimeSeries missing %q:\n%s", frag, out)
@@ -91,7 +91,7 @@ func TestTimeSeriesRenders(t *testing.T) {
 	if !strings.Contains(out, "x=switched-off") {
 		t.Errorf("TimeSeries missing the switched-off band legend")
 	}
-	empty := TimeSeries(replay.Result{}, 60, 10)
+	empty := timeSeries(replay.Result{}, 60, 10)
 	if !strings.Contains(empty, "no samples") {
 		t.Errorf("empty result rendered %q", empty)
 	}
@@ -102,13 +102,13 @@ func TestFig8AndSummaryTable(t *testing.T) {
 		smallRun(t, core.PolicyNone, 0),
 		smallRun(t, core.PolicyShut, 0.6),
 	}
-	out := Fig8(results)
+	out := fig8(results)
 	for _, frag := range []string{"Energy (normalized)", "Jobs launched", "Work", "100%/None", "60%/SHUT", "workload medianjob"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Fig8 missing %q", frag)
 		}
 	}
-	tbl := SummaryTable(results)
+	tbl := summaryTable(results)
 	if !strings.Contains(tbl, "scenario") || !strings.Contains(tbl, "test/NONE") {
 		t.Errorf("SummaryTable malformed:\n%s", tbl)
 	}
@@ -116,7 +116,7 @@ func TestFig8AndSummaryTable(t *testing.T) {
 		Scenario: replay.Scenario{Name: "boom"},
 		Err:      errFake,
 	})
-	if !strings.Contains(SummaryTable(withErr), "ERROR") {
+	if !strings.Contains(summaryTable(withErr), "ERROR") {
 		t.Error("SummaryTable hides errors")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/figures"
 	"repro/internal/registry"
 	"repro/internal/replay"
 )
@@ -39,9 +38,9 @@ type Sink func(w io.Writer, rep Report, opt SinkOptions) error
 var Sinks = registry.New[Sink]("sink")
 
 func init() {
-	Sinks.Register("json", encodeJSON, "machine-readable results (summaries, tables; no sample series)")
-	Sinks.Register("csv", encodeCSV, "time-series CSV for single runs, the summary table for sweeps")
-	Sinks.Register("ascii", encodeASCII, "the terminal rendering: charts and comparison tables")
+	Sinks.Register("json", encodeJSON)   // machine-readable results (summaries, tables; no sample series)
+	Sinks.Register("csv", encodeCSV)     // time-series CSV for single runs, the summary table for sweeps
+	Sinks.Register("ascii", encodeASCII) // the terminal rendering: charts and comparison tables
 }
 
 // Export encodes the report in the named format (a Sinks registry
@@ -114,7 +113,7 @@ func encodeASCII(w io.Writer, rep Report, opt SinkOptions) error {
 			_, err := fmt.Fprintf(w, "%s: ERROR: %v\n", r.Scenario.Name, r.Err)
 			return err
 		}
-		if _, err := io.WriteString(w, figures.TimeSeries(r, opt.Width, opt.Height)); err != nil {
+		if _, err := io.WriteString(w, timeSeries(r, opt.Width, opt.Height)); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintf(w, "\nsummary: %v\nnormalized: energy=%.3f work=%.3f launched=%.3f mean-wait=%.0fs\n",

@@ -26,7 +26,6 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -506,22 +505,4 @@ func WriteSpecFile(path string, spec RunSpec) error {
 		return err
 	}
 	return f.Close()
-}
-
-// RoundTrips checks the exact-encoding property on one spec's JSON
-// form: decode, re-encode, compare bytes. CI runs this over every
-// checked-in spec file.
-func RoundTrips(data []byte) error {
-	s, err := DecodeJSON(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := s.EncodeJSON(&buf); err != nil {
-		return err
-	}
-	if !bytes.Equal(bytes.TrimSpace(data), bytes.TrimSpace(buf.Bytes())) {
-		return fmt.Errorf("sim: spec does not round-trip: re-encoding drifted\ngot:\n%s", buf.String())
-	}
-	return nil
 }

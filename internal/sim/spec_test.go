@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,7 +77,7 @@ func TestSpecJSONRoundTripExact(t *testing.T) {
 			t.Errorf("%s: round trip drifted:\nin:  %+v\nout: %+v", name, spec, got)
 		}
 		// And the byte-level property CI checks on spec files.
-		if err := RoundTrips(buf.Bytes()); err != nil {
+		if err := roundTrips(buf.Bytes()); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -221,7 +222,7 @@ func TestFederationEpochValidation(t *testing.T) {
 	if got.Federation.EpochSec != 600 {
 		t.Errorf("explicit epoch drifted through the round trip: %d", got.Federation.EpochSec)
 	}
-	if err := RoundTrips(buf.Bytes()); err != nil {
+	if err := roundTrips(buf.Bytes()); err != nil {
 		t.Error(err)
 	}
 }
@@ -286,4 +287,22 @@ func TestEveryOptionReachesTheController(t *testing.T) {
 			}
 		}
 	}
+}
+
+// roundTrips checks the exact-encoding property on one spec's JSON
+// form: decode, re-encode, compare bytes. TestCheckedInSpecsRoundTrip runs
+// this over every checked-in spec file.
+func roundTrips(data []byte) error {
+	s, err := DecodeJSON(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := s.EncodeJSON(&buf); err != nil {
+		return err
+	}
+	if !bytes.Equal(bytes.TrimSpace(data), bytes.TrimSpace(buf.Bytes())) {
+		return fmt.Errorf("sim: spec does not round-trip: re-encoding drifted\ngot:\n%s", buf.String())
+	}
+	return nil
 }

@@ -45,7 +45,7 @@ func TestCheckedInSpecsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := RoundTrips(data); err != nil {
+		if err := roundTrips(data); err != nil {
 			t.Errorf("%s: %v (regenerate with powersched/expfig -dumpspec)", path, err)
 		}
 		spec, err := LoadSpec(path)

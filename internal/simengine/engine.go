@@ -278,26 +278,3 @@ func (e *Engine) Run(horizon Time) error {
 	}
 	return nil
 }
-
-// Step fires exactly the next pending event (if any) and reports whether
-// one fired.
-func (e *Engine) Step() bool {
-	for {
-		ev := e.next()
-		if ev == nil {
-			return false
-		}
-		e.pop(ev)
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		e.pending--
-		fn := ev.fn
-		e.recycle(ev)
-		fn(e.now)
-		return true
-	}
-}

@@ -167,6 +167,9 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStep steps an engine through its queue with Run and a horizon:
+// each call fires exactly the events up to the horizon and leaves the
+// rest pending.
 func TestStep(t *testing.T) {
 	e := New(0)
 	n := 0
@@ -175,33 +178,35 @@ func TestStep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !e.Step() || n != 1 {
-		t.Fatalf("first Step: n=%d", n)
+	for want := 1; want <= 3; want++ {
+		if err := e.Run(Time(want)); err != nil {
+			t.Fatal(err)
+		}
+		if n != want || e.Pending() != 3-want {
+			t.Fatalf("after Run(%d): fired %d, pending %d", want, n, e.Pending())
+		}
 	}
-	if !e.Step() || !e.Step() {
-		t.Fatal("steps failed")
+	if err := e.Run(4); err != nil { // empty queue: only the clock moves
+		t.Fatal(err)
 	}
-	if e.Step() {
-		t.Error("Step on empty queue reported true")
-	}
-	if n != 3 {
-		t.Errorf("n = %d", n)
+	if n != 3 || e.Now() != 4 {
+		t.Errorf("n = %d, now = %d after draining", n, e.Now())
 	}
 }
 
 func TestStepSkipsCancelled(t *testing.T) {
 	e := New(0)
 	fired := false
-	id, _ := e.At(1, func(Time) {})
+	id, _ := e.At(1, func(Time) { t.Error("cancelled event fired") })
 	if _, err := e.At(2, func(Time) { fired = true }); err != nil {
 		t.Fatal(err)
 	}
 	e.Cancel(id)
-	if !e.Step() {
-		t.Fatal("Step found nothing")
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
 	}
-	if !fired {
-		t.Error("Step fired the cancelled event instead of the live one")
+	if !fired || e.Fired() != 1 {
+		t.Errorf("live event fired = %v, Fired() = %d, want true and 1", fired, e.Fired())
 	}
 }
 
@@ -270,11 +275,11 @@ func TestPendingExactUnderCancel(t *testing.T) {
 	if e.Pending() != 6 {
 		t.Fatalf("Pending after cancels = %d, want 6", e.Pending())
 	}
-	if !e.Step() {
-		t.Fatal("Step found nothing")
+	if err := e.Run(5); err != nil { // purges the four tombstones, fires t=5
+		t.Fatal(err)
 	}
 	if e.Pending() != 5 {
-		t.Fatalf("Pending after step = %d, want 5", e.Pending())
+		t.Fatalf("Pending after the first live event = %d, want 5", e.Pending())
 	}
 	if err := e.Run(-1); err != nil {
 		t.Fatal(err)
@@ -356,22 +361,23 @@ func TestSameTimeLaneOrder(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree pins the free-list promise: once warmed up,
-// the schedule/fire cycle allocates nothing.
+// the schedule/fire cycle allocates nothing — measured on Run, the loop
+// the controller drives.
 func TestSteadyStateAllocFree(t *testing.T) {
 	e := New(0)
 	fn := func(Time) {}
-	for i := 0; i < 64; i++ { // warm the free list and heap capacity
+	cycle := func() {
 		if _, err := e.After(1, fn); err != nil {
 			t.Fatal(err)
 		}
-		e.Step()
+		if err := e.Run(-1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := e.After(1, fn); err != nil {
-			t.Fatal(err)
-		}
-		e.Step()
-	})
+	for i := 0; i < 64; i++ { // warm the free list and heap capacity
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(1000, cycle)
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+fire allocates %.1f times per op, want 0", allocs)
 	}

@@ -73,13 +73,13 @@ func (k Kind) String() string {
 var Kinds = registry.New[Kind]("workload kind")
 
 func init() {
-	Kinds.Register("medianjob", MedianJob, "5 h interval representative of the whole Curie mix", "median")
-	Kinds.Register("smalljob", SmallJob, "5 h interval skewed to small jobs", "small")
-	Kinds.Register("bigjob", BigJob, "5 h interval skewed to big jobs", "big")
-	Kinds.Register("24h", Day24h, "the 24 h representative interval", "day")
-	Kinds.Register("diurnal", Diurnal, "24 h day/night sinusoid arrivals")
-	Kinds.Register("bursty", Bursty, "5 h of submission storms over a thin background", "burst")
-	Kinds.Register("heavytail", HeavyTail, "5 h with Pareto-distributed job widths", "heavy")
+	Kinds.Register("medianjob", MedianJob, "median") // 5 h interval representative of the whole Curie mix
+	Kinds.Register("smalljob", SmallJob, "small")    // 5 h interval skewed to small jobs
+	Kinds.Register("bigjob", BigJob, "big")          // 5 h interval skewed to big jobs
+	Kinds.Register("24h", Day24h, "day")             // the 24 h representative interval
+	Kinds.Register("diurnal", Diurnal)               // 24 h day/night sinusoid arrivals
+	Kinds.Register("bursty", Bursty, "burst")        // 5 h of submission storms over a thin background
+	Kinds.Register("heavytail", HeavyTail, "heavy")  // 5 h with Pareto-distributed job widths
 }
 
 // ParseKind parses the interval names used on command lines — a

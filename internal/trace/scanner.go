@@ -18,8 +18,8 @@ import (
 // runtimes or processor counts are dropped and counted in Skipped, the
 // same filter the paper's replay applies. Archive traces are
 // submit-sorted, which makes a Scanner directly usable as the head of a
-// transform pipeline (see Stream); ReadSWF adds the explicit sort for
-// inputs that are not.
+// transform pipeline (see Stream); SWFSource.Load adds the explicit sort
+// for inputs that are not.
 type Scanner struct {
 	sc      *bufio.Scanner
 	line    int
@@ -64,9 +64,6 @@ func (s *Scanner) Next() (*job.Job, error) {
 	}
 	return nil, s.err
 }
-
-// Line returns the number of input lines consumed so far.
-func (s *Scanner) Line() int { return s.line }
 
 // Skipped returns how many incomplete records (unknown runtime or
 // processor count) were dropped so far.

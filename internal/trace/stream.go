@@ -21,7 +21,7 @@ import (
 // A Stream hands over ownership of every job it yields: transforms
 // rewrite fields in place and consumers mutate scheduling state, so a
 // yielded job must not be aliased by anything upstream (Scanner builds
-// fresh jobs; SliceStream clones).
+// fresh jobs).
 type Stream interface {
 	Next() (*job.Job, error)
 }
@@ -30,24 +30,6 @@ type Stream interface {
 type streamFunc func() (*job.Job, error)
 
 func (f streamFunc) Next() (*job.Job, error) { return f() }
-
-// SliceStream returns a Stream yielding clones of the given jobs in
-// slice order — the bridge from materialized workloads into the
-// transform layer. Cloning matters: transforms rewrite jobs in place
-// (Window rebases Submit, ScaleCores rewrites Cores) and the controller
-// mutates scheduling state on streamed jobs, so handing out the
-// caller's pointers would corrupt the source slice.
-func SliceStream(jobs []*job.Job) Stream {
-	i := 0
-	return streamFunc(func() (*job.Job, error) {
-		if i >= len(jobs) {
-			return nil, nil
-		}
-		j := jobs[i].Clone()
-		i++
-		return j, nil
-	})
-}
 
 // Collect drains a stream into a slice — the bridge back out of the
 // transform layer for consumers that need random access.

@@ -34,6 +34,20 @@ func seqJobs(n int, submitStep int64) []*job.Job {
 	return out
 }
 
+// sliceStream yields clones of the given jobs in slice order: the
+// transforms under test rewrite what they are handed in place.
+func sliceStream(jobs []*job.Job) Stream {
+	i := 0
+	return streamFunc(func() (*job.Job, error) {
+		if i >= len(jobs) {
+			return nil, nil
+		}
+		j := jobs[i].Clone()
+		i++
+		return j, nil
+	})
+}
+
 func TestScannerStreamsInFileOrder(t *testing.T) {
 	in := `; header comment
 3 20 -1 50 8 -1 -1 8 100 -1 1 2 -1 -1 -1 -1 -1 -1
@@ -75,7 +89,7 @@ func TestScannerStickyError(t *testing.T) {
 }
 
 func TestWindowExtractsRebasesAndStopsEarly(t *testing.T) {
-	src := &countingStream{src: SliceStream(seqJobs(100, 10))}
+	src := &countingStream{src: sliceStream(seqJobs(100, 10))}
 	got, err := Collect(Window(src, 200, 400))
 	if err != nil {
 		t.Fatal(err)
@@ -113,21 +127,8 @@ func TestWindowKeepsSourceErrorSticky(t *testing.T) {
 	}
 }
 
-func TestSliceStreamClonesJobs(t *testing.T) {
-	jobs := seqJobs(5, 100)
-	if _, err := Collect(Window(SliceStream(jobs), 100, 500)); err != nil {
-		t.Fatal(err)
-	}
-	// The transform rebased its copies, never the caller's slice.
-	for i, j := range jobs {
-		if j.Submit != int64(i)*100 {
-			t.Fatalf("SliceStream leaked mutation: job %d submit = %d", i, j.Submit)
-		}
-	}
-}
-
 func TestWindowRejectsEmpty(t *testing.T) {
-	if _, err := Collect(Window(SliceStream(nil), 10, 10)); err == nil {
+	if _, err := Collect(Window(sliceStream(nil), 10, 10)); err == nil {
 		t.Error("empty window accepted")
 	}
 }
@@ -135,7 +136,7 @@ func TestWindowRejectsEmpty(t *testing.T) {
 func TestScaleTimeAndCores(t *testing.T) {
 	jobs := seqJobs(4, 100)
 	jobs[3].Cores = 1000
-	src := ScaleCores(ScaleTime(SliceStream(jobs), 0.5), 1000, 100)
+	src := ScaleCores(ScaleTime(sliceStream(jobs), 0.5), 1000, 100)
 	got, err := Collect(src)
 	if err != nil {
 		t.Fatal(err)
@@ -149,16 +150,16 @@ func TestScaleTimeAndCores(t *testing.T) {
 	if got[3].Cores != 100 {
 		t.Errorf("full-width job rescaled to %d cores, want 100", got[3].Cores)
 	}
-	if _, err := Collect(ScaleTime(SliceStream(nil), 0)); err == nil {
+	if _, err := Collect(ScaleTime(sliceStream(nil), 0)); err == nil {
 		t.Error("zero time scale accepted")
 	}
-	if _, err := Collect(ScaleCores(SliceStream(nil), 0, 5)); err == nil {
+	if _, err := Collect(ScaleCores(sliceStream(nil), 0, 5)); err == nil {
 		t.Error("zero machine size accepted")
 	}
 }
 
 func TestFilterAndLimit(t *testing.T) {
-	src := Limit(Filter(SliceStream(seqJobs(50, 1)), func(j *job.Job) bool { return j.ID%2 == 0 }), 10)
+	src := Limit(Filter(sliceStream(seqJobs(50, 1)), func(j *job.Job) bool { return j.ID%2 == 0 }), 10)
 	got, err := Collect(src)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestStreamingRoundTrip(t *testing.T) {
 	}
 	var streamed bytes.Buffer
 	w := NewWriter(&streamed, "round trip")
-	n, err := Copy(w, SliceStream(jobs))
+	n, err := Copy(w, sliceStream(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestSummarizeStreamMatchesSummarize(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Summarize(jobs, int64(4096)*3600)
-	got, err := SummarizeStream(SliceStream(jobs), int64(4096)*3600)
+	got, err := SummarizeStream(sliceStream(jobs), int64(4096)*3600)
 	if err != nil {
 		t.Fatal(err)
 	}

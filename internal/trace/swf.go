@@ -10,9 +10,9 @@
 // the Stream transforms (Window, ScaleTime, ScaleCores, Filter, Limit) —
 // reads, reshapes and writes arbitrarily large archive traces in bounded
 // memory; SWFSource bundles a file plus a transform chain into a workload
-// source replay scenarios can run directly. The slice layer (ReadSWF,
-// WriteSWF, Generate, Summarize) is the materialized convenience API built
-// on top of it.
+// source replay scenarios can run directly. The slice layer
+// (SWFSource.Load, WriteSWF, Generate, Summarize) is the materialized
+// convenience API built on top of it.
 package trace
 
 import (
@@ -45,23 +45,8 @@ const (
 	swfFields
 )
 
-// ReadSWF parses an SWF stream into jobs. Header/comment lines start with
-// ';'. Jobs with unknown (-1) runtimes or processor counts are skipped, as
-// the paper's replay does. The requested time falls back to the runtime
-// when absent. Submit times are kept as-is (seconds). The result is
-// sorted by (submit, id); for traces too large to materialize use a
-// Scanner instead.
-func ReadSWF(r io.Reader) ([]*job.Job, error) {
-	out, err := Collect(NewScanner(r))
-	if err != nil {
-		return nil, err
-	}
-	SortBySubmit(out)
-	return out, nil
-}
-
 // SortBySubmit orders jobs by (submit time, job ID) — the canonical
-// replay order the generator and ReadSWF guarantee.
+// replay order the generator and SWFSource.Load guarantee.
 func SortBySubmit(jobs []*job.Job) {
 	sort.SliceStable(jobs, func(i, j int) bool {
 		if jobs[i].Submit != jobs[j].Submit {

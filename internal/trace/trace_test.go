@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -190,6 +191,17 @@ func TestKindParseAndString(t *testing.T) {
 	}
 }
 
+// readSWF parses an SWF stream into jobs sorted by (submit, id): what
+// SWFSource.Load does for a file.
+func readSWF(r io.Reader) ([]*job.Job, error) {
+	out, err := Collect(NewScanner(r))
+	if err != nil {
+		return nil, err
+	}
+	SortBySubmit(out)
+	return out, nil
+}
+
 func TestSWFRoundTrip(t *testing.T) {
 	jobs, err := Generate(Config{Kind: SmallJob, Seed: 21, Cores: 1024, DurationSec: 1800})
 	if err != nil {
@@ -199,7 +211,7 @@ func TestSWFRoundTrip(t *testing.T) {
 	if err := WriteSWF(&buf, jobs, "synthetic test trace\nline two"); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSWF(&buf)
+	back, err := readSWF(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +236,7 @@ func TestReadSWFSkipsAndFilters(t *testing.T) {
 3 20 -1 50 -1 -1 -1 32 -1 -1 1 6 -1 -1 -1 -1 -1 -1
 4 -5 -1 50 0 -1 -1 -1 3600 -1 1 6 -1 -1 -1 -1 -1 -1
 `
-	jobs, err := ReadSWF(strings.NewReader(in))
+	jobs, err := readSWF(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +257,10 @@ func TestReadSWFSkipsAndFilters(t *testing.T) {
 }
 
 func TestReadSWFErrors(t *testing.T) {
-	if _, err := ReadSWF(strings.NewReader("1 2 3\n")); err == nil {
+	if _, err := readSWF(strings.NewReader("1 2 3\n")); err == nil {
 		t.Error("short line accepted")
 	}
-	if _, err := ReadSWF(strings.NewReader("a b c d e f g h i j k l m n o p q r\n")); err == nil {
+	if _, err := readSWF(strings.NewReader("a b c d e f g h i j k l m n o p q r\n")); err == nil {
 		t.Error("non-numeric line accepted")
 	}
 }
@@ -257,7 +269,7 @@ func TestReadSWFSortsBySubmit(t *testing.T) {
 	in := `2 100 -1 10 1 -1 -1 1 10 -1 1 1 -1 -1 -1 -1 -1 -1
 1 50 -1 10 1 -1 -1 1 10 -1 1 1 -1 -1 -1 -1 -1 -1
 `
-	jobs, err := ReadSWF(strings.NewReader(in))
+	jobs, err := readSWF(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

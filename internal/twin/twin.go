@@ -599,25 +599,3 @@ func (s *Session) snapshot(t int64, finished bool) {
 	}
 	s.mu.Unlock()
 }
-
-// Replay reconstructs a session from a spec plus a recorded mutation
-// log and runs it to the log's horizon as fast as possible: every
-// logged mutation re-applies at its recorded boundary, so the
-// telemetry streamed into cfg.Sink is byte-identical to the original
-// session's (the determinism guardrail, pinned by test). The replayed
-// session ignores the spec's real-time ratio.
-func Replay(ctx context.Context, spec Spec, log []Applied, cfg Config) error {
-	spec.RealTimeRatio = 0
-	s, err := New(spec, cfg)
-	if err != nil {
-		return err
-	}
-	for _, a := range log {
-		m := a.Mutation
-		m.AtSec = a.AtEpoch
-		if err := s.Mutate(m); err != nil {
-			return fmt.Errorf("twin: replay: %w", err)
-		}
-	}
-	return s.Run(ctx)
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -157,7 +158,7 @@ func TestReplayByteIdentical(t *testing.T) {
 
 	store := tsdb.New(tsdb.Options{})
 	run := store.Run("replay")
-	if err := Replay(context.Background(), smallSpecLike(spec), log, Config{Sink: run}); err != nil {
+	if err := replaySession(context.Background(), smallSpecLike(spec), log, Config{Sink: run}); err != nil {
 		t.Fatal(err)
 	}
 	live, err := json.Marshal(liveSnap)
@@ -454,7 +455,7 @@ func TestTwinMatchesFederationWhereTheyOverlap(t *testing.T) {
 				}
 				fs.Members = append(fs.Members, sc)
 			}
-			want := federation.Run(fs)
+			want := federation.RunWith(fs, nil)
 			if want.Err != nil {
 				t.Fatal(want.Err)
 			}
@@ -513,4 +514,26 @@ func TestRebudgetErrorFailsSession(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "twin: member alpha at t=900: ") {
 		t.Fatalf("Run error = %v, want the re-budget failure of member alpha at t=900", err)
 	}
+}
+
+// replaySession reconstructs a session from a spec plus a recorded mutation
+// log and runs it to the log's horizon as fast as possible: every
+// logged mutation re-applies at its recorded boundary, so the
+// telemetry streamed into cfg.Sink is byte-identical to the original
+// session's (the determinism guardrail, pinned by test). The replayed
+// session ignores the spec's real-time ratio.
+func replaySession(ctx context.Context, spec Spec, log []Applied, cfg Config) error {
+	spec.RealTimeRatio = 0
+	s, err := New(spec, cfg)
+	if err != nil {
+		return err
+	}
+	for _, a := range log {
+		m := a.Mutation
+		m.AtSec = a.AtEpoch
+		if err := s.Mutate(m); err != nil {
+			return fmt.Errorf("twin: replay: %w", err)
+		}
+	}
+	return s.Run(ctx)
 }
