@@ -67,10 +67,7 @@ func (p Profile) Rho(prof *power.Profile) float64 {
 
 // BestMechanism applies the paper's rule (rho <= 0 selects switch-off).
 func (p Profile) BestMechanism(prof *power.Profile) dvfs.Mechanism {
-	if rho := p.Rho(prof); rho > 0 {
-		return dvfs.MechanismDVFS
-	}
-	return dvfs.MechanismShutdown
+	return dvfs.ChooseMechanism(p.Rho(prof))
 }
 
 // MaxPowerAt returns the application's maximum per-node draw at

@@ -38,6 +38,13 @@ type Cluster struct {
 	reservedOff  int         // nodes flagged by switch-off reservations
 	maxPowerOnce power.Watts
 
+	// Reservation flags per group, counted where SetReserved flips them:
+	// SurvivorDraw needs how many chassis and racks are reserved whole.
+	reservedPerChassis []int
+	reservedPerRack    []int
+	nReservedChassis   int
+	nReservedRacks     int
+
 	// Allocation candidate indexes: busy nodes with at least one free
 	// core and idle nodes (maintained by transition), and the nodes
 	// flagged by switch-off reservations (maintained by SetReserved).
@@ -73,6 +80,9 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 		partialBusy:     NewNodeSet(topo.Nodes()),
 		idleSet:         NewNodeSet(topo.Nodes()),
 		reserved:        NewNodeSet(topo.Nodes()),
+
+		reservedPerChassis: make([]int, topo.Chassis()),
+		reservedPerRack:    make([]int, topo.Racks),
 	}
 	for i := range c.nodes {
 		c.nodes[i].state = StateIdle
@@ -356,15 +366,42 @@ func (c *Cluster) SetReserved(id NodeID, v bool) error {
 	}
 	if c.reserved.Has(id) != v {
 		c.gen++
+		d := -1
 		if v {
+			d = 1
 			c.reserved.Add(id)
-			c.reservedOff++
 		} else {
 			c.reserved.Remove(id)
-			c.reservedOff--
 		}
+		c.reservedOff += d
+		c.nReservedChassis += wholeDelta(&c.reservedPerChassis[c.topo.ChassisOf(id)], d, c.topo.NodesPerChassis)
+		c.nReservedRacks += wholeDelta(&c.reservedPerRack[c.topo.RackOf(id)], d, c.topo.NodesPerRack())
 	}
 	return nil
+}
+
+// wholeDelta moves a group's reserved-node count by d and returns by how
+// much the number of groups reserved whole (all size members) changed.
+func wholeDelta(count *int, d, size int) int {
+	was := *count == size
+	*count += d
+	if was != (*count == size) {
+		return d // whole after gaining a member, no longer after losing one
+	}
+	return 0
+}
+
+// SurvivorDraw returns what the machine draws once every node flagged
+// by a switch-off reservation is down and every other node runs busy at
+// busy watts: the survivors, plus the shared equipment of each chassis
+// and rack that keeps at least one — the projection Section IV-B's
+// "optimal CPU frequency" holds against a future window's budget. O(1)
+// off the counts SetReserved keeps, and equal bit for bit to the sum
+// over nodes and groups while the overheads are whole watts.
+func (c *Cluster) SurvivorDraw(busy power.Watts) power.Watts {
+	shared := c.overhead.ChassisWatts*float64(c.topo.Chassis()-c.nReservedChassis) +
+		c.overhead.RackWatts*float64(c.topo.Racks-c.nReservedRacks)
+	return power.Watts(float64(len(c.nodes)-c.reservedOff)*float64(busy)) + power.Watts(shared)
 }
 
 // ReservedCount returns how many nodes carry the reservation flag.

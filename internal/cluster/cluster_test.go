@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -764,5 +766,93 @@ func TestPlannedSavingDeduplicates(t *testing.T) {
 	}
 	if got := PlannedSaving(c, []NodeID{-1, 9999999}, c.Profile().Max()); got != 0 {
 		t.Errorf("invalid IDs saving = %v, want 0", got)
+	}
+}
+
+// survivorDrawScan is SurvivorDraw as the controller computed it while it
+// owned the projection: one walk over the nodes marking the chassis and
+// racks that keep an unreserved node, the shared draws added group by
+// group in that order. Kept as the oracle for the counted answer.
+func survivorDrawScan(c *Cluster, busy power.Watts) power.Watts {
+	topo, ov := c.Topology(), c.Overhead()
+	chassisHasSurvivor := make([]bool, topo.Chassis())
+	rackHasSurvivor := make([]bool, topo.Racks)
+	count := 0
+	c.ForEach(func(n NodeInfo) bool {
+		if !n.Reserved {
+			count++
+			chassisHasSurvivor[topo.ChassisOf(n.ID)] = true
+			rackHasSurvivor[topo.RackOf(n.ID)] = true
+		}
+		return true
+	})
+	overhead := 0.0
+	for _, has := range chassisHasSurvivor {
+		if has {
+			overhead += ov.ChassisWatts
+		}
+	}
+	for _, has := range rackHasSurvivor {
+		if has {
+			overhead += ov.RackWatts
+		}
+	}
+	return power.Watts(float64(count)*float64(busy)) + power.Watts(overhead)
+}
+
+// SurvivorDraw's counts against the scan, compared with ==, through
+// random flag flips and through whole chassis and whole racks reserved
+// and released. The two group sums agree bit for bit only because
+// Curie's shared draws are whole watts — pinned first.
+func TestSurvivorDrawMatchesScan(t *testing.T) {
+	if ov := CurieOverhead(); ov.ChassisWatts != math.Trunc(ov.ChassisWatts) || ov.RackWatts != math.Trunc(ov.RackWatts) {
+		t.Fatalf("Curie overheads %+v are not whole watts", ov)
+	}
+	for _, topo := range []Topology{
+		{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16},
+		{Racks: 4, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16},
+		CurieTopology(),
+		{Racks: 3, ChassisPerRack: 3, NodesPerChassis: 7, CoresPerNode: 4},  // 63 nodes
+		{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 13, CoresPerNode: 8}, // 130 nodes
+	} {
+		c, err := New(topo, power.CurieProfile(), CurieOverhead())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			for _, f := range dvfs.CurieLadder() {
+				busy := c.Profile().Busy(f)
+				if got, want := c.SurvivorDraw(busy), survivorDrawScan(c, busy); got != want {
+					t.Fatalf("%d nodes, %s: SurvivorDraw(%v) = %v, scan %v", topo.Nodes(), when, busy, float64(got), float64(want))
+				}
+			}
+		}
+		setRange := func(first NodeID, n int, v bool) {
+			for id := first; id < first+NodeID(n); id++ {
+				if err := c.SetReserved(id, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check("nothing reserved")
+		rng := rand.New(rand.NewSource(int64(topo.Nodes())))
+		for step := 0; step < 400; step++ {
+			switch rng.Intn(8) {
+			case 0:
+				first, n := topo.ChassisNodes(rng.Intn(topo.Chassis()))
+				setRange(first, n, rng.Intn(2) == 0)
+			case 1:
+				first, n := topo.RackNodes(rng.Intn(topo.Racks))
+				setRange(first, n, rng.Intn(2) == 0)
+			default:
+				setRange(NodeID(rng.Intn(topo.Nodes())), 1, rng.Intn(2) == 0)
+			}
+			check(fmt.Sprintf("step %d", step))
+		}
+		setRange(0, topo.Nodes(), true)
+		check("everything reserved")
+		setRange(0, topo.Nodes(), false)
+		check("everything released")
 	}
 }

@@ -202,6 +202,44 @@ func TestPlanOfflineMixCombinedRegime(t *testing.T) {
 	}
 }
 
+// On a node profile that sits exactly on Figure 5's break-even (rho = 0)
+// MIX follows Algorithm 1 — "if rho <= 0 then switch-off" — and a hair
+// above it leaves the cap to DVFS alone.
+func TestPlanOfflineMixOnTheBreakEven(t *testing.T) {
+	// rho = 1 - 1/degMin - Pmin/(Pmax-Poff) = 1 - 1/2 - 190/380, exactly 0.
+	prof, err := power.NewProfile(20, 100, map[dvfs.Freq]power.Watts{dvfs.F2000: 190, dvfs.F2700: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := cluster.Topology{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16}
+	c, err := cluster.New(topo, prof, cluster.CurieOverhead())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 80 % is above the all-at-floor draw, so rho alone picks the mechanism.
+	cap := power.CapFraction(0.8, c.MaxPower())
+	for _, tc := range []struct {
+		degMinMix float64
+		want      dvfs.Mechanism
+	}{
+		{2, dvfs.MechanismShutdown},
+		{2.5, dvfs.MechanismDVFS},
+	} {
+		pm, err := NewPolicyModel(PolicyMix, prof, dvfs.DegMinCommon, tc.degMinMix, dvfs.F2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := PlanOffline(c, pm, cap, true, nil)
+		if tc.degMinMix == 2 && plan.Rho != 0 {
+			t.Fatalf("rho = %v, want exactly 0: the profile no longer sits on the break-even", plan.Rho)
+		}
+		if plan.CombineBoth || plan.Mechanism != tc.want || (len(plan.OffNodes) > 0) != (tc.want == dvfs.MechanismShutdown) {
+			t.Errorf("degMin %v (rho %v): mechanism %v, combine %v, %d nodes off; want %v",
+				tc.degMinMix, plan.Rho, plan.Mechanism, plan.CombineBoth, len(plan.OffNodes), tc.want)
+		}
+	}
+}
+
 func TestPlanOfflineRespectsEligibility(t *testing.T) {
 	c := smallCurie()
 	topo := c.Topology()

@@ -82,9 +82,8 @@ func PlanOffline(c *cluster.Cluster, pm PolicyModel, cap power.Cap, grouped bool
 			plan.CombineBoth = true
 			plan.Mechanism = dvfs.MechanismEither
 			busy = floorDraw
-		} else if plan.Rho > 0 {
+		} else if plan.Mechanism = dvfs.ChooseMechanism(plan.Rho); plan.Mechanism == dvfs.MechanismDVFS {
 			// rho > 0: DVFS alone (never the case on Curie).
-			plan.Mechanism = dvfs.MechanismDVFS
 			return plan
 		}
 	}

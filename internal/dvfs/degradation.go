@@ -127,8 +127,9 @@ const (
 	MechanismShutdown Mechanism = iota
 	// MechanismDVFS lowers CPU frequencies of running nodes.
 	MechanismDVFS
-	// MechanismEither marks the degenerate case rho == 0 where both
-	// mechanisms extract the same amount of work.
+	// MechanismEither marks the cases the rho criterion does not decide:
+	// no cap to meet, a policy with one mechanism or none, or both
+	// mechanisms needed at once.
 	MechanismEither
 )
 
@@ -146,15 +147,12 @@ func (m Mechanism) String() string {
 	}
 }
 
-// ChooseMechanism applies the rho criterion: rho > 0 selects DVFS,
-// rho < 0 selects shutdown, rho == 0 reports either.
+// ChooseMechanism is the one spelling of Figure 5's rule, as Algorithm 1
+// states it: "if rho <= 0 then switch-off", DVFS otherwise. On the
+// break-even itself the paper switches off.
 func ChooseMechanism(rho float64) Mechanism {
-	switch {
-	case rho > 0:
+	if rho > 0 {
 		return MechanismDVFS
-	case rho < 0:
-		return MechanismShutdown
-	default:
-		return MechanismEither
 	}
+	return MechanismShutdown
 }

@@ -197,14 +197,18 @@ func TestRhoBreakEvenDegmin(t *testing.T) {
 }
 
 func TestChooseMechanism(t *testing.T) {
-	if ChooseMechanism(0.1) != MechanismDVFS {
-		t.Error("positive rho should choose DVFS")
-	}
-	if ChooseMechanism(-0.1) != MechanismShutdown {
-		t.Error("negative rho should choose shutdown")
-	}
-	if ChooseMechanism(0) != MechanismEither {
-		t.Error("zero rho should report either")
+	for _, tc := range []struct {
+		rho  float64
+		want Mechanism
+	}{
+		{0.1, MechanismDVFS},
+		{-0.1, MechanismShutdown},
+		{0, MechanismShutdown}, // Algorithm 1: "if rho <= 0 then switch-off"
+		{math.SmallestNonzeroFloat64, MechanismDVFS},
+	} {
+		if got := ChooseMechanism(tc.rho); got != tc.want {
+			t.Errorf("ChooseMechanism(%v) = %v, want %v", tc.rho, got, tc.want)
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ func Solve(p Params, capW float64) (Plan, error) {
 	}
 
 	pl := Plan{Rho: p.Rho()}
-	pl.PaperChoice = paperChoice(pl.Rho)
+	pl.PaperChoice = dvfs.ChooseMechanism(pl.Rho)
 
 	if capW >= n*p.PMax {
 		pl.Case = CaseUncapped
@@ -242,14 +242,6 @@ func PowerOfCounts(p Params, nOff, nDvfs int) float64 {
 func WorkOfCounts(p Params, nOff, nDvfs int) float64 {
 	rest := p.N - nOff - nDvfs
 	return float64(rest) + float64(nDvfs)/p.DegMin
-}
-
-func paperChoice(rho float64) dvfs.Mechanism {
-	// Algorithm 1: "if rho <= 0 then switch-off"; DVFS otherwise.
-	if rho <= 0 {
-		return dvfs.MechanismShutdown
-	}
-	return dvfs.MechanismDVFS
 }
 
 func clampInt(v, lo, hi int) int {

@@ -42,9 +42,6 @@ type SwitchOff struct {
 	Nodes []cluster.NodeID
 }
 
-// Active reports whether the window covers instant t.
-func (s SwitchOff) Active(t int64) bool { return t >= s.Start && t < s.End }
-
 // Book holds all reservations of a controller.
 type Book struct {
 	nextID int
@@ -54,10 +51,18 @@ type Book struct {
 	// highest member, so a probe decides eligibility once per window
 	// (BlockedSet) instead of once per node and group member.
 	offSets []cluster.NodeSet
+
+	gen uint64 // see Generation
 }
 
 // NewBook returns an empty reservation book.
 func NewBook() *Book { return &Book{nextID: 1} }
+
+// Generation changes whenever a reservation is added, re-budgeted or
+// removed (counted in AddPowerCap, AddSwitchOff, UpdateCap and Remove):
+// a conclusion drawn from the book at t0 still stands at t1 while the
+// generation does and PhaseStable(t0, t1) holds.
+func (b *Book) Generation() uint64 { return b.gen }
 
 // AddPowerCap registers a powercap window and returns its ID. End must be
 // strictly after Start (use Horizon for open-ended) and the cap must be
@@ -71,6 +76,7 @@ func (b *Book) AddPowerCap(start, end int64, cap power.Cap) (int, error) {
 	}
 	id := b.nextID
 	b.nextID++
+	b.gen++
 	b.caps = append(b.caps, PowerCap{ID: id, Start: start, End: end, Cap: cap})
 	sort.SliceStable(b.caps, func(i, j int) bool { return b.caps[i].Start < b.caps[j].Start })
 	return id, nil
@@ -88,6 +94,7 @@ func (b *Book) AddSwitchOff(start, end int64, nodes []cluster.NodeID) (int, erro
 	b.nextID++
 	cp := make([]cluster.NodeID, len(nodes))
 	copy(cp, nodes)
+	b.gen++
 	b.offs = append(b.offs, SwitchOff{ID: id, Start: start, End: end, Nodes: cp})
 	b.offSets = append(b.offSets, cluster.NodeSetOf(cp))
 	return id, nil
@@ -105,6 +112,7 @@ func (b *Book) UpdateCap(id int, cap power.Cap) error {
 	for i := range b.caps {
 		if b.caps[i].ID == id {
 			b.caps[i].Cap = cap
+			b.gen++
 			return nil
 		}
 	}
@@ -117,6 +125,7 @@ func (b *Book) Remove(id int) {
 	for i, c := range b.caps {
 		if c.ID == id {
 			b.caps = append(b.caps[:i], b.caps[i+1:]...)
+			b.gen++
 			return
 		}
 	}
@@ -124,6 +133,7 @@ func (b *Book) Remove(id int) {
 		if o.ID == id {
 			b.offs = append(b.offs[:i], b.offs[i+1:]...)
 			b.offSets = append(b.offSets[:i], b.offSets[i+1:]...)
+			b.gen++
 			return
 		}
 	}
@@ -222,40 +232,29 @@ func (b *Book) BlockedSet(from, to int64, lead int64, scratch *cluster.NodeSet) 
 	return out
 }
 
-// offPhase classifies instant t against a switch-off window's blocking
-// behaviour: 0 before the lead-in (never blocks), 1 inside the lead-in
-// [Start-lead, Start) (blocking depends on the probe's span), 2 while
-// the window is active (members always block overlapping spans), 3
-// after the window (never blocks again).
-func offPhase(o *SwitchOff, t, lead int64) int {
-	switch {
-	case t < o.Start-lead:
-		return 0
-	case t < o.Start:
-		return 1
-	case t < o.End:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// OffsPhaseStable reports whether every switch-off reservation gives
-// the same BlockedSet verdicts at probe times t0 and t1 (t0 <= t1)
-// for any fixed job span length: each window must sit in the same
-// phase at both instants, and the lead-in phase — where the verdict
-// depends on how far the probe instant is from the window start — only
-// qualifies when the instants coincide. The controller's scheduling-
-// pass memo uses this to prove a re-run would see identical node
-// eligibility.
-func (b *Book) OffsPhaseStable(t0, t1, lead int64) bool {
-	for i := range b.offs {
-		o := &b.offs[i]
-		p0 := offPhase(o, t0, lead)
-		if p0 != offPhase(o, t1, lead) {
+// PhaseStable reports whether the book answers alike at probe times t0
+// and t1 (t0 <= t1) for any fixed job span length: no boundary lies in
+// (t0, t1]. A powercap window's are its start and end (CapAt moves, and
+// an opened window leaves MinFutureCapOver for the active-cap check); a
+// switch-off window's are the start of its lead-in, its start and its
+// end, between which BlockedSet gives one verdict — except inside the
+// lead-in, where the verdict depends on how far the probe instant is
+// from the window start, so there the instants must coincide. A future
+// cap coming nearer can only refuse more: a record of refusals, the
+// controller's scheduling-pass memo, may rest on this.
+func (b *Book) PhaseStable(t0, t1, lead int64) bool {
+	crossed := func(at int64) bool { return t0 < at && at <= t1 }
+	for i := range b.caps {
+		if c := &b.caps[i]; crossed(c.Start) || crossed(c.End) {
 			return false
 		}
-		if p0 == 1 && t0 != t1 {
+	}
+	for i := range b.offs {
+		o := &b.offs[i]
+		if crossed(o.Start-lead) || crossed(o.Start) || crossed(o.End) {
+			return false
+		}
+		if t0 != t1 && o.Start-lead <= t0 && t0 < o.Start {
 			return false
 		}
 	}

@@ -298,3 +298,161 @@ func TestBlockedSetLeavesWindowSetsIntact(t *testing.T) {
 		t.Error("no window blocks [0,50), want a nil set")
 	}
 }
+
+func TestPhaseStable(t *testing.T) {
+	type window struct{ start, end int64 }
+	cases := []struct {
+		name     string
+		caps     []window
+		offs     []window
+		lead     int64
+		t0, t1   int64
+		wantHold bool
+	}{
+		{name: "empty book", t0: 0, t1: 1 << 40, wantHold: true},
+
+		// One switch-off window [1000, 2000) with a 300 s lead: phases are
+		// before the lead-in, lead-in, active, after.
+		{name: "before the lead-in", offs: []window{{1000, 2000}}, lead: 300, t0: 0, t1: 699, wantHold: true},
+		{name: "into the lead-in", offs: []window{{1000, 2000}}, lead: 300, t0: 699, t1: 700},
+		{name: "inside the lead-in, time moved", offs: []window{{1000, 2000}}, lead: 300, t0: 700, t1: 701},
+		{name: "inside the lead-in, same instant", offs: []window{{1000, 2000}}, lead: 300, t0: 850, t1: 850, wantHold: true},
+		{name: "lead-in to active", offs: []window{{1000, 2000}}, lead: 300, t0: 999, t1: 1000},
+		{name: "active", offs: []window{{1000, 2000}}, lead: 300, t0: 1000, t1: 1999, wantHold: true},
+		{name: "active to after", offs: []window{{1000, 2000}}, lead: 300, t0: 1999, t1: 2000},
+		{name: "after", offs: []window{{1000, 2000}}, lead: 300, t0: 2000, t1: 1 << 40, wantHold: true},
+		{name: "across the whole window", offs: []window{{1000, 2000}}, lead: 300, t0: 0, t1: 5000},
+
+		// Without a lead the lead-in phase is empty.
+		{name: "no lead, up to the start", offs: []window{{1000, 2000}}, t0: 0, t1: 999, wantHold: true},
+		{name: "no lead, onto the start", offs: []window{{1000, 2000}}, t0: 999, t1: 1000},
+		{name: "no lead, active", offs: []window{{1000, 2000}}, t0: 1000, t1: 1500, wantHold: true},
+
+		// A second window in another phase: both must hold.
+		{name: "two windows, one moves", offs: []window{{1000, 2000}, {1500, 3000}}, t0: 1200, t1: 1500},
+		{name: "two windows, neither moves", offs: []window{{1000, 2000}, {1500, 3000}}, t0: 1500, t1: 1999, wantHold: true},
+
+		// Powercap windows: no start and no end in (t0, t1].
+		{name: "cap ahead", caps: []window{{1000, 2000}}, t0: 0, t1: 999, wantHold: true},
+		{name: "cap starts at t1", caps: []window{{1000, 2000}}, t0: 0, t1: 1000},
+		{name: "cap started at t0", caps: []window{{1000, 2000}}, t0: 1000, t1: 1999, wantHold: true},
+		{name: "cap ends at t1", caps: []window{{1000, 2000}}, t0: 1000, t1: 2000},
+		{name: "cap ended at t0", caps: []window{{1000, 2000}}, t0: 2000, t1: 9000, wantHold: true},
+		{name: "cap wholly inside", caps: []window{{1000, 2000}}, t0: 500, t1: 2500},
+		{name: "same instant on a cap start", caps: []window{{1000, 2000}}, t0: 1000, t1: 1000, wantHold: true},
+		{name: "same instant on a cap end", caps: []window{{1000, 2000}}, t0: 2000, t1: 2000, wantHold: true},
+		{name: "open-ended cap, active", caps: []window{{1000, Horizon}}, t0: 1000, t1: 1 << 50, wantHold: true},
+		{name: "open-ended cap, starting", caps: []window{{1000, Horizon}}, t0: 999, t1: 1 << 50},
+		{name: "second cap starts under the first", caps: []window{{1000, 5000}, {3000, 4000}}, t0: 2000, t1: 3000},
+		{name: "second cap ends under the first", caps: []window{{1000, 5000}, {3000, 4000}}, t0: 3000, t1: 4000},
+		{name: "between the inner boundaries", caps: []window{{1000, 5000}, {3000, 4000}}, t0: 3000, t1: 3999, wantHold: true},
+
+		// The lead applies to switch-off windows only.
+		{name: "cap ignores the lead", caps: []window{{1000, 2000}}, lead: 300, t0: 600, t1: 900, wantHold: true},
+	}
+	for _, tc := range cases {
+		b := NewBook()
+		for _, w := range tc.caps {
+			mustCap(t, b, w.start, w.end, 500)
+		}
+		for _, w := range tc.offs {
+			if _, err := b.AddSwitchOff(w.start, w.end, []cluster.NodeID{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := b.PhaseStable(tc.t0, tc.t1, tc.lead); got != tc.wantHold {
+			t.Errorf("%s: PhaseStable(%d, %d, lead %d) = %v, want %v", tc.name, tc.t0, tc.t1, tc.lead, got, tc.wantHold)
+		}
+	}
+}
+
+// What PhaseStable promises, checked against the queries themselves on
+// random books: between two instants it calls stable the active cap is
+// the same, every span length is blocked on the same nodes, and the
+// tightest future cap over a span has not loosened.
+func TestPhaseStableMeansSameAnswers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stable := 0
+	for trial := 0; trial < 300; trial++ {
+		b := NewBook()
+		for n := rng.Intn(3); n > 0; n-- {
+			start := int64(rng.Intn(2000))
+			end := start + 1 + int64(rng.Intn(1500))
+			if rng.Intn(4) == 0 {
+				end = Horizon
+			}
+			mustCap(t, b, start, end, power.Watts(100+rng.Intn(900)))
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			start := int64(rng.Intn(2000))
+			if _, err := b.AddSwitchOff(start, start+1+int64(rng.Intn(1500)), []cluster.NodeID{cluster.NodeID(rng.Intn(64))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lead := int64(rng.Intn(3) * 200)
+		var s0, s1 cluster.NodeSet
+		for pair := 0; pair < 60; pair++ {
+			t0 := int64(rng.Intn(4000))
+			t1 := t0 + int64(rng.Intn(3)*rng.Intn(600))
+			if !b.PhaseStable(t0, t1, lead) {
+				continue
+			}
+			stable++
+			if b.CapAt(t0) != b.CapAt(t1) {
+				t.Fatalf("trial %d: stable over [%d, %d] but CapAt moved %v -> %v", trial, t0, t1, b.CapAt(t0), b.CapAt(t1))
+			}
+			for _, span := range []int64{1, 50, 700, 5000} {
+				blocked0 := append(cluster.NodeSet(nil), b.BlockedSet(t0, t0+span, lead, &s0)...)
+				blocked1 := b.BlockedSet(t1, t1+span, lead, &s1)
+				for id := cluster.NodeID(0); id < 64; id++ {
+					if blocked0.Has(id) != blocked1.Has(id) {
+						t.Fatalf("trial %d: stable over [%d, %d] but node %d blocked %v -> %v for span %d",
+							trial, t0, t1, id, blocked0.Has(id), blocked1.Has(id), span)
+					}
+				}
+				f0, f1 := b.MinFutureCapOver(t0, t0+span, 900), b.MinFutureCapOver(t1, t1+span, 900)
+				if f0.IsSet() && (!f1.IsSet() || f1.Watts() > f0.Watts()) {
+					t.Fatalf("trial %d: stable over [%d, %d] but the future cap over span %d loosened %v -> %v", trial, t0, t1, span, f0, f1)
+				}
+			}
+		}
+	}
+	if stable < 1000 {
+		t.Fatalf("only %d stable pairs drawn: the property was barely exercised", stable)
+	}
+}
+
+func TestGenerationCountsEveryMutation(t *testing.T) {
+	b := NewBook()
+	gen := b.Generation()
+	moved := func(what string) {
+		t.Helper()
+		if b.Generation() == gen {
+			t.Errorf("%s left the generation at %d", what, gen)
+		}
+		gen = b.Generation()
+	}
+	idCap := mustCap(t, b, 0, 100, 500)
+	moved("AddPowerCap")
+	idOff, err := b.AddSwitchOff(0, 100, []cluster.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved("AddSwitchOff")
+	if err := b.UpdateCap(idCap, power.CapWatts(300)); err != nil {
+		t.Fatal(err)
+	}
+	moved("UpdateCap")
+	b.Remove(idCap)
+	moved("Remove of a powercap")
+	b.Remove(idOff)
+	moved("Remove of a switch-off")
+
+	b.Remove(424242)
+	_ = b.UpdateCap(424242, power.CapWatts(100))
+	b.CapAt(50)
+	b.PhaseStable(0, 50, 10)
+	if b.Generation() != gen {
+		t.Errorf("no-op calls and queries moved the generation %d -> %d", gen, b.Generation())
+	}
+}

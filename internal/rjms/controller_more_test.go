@@ -1,6 +1,7 @@
 package rjms
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -258,5 +259,39 @@ func TestCompactPlacementReducesChassisSpan(t *testing.T) {
 	// the wide job's span must not be worse under compact placement.
 	if c, f := span(true), span(false); c > f {
 		t.Errorf("compact span %d > first-fit span %d", c, f)
+	}
+}
+
+// fitsFutureCap against the paper's wording: walk the ladder down to the
+// window's optimal frequency — the highest rung whose all-survivors-busy
+// projection fits, or the minimum when none does — and admit f up to it.
+func TestFitsFutureCapIsTheOptimalFrequencyRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, policy := range []core.Policy{core.PolicyDvfs, core.PolicyMix, core.PolicyShut} {
+		c, err := New(Config{Topology: cluster.Topology{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16}, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 200; trial++ {
+			for flips := rng.Intn(40); flips > 0; flips-- {
+				if err := c.clus.SetReserved(cluster.NodeID(rng.Intn(c.clus.Nodes())), rng.Intn(2) == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			budget := power.CapFraction(0.05+rng.Float64(), c.clus.MaxPower())
+			optimal := c.pm.Ladder.Min()
+			for i := len(c.pm.Ladder) - 1; i >= 0; i-- {
+				if f := c.pm.Ladder[i]; budget.Allows(c.clus.SurvivorDraw(c.clus.Profile().Busy(f))) {
+					optimal = f
+					break
+				}
+			}
+			for _, f := range c.pm.Ladder {
+				if got, want := c.fitsFutureCap(f, budget), f <= optimal; got != want {
+					t.Fatalf("%s, %d nodes reserved, budget %v: fitsFutureCap(%v) = %v with the optimal frequency at %v",
+						policy, c.clus.ReservedCount(), budget, f, got, optimal)
+				}
+			}
+		}
 	}
 }

@@ -47,7 +47,6 @@ func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
 	if !ok || j.State != job.StateRunning || f == j.Freq {
 		return
 	}
-	c.invalidatePassMemo()
 	// Consume the progress made at the old frequency.
 	elapsed := now - rs.freqSince
 	if elapsed > 0 {

@@ -1,0 +1,97 @@
+package rjms
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/cluster"
+	"repro/internal/job"
+)
+
+// requeueIDBase offsets the IDs of requeued failure victims into a
+// range no workload generator occupies, so a clone can never collide
+// with a yet-unsubmitted trace job.
+const requeueIDBase = int64(1) << 40
+
+// FailNode injects a node failure at the current virtual time: every
+// job with an allocation on the node is killed and requeued as a fresh
+// pending clone (new deterministic ID, Submit = now), and the node
+// powers off and stays off — excluded from scheduling and from
+// reservation window reopenings — until RepairNode. Like
+// AdjustPowerCap it is a between-Advance hook (the twin's mutation
+// queue), never called from inside an event handler.
+func (c *Controller) FailNode(id cluster.NodeID) error {
+	if int(id) < 0 || int(id) >= len(c.nodeJobs) {
+		return fmt.Errorf("rjms: fail node %d: no such node", id)
+	}
+	if c.failed.Has(id) {
+		return fmt.Errorf("rjms: fail node %d: already failed", id)
+	}
+	now := c.eng.Now()
+	// Snapshot the victims before finish() rewrites nodeJobs; sort by
+	// job ID so requeue IDs assign reproducibly regardless of the
+	// swap-removal order the list happens to be in.
+	victims := make([]*job.Job, 0, len(c.nodeJobs[id]))
+	for _, e := range c.nodeJobs[id] {
+		if j, ok := c.running[e.id]; ok {
+			victims = append(victims, j)
+		}
+	}
+	sort.Slice(victims, func(i, k int) bool { return victims[i].ID < victims[k].ID })
+	for _, j := range victims {
+		c.finish(j, now, true)
+	}
+	for _, j := range victims {
+		clone := j.Clone()
+		c.requeueSeq++
+		clone.ID = job.ID(requeueIDBase + c.requeueSeq)
+		clone.Submit = now
+		clone.StartTime = 0
+		clone.EndTime = 0
+		clone.Freq = 0
+		clone.Allocs = nil
+		c.submit(clone, now)
+	}
+	if err := c.clus.PowerOff(id); err != nil {
+		return fmt.Errorf("rjms: fail node %d: %w", id, err)
+	}
+	c.failed.Add(id)
+	c.noteState(now)
+	c.requestPass(now)
+	return nil
+}
+
+// RepairNode returns a failed node to service: it powers back on
+// (unless a reservation window currently holds it off) and rejoins the
+// schedulable pool at the current virtual time.
+func (c *Controller) RepairNode(id cluster.NodeID) error {
+	if int(id) < 0 || int(id) >= len(c.nodeJobs) {
+		return fmt.Errorf("rjms: repair node %d: no such node", id)
+	}
+	if !c.failed.Has(id) {
+		return fmt.Errorf("rjms: repair node %d: not failed", id)
+	}
+	now := c.eng.Now()
+	c.failed.Remove(id)
+	if !c.clus.Reserved(id) {
+		_ = c.clus.PowerOn(id)
+	}
+	c.noteState(now)
+	c.requestPass(now)
+	return nil
+}
+
+// NodeFailed reports whether the node is currently failure-injected —
+// the invariant checker's hook for the kill path.
+func (c *Controller) NodeFailed(id cluster.NodeID) bool { return c.failed.Has(id) }
+
+// FailedNodes returns the failure-injected nodes, sorted.
+func (c *Controller) FailedNodes() []cluster.NodeID {
+	out := []cluster.NodeID{}
+	for id := cluster.NodeID(0); int(id) < c.clus.Nodes(); id++ {
+		if c.failed.Has(id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}

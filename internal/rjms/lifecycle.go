@@ -1,0 +1,119 @@
+package rjms
+
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/cluster"
+	"repro/internal/dvfs"
+	"repro/internal/job"
+	"repro/internal/sched"
+)
+
+// takeAllocs returns an empty slice with room for n entries, off the
+// free list when a finished job left one of that class.
+func (c *Controller) takeAllocs(n int) []job.Alloc {
+	k := bits.Len(uint(n - 1))
+	if free := c.allocFree[k]; len(free) > 0 {
+		s := free[len(free)-1]
+		c.allocFree[k] = free[:len(free)-1]
+		return s
+	}
+	return make([]job.Alloc, 0, 1<<k)
+}
+
+// recycleAllocs ends a running job's allocation: the slice goes back to
+// the free list, filed under the largest class it can serve (the compact
+// allocator's slices have any capacity), and the job forgets it.
+func (c *Controller) recycleAllocs(j *job.Job) {
+	k := bits.Len(uint(cap(j.Allocs))) - 1
+	c.allocFree[k] = append(c.allocFree[k], j.Allocs[:0])
+	j.Allocs = nil
+}
+
+// commit starts j as planned. This is the one place an allocation is
+// built, straight into a slice the job owns until it finishes; it must
+// come out as the probe counted it and occupy cleanly — anything else is
+// a bug.
+func (c *Controller) commit(j *job.Job, pl planned, now int64) {
+	c.statStarts++
+	if blocked := c.blockedFor(j, now); c.compactPlacement() {
+		j.Allocs = sched.AllocateCompact(c.clus, j.Cores, blocked)
+	} else {
+		j.Allocs, _ = sched.AllocateInto(c.takeAllocs(pl.nodes), c.clus, j.Cores, blocked, c.clus.ReservedSet())
+	}
+	if len(j.Allocs) != pl.nodes {
+		panic(fmt.Sprintf("rjms: job %d probed onto %d nodes, allocated on %d", j.ID, pl.nodes, len(j.Allocs)))
+	}
+	for _, a := range j.Allocs {
+		if err := c.clus.Occupy(a.Node, a.Cores, pl.freq); err != nil {
+			panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
+		}
+		c.nodeJobs[a.Node] = append(c.nodeJobs[a.Node], nodeJobEntry{id: j.ID, f: pl.freq})
+	}
+	j.State = job.StateRunning
+	j.Freq = pl.freq
+	j.StartTime = now
+	c.running[j.ID] = j
+	c.viewInsert(c.viewKey(j))
+	c.rec.NoteLaunch(pl.freq, now-j.Submit)
+
+	runFor := j.ScaledRuntime(c.pm.Deg, pl.freq)
+	ev, err := c.eng.At(now+runFor, func(t int64) { c.finish(j, t, false) })
+	if err != nil {
+		panic(fmt.Sprintf("rjms: end scheduling for job %d: %v", j.ID, err))
+	}
+	c.runStates[j.ID] = runState{endEv: ev, remainingNominal: float64(j.Runtime), freqSince: now}
+	c.noteState(now)
+}
+
+func (c *Controller) finish(j *job.Job, now int64, killed bool) {
+	if j.State != job.StateRunning {
+		return
+	}
+	c.viewRemove(c.viewKey(j))
+	for _, a := range j.Allocs {
+		nj := c.nodeJobs[a.Node]
+		rem := dvfs.Freq(0)
+		for k := 0; k < len(nj); {
+			if nj[k].id == j.ID {
+				last := len(nj) - 1
+				nj[k] = nj[last]
+				nj = nj[:last]
+				continue
+			}
+			if nj[k].f > rem {
+				rem = nj[k].f
+			}
+			k++
+		}
+		c.nodeJobs[a.Node] = nj
+		if err := c.clus.Vacate(a.Node, a.Cores, rem); err != nil {
+			panic(fmt.Sprintf("rjms: vacate inconsistency for job %d node %d: %v", j.ID, a.Node, err))
+		}
+		// Drain-to-off: reserved node freed inside its window.
+		if c.offPending.Has(a.Node) && c.clus.State(a.Node) == cluster.StateIdle {
+			if err := c.clus.PowerOff(a.Node); err == nil {
+				c.offPending.Remove(a.Node)
+			}
+		}
+	}
+	c.recycleAllocs(j)
+	if killed {
+		j.State = job.StateKilled
+	} else {
+		j.State = job.StateCompleted
+	}
+	j.EndTime = now
+	if rs, ok := c.runStates[j.ID]; ok {
+		c.eng.Cancel(rs.endEv)
+		delete(c.runStates, j.ID)
+	}
+	delete(c.running, j.ID)
+	c.rec.NoteCompletion(killed)
+	if !killed {
+		c.rec.NoteJobDone(j.StartTime-j.Submit, now-j.StartTime)
+	}
+	c.noteState(now)
+	c.requestPass(now)
+}

@@ -1,0 +1,326 @@
+package rjms
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/dvfs"
+	"repro/internal/job"
+	"repro/internal/power"
+	"repro/internal/sched"
+)
+
+// planned is a successful probe: the frequency Algorithm 2 settled on,
+// the walltime at it, and how many nodes the allocation spans. The
+// allocation itself does not exist yet — commit builds it.
+type planned struct {
+	nodes int
+	freq  dvfs.Freq
+	wall  int64
+}
+
+// freeCoresUpperBound is the quick-reject bound: cores not allocated and
+// not on switched-off nodes.
+func (c *Controller) freeCoresUpperBound() int {
+	off := c.clus.Count(cluster.StateOff) * c.cfg.Topology.CoresPerNode
+	return c.clus.Cores() - c.clus.BusyCores() - off
+}
+
+// blockedFor returns the nodes j may not use if started now — the
+// members of the switch-off groups that refuse work over the job's
+// longest possible span (ladder minimum), so a placement stays valid for
+// any frequency the online algorithm settles on. The set may alias
+// blockedBuf: it is current until the next call.
+func (c *Controller) blockedFor(j *job.Job, now int64) cluster.NodeSet {
+	wallMax := j.ScaledWalltime(c.pm.Deg, c.pm.Ladder.Min())
+	return c.book.BlockedSet(now, now+wallMax, c.cfg.ReservationLeadSec, &c.blockedBuf)
+}
+
+// compactPlacement reports whether placements come from the chassis-
+// greedy allocator instead of first fit; probe and commit must agree.
+func (c *Controller) compactPlacement() bool {
+	return c.cfg.Compact && c.clus.ReservedCount() == 0
+}
+
+// plan finds a placement and a frequency for a job; ok is false when
+// there is none. allocFail reports that the failure happened while
+// finding cores (as opposed to the power check) — the scheduling pass
+// uses it to prune same-or-larger requests within the same pass.
+//
+// Nothing is allocated: first fit is read off the standing frontier as
+// the partly used nodes the launch would take plus a count of idle ones,
+// which is all Algorithm 2 needs to price it — most successful probes are
+// then refused by the pass's shadow check. Compact placement has no such
+// summary (its order depends on per-chassis totals) and keeps walking.
+func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool) {
+	c.statProbes++
+	if j.Cores > c.freeCoresUpperBound() {
+		return planned{}, false, true
+	}
+	blocked := c.blockedFor(j, now)
+	var found bool
+	if c.compactPlacement() {
+		nodes := c.nodeBuf[:0]
+		for _, a := range sched.AllocateCompact(c.clus, j.Cores, blocked) {
+			nodes = append(nodes, a.Node)
+		}
+		c.nodeBuf = nodes[:0] // same backing array; only alive within this call
+		c.planNodes, c.planIdle, found = nodes, 0, len(nodes) > 0
+	} else {
+		c.planNodes, c.planIdle, found = c.frontiers.For(c.clus, blocked).Fit(j.Cores)
+	}
+	if !found {
+		return planned{}, false, true
+	}
+	c.planNow = now
+	c.planJob = j
+	c.planCapNow = c.book.CapAt(now)
+	f, ok := core.SelectFreq(c.pm, c.admitFn)
+	if !ok {
+		return planned{}, false, false
+	}
+	return planned{nodes: len(c.planNodes) + c.planIdle, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
+}
+
+// admit is Algorithm 2's launch check, at frequency f, for the probe the
+// plan* fields describe; New binds it once as admitFn.
+func (c *Controller) admit(f dvfs.Freq) bool {
+	now, j := c.planNow, c.planJob
+	end := now + j.ScaledWalltime(c.pm.Deg, f)
+	// Active cap: checked against the observed draw (Algorithm 2;
+	// exact bookkeeping, or the guarded measurement estimate).
+	if c.planCapNow.IsSet() && !c.planCapNow.Allows(c.observedPower()+
+		c.clus.OccupyDelta(c.planNodes, f)+c.clus.IdleOccupyDelta(c.planIdle, f)) {
+		return false
+	}
+	// A future window the job's walltime crosses caps the launch
+	// frequency. Jobs still launch — the paper's Figure 6 shows the
+	// system "preparing itself" by running at 2.0 GHz ahead of the
+	// reservation, not by idling.
+	fut := c.book.MinFutureCapOver(now, end, c.cfg.PlanningHorizonSec)
+	return !fut.IsSet() || c.fitsFutureCap(f, fut)
+}
+
+// fitsFutureCap reports whether f is at most a future window's "optimal
+// CPU frequency" (Section IV-B): the highest ladder rung at which every
+// surviving (unreserved) node could run busy within the budget, the
+// shared equipment of the chassis and racks that keep a survivor
+// included. Draws rise with frequency, so that is f's own projection
+// fitting. When not even the ladder minimum fits, the minimum is still
+// admitted: launches are then as conservative as the policy allows and
+// the active-cap check takes over once the window opens.
+func (c *Controller) fitsFutureCap(f dvfs.Freq, budget power.Cap) bool {
+	return f <= c.pm.Ladder.Min() || budget.Allows(c.clus.SurvivorDraw(c.clus.Profile().Busy(f)))
+}
+
+// viewKey is a running job's entry in the backfill view: its core count
+// and the time the scheduler must assume it ends (start + walltime
+// scaled by the frequency it currently runs at).
+func (c *Controller) viewKey(j *job.Job) sched.RunningJob {
+	return sched.RunningJob{
+		Cores:       j.Cores,
+		ExpectedEnd: j.StartTime + j.ScaledWalltime(c.pm.Deg, j.Freq),
+	}
+}
+
+func viewLess(a, b sched.RunningJob) bool {
+	if a.ExpectedEnd != b.ExpectedEnd {
+		return a.ExpectedEnd < b.ExpectedEnd
+	}
+	return a.Cores < b.Cores
+}
+
+// viewInsert adds one entry to the persistent (end, cores)-sorted
+// running view at its binary-search position.
+func (c *Controller) viewInsert(r sched.RunningJob) {
+	v := c.viewBuf
+	i := sort.Search(len(v), func(k int) bool { return viewLess(r, v[k]) })
+	v = append(v, sched.RunningJob{})
+	copy(v[i+1:], v[i:])
+	v[i] = r
+	c.viewBuf = v
+	c.viewGen++
+}
+
+// viewRemove deletes one entry equal to r from the sorted view. Equal
+// (end, cores) keys are indistinguishable to every consumer
+// (ShadowTime accumulates cores until the threshold, FreeCoresAt
+// sums), so removing any of them keeps replays bit-identical.
+func (c *Controller) viewRemove(r sched.RunningJob) {
+	v := c.viewBuf
+	i := sort.Search(len(v), func(k int) bool { return !viewLess(v[k], r) })
+	if i >= len(v) || v[i] != r {
+		panic(fmt.Sprintf("rjms: running view out of sync: missing entry %+v", r))
+	}
+	copy(v[i:], v[i+1:])
+	c.viewBuf = v[:len(v)-1]
+	c.viewGen++
+}
+
+// passMemo is what a scheduling pass that started nothing saw, kept as
+// a key: when it ran, the smallest core request it refused, the
+// generations of what it read and the length of the queue it walked.
+// Nothing invalidates it — passMemoHolds compares.
+type passMemo struct {
+	valid                     bool
+	now                       int64
+	minFail                   int
+	clusGen, bookGen, viewGen uint64
+	queued                    int
+}
+
+// passMemoHolds reports whether a pass at now would, like the recorded
+// one, start nothing. A pass is a function of the machine, the book, the
+// running view, the queue and the clock, so it refuses everything again
+// when
+//   - the cluster generation stands: no node changed state, cores or
+//     reservation flag — same placements, same free-core bound;
+//   - the book generation stands: nothing reserved, re-budgeted, removed;
+//   - the view generation stands: no job started, finished or was
+//     re-clocked (the one way a node's draw moves without the cluster
+//     generation; it always moves the job's view entry);
+//   - the clock crossed nothing (Book.PhaseStable): the same cap is
+//     active, the switch-off windows block the same spans, and a future
+//     cap that came nearer only refuses more;
+//   - the queue the pass walked is still there, and every job behind it —
+//     later submissions, a failed node's requeued victims — asks for at
+//     least minFail cores, which the pass's own pruning refuses unprobed.
+//
+// Measured-power mode records no memo: the estimate its cap checks read
+// drifts between samples under none of these keys.
+func (c *Controller) passMemoHolds(now int64) bool {
+	m := &c.memo
+	if !m.valid || c.noPassMemo ||
+		m.clusGen != c.clus.Generation() || m.bookGen != c.book.Generation() || m.viewGen != c.viewGen ||
+		len(c.pending) < m.queued ||
+		!c.book.PhaseStable(m.now, now, c.cfg.ReservationLeadSec) {
+		return false
+	}
+	for _, j := range c.pending[m.queued:] {
+		if j.Cores < m.minFail {
+			return false
+		}
+	}
+	return true
+}
+
+// pass runs one EASY-backfill scheduling cycle. Within one pass,
+// failures are memoized by core count: once an allocation (or the power
+// check) has refused a request of c cores, requests of >= c cores are
+// pruned — the cluster state only shrinks as the pass commits jobs, so
+// the pruning is sound for allocations and a SLURM-like heuristic for
+// the power check.
+func (c *Controller) pass(now int64) {
+	if len(c.pending) == 0 {
+		return
+	}
+	if c.passMemoHolds(now) {
+		c.statPassesSkipped++
+		return
+	}
+	c.statPasses++
+	startedCount := 0
+
+	shadowAt := int64(-1)
+	shadowNeed := 0
+	freeAtShadow := 0
+	minAllocFail := math.MaxInt
+	minPowerFail := math.MaxInt
+
+	// Nothing may change the cluster between a successful tryPlan and the
+	// commit that consumes it: commit re-derives the allocation pl counted.
+	tryPlan := func(j *job.Job) (planned, bool) {
+		if j.Cores >= minAllocFail || j.Cores >= minPowerFail {
+			return planned{}, false
+		}
+		pl, ok, allocFail := c.plan(j, now)
+		if !ok {
+			if allocFail {
+				minAllocFail = j.Cores
+			} else {
+				minPowerFail = j.Cores
+			}
+		}
+		return pl, ok
+	}
+
+	considered := 0
+	// One queue order: arrival (submissions in time order, requeued
+	// victims at the back).
+	for _, j := range c.pending {
+		if considered >= c.cfg.BackfillDepth {
+			break
+		}
+		considered++
+
+		if shadowAt < 0 {
+			if pl, ok := tryPlan(j); ok {
+				c.commit(j, pl, now)
+				startedCount++
+				continue
+			}
+			// Head blocked: set up the EASY reservation. The view is
+			// already end-sorted, so no per-event re-sort happens in
+			// the shadow computation.
+			running := c.viewBuf
+			free := c.freeCoresUpperBound()
+			if at, ok := sched.ShadowTimeSorted(running, free, j.Cores, now); ok {
+				shadowAt = at
+				shadowNeed = j.Cores
+				freeAtShadow = sched.FreeCoresAt(running, free, at)
+			} else {
+				// Cannot fit even when everything drains (nodes off);
+				// backfill the rest unconstrained.
+				shadowAt = math.MaxInt64
+			}
+			continue
+		}
+
+		// Backfill candidate: must not delay the head reservation.
+		pl, ok := tryPlan(j)
+		if !ok {
+			continue
+		}
+		if now+pl.wall > shadowAt && shadowAt != math.MaxInt64 {
+			if freeAtShadow-j.Cores < shadowNeed {
+				continue
+			}
+			freeAtShadow -= j.Cores
+		}
+		c.commit(j, pl, now)
+		startedCount++
+	}
+
+	if startedCount > 0 {
+		// commit flipped the started jobs to StateRunning, so they are
+		// found by state — no per-pass started set. Most of a backlogged
+		// queue is untouched: nothing is written before the first started
+		// job, and once the last one is passed the rest moves in one copy.
+		q := c.pending
+		r, w := 0, 0
+		for seen := 0; seen < startedCount && r < len(q); r++ {
+			if q[r].State != job.StatePending {
+				seen++
+				continue
+			}
+			if w != r {
+				q[w] = q[r]
+			}
+			w++
+		}
+		c.pending = q[:w+copy(q[w:], q[r:])]
+		return
+	}
+	// Nothing launched: record what this pass saw, so the next one can
+	// skip the whole probe cycle while passMemoHolds.
+	if c.estimator == nil {
+		c.memo = passMemo{
+			valid: true, now: now, minFail: min(minAllocFail, minPowerFail),
+			clusGen: c.clus.Generation(), bookGen: c.book.Generation(), viewGen: c.viewGen,
+			queued: len(c.pending),
+		}
+	}
+}

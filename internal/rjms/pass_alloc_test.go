@@ -58,7 +58,7 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	for _, j := range c.pending {
 		c.plan(j, 0)
 	}
-	c.invalidatePassMemo()
+	c.memo = passMemo{}
 	c.pass(0)
 	check("after later probes", started)
 	if a, b := c.running[1].Allocs, c.running[4].Allocs; &a[0] == &b[0] {
@@ -370,7 +370,7 @@ func TestRefusedProbesAllocateNothing(t *testing.T) {
 	passes, pending := c.statPasses, len(c.pending)
 	const runs = 20
 	allocs := testing.AllocsPerRun(runs, func() {
-		c.invalidatePassMemo() // otherwise only the first pass runs its body
+		c.memo = passMemo{} // otherwise only the first pass runs its body
 		c.pass(now)
 	})
 	if c.statPasses != passes+runs+1 {
@@ -447,7 +447,7 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 	}
 	pass := func() (probes, starts, builds uint64) {
 		before := c.SchedCounters()
-		c.invalidatePassMemo()
+		c.memo = passMemo{}
 		c.pass(now)
 		after := c.SchedCounters()
 		return after.Probes - before.Probes, after.Starts - before.Starts, after.FrontierBuilds - before.FrontierBuilds

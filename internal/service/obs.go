@@ -18,7 +18,7 @@ import (
 //     (see scrape), stores it, and the closures read the copy — eleven
 //     families cost one lock acquisition per scrape, not eleven.
 //
-// The pre-resolved vec children (passRun, memoHit, ...) exist so the
+// The pre-resolved vec children (passRun, passSkipped, ...) exist so the
 // engine-sampling observer does plain atomic adds with no per-sample
 // map lookups.
 type serverMetrics struct {
@@ -31,8 +31,6 @@ type serverMetrics struct {
 	engineEvents *obs.Counter
 	passRun      *obs.Counter
 	passSkipped  *obs.Counter
-	memoHit      *obs.Counter
-	memoMiss     *obs.Counter
 
 	tierLive    *obs.Counter
 	tierHot     *obs.Counter
@@ -60,10 +58,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Scheduling passes, by whether the probe cycle ran or the pass memo skipped it.", "result")
 	m.passRun = engine.With("run")
 	m.passSkipped = engine.With("skipped")
-	memo := reg.CounterVec("simd_engine_projection_memo_total",
-		"Power projection memo lookups during scheduling passes.", "result")
-	m.memoHit = memo.With("hit")
-	m.memoMiss = memo.With("miss")
 	m.engineEvents = reg.Counter("simd_engine_events_total",
 		"Simulation engine events fired across all runs.")
 	tiers := reg.CounterVec("simd_cache_tier_hits_total",

@@ -109,6 +109,10 @@ func TestDaemonMetricsUnderLoad(t *testing.T) {
 			t.Errorf("%s = %v, want >= %v", family, got, min)
 		}
 	}
+	// The projection memo is gone from the engine, and its series with it.
+	if strings.Contains(body, "simd_engine_projection_memo_total") {
+		t.Errorf("exposition still carries simd_engine_projection_memo_total")
+	}
 	// Route labels are templated, never raw ids.
 	if !strings.Contains(body, `route="/v1/runs"`) {
 		t.Errorf("exposition lacks the /v1/runs route label")

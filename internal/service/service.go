@@ -962,8 +962,6 @@ func (s *Server) observeFn(r *run) sim.Observer {
 			met.engineEvents.Add(cur.EventsFired - last.EventsFired)
 			met.passRun.Add(cur.Passes - last.Passes)
 			met.passSkipped.Add(cur.PassesSkipped - last.PassesSkipped)
-			met.memoHit.Add(cur.ProjectionMemoHits - last.ProjectionMemoHits)
-			met.memoMiss.Add(cur.ProjectionMemoMiss - last.ProjectionMemoMiss)
 			last = cur
 		})
 	}
