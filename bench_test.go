@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -258,12 +259,34 @@ func sweepBenchGrid() experiment.Grid {
 	}
 }
 
+// TestSweepAllocCeiling bounds the bytes one serial sweep of
+// sweepBenchGrid allocates: 21.6 MB when each of the 14 cells generated
+// its workload and cloned the list it had just generated, 14.6 MB once
+// each of the two workloads was generated once per sweep and a replay
+// kept the list it generated. The ceiling keeps that from regressing
+// silently.
+func TestSweepAllocCeiling(t *testing.T) {
+	const ceilingMB = 16
+	grid := sweepBenchGrid()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := experiment.Runner{Workers: 1}.Run(grid.Name, grid.Scenarios())
+	runtime.ReadMemStats(&after)
+	if errs := tab.Errs(); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("one sweep of %d cells allocates %.2f MB (ceiling %d MB)", len(tab.Rows), mb, ceilingMB)
+	if mb > ceilingMB {
+		t.Errorf("one sweep of %d cells allocates %.2f MB, ceiling %d MB", len(tab.Rows), mb, ceilingMB)
+	}
+}
+
 // BenchmarkSweep measures the parallel sweep engine: the serial
 // baseline against 4-worker and GOMAXPROCS pools over the same
 // 14-configuration grid. Every variant must aggregate to the identical
-// fingerprint — the engine's determinism contract — and the reported
-// speedup metric is the wall-clock ratio the worker pool achieves
-// (bounded by the machine's core count; ~1.0 on a single-CPU runner).
+// fingerprint — the engine's determinism contract. Its timings are for
+// profiling; bench/run.sh's sweep_grid workload is the measurement.
 func BenchmarkSweep(b *testing.B) {
 	grid := sweepBenchGrid()
 	scens := grid.Scenarios()
@@ -271,7 +294,6 @@ func BenchmarkSweep(b *testing.B) {
 		b.Fatalf("grid has %d configurations, want >= 12", len(scens))
 	}
 	refFP := ""
-	var serialWall time.Duration
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -294,18 +316,6 @@ func BenchmarkSweep(b *testing.B) {
 				b.Fatalf("aggregated metrics differ from serial reference at %d workers", t.Workers)
 			}
 			b.ReportMetric(float64(len(t.Rows)), "configs")
-			// Speedup is the whole-sweep wall-clock ratio against the
-			// serial leg — NOT Table.Speedup(), whose summed per-cell
-			// times include runnable-but-descheduled waits and so credit
-			// an oversubscribed pool with concurrency the hardware never
-			// delivered (a 1-CPU runner would report ~4x for workers4
-			// while its wall clock showed none).
-			if bc.workers == 1 {
-				serialWall = t.Elapsed
-			}
-			if serialWall > 0 && t.Elapsed > 0 {
-				b.ReportMetric(float64(serialWall)/float64(t.Elapsed), "speedup")
-			}
 		})
 	}
 }

@@ -29,9 +29,11 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/replay"
 	"repro/internal/rjms"
 	"repro/internal/trace"
@@ -249,13 +251,82 @@ func (r Runner) Run(name string, scenarios []replay.Scenario) Table {
 	return t
 }
 
+// sharedWorkload is one synthetic workload several cells of a sweep
+// replay, generated by whichever of them runs first. The list is
+// read-only once generated: each cell loads it through Scenario.Jobs,
+// which clones.
+type sharedWorkload struct {
+	cfg  trace.Config
+	once sync.Once
+	jobs []*job.Job
+	err  error
+	left atomic.Int32 // cells yet to load the list
+}
+
+func (w *sharedWorkload) get() ([]*job.Job, error) {
+	w.once.Do(func() { w.jobs, w.err = trace.Generate(w.cfg) })
+	return w.jobs, w.err
+}
+
+// loaded records that one cell is done with the list; the last one lets
+// it go, so a sweep holds only the workloads it has still to replay.
+func (w *sharedWorkload) loaded() {
+	if w.left.Add(-1) == 0 {
+		w.jobs = nil
+	}
+}
+
+// generatedWorkload is what a cell's synthetic workload is a function
+// of: its trace.Config on its machine's core count. It is false for a
+// cell that replays an explicit list or an SWF stream.
+func generatedWorkload(sc replay.Scenario) (trace.Config, bool) {
+	if sc.Jobs != nil || sc.SWF != nil {
+		return trace.Config{}, false
+	}
+	k := sc.Workload
+	k.Cores = sc.Machine().Cores()
+	return k, true
+}
+
+// shareWorkloads gives the cells that would generate the same workload
+// one sharedWorkload; a cell whose workload is its own gets nil.
+func shareWorkloads(scenarios []replay.Scenario) []*sharedWorkload {
+	byKey := map[trace.Config]*sharedWorkload{}
+	for _, sc := range scenarios {
+		if k, ok := generatedWorkload(sc); ok {
+			if byKey[k] == nil {
+				byKey[k] = &sharedWorkload{cfg: k}
+			}
+			byKey[k].left.Add(1)
+		}
+	}
+	shared := make([]*sharedWorkload, len(scenarios))
+	for i, sc := range scenarios {
+		if k, ok := generatedWorkload(sc); ok && byKey[k].left.Load() >= 2 {
+			shared[i] = byKey[k]
+		}
+	}
+	return shared
+}
+
 // RunContext is Run with cancellation: when ctx is cancelled the pool
 // stops handing out cells, drains its in-flight workers, and returns
 // the partial table plus ctx.Err(). Rows whose cell never ran carry
 // their scenario and ctx.Err(), so the table stays self-describing;
 // rows that finished before the cancel are complete and identical to
 // an uncancelled run's.
+//
+// A workload several cells replay is generated once per sweep, by the
+// first of its cells to run, so workers generate distinct workloads in
+// parallel; the rows are bit-identical to cells that each generate their
+// own, and carry the caller's scenario, not the shared list.
 func (r Runner) RunContext(ctx context.Context, name string, scenarios []replay.Scenario) (Table, error) {
+	return r.runShared(ctx, name, scenarios, shareWorkloads(scenarios))
+}
+
+// runShared is RunContext over the given shareWorkloads entries, one per
+// cell.
+func (r Runner) runShared(ctx context.Context, name string, scenarios []replay.Scenario, shared []*sharedWorkload) (Table, error) {
 	start := time.Now()
 	workers := poolSize(r.Workers, len(scenarios))
 	rows, err := runCells(ctx, len(scenarios), workers, r.OnResult,
@@ -265,7 +336,17 @@ func (r Runner) RunContext(ctx context.Context, name string, scenarios []replay.
 			if r.Observe != nil {
 				observe = func(ctl *rjms.Controller) { r.Observe(i, scenarios[i], ctl) }
 			}
-			res := replay.RunContextWith(ctx, scenarios[i], observe)
+			sc := scenarios[i]
+			if w := shared[i]; w != nil && ctx.Err() == nil {
+				defer w.loaded()
+				jobs, err := w.get()
+				if err != nil {
+					return Result{Result: replay.Result{Scenario: sc, Err: err}, Index: i, Elapsed: time.Since(t0)}
+				}
+				sc.Jobs = jobs
+			}
+			res := replay.RunContextWith(ctx, sc, observe)
+			res.Scenario = scenarios[i]
 			return Result{Result: res, Index: i, Elapsed: time.Since(t0)}
 		},
 		func(i int, err error) Result {

@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
@@ -157,6 +162,105 @@ func TestRunnerProgress(t *testing.T) {
 	}
 	if len(tab.Rows) != len(scens) {
 		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+}
+
+// hashJobs hashes every field of every job in the list.
+func hashJobs(jobs []*job.Job) string {
+	h := sha256.New()
+	for _, j := range jobs {
+		fmt.Fprintf(h, "%+v\n", *j)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestSweepSharesWorkloadsBitIdentical: cells that replay the same
+// synthetic workload share one generated list, and every row is still
+// the one its cell replayed alone would give — at any worker count, so
+// whatever order the cells load the list in. The rows carry the caller's
+// scenarios, and neither the shared lists nor a caller's explicit one
+// are changed by the sweep.
+func TestSweepSharesWorkloadsBitIdentical(t *testing.T) {
+	g := testGrid()
+	g.Policies = []core.Policy{core.PolicyShut, core.PolicyDvfs, core.PolicyMix}
+	scens := g.Scenarios() // 2 workloads x 7 cells
+	explicit, err := trace.Generate(trace.Config{Kind: trace.SmallJob, Seed: 1002, DurationSec: 3600, Cores: scens[0].Machine().Cores()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := scens[3]
+	own.Name += "/explicit"
+	own.Jobs = explicit
+	scens = append(scens, own)
+	explicitHash := hashJobs(explicit)
+
+	ref := Table{Name: "shared", Workers: 1}
+	for i, sc := range scens {
+		ref.Rows = append(ref.Rows, Result{Result: replay.Run(sc), Index: i})
+	}
+	if errs := ref.Errs(); len(errs) != 0 {
+		t.Fatalf("per-cell replays failed: %v", errs)
+	}
+
+	check := func(workers int, got Table) {
+		t.Helper()
+		if fp, want := got.Fingerprint(), ref.Fingerprint(); fp != want {
+			t.Fatalf("%d workers: fingerprint %s, per-cell replays %s", workers, fp, want)
+		}
+		for i, row := range got.Rows {
+			want := ref.Rows[i].Result
+			if !reflect.DeepEqual(row.Summary, want.Summary) || !reflect.DeepEqual(row.Samples, want.Samples) ||
+				!reflect.DeepEqual(row.Plan, want.Plan) {
+				t.Errorf("%d workers, cell %d (%s): differs from its replay alone", workers, i, row.Scenario.Name)
+			}
+			if wantJobs := scens[i].Jobs; len(row.Scenario.Jobs) != len(wantJobs) || (wantJobs != nil && &row.Scenario.Jobs[0] != &wantJobs[0]) {
+				t.Errorf("%d workers, cell %d (%s): row carries %d jobs, want the caller's %d", workers, i, row.Scenario.Name, len(row.Scenario.Jobs), len(wantJobs))
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		// The pool generates each shared workload in the first cell that
+		// needs it...
+		check(workers, Runner{Workers: workers}.Run("shared", scens))
+
+		// ...and leaves the list as it found it: held here, outside the
+		// sweep, it hashes the same afterwards.
+		shared := shareWorkloads(scens)
+		lists := map[*sharedWorkload][]*job.Job{}
+		for i, w := range shared {
+			if (w == nil) != (i == len(scens)-1) {
+				t.Fatalf("cell %d (%s): shared = %v", i, scens[i].Name, w != nil)
+			}
+			if w != nil && lists[w] == nil {
+				if lists[w], err = w.get(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if len(lists) != 2 {
+			t.Fatalf("%d shared workloads, want 2", len(lists))
+		}
+		hashes := map[*sharedWorkload]string{}
+		for w, jobs := range lists {
+			hashes[w] = hashJobs(jobs)
+		}
+
+		got, err := Runner{Workers: workers}.runShared(context.Background(), "shared", scens, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(workers, got)
+		for w, jobs := range lists {
+			if hashJobs(jobs) != hashes[w] {
+				t.Errorf("%d workers: the sweep changed the shared %v workload", workers, w.cfg.Kind)
+			}
+			if w.jobs != nil {
+				t.Errorf("%d workers: the shared %v workload is still held after its last cell", workers, w.cfg.Kind)
+			}
+		}
+		if hashJobs(explicit) != explicitHash {
+			t.Errorf("%d workers: the sweep changed the caller's explicit list", workers)
+		}
 	}
 }
 

@@ -173,15 +173,19 @@ func Build(s Scenario) (ctl *rjms.Controller, cleanup func(), err error) {
 		}
 		return ctl, func() { stream.Close() }, nil
 	}
-	jobs := s.Jobs
-	if jobs == nil {
+	if s.Jobs != nil {
+		err = ctl.LoadWorkload(s.Jobs)
+	} else {
+		// A generated list is this call's own and already in (Submit, ID)
+		// order, so the controller takes it as it is: no clone, no sort.
 		wl := s.Workload
 		wl.Cores = topo.Cores()
-		if jobs, err = trace.Generate(wl); err != nil {
-			return nil, cleanup, err
+		var jobs []*job.Job
+		if jobs, err = trace.Generate(wl); err == nil {
+			err = ctl.LoadWorkloadStream(trace.FromSlice(jobs))
 		}
 	}
-	if err := ctl.LoadWorkload(jobs); err != nil {
+	if err != nil {
 		return nil, cleanup, err
 	}
 	return ctl, cleanup, nil

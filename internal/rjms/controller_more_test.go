@@ -85,6 +85,123 @@ func TestPendingWalkedInArrivalOrder(t *testing.T) {
 	check(3350, nil, []job.ID{7})
 }
 
+// compactedInPlace fails the test unless dropping the starts in
+// backing[first:last+1] left the longer side where it was — only the
+// shorter one may move — and unless no slot of backing outside the
+// queue q now views still holds a job.
+func compactedInPlace(t *testing.T, backing []*job.Job, first, last int, q []*job.Job) {
+	t.Helper()
+	switch n := len(backing); {
+	case first < n-1-last && &q[len(q)-1] != &backing[n-1]:
+		t.Fatalf("starts in [%d, %d] of %d: the longer suffix moved", first, last, n)
+	case first >= n-1-last && first > 0 && &q[0] != &backing[0]:
+		t.Fatalf("starts in [%d, %d] of %d: the longer prefix moved", first, last, n)
+	}
+	backing = backing[:cap(backing)]
+	off := 0
+	if len(q) > 0 {
+		for off < len(backing) && &backing[off] != &q[0] {
+			off++
+		}
+		if off == len(backing) {
+			t.Fatal("the queue left the array it was compacted in")
+		}
+	}
+	for k, j := range backing {
+		if (k < off || k >= off+len(q)) && j != nil {
+			t.Fatalf("slot %d, outside the queue [%d, %d), still holds job %d", k, off, off+len(q), j.ID)
+		}
+	}
+}
+
+// A pass removes its starts from a long backlog wherever they sit — at
+// the front, at the back, in the middle, at both ends, nearer one end or
+// the other — and leaves the rest in arrival order, moving only the
+// shorter side and leaving no slot of the array outside the queue
+// pointing at a job.
+func TestPassDropsStartsAnywhereInBacklog(t *testing.T) {
+	const backlog = 200
+	topo := cluster.Topology{Racks: 2, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16}
+	per, free := topo.CoresPerNode, 8 // nodes left to the narrow jobs
+	for name, starts := range map[string][]int{
+		"front":            {0, 1, 2},
+		"back":             {backlog - 3, backlog - 2, backlog - 1},
+		"middle":           {99, 100, 102},
+		"both ends":        {0, backlog - 1},
+		"both ends and in": {0, 3, 120, backlog - 1},
+		"nearer the front": {10, 40, 150},
+		"nearer the back":  {50, 160, 190},
+		"one":              {7},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := mustNew(t, Config{Topology: topo, Policy: core.PolicyNone, Options: Options{BackfillDepth: 256}})
+			if err := c.Start(100000); err != nil {
+				t.Fatal(err)
+			}
+			// Everything but `free` nodes runs one long job, so a wide job
+			// waits for it while a narrow, short one backfills.
+			c.submit(&job.Job{ID: 1, User: "r", Cores: (topo.Nodes() - free) * per, Runtime: 1000, Walltime: 1000}, 0)
+			c.pass(0)
+			narrow := map[int]bool{}
+			for _, i := range starts {
+				narrow[i] = true
+			}
+			var want []job.ID
+			for i := 0; i < backlog; i++ {
+				j := &job.Job{ID: job.ID(100 + i), User: "q", Cores: (free + 1) * per, Runtime: 10, Walltime: 10}
+				if narrow[i] {
+					j.Cores = per
+				} else {
+					want = append(want, j.ID)
+				}
+				c.submit(j, 0)
+			}
+			backing := c.pending
+			c.pass(0)
+			var got []job.ID
+			for _, j := range c.pending {
+				got = append(got, j.ID)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pending after starts at %v:\n got  %v\n want %v", starts, got, want)
+			}
+			if len(c.running) != 1+len(starts) {
+				t.Fatalf("%d jobs running, want the long one and %d narrow", len(c.running), len(starts))
+			}
+			compactedInPlace(t, backing, starts[0], starts[len(starts)-1], c.pending)
+		})
+	}
+}
+
+// dropStarted against an order-preserving filter, for every set of
+// started positions in a short queue.
+func TestDropStartedMatchesFilter(t *testing.T) {
+	const n = 10
+	for mask := 1; mask < 1<<n; mask++ {
+		q := make([]*job.Job, n, n+2)
+		var want []*job.Job
+		first, last, started := -1, 0, 0
+		for i := range q {
+			q[i] = &job.Job{ID: job.ID(i)}
+			if mask&(1<<i) != 0 {
+				q[i].State = job.StateRunning
+				if first < 0 {
+					first = i
+				}
+				last = i
+				started++
+			} else {
+				want = append(want, q[i])
+			}
+		}
+		got := dropStarted(q, first, last, started)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("starts %0*b: kept %v, want %v", n, mask, got, want)
+		}
+		compactedInPlace(t, q, first, last, got)
+	}
+}
+
 func TestNodeSharingAcrossJobs(t *testing.T) {
 	c := mustNew(t, tinyConfig(core.PolicyNone))
 	// Two 2-core jobs share one 4-core node.

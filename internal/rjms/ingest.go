@@ -1,17 +1,21 @@
 package rjms
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
+	"repro/internal/trace"
 )
 
-// LoadWorkload loads a materialized workload: every job is checked up
+// LoadWorkload loads a caller-owned workload: every job is checked up
 // front (a bad one anywhere in the list is this call's error, not a
 // mid-Run one) and cloned, the clones are put in submit order — stably,
 // so equal-time jobs keep their list order — and handed to
-// LoadWorkloadStream, the one ingestion mechanism.
+// LoadWorkloadStream, the one ingestion mechanism. A list the caller
+// gives up and that is already in submit order (trace.Generate's) goes
+// to LoadWorkloadStream directly, through trace.FromSlice.
 func (c *Controller) LoadWorkload(jobs []*job.Job) error {
 	owned := make([]*job.Job, len(jobs))
 	for i, j := range jobs {
@@ -20,23 +24,8 @@ func (c *Controller) LoadWorkload(jobs []*job.Job) error {
 		}
 		owned[i] = j.Clone()
 	}
-	sort.SliceStable(owned, func(a, b int) bool { return owned[a].Submit < owned[b].Submit })
-	return c.LoadWorkloadStream(&sliceSource{jobs: owned})
-}
-
-// sliceSource is the JobSource over a job list, yielded in list order.
-type sliceSource struct {
-	jobs []*job.Job
-	i    int
-}
-
-func (s *sliceSource) Next() (*job.Job, error) {
-	if s.i >= len(s.jobs) {
-		return nil, nil
-	}
-	j := s.jobs[s.i]
-	s.i++
-	return j, nil
+	slices.SortStableFunc(owned, func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) })
+	return c.LoadWorkloadStream(trace.FromSlice(owned))
 }
 
 // checkJob rejects jobs the machine cannot run.

@@ -45,7 +45,7 @@ func TestLoadWorkloadStreamMatchesPreload(t *testing.T) {
 		streamed[i] = j.Clone()
 	}
 	sumB, samplesB := run(func(c *Controller) error {
-		return c.LoadWorkloadStream(&sliceSource{jobs: streamed})
+		return c.LoadWorkloadStream(trace.FromSlice(streamed))
 	})
 	if !reflect.DeepEqual(sumA, sumB) {
 		t.Fatalf("summaries differ:\n preload %+v\n stream  %+v", sumA, sumB)
@@ -102,16 +102,16 @@ func TestLoadWorkloadSortsBySubmit(t *testing.T) {
 func TestLoadWorkloadStreamRejectsUpfront(t *testing.T) {
 	c := mustNew(t, tinyConfig(core.PolicyNone))
 	// First job invalid: error before the replay starts.
-	err := c.LoadWorkloadStream(&sliceSource{jobs: []*job.Job{
+	err := c.LoadWorkloadStream(trace.FromSlice([]*job.Job{
 		{ID: 1, Cores: 0, Submit: 0, Runtime: 10, Walltime: 10},
-	}})
+	}))
 	if err == nil {
 		t.Fatal("invalid first job accepted")
 	}
 	c = mustNew(t, tinyConfig(core.PolicyNone))
-	err = c.LoadWorkloadStream(&sliceSource{jobs: []*job.Job{
+	err = c.LoadWorkloadStream(trace.FromSlice([]*job.Job{
 		{ID: 1, Cores: 49, Submit: 0, Runtime: 10, Walltime: 10},
-	}})
+	}))
 	if err == nil {
 		t.Fatal("too-wide first job accepted")
 	}
@@ -120,10 +120,10 @@ func TestLoadWorkloadStreamRejectsUpfront(t *testing.T) {
 func TestLoadWorkloadStreamMidStreamErrors(t *testing.T) {
 	// Out-of-order submission discovered mid-replay surfaces from Run.
 	c := mustNew(t, tinyConfig(core.PolicyNone))
-	err := c.LoadWorkloadStream(&sliceSource{jobs: []*job.Job{
+	err := c.LoadWorkloadStream(trace.FromSlice([]*job.Job{
 		{ID: 1, Cores: 4, Submit: 100, Runtime: 10, Walltime: 10},
 		{ID: 2, Cores: 4, Submit: 50, Runtime: 10, Walltime: 10},
-	}})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestLoadWorkloadStreamMidStreamErrors(t *testing.T) {
 	}
 	// A job wider than the machine mid-stream likewise.
 	c = mustNew(t, tinyConfig(core.PolicyNone))
-	err = c.LoadWorkloadStream(&sliceSource{jobs: []*job.Job{
+	err = c.LoadWorkloadStream(trace.FromSlice([]*job.Job{
 		{ID: 1, Cores: 4, Submit: 0, Runtime: 10, Walltime: 10},
 		{ID: 2, Cores: 49, Submit: 10, Runtime: 10, Walltime: 10},
-	}})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func TestFleetFailover(t *testing.T) {
 		return name == killed
 	})
 
-	v, _, err := c.Submit(ctx, longSpec())
+	v, _, err := c.Submit(ctx, boundedSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFleetFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	localSrv, localClient := newTestServer(t, service.Config{Workers: 1})
-	lv, _, err := localClient.Submit(ctx, longSpec())
+	lv, _, err := localClient.Submit(ctx, boundedSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,12 +38,31 @@ func sweepSpec() sim.RunSpec {
 	}
 }
 
-// longSpec runs long enough to cancel mid-flight.
+// longSpec is long by construction, not by the engine's speed: a
+// one-worker sweep of 64 full-Curie day-long cells, seconds of work on
+// a 2-core box, so it is still in flight whenever a test looks. Every
+// test that submits it cancels it; a test that waits for its run to end
+// uses boundedSpec.
 func longSpec() sim.RunSpec {
 	return sim.RunSpec{
-		Name:         "test-long",
-		Workload:     sim.WorkloadSpec{Kind: "24h", Seed: 7},
-		Racks:        4,
+		Name:     "test-long",
+		Workload: sim.WorkloadSpec{Kind: "24h", Seed: 7},
+		Workers:  1,
+		Policies: []string{"SHUT", "DVFS", "MIX", "IDLE"},
+		CapFractions: []float64{0.3, 0.34, 0.38, 0.42, 0.46, 0.5, 0.54, 0.58,
+			0.62, 0.66, 0.7, 0.74, 0.78, 0.82, 0.86, 0.9},
+	}
+}
+
+// boundedSpec is the long run a test waits out: one heavy-tailed 5 h
+// cell on 8 racks, long enough to be caught running (about 140 ms on a
+// 2-core box) and short enough to finish. It is a single run, so its
+// report carries no wall-clock field and compares byte for byte.
+func boundedSpec() sim.RunSpec {
+	return sim.RunSpec{
+		Name:         "test-bounded",
+		Workload:     sim.WorkloadSpec{Kind: "heavytail", Seed: 7},
+		Racks:        8,
 		Policies:     []string{"MIX"},
 		CapFractions: []float64{0.5},
 	}
@@ -397,8 +416,9 @@ func TestShutdownDrains(t *testing.T) {
 	ctx := context.Background()
 
 	// Occupy the single worker with a run long enough to still be in
-	// flight when Shutdown fires, so the second submission stays queued.
-	running, _, err := c.Submit(ctx, longSpec())
+	// flight when Shutdown fires, so the second submission stays queued,
+	// and short enough for the drain to finish it.
+	running, _, err := c.Submit(ctx, boundedSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/job"
@@ -177,9 +177,10 @@ func Generate(cfg Config) ([]*job.Job, error) {
 	// exact sampler and RNG call sequence below, so their workloads (and
 	// every downstream sweep fingerprint) are bit-identical across
 	// library growth.
-	sample := func() *job.Job { return sampleJob(rng, c, m, hugeThreshold) }
+	users := userNames{}
+	sample := func() *job.Job { return sampleJob(rng, c, m, hugeThreshold, users) }
 	if c.Kind == HeavyTail {
-		sample = func() *job.Job { return sampleHeavyTail(rng, c) }
+		sample = func() *job.Job { return sampleHeavyTail(rng, c, users) }
 	}
 
 	var jobs []*job.Job
@@ -222,12 +223,9 @@ func Generate(cfg Config) ([]*job.Job, error) {
 	for _, j := range jobs {
 		arrive(j)
 	}
-	sort.SliceStable(jobs, func(i, k int) bool {
-		if jobs[i].Submit != jobs[k].Submit {
-			return jobs[i].Submit < jobs[k].Submit
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
+	// IDs are unique, so (Submit, ID) orders totally and needs no stable
+	// sort.
+	slices.SortFunc(jobs, bySubmit)
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return nil, fmt.Errorf("trace: generator produced invalid job: %v", err)
@@ -274,9 +272,24 @@ func pickWalltime(rng *rand.Rand, min int64) int64 {
 	return min
 }
 
-func sampleJob(rng *rand.Rand, c Config, m mix, hugeThreshold float64) *job.Job {
+// userNames hands out the "userN" names of one Generate call, building
+// each once so the jobs of a user share one string. A map, not a slice:
+// Users is caller-sized.
+type userNames map[int]string
+
+func (u userNames) draw(rng *rand.Rand, users int) string {
+	i := rng.Intn(users)
+	name, ok := u[i]
+	if !ok {
+		name = "user" + strconv.Itoa(i)
+		u[i] = name
+	}
+	return name
+}
+
+func sampleJob(rng *rand.Rand, c Config, m mix, hugeThreshold float64, users userNames) *job.Job {
 	u := rng.Float64()
-	j := &job.Job{User: "user" + strconv.Itoa(rng.Intn(c.Users))}
+	j := &job.Job{User: users.draw(rng, c.Users)}
 	// Size classes scale with the machine so reduced-scale replays keep
 	// the Curie shape: "small" tops out at 512 cores of 80640 (0.64%),
 	// "medium" spans roughly 0.64%-10% of the machine.
@@ -331,8 +344,8 @@ func sampleJob(rng *rand.Rand, c Config, m mix, hugeThreshold float64) *job.Job 
 // (alpha ~1.2, so single-core jobs dominate but the widest jobs span a
 // large machine fraction), runtime log-uniform from seconds to hours, and
 // the usual over-requested walltime menu.
-func sampleHeavyTail(rng *rand.Rand, c Config) *job.Job {
-	j := &job.Job{User: "user" + strconv.Itoa(rng.Intn(c.Users))}
+func sampleHeavyTail(rng *rand.Rand, c Config, users userNames) *job.Job {
+	j := &job.Job{User: users.draw(rng, c.Users)}
 	const alpha = 1.2
 	u := rng.Float64()
 	// Clip the unbounded tail exactly where the machine cap sits, so the

@@ -31,6 +31,21 @@ type streamFunc func() (*job.Job, error)
 
 func (f streamFunc) Next() (*job.Job, error) { return f() }
 
+// FromSlice streams jobs in slice order — the bridge into the pipeline
+// for a materialized list. The caller hands over the jobs with it, so
+// they must be owned (fresh from Generate, or cloned) and, for a
+// controller, already in nondecreasing Submit order.
+func FromSlice(jobs []*job.Job) Stream {
+	return streamFunc(func() (*job.Job, error) {
+		if len(jobs) == 0 {
+			return nil, nil
+		}
+		j := jobs[0]
+		jobs = jobs[1:]
+		return j, nil
+	})
+}
+
 // Collect drains a stream into a slice — the bridge back out of the
 // transform layer for consumers that need random access.
 func Collect(src Stream) ([]*job.Job, error) {

@@ -34,18 +34,14 @@ func seqJobs(n int, submitStep int64) []*job.Job {
 	return out
 }
 
-// sliceStream yields clones of the given jobs in slice order: the
+// clonedStream yields clones of the given jobs in slice order: the
 // transforms under test rewrite what they are handed in place.
-func sliceStream(jobs []*job.Job) Stream {
-	i := 0
-	return streamFunc(func() (*job.Job, error) {
-		if i >= len(jobs) {
-			return nil, nil
-		}
-		j := jobs[i].Clone()
-		i++
-		return j, nil
-	})
+func clonedStream(jobs []*job.Job) Stream {
+	owned := make([]*job.Job, len(jobs))
+	for i, j := range jobs {
+		owned[i] = j.Clone()
+	}
+	return FromSlice(owned)
 }
 
 func TestScannerStreamsInFileOrder(t *testing.T) {
@@ -89,7 +85,7 @@ func TestScannerStickyError(t *testing.T) {
 }
 
 func TestWindowExtractsRebasesAndStopsEarly(t *testing.T) {
-	src := &countingStream{src: sliceStream(seqJobs(100, 10))}
+	src := &countingStream{src: clonedStream(seqJobs(100, 10))}
 	got, err := Collect(Window(src, 200, 400))
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +124,7 @@ func TestWindowKeepsSourceErrorSticky(t *testing.T) {
 }
 
 func TestWindowRejectsEmpty(t *testing.T) {
-	if _, err := Collect(Window(sliceStream(nil), 10, 10)); err == nil {
+	if _, err := Collect(Window(clonedStream(nil), 10, 10)); err == nil {
 		t.Error("empty window accepted")
 	}
 }
@@ -136,7 +132,7 @@ func TestWindowRejectsEmpty(t *testing.T) {
 func TestScaleTimeAndCores(t *testing.T) {
 	jobs := seqJobs(4, 100)
 	jobs[3].Cores = 1000
-	src := ScaleCores(ScaleTime(sliceStream(jobs), 0.5), 1000, 100)
+	src := ScaleCores(ScaleTime(clonedStream(jobs), 0.5), 1000, 100)
 	got, err := Collect(src)
 	if err != nil {
 		t.Fatal(err)
@@ -150,16 +146,16 @@ func TestScaleTimeAndCores(t *testing.T) {
 	if got[3].Cores != 100 {
 		t.Errorf("full-width job rescaled to %d cores, want 100", got[3].Cores)
 	}
-	if _, err := Collect(ScaleTime(sliceStream(nil), 0)); err == nil {
+	if _, err := Collect(ScaleTime(clonedStream(nil), 0)); err == nil {
 		t.Error("zero time scale accepted")
 	}
-	if _, err := Collect(ScaleCores(sliceStream(nil), 0, 5)); err == nil {
+	if _, err := Collect(ScaleCores(clonedStream(nil), 0, 5)); err == nil {
 		t.Error("zero machine size accepted")
 	}
 }
 
 func TestFilterAndLimit(t *testing.T) {
-	src := Limit(Filter(sliceStream(seqJobs(50, 1)), func(j *job.Job) bool { return j.ID%2 == 0 }), 10)
+	src := Limit(Filter(clonedStream(seqJobs(50, 1)), func(j *job.Job) bool { return j.ID%2 == 0 }), 10)
 	got, err := Collect(src)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +176,7 @@ func TestStreamingRoundTrip(t *testing.T) {
 	}
 	var streamed bytes.Buffer
 	w := NewWriter(&streamed, "round trip")
-	n, err := Copy(w, sliceStream(jobs))
+	n, err := Copy(w, clonedStream(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +255,7 @@ func TestSummarizeStreamMatchesSummarize(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Summarize(jobs, int64(4096)*3600)
-	got, err := SummarizeStream(sliceStream(jobs), int64(4096)*3600)
+	got, err := SummarizeStream(clonedStream(jobs), int64(4096)*3600)
 	if err != nil {
 		t.Fatal(err)
 	}

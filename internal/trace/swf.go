@@ -16,7 +16,9 @@
 package trace
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/job"
@@ -46,14 +48,16 @@ const (
 )
 
 // SortBySubmit orders jobs by (submit time, job ID) — the canonical
-// replay order the generator and SWFSource.Load guarantee.
-func SortBySubmit(jobs []*job.Job) {
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if jobs[i].Submit != jobs[j].Submit {
-			return jobs[i].Submit < jobs[j].Submit
-		}
-		return jobs[i].ID < jobs[j].ID
-	})
+// replay order the generator and SWFSource.Load guarantee. An archive
+// trace may repeat an ID, so the sort is stable.
+func SortBySubmit(jobs []*job.Job) { slices.SortStableFunc(jobs, bySubmit) }
+
+// bySubmit compares jobs by (submit time, job ID).
+func bySubmit(a, b *job.Job) int {
+	if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // WriteSWF serializes jobs as SWF with a minimal header. Unknown fields

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -47,6 +49,45 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical workloads")
+	}
+}
+
+// TestGenerateBitIdentical pins every field of every generated job, for
+// each library workload on a 2-rack and the 56-rack Curie machine, to
+// the hashes the generator produced before its user names were interned
+// and its sort stopped going through reflection. Every replay downstream
+// starts from these lists, so a change here moves every fingerprint.
+func TestGenerateBitIdentical(t *testing.T) {
+	const coresPerRack = 80640 / 56
+	want := map[Kind]map[int]struct {
+		jobs int
+		sha  string
+	}{
+		MedianJob: {2: {2085, "c314b902342736d12b83d4deae63de4c5a49ad0ac9de3c3b8a84a474ebe8b7d1"}, 56: {2085, "5250b5bbb4e851d8200e7994613166333e78fe0fad481957cadeab679e2a96a2"}},
+		SmallJob:  {2: {6221, "545b1e95934c2952c8f6c6de30fe0399497e892c557e96121470e330054f3641"}, 56: {6221, "3534e7467a94b82a971a7416b431e841898aa4f01e4b80b65360068b4b689325"}},
+		BigJob:    {2: {1002, "cd13676e1e4e1d003ca418ffe3b271df2c45f5704b9238c3d5452c1480fa0f0a"}, 56: {1002, "c7a9da8bfc4171e6f0aea02fe8c51074c51dd8b05ad9b7762333a427c00c6c58"}},
+		Day24h:    {2: {12051, "3fd76d04045f08fba0453fbf775b83f89f1cdc92e4f39982d3d2afdc4835b9b9"}, 56: {11908, "dd3ac933c71cbecf06ab7dca9567f064ab59c3f9f75f9ec0f9129762be2be654"}},
+		Diurnal:   {2: {11343, "2cd716b4d09239e3e0bade5c32d4d43a1adcf8f9a6c453f5e91bdaa160215723"}, 56: {11343, "a685bf87d3325fdfead448e43dc41a8de8473c9448ec55df164f3c0adecd3ae5"}},
+		Bursty:    {2: {2506, "e40d84d30130d7b0ac31fa89f7030a7b93663703c2846abc6ae1a34ee416553f"}, 56: {2486, "f72d9da24d3b4edbcd7eb204a98f4d754b8b65e67ab9325bbcddaf508c3caafb"}},
+		HeavyTail: {2: {6724, "042be6aac7209a11cb8dee8fc394d59811c532d24c02eee8d16a2203ccc0e9e3"}, 56: {176840, "04712847a3a1bc752a364c3a9e621cf2da0665d05a001bc3e97d381446c285ca"}},
+	}
+	for _, cfg := range LibraryWorkloads() {
+		for _, racks := range []int{2, 56} {
+			cfg.Cores = racks * coresPerRack
+			jobs, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, j := range jobs {
+				fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d|%d|%d|%d|%d|%v\n", j.ID, j.User, j.Cores, j.Submit, j.Runtime,
+					j.Walltime, j.State, j.Freq, j.StartTime, j.EndTime, j.Allocs)
+			}
+			w := want[cfg.Kind][racks]
+			if got := fmt.Sprintf("%x", h.Sum(nil)); len(jobs) != w.jobs || got != w.sha {
+				t.Errorf("%v on %d racks: %d jobs hashing %s, want %d hashing %s", cfg.Kind, racks, len(jobs), got, w.jobs, w.sha)
+			}
+		}
 	}
 }
 
