@@ -23,11 +23,11 @@ import (
 // converge on a whole file.
 //
 // Opening a store scans the directory once into an in-memory metadata
-// index (everything List and ByHash need); Get reads and verifies the
-// envelope from disk. Files that fail to decode — truncated, corrupt,
-// or written by an unknown format version — are skipped at open and
-// reported via Skipped, not fatal: one bad file must not take the whole
-// archive down with it.
+// index (everything Meta and List answer); Get and ByHash read and
+// verify the envelope from disk. Files that fail to decode — truncated,
+// corrupt, or written by an unknown format version — are skipped at open
+// and reported via Skipped, not fatal: one bad file must not take the
+// whole archive down with it.
 type FSStore struct {
 	dir     string
 	max     int
@@ -351,6 +351,17 @@ func (st *FSStore) Get(id string) (Record, bool, error) {
 			return Record{}, false, nil
 		}
 		return Record{}, false, fmt.Errorf("service: reading archived run %s: %w", id, err)
+	}
+	return rec, true, nil
+}
+
+// Meta answers from the in-memory metadata index, with no file read.
+func (st *FSStore) Meta(id string) (Record, bool, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	rec, ok := st.meta[st.byID[id]]
+	if !ok || rec.ID != id {
+		return Record{}, false, nil
 	}
 	return rec, true, nil
 }

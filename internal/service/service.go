@@ -377,37 +377,26 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	if s.draining {
 		return RunView{}, false, errDraining("submissions")
 	}
-	if prev := s.byHash[hash]; prev != nil {
-		prev.mu.Lock()
-		st := prev.state
-		if st != StateFailed && st != StateCancelled {
-			prev.hits++
-			s.cacheHits++
-			s.met.tierLive.Inc()
-			v := prev.viewLocked(false, false)
-			prev.mu.Unlock()
-			s.log.Debug("cache hit", "run", v.ID, "tier", "live", "request_id", reqID)
-			return v, true, nil
-		}
-		prev.mu.Unlock()
+	if v, ok := s.cacheHitLocked(hash, reqID); ok {
+		return v, true, nil
 	}
-	// Not live: a done run in the hot tier or the archive is still a
-	// cache hit — the durable half of the result cache. The hit count
-	// update is serialized by s.mu (stores do no read-modify-write of
-	// their own), and re-putting an archive-only record warms it back
-	// into the hot tier.
-	if rec, tier, ok := s.storeByHashLocked(hash); ok && rec.State == StateDone {
-		rec.CacheHits++
-		s.cacheHits++
-		if tier == "archive" {
-			s.met.tierArchive.Inc()
-		} else {
-			s.met.tierHot.Inc()
+	// The archive decodes a file: ask it with s.mu released, so every
+	// other request proceeds meanwhile, then look again — a concurrent
+	// submission may have started or warmed the run in the meantime.
+	if s.cfg.Archive != nil {
+		s.mu.Unlock()
+		rec, ok, err := s.cfg.Archive.ByHash(hash)
+		s.mu.Lock()
+		if s.draining {
+			return RunView{}, false, errDraining("submissions")
 		}
-		if err := s.store.Put(rec); err == nil {
-			v := viewFromRecord(rec, time.Now(), false, false)
-			s.log.Debug("cache hit", "run", v.ID, "tier", tier, "request_id", reqID)
+		if v, ok := s.cacheHitLocked(hash, reqID); ok {
 			return v, true, nil
+		}
+		if err == nil && ok && rec.State == StateDone {
+			if v, ok := s.storeHitLocked(rec, "archive", s.met.tierArchive, reqID); ok {
+				return v, true, nil
+			}
 		}
 	}
 
@@ -466,26 +455,63 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	return v, false, nil
 }
 
-// tierNames labels Server.tiers, index for index, in the cache-tier
-// metrics.
-var tierNames = [...]string{"hot", "archive"}
-
-// storeByHashLocked resolves a spec hash through the store tiers and
-// names the tier that answered ("hot" or "archive") for the cache-tier
-// metrics; s.mu must be held (it serializes hit-count updates).
-func (s *Server) storeByHashLocked(hash string) (Record, string, bool) {
-	for i, tier := range s.tiers {
-		if rec, ok, err := tier.ByHash(hash); err == nil && ok {
-			return rec, tierNames[i], true
+// cacheHitLocked answers a spec hash from what the server holds in
+// memory: a live run that has not failed or been cancelled, else a done
+// record in the hot tier. s.mu must be held: it serializes the hit-count
+// updates (stores do no read-modify-write of their own).
+func (s *Server) cacheHitLocked(hash, reqID string) (RunView, bool) {
+	if prev := s.byHash[hash]; prev != nil {
+		prev.mu.Lock()
+		st := prev.state
+		if st != StateFailed && st != StateCancelled {
+			prev.hits++
+			s.cacheHits++
+			s.met.tierLive.Inc()
+			v := prev.viewLocked(false, false)
+			prev.mu.Unlock()
+			s.log.Debug("cache hit", "run", v.ID, "tier", "live", "request_id", reqID)
+			return v, true
 		}
+		prev.mu.Unlock()
 	}
-	return Record{}, "", false
+	if rec, ok, err := s.store.ByHash(hash); err == nil && ok && rec.State == StateDone {
+		return s.storeHitLocked(rec, "hot", s.met.tierHot, reqID)
+	}
+	return RunView{}, false
 }
 
-// storeRecord resolves a run id through the store tiers.
+// storeHitLocked counts a cache hit on a stored done record — the
+// durable half of the result cache — and re-puts it into the hot tier,
+// which warms an archive-only record back into memory; s.mu must be
+// held.
+func (s *Server) storeHitLocked(rec Record, tier string, hits *obs.Counter, reqID string) (RunView, bool) {
+	rec.CacheHits++
+	s.cacheHits++
+	hits.Inc()
+	if err := s.store.Put(rec); err != nil {
+		return RunView{}, false
+	}
+	v := viewFromRecord(rec, time.Now(), false, false)
+	s.log.Debug("cache hit", "run", v.ID, "tier", tier, "request_id", reqID)
+	return v, true
+}
+
+// storeRecord resolves a run id through the store tiers, payload and
+// all: the archive reads and decodes the run's file.
 func (s *Server) storeRecord(id string) (Record, bool) {
 	for _, tier := range s.tiers {
 		if rec, ok, err := tier.Get(id); err == nil && ok {
+			return rec, true
+		}
+	}
+	return Record{}, false
+}
+
+// storeMeta resolves a run id's metadata-only record through the store
+// tiers, from their indexes: no file is read.
+func (s *Server) storeMeta(id string) (Record, bool) {
+	for _, tier := range s.tiers {
+		if rec, ok, err := tier.Meta(id); err == nil && ok {
 			return rec, true
 		}
 	}
@@ -525,11 +551,16 @@ func (s *Server) retire(r *run) {
 	// meanwhile. The archived copy itself carries ArchiveMS 0 — it was
 	// serialized mid-write — and a hit count that may trail the hot
 	// tier's by the hits landing during the write; both keep accruing
-	// only in the hot tier afterwards anyway.
+	// only in the hot tier afterwards anyway. The archive's index keeps
+	// the record it was handed (Meta answers from it), so the hot copy
+	// gets its own stage timings rather than a write through the shared
+	// pointer.
 	if s.cfg.Archive != nil && rec.State == StateDone {
 		archiveStart := time.Now()
 		err := s.cfg.Archive.Put(rec)
-		rec.Stages.ArchiveMS = float64(time.Since(archiveStart).Microseconds()) / 1000
+		stages := *rec.Stages
+		stages.ArchiveMS = float64(time.Since(archiveStart).Microseconds()) / 1000
+		rec.Stages = &stages
 		if err != nil {
 			s.mu.Lock()
 			s.archiveErrs++
@@ -622,7 +653,13 @@ func (s *Server) GetAs(tenant TenantConfig, id string, withReport bool) (RunView
 		defer r.mu.Unlock()
 		return r.viewLocked(withReport, true), nil
 	}
-	if rec, ok := s.storeRecord(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
+	// A status poll needs only the metadata; the report payload is what
+	// makes a stored run worth reading from disk.
+	lookup := s.storeMeta
+	if withReport {
+		lookup = s.storeRecord
+	}
+	if rec, ok := lookup(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
 		return viewFromRecord(rec, time.Now(), withReport, true), nil
 	}
 	return RunView{}, errUnknownRun(id)
@@ -637,7 +674,7 @@ func (s *Server) owner(id string) (string, bool) {
 	if r != nil {
 		return r.tenant, true
 	}
-	rec, ok := s.storeRecord(id)
+	rec, ok := s.storeMeta(id)
 	return rec.Tenant, ok
 }
 
@@ -648,11 +685,16 @@ func errUnknownRun(id string) *Error {
 	return &Error{Status: 404, Msg: fmt.Sprintf("service: unknown run %q", id)}
 }
 
-// Report hands the run's sim.Report to fn while the run is terminal —
-// the in-process bridge to the report payload. Runs that only exist as
-// archive records (completed by an earlier process) carry no live
-// Report; use RenderReport for those.
-func (s *Server) Report(id string, fn func(rep sim.Report) error) error {
+// RenderReport writes the run's report in the named sink format — the
+// report endpoint's engine. Runs with a live Report render on demand
+// with the requested options; archive-only records serve the rendering
+// captured at completion (default options), so a restarted daemon still
+// answers byte-identically for the formats it stored. A stored run is
+// resolved once: the one record read serves either form.
+func (s *Server) RenderReport(id, format string, opt sim.SinkOptions, w io.Writer) error {
+	if _, err := sim.Sinks.Lookup(format); err != nil {
+		return &Error{Status: 400, Msg: err.Error()}
+	}
 	s.mu.Lock()
 	r := s.runs[id]
 	s.mu.Unlock()
@@ -666,38 +708,14 @@ func (s *Server) Report(id string, fn func(rep sim.Report) error) error {
 		if rep == nil {
 			return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s (%s) produced no report: %s", id, state, errMsg)}
 		}
-		return fn(*rep)
+		return sim.Export(w, format, *rep, opt)
 	}
 	rec, ok := s.storeRecord(id)
 	if !ok {
 		return errUnknownRun(id)
 	}
-	if rec.Report == nil {
-		return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s (%s) has no report in this process", id, rec.State)}
-	}
-	return fn(*rec.Report)
-}
-
-// RenderReport writes the run's report in the named sink format — the
-// report endpoint's engine. Runs with a live Report render on demand
-// with the requested options; archive-only records serve the rendering
-// captured at completion (default options), so a restarted daemon still
-// answers byte-identically for the formats it stored.
-func (s *Server) RenderReport(id, format string, opt sim.SinkOptions, w io.Writer) error {
-	if _, err := sim.Sinks.Lookup(format); err != nil {
-		return &Error{Status: 400, Msg: err.Error()}
-	}
-	err := s.Report(id, func(rep sim.Report) error {
-		return sim.Export(w, format, rep, opt)
-	})
-	var apiErr *Error
-	if err == nil || !errors.As(err, &apiErr) || apiErr.Status != 409 {
-		return err
-	}
-	// No live report — fall back to the stored rendering.
-	rec, ok := s.storeRecord(id)
-	if !ok {
-		return err
+	if rec.Report != nil {
+		return sim.Export(w, format, *rec.Report, opt)
 	}
 	b, ok := rec.Renders[format]
 	if !ok {
@@ -768,7 +786,7 @@ func (s *Server) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 	r := s.runs[id]
 	s.mu.Unlock()
 	if r == nil {
-		if rec, ok := s.storeRecord(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
+		if rec, ok := s.storeMeta(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
 			// Already terminal: cancelling is a no-op.
 			return viewFromRecord(rec, time.Now(), false, false), nil
 		}

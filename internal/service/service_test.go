@@ -122,9 +122,11 @@ func TestSubmitStatusReportMetrics(t *testing.T) {
 	}
 
 	// Telemetry must agree with the run's own sample series: the
-	// collector fires once per recorded sample with identical values.
-	var rep sim.Report
-	if err := s.Report(v.ID, func(r sim.Report) error { rep = r; return nil }); err != nil {
+	// collector fires once per recorded sample with identical values. The
+	// engine is deterministic, so a local run of the spec holds exactly
+	// the samples the daemon's run recorded.
+	rep, err := sim.Run(ctx, fastSpec("single"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	rs := s.TSDB().Lookup(v.ID)

@@ -251,8 +251,10 @@ func pageRecords(records []Record, f ListFilter) ([]Record, string, error) {
 //   - Put upserts by spec hash: at most one record per hash (the result
 //     cache invariant); re-putting a hash replaces the prior record and
 //     retires its run id.
-//   - Get/ByHash return the full record; List returns metadata-only
-//     records ordered by Seq with cursor pagination.
+//   - Get/ByHash return the full record; Meta returns one id's
+//     metadata-only record and List a page of them, ordered by Seq with
+//     cursor pagination. Meta and List are answered from an index: they
+//     never load payloads.
 //   - A capacity bound evicts oldest records first, never the one just
 //     put.
 //   - Concurrent Puts of one hash are safe and leave exactly one
@@ -265,6 +267,9 @@ type RunStore interface {
 	Put(rec Record) error
 	// Get returns the record owning the run id.
 	Get(id string) (Record, bool, error)
+	// Meta returns the metadata-only record owning the run id: the row
+	// List returns for it.
+	Meta(id string) (Record, bool, error)
 	// ByHash returns the record for the spec hash.
 	ByHash(hash string) (Record, bool, error)
 	// List returns the metadata-only records matching the filter in Seq
@@ -371,6 +376,14 @@ func (m *MemStore) Get(id string) (Record, bool, error) {
 	defer m.mu.Unlock()
 	rec, ok := m.byID[id]
 	return rec, ok, nil
+}
+
+// Meta returns the metadata-only record owning the run id.
+func (m *MemStore) Meta(id string) (Record, bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rec, ok := m.byID[id]
+	return rec.light(), ok, nil
 }
 
 // ByHash returns the record for the spec hash.

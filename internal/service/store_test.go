@@ -130,6 +130,35 @@ func TestFSStoreReopen(t *testing.T) {
 	}
 }
 
+// TestFSStoreMetaReadsNoFile pins where the archive's Meta answer comes
+// from: the index built at open and kept by Put. With the run's file
+// removed behind the store's back, Meta still answers the listing row
+// while Get, which reads the file, reports the run not found.
+func TestFSStoreMetaReadsNoFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := service.OpenFSStore(dir, service.FSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := storetest.SampleRecord(t, "meta-no-file", 3)
+	if err := st.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, rec.SpecHash+".json")); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := st.Meta(rec.ID)
+	if err != nil || !ok {
+		t.Fatalf("Meta after the file went = ok:%v err:%v, want the indexed row", ok, err)
+	}
+	if got.ID != rec.ID || got.Tenant != rec.Tenant || got.State != rec.State || got.Renders != nil {
+		t.Errorf("Meta = %+v, want the metadata-only row of %s", got, rec.ID)
+	}
+	if _, ok, err := st.Get(rec.ID); err != nil || ok {
+		t.Errorf("Get after the file went = ok:%v err:%v, want not found", ok, err)
+	}
+}
+
 // TestFSStoreServesParentWrittenEnvelope opens an archive written by
 // the simd binary that predates the shared rjms.Options struct
 // (testdata/archive, one single run with every option and the cap

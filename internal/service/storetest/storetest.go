@@ -4,8 +4,9 @@
 // and any future backend (sqlite, badger, ...) must pass it before the
 // daemon will treat it as a persistence tier: the suite pins exactly
 // the semantics internal/service relies on (one record per spec hash,
-// Seq-ordered listing with cursor pagination, oldest-first eviction
-// that never evicts the record just put, concurrent-put convergence).
+// Seq-ordered listing with cursor pagination, Meta answering an id's
+// listing row, oldest-first eviction that never evicts the record just
+// put, concurrent-put convergence).
 //
 // Usage, from a backend's own test file:
 //
@@ -25,6 +26,7 @@ import (
 
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/tsdb"
 )
 
 // Options carry the bounds a conformance subtest wants the store under
@@ -51,6 +53,7 @@ type Factory func(t *testing.T, opt Options) service.RunStore
 func Run(t *testing.T, factory Factory) {
 	t.Run("PutGetRoundtrip", func(t *testing.T) { testRoundtrip(t, factory) })
 	t.Run("UpsertByHash", func(t *testing.T) { testUpsert(t, factory) })
+	t.Run("MetaIsTheListRow", func(t *testing.T) { testMeta(t, factory) })
 	t.Run("ListOrderAndFilters", func(t *testing.T) { testListFilters(t, factory) })
 	t.Run("Pagination", func(t *testing.T) { testPagination(t, factory) })
 	t.Run("Eviction", func(t *testing.T) { testEviction(t, factory) })
@@ -263,6 +266,62 @@ func testUpsert(t *testing.T, factory Factory) {
 	if got, _, _ := st.ByHash(first.SpecHash); got.CacheHits != 100 {
 		t.Errorf("re-put did not update: cache hits = %d, want 100", got.CacheHits)
 	}
+}
+
+// testMeta pins Meta as the one-id form of List: the same metadata-only
+// row, resolvable exactly while the id is stored.
+func testMeta(t *testing.T, factory Factory) {
+	st := factory(t, Options{})
+	a, b := record(t, "meta-a", 0), record(t, "meta-b", 1)
+	for _, rec := range []*service.Record{&a, &b} {
+		// Heavy payloads Meta must strip (a durable store drops the live
+		// Report on its own).
+		rec.Telemetry = &tsdb.Snapshot{}
+		rec.Report = &sim.Report{}
+		mustPut(t, st, *rec)
+	}
+	checkRows := func(when string) {
+		t.Helper()
+		rows, _, err := st.List(service.ListFilter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			got, ok, err := st.Meta(row.ID)
+			if err != nil || !ok {
+				t.Errorf("%s: Meta(%s) = ok:%v err:%v, want the List row", when, row.ID, ok, err)
+				continue
+			}
+			if !reflect.DeepEqual(got, row) {
+				t.Errorf("%s: Meta(%s) differs from its List row:\n got %+v\nwant %+v", when, row.ID, got, row)
+			}
+			if got.Events != nil || got.Renders != nil || got.Telemetry != nil || got.Report != nil {
+				t.Errorf("%s: Meta(%s) carries heavy payloads", when, row.ID)
+			}
+		}
+	}
+	checkRows("after put")
+
+	if _, ok, err := st.Meta("r999999"); err != nil || ok {
+		t.Errorf("Meta(unknown) = ok:%v err:%v, want miss", ok, err)
+	}
+	if ok, err := st.Delete(a.ID); err != nil || !ok {
+		t.Fatalf("Delete(%s) = %v, %v", a.ID, ok, err)
+	}
+	if _, ok, err := st.Meta(a.ID); err != nil || ok {
+		t.Errorf("Meta(deleted) = ok:%v err:%v, want miss", ok, err)
+	}
+
+	// Upsert by hash: the replaced id goes, the new one resolves.
+	replacement := record(t, "meta-b", 7)
+	mustPut(t, st, replacement)
+	if _, ok, err := st.Meta(b.ID); err != nil || ok {
+		t.Errorf("Meta(replaced %s) = ok:%v err:%v, want miss", b.ID, ok, err)
+	}
+	if got, ok, err := st.Meta(replacement.ID); err != nil || !ok || got.ID != replacement.ID {
+		t.Errorf("Meta(replacement %s) = %s ok:%v err:%v", replacement.ID, got.ID, ok, err)
+	}
+	checkRows("after upsert")
 }
 
 func testListFilters(t *testing.T, factory Factory) {

@@ -48,17 +48,16 @@ func NewEnvelope(spec RunSpec) (Envelope, error) {
 	return Envelope{Version: EnvelopeVersion, SpecHash: hash, Spec: spec}, nil
 }
 
-// Encode writes the envelope as indented JSON after checking it is
-// well-formed (known version, spec hash matching the spec) — a bad
+// Encode writes the envelope as one line of compact JSON after checking
+// it is well-formed (known version, spec hash matching the spec) — a bad
 // envelope must fail at write time, not poison the archive for every
-// later reader.
+// later reader. Indentation would nearly double the bytes every archive
+// read decodes; DecodeEnvelope reads indented envelopes all the same.
 func (e Envelope) Encode(w io.Writer) error {
 	if err := e.check(); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(e)
+	return json.NewEncoder(w).Encode(e)
 }
 
 // DecodeEnvelope reads one envelope from r, verifying version and

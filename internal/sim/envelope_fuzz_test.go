@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -18,18 +20,75 @@ func fuzzSpec() sim.RunSpec {
 	}.Normalize()
 }
 
+// fuzzEnvelope is the valid envelope the seeds are cut from.
+func fuzzEnvelope(tb testing.TB) sim.Envelope {
+	tb.Helper()
+	env, err := sim.NewEnvelope(fuzzSpec())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env.Renders = map[string][]byte{"json": []byte(`{"ok":true}`)}
+	env.Meta = []byte(`{"id":"r000001","seq":0,"state":"done"}`)
+	return env
+}
+
+// TestEnvelopeEncodesCompact pins the archive's write form: Encode emits
+// one line of compact JSON that decodes to exactly the envelope encoded,
+// and the indented form archives written before compact encoding hold
+// still decodes to that envelope.
+func TestEnvelopeEncodesCompact(t *testing.T) {
+	env := fuzzEnvelope(t)
+	env.Telemetry = []byte(`{"series":[{"name":"power","points":[1,2,3]}]}`)
+	var buf bytes.Buffer
+	if err := env.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	line := buf.Bytes()
+	if bytes.IndexByte(line, '\n') != len(line)-1 {
+		t.Fatalf("Encode wrote %d lines, want one:\n%s", bytes.Count(line, []byte("\n")), line)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, line); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), bytes.TrimSuffix(line, []byte("\n"))) {
+		t.Fatalf("Encode is not compact:\n%s", line)
+	}
+	got, err := sim.DecodeEnvelope(bytes.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("compact round trip drifted:\n got %+v\nwant %+v", got, env)
+	}
+
+	indented, err := json.MarshalIndent(env, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := sim.DecodeEnvelope(bytes.NewReader(indented))
+	if err != nil {
+		t.Fatalf("indented envelope does not decode: %v", err)
+	}
+	// The opaque payloads keep the whitespace they were read with, so the
+	// indented envelope equals the original once re-encoded.
+	var again bytes.Buffer
+	if err := old.Encode(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), line) || !reflect.DeepEqual(old.Spec, env.Spec) || !reflect.DeepEqual(old.Renders, env.Renders) {
+		t.Errorf("indented envelope decodes to a different envelope:\n got %s\nwant %s", again.Bytes(), line)
+	}
+}
+
 // FuzzEnvelopeDecode pins the archive decoder's hostile-input contract
 // (seed corpus inline plus the checked-in files under testdata/fuzz/):
 // corrupt, truncated or tampered envelopes return an error — never a
 // panic, and never a silently misread record — while anything accepted
-// must hold a verified seal and re-encode losslessly.
+// must hold a verified seal and re-encode losslessly. The checked-in
+// files are indented, the inline seeds compact: the decoder reads both.
 func FuzzEnvelopeDecode(f *testing.F) {
-	env, err := sim.NewEnvelope(fuzzSpec())
-	if err != nil {
-		f.Fatal(err)
-	}
-	env.Renders = map[string][]byte{"json": []byte(`{"ok":true}`)}
-	env.Meta = []byte(`{"id":"r000001","seq":0,"state":"done"}`)
+	env := fuzzEnvelope(f)
 	var valid bytes.Buffer
 	if err := env.Encode(&valid); err != nil {
 		f.Fatal(err)
@@ -38,7 +97,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		valid.Bytes(),
 		valid.Bytes()[:valid.Len()/2], // truncated mid-object
 		bytes.Replace(valid.Bytes(), []byte(`"SHUT"`), []byte(`"DVFS"`), 1), // edited spec, stale seal
-		bytes.Replace(valid.Bytes(), []byte(`"version": 1`), []byte(`"version": 99`), 1),
+		bytes.Replace(valid.Bytes(), []byte(`"version":1`), []byte(`"version":99`), 1),
 		[]byte(``),
 		[]byte(`{}`),
 		[]byte(`null`),
