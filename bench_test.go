@@ -491,7 +491,7 @@ func BenchmarkEngineCycle(b *testing.B) {
 	const pool = 512
 	var tick func(now simengine.Time)
 	tick = func(now simengine.Time) {
-		if _, err := e.After(pool, tick); err != nil {
+		if _, err := e.At(now+pool, tick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -503,7 +503,7 @@ func BenchmarkEngineCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := e.After(pool/2, tick)
+		id, err := e.At(e.Now()+pool/2, tick)
 		if err != nil {
 			b.Fatal(err)
 		}

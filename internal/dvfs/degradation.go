@@ -61,9 +61,6 @@ func MixDegradation() *Degradation {
 	return MustDegradation(MixLadder(), DegMinMix)
 }
 
-// Ladder returns the frequency ladder the model interpolates over.
-func (d *Degradation) Ladder() Ladder { return d.ladder.Clone() }
-
 // DegMin returns the degradation factor at the ladder's minimum frequency.
 func (d *Degradation) DegMin() float64 { return d.degMin }
 

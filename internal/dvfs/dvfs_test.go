@@ -242,16 +242,6 @@ func TestGHz(t *testing.T) {
 	}
 }
 
-func TestLadderContains(t *testing.T) {
-	l := CurieLadder()
-	if !l.Contains(F1800) {
-		t.Error("Contains(F1800) = false")
-	}
-	if l.Contains(1900) {
-		t.Error("Contains(1900) = true")
-	}
-}
-
 func TestLadderCloneIndependent(t *testing.T) {
 	l := CurieLadder()
 	cl := l.Clone()

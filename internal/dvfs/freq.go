@@ -83,12 +83,6 @@ func (l Ladder) Min() Freq { return l[0] }
 // Max returns the highest (nominal) frequency of the ladder.
 func (l Ladder) Max() Freq { return l[len(l)-1] }
 
-// Contains reports whether f is a member of the ladder.
-func (l Ladder) Contains(f Freq) bool {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= f })
-	return i < len(l) && l[i] == f
-}
-
 // Below returns the next frequency strictly below f, or 0 and false when f
 // already is the lowest rung. It is the "a slower value" step of the online
 // Algorithm 2.

@@ -70,8 +70,6 @@ type logCore struct {
 type Logger struct {
 	core      *logCore
 	component string
-	// ctx is the pre-rendered " k=v" pairs bound by With.
-	ctx string
 }
 
 // NewLogger builds a logger writing to w at the given level.
@@ -98,27 +96,14 @@ func (l *Logger) Component(name string) *Logger {
 	if l == nil {
 		return nil
 	}
-	return &Logger{core: l.core, component: name, ctx: l.ctx}
+	return &Logger{core: l.core, component: name}
 }
 
-// With derives a logger with extra key/value pairs bound to every
-// line. Args are alternating keys and values, like the log methods.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	var sb strings.Builder
-	sb.WriteString(l.ctx)
-	appendKV(&sb, kv)
-	return &Logger{core: l.core, component: l.component, ctx: sb.String()}
-}
-
-// Debug/Info/Warn/Error write one line at their level. kv are
-// alternating keys and values appended after msg.
+// Debug/Info/Warn write one line at their level. kv are alternating
+// keys and values appended after msg.
 func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
 func (l *Logger) Info(msg string, kv ...any)  { l.log(LevelInfo, msg, kv) }
 func (l *Logger) Warn(msg string, kv ...any)  { l.log(LevelWarn, msg, kv) }
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
 
 func (l *Logger) log(level Level, msg string, kv []any) {
 	if !l.Enabled(level) {
@@ -136,7 +121,6 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 	}
 	sb.WriteString(" msg=")
 	sb.WriteString(quoteIfNeeded(msg))
-	sb.WriteString(l.ctx)
 	appendKV(&sb, kv)
 	sb.WriteByte('\n')
 	l.core.mu.Lock()

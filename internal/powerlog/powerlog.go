@@ -94,17 +94,6 @@ func (w *Window) Mean() power.Watts {
 // Len returns the number of readings held.
 func (w *Window) Len() int { return w.n }
 
-// Max returns the largest reading held (0 when empty).
-func (w *Window) Max() power.Watts {
-	var m power.Watts
-	for i := 0; i < w.n; i++ {
-		if w.buf[i] > m {
-			m = w.buf[i]
-		}
-	}
-	return m
-}
-
 // Estimator turns sensor readings into the conservative draw estimate a
 // measurement-based powercap check needs: the smoothed mean inflated by
 // a guard band proportional to the sensor's noise, so that staying under

@@ -88,9 +88,6 @@ func TestWindowMeanAndEviction(t *testing.T) {
 	if w.Len() != 3 {
 		t.Errorf("len = %d", w.Len())
 	}
-	if got := w.Max(); got != 40 {
-		t.Errorf("max = %v", got)
-	}
 	if _, err := NewWindow(0); err == nil {
 		t.Error("zero-size window accepted")
 	}

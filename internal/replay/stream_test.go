@@ -106,9 +106,21 @@ func TestStreamedSWFMatchesMaterialized(t *testing.T) {
 	}
 	streamed := base
 	streamed.SWF = &src
-	jobs, err := src.Load()
+	fs, err := src.Open()
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer fs.Close()
+	var jobs []*job.Job
+	for {
+		j, err := fs.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == nil {
+			break
+		}
+		jobs = append(jobs, j)
 	}
 	materialized := base
 	materialized.Jobs = jobs

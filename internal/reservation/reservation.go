@@ -58,8 +58,8 @@ type Book struct {
 // NewBook returns an empty reservation book.
 func NewBook() *Book { return &Book{nextID: 1} }
 
-// Generation changes whenever a reservation is added, re-budgeted or
-// removed (counted in AddPowerCap, AddSwitchOff, UpdateCap and Remove):
+// Generation changes whenever a reservation is added or re-budgeted
+// (counted in AddPowerCap, AddSwitchOff and UpdateCap):
 // a conclusion drawn from the book at t0 still stands at t1 while the
 // generation does and PhaseStable(t0, t1) holds.
 func (b *Book) Generation() uint64 { return b.gen }
@@ -117,26 +117,6 @@ func (b *Book) UpdateCap(id int, cap power.Cap) error {
 		}
 	}
 	return fmt.Errorf("reservation: no powercap reservation %d", id)
-}
-
-// Remove deletes a reservation of either kind by ID; unknown IDs are
-// no-ops.
-func (b *Book) Remove(id int) {
-	for i, c := range b.caps {
-		if c.ID == id {
-			b.caps = append(b.caps[:i], b.caps[i+1:]...)
-			b.gen++
-			return
-		}
-	}
-	for i, o := range b.offs {
-		if o.ID == id {
-			b.offs = append(b.offs[:i], b.offs[i+1:]...)
-			b.offSets = append(b.offSets[:i], b.offSets[i+1:]...)
-			b.gen++
-			return
-		}
-	}
 }
 
 // CapAt returns the tightest cap active at instant t (NoCap when none).

@@ -171,24 +171,6 @@ func TestNodeBlockedWithLead(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	b := NewBook()
-	idCap := mustCap(t, b, 0, 100, 500)
-	idOff, err := b.AddSwitchOff(0, 100, []cluster.NodeID{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Remove(idCap)
-	if b.CapAt(50).IsSet() {
-		t.Error("removed cap still active")
-	}
-	b.Remove(idOff)
-	if b.nodeBlocked(1, 0, 100, 1<<40) {
-		t.Error("removed switch-off still blocks")
-	}
-	b.Remove(424242) // unknown ID: no-op
-}
-
 func TestUpdateCap(t *testing.T) {
 	b := NewBook()
 	id := mustCap(t, b, 0, Horizon, 500)
@@ -241,7 +223,6 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 	var scratch cluster.NodeSet
 	for round := 0; round < 60; round++ {
 		b := NewBook()
-		var ids []int
 		for w := 0; w < 1+rng.Intn(5); w++ {
 			start := int64(rng.Intn(1000))
 			span := 1 + rng.Intn(nodes) // highest possible member: groups differ in length
@@ -249,31 +230,23 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 			for n := 0; n < 1+rng.Intn(40); n++ {
 				group = append(group, cluster.NodeID(rng.Intn(span)))
 			}
-			id, err := b.AddSwitchOff(start, start+1+int64(rng.Intn(500)), group)
-			if err != nil {
+			if _, err := b.AddSwitchOff(start, start+1+int64(rng.Intn(500)), group); err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, id)
 		}
-		check := func() {
-			offs := b.offs
-			for probe := 0; probe < 40; probe++ {
-				from := int64(rng.Intn(1600)) - 50
-				to := from + 1 + int64(rng.Intn(800))
-				for _, lead := range []int64{0, 30, 1 << 40} {
-					set := b.BlockedSet(from, to, lead, &scratch)
-					for id := cluster.NodeID(-1); id <= nodes; id++ {
-						want := nodeBlockedRef(offs, id, from, to, lead)
-						if got := set.Has(id); got != want {
-							t.Fatalf("round %d: BlockedSet(%d, %d, %d).Has(%d) = %v, want %v", round, from, to, lead, id, got, want)
-						}
+		for probe := 0; probe < 40; probe++ {
+			from := int64(rng.Intn(1600)) - 50
+			to := from + 1 + int64(rng.Intn(800))
+			for _, lead := range []int64{0, 30, 1 << 40} {
+				set := b.BlockedSet(from, to, lead, &scratch)
+				for id := cluster.NodeID(-1); id <= nodes; id++ {
+					want := nodeBlockedRef(b.offs, id, from, to, lead)
+					if got := set.Has(id); got != want {
+						t.Fatalf("round %d: BlockedSet(%d, %d, %d).Has(%d) = %v, want %v", round, from, to, lead, id, got, want)
 					}
 				}
 			}
 		}
-		check()
-		b.Remove(ids[rng.Intn(len(ids))])
-		check()
 	}
 }
 
@@ -434,8 +407,7 @@ func TestGenerationCountsEveryMutation(t *testing.T) {
 	}
 	idCap := mustCap(t, b, 0, 100, 500)
 	moved("AddPowerCap")
-	idOff, err := b.AddSwitchOff(0, 100, []cluster.NodeID{1})
-	if err != nil {
+	if _, err := b.AddSwitchOff(0, 100, []cluster.NodeID{1}); err != nil {
 		t.Fatal(err)
 	}
 	moved("AddSwitchOff")
@@ -443,12 +415,7 @@ func TestGenerationCountsEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved("UpdateCap")
-	b.Remove(idCap)
-	moved("Remove of a powercap")
-	b.Remove(idOff)
-	moved("Remove of a switch-off")
 
-	b.Remove(424242)
 	_ = b.UpdateCap(424242, power.CapWatts(100))
 	b.CapAt(50)
 	b.PhaseStable(0, 50, 10)

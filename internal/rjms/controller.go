@@ -162,18 +162,8 @@ func (c *Controller) observedPower() power.Watts {
 	return c.clus.Power()
 }
 
-// Options returns the switches the controller runs with, defaults
-// resolved.
-func (c *Controller) Options() Options { return c.cfg.Options }
-
 // Cluster exposes the machine state (read-only use expected).
 func (c *Controller) Cluster() *cluster.Cluster { return c.clus }
-
-// PolicyModel exposes the active policy binding.
-func (c *Controller) PolicyModel() core.PolicyModel { return c.pm }
-
-// Now returns the virtual clock.
-func (c *Controller) Now() int64 { return c.eng.Now() }
 
 // RunningCount returns the dispatched-job count.
 func (c *Controller) RunningCount() int { return len(c.running) }

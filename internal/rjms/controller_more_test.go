@@ -51,7 +51,7 @@ func TestPendingWalkedInArrivalOrder(t *testing.T) {
 		}
 		sort.Slice(gotR, func(i, k int) bool { return gotR[i] < gotR[k] })
 		if !reflect.DeepEqual(gotP, pending) || !reflect.DeepEqual(gotR, running) {
-			t.Fatalf("t=%d: pending %v running %v, want %v and %v", c.Now(), gotP, gotR, pending, running)
+			t.Fatalf("t=%d: pending %v running %v, want %v and %v", c.eng.Now(), gotP, gotR, pending, running)
 		}
 	}
 	check := func(until int64, pending, running []job.ID) {

@@ -1,7 +1,6 @@
 package rjms
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -98,14 +97,6 @@ func TestDynamicBoostAfterWindow(t *testing.T) {
 	}
 	if sum.JobsCompleted != 1 {
 		t.Fatalf("job not completed by t=%0.f: %+v", wantEnd+10, sum)
-	}
-	var end int64
-	// The job is gone from running; find completion via counters only —
-	// re-run bookkeeping: completion implies the end event fired at
-	// wantEnd (+/- rounding).
-	end = c.Now()
-	if math.Abs(float64(end)-(wantEnd+10)) > 1 {
-		t.Logf("clock: %d", end) // Now() equals the horizon; nothing to assert
 	}
 }
 

@@ -106,7 +106,7 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 		var last []*job.Job
 		nextID := job.ID(1)
 		cycle := func() {
-			now := c.Now()
+			now := c.eng.Now()
 			last = last[:0]
 			for i := 0; i < 3; i++ {
 				j := &job.Job{ID: nextID, User: "u", Cores: 12, Submit: now, Runtime: 10, Walltime: 10}

@@ -147,7 +147,7 @@ func TestArchiveReadNeverHoldsServerLock(t *testing.T) {
 	}
 	parkedCall := make(chan submitted, 1)
 	go func() {
-		v, hit, err := s.Submit(fastSpec("lock-archived"))
+		v, hit, err := s.SubmitTraced(context.Background(), service.TenantConfig{}, fastSpec("lock-archived"))
 		parkedCall <- submitted{v, hit, err}
 	}()
 	select {
@@ -179,7 +179,7 @@ func TestArchiveReadNeverHoldsServerLock(t *testing.T) {
 		return err
 	})
 	within("Submit of another spec", func() error {
-		_, _, err := s.Submit(fastSpec("lock-fresh"))
+		_, _, err := s.SubmitTraced(context.Background(), service.TenantConfig{}, fastSpec("lock-fresh"))
 		return err
 	})
 

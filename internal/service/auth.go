@@ -178,17 +178,6 @@ func (a *Auth) AllowSubmit(name string) (time.Duration, bool) {
 	return wait, false
 }
 
-// Tenant returns the named tenant's config (tests and quota checks).
-func (a *Auth) Tenant(name string) (TenantConfig, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, ok := a.byName[name]
-	if !ok {
-		return TenantConfig{}, false
-	}
-	return st.cfg, true
-}
-
 // owns is the one ownership rule, for reads and writes of runs and
 // twins alike: open daemons, admins, trusted in-process callers (empty
 // tenant name) and the owner pass. Everyone else must be answered with

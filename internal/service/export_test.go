@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"repro/internal/tsdb"
 	"repro/internal/twin"
 )
 
@@ -61,3 +62,6 @@ func (c *Client) StopTwin(ctx context.Context, id string) (TwinView, error) {
 func (c *Client) TwinSeries(ctx context.Context, id, metric string, sq SeriesQuery) (SeriesResponse, error) {
 	return c.series(ctx, "/v1/twin/"+id+"/series", metric, sq)
 }
+
+// TSDB exposes the telemetry store.
+func (s *Server) TSDB() *tsdb.Store { return s.tsdb }

@@ -397,18 +397,6 @@ func (st *FSStore) List(f ListFilter) ([]Record, string, error) {
 	return pageRecords(records, f)
 }
 
-// Delete removes the record owning the run id from index and disk.
-func (st *FSStore) Delete(id string) (bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hash, ok := st.byID[id]
-	if !ok {
-		return false, nil
-	}
-	st.removeLocked(hash)
-	return true, nil
-}
-
 // Len counts the archived records.
 func (st *FSStore) Len() (int, error) {
 	st.mu.Lock()

@@ -128,7 +128,7 @@ func (r *gwRun) endLocked(state State, msg string) {
 // correctness.
 type Gateway struct {
 	cfg   GatewayConfig
-	sched Scheduler
+	sched *fifo
 	met   *gatewayMetrics
 	log   *obs.Logger
 
@@ -159,15 +159,9 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		runs:       map[string]*gwRun{},
 		byHash:     map[string]*gwRun{},
 	}
-	g.sched = NewRetryScheduler(cfg.Dispatchers, cfg.QueueDepth, cfg.RetryDelay, g.dispatch)
 	g.log = cfg.Logger.Component("gateway")
 	g.met = newGatewayMetrics(g)
-	// The retry counter rides a concrete-type hook so the Scheduler
-	// interface stays lifecycle-only; a backend without the hook simply
-	// goes uncounted.
-	if hooked, ok := g.sched.(interface{ SetRetryHook(func()) }); ok {
-		hooked.SetRetryHook(g.met.dispatchRetries.Inc)
-	}
+	g.sched = newFIFO(cfg.Dispatchers, cfg.QueueDepth, cfg.RetryDelay, g.met.dispatchRetries.Inc, g.dispatch)
 	go g.sweep()
 	return g
 }

@@ -380,12 +380,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, id string)
 		writeErr(w, &Error{Status: 400, Msg: err.Error()})
 		return
 	}
-	width, err := intParam("width", q.Get("width"))
+	width, err := intParam("width", q.Get("width"), maxChartWidth)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	height, err := intParam("height", q.Get("height"))
+	height, err := intParam("height", q.Get("height"), maxChartHeight)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -607,16 +607,25 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, apiErr.Status, body)
 }
 
-// intParam parses an optional numeric query parameter; a malformed
-// value is a 400, not a silent zero ("res=300s" must not quietly mean
-// "raw resolution").
-func intParam(name, s string) (int, error) {
+// maxChartWidth and maxChartHeight bound an ASCII report's chart size:
+// the renderer allocates per column and loops per row, so the client's
+// integers must not size it unchecked. The CLI defaults are 96x16 and
+// 96x14.
+const (
+	maxChartWidth  = 1000
+	maxChartHeight = 200
+)
+
+// intParam parses an optional numeric query parameter in [0, max]; a
+// malformed or out-of-range value is a 400, not a silent zero or an
+// unbounded size ("res=300s" must not quietly mean "raw resolution").
+func intParam(name, s string, max int) (int, error) {
 	if s == "" {
 		return 0, nil
 	}
 	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, &Error{Status: 400, Msg: fmt.Sprintf("bad %s %q: want an integer", name, s)}
+	if err != nil || v < 0 || v > max {
+		return 0, &Error{Status: 400, Msg: fmt.Sprintf("bad %s %q: want an integer in [0, %d]", name, s, max)}
 	}
 	return v, nil
 }

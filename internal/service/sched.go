@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Scheduler errors. Enqueue classifies them so the HTTP layer can map a
+// Dispatch errors. Enqueue classifies them so the HTTP layer can map a
 // full queue to 503 without string matching.
 var (
 	// ErrQueueFull means the backlog bound is hit; the caller should
@@ -17,86 +17,48 @@ var (
 	ErrSchedulerClosed = errors.New("service: scheduler closed")
 )
 
-// Scheduler is the dispatch seam between the service's submission path
-// and wherever work actually executes. The server enqueues each fresh
-// run id exactly once; the backend calls its executor once per accepted
-// id, in FIFO order, on a bounded number of slots. Two backends ship —
-// the in-process pool the single daemon runs on (NewPoolScheduler) and
-// the retrying dispatcher the fleet gateway routes through
-// (NewRetryScheduler) — and both must pass the schedtest conformance
-// suite (internal/service/schedtest), the same way RunStore backends
-// share storetest.
+// fifo dispatches run ids: a mutex/cond guarded list drained by a
+// fixed pool of slot goroutines that call exec once per accepted id, in
+// FIFO order. The server runs it with errors final — a run that fails
+// records its failure on itself, and retrying locally would re-run
+// identical physics to an identical failure. The fleet gateway runs it
+// with a retry delay: exec routes an id to a remote worker, and a
+// dispatch error (no live workers, a worker that died mid-handoff)
+// re-enqueues the id after the delay, indefinitely, bypassing the depth
+// bound (retries are work already accepted, not new intake) — queued
+// work survives empty-fleet windows and worker churn.
 //
 // Executors are handed opaque ids, not run state: cancellation is the
-// executor's concern (executing a cancelled id must be a cheap no-op),
-// which keeps the scheduler free of run lifecycle knowledge.
-type Scheduler interface {
-	// Enqueue accepts one id for execution. ErrQueueFull when the
-	// backlog bound is hit, ErrSchedulerClosed after Shutdown.
-	Enqueue(id string) error
-	// Queued reports the accepted-but-not-yet-executing backlog.
-	Queued() int
-	// Shutdown stops intake and waits for the backlog and in-flight
-	// executions to drain. When ctx ends first it returns ctx.Err()
-	// while the backend keeps draining in the background — callers that
-	// hard-cancel their executors may call Shutdown again to wait for
-	// the unwound slots.
-	Shutdown(ctx context.Context) error
-}
-
-// fifoScheduler is the shared FIFO core: a mutex/cond guarded list
-// drained by a fixed pool of slot goroutines. The retry flavor
-// re-enqueues ids whose executor errored after a delay (retries bypass
-// the depth bound — they are work already accepted, not new intake).
-type fifoScheduler struct {
+// executor's concern (executing a cancelled id must be a cheap no-op,
+// and the gateway's returns nil for ids that no longer need dispatch),
+// which keeps the dispatcher free of run lifecycle knowledge.
+type fifo struct {
 	exec  func(id string) error
 	depth int
 	// retryDelay > 0 turns executor errors into delayed re-enqueues;
 	// 0 makes errors final (the executor records failures itself).
 	retryDelay time.Duration
+	// onRetry, when set, fires once per delayed re-enqueue with mu
+	// held; it must not call back in.
+	onRetry func()
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	list   []string
 	closed bool
-	// onRetry, when set, fires once per delayed re-enqueue (under mu) —
-	// the gateway counts dispatch retries through it.
-	onRetry func()
 
 	wg     sync.WaitGroup // slot goroutines
 	timers sync.WaitGroup // pending retry re-enqueues
 }
 
-// NewPoolScheduler is the in-process backend: a bounded FIFO queue
-// drained by `workers` slots calling exec directly. Executor errors are
-// final — a run that fails records its failure on itself, and retrying
-// locally would re-run identical physics to an identical failure.
-func NewPoolScheduler(workers, depth int, exec func(id string) error) Scheduler {
-	return newFIFO(workers, depth, 0, exec)
-}
-
-// NewRetryScheduler is the distributed backend the fleet gateway
-// dispatches through: exec routes an id to a remote worker, and a
-// dispatch error (no live workers, a worker that died mid-handoff)
-// re-enqueues the id after delay, indefinitely — queued work survives
-// empty-fleet windows and worker churn. Permanent verdicts are the
-// executor's job: it returns nil for ids that no longer need dispatch
-// (cancelled, already assigned, refused by a healthy worker).
-func NewRetryScheduler(workers, depth int, delay time.Duration, exec func(id string) error) Scheduler {
-	if delay <= 0 {
-		delay = 250 * time.Millisecond
-	}
-	return newFIFO(workers, depth, delay, exec)
-}
-
-func newFIFO(workers, depth int, retryDelay time.Duration, exec func(id string) error) *fifoScheduler {
+func newFIFO(workers, depth int, retryDelay time.Duration, onRetry func(), exec func(id string) error) *fifo {
 	if workers <= 0 {
 		workers = 1
 	}
 	if depth <= 0 {
 		depth = 256
 	}
-	f := &fifoScheduler{exec: exec, depth: depth, retryDelay: retryDelay}
+	f := &fifo{exec: exec, depth: depth, retryDelay: retryDelay, onRetry: onRetry}
 	f.cond = sync.NewCond(&f.mu)
 	for w := 0; w < workers; w++ {
 		f.wg.Add(1)
@@ -105,7 +67,7 @@ func newFIFO(workers, depth int, retryDelay time.Duration, exec func(id string) 
 	return f
 }
 
-func (f *fifoScheduler) slot() {
+func (f *fifo) slot() {
 	defer f.wg.Done()
 	for {
 		f.mu.Lock()
@@ -143,18 +105,9 @@ func (f *fifoScheduler) slot() {
 	}
 }
 
-// SetRetryHook registers a callback fired once per retry re-enqueue.
-// It lives on the concrete type, not the Scheduler interface — the
-// interface stays lifecycle-only, and observers type-assert for it.
-// The hook runs with the scheduler lock held; it must not call back in.
-func (f *fifoScheduler) SetRetryHook(fn func()) {
-	f.mu.Lock()
-	f.onRetry = fn
-	f.mu.Unlock()
-}
-
-// Enqueue accepts one id; ErrQueueFull past the depth bound.
-func (f *fifoScheduler) Enqueue(id string) error {
+// Enqueue accepts one id for execution: ErrQueueFull past the depth
+// bound, ErrSchedulerClosed after Shutdown.
+func (f *fifo) Enqueue(id string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -169,7 +122,7 @@ func (f *fifoScheduler) Enqueue(id string) error {
 }
 
 // Queued reports the waiting backlog.
-func (f *fifoScheduler) Queued() int {
+func (f *fifo) Queued() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.list)
@@ -178,7 +131,7 @@ func (f *fifoScheduler) Queued() int {
 // Shutdown stops intake and waits for the backlog, in-flight executions
 // and pending retry timers to settle; on ctx expiry it returns ctx.Err()
 // and may be called again to keep waiting.
-func (f *fifoScheduler) Shutdown(ctx context.Context) error {
+func (f *fifo) Shutdown(ctx context.Context) error {
 	f.mu.Lock()
 	f.closed = true
 	f.cond.Broadcast()

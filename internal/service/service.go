@@ -229,10 +229,9 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// sched dispatches queued run ids onto execution slots — the
-	// in-process FIFO pool by default (see Scheduler for the seam the
-	// fleet gateway shares).
-	sched Scheduler
+	// sched dispatches queued run ids onto execution slots, errors
+	// final.
+	sched *fifo
 
 	mu          sync.Mutex
 	runs        map[string]*run // live (non-terminal) runs only
@@ -285,7 +284,7 @@ func New(cfg Config) *Server {
 			s.nextSeq = max + 1
 		}
 	}
-	s.sched = NewPoolScheduler(cfg.Workers, cfg.QueueDepth, s.executeID)
+	s.sched = newFIFO(cfg.Workers, cfg.QueueDepth, 0, nil, s.executeID)
 	s.log = cfg.Logger.Component("service")
 	s.met = newServerMetrics(s)
 	return s
@@ -304,9 +303,6 @@ func (s *Server) executeID(id string) error {
 	}
 	return nil
 }
-
-// TSDB exposes the telemetry store (the metrics endpoint reads it).
-func (s *Server) TSDB() *tsdb.Store { return s.tsdb }
 
 // Store exposes the hot-tier run store (tests and tooling).
 func (s *Server) Store() RunStore { return s.store }
@@ -342,11 +338,6 @@ func (s *Server) Stats() Stats {
 	}
 	st.TwinsLive, st.TwinsTotal = s.twinStats()
 	return st
-}
-
-// Submit is SubmitTraced for the open (unauthenticated) daemon.
-func (s *Server) Submit(spec sim.RunSpec) (RunView, bool, error) {
-	return s.SubmitTraced(context.Background(), TenantConfig{}, spec)
 }
 
 // SubmitTraced validates, normalizes and content-addresses a spec on
@@ -629,18 +620,13 @@ func renderAll(rep sim.Report) map[string][]byte {
 	return out
 }
 
-// Get returns one run's view (withReport controls the heavy payload),
-// resolving live runs first, then the store tiers. Trusted in-process
-// callers only — HTTP reads go through GetAs.
-func (s *Server) Get(id string, withReport bool) (RunView, error) {
-	return s.GetAs(TenantConfig{Admin: true}, id, withReport)
-}
-
-// GetAs is Get with the caller's tenancy applied: on an authenticated
-// daemon a non-admin tenant resolves only its own runs, and anyone
-// else's run answers the exact 404 an id that never existed answers —
-// a 403 would confirm the id is taken, handing a tenant walking the
-// sequential id space an existence oracle.
+// GetAs returns one run's view (withReport controls the heavy payload),
+// resolving live runs first, then the store tiers, with the caller's
+// tenancy applied: on an authenticated daemon a non-admin tenant
+// resolves only its own runs, and anyone else's run answers the exact
+// 404 an id that never existed answers — a 403 would confirm the id is
+// taken, handing a tenant walking the sequential id space an existence
+// oracle.
 func (s *Server) GetAs(tenant TenantConfig, id string, withReport bool) (RunView, error) {
 	s.mu.Lock()
 	r := s.runs[id]
@@ -767,11 +753,6 @@ func (s *Server) List(f ListFilter) ([]RunView, string, error) {
 		return nil, "", err
 	}
 	return viewsFromRecords(page), next, nil
-}
-
-// Cancel is CancelAs with operator rights (trusted in-process callers).
-func (s *Server) Cancel(id string) (RunView, error) {
-	return s.CancelAs(TenantConfig{Admin: true}, id)
 }
 
 // CancelAs cancels a run on behalf of a tenant: a queued run

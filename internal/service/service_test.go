@@ -2,7 +2,9 @@ package service_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -474,9 +476,47 @@ func TestTSDBBoundsFromConfig(t *testing.T) {
 	if rs == nil {
 		t.Fatal("no telemetry")
 	}
-	for _, lv := range rs.Levels("power") {
-		if lv.Points > 8 {
-			t.Errorf("level %d holds %d points, cap 8", lv.Level, lv.Points)
+	// The coarsest of two fanout-2 levels folds two raw points into one
+	// and, like the finest, holds at most eight: whatever level answers,
+	// it answers with at most eight points of at most two raw samples.
+	for _, res := range []int64{0, 1 << 40} {
+		pts, per, err := rs.Query("power", 0, 0, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) > 8 || per > 2 {
+			t.Errorf("res %d: %d points of %d raw samples each, want at most 8 of at most 2", res, len(pts), per)
+		}
+	}
+}
+
+// TestReportChartSizeBounded: an ASCII report's width and height are
+// client integers the chart renderer allocates and loops by, so past
+// their bounds they are refused with the 400 JSON error — by a daemon
+// and, through the proxied query, by a gateway.
+func TestReportChartSizeBounded(t *testing.T) {
+	ctx := context.Background()
+	_, daemon := newTestServer(t, service.Config{Workers: 1})
+	_, gateway, _ := newFleet(t, 1, service.GatewayConfig{LeaseTTL: time.Hour})
+	for name, c := range map[string]*service.Client{"daemon": daemon, "gateway": gateway} {
+		v, _, err := c.Submit(ctx, fastSpec("chart-size"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, v.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []sim.SinkOptions{{Width: 1000000}, {Height: 1000}, {Width: -1}} {
+			var out bytes.Buffer
+			err := c.WriteReport(ctx, v.ID, "ascii", opt, &out)
+			var apiErr *service.Error
+			if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Msg, "want an integer in [0, ") {
+				t.Errorf("%s: %+v rendered %d bytes, err %v; want the 400 JSON error", name, opt, out.Len(), err)
+			}
+		}
+		var out bytes.Buffer
+		if err := c.WriteReport(ctx, v.ID, "ascii", sim.SinkOptions{Width: 60, Height: 8}, &out); err != nil || out.Len() == 0 {
+			t.Errorf("%s: 60x8 chart: %d bytes, err %v", name, out.Len(), err)
 		}
 	}
 }

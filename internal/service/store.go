@@ -275,9 +275,6 @@ type RunStore interface {
 	// List returns the metadata-only records matching the filter in Seq
 	// order, plus the cursor of the next page ("" when exhausted).
 	List(f ListFilter) ([]Record, string, error)
-	// Delete removes the record owning the run id, reporting whether it
-	// existed.
-	Delete(id string) (bool, error)
 	// Len counts the stored records.
 	Len() (int, error)
 	// MaxSeq returns the highest stored sequence number, or -1 when
@@ -409,17 +406,6 @@ func (m *MemStore) List(f ListFilter) ([]Record, string, error) {
 	m.mu.Unlock()
 	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
 	return pageRecords(records, f)
-}
-
-// Delete removes the record owning the run id.
-func (m *MemStore) Delete(id string) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.byID[id]; !ok {
-		return false, nil
-	}
-	m.removeLocked(id)
-	return true, nil
 }
 
 // Len counts the stored records.

@@ -58,7 +58,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Pagination", func(t *testing.T) { testPagination(t, factory) })
 	t.Run("Eviction", func(t *testing.T) { testEviction(t, factory) })
 	t.Run("ConcurrentPutOneHash", func(t *testing.T) { testConcurrent(t, factory) })
-	t.Run("DeleteLenMaxSeq", func(t *testing.T) { testDeleteLenMaxSeq(t, factory) })
+	t.Run("LenMaxSeq", func(t *testing.T) { testLenMaxSeq(t, factory) })
 }
 
 // RunAgeExpiry exercises the optional age-bound contract: records
@@ -305,12 +305,6 @@ func testMeta(t *testing.T, factory Factory) {
 	if _, ok, err := st.Meta("r999999"); err != nil || ok {
 		t.Errorf("Meta(unknown) = ok:%v err:%v, want miss", ok, err)
 	}
-	if ok, err := st.Delete(a.ID); err != nil || !ok {
-		t.Fatalf("Delete(%s) = %v, %v", a.ID, ok, err)
-	}
-	if _, ok, err := st.Meta(a.ID); err != nil || ok {
-		t.Errorf("Meta(deleted) = ok:%v err:%v, want miss", ok, err)
-	}
 
 	// Upsert by hash: the replaced id goes, the new one resolves.
 	replacement := record(t, "meta-b", 7)
@@ -511,7 +505,7 @@ func testConcurrent(t *testing.T, factory Factory) {
 	}
 }
 
-func testDeleteLenMaxSeq(t *testing.T, factory Factory) {
+func testLenMaxSeq(t *testing.T, factory Factory) {
 	st := factory(t, Options{})
 	if max, err := st.MaxSeq(); err != nil || max != -1 {
 		t.Errorf("empty MaxSeq = %d, %v; want -1", max, err)
@@ -520,27 +514,13 @@ func testDeleteLenMaxSeq(t *testing.T, factory Factory) {
 		t.Errorf("empty Len = %d, %v", n, err)
 	}
 
-	a, b := record(t, "del-a", 3), record(t, "del-b", 8)
-	mustPut(t, st, a)
-	mustPut(t, st, b)
+	mustPut(t, st, record(t, "seq-a", 3))
+	mustPut(t, st, record(t, "seq-b", 8))
 	if max, _ := st.MaxSeq(); max != 8 {
 		t.Errorf("MaxSeq = %d, want 8", max)
 	}
-
-	if ok, err := st.Delete(a.ID); err != nil || !ok {
-		t.Fatalf("Delete(%s) = %v, %v", a.ID, ok, err)
-	}
-	if ok, _ := st.Delete(a.ID); ok {
-		t.Error("double delete reported a hit")
-	}
-	if _, ok, _ := st.Get(a.ID); ok {
-		t.Error("deleted record still resolves by id")
-	}
-	if _, ok, _ := st.ByHash(a.SpecHash); ok {
-		t.Error("deleted record still resolves by hash")
-	}
-	if n, _ := st.Len(); n != 1 {
-		t.Errorf("Len after delete = %d, want 1", n)
+	if n, _ := st.Len(); n != 2 {
+		t.Errorf("Len = %d, want 2", n)
 	}
 	if err := st.Close(); err != nil {
 		t.Errorf("Close: %v", err)

@@ -246,8 +246,9 @@ func TestFacadeRegistriesExposeEntries(t *testing.T) {
 
 // TestEveryOptionReachesTheController walks rjms.Options by reflection:
 // each field, set alone to a non-zero value in a RunSpec — spec-level,
-// then as a cell override — must be what the controller built for that
-// spec runs with. Nothing is listed by hand, so an option added to the
+// then as a cell override — must be in the Options the spec's scenario
+// hands rjms.New (replay.Build passes them whole), and the controller
+// must build. Nothing is listed by hand, so an option added to the
 // struct and dropped somewhere between the spec and rjms.New fails here.
 func TestEveryOptionReachesTheController(t *testing.T) {
 	typ := reflect.TypeOf(OptionSpec{})
@@ -276,14 +277,14 @@ func TestEveryOptionReachesTheController(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", typ.Field(i).Name, name, err)
 			}
-			ctl, cleanup, err := replay.Build(scens[0])
+			_, cleanup, err := replay.Build(scens[0])
 			if err != nil {
 				t.Fatalf("%s %s: %v", typ.Field(i).Name, name, err)
 			}
 			cleanup()
-			got := reflect.ValueOf(ctl.Options()).Field(i).Interface()
+			got := reflect.ValueOf(scens[0].Options).Field(i).Interface()
 			if got != field.Interface() {
-				t.Errorf("%s set %s to %v, the controller runs with %v", name, typ.Field(i).Name, field.Interface(), got)
+				t.Errorf("%s set %s to %v, the controller is built with %v", name, typ.Field(i).Name, field.Interface(), got)
 			}
 		}
 	}

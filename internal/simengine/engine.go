@@ -52,9 +52,7 @@ type Engine struct {
 	lane    []*event // FIFO lane of events with at == now
 	laneOff int      // index of the lane head
 	free    []*event // recycled event slots
-	pending int      // live (scheduled, unfired, uncancelled) events
 	running bool
-	stopped bool
 	fired   uint64
 }
 
@@ -68,11 +66,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired returns how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns how many events are scheduled and not yet fired or
-// cancelled. The count is maintained live — tombstoned cancellations
-// still occupying the heap do not inflate it.
-func (e *Engine) Pending() int { return e.pending }
 
 // less orders events by (time, seq) — the global deterministic firing
 // order.
@@ -202,7 +195,6 @@ func (e *Engine) At(at Time, fn Handler) (EventID, error) {
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	e.pending++
 	if at == e.now && (e.laneOff >= len(e.lane) || e.lane[len(e.lane)-1].at == at) {
 		// Same-time events fire after every pending heap event at this
 		// timestamp (all scheduled earlier, so smaller seq) in append
@@ -216,14 +208,6 @@ func (e *Engine) At(at Time, fn Handler) (EventID, error) {
 	return EventID{ev: ev, gen: ev.gen}, nil
 }
 
-// After schedules fn d seconds from now; d must be >= 0.
-func (e *Engine) After(d int64, fn Handler) (EventID, error) {
-	if d < 0 {
-		return EventID{}, fmt.Errorf("simengine: negative delay %d", d)
-	}
-	return e.At(e.now+d, fn)
-}
-
 // Cancel prevents a scheduled event from firing. Cancelling an already
 // fired or already cancelled event is a harmless no-op (the generation
 // check catches IDs whose slot has been recycled). The tombstoned slot
@@ -233,29 +217,20 @@ func (e *Engine) Cancel(id EventID) {
 		return
 	}
 	id.ev.canceled = true
-	e.pending--
 }
 
-// Stop makes Run return after the currently executing handler.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in timestamp order until the queue drains, Stop is
-// called, or the next event lies strictly beyond horizon (which then
-// becomes the clock value). A negative horizon means "no horizon".
+// Run executes events in timestamp order until the queue drains or the
+// next event lies strictly beyond horizon (which then becomes the clock
+// value). A negative horizon means "no horizon".
 // Handlers may schedule further events, including at the current time.
 func (e *Engine) Run(horizon Time) error {
 	if e.running {
 		return fmt.Errorf("simengine: Run reentered")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
 
-	for !e.stopped {
-		ev := e.next()
-		if ev == nil {
-			break
-		}
+	for ev := e.next(); ev != nil; ev = e.next() {
 		if ev.canceled {
 			e.pop(ev)
 			e.recycle(ev)
@@ -268,7 +243,6 @@ func (e *Engine) Run(horizon Time) error {
 		e.pop(ev)
 		e.now = ev.at
 		e.fired++
-		e.pending--
 		fn := ev.fn
 		e.recycle(ev)
 		fn(e.now)

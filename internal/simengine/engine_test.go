@@ -54,11 +54,11 @@ func TestSchedulingFromHandler(t *testing.T) {
 	var hits []Time
 	if _, err := e.At(1, func(now Time) {
 		hits = append(hits, now)
-		if _, err := e.After(2, func(now Time) { hits = append(hits, now) }); err != nil {
+		if _, err := e.At(now+2, func(now Time) { hits = append(hits, now) }); err != nil {
 			t.Error(err)
 		}
 		// Same-time chaining is allowed.
-		if _, err := e.After(0, func(now Time) { hits = append(hits, now) }); err != nil {
+		if _, err := e.At(now, func(now Time) { hits = append(hits, now) }); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -78,9 +78,6 @@ func TestPastSchedulingRejected(t *testing.T) {
 	if _, err := e.At(99, func(Time) {}); err == nil {
 		t.Error("past event accepted")
 	}
-	if _, err := e.After(-1, func(Time) {}); err == nil {
-		t.Error("negative delay accepted")
-	}
 	if _, err := e.At(100, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
@@ -99,11 +96,8 @@ func TestCancel(t *testing.T) {
 	if err := e.Run(-1); err != nil {
 		t.Fatal(err)
 	}
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d", e.Pending())
+	if fired || e.Fired() != 0 {
+		t.Errorf("cancelled event fired (Fired = %d)", e.Fired())
 	}
 }
 
@@ -124,9 +118,6 @@ func TestHorizon(t *testing.T) {
 	if e.Now() != 20 {
 		t.Errorf("Now = %d, want horizon 20", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
 	// Resume to drain the rest.
 	if err := e.Run(-1); err != nil {
 		t.Fatal(err)
@@ -146,27 +137,6 @@ func TestHorizonAdvancesEmptyClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New(0)
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		if _, err := e.At(i, func(Time) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (stopped)", count)
-	}
-}
-
 // TestStep steps an engine through its queue with Run and a horizon:
 // each call fires exactly the events up to the horizon and leaves the
 // rest pending.
@@ -182,8 +152,8 @@ func TestStep(t *testing.T) {
 		if err := e.Run(Time(want)); err != nil {
 			t.Fatal(err)
 		}
-		if n != want || e.Pending() != 3-want {
-			t.Fatalf("after Run(%d): fired %d, pending %d", want, n, e.Pending())
+		if n != want {
+			t.Fatalf("after Run(%d): fired %d", want, n)
 		}
 	}
 	if err := e.Run(4); err != nil { // empty queue: only the clock moves
@@ -252,9 +222,9 @@ func TestFiringOrderProperty(t *testing.T) {
 	}
 }
 
-// TestPendingExactUnderCancel pins the live counter: tombstoned
-// cancellations must not inflate Pending even while their slots still
-// sit in the queue.
+// TestPendingExactUnderCancel pins the pending set under cancellation:
+// tombstoned slots still sitting in the queue are purged without firing,
+// and a double cancel changes nothing.
 func TestPendingExactUnderCancel(t *testing.T) {
 	e := New(0)
 	ids := make([]EventID, 10)
@@ -265,27 +235,20 @@ func TestPendingExactUnderCancel(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	if e.Pending() != 10 {
-		t.Fatalf("Pending = %d, want 10", e.Pending())
-	}
 	for _, id := range ids[:4] {
 		e.Cancel(id)
 	}
-	e.Cancel(ids[0]) // double cancel must not double-decrement
-	if e.Pending() != 6 {
-		t.Fatalf("Pending after cancels = %d, want 6", e.Pending())
-	}
-	if err := e.Run(5); err != nil { // purges the four tombstones, fires t=5
+	e.Cancel(ids[0]) // double cancel is a no-op
+
+	// Purges the four tombstones, fires t=5.
+	if err := e.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending after the first live event = %d, want 5", e.Pending())
+	if e.Fired() != 1 {
+		t.Fatalf("Fired after the first live event = %d, want 1", e.Fired())
 	}
 	if err := e.Run(-1); err != nil {
 		t.Fatal(err)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d, want 0", e.Pending())
 	}
 	if e.Fired() != 6 {
 		t.Fatalf("Fired = %d, want 6", e.Fired())
@@ -309,9 +272,6 @@ func TestStaleCancelAfterRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Cancel(stale) // stale generation: must be a no-op
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1 (stale cancel hit the new event)", e.Pending())
-	}
 	if err := e.Run(-1); err != nil {
 		t.Fatal(err)
 	}
@@ -327,14 +287,14 @@ func TestSameTimeLaneOrder(t *testing.T) {
 	e := New(0)
 	var got []int
 	rec := func(i int) Handler { return func(Time) { got = append(got, i) } }
-	if _, err := e.At(5, func(Time) {
+	if _, err := e.At(5, func(now Time) {
 		got = append(got, 0)
 		// Chained same-time events: must fire after every pre-scheduled
 		// t=5 event, in this order.
-		if _, err := e.After(0, rec(3)); err != nil {
+		if _, err := e.At(now, rec(3)); err != nil {
 			t.Error(err)
 		}
-		if _, err := e.After(0, rec(4)); err != nil {
+		if _, err := e.At(now, rec(4)); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -367,7 +327,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	e := New(0)
 	fn := func(Time) {}
 	cycle := func() {
-		if _, err := e.After(1, fn); err != nil {
+		if _, err := e.At(e.Now()+1, fn); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Run(-1); err != nil {

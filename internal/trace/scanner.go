@@ -15,17 +15,15 @@ import (
 // file order without ever materializing the trace, so arbitrarily large
 // Parallel Workloads Archive traces parse in bounded memory. Header and
 // comment lines (leading ';') are skipped; records with unknown (-1)
-// runtimes or processor counts are dropped and counted in Skipped, the
-// same filter the paper's replay applies. Archive traces are
-// submit-sorted, which makes a Scanner directly usable as the head of a
-// transform pipeline (see Stream); SWFSource.Load adds the explicit sort
-// for inputs that are not.
+// runtimes or processor counts are dropped, the same filter the paper's
+// replay applies. Archive traces are submit-sorted, which makes a
+// Scanner directly usable as the head of a transform pipeline (see
+// Stream).
 type Scanner struct {
-	sc      *bufio.Scanner
-	line    int
-	skipped int
-	err     error
-	done    bool
+	sc   *bufio.Scanner
+	line int
+	err  error
+	done bool
 }
 
 // NewScanner returns a Scanner reading SWF records from r.
@@ -53,7 +51,6 @@ func (s *Scanner) Next() (*job.Job, error) {
 			return nil, err
 		}
 		if j == nil {
-			s.skipped++
 			continue
 		}
 		return j, nil
@@ -64,10 +61,6 @@ func (s *Scanner) Next() (*job.Job, error) {
 	}
 	return nil, s.err
 }
-
-// Skipped returns how many incomplete records (unknown runtime or
-// processor count) were dropped so far.
-func (s *Scanner) Skipped() int { return s.skipped }
 
 // parseSWFLine parses one non-comment SWF record. It returns (nil, nil)
 // for incomplete records the replay filter drops.

@@ -88,19 +88,3 @@ func (s SWFSource) Open() (*FileStream, error) {
 	}
 	return &FileStream{f: f, src: s.transforms(NewScanner(f))}, nil
 }
-
-// Load materializes the transformed trace, sorted by (submit, id) — the
-// convenience path for workloads that fit in memory.
-func (s SWFSource) Load() ([]*job.Job, error) {
-	fs, err := s.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer fs.Close()
-	jobs, err := Collect(fs)
-	if err != nil {
-		return nil, err
-	}
-	SortBySubmit(jobs)
-	return jobs, nil
-}

@@ -46,22 +46,6 @@ func FromSlice(jobs []*job.Job) Stream {
 	})
 }
 
-// Collect drains a stream into a slice — the bridge back out of the
-// transform layer for consumers that need random access.
-func Collect(src Stream) ([]*job.Job, error) {
-	var out []*job.Job
-	for {
-		j, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if j == nil {
-			return out, nil
-		}
-		out = append(out, j)
-	}
-}
-
 // Window keeps the jobs submitted in [start, end) and re-bases their
 // submit times to the window start, turning any slice of an archive
 // trace into a replayable interval. The input must be submit-sorted (the

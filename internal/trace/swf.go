@@ -10,15 +10,14 @@
 // the Stream transforms (Window, ScaleTime, ScaleCores, Filter, Limit) —
 // reads, reshapes and writes arbitrarily large archive traces in bounded
 // memory; SWFSource bundles a file plus a transform chain into a workload
-// source replay scenarios can run directly. The slice layer
-// (SWFSource.Load, WriteSWF, Generate, Summarize) is the materialized
-// convenience API built on top of it.
+// source replay scenarios can run directly. The slice layer (WriteSWF,
+// Generate, Summarize) is the materialized convenience API built on top
+// of it.
 package trace
 
 import (
 	"cmp"
 	"io"
-	"slices"
 	"sort"
 
 	"repro/internal/job"
@@ -47,12 +46,8 @@ const (
 	swfFields
 )
 
-// SortBySubmit orders jobs by (submit time, job ID) — the canonical
-// replay order the generator and SWFSource.Load guarantee. An archive
-// trace may repeat an ID, so the sort is stable.
-func SortBySubmit(jobs []*job.Job) { slices.SortStableFunc(jobs, bySubmit) }
-
-// bySubmit compares jobs by (submit time, job ID).
+// bySubmit compares jobs by (submit time, job ID) — the canonical replay
+// order the generator guarantees.
 func bySubmit(a, b *job.Job) int {
 	if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
 		return c

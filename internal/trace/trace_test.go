@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -232,14 +233,13 @@ func TestKindParseAndString(t *testing.T) {
 	}
 }
 
-// readSWF parses an SWF stream into jobs sorted by (submit, id): what
-// SWFSource.Load does for a file.
+// readSWF parses an SWF stream into jobs sorted by (submit, id).
 func readSWF(r io.Reader) ([]*job.Job, error) {
-	out, err := Collect(NewScanner(r))
+	out, err := collect(NewScanner(r))
 	if err != nil {
 		return nil, err
 	}
-	SortBySubmit(out)
+	slices.SortStableFunc(out, bySubmit)
 	return out, nil
 }
 

@@ -158,18 +158,6 @@ func (st *Store) Drop(id string) {
 	delete(st.runs, id)
 }
 
-// Runs returns the stored run ids, sorted.
-func (st *Store) Runs() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, 0, len(st.runs))
-	for id := range st.runs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Append records one raw sample. Appends must be nondecreasing in t per
 // series; an out-of-order append is rejected (the virtual clock never
 // goes backwards — a violation is a wiring bug worth surfacing).
@@ -254,39 +242,6 @@ func (r *Run) Dropped() []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Level describes one retained level of a series: its index, the raw
-// points folded into each stored point, and the retained point count.
-type Level struct {
-	Level    int   `json:"level"`
-	PerPoint int   `json:"raw_per_point"`
-	Points   int   `json:"points"`
-	OldestT  int64 `json:"oldest_t"`
-	NewestT  int64 `json:"newest_t"`
-}
-
-// Levels reports the retention pyramid of one series (diagnostics and
-// tests).
-func (r *Run) Levels(name string) []Level {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := r.series[name]
-	if s == nil {
-		return nil
-	}
-	out := make([]Level, len(s.levels))
-	per := 1
-	for i := range s.levels {
-		lv := Level{Level: i, PerPoint: per, Points: s.levels[i].n}
-		if s.levels[i].n > 0 {
-			lv.OldestT = s.levels[i].at(0).T
-			lv.NewestT = s.levels[i].at(s.levels[i].n - 1).T
-		}
-		out[i] = lv
-		per *= r.opt.Fanout
-	}
 	return out
 }
 

@@ -124,11 +124,11 @@ func TestBoundedMemory(t *testing.T) {
 	r := st.Run("run1")
 	appendRamp(t, r, "power", 100000, 1)
 	total := 0
-	for _, lv := range r.Levels("power") {
-		if lv.Points > o.PointsPerLevel {
-			t.Errorf("level %d holds %d points, cap %d", lv.Level, lv.Points, o.PointsPerLevel)
+	for i, lv := range r.series["power"].levels {
+		if lv.n > o.PointsPerLevel {
+			t.Errorf("level %d holds %d points, cap %d", i, lv.n, o.PointsPerLevel)
 		}
-		total += lv.Points
+		total += lv.n
 	}
 	if max := o.Levels * o.PointsPerLevel; total > max {
 		t.Errorf("series holds %d points, bound %d", total, max)
@@ -165,11 +165,8 @@ func TestStoreRunLifecycle(t *testing.T) {
 	st := New(Options{})
 	st.Run("a").Append("s", 0, 1)
 	st.Run("b").Append("s", 0, 1)
-	if got := st.Runs(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("Runs = %v", got)
-	}
-	if st.Lookup("a") == nil {
-		t.Error("Lookup(a) = nil")
+	if st.Lookup("a") == nil || st.Lookup("b") == nil || len(st.runs) != 2 {
+		t.Errorf("stored runs = %v, want a and b", st.runs)
 	}
 	st.Drop("a")
 	if st.Lookup("a") != nil {

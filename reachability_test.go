@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,12 +19,14 @@ import (
 
 // What counts as production API: an exported function or method under
 // internal/ is there because non-test code calls it. This file checks
-// that rule by name over the parsed tree (no type checker): a function
-// is reached by a bare identifier in its own package or by pkg.Name
-// through an import of its package; a method is reached by any selector
-// of its name or by an interface that declares it. Matching by name can
-// miss an orphan that shares a name with a live identifier; it cannot
-// report a function that production calls.
+// that rule by type: every non-test package of the module (cmd/,
+// examples/ and the bench/ module included) is type-checked with
+// go/types, and a function or method is reached when a non-test file
+// other than its own body uses its object (through Origin, so a use of
+// an instantiation reaches the generic declaration). A method is also
+// reached when its type, or a pointer to it, implements an interface
+// whose method of that name non-test code calls, or one of the
+// standard-library interfaces the runtime calls (stdlibInterfaces).
 //
 // The exceptions are testdata/api_allowlist.json, name -> reason. A name
 // is "<dir under internal/>.<Func>", "<dir>.<Type>.<Method>", or a bare
@@ -29,148 +34,159 @@ import (
 
 const (
 	apiModule       = "repro"
-	apiAllowListMax = 20
+	apiAllowListMax = 15
 )
 
-// stdlibInterfaces names, per method, the standard-library interface a
-// method of that name satisfies: the runtime or the library calls it
-// (fmt through %v, encoding/json, net/http, sort), no selector in this
-// repository has to.
-var stdlibInterfaces = map[string]string{
-	"String":        "fmt.Stringer",
-	"Error":         "error",
-	"MarshalJSON":   "encoding/json.Marshaler",
-	"UnmarshalJSON": "encoding/json.Unmarshaler",
-	"ServeHTTP":     "net/http.Handler",
-	"RoundTrip":     "net/http.RoundTripper",
-	"Flush":         "net/http.Flusher",
-	"Read":          "io.Reader",
-	"Write":         "io.Writer",
-	"Close":         "io.Closer",
-	"Len":           "sort.Interface",
-	"Less":          "sort.Interface",
-	"Swap":          "sort.Interface",
+// stdlibInterfaces are the standard-library interfaces whose methods
+// the runtime or the library calls (fmt through %v, encoding/json,
+// net/http, io, sort) without a selector in this repository.
+var stdlibInterfaces = []struct{ pkg, name string }{
+	{"fmt", "Stringer"}, {"", "error"},
+	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"net/http", "Handler"}, {"net/http", "Flusher"}, {"net/http", "RoundTripper"},
+	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+	{"sort", "Interface"},
 }
+
+// stdlib imports standard-library packages from their export data; it
+// is shared so each package is loaded once per test binary.
+var stdlib = importer.Default()
 
 type srcFile struct {
 	path string // slash-separated, relative to the repository root
 	src  []byte
 }
 
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // apiOrphans returns the exported functions and methods declared in
-// non-test files under internal/ that no non-test file references and
+// non-test files under internal/ that no non-test file reaches and
 // allow does not cover, and the entries of allow that cover nothing.
 func apiOrphans(files []srcFile, allow map[string]string) (orphans, stale []string, err error) {
-	type decl struct{ key, dir, name string }
-	var (
-		decls     []decl
-		method    = map[string]bool{}            // decl key -> it is a method
-		bare      = map[string]map[string]bool{} // dir -> identifiers its non-test files use
-		qualified = map[string]map[string]bool{} // import path -> names selected through it
-		selected  = map[string]bool{}            // every selected or interface-declared name
-	)
-	set := func(m map[string]map[string]bool, k, name string) {
-		if m[k] == nil {
-			m[k] = map[string]bool{}
-		}
-		m[k][name] = true
-	}
 	fset := token.NewFileSet()
+	byPath := map[string][]*ast.File{} // import path -> its non-test files
+	var paths []string
 	for _, sf := range files {
 		if strings.HasSuffix(sf.path, "_test.go") {
 			continue
 		}
-		f, perr := parser.ParseFile(fset, sf.path, sf.src, parser.SkipObjectResolution)
-		if perr != nil {
-			return nil, nil, perr
+		f, err := parser.ParseFile(fset, sf.path, sf.src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
 		}
-		dir := filepath.ToSlash(filepath.Dir(sf.path))
-		imports := map[string]string{} // local name -> import path
-		for _, im := range f.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			local := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = p
+		p := path.Join(apiModule, path.Dir(sf.path))
+		if byPath[p] == nil {
+			paths = append(paths, p)
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			self := ""
-			if ok && fd.Recv == nil {
-				self = fd.Name.Name
+		byPath[p] = append(byPath[p], f)
+	}
+	sort.Strings(paths)
+
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if pkg, ok := checked[p]; ok {
+			return pkg, nil
+		}
+		if byPath[p] == nil {
+			return stdlib.Import(p)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p, fset, byPath[p], info)
+		checked[p] = pkg
+		return pkg, err
+	}
+	for _, p := range paths {
+		if _, err := imp(p); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Every use outside the used function's own declaration reaches it;
+	// a selector records its Sel identifier among the uses. A use of an
+	// interface method keeps the interface, for the implementations.
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	reached := map[*types.Func]bool{}
+	called := map[ifaceMethod]bool{}
+	for _, name := range stdlibInterfaces {
+		scope := types.Universe
+		if name.pkg != "" {
+			pkg, err := stdlib.Import(name.pkg)
+			if err != nil {
+				return nil, nil, err
 			}
-			if ok && fd.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
-				pkg := strings.TrimPrefix(dir, "internal/")
-				key := pkg + "." + fd.Name.Name
-				if fd.Recv != nil {
-					recv := receiverName(fd.Recv.List[0].Type)
-					if !ast.IsExported(recv) {
-						recv = "" // reachable only through an interface or a selector anyway
+			scope = pkg.Scope()
+		}
+		iface := scope.Lookup(name.name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			called[ifaceMethod{iface, iface.Method(i).Name()}] = true
+		}
+	}
+	var decls []*types.Func
+	for _, p := range paths {
+		for _, f := range byPath[p] {
+			for _, d := range f.Decls {
+				var self types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = info.Defs[fd.Name]
+					if fd.Name.IsExported() && strings.HasPrefix(p, apiModule+"/internal/") {
+						decls = append(decls, self.(*types.Func))
 					}
-					key = pkg + "." + recv + "." + fd.Name.Name
-					method[key] = true
 				}
-				decls = append(decls, decl{key, dir, fd.Name.Name})
-			}
-			var visit func(n ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					selected[x.Sel.Name] = true
-					if id, ok := x.X.(*ast.Ident); ok {
-						if p, ok := imports[id.Name]; ok {
-							set(qualified, p, x.Sel.Name)
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok || fn.Origin() == self {
+						return true
+					}
+					reached[fn.Origin()] = true
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+							called[ifaceMethod{iface, fn.Name()}] = true
 						}
 					}
-					ast.Inspect(x.X, visit) // x.Sel is not a bare use of its name
-					return false
-				case *ast.InterfaceType:
-					for _, m := range x.Methods.List {
-						for _, name := range m.Names {
-							selected[name.Name] = true
-						}
-					}
-				case *ast.Ident:
-					if x.Name != self {
-						set(bare, dir, x.Name)
-					}
-				}
-				return true
-			}
-			if !ok {
-				ast.Inspect(d, visit)
-				continue
-			}
-			// Everything but the declared name, which is not a use of itself.
-			if fd.Recv != nil {
-				ast.Inspect(fd.Recv, visit)
-			}
-			ast.Inspect(fd.Type, visit)
-			if fd.Body != nil {
-				ast.Inspect(fd.Body, visit)
+					return true
+				})
 			}
 		}
 	}
 
 	used := map[string]bool{}
-	for _, d := range decls {
-		reached := false
-		if method[d.key] {
-			_, iface := stdlibInterfaces[d.name]
-			reached = selected[d.name] || iface
-		} else {
-			reached = bare[d.dir][d.name] || qualified[apiModule+"/"+d.dir][d.name]
+	for _, fn := range decls {
+		dir := strings.TrimPrefix(fn.Pkg().Path(), apiModule+"/internal/")
+		key := dir + "." + fn.Name()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			name := t.(*types.Named).Obj().Name()
+			if !ast.IsExported(name) {
+				name = "" // reachable only through an interface or a selector anyway
+			}
+			key = dir + "." + name + "." + fn.Name()
+			for c := range called {
+				if c.name == fn.Name() && (types.Implements(t, c.iface) || types.Implements(types.NewPointer(t), c.iface)) {
+					reached[fn] = true
+				}
+			}
 		}
-		pkg := strings.TrimPrefix(d.dir, "internal/")
 		switch {
-		case reached:
-		case allow[d.key] != "":
-			used[d.key] = true
-		case allow[pkg] != "":
-			used[pkg] = true
+		case reached[fn]:
+		case allow[key] != "":
+			used[key] = true
+		case allow[dir] != "":
+			used[dir] = true
 		default:
-			orphans = append(orphans, d.key)
+			orphans = append(orphans, key)
 		}
 	}
 	for k := range allow {
@@ -183,44 +199,26 @@ func apiOrphans(files []srcFile, allow map[string]string) (orphans, stale []stri
 	return orphans, stale, nil
 }
 
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
 func TestExportedAPIHasProductionCaller(t *testing.T) {
 	var files []srcFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			// bench/ is a module of its own; what it imports is on the allow-list.
-			if name := d.Name(); path != "." && (name == "bench" && path == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		src, err := os.ReadFile(path)
+		src, err := os.ReadFile(p)
 		if err != nil {
 			return err
 		}
-		files = append(files, srcFile{filepath.ToSlash(path), src})
+		files = append(files, srcFile{filepath.ToSlash(p), src})
 		return nil
 	})
 	if err != nil {
@@ -294,4 +292,73 @@ func main() { l.Used(); l.T{}.Reached() }
 	check("an entry for a function that is gone is stale",
 		map[string]string{"lib.OnlyTested": "oracle", "lib.T.Orphaned": "seam", "lib.Deleted": "was here"},
 		nil, []string{"lib.Deleted"})
+
+	// Reachability follows types, not names: each case is a package
+	// under internal/ and a main package that uses it.
+	pkg := func(dir, src string) srcFile {
+		return srcFile{dir + "/x.go", []byte("package " + path.Base(dir) + "\n" + src)}
+	}
+	prog := func(dir, src string) srcFile {
+		return pkg(dir, `import l "`+apiModule+`/internal/lib"`+"\n"+src)
+	}
+	for _, c := range []struct {
+		name  string
+		files []srcFile
+		want  []string
+	}{
+		{"a method named like another type's called method is an orphan", []srcFile{
+			pkg("internal/lib", `type Book struct{}
+func (*Book) Remove(id int) {}
+type Fleet struct{}
+func (*Fleet) Remove(name string) {}`),
+			prog("cmd/tool", `func main() { (&l.Fleet{}).Remove("w") }`),
+		}, []string{"lib.Book.Remove"}},
+		{"a method named like a selected struct field is an orphan", []srcFile{
+			pkg("internal/lib", `type Config struct{ Options int }
+type Controller struct{ cfg Config }
+func (c *Controller) Options() int { return c.cfg.Options }`),
+			prog("cmd/tool", `func main() { _ = l.Config{}.Options }`),
+		}, []string{"lib.Controller.Options"}},
+		{"a method named like a type selected through an import is an orphan", []srcFile{
+			pkg("internal/core", `type PolicyModel struct{}`),
+			pkg("internal/lib", `import "`+apiModule+`/internal/core"
+type Controller struct{ pm core.PolicyModel }
+func (c *Controller) PolicyModel() core.PolicyModel { return c.pm }`),
+			pkg("cmd/tool", `import "`+apiModule+`/internal/core"
+var _ core.PolicyModel
+func main() {}`),
+		}, []string{"lib.Controller.PolicyModel"}},
+		{"a method called through an interface value is reached, a same-named non-implementation is not", []srcFile{
+			pkg("internal/lib", `type Sizer interface{ Size() int }
+type Box struct{}
+func (Box) Size() int { return 1 }
+type Other struct{}
+func (Other) Size(scale int) int { return scale }`),
+			prog("cmd/tool", `func main() { var s l.Sizer = l.Box{}; _ = s.Size() }`),
+		}, []string{"lib.Other.Size"}},
+		{"a method of a generic type called on an instantiation is reached", []srcFile{
+			pkg("internal/lib", `type Registry[T any] struct{ m map[string]T }
+func (r *Registry[T]) Lookup(name string) T { return r.m[name] }
+func (r *Registry[T]) Names() []string { return nil }`),
+			prog("cmd/tool", `func main() { var r l.Registry[int]; _ = r.Lookup("x") }`),
+		}, []string{"lib.Registry.Names"}},
+		{"MarshalJSON is reached through encoding/json, MarshalText is not on the list", []srcFile{
+			pkg("internal/lib", `type T struct{}
+func (T) MarshalJSON() ([]byte, error) { return nil, nil }
+func (T) MarshalText() ([]byte, error) { return nil, nil }`),
+		}, []string{"lib.T.MarshalText"}},
+		{"a function called only from the bench module is reached", []srcFile{
+			pkg("internal/lib", `func Used() {}`),
+			prog("bench", `func main() { l.Used() }`),
+		}, nil},
+	} {
+		orphans, stale, err := apiOrphans(c.files, nil)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if fmt.Sprint(orphans) != fmt.Sprint(c.want) || stale != nil {
+			t.Errorf("%s: orphans %v stale %v, want %v and none", c.name, orphans, stale, c.want)
+		}
+	}
 }
