@@ -31,9 +31,6 @@ type FederationGrid struct {
 	// ScaleRacks sizes every member machine (0 = full Curie — large;
 	// sweeps usually shrink it).
 	ScaleRacks int
-	// EpochSec overrides the redistribution period of every cell; 0
-	// keeps the library default.
-	EpochSec int64
 }
 
 func (g FederationGrid) name() string {
@@ -51,11 +48,7 @@ func (g FederationGrid) Scenarios() []replay.FederationScenario {
 	for _, n := range g.MemberCounts {
 		for _, frac := range g.CapFractions {
 			for _, div := range g.Divisions {
-				fs := replay.FederationLibraryScenario(n, g.ScaleRacks, frac, div)
-				if g.EpochSec > 0 {
-					fs.EpochSec = g.EpochSec
-				}
-				out = append(out, fs)
+				out = append(out, replay.FederationLibraryScenario(n, g.ScaleRacks, frac, div))
 			}
 		}
 	}

@@ -68,11 +68,12 @@ type Checker struct {
 
 // Attach registers a checker on the controller's sample hook and
 // returns it. The name labels violations (e.g. the scenario or
-// federation-member name). Attach before the run starts; the
-// controller supports one observer, so the checker owns the hook.
+// federation-member name). Attach before the run starts; the checker
+// runs behind any observer already attached (a telemetry collector),
+// so the two compose.
 func Attach(ctl *rjms.Controller, name string) *Checker {
 	k := &Checker{name: name, ctl: ctl, seen: map[job.ID]job.State{}}
-	ctl.SetObserver(k.check)
+	ctl.AddObserver(k.check)
 	return k
 }
 
@@ -171,7 +172,7 @@ func (k *Checker) checkJobs(now int64, jobs []*job.Job) {
 			if j.StartTime > now {
 				k.violatef(now, "job %d start time %d in the future", j.ID, j.StartTime)
 			}
-			if got := j.AllocatedCores(); got != j.Cores {
+			if got := allocatedCores(j); got != j.Cores {
 				k.violatef(now, "job %d runs on %d cores, requested %d", j.ID, got, j.Cores)
 			}
 		default:
@@ -197,6 +198,15 @@ func (k *Checker) checkJobs(now int64, jobs []*job.Job) {
 	for _, j := range jobs {
 		k.lastActive = append(k.lastActive, j.ID)
 	}
+}
+
+// allocatedCores sums j's allocation.
+func allocatedCores(j *job.Job) int {
+	n := 0
+	for _, a := range j.Allocs {
+		n += a.Cores
+	}
+	return n
 }
 
 // LegalObserved reports whether observing a job in state from at one
@@ -231,6 +241,10 @@ func (k *Checker) checkNodes(now int64, jobs []*job.Job) {
 			}
 		}
 	}
+	failed := map[cluster.NodeID]bool{}
+	for _, id := range k.ctl.FailedNodes() {
+		failed[id] = true
+	}
 	coresPerNode := clus.Topology().CoresPerNode
 	clus.ForEach(func(n cluster.NodeInfo) bool {
 		if n.UsedCores < 0 || n.UsedCores > coresPerNode {
@@ -244,7 +258,7 @@ func (k *Checker) checkNodes(now int64, jobs []*job.Job) {
 		}
 		// Failure injection (the twin's kill path): a failed node must
 		// be off and hold nothing — its jobs were killed and requeued.
-		if k.ctl.NodeFailed(n.ID) {
+		if failed[n.ID] {
 			if n.State != cluster.StateOff {
 				k.violatef(now, "failed node %d is %v, want off", n.ID, n.State)
 			}

@@ -161,3 +161,10 @@ func TestCapRule(t *testing.T) {
 		t.Errorf("legal tighten-and-drain reported: %v", err)
 	}
 }
+
+func TestAllocatedCores(t *testing.T) {
+	j := &job.Job{Allocs: []job.Alloc{{Node: 0, Cores: 16}, {Node: 1, Cores: 16}}}
+	if got := allocatedCores(j); got != 32 {
+		t.Errorf("allocatedCores = %d", got)
+	}
+}

@@ -112,15 +112,6 @@ func (j *Job) ScaledWalltime(deg *dvfs.Degradation, f dvfs.Freq) int64 {
 	return deg.ScaleDuration(j.Walltime, f)
 }
 
-// AllocatedCores sums the allocation.
-func (j *Job) AllocatedCores() int {
-	n := 0
-	for _, a := range j.Allocs {
-		n += a.Cores
-	}
-	return n
-}
-
 // Clone returns a deep copy (fresh Allocs slice) so replays can reuse an
 // immutable workload across runs.
 func (j *Job) Clone() *Job {

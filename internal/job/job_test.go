@@ -44,14 +44,6 @@ func TestScaledRuntimeAndWalltime(t *testing.T) {
 	}
 }
 
-func TestAllocatedCores(t *testing.T) {
-	j := valid()
-	j.Allocs = []Alloc{{Node: 0, Cores: 16}, {Node: 1, Cores: 16}}
-	if got := j.AllocatedCores(); got != 32 {
-		t.Errorf("AllocatedCores = %d", got)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	j := valid()
 	j.Allocs = []Alloc{{Node: cluster.NodeID(3), Cores: 4}}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/power"
-	"repro/internal/powerlog"
 	"repro/internal/reservation"
 	"repro/internal/sched"
 	"repro/internal/simengine"
@@ -72,12 +71,12 @@ type Controller struct {
 	statProbes        uint64 // plan calls
 	statStarts        uint64 // commits
 
-	// estimator is non-nil in measurement-based capping mode: active-cap
+	// measured is non-nil in measurement-based capping mode: active-cap
 	// checks use its guarded estimate instead of the exact bookkeeping.
-	estimator *powerlog.Estimator
+	measured *measuredPower
 
-	// observer, when set, runs after every recorded metrics sample (the
-	// invariant checker's hook; see SetObserver).
+	// observer, when set, runs after every recorded metrics sample (see
+	// AddObserver).
 	observer func(now int64)
 
 	// Scratch reused across scheduling passes. A pass probes up to
@@ -132,16 +131,8 @@ func New(cfg Config) (*Controller, error) {
 		failed:     cluster.NewNodeSet(cfg.Topology.Nodes()),
 	}
 	if cfg.MeasuredNoise > 0 {
-		sensor, err := powerlog.NewSensor(measuredPowerSeed, cfg.MeasuredNoise, 0)
-		if err != nil {
-			return nil, err
-		}
-		est, err := powerlog.NewEstimator(sensor, measuredPowerWindow, measuredPowerGuard)
-		if err != nil {
-			return nil, err
-		}
-		c.estimator = est
-		est.Sample(clus.Power())
+		c.measured = newMeasuredPower(cfg.MeasuredNoise)
+		c.measured.push(clus.Power())
 	}
 	c.rec = metrics.NewRecorder(0, clus.Power(), 0)
 	c.admitFn = c.admit
@@ -156,8 +147,8 @@ func New(cfg Config) (*Controller, error) {
 // budget: the exact bookkeeping by default, or the guarded measurement
 // estimate in measured mode.
 func (c *Controller) observedPower() power.Watts {
-	if c.estimator != nil {
-		return c.estimator.Estimate()
+	if c.measured != nil {
+		return c.measured.estimate()
 	}
 	return c.clus.Power()
 }

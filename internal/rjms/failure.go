@@ -81,10 +81,6 @@ func (c *Controller) RepairNode(id cluster.NodeID) error {
 	return nil
 }
 
-// NodeFailed reports whether the node is currently failure-injected —
-// the invariant checker's hook for the kill path.
-func (c *Controller) NodeFailed(id cluster.NodeID) bool { return c.failed.Has(id) }
-
 // FailedNodes returns the failure-injected nodes, sorted.
 func (c *Controller) FailedNodes() []cluster.NodeID {
 	out := []cluster.NodeID{}

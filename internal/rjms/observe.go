@@ -2,6 +2,8 @@ package rjms
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 
 	"repro/internal/cluster"
@@ -73,15 +75,11 @@ func (c *Controller) SnapshotJobs() []*job.Job {
 	return append(out, run...)
 }
 
-// SetObserver registers fn to run after every metrics sample is
-// recorded — the attach point of the test-only invariant checker. A nil
-// fn clears it (including anything added with AddObserver).
-func (c *Controller) SetObserver(fn func(now int64)) { c.observer = fn }
-
-// AddObserver chains fn behind the current observer instead of
-// replacing it, so independent probes compose: the service's telemetry
-// collector attaches this way and an invariant checker (or another
-// collector) can still ride along. Observers run in attach order.
+// AddObserver registers fn to run after every metrics sample is
+// recorded, behind any observer already attached, so independent
+// probes compose: the service's telemetry collector attaches this way
+// and an invariant checker (or another collector) can still ride
+// along. Observers run in attach order.
 func (c *Controller) AddObserver(fn func(now int64)) {
 	if fn == nil {
 		return
@@ -130,8 +128,8 @@ func (c *Controller) addSample(now int64) {
 // noteState pushes the power and busy-core integrals after any mutation
 // and, in measured mode, feeds the sensor.
 func (c *Controller) noteState(now int64) {
-	if c.estimator != nil {
-		c.estimator.Sample(c.clus.Power())
+	if c.measured != nil {
+		c.measured.push(c.clus.Power())
 	}
 	if err := c.rec.NotePower(now, c.clus.Power()); err != nil {
 		panic(fmt.Sprintf("rjms: power meter: %v", err))
@@ -139,4 +137,56 @@ func (c *Controller) noteState(now int64) {
 	if err := c.rec.NoteCores(now, c.clus.BusyCores()); err != nil {
 		panic(fmt.Sprintf("rjms: work meter: %v", err))
 	}
+}
+
+// measuredPower is measured mode's view of the cluster draw, the
+// paper's closing future-work item ("consider the real-time power
+// consumption measures of the nodes, instead of ... static values"): a
+// deterministic sensor reading the true draw with Gaussian noise of
+// relative standard deviation noise (clamped at zero), a ring of its
+// last measuredPowerWindow readings with a running sum, and a guard
+// band of measuredPowerGuard noise sigmas over the window mean, so
+// that staying under the cap with the estimate keeps the true draw
+// under it with high probability. push never allocates: the controller
+// feeds it on every cluster-state mutation.
+type measuredPower struct {
+	rng     *rand.Rand
+	noise   float64
+	ring    [measuredPowerWindow]power.Watts
+	next, n int
+	sum     float64
+}
+
+func newMeasuredPower(noise float64) *measuredPower {
+	return &measuredPower{rng: rand.New(rand.NewSource(measuredPowerSeed)), noise: noise}
+}
+
+// push reads the sensor against the true draw and folds the reading
+// into the window, evicting the oldest when full.
+func (m *measuredPower) push(truth power.Watts) {
+	r := float64(truth) * (1 + m.rng.NormFloat64()*m.noise)
+	if r < 0 {
+		r = 0
+	}
+	if m.n == len(m.ring) {
+		m.sum -= float64(m.ring[m.next])
+	} else {
+		m.n++
+	}
+	m.ring[m.next] = power.Watts(r)
+	m.sum += r
+	if m.next++; m.next == len(m.ring) {
+		m.next = 0
+	}
+}
+
+// estimate returns the guarded draw estimate, mean + guard x noise x
+// mean / sqrt(readings held); 0 before the first reading.
+func (m *measuredPower) estimate() power.Watts {
+	if m.n == 0 {
+		return 0
+	}
+	mean := m.sum / float64(m.n)
+	guard := measuredPowerGuard * m.noise * mean / math.Sqrt(float64(m.n))
+	return power.Watts(mean + guard)
 }

@@ -308,7 +308,7 @@ func (c *Controller) pass(now int64) {
 	}
 	// Nothing launched: record what this pass saw, so the next one can
 	// skip the whole probe cycle while passMemoHolds.
-	if c.estimator == nil {
+	if c.measured == nil {
 		c.memo = passMemo{
 			valid: true, now: now, minFail: min(minAllocFail, minPowerFail),
 			clusGen: c.clus.Generation(), bookGen: c.book.Generation(), viewGen: c.viewGen,

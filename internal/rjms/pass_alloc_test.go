@@ -178,7 +178,7 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 		}
 		owner := map[*job.Alloc]job.ID{} // last job seen on each backing array
 		samples, reused, most := 0, 0, 0
-		c.SetObserver(func(now int64) {
+		c.AddObserver(func(now int64) {
 			samples++
 			if len(c.running) > most {
 				most = len(c.running)

@@ -154,12 +154,10 @@ func (c *Client) List(ctx context.Context, f ListFilter) ([]RunView, string, err
 }
 
 // SeriesQuery parameterizes a Series call; the zero value asks for the
-// full raw series. Times are simulated seconds, Res the coarsest
-// acceptable seconds-per-point.
+// full raw series. Res is the coarsest acceptable simulated
+// seconds-per-point.
 type SeriesQuery struct {
-	From int64
-	To   int64
-	Res  int64
+	Res int64
 }
 
 // Series fetches one metric's points from a run's telemetry
@@ -175,12 +173,6 @@ func (c *Client) series(ctx context.Context, path, metric string, sq SeriesQuery
 	q := url.Values{}
 	if metric != "" {
 		q.Set("metric", metric)
-	}
-	if sq.From != 0 {
-		q.Set("from", strconv.FormatInt(sq.From, 10))
-	}
-	if sq.To != 0 {
-		q.Set("to", strconv.FormatInt(sq.To, 10))
 	}
 	if sq.Res != 0 {
 		q.Set("res", strconv.FormatInt(sq.Res, 10))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"time"
 
 	"repro/internal/tsdb"
 	"repro/internal/twin"
@@ -61,6 +62,14 @@ func (c *Client) StopTwin(ctx context.Context, id string) (TwinView, error) {
 // empty metric enumerates the recorded metrics.
 func (c *Client) TwinSeries(ctx context.Context, id, metric string, sq SeriesQuery) (SeriesResponse, error) {
 	return c.series(ctx, "/v1/twin/"+id+"/series", metric, sq)
+}
+
+// NewWithKeepalive is New with ": keepalive" comment frames every d on
+// event streams instead of every 15 s.
+func NewWithKeepalive(cfg Config, d time.Duration) *Server {
+	s := New(cfg)
+	s.sseKeepalive = d
+	return s
 }
 
 // TSDB exposes the telemetry store.

@@ -29,10 +29,9 @@ import (
 // and reported via Skipped, not fatal: one bad file must not take the
 // whole archive down with it.
 type FSStore struct {
-	dir     string
-	max     int
-	maxAge  time.Duration
-	onEvict func(Record)
+	dir    string
+	max    int
+	maxAge time.Duration
 	// now is the age-sweep clock, replaceable in tests.
 	now func() time.Time
 
@@ -53,8 +52,6 @@ type FSOptions struct {
 	// every Put, so an idle archive shrinks the next time the daemon
 	// boots or stores a run.
 	MaxAge time.Duration
-	// OnEvict observes each evicted or replaced record.
-	OnEvict func(Record)
 }
 
 // OpenFSStore opens (creating if needed) the archive directory and
@@ -67,13 +64,12 @@ func OpenFSStore(dir string, opt FSOptions) (*FSStore, error) {
 		return nil, fmt.Errorf("service: creating archive dir: %w", err)
 	}
 	st := &FSStore{
-		dir:     dir,
-		max:     opt.MaxRecords,
-		maxAge:  opt.MaxAge,
-		onEvict: opt.OnEvict,
-		now:     time.Now,
-		meta:    map[string]Record{},
-		byID:    map[string]string{},
+		dir:    dir,
+		max:    opt.MaxRecords,
+		maxAge: opt.MaxAge,
+		now:    time.Now,
+		meta:   map[string]Record{},
+		byID:   map[string]string{},
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -95,13 +91,8 @@ func OpenFSStore(dir string, opt FSOptions) (*FSStore, error) {
 	// Age out stale records before the store serves anything: a daemon
 	// rebooting after a quiet week must not resurrect expired results.
 	st.mu.Lock()
-	expired := st.sweepAgeLocked("")
+	st.sweepAgeLocked("")
 	st.mu.Unlock()
-	for _, e := range expired {
-		if st.onEvict != nil {
-			st.onEvict(e)
-		}
-	}
 	return st, nil
 }
 
@@ -254,41 +245,32 @@ func (st *FSStore) Put(rec Record) error {
 	}
 
 	st.mu.Lock()
-	var evicted []Record
+	defer st.mu.Unlock()
 	if prev, ok := st.meta[rec.SpecHash]; ok && prev.ID != rec.ID {
 		delete(st.byID, prev.ID)
-		evicted = append(evicted, prev)
 	}
 	st.meta[rec.SpecHash] = rec.light()
 	st.byID[rec.ID] = rec.SpecHash
-	evicted = append(evicted, st.sweepAgeLocked(rec.SpecHash)...)
+	st.sweepAgeLocked(rec.SpecHash)
 	for st.max > 0 && len(st.meta) > st.max {
 		oldest, ok := st.oldestLocked(rec.SpecHash)
 		if !ok {
 			break
 		}
-		evicted = append(evicted, st.meta[oldest])
 		st.removeLocked(oldest)
-	}
-	st.mu.Unlock()
-	for _, e := range evicted {
-		if st.onEvict != nil {
-			st.onEvict(e)
-		}
 	}
 	return nil
 }
 
 // sweepAgeLocked removes every record past MaxAge except keep (the
-// record a Put just wrote is never its own victim) and returns the
-// expired records for OnEvict; st.mu held. Age comes from Finished,
-// falling back to Submitted for records that never finished.
-func (st *FSStore) sweepAgeLocked(keep string) []Record {
+// record a Put just wrote is never its own victim); st.mu held. Age
+// comes from Finished, falling back to Submitted for records that
+// never finished.
+func (st *FSStore) sweepAgeLocked(keep string) {
 	if st.maxAge <= 0 {
-		return nil
+		return
 	}
 	cutoff := st.now().Add(-st.maxAge)
-	var expired []Record
 	for hash, rec := range st.meta {
 		if hash == keep {
 			continue
@@ -298,16 +280,9 @@ func (st *FSStore) sweepAgeLocked(keep string) []Record {
 			ts = rec.Submitted
 		}
 		if ts.Before(cutoff) {
-			expired = append(expired, rec)
+			st.removeLocked(hash)
 		}
 	}
-	// Deterministic eviction order (oldest Seq first) so OnEvict
-	// observers see a stable sequence.
-	sort.Slice(expired, func(i, j int) bool { return expired[i].Seq < expired[j].Seq })
-	for _, rec := range expired {
-		st.removeLocked(rec.SpecHash)
-	}
-	return expired
 }
 
 // oldestLocked finds the lowest-Seq hash other than keep; st.mu held.

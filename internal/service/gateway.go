@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -38,16 +37,9 @@ type GatewayConfig struct {
 	// PollInterval paces the per-run completion watchers (default
 	// 150ms, the Client default).
 	PollInterval time.Duration
-	// HTTPClient is used for all worker traffic (default
-	// http.DefaultClient).
-	HTTPClient *http.Client
 	// Logger receives the gateway's structured log lines; nil disables
 	// logging (every log call on a nil logger is a cheap no-op).
 	Logger *obs.Logger
-	// SSEKeepalive paces comment frames on locally-answered event
-	// streams (default 15s; negative disables). Proxied streams carry
-	// the worker's keepalives through verbatim.
-	SSEKeepalive time.Duration
 }
 
 func (c GatewayConfig) withDefaults() GatewayConfig {
@@ -62,9 +54,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	}
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 250 * time.Millisecond
-	}
-	if c.SSEKeepalive == 0 {
-		c.SSEKeepalive = 15 * time.Second
 	}
 	return c
 }
@@ -217,7 +206,6 @@ func (g *Gateway) Register(name, base string) (time.Duration, error) {
 	if m.base != base || m.client == nil {
 		m.base = base
 		c := NewClient(base)
-		c.HTTPClient = g.cfg.HTTPClient
 		c.PollInterval = g.cfg.PollInterval
 		m.client = c
 	}

@@ -132,11 +132,16 @@ func (g *Gateway) serveSub(w http.ResponseWriter, r *http.Request, id, sub strin
 }
 
 // patchRunField relays a JSON response, rewriting its "run" field into
-// the gateway's id namespace.
+// the gateway's id namespace. A body past maxSpecBytes is a 502, never
+// a truncated relay.
 func (g *Gateway) patchRunField(w http.ResponseWriter, resp *http.Response, gwID string) {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxSpecBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxSpecBytes+1))
 	if err != nil {
 		writeErr(w, &Error{Status: 502, Msg: fmt.Sprintf("gateway: reading worker response: %v", err)})
+		return
+	}
+	if len(body) > maxSpecBytes {
+		writeErr(w, &Error{Status: 502, Msg: fmt.Sprintf("gateway: worker response exceeds %d bytes", maxSpecBytes)})
 		return
 	}
 	if resp.StatusCode >= 400 {
@@ -230,8 +235,8 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req joinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeErr(w, &Error{Status: 400, Msg: fmt.Sprintf("gateway: bad join body: %v", err)})
+	if err := decodeBody(w, r, "join", &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	ttl, err := g.Register(req.Name, req.URL)
@@ -248,8 +253,8 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req joinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeErr(w, &Error{Status: 400, Msg: fmt.Sprintf("gateway: bad heartbeat body: %v", err)})
+	if err := decodeBody(w, r, "heartbeat", &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if err := g.Heartbeat(req.Name); err != nil {

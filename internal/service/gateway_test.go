@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -381,6 +382,40 @@ func TestGatewayTenancy(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 403 {
 		t.Errorf("tenant join status = %d, want 403", resp.StatusCode)
+	}
+}
+
+// TestJoinBodyDecoding: the fleet endpoints decode their bodies like
+// every other POST — unknown fields and bodies past the bound are the
+// 400 JSON error, and a well-formed join still registers.
+func TestJoinBodyDecoding(t *testing.T) {
+	gw, c, _ := newFleet(t, 0, service.GatewayConfig{LeaseTTL: time.Hour})
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	oversized := `{"name":"w1","url":"http://127.0.0.1:1","x":"` + strings.Repeat("a", 8<<20) + `"}`
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/fleet/join", `{"name":"w1","url":"http://127.0.0.1:1","weight":2}`, `service: decoding join: json: unknown field "weight"`},
+		{"/v1/fleet/join", oversized, "service: decoding join: http: request body too large"},
+		{"/v1/fleet/heartbeat", `{"name":"w1","lease":"1h"}`, `service: decoding heartbeat: json: unknown field "lease"`},
+	} {
+		if status, msg := post(tc.path, tc.body); status != http.StatusBadRequest || msg != tc.want {
+			t.Errorf("POST %s (%d bytes) = %d %q, want 400 %q", tc.path, len(tc.body), status, msg, tc.want)
+		}
+	}
+	if n := len(gw.Fleet().Members); n != 0 {
+		t.Fatalf("refused joins registered %d members", n)
+	}
+	if status, msg := post("/v1/fleet/join", `{"name":"w1","url":"http://127.0.0.1:1"}`); status != http.StatusOK {
+		t.Errorf("well-formed join = %d %q, want 200", status, msg)
 	}
 }
 

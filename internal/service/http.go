@@ -17,6 +17,19 @@ import (
 	"repro/internal/tsdb"
 )
 
+// decodeBody decodes a POST body into v, the one decoder of every
+// request body: at most maxSpecBytes (a bounded body keeps a hostile or
+// broken client from ballooning the process's memory), unknown fields
+// refused, and any failure the 400 "service: decoding <what>: <why>".
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return &Error{Status: 400, Msg: fmt.Sprintf("service: decoding %s: %v", what, err)}
+	}
+	return nil
+}
+
 // maxSpecBytes bounds a submission body. The largest checked-in spec is
 // ~3 KB; 8 MiB leaves three orders of magnitude of headroom for huge
 // generated cell lists while still bounding memory per request.
@@ -202,11 +215,9 @@ func subTemplate(base, rest string, known ...string) string {
 func (f runsFront) handleRuns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		// Specs are small; a bounded body keeps a hostile or broken
-		// client from ballooning the daemon's memory.
-		spec, err := sim.DecodeJSON(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		if err != nil {
-			writeErr(w, &Error{Status: 400, Msg: err.Error()})
+		var spec sim.RunSpec
+		if err := decodeBody(w, r, "spec", &spec); err != nil {
+			writeErr(w, err)
 			return
 		}
 		v, hit, err := f.SubmitTraced(r.Context(), requestTenant(r), spec)
@@ -358,7 +369,7 @@ func (s *Server) serveSub(w http.ResponseWriter, r *http.Request, id, sub string
 		}
 		writeSeries(w, r.URL.Query(), id, rs)
 	case "events":
-		serveSSE(w, r, s.cfg.SSEKeepalive, func(ctx context.Context, emit func(Event) error) error {
+		serveSSE(w, r, s.sseKeepalive, func(ctx context.Context, emit func(Event) error) error {
 			return s.Follow(ctx, id, emit)
 		})
 	}
@@ -522,7 +533,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, id string
 		writeErr(w, err)
 		return
 	}
-	for _, name := range strings.Split(names, ",") {
+	// Every name answers with a copy of its series, so the list is
+	// bounded by what the run recorded: a repeat-padded query must not
+	// amplify into an unbounded body.
+	list := strings.Split(names, ",")
+	if recorded := len(rs.Series()); len(list) > recorded {
+		writeErr(w, &Error{Status: 400, Msg: fmt.Sprintf("bad series: %d names, the run recorded %d series", len(list), recorded)})
+		return
+	}
+	for _, name := range list {
 		name = strings.TrimSpace(name)
 		pts, per, err := rs.Query(name, from, to, res)
 		if err != nil {

@@ -28,8 +28,6 @@ type FleetMember struct {
 	// Interval overrides the heartbeat cadence; 0 derives a third of
 	// the gateway's lease TTL.
 	Interval time.Duration
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
 }
 
 // Run registers and heartbeats until ctx ends, re-registering whenever
@@ -39,9 +37,8 @@ type FleetMember struct {
 // cancellation.
 func (fm *FleetMember) Run(ctx context.Context) error {
 	c := &Client{
-		Base:       strings.TrimRight(fm.Gateway, "/"),
-		Token:      fm.Token,
-		HTTPClient: fm.HTTPClient,
+		Base:  strings.TrimRight(fm.Gateway, "/"),
+		Token: fm.Token,
 	}
 	interval := fm.Interval
 	for {

@@ -277,7 +277,7 @@ func readSSEUntil(t *testing.T, base, path string, timeout time.Duration, want f
 // daemon's event stream: a long-running run's stream carries ": ..."
 // comments between real events, so idle proxies never reap it.
 func TestSSEKeepaliveDaemon(t *testing.T) {
-	_, c := newTestServer(t, service.Config{Workers: 1, SSEKeepalive: 20 * time.Millisecond})
+	c := serveTest(t, service.NewWithKeepalive(service.Config{Workers: 1}, 20*time.Millisecond))
 	ctx := context.Background()
 	v, _, err := c.Submit(ctx, longSpec())
 	if err != nil {
@@ -296,7 +296,7 @@ func TestSSEKeepaliveDaemon(t *testing.T) {
 // survive the gateway's event proxy: the relay flushes per chunk and
 // never strips comment frames.
 func TestSSEKeepaliveGatewayRelay(t *testing.T) {
-	worker := service.New(service.Config{Workers: 1, SSEKeepalive: 20 * time.Millisecond})
+	worker := service.NewWithKeepalive(service.Config{Workers: 1}, 20*time.Millisecond)
 	wts := httptest.NewServer(worker.Handler())
 	gw := service.NewGateway(service.GatewayConfig{
 		PollInterval: 10 * time.Millisecond,

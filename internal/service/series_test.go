@@ -1,11 +1,14 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,17 +48,26 @@ func TestSeriesEndpointLive(t *testing.T) {
 	}
 
 	// Point-identity against the in-process query, raw and coarsened
-	// and windowed.
-	for _, q := range []service.SeriesQuery{
+	// through the client, and windowed through the from/to parameters.
+	for _, q := range []struct{ from, to, res int64 }{
 		{},
-		{Res: 600},
-		{From: 600, To: 1800},
+		{res: 600},
+		{from: 600, to: 1800},
 	} {
-		got, err := c.Series(ctx, v.ID, "power", q)
+		var got service.SeriesResponse
+		if q.from == 0 && q.to == 0 {
+			got, err = c.Series(ctx, v.ID, "power", service.SeriesQuery{Res: q.res})
+		} else {
+			status, body := fetch(t, c.Base, fmt.Sprintf("/v1/runs/%s/series?metric=power&from=%d&to=%d", v.ID, q.from, q.to))
+			if status != http.StatusOK {
+				t.Fatalf("series %+v: status %d: %s", q, status, body)
+			}
+			err = json.Unmarshal(body, &got)
+		}
 		if err != nil {
 			t.Fatalf("series %+v: %v", q, err)
 		}
-		want, per, err := rs.Query("power", q.From, q.To, q.Res)
+		want, per, err := rs.Query("power", q.from, q.to, q.res)
 		if err != nil {
 			t.Fatalf("tsdb query %+v: %v", q, err)
 		}
@@ -165,5 +177,87 @@ func TestSeriesArchiveRestoredAfterRestart(t *testing.T) {
 	if !reflect.DeepEqual(got.Points, wantPts) {
 		t.Errorf("restored points differ from the pre-restart query (%d vs %d points)",
 			len(got.Points), len(wantPts))
+	}
+}
+
+// TestMetricsSeriesListBounded: every name in ?series= answers with a
+// copy of its series, so a list longer than what the run recorded —
+// one name repeated 2 000 times is a 12 kB query and was an 8.6 MB
+// answer — is refused with the 400 JSON error, by a daemon and through
+// a gateway, while a list of distinct recorded names still answers.
+func TestMetricsSeriesListBounded(t *testing.T) {
+	ctx := context.Background()
+	_, daemon := newTestServer(t, service.Config{Workers: 1})
+	_, gateway, _ := newFleet(t, 1, service.GatewayConfig{LeaseTTL: time.Hour})
+	repeated := strings.TrimSuffix(strings.Repeat("power,", 2000), ",")
+	for name, c := range map[string]*service.Client{"daemon": daemon, "gateway": gateway} {
+		v, _, err := c.Submit(ctx, fastSpec("series-bound"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, v.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		status, body := fetch(t, c.Base, "/v1/runs/"+v.ID+"/metrics?series="+repeated)
+		var e struct{ Error string }
+		if status != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "2000 names") {
+			t.Errorf("%s: repeated series answered %d with %d bytes (%.80s), want the 400 JSON error", name, status, len(body), body)
+		}
+
+		status, body = fetch(t, c.Base, "/v1/runs/"+v.ID+"/metrics?series=power,pending_cores")
+		var resp struct {
+			Run    string
+			Series []struct{ Name string }
+		}
+		if err := json.Unmarshal(body, &resp); status != http.StatusOK || err != nil ||
+			resp.Run != v.ID || len(resp.Series) != 2 || resp.Series[0].Name != "power" || resp.Series[1].Name != "pending_cores" {
+			t.Errorf("%s: power,pending_cores answered %d: %+v (err %v), want both series", name, status, resp, err)
+		}
+	}
+}
+
+// TestGatewayRefusesOversizedWorkerBody: a metrics body past the relay
+// bound is a 502, never a truncated 200 of invalid JSON.
+func TestGatewayRefusesOversizedWorkerBody(t *testing.T) {
+	worker := service.New(service.Config{Workers: 1})
+	huge := []byte(`{"run":"x","pad":"` + strings.Repeat("a", 8<<20) + `"}`)
+	wts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/metrics") {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(huge)
+			return
+		}
+		worker.Handler().ServeHTTP(w, r)
+	}))
+	gw := service.NewGateway(service.GatewayConfig{
+		PollInterval: 10 * time.Millisecond,
+		RetryDelay:   10 * time.Millisecond,
+		LeaseTTL:     time.Hour,
+	})
+	gts := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		gw.Shutdown(ctx)
+		worker.Shutdown(ctx)
+		gts.Close()
+		wts.Close()
+	})
+	if _, err := gw.Register("w1", wts.URL); err != nil {
+		t.Fatal(err)
+	}
+	c := service.NewClient(gts.URL)
+	c.PollInterval = 10 * time.Millisecond
+	ctx := context.Background()
+	v, _, err := c.Submit(ctx, fastSpec("oversized"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, v.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	status, body := fetch(t, c.Base, "/v1/runs/"+v.ID+"/metrics?series=power")
+	if status != http.StatusBadGateway || !bytes.Contains(body, []byte("worker response exceeds")) {
+		t.Errorf("oversized worker body relayed as %d with %d bytes (%.80s), want the 502 JSON error", status, len(body), body)
 	}
 }

@@ -83,10 +83,6 @@ type Config struct {
 	// (lifecycle, cache hits, archive failures, HTTP access); nil is
 	// silent.
 	Logger *obs.Logger
-	// SSEKeepalive is the interval between ": keepalive" comment frames
-	// on event streams, keeping idle proxies from reaping long-lived
-	// connections (default 15s; negative disables).
-	SSEKeepalive time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -98,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRuns <= 0 {
 		c.MaxRuns = 1024
-	}
-	if c.SSEKeepalive == 0 {
-		c.SSEKeepalive = 15 * time.Second
 	}
 	return c
 }
@@ -225,6 +218,10 @@ type Server struct {
 	// unset).
 	met *serverMetrics
 	log *obs.Logger
+	// sseKeepalive is the interval between ": keepalive" comment frames
+	// on event streams, keeping idle proxies from reaping long-lived
+	// connections.
+	sseKeepalive time.Duration
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -265,14 +262,15 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		tsdb:       tsdb.New(cfg.TSDB),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		runs:       map[string]*run{},
-		byHash:     map[string]*run{},
-		restoring:  map[string]chan struct{}{},
-		twins:      map[string]*twinRun{},
+		cfg:          cfg,
+		tsdb:         tsdb.New(cfg.TSDB),
+		sseKeepalive: 15 * time.Second,
+		baseCtx:      ctx,
+		baseCancel:   cancel,
+		runs:         map[string]*run{},
+		byHash:       map[string]*run{},
+		restoring:    map[string]chan struct{}{},
+		twins:        map[string]*twinRun{},
 	}
 	// Hot-tier eviction drops the run's live telemetry with it; the
 	// archived copy keeps a snapshot for later restore.

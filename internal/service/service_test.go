@@ -73,6 +73,13 @@ func boundedSpec() sim.RunSpec {
 func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *service.Client) {
 	t.Helper()
 	s := service.New(cfg)
+	return s, serveTest(t, s)
+}
+
+// serveTest serves s over HTTP for the test's duration and returns a
+// fast-polling client of it.
+func serveTest(t *testing.T, s *service.Server) *service.Client {
+	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -82,7 +89,7 @@ func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *service.
 	})
 	c := service.NewClient(ts.URL)
 	c.PollInterval = 20 * time.Millisecond
-	return s, c
+	return c
 }
 
 func TestSubmitStatusReportMetrics(t *testing.T) {
@@ -462,7 +469,7 @@ func TestShutdownDrains(t *testing.T) {
 func TestTSDBBoundsFromConfig(t *testing.T) {
 	s, c := newTestServer(t, service.Config{
 		Workers: 1,
-		TSDB:    tsdb.Options{PointsPerLevel: 8, Levels: 2, Fanout: 2},
+		TSDB:    tsdb.Options{PointsPerLevel: 8, Levels: 2},
 	})
 	ctx := context.Background()
 	v, _, err := c.Submit(ctx, fastSpec("bounds"))
@@ -476,16 +483,17 @@ func TestTSDBBoundsFromConfig(t *testing.T) {
 	if rs == nil {
 		t.Fatal("no telemetry")
 	}
-	// The coarsest of two fanout-2 levels folds two raw points into one
-	// and, like the finest, holds at most eight: whatever level answers,
-	// it answers with at most eight points of at most two raw samples.
+	// The coarsest of two levels folds tsdb's fanout (4) raw points into
+	// one and, like the finest, holds at most eight: whatever level
+	// answers, it answers with at most eight points of at most four raw
+	// samples.
 	for _, res := range []int64{0, 1 << 40} {
 		pts, per, err := rs.Query("power", 0, 0, res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pts) > 8 || per > 2 {
-			t.Errorf("res %d: %d points of %d raw samples each, want at most 8 of at most 2", res, len(pts), per)
+		if len(pts) > 8 || per > 4 {
+			t.Errorf("res %d: %d points of %d raw samples each, want at most 8 of at most 4", res, len(pts), per)
 		}
 	}
 }

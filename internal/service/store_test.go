@@ -3,8 +3,10 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +19,44 @@ import (
 // TestMemStoreConformance runs the cross-backend suite on the hot tier.
 func TestMemStoreConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T, opt storetest.Options) service.RunStore {
-		return service.NewMemStore(opt.MaxRecords, opt.OnEvict)
+		return service.NewMemStore(opt.MaxRecords, nil)
 	})
+}
+
+// TestMemStoreEvictHook pins the hot tier's eviction callback, through
+// which the daemon drops an evicted run's live telemetry: it sees the
+// record a same-hash put replaces, nothing for a same-id re-put, and
+// capacity evictions oldest-first.
+func TestMemStoreEvictHook(t *testing.T) {
+	var evicted []string
+	st := service.NewMemStore(3, func(rec service.Record) { evicted = append(evicted, rec.ID) })
+	put := func(rec service.Record) {
+		t.Helper()
+		if err := st.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first := storetest.SampleRecord(t, "upsert", 0)
+	put(first)
+	second := storetest.SampleRecord(t, "upsert", 5)
+	put(second)
+	if !reflect.DeepEqual(evicted, []string{first.ID}) {
+		t.Fatalf("replacing put: hook saw %v, want exactly the replaced record %s", evicted, first.ID)
+	}
+	second.CacheHits++
+	put(second)
+	if len(evicted) != 1 {
+		t.Fatalf("same-id re-put fired the hook: %v", evicted)
+	}
+
+	evicted = nil
+	for i := 0; i < 4; i++ {
+		put(storetest.SampleRecord(t, fmt.Sprintf("evict-%d", i), 10+i))
+	}
+	if want := []string{second.ID, "r000011"}; !reflect.DeepEqual(evicted, want) {
+		t.Errorf("capacity evictions: hook saw %v, want oldest-first %v", evicted, want)
+	}
 }
 
 // TestFSStoreConformance runs the same suite on the filesystem archive:
@@ -31,7 +69,6 @@ func fsFactory(t *testing.T, opt storetest.Options) service.RunStore {
 	st, err := service.OpenFSStore(t.TempDir(), service.FSOptions{
 		MaxRecords: opt.MaxRecords,
 		MaxAge:     opt.MaxAge,
-		OnEvict:    opt.OnEvict,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +84,7 @@ func TestFSStoreAgeExpiry(t *testing.T) {
 
 // TestFSStoreAgeSweepAtOpen pins the boot-time half of the age bound:
 // a reopened archive expires stale records before serving anything,
-// removes their files, and reports them to OnEvict.
+// and removes their files.
 func TestFSStoreAgeSweepAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	first, err := service.OpenFSStore(dir, service.FSOptions{})
@@ -66,16 +103,9 @@ func TestFSStoreAgeSweepAtOpen(t *testing.T) {
 	}
 	first.Close()
 
-	var evicted []string
-	second, err := service.OpenFSStore(dir, service.FSOptions{
-		MaxAge:  30 * 24 * time.Hour,
-		OnEvict: func(rec service.Record) { evicted = append(evicted, rec.ID) },
-	})
+	second, err := service.OpenFSStore(dir, service.FSOptions{MaxAge: 30 * 24 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(evicted) != 1 || evicted[0] != stale.ID {
-		t.Fatalf("open sweep evicted %v, want [%s]", evicted, stale.ID)
 	}
 	if _, ok, _ := second.Get(stale.ID); ok {
 		t.Error("stale record served after the open sweep")

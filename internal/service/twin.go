@@ -10,7 +10,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -286,11 +285,9 @@ func (s *Server) stopTwins(ctx context.Context) error {
 func (s *Server) handleTwins(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
 		var spec twin.Spec
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, &Error{Status: 400, Msg: fmt.Sprintf("service: decoding twin spec: %v", err)})
+		if err := decodeBody(w, r, "twin spec", &spec); err != nil {
+			writeErr(w, err)
 			return
 		}
 		v, err := s.StartTwinAs(requestTenant(r), spec)
@@ -357,7 +354,7 @@ func (s *Server) handleTwin(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if sub == "events" {
-			serveSSE(w, r, s.cfg.SSEKeepalive, func(ctx context.Context, emit func(Event) error) error {
+			serveSSE(w, r, s.sseKeepalive, func(ctx context.Context, emit func(Event) error) error {
 				return t.follow(ctx, emit)
 			})
 			return
@@ -378,11 +375,9 @@ func (s *Server) handleTwin(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTwinMutations(w http.ResponseWriter, r *http.Request, id string) {
 	switch r.Method {
 	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
 		var m twin.Mutation
-		if err := dec.Decode(&m); err != nil {
-			writeErr(w, &Error{Status: 400, Msg: fmt.Sprintf("service: decoding mutation: %v", err)})
+		if err := decodeBody(w, r, "mutation", &m); err != nil {
+			writeErr(w, err)
 			return
 		}
 		v, err := s.MutateTwinAs(requestTenant(r), id, m)

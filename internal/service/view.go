@@ -116,7 +116,10 @@ func viewFromRecord(rec Record, now time.Time, withReport, withSpec bool) RunVie
 		if end.IsZero() {
 			end = now
 		}
-		v.ElapsedMS = float64(end.Sub(rec.Started).Microseconds()) / 1000
+		// Wall readings on both ends: the hot tier's record keeps the
+		// monotonic clock, the archive's decoded one does not, and the
+		// two must render the same elapsed time.
+		v.ElapsedMS = float64(end.Round(0).Sub(rec.Started.Round(0)).Microseconds()) / 1000
 	}
 	if !rec.Finished.IsZero() {
 		t := rec.Finished

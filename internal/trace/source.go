@@ -35,8 +35,6 @@ type SWFSource struct {
 	CoresFrom, CoresTo int
 	// MaxJobs, when positive, truncates the stream after that many jobs.
 	MaxJobs int
-	// Keep, when set, drops jobs it returns false for.
-	Keep func(*job.Job) bool
 }
 
 // transforms wires the configured chain around a raw record stream.
@@ -56,9 +54,6 @@ func (s SWFSource) transforms(src Stream) Stream {
 	}
 	if (s.CoresFrom != 0 || s.CoresTo != 0) && s.CoresFrom != s.CoresTo {
 		src = ScaleCores(src, s.CoresFrom, s.CoresTo)
-	}
-	if s.Keep != nil {
-		src = Filter(src, s.Keep)
 	}
 	if s.MaxJobs > 0 {
 		src = Limit(src, s.MaxJobs)

@@ -136,21 +136,6 @@ func ScaleCores(src Stream, from, to int) Stream {
 	})
 }
 
-// Filter keeps the jobs for which keep returns true.
-func Filter(src Stream, keep func(*job.Job) bool) Stream {
-	return streamFunc(func() (*job.Job, error) {
-		for {
-			j, err := src.Next()
-			if err != nil || j == nil {
-				return nil, err
-			}
-			if keep(j) {
-				return j, nil
-			}
-		}
-	})
-}
-
 // Limit passes through at most n jobs.
 func Limit(src Stream, n int) Stream {
 	seen := 0

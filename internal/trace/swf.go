@@ -7,7 +7,7 @@
 // by four orders of magnitude.
 //
 // The package has two layers. The streaming layer — Scanner, Writer, and
-// the Stream transforms (Window, ScaleTime, ScaleCores, Filter, Limit) —
+// the Stream transforms (Window, ScaleTime, ScaleCores, Limit) —
 // reads, reshapes and writes arbitrarily large archive traces in bounded
 // memory; SWFSource bundles a file plus a transform chain into a workload
 // source replay scenarios can run directly. The slice layer (WriteSWF,

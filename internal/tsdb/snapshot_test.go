@@ -12,8 +12,12 @@ import (
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	st := New(smallOpts())
 	orig := st.Run("run1")
-	appendRamp(t, orig, "power", 11, 10) // odd count: level-1 cascade mid-batch
-	appendRamp(t, orig, "cap", 5, 10)
+	// Mid-batch at both cascades: one level-2 point, fanout+1 level-1
+	// points (one pending toward level 2) and fanout-1 raw points
+	// pending toward level 1.
+	n := fanout*fanout + 2*fanout - 1
+	appendRamp(t, orig, "power", n, 10)
+	appendRamp(t, orig, "cap", fanout+1, 10)
 
 	snap := orig.Snapshot()
 	// The snapshot must survive the same JSON round-trip the archive
@@ -34,7 +38,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	queries := []struct {
 		series string
 		res    int64
-	}{{"power", 0}, {"power", 20}, {"power", 40}, {"cap", 0}, {"cap", 20}}
+	}{{"power", 0}, {"power", 10 * fanout}, {"power", 10 * fanout * fanout}, {"cap", 0}, {"cap", 10 * fanout}}
 	for _, q := range queries {
 		wantPts, wantPer, wantErr := orig.Query(q.series, 0, 0, q.res)
 		gotPts, gotPer, gotErr := restored.Query(q.series, 0, 0, q.res)
@@ -52,7 +56,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 
 	// Continuing the cascade: the same appends to both runs must keep
 	// them identical — pending batches and watermarks restored exactly.
-	for i := 11; i < 16; i++ {
+	for i := n; i < 2*fanout*fanout; i++ {
 		if err := orig.Append("power", int64(i)*10, float64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +64,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, res := range []int64{0, 20, 40} {
+	for _, res := range []int64{0, 10 * fanout, 10 * fanout * fanout} {
 		wantPts, _, _ := orig.Query("power", 0, 0, res)
 		gotPts, _, _ := restored.Query("power", 0, 0, res)
 		if !reflect.DeepEqual(gotPts, wantPts) {

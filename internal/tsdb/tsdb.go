@@ -5,7 +5,7 @@
 //
 // Every run owns a set of named series ("power", "cap",
 // "pending_cores", ...). A series is a pyramid of levels: level 0 holds
-// the raw appended points in a fixed-capacity ring; every Fanout
+// the raw appended points in a fixed-capacity ring; every fanout
 // appends cascade one aggregated point (mean/min/max over the batch)
 // into the next level's ring, recursively. Memory per series is
 // therefore exactly Levels x PointsPerLevel points however long the run
@@ -26,15 +26,16 @@ import (
 	"sync"
 )
 
+// fanout is how many level-i points aggregate into one level-i+1
+// point.
+const fanout = 4
+
 // Options bound a store. The zero value picks the defaults.
 type Options struct {
 	// PointsPerLevel is each ring's capacity (default 512).
 	PointsPerLevel int
 	// Levels is the pyramid depth (default 4).
 	Levels int
-	// Fanout is how many level-i points aggregate into one level-i+1
-	// point (default 4).
-	Fanout int
 	// MaxSeriesPerRun caps the distinct series one run may create
 	// (default 128 — room for a ~30-cell sweep's four series per
 	// cell); appends beyond it are dropped with an error rather than
@@ -48,9 +49,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Levels <= 0 {
 		o.Levels = 4
-	}
-	if o.Fanout <= 1 {
-		o.Fanout = 4
 	}
 	if o.MaxSeriesPerRun <= 0 {
 		o.MaxSeriesPerRun = 128
@@ -180,13 +178,13 @@ func (r *Run) Append(name string, t int64, v float64) error {
 		return fmt.Errorf("tsdb: out-of-order append to %q: t=%d after t=%d", name, t, s.lastT)
 	}
 	s.lastT, s.any = t, true
-	s.cascade(0, Point{T: t, Mean: v, Min: v, Max: v, Count: 1}, r.opt.Fanout)
+	s.cascade(0, Point{T: t, Mean: v, Min: v, Max: v, Count: 1})
 	return nil
 }
 
 // cascade pushes p into level l and folds it into the level's pending
 // aggregate; every fanout-th point the aggregate moves one level up.
-func (s *series) cascade(l int, p Point, fanout int) {
+func (s *series) cascade(l int, p Point) {
 	s.levels[l].push(p)
 	if l == len(s.levels)-1 {
 		return
@@ -215,7 +213,7 @@ func (s *series) cascade(l int, p Point, fanout int) {
 	if agg.Count >= full {
 		up := *agg
 		*agg = Point{}
-		s.cascade(l+1, up, fanout)
+		s.cascade(l+1, up)
 	}
 }
 
@@ -286,7 +284,7 @@ func (r *Run) Query(name string, from, to int64, res int64) ([]Point, int, error
 				break
 			}
 			pick = l
-			spacing *= int64(r.opt.Fanout)
+			spacing *= fanout
 		}
 	}
 	// A short series may not have cascaded anything into the picked
@@ -322,7 +320,7 @@ func (r *Run) Query(name string, from, to int64, res int64) ([]Point, int, error
 	}
 	per := 1
 	for i := 0; i < pick; i++ {
-		per *= r.opt.Fanout
+		per *= fanout
 	}
 	return out, per, nil
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // small options keep the pyramids inspectable: 4 points per ring,
-// 3 levels, fanout 2.
+// 3 levels (of fanout 4).
 func smallOpts() Options {
-	return Options{PointsPerLevel: 4, Levels: 3, Fanout: 2, MaxSeriesPerRun: 3}
+	return Options{PointsPerLevel: 4, Levels: 3, MaxSeriesPerRun: 3}
 }
 
 func appendRamp(t *testing.T, r *Run, name string, n int, step int64) {
@@ -22,45 +22,33 @@ func appendRamp(t *testing.T, r *Run, name string, n int, step int64) {
 	}
 }
 
-// TestDownsampleGolden pins the exact pyramid of a ramp 0..7 at step 10:
-// level 1 points aggregate raw pairs, level 2 aggregates quadruples,
-// with mean/min/max computed over each batch.
+// TestDownsampleGolden pins the exact pyramid of a ramp 0..15 at step
+// 10: level 1 points aggregate raw quadruples, level 2 the whole
+// sixteen, with mean/min/max computed over each batch.
 func TestDownsampleGolden(t *testing.T) {
+	if fanout != 4 {
+		t.Fatalf("the golden pyramid is written for fanout 4, not %d", fanout)
+	}
 	st := New(smallOpts())
 	r := st.Run("run1")
-	appendRamp(t, r, "power", 8, 10)
+	appendRamp(t, r, "power", 16, 10)
 
-	// Level 0 ring holds the last 4 raw points (4..7).
-	got, per, err := r.Query("power", 40, 0, 0)
+	// Level 0 ring holds the last 4 raw points (12..15).
+	got, per, err := r.Query("power", 120, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Point{
-		{T: 40, Mean: 4, Min: 4, Max: 4, Count: 1},
-		{T: 50, Mean: 5, Min: 5, Max: 5, Count: 1},
-		{T: 60, Mean: 6, Min: 6, Max: 6, Count: 1},
-		{T: 70, Mean: 7, Min: 7, Max: 7, Count: 1},
+		{T: 120, Mean: 12, Min: 12, Max: 12, Count: 1},
+		{T: 130, Mean: 13, Min: 13, Max: 13, Count: 1},
+		{T: 140, Mean: 14, Min: 14, Max: 14, Count: 1},
+		{T: 150, Mean: 15, Min: 15, Max: 15, Count: 1},
 	}
 	if per != 1 || !reflect.DeepEqual(got, want) {
 		t.Errorf("level0 query = (%v, per=%d)\nwant %v", got, per, want)
 	}
 
-	// Level 1: pairs (0,1) (2,3) (4,5) (6,7).
-	got, per, err = r.Query("power", 0, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []Point{
-		{T: 0, Mean: 0.5, Min: 0, Max: 1, Count: 2},
-		{T: 20, Mean: 2.5, Min: 2, Max: 3, Count: 2},
-		{T: 40, Mean: 4.5, Min: 4, Max: 5, Count: 2},
-		{T: 60, Mean: 6.5, Min: 6, Max: 7, Count: 2},
-	}
-	if per != 2 || !reflect.DeepEqual(got, want) {
-		t.Errorf("level1 query = (%v, per=%d)\nwant %v", got, per, want)
-	}
-
-	// Level 2: quadruples (0..3) (4..7).
+	// Level 1: quadruples (0..3) (4..7) (8..11) (12..15).
 	got, per, err = r.Query("power", 0, 0, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +56,22 @@ func TestDownsampleGolden(t *testing.T) {
 	want = []Point{
 		{T: 0, Mean: 1.5, Min: 0, Max: 3, Count: 4},
 		{T: 40, Mean: 5.5, Min: 4, Max: 7, Count: 4},
+		{T: 80, Mean: 9.5, Min: 8, Max: 11, Count: 4},
+		{T: 120, Mean: 13.5, Min: 12, Max: 15, Count: 4},
 	}
-	if per != 4 || !reflect.DeepEqual(got, want) {
+	if per != fanout || !reflect.DeepEqual(got, want) {
+		t.Errorf("level1 query = (%v, per=%d)\nwant %v", got, per, want)
+	}
+
+	// Level 2: all sixteen (0..15).
+	got, per, err = r.Query("power", 0, 0, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []Point{
+		{T: 0, Mean: 7.5, Min: 0, Max: 15, Count: 16},
+	}
+	if per != fanout*fanout || !reflect.DeepEqual(got, want) {
 		t.Errorf("level2 query = (%v, per=%d)\nwant %v", got, per, want)
 	}
 }
@@ -80,9 +82,11 @@ func TestDownsampleGolden(t *testing.T) {
 func TestQueryFallsBackToCoarserLevel(t *testing.T) {
 	st := New(smallOpts())
 	r := st.Run("run1")
-	appendRamp(t, r, "power", 16, 10)
+	// Four full level-2 batches: level 0 retains the last 4 raw points
+	// and level 1 the last 4 quadruples, so t=0 survives only at
+	// level 2.
+	appendRamp(t, r, "power", 4*fanout*fanout, 10)
 
-	// Level 0 retains t in [120, 150]; t=0 survives only at level 2.
 	got, per, err := r.Query("power", 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +94,8 @@ func TestQueryFallsBackToCoarserLevel(t *testing.T) {
 	if len(got) == 0 || got[0].T != 0 {
 		t.Fatalf("fallback query = %v, want coverage from t=0", got)
 	}
-	if per != 4 {
-		t.Errorf("fallback picked raw_per_point=%d, want 4 (level 2)", per)
+	if per != fanout*fanout {
+		t.Errorf("fallback picked raw_per_point=%d, want %d (level 2)", per, fanout*fanout)
 	}
 }
 

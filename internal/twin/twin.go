@@ -253,17 +253,14 @@ type Config struct {
 	// Sink receives telemetry points at every epoch boundary; nil
 	// discards them.
 	Sink Sink
-	// Observe sees every member controller as it is assembled (initial
-	// members before any virtual time passes, added members before
-	// their catch-up) — where an invariant checker attaches.
-	Observe func(name string, ctl *rjms.Controller)
 	// OnEpoch runs after every boundary with the fresh status.
 	OnEpoch func(st Status)
 	// OnApplied runs after every mutation application.
 	OnApplied func(a Applied)
-	// Sleep replaces the pacing sleep (tests); nil uses a real timer.
-	// It must honor ctx cancellation when d is long.
-	Sleep func(ctx context.Context, d time.Duration)
+	// observe sees every member controller as it is assembled (initial
+	// members before any virtual time passes, added members before
+	// their catch-up) — where the tests attach an invariant checker.
+	observe func(name string, ctl *rjms.Controller)
 }
 
 // MemberStatus is one member's slice of the status snapshot.
@@ -348,8 +345,8 @@ func New(spec Spec, cfg Config) (*Session, error) {
 		fs.Members = append(fs.Members, sc)
 	}
 	var observe federation.Observer
-	if cfg.Observe != nil {
-		observe = func(_ int, name string, ctl *rjms.Controller) { cfg.Observe(name, ctl) }
+	if cfg.observe != nil {
+		observe = func(_ int, name string, ctl *rjms.Controller) { cfg.observe(name, ctl) }
 	}
 	fleet, err := federation.NewFleet(fs, observe)
 	if err != nil {
@@ -453,10 +450,6 @@ func (s *Session) pace(ctx context.Context, epoch int64) error {
 	d := time.Duration(float64(epoch) / s.spec.RealTimeRatio * float64(time.Second))
 	if d <= 0 {
 		return nil
-	}
-	if s.cfg.Sleep != nil {
-		s.cfg.Sleep(ctx, d)
-		return ctx.Err()
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()

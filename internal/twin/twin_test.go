@@ -235,7 +235,7 @@ func TestFailureKeepsInvariants(t *testing.T) {
 	store := tsdb.New(tsdb.Options{})
 	s, err := New(spec, Config{
 		Sink: store.Run("inv"),
-		Observe: func(name string, ctl *rjms.Controller) {
+		observe: func(name string, ctl *rjms.Controller) {
 			checkers[name] = invariant.Attach(ctl, name)
 		},
 	})
