@@ -365,6 +365,41 @@ func BenchmarkOnlineSelectFreq(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectFreqRefused is the federation case of Algorithm 2: a
+// DVFS launch onto 64 partly used Curie nodes (half of them busy at
+// 1.2 GHz, so the frequency uplift counts) and 8 idle ones, under an
+// active cap with no headroom, so the draw check refuses every rung.
+// The bracketed search settles it in two draw checks — top, then bottom
+// — where a walk made one per rung.
+func BenchmarkSelectFreqRefused(b *testing.B) {
+	c := cluster.NewCurie()
+	pm := core.CuriePolicyModel(core.PolicyDvfs)
+	nodes := make([]cluster.NodeID, 64)
+	for i := range nodes {
+		nodes[i] = cluster.NodeID(i)
+		f := dvfs.F2700
+		if i%2 == 0 {
+			f = dvfs.F1200
+		}
+		if err := c.Occupy(nodes[i], 1, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const idle = 8
+	budget := power.CapWatts(c.Power())
+	draw := func(f dvfs.Freq) bool {
+		return budget.Allows(c.Power() + c.OccupyDelta(nodes, f) + c.IdleOccupyDelta(idle, f))
+	}
+	ahead := func(dvfs.Freq) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := core.SelectFreq(pm, draw, ahead); ok {
+			b.Fatal("a launch with no headroom was admitted")
+		}
+	}
+}
+
 func BenchmarkAllocateFullCurie(b *testing.B) {
 	c := cluster.NewCurie()
 	b.ResetTimer()

@@ -496,6 +496,11 @@ func (c *Cluster) IdlePower() power.Watts {
 // rejected by Occupy later, but contribute busy(f)-down here so callers
 // probing them see the true cost of powering on. All three are busy(f)
 // minus the node's cached draw.
+//
+// The delta is ≥ 0 and nondecreasing along the ladder: every term is,
+// and float sums of nondecreasing terms in a fixed order are. Algorithm
+// 2's draw check relies on it to search the ladder instead of walking it
+// (core.SelectFreq); TestOccupyDeltaMonotoneInFreq pins it.
 func (c *Cluster) OccupyDelta(ids []NodeID, f dvfs.Freq) power.Watts {
 	if f == 0 {
 		f = c.profile.Nominal()
@@ -518,6 +523,7 @@ func (c *Cluster) OccupyDelta(ids []NodeID, f dvfs.Freq) power.Watts {
 // OccupyDelta of the probe's other nodes it gives exactly the node-by-
 // node sum as long as the profile's draws are whole watts (every partial
 // sum is an integer); power.TestCurieProfileIntegralWatts pins that.
+// Like OccupyDelta it is ≥ 0 and nondecreasing along the ladder.
 func (c *Cluster) IdleOccupyDelta(n int, f dvfs.Freq) power.Watts {
 	return power.Watts(float64(n) * (float64(c.profile.Busy(f)) - float64(c.profile.Idle())))
 }

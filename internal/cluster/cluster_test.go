@@ -856,3 +856,80 @@ func TestSurvivorDrawMatchesScan(t *testing.T) {
 		check("everything released")
 	}
 }
+
+// randomProfile draws a profile NewProfile accepts, with fractional
+// watts and repeated draws between neighbouring rungs.
+func randomProfile(t *testing.T, rng *rand.Rand) *power.Profile {
+	t.Helper()
+	down := power.Watts(rng.Float64() * 40)
+	idle := down + power.Watts(rng.Float64()*150)
+	freqW := map[dvfs.Freq]power.Watts{}
+	f, w := dvfs.Freq(1000+rng.Intn(500)), idle
+	for rungs := 1 + rng.Intn(12); len(freqW) < rungs; {
+		if rng.Intn(4) > 0 {
+			w += power.Watts(rng.Float64() * 60)
+		}
+		freqW[f] = w
+		f += dvfs.Freq(1 + rng.Intn(300))
+	}
+	prof, err := power.NewProfile(down, idle, freqW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prof
+}
+
+// TestOccupyDeltaMonotoneInFreq pins the contract core.SelectFreq's
+// bracketed search relies on for Algorithm 2's draw check: on any
+// cluster state — busy nodes at mixed rungs, idle nodes, off nodes —
+// OccupyDelta(nodes, f) and IdleOccupyDelta(n, f) are ≥ 0 and
+// nondecreasing along the ladder, on the Curie profile and on random
+// profiles.
+func TestOccupyDeltaMonotoneInFreq(t *testing.T) {
+	rng := rand.New(rand.NewSource(20150525))
+	topo := Topology{Racks: 2, ChassisPerRack: 2, NodesPerChassis: 5, CoresPerNode: 4}
+	profiles := []*power.Profile{power.CurieProfile()}
+	for len(profiles) < 6 {
+		profiles = append(profiles, randomProfile(t, rng))
+	}
+	for pi, prof := range profiles {
+		ladder := prof.Ladder()
+		for trial := 0; trial < 40; trial++ {
+			c, err := New(topo, prof, CurieOverhead())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := NodeID(0); int(id) < c.Nodes(); id++ {
+				switch rng.Intn(3) {
+				case 0:
+					err = c.PowerOff(id)
+				case 1:
+					for k := rng.Intn(3); k >= 0 && err == nil; k-- {
+						err = c.Occupy(id, 1, ladder[rng.Intn(len(ladder))])
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for probe := 0; probe < 8; probe++ {
+				var ids []NodeID
+				for id := NodeID(0); int(id) < c.Nodes(); id++ {
+					if rng.Intn(3) == 0 {
+						ids = append(ids, id)
+					}
+				}
+				n := rng.Intn(c.Nodes() + 1)
+				prevOD, prevIOD := power.Watts(0), power.Watts(0)
+				for _, f := range ladder {
+					od, iod := c.OccupyDelta(ids, f), c.IdleOccupyDelta(n, f)
+					if od < prevOD || iod < prevIOD {
+						t.Fatalf("profile %d, nodes %v, %d idle: at %v OccupyDelta %v, IdleOccupyDelta %v, below zero or the rung under it (%v, %v)",
+							pi, ids, n, f, od, iod, prevOD, prevIOD)
+					}
+					prevOD, prevIOD = od, iod
+				}
+			}
+		}
+	}
+}

@@ -90,17 +90,19 @@ type Controller struct {
 	blockedBuf cluster.NodeSet    // union of several blocking switch-off groups
 
 	// Pre-bound closures with their parameter fields. plan() runs up to
-	// BackfillDepth times per event; a literal admit closure there would
-	// escape to the heap on every probe, so it is built once in New and
-	// reads the plan* fields the current probe sets: the nodes the launch
-	// would take, the idle ones among them (planIdle) as a count only.
-	planNow    int64
-	planJob    *job.Job
-	planCapNow power.Cap
-	planNodes  []cluster.NodeID
-	planIdle   int
-	admitFn    func(dvfs.Freq) bool
-	passFn     simengine.Handler
+	// BackfillDepth times per event; literal admit closures there would
+	// escape to the heap on every probe, so they are built once in New
+	// and read the plan* fields the current probe sets: the nodes the
+	// launch would take, the idle ones among them (planIdle) as a count
+	// only.
+	planNow      int64
+	planJob      *job.Job
+	planCapNow   power.Cap
+	planNodes    []cluster.NodeID
+	planIdle     int
+	admitDrawFn  func(dvfs.Freq) bool
+	admitAheadFn func(dvfs.Freq) bool
+	passFn       simengine.Handler
 }
 
 // New builds a controller at virtual time 0.
@@ -135,7 +137,7 @@ func New(cfg Config) (*Controller, error) {
 		c.measured.push(clus.Power())
 	}
 	c.rec = metrics.NewRecorder(0, clus.Power(), 0)
-	c.admitFn = c.admit
+	c.admitDrawFn, c.admitAheadFn = c.admitDraw, c.admitAhead
 	c.passFn = func(t int64) {
 		c.passQueued = false
 		c.pass(t)

@@ -78,28 +78,39 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 	c.planNow = now
 	c.planJob = j
 	c.planCapNow = c.book.CapAt(now)
-	f, ok := core.SelectFreq(c.pm, c.admitFn)
+	f, ok := core.SelectFreq(c.pm, c.admitDrawFn, c.admitAheadFn)
 	if !ok {
 		return planned{}, false, false
 	}
 	return planned{nodes: len(c.planNodes) + c.planIdle, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
 }
 
-// admit is Algorithm 2's launch check, at frequency f, for the probe the
-// plan* fields describe; New binds it once as admitFn.
-func (c *Controller) admit(f dvfs.Freq) bool {
-	now, j := c.planNow, c.planJob
-	end := now + j.ScaledWalltime(c.pm.Deg, f)
-	// Active cap: checked against the observed draw (Algorithm 2;
-	// exact bookkeeping, or the guarded measurement estimate).
-	if c.planCapNow.IsSet() && !c.planCapNow.Allows(c.observedPower()+
-		c.clus.OccupyDelta(c.planNodes, f)+c.clus.IdleOccupyDelta(c.planIdle, f)) {
-		return false
+// admitDraw and admitAhead are Algorithm 2's launch check, at frequency
+// f, for the probe the plan* fields describe; New binds them once as
+// admitDrawFn and admitAheadFn.
+//
+// admitDraw checks the active cap against the observed draw (exact
+// bookkeeping, or the guarded measurement estimate) plus the launch's
+// occupation delta. Both deltas are nondecreasing in f, so the check is
+// monotone, as core.SelectFreq requires. The idle nodes' share alone
+// refuses most probes once a cap binds; every OccupyDelta term is ≥ 0
+// and float addition is monotone, so (P+OD)+IOD ≥ P+IOD, and refusing on
+// P+IOD before walking planNodes refuses exactly what the full sum does.
+func (c *Controller) admitDraw(f dvfs.Freq) bool {
+	if !c.planCapNow.IsSet() {
+		return true
 	}
-	// A future window the job's walltime crosses caps the launch
-	// frequency. Jobs still launch — the paper's Figure 6 shows the
-	// system "preparing itself" by running at 2.0 GHz ahead of the
-	// reservation, not by idling.
+	p, idle := c.observedPower(), c.clus.IdleOccupyDelta(c.planIdle, f)
+	return c.planCapNow.Allows(p+idle) && c.planCapNow.Allows(p+c.clus.OccupyDelta(c.planNodes, f)+idle)
+}
+
+// admitAhead checks the future windows the job's walltime at f crosses:
+// they cap the launch frequency. Jobs still launch — the paper's Figure 6
+// shows the system "preparing itself" by running at 2.0 GHz ahead of the
+// reservation, not by idling.
+func (c *Controller) admitAhead(f dvfs.Freq) bool {
+	now := c.planNow
+	end := now + c.planJob.ScaledWalltime(c.pm.Deg, f)
 	fut := c.book.MinFutureCapOver(now, end, c.cfg.PlanningHorizonSec)
 	return !fut.IsSet() || c.fitsFutureCap(f, fut)
 }
