@@ -400,11 +400,21 @@ func BenchmarkSelectFreqRefused(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocateFullCurie materialises a 512-core allocation on an
+// idle Curie, as a commit does: off the standing first-fit frontier into
+// a reused buffer.
 func BenchmarkAllocateFullCurie(b *testing.B) {
 	c := cluster.NewCurie()
+	var (
+		frontiers sched.Frontiers
+		dst       []job.Alloc
+	)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, found := sched.AllocateInto(nil, c, 512, nil, nil); !found {
+		allocs, found := frontiers.For(c, nil).Take(512, dst)
+		dst = allocs[:0]
+		if !found {
 			b.Fatal("allocation failed")
 		}
 	}
@@ -451,21 +461,23 @@ var blockedCurieRequests = []struct {
 
 // BenchmarkAllocateBlockedCurie materialises an allocation on
 // blockedCurie, as a commit does: eligibility decided once
-// (Book.BlockedSet), first fit into a reused buffer. Its cost grows with
-// the nodes the request spans.
+// (Book.BlockedSet), then the standing first-fit frontier takes the
+// nodes into a reused buffer. Its cost grows with the nodes the request
+// spans.
 func BenchmarkAllocateBlockedCurie(b *testing.B) {
 	c, book := blockedCurie(b)
 	const now, wall, lead = 0, 86400, 1800
 	var (
-		dst     []job.Alloc
-		scratch cluster.NodeSet
+		frontiers sched.Frontiers
+		dst       []job.Alloc
+		scratch   cluster.NodeSet
 	)
 	for _, req := range blockedCurieRequests {
 		b.Run(fmt.Sprintf("cores%d", req.cores), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blocked := book.BlockedSet(now, now+wall, lead, &scratch)
-				allocs, found := sched.AllocateInto(dst, c, req.cores, blocked, c.ReservedSet())
+				allocs, found := frontiers.For(c, blocked).Take(req.cores, dst)
 				dst = allocs[:0]
 				if found != req.fits {
 					b.Fatalf("%d cores: found = %v", req.cores, found)

@@ -26,10 +26,9 @@ type Controller struct {
 	book *reservation.Book
 	rec  *metrics.Recorder
 
-	pending   []*job.Job
-	running   map[job.ID]*job.Job
-	nodeJobs  [][]nodeJobEntry    // per-node running jobs and their frequencies (SoA, swap-removal)
-	runStates map[job.ID]runState // progress accounting for dynamic DVFS (value map, no per-job alloc)
+	pending  []*job.Job
+	running  map[job.ID]runState // the running jobs and their progress (value map, no per-job alloc)
+	nodeJobs [][]nodeJobEntry    // per-node running jobs and their frequencies (SoA, swap-removal)
 
 	// allocFree recycles the Allocs slices of finished jobs: bucket k
 	// holds slices with room for at least 1<<k entries. A start takes one
@@ -126,8 +125,7 @@ func New(cfg Config) (*Controller, error) {
 		clus:       clus,
 		eng:        simengine.New(0),
 		book:       reservation.NewBook(),
-		running:    map[job.ID]*job.Job{},
-		runStates:  map[job.ID]runState{},
+		running:    map[job.ID]runState{},
 		nodeJobs:   make([][]nodeJobEntry, cfg.Topology.Nodes()),
 		offPending: cluster.NewNodeSet(cfg.Topology.Nodes()),
 		failed:     cluster.NewNodeSet(cfg.Topology.Nodes()),

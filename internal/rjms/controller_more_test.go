@@ -366,7 +366,7 @@ func TestCompactPlacementReducesChassisSpan(t *testing.T) {
 		if _, err := c.Run(100); err != nil {
 			t.Fatal(err)
 		}
-		wide := c.running[99]
+		wide := c.running[99].j
 		if wide == nil || wide.State != job.StateRunning {
 			t.Fatal("wide job not running")
 		}

@@ -25,8 +25,10 @@ import (
 // degradation factor of the frequency it ran at, and its completion
 // event is rescheduled accordingly.
 
-// runState tracks one running job's progress for re-clocking.
+// runState is one running job, its completion event and its progress
+// for re-clocking.
 type runState struct {
+	j                *job.Job
 	endEv            simengine.EventID
 	remainingNominal float64 // nominal-frequency seconds of work left at freqSince
 	freqSince        int64   // when the current frequency took effect
@@ -43,7 +45,7 @@ type nodeJobEntry struct {
 // reclock moves a running job to frequency f at time now, updating the
 // job's nodes, its remaining-work accounting and its completion event.
 func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
-	rs, ok := c.runStates[j.ID]
+	rs, ok := c.running[j.ID]
 	if !ok || j.State != job.StateRunning || f == j.Freq {
 		return
 	}
@@ -88,7 +90,7 @@ func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
 		panic(fmt.Sprintf("rjms: reclock end scheduling for job %d: %v", j.ID, err))
 	}
 	rs.endEv = ev
-	c.runStates[j.ID] = rs
+	c.running[j.ID] = rs
 	c.rec.NoteRescale()
 	c.noteState(now)
 }
@@ -97,8 +99,8 @@ func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
 // by less.
 func (c *Controller) sortedRunning(less func(a, b *job.Job) bool) []*job.Job {
 	out := make([]*job.Job, 0, len(c.running))
-	for _, j := range c.running {
-		out = append(out, j)
+	for _, rs := range c.running {
+		out = append(out, rs.j)
 	}
 	sort.Slice(out, func(i, k int) bool { return less(out[i], out[k]) })
 	return out

@@ -33,8 +33,8 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 	// swap-removal order the list happens to be in.
 	victims := make([]*job.Job, 0, len(c.nodeJobs[id]))
 	for _, e := range c.nodeJobs[id] {
-		if j, ok := c.running[e.id]; ok {
-			victims = append(victims, j)
+		if rs, ok := c.running[e.id]; ok {
+			victims = append(victims, rs.j)
 		}
 	}
 	sort.Slice(victims, func(i, k int) bool { return victims[i].ID < victims[k].ID })

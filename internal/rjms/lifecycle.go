@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dvfs"
 	"repro/internal/job"
-	"repro/internal/sched"
 )
 
 // takeAllocs returns an empty slice with room for n entries, off the
@@ -31,16 +30,16 @@ func (c *Controller) recycleAllocs(j *job.Job) {
 	j.Allocs = nil
 }
 
-// commit starts j as planned. This is the one place an allocation is
-// built, straight into a slice the job owns until it finishes; it must
-// come out as the probe counted it and occupy cleanly — anything else is
-// a bug.
+// commit starts j as planned. The placement is the probe's: a first-fit
+// allocation is taken off the frontier the probe read, straight into a
+// slice the job owns until it finishes, and a compact one is kept as the
+// probe built it. It must span the nodes the probe counted and occupy
+// cleanly — anything else is a bug.
 func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	c.statStarts++
-	if blocked := c.blockedFor(j, now); c.compactPlacement() {
-		j.Allocs = sched.AllocateCompact(c.clus, j.Cores, blocked)
-	} else {
-		j.Allocs, _ = sched.AllocateInto(c.takeAllocs(pl.nodes), c.clus, j.Cores, blocked, c.clus.ReservedSet())
+	j.Allocs = pl.compact
+	if pl.frontier != nil {
+		j.Allocs, _ = pl.frontier.Take(j.Cores, c.takeAllocs(pl.nodes))
 	}
 	if len(j.Allocs) != pl.nodes {
 		panic(fmt.Sprintf("rjms: job %d probed onto %d nodes, allocated on %d", j.ID, pl.nodes, len(j.Allocs)))
@@ -54,7 +53,6 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	j.State = job.StateRunning
 	j.Freq = pl.freq
 	j.StartTime = now
-	c.running[j.ID] = j
 	c.viewInsert(c.viewKey(j))
 	c.rec.NoteLaunch(pl.freq, now-j.Submit)
 
@@ -63,7 +61,7 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	if err != nil {
 		panic(fmt.Sprintf("rjms: end scheduling for job %d: %v", j.ID, err))
 	}
-	c.runStates[j.ID] = runState{endEv: ev, remainingNominal: float64(j.Runtime), freqSince: now}
+	c.running[j.ID] = runState{j: j, endEv: ev, remainingNominal: float64(j.Runtime), freqSince: now}
 	c.noteState(now)
 }
 
@@ -105,11 +103,10 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 		j.State = job.StateCompleted
 	}
 	j.EndTime = now
-	if rs, ok := c.runStates[j.ID]; ok {
+	if rs, ok := c.running[j.ID]; ok {
 		c.eng.Cancel(rs.endEv)
-		delete(c.runStates, j.ID)
+		delete(c.running, j.ID)
 	}
-	delete(c.running, j.ID)
 	c.rec.NoteCompletion(killed)
 	if !killed {
 		c.rec.NoteJobDone(j.StartTime-j.Submit, now-j.StartTime)

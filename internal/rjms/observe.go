@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -67,12 +66,7 @@ func (c *Controller) PendingCores() int {
 func (c *Controller) SnapshotJobs() []*job.Job {
 	out := make([]*job.Job, 0, len(c.pending)+len(c.running))
 	out = append(out, c.pending...)
-	run := make([]*job.Job, 0, len(c.running))
-	for _, j := range c.running {
-		run = append(run, j)
-	}
-	sort.Slice(run, func(i, k int) bool { return run[i].ID < run[k].ID })
-	return append(out, run...)
+	return append(out, c.sortedRunning(func(a, b *job.Job) bool { return a.ID < b.ID })...)
 }
 
 // AddObserver registers fn to run after every metrics sample is

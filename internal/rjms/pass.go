@@ -14,12 +14,15 @@ import (
 )
 
 // planned is a successful probe: the frequency Algorithm 2 settled on,
-// the walltime at it, and how many nodes the allocation spans. The
-// allocation itself does not exist yet — commit builds it.
+// the walltime at it, how many nodes the allocation spans, and where it
+// lies — the first-fit frontier the probe read (commit takes from it), or
+// the allocation compact placement already built.
 type planned struct {
-	nodes int
-	freq  dvfs.Freq
-	wall  int64
+	nodes    int
+	freq     dvfs.Freq
+	wall     int64
+	frontier *sched.Frontier
+	compact  []job.Alloc
 }
 
 // freeCoresUpperBound is the quick-reject bound: cores not allocated and
@@ -39,12 +42,6 @@ func (c *Controller) blockedFor(j *job.Job, now int64) cluster.NodeSet {
 	return c.book.BlockedSet(now, now+wallMax, c.cfg.ReservationLeadSec, &c.blockedBuf)
 }
 
-// compactPlacement reports whether placements come from the chassis-
-// greedy allocator instead of first fit; probe and commit must agree.
-func (c *Controller) compactPlacement() bool {
-	return c.cfg.Compact && c.clus.ReservedCount() == 0
-}
-
 // plan finds a placement and a frequency for a job; ok is false when
 // there is none. allocFail reports that the failure happened while
 // finding cores (as opposed to the power check) — the scheduling pass
@@ -54,7 +51,8 @@ func (c *Controller) compactPlacement() bool {
 // the partly used nodes the launch would take plus a count of idle ones,
 // which is all Algorithm 2 needs to price it — most successful probes are
 // then refused by the pass's shadow check. Compact placement has no such
-// summary (its order depends on per-chassis totals) and keeps walking.
+// summary (its order depends on per-chassis totals): it builds the
+// allocation here, and a commit keeps it.
 func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool) {
 	c.statProbes++
 	if j.Cores > c.freeCoresUpperBound() {
@@ -62,15 +60,17 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 	}
 	blocked := c.blockedFor(j, now)
 	var found bool
-	if c.compactPlacement() {
+	if c.cfg.Compact && c.clus.ReservedCount() == 0 { // chassis-greedy, unless nodes are reserved
+		pl.compact = sched.AllocateCompact(c.clus, j.Cores, blocked)
 		nodes := c.nodeBuf[:0]
-		for _, a := range sched.AllocateCompact(c.clus, j.Cores, blocked) {
+		for _, a := range pl.compact {
 			nodes = append(nodes, a.Node)
 		}
 		c.nodeBuf = nodes[:0] // same backing array; only alive within this call
 		c.planNodes, c.planIdle, found = nodes, 0, len(nodes) > 0
 	} else {
-		c.planNodes, c.planIdle, found = c.frontiers.For(c.clus, blocked).Fit(j.Cores)
+		pl.frontier = c.frontiers.For(c.clus, blocked)
+		c.planNodes, c.planIdle, found = pl.frontier.Fit(j.Cores)
 	}
 	if !found {
 		return planned{}, false, true
@@ -82,7 +82,8 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 	if !ok {
 		return planned{}, false, false
 	}
-	return planned{nodes: len(c.planNodes) + c.planIdle, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
+	pl.nodes, pl.freq, pl.wall = len(c.planNodes)+c.planIdle, f, j.ScaledWalltime(c.pm.Deg, f)
+	return pl, true, false
 }
 
 // admitDraw and admitAhead are Algorithm 2's launch check, at frequency
@@ -250,7 +251,8 @@ func (c *Controller) pass(now int64) {
 	minPowerFail := math.MaxInt
 
 	// Nothing may change the cluster between a successful tryPlan and the
-	// commit that consumes it: commit re-derives the allocation pl counted.
+	// commit that consumes it: commit takes the allocation pl counted off
+	// the frontier pl read, which stands only while the cluster does.
 	tryPlan := func(j *job.Job) (planned, bool) {
 		if j.Cores >= minAllocFail || j.Cores >= minPowerFail {
 			return planned{}, false

@@ -37,13 +37,13 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	if err := c.Advance(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.running) != 2 || c.running[1] == nil || c.running[4] == nil {
+	if len(c.running) != 2 || c.running[1].j == nil || c.running[4].j == nil {
 		t.Fatalf("running = %v, want jobs 1 and 4", c.running)
 	}
 	check := func(when string, want map[job.ID][]job.Alloc) {
 		t.Helper()
 		for id, allocs := range want {
-			got := c.running[id].Allocs
+			got := c.running[id].j.Allocs
 			if !reflect.DeepEqual(got, allocs) {
 				t.Errorf("%s: job %d allocs = %v, want %v", when, id, got, allocs)
 			}
@@ -61,21 +61,21 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	c.memo = passMemo{}
 	c.pass(0)
 	check("after later probes", started)
-	if a, b := c.running[1].Allocs, c.running[4].Allocs; &a[0] == &b[0] {
+	if a, b := c.running[1].j.Allocs, c.running[4].j.Allocs; &a[0] == &b[0] {
 		t.Error("two started jobs share one allocation array")
 	}
 
 	// Job 4 ends at t=20; job 6 arrives at t=30 and takes over its node —
 	// and its slice.
-	freed := &c.running[4].Allocs[0]
+	freed := &c.running[4].j.Allocs[0]
 	if err := c.Advance(30); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.running) != 2 || c.running[6] == nil {
+	if len(c.running) != 2 || c.running[6].j == nil {
 		t.Fatalf("running = %v, want jobs 1 and 6", c.running)
 	}
 	check("after a finish and a later start", map[job.ID][]job.Alloc{1: head, 6: {{Node: 3, Cores: 4}}})
-	if &c.running[6].Allocs[0] != freed {
+	if &c.running[6].j.Allocs[0] != freed {
 		t.Error("the later start did not reuse the slice the finished job gave back")
 	}
 }
@@ -185,8 +185,8 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 			}
 			seen := map[*job.Alloc]job.ID{}
 			perNode := make([]int, topo.Nodes())
-			for id, j := range c.running {
-				p := &j.Allocs[0]
+			for id, rs := range c.running {
+				p := &rs.j.Allocs[0]
 				if other, dup := seen[p]; dup {
 					t.Errorf("t=%d: running jobs %d and %d share one allocation array", now, id, other)
 				}
@@ -195,7 +195,7 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 					reused++
 				}
 				owner[p] = id
-				for _, a := range j.Allocs {
+				for _, a := range rs.j.Allocs {
 					perNode[a.Node] += a.Cores
 				}
 			}

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,10 +11,10 @@ import (
 	"repro/internal/power"
 )
 
-// allocateRef is the per-node-predicate allocator AllocateInto replaced,
-// kept as the oracle: it asks eligible and prefer about every node of a
-// full scan, class by class (preferred busy-partial, preferred idle,
-// other busy-partial, other idle), ascending ID inside each.
+// allocateRef is first fit written node by node, the oracle Frontier's
+// Fit and Take are held to: it asks eligible and prefer about every node
+// of a full scan, class by class (preferred busy-partial, preferred
+// idle, other busy-partial, other idle), ascending ID inside each.
 func allocateRef(c *cluster.Cluster, cores int, eligible, prefer func(cluster.NodeID) bool) ([]job.Alloc, bool) {
 	if cores <= 0 {
 		return nil, false
@@ -117,7 +116,7 @@ func randomFilter(rng *rand.Rand, nodes int) cluster.NodeSet {
 	}
 }
 
-func TestAllocateIntoMatchesPerNodeReference(t *testing.T) {
+func TestFrontierTakeMatchesPerNodeReference(t *testing.T) {
 	for _, topo := range diffTopologies {
 		topo := topo
 		t.Run(fmt.Sprintf("%dnodes", topo.Nodes()), func(t *testing.T) {
@@ -126,34 +125,16 @@ func TestAllocateIntoMatchesPerNodeReference(t *testing.T) {
 			if topo.Nodes() > 1000 {
 				rounds = 12
 			}
-			var dst []job.Alloc
 			for round := 0; round < rounds; round++ {
 				c := randomCluster(t, rng, topo)
 				blocked, prefer := randomFilter(rng, topo.Nodes()), randomFilter(rng, topo.Nodes())
-				var eligibleFn, preferFn func(cluster.NodeID) bool
-				if blocked != nil {
-					eligibleFn = func(id cluster.NodeID) bool { return !blocked.Has(id) }
-				}
-				if prefer != nil {
-					preferFn = prefer.Has
-				}
 				requests := []int{1, topo.CoresPerNode, topo.CoresPerNode + 1, topo.Cores() / 7, topo.Cores(), topo.Cores() + 1}
 				for i := 0; i < 6; i++ {
 					requests = append(requests, 1+rng.Intn(topo.Cores()))
 				}
-				for _, cores := range requests {
-					want, wantFound := allocateRef(c, cores, eligibleFn, preferFn)
-					var got []job.Alloc
-					var found bool
-					got, found = AllocateInto(dst, c, cores, blocked, prefer)
-					dst = got[:0]
-					if found != wantFound {
-						t.Fatalf("round %d cores %d: found = %v, reference %v", round, cores, found, wantFound)
-					}
-					if found && !reflect.DeepEqual(append([]job.Alloc(nil), got...), want) {
-						t.Fatalf("round %d cores %d: allocation differs\n got  %v\n want %v", round, cores, got, want)
-					}
-				}
+				var fr Frontier
+				fr.build(c, blocked, prefer)
+				checkFrontier(t, c, &fr, blocked, prefer, requests)
 			}
 		})
 	}

@@ -8,7 +8,7 @@
 // The package holds no state of its own — everything operates on the
 // caller's cluster and job slices — so it is safe for the parallel
 // sweeps of internal/experiment, where each worker drives its own
-// controller. The scratch-reusing forms (Frontiers, AllocateInto,
+// controller. The scratch-reusing forms (Frontiers, Frontier.Take,
 // ShadowTimeSorted) exist for the controller's hot scheduling pass: they
 // let one event loop reuse its buffers instead of allocating per probe.
 package sched

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/job"
 )
 
 // Frontier is everything first fit can take from one cluster state under
@@ -12,13 +13,22 @@ import (
 // the eligible partly used nodes with their free cores, and the eligible
 // idle nodes as a count, once for the preferred class and once for the
 // rest. A scheduling pass probes many jobs against one state and starts
-// few; only a start needs the allocation itself (AllocateInto). Frontiers
-// are obtained from Frontiers.For.
+// few; only a start needs the allocation itself (Take). Frontiers are
+// obtained from Frontiers.For.
+//
+// First fit packs partly used nodes before idle ones (the paper: jobs
+// "filling partially used nodes will always pass the powercapping
+// criteria"), ascending ID, never off nodes; the preferred set — reserved
+// nodes, earmarked for a switch-off — goes first, so work placed there
+// drains before the window and the survivors' budget is kept for jobs
+// that outlast it.
 type Frontier struct {
-	// Validity key; blocked is an owned copy.
-	clus    *cluster.Cluster
-	gen     uint64
-	blocked cluster.NodeSet
+	// Validity key; blocked is an owned copy. prefer is the set build
+	// was given (the cluster's reserved set), read only while the
+	// frontier stands.
+	clus            *cluster.Cluster
+	gen             uint64
+	blocked, prefer cluster.NodeSet
 
 	// ids lists the eligible partly used nodes in the order first fit
 	// takes them — preferred (ids[:split]) before the others, ascending
@@ -30,9 +40,11 @@ type Frontier struct {
 	idle  [2]int // eligible idle nodes: preferred, other
 }
 
-// build summarises c under AllocateInto's two filters, reusing f's buffers.
+// build summarises c under two node filters, reusing f's buffers: nodes
+// in blocked are skipped and nodes in prefer packed first (nil blocks or
+// prefers none).
 func (f *Frontier) build(c *cluster.Cluster, blocked, prefer cluster.NodeSet) {
-	f.clus, f.gen = c, c.Generation()
+	f.clus, f.gen, f.prefer = c, c.Generation(), prefer
 	f.blocked = append(f.blocked[:0], blocked...)
 	f.ids, f.cum = f.ids[:0], f.cum[:0]
 	busy, idle := c.PartialBusySet(), c.IdleSet()
@@ -59,15 +71,14 @@ func (f *Frontier) build(c *cluster.Cluster, blocked, prefer cluster.NodeSet) {
 	}
 }
 
-// Fit reports what AllocateInto would allocate for a request of cores,
-// at a cost independent of its size: the partly used nodes it would take
-// (a view — do not modify, or keep past the frontier) and how many idle
+// Fit reports what first fit would allocate for a request of cores, at a
+// cost independent of its size: the partly used nodes it would take (a
+// view — do not modify, or keep past the frontier) and how many idle
 // ones; ok is false when the request cannot be satisfied.
 //
-// The class order is AllocateInto's: preferred partly used, preferred
-// idle, other partly used, other idle. The other partly used nodes are
-// reached only once every preferred one is taken, so the answer is
-// always a prefix of ids.
+// The class order is preferred partly used, preferred idle, other partly
+// used, other idle. The other partly used nodes are reached only once
+// every preferred one is taken, so the answer is always a prefix of ids.
 func (f *Frontier) Fit(cores int) (partial []cluster.NodeID, idle int, ok bool) {
 	if cores <= 0 {
 		return nil, 0, false
@@ -88,6 +99,47 @@ func (f *Frontier) Fit(cores int) (partial []cluster.NodeID, idle int, ok bool) 
 		lo = hi
 	}
 	return nil, 0, false
+}
+
+// Take materialises what Fit(cores) counts, appending into dst[:0] in
+// the class order — each node gives all its free cores, the last one the
+// remainder — and reports whether the request was satisfied. Idle nodes
+// come off the cluster's idle set 64 nodes at a time, so Take visits
+// only the nodes it takes. The result aliases dst's backing array (grown
+// if it had too little room).
+func (f *Frontier) Take(cores int, dst []job.Alloc) (allocs []job.Alloc, ok bool) {
+	allocs = dst[:0]
+	partial, idle, ok := f.Fit(cores)
+	if !ok {
+		return allocs, false
+	}
+	// The preferred idle nodes all come before any other partly used
+	// one, and the other idle nodes after every partly used one.
+	head := partial[:min(len(partial), f.split)]
+	need, perNode, idleSet := cores, f.clus.Topology().CoresPerNode, f.clus.IdleSet()
+	for class, run := range [2][]cluster.NodeID{head, partial[len(head):]} {
+		for _, id := range run {
+			allocs = append(allocs, job.Alloc{Node: id, Cores: min(f.clus.FreeCores(id), need)})
+			need -= allocs[len(allocs)-1].Cores
+		}
+		n := min(idle, f.idle[0])
+		if class == 1 {
+			n = idle - n
+		}
+		for w := 0; n > 0 && w < len(idleSet); w++ {
+			mask := f.prefer.Word(w)
+			if class == 1 {
+				mask = ^mask
+			}
+			for word := idleSet[w] & mask &^ f.blocked.Word(w); word != 0 && n > 0; word &= word - 1 {
+				id := cluster.NodeID(w<<6 + bits.TrailingZeros64(word))
+				allocs = append(allocs, job.Alloc{Node: id, Cores: min(perNode, need)})
+				need -= allocs[len(allocs)-1].Cores
+				n--
+			}
+		}
+	}
+	return allocs, true
 }
 
 // frontierSlots is how many blocked sets keep a frontier at once. A pass

@@ -10,31 +10,43 @@ import (
 	"repro/internal/job"
 )
 
-// checkFrontier holds fr.Fit to what AllocateInto materialises under the
-// same filters, for each request size: found alike, the same partly used
-// nodes in the same order, the same idle and total node counts, and a
-// counted power delta equal — as floats, at every ladder rung — to the
-// one summed over all the allocated nodes.
+// checkFrontier holds fr.Fit and fr.Take to allocateRef, the per-node
+// reference, under the same filters, for each request size: found alike,
+// Take's allocation equal to the reference's node for node and core for
+// core, Fit's partly used nodes the reference's in the same order and
+// its idle count theirs, and a counted power delta equal — as floats, at
+// every ladder rung — to the one summed over all the allocated nodes.
 func checkFrontier(t *testing.T, c *cluster.Cluster, fr *Frontier, blocked, prefer cluster.NodeSet, sizes []int) {
 	t.Helper()
+	var eligibleFn, preferFn func(cluster.NodeID) bool
+	if blocked != nil {
+		eligibleFn = func(id cluster.NodeID) bool { return !blocked.Has(id) }
+	}
+	if prefer != nil {
+		preferFn = prefer.Has
+	}
 	var (
 		dst   []job.Alloc
 		nodes []cluster.NodeID
 	)
 	for _, cores := range sizes {
-		allocs, found := AllocateInto(dst, c, cores, blocked, prefer)
+		want, wantFound := allocateRef(c, cores, eligibleFn, preferFn)
+		allocs, found := fr.Take(cores, dst)
 		dst = allocs[:0]
 		partial, idle, ok := fr.Fit(cores)
-		if ok != found {
-			t.Fatalf("cores %d: Fit found = %v, AllocateInto %v", cores, ok, found)
+		if ok != wantFound || found != wantFound {
+			t.Fatalf("cores %d: Fit found = %v, Take %v, reference %v", cores, ok, found, wantFound)
 		}
-		if !found {
+		if !wantFound {
 			continue
+		}
+		if !slices.Equal(allocs, want) {
+			t.Fatalf("cores %d: Take allocates %v, reference %v", cores, allocs, want)
 		}
 		var wantPartial []cluster.NodeID
 		wantIdle := 0
 		nodes = nodes[:0]
-		for _, a := range allocs {
+		for _, a := range want {
 			nodes = append(nodes, a.Node)
 			if c.State(a.Node) == cluster.StateIdle {
 				wantIdle++
@@ -42,9 +54,9 @@ func checkFrontier(t *testing.T, c *cluster.Cluster, fr *Frontier, blocked, pref
 				wantPartial = append(wantPartial, a.Node)
 			}
 		}
-		if idle != wantIdle || len(partial)+idle != len(allocs) || !slices.Equal(partial, wantPartial) {
-			t.Fatalf("cores %d: Fit takes partly used %v + %d idle, the allocation %v + %d idle (%d nodes)",
-				cores, partial, idle, wantPartial, wantIdle, len(allocs))
+		if idle != wantIdle || !slices.Equal(partial, wantPartial) {
+			t.Fatalf("cores %d: Fit takes partly used %v + %d idle, the reference %v + %d idle",
+				cores, partial, idle, wantPartial, wantIdle)
 		}
 		for _, f := range dvfs.CurieLadder() {
 			if got, want := c.OccupyDelta(partial, f)+c.IdleOccupyDelta(idle, f), c.OccupyDelta(nodes, f); got != want {
@@ -79,7 +91,8 @@ func mutate(t *testing.T, rng *rand.Rand, c *cluster.Cluster) {
 }
 
 // FuzzFrontierMatchesAllocate is the differential test of the counting
-// probe against the materialising allocator, over random machine states
+// probe (Fit) and the allocation it materialises (Take) against the
+// per-node reference allocator, over random machine states
 // and filters (randomCluster, randomFilter: absent, full-length, shorter
 // than the cluster). Small machines are checked at every request size,
 // Curie at the small sizes and a random sample. It then mutates the

@@ -21,10 +21,12 @@ func testCluster() *cluster.Cluster {
 	return c
 }
 
-// allocate is first fit without a preference into a fresh slice, nil
-// when the request cannot be satisfied.
+// allocate is first fit without a preference, taken off a fresh
+// frontier into a fresh slice; nil when the request cannot be satisfied.
 func allocate(c *cluster.Cluster, cores int, blocked cluster.NodeSet) []job.Alloc {
-	allocs, found := AllocateInto(nil, c, cores, blocked, nil)
+	var fr Frontier
+	fr.build(c, blocked, nil)
+	allocs, found := fr.Take(cores, nil)
 	if !found {
 		return nil
 	}
