@@ -412,7 +412,7 @@ func BenchmarkAllocateFullCurie(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		allocs, found := frontiers.For(c, nil).Take(512, dst)
+		allocs, found := frontiers.For(c, nil, nil).Take(512, dst)
 		dst = allocs[:0]
 		if !found {
 			b.Fatal("allocation failed")
@@ -420,22 +420,17 @@ func BenchmarkAllocateFullCurie(b *testing.B) {
 	}
 }
 
-// blockedCurie is the machine as a capped replay sees it: the upper 60 %
-// of Curie is reserved for a switch-off whose lead-in has begun
+// blockedCurie is the machine as a capped replay sees it: the book holds
+// the upper 60 % of Curie for a switch-off whose lead-in has begun
 // (preferred, yet blocked for any job reaching the window), the rest is
 // busy except for a partly used node in eight and an idle one in sixteen.
 func blockedCurie(b *testing.B) (*cluster.Cluster, *reservation.Book) {
 	c := cluster.NewCurie()
 	per := c.Topology().CoresPerNode
 	group := cluster.SelectGrouped(c, c.Nodes()*6/10, nil)
-	book := reservation.NewBook()
+	book := reservation.NewBook(c.Topology())
 	if _, err := book.AddSwitchOff(1000, 5000, group); err != nil {
 		b.Fatal(err)
-	}
-	for _, id := range group {
-		if err := c.SetReserved(id, true); err != nil {
-			b.Fatal(err)
-		}
 	}
 	for id := cluster.NodeID(0); int(id) < c.Nodes()-len(group); id++ {
 		used := per
@@ -477,7 +472,8 @@ func BenchmarkAllocateBlockedCurie(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blocked := book.BlockedSet(now, now+wall, lead, &scratch)
-				allocs, found := frontiers.For(c, blocked).Take(req.cores, dst)
+				held, _ := book.Held()
+				allocs, found := frontiers.For(c, blocked, held).Take(req.cores, dst)
 				dst = allocs[:0]
 				if found != req.fits {
 					b.Fatalf("%d cores: found = %v", req.cores, found)
@@ -504,7 +500,8 @@ func BenchmarkProbeBlockedCurie(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blocked := book.BlockedSet(now, now+wall, lead, &scratch)
-				if _, _, found := frontiers.For(c, blocked).Fit(req.cores); found != req.fits {
+				held, _ := book.Held()
+				if _, _, found := frontiers.For(c, blocked, held).Fit(req.cores); found != req.fits {
 					b.Fatalf("%d cores: found = %v", req.cores, found)
 				}
 			}

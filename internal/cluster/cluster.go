@@ -35,24 +35,13 @@ type Cluster struct {
 	counts       [3]int      // nodes per NodeState
 	busyCores    int         // cores currently allocated
 	coresByFreq  []freqCores // allocated cores per node frequency; no zero entry
-	reservedOff  int         // nodes flagged by switch-off reservations
 	maxPowerOnce power.Watts
 
-	// Reservation flags per group, counted where SetReserved flips them:
-	// SurvivorDraw needs how many chassis and racks are reserved whole.
-	reservedPerChassis []int
-	reservedPerRack    []int
-	nReservedChassis   int
-	nReservedRacks     int
-
-	// Allocation candidate indexes: busy nodes with at least one free
-	// core and idle nodes (maintained by transition), and the nodes
-	// flagged by switch-off reservations (maintained by SetReserved).
-	// Allocation probes intersect these word by word instead of scanning
-	// every node.
+	// Allocation candidate indexes, maintained by transition: busy nodes
+	// with at least one free core, and idle nodes. Allocation probes
+	// intersect these word by word instead of scanning every node.
 	partialBusy NodeSet
 	idleSet     NodeSet
-	reserved    NodeSet
 
 	gen uint64 // see Generation
 }
@@ -79,10 +68,6 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 		fullOffRack:     make([]bool, topo.Racks),
 		partialBusy:     NewNodeSet(topo.Nodes()),
 		idleSet:         NewNodeSet(topo.Nodes()),
-		reserved:        NewNodeSet(topo.Nodes()),
-
-		reservedPerChassis: make([]int, topo.Chassis()),
-		reservedPerRack:    make([]int, topo.Racks),
 	}
 	for i := range c.nodes {
 		c.nodes[i].state = StateIdle
@@ -358,54 +343,17 @@ func (c *Cluster) SetFreq(id NodeID, f dvfs.Freq) error {
 	return nil
 }
 
-// SetReserved flags or unflags a node as earmarked by a switch-off
-// reservation; this affects only scheduling eligibility, not power.
-func (c *Cluster) SetReserved(id NodeID, v bool) error {
-	if err := c.checkID(id); err != nil {
-		return err
-	}
-	if c.reserved.Has(id) != v {
-		c.gen++
-		d := -1
-		if v {
-			d = 1
-			c.reserved.Add(id)
-		} else {
-			c.reserved.Remove(id)
-		}
-		c.reservedOff += d
-		c.nReservedChassis += wholeDelta(&c.reservedPerChassis[c.topo.ChassisOf(id)], d, c.topo.NodesPerChassis)
-		c.nReservedRacks += wholeDelta(&c.reservedPerRack[c.topo.RackOf(id)], d, c.topo.NodesPerRack())
-	}
-	return nil
+// SurvivorDraw returns what the machine draws once every node held is
+// down and every other node runs busy at busy watts: the survivors, plus
+// the shared equipment of each chassis and rack that keeps at least one
+// — the projection Section IV-B's "optimal CPU frequency" holds against
+// a future window's budget. O(1) off the counts, and equal bit for bit
+// to the sum over nodes and groups while the overheads are whole watts.
+func (c *Cluster) SurvivorDraw(held Groups, busy power.Watts) power.Watts {
+	shared := c.overhead.ChassisWatts*float64(c.topo.Chassis()-held.Chassis) +
+		c.overhead.RackWatts*float64(c.topo.Racks-held.Racks)
+	return power.Watts(float64(len(c.nodes)-held.Nodes)*float64(busy)) + power.Watts(shared)
 }
-
-// wholeDelta moves a group's reserved-node count by d and returns by how
-// much the number of groups reserved whole (all size members) changed.
-func wholeDelta(count *int, d, size int) int {
-	was := *count == size
-	*count += d
-	if was != (*count == size) {
-		return d // whole after gaining a member, no longer after losing one
-	}
-	return 0
-}
-
-// SurvivorDraw returns what the machine draws once every node flagged
-// by a switch-off reservation is down and every other node runs busy at
-// busy watts: the survivors, plus the shared equipment of each chassis
-// and rack that keeps at least one — the projection Section IV-B's
-// "optimal CPU frequency" holds against a future window's budget. O(1)
-// off the counts SetReserved keeps, and equal bit for bit to the sum
-// over nodes and groups while the overheads are whole watts.
-func (c *Cluster) SurvivorDraw(busy power.Watts) power.Watts {
-	shared := c.overhead.ChassisWatts*float64(c.topo.Chassis()-c.nReservedChassis) +
-		c.overhead.RackWatts*float64(c.topo.Racks-c.nReservedRacks)
-	return power.Watts(float64(len(c.nodes)-c.reservedOff)*float64(busy)) + power.Watts(shared)
-}
-
-// ReservedCount returns how many nodes carry the reservation flag.
-func (c *Cluster) ReservedCount() int { return c.reservedOff }
 
 // Info returns a read-only snapshot of one node.
 func (c *Cluster) Info(id NodeID) (NodeInfo, error) {
@@ -413,7 +361,7 @@ func (c *Cluster) Info(id NodeID) (NodeInfo, error) {
 		return NodeInfo{}, err
 	}
 	n := &c.nodes[id]
-	return NodeInfo{ID: id, State: n.state, Freq: n.freq, UsedCores: n.usedCores, Reserved: c.reserved.Has(id)}, nil
+	return NodeInfo{ID: id, State: n.state, Freq: n.freq, UsedCores: n.usedCores}, nil
 }
 
 // State returns the state of node id; out-of-range IDs report StateOff.
@@ -434,11 +382,6 @@ func (c *Cluster) FreeCores(id NodeID) int {
 		return 0
 	}
 	return c.topo.CoresPerNode - n.usedCores
-}
-
-// Reserved reports the switch-off reservation flag of node id.
-func (c *Cluster) Reserved(id NodeID) bool {
-	return c.reserved.Has(id)
 }
 
 // Count returns the number of nodes in state st.
@@ -538,23 +481,19 @@ func (c *Cluster) BonusWatts() power.Watts {
 	return power.Watts(w)
 }
 
-// PartialBusySet, IdleSet and ReservedSet expose the maintained node
-// sets — busy nodes with at least one free core, idle nodes, nodes
-// flagged by SetReserved — for word-parallel allocation probes. The
-// sets alias live cluster state: callers must not modify them, and a
-// set is only current until the next cluster mutation.
+// PartialBusySet and IdleSet expose the maintained node sets — busy
+// nodes with at least one free core, idle nodes — for word-parallel
+// allocation probes. The sets alias live cluster state: callers must not
+// modify them, and a set is current until the next cluster mutation.
 func (c *Cluster) PartialBusySet() NodeSet { return c.partialBusy }
 
 // IdleSet: see PartialBusySet.
 func (c *Cluster) IdleSet() NodeSet { return c.idleSet }
 
-// ReservedSet: see PartialBusySet.
-func (c *Cluster) ReservedSet() NodeSet { return c.reserved }
-
-// Generation changes whenever PartialBusySet, IdleSet, ReservedSet or a
-// node's FreeCores does (counted where they change: transition and
-// SetReserved; a re-clock moves none of them), so a summary of those —
-// sched.Frontier — is current while the generation it was built at stands.
+// Generation changes whenever PartialBusySet, IdleSet or a node's
+// FreeCores does (counted where they change, in transition; a re-clock
+// moves none of them), so a summary of those — sched.Frontier — is
+// current while the generation it was built at stands.
 func (c *Cluster) Generation() uint64 { return c.gen }
 
 // ForEach calls fn for every node in ID order; fn returning false stops the
@@ -562,7 +501,7 @@ func (c *Cluster) Generation() uint64 { return c.gen }
 func (c *Cluster) ForEach(fn func(NodeInfo) bool) {
 	for i := range c.nodes {
 		n := &c.nodes[i]
-		if !fn(NodeInfo{ID: NodeID(i), State: n.state, Freq: n.freq, UsedCores: n.usedCores, Reserved: c.reserved.Has(NodeID(i))}) {
+		if !fn(NodeInfo{ID: NodeID(i), State: n.state, Freq: n.freq, UsedCores: n.usedCores}) {
 			return
 		}
 	}

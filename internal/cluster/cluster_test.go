@@ -528,31 +528,6 @@ func TestCoresByFreq(t *testing.T) {
 	}
 }
 
-func TestReservedFlag(t *testing.T) {
-	c := small()
-	if err := c.SetReserved(4, true); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Reserved(4) {
-		t.Error("Reserved(4) = false")
-	}
-	if err := c.SetReserved(4, true); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if err := c.SetReserved(4, false); err != nil {
-		t.Fatal(err)
-	}
-	if c.Reserved(4) {
-		t.Error("Reserved(4) still true")
-	}
-	if err := c.SetReserved(99, true); err == nil {
-		t.Error("out-of-range reserve accepted")
-	}
-	if c.Reserved(99) {
-		t.Error("out-of-range Reserved = true")
-	}
-}
-
 func TestForEach(t *testing.T) {
 	c := small()
 	var seen int
@@ -672,8 +647,8 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 }
 
 // Property: after any sequence of operations the incremental power equals
-// the brute-force recomputation, and no cached per-node draw, histogram
-// bar or reserved margin has drifted from the node states.
+// the brute-force recomputation, and no cached per-node draw or
+// histogram bar has drifted from the node states.
 func TestPowerIncrementalMatchesBrute(t *testing.T) {
 	type op struct {
 		Kind  uint8
@@ -689,7 +664,7 @@ func TestPowerIncrementalMatchesBrute(t *testing.T) {
 			id := NodeID(int(o.Node) % c.Nodes())
 			fr := ladder[int(o.Rung)%len(ladder)]
 			var err error
-			switch o.Kind % 6 {
+			switch o.Kind % 5 {
 			case 0:
 				cores := int(o.Cores)%2 + 1
 				if c.FreeCores(id) >= cores && c.State(id) != StateOff {
@@ -718,8 +693,6 @@ func TestPowerIncrementalMatchesBrute(t *testing.T) {
 				if c.State(id) == StateBusy {
 					err = c.SetFreq(id, fr)
 				}
-			case 5:
-				err = c.SetReserved(id, o.Cores%2 == 0)
 			}
 			if err != nil {
 				t.Error(err)
@@ -771,15 +744,15 @@ func TestPlannedSavingDeduplicates(t *testing.T) {
 
 // survivorDrawScan is SurvivorDraw as the controller computed it while it
 // owned the projection: one walk over the nodes marking the chassis and
-// racks that keep an unreserved node, the shared draws added group by
+// racks that keep a node outside held, the shared draws added group by
 // group in that order. Kept as the oracle for the counted answer.
-func survivorDrawScan(c *Cluster, busy power.Watts) power.Watts {
+func survivorDrawScan(c *Cluster, held NodeSet, busy power.Watts) power.Watts {
 	topo, ov := c.Topology(), c.Overhead()
 	chassisHasSurvivor := make([]bool, topo.Chassis())
 	rackHasSurvivor := make([]bool, topo.Racks)
 	count := 0
 	c.ForEach(func(n NodeInfo) bool {
-		if !n.Reserved {
+		if !held.Has(n.ID) {
 			count++
 			chassisHasSurvivor[topo.ChassisOf(n.ID)] = true
 			rackHasSurvivor[topo.RackOf(n.ID)] = true
@@ -800,9 +773,9 @@ func survivorDrawScan(c *Cluster, busy power.Watts) power.Watts {
 	return power.Watts(float64(count)*float64(busy)) + power.Watts(overhead)
 }
 
-// SurvivorDraw's counts against the scan, compared with ==, through
-// random flag flips and through whole chassis and whole racks reserved
-// and released. The two group sums agree bit for bit only because
+// SurvivorDraw over Topology.Groups against the scan, compared with ==,
+// through random holds and releases of single nodes, whole chassis and
+// whole racks. The two group sums agree bit for bit only because
 // Curie's shared draws are whole watts — pinned first.
 func TestSurvivorDrawMatchesScan(t *testing.T) {
 	if ov := CurieOverhead(); ov.ChassisWatts != math.Trunc(ov.ChassisWatts) || ov.RackWatts != math.Trunc(ov.RackWatts) {
@@ -819,23 +792,26 @@ func TestSurvivorDrawMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		held := NewNodeSet(topo.Nodes())
 		check := func(when string) {
 			t.Helper()
 			for _, f := range dvfs.CurieLadder() {
 				busy := c.Profile().Busy(f)
-				if got, want := c.SurvivorDraw(busy), survivorDrawScan(c, busy); got != want {
+				if got, want := c.SurvivorDraw(topo.Groups(held), busy), survivorDrawScan(c, held, busy); got != want {
 					t.Fatalf("%d nodes, %s: SurvivorDraw(%v) = %v, scan %v", topo.Nodes(), when, busy, float64(got), float64(want))
 				}
 			}
 		}
 		setRange := func(first NodeID, n int, v bool) {
 			for id := first; id < first+NodeID(n); id++ {
-				if err := c.SetReserved(id, v); err != nil {
-					t.Fatal(err)
+				if v {
+					held.Add(id)
+				} else {
+					held.Remove(id)
 				}
 			}
 		}
-		check("nothing reserved")
+		check("nothing held")
 		rng := rand.New(rand.NewSource(int64(topo.Nodes())))
 		for step := 0; step < 400; step++ {
 			switch rng.Intn(8) {
@@ -851,7 +827,7 @@ func TestSurvivorDrawMatchesScan(t *testing.T) {
 			check(fmt.Sprintf("step %d", step))
 		}
 		setRange(0, topo.Nodes(), true)
-		check("everything reserved")
+		check("everything held")
 		setRange(0, topo.Nodes(), false)
 		check("everything released")
 	}

@@ -50,5 +50,4 @@ type NodeInfo struct {
 	State     NodeState
 	Freq      dvfs.Freq // meaningful while Busy
 	UsedCores int
-	Reserved  bool // earmarked by a switch-off reservation
 }

@@ -2,10 +2,10 @@ package cluster
 
 // NodeSet is a bit vector over node IDs, 64 nodes per word. The cluster
 // maintains one per allocation class (partially-free busy nodes, idle
-// nodes, reserved nodes) and a reservation book keeps one per switch-off
-// group, so an allocation probe intersects whole words instead of asking
-// a predicate about every node. A set may be shorter than the cluster
-// (sized to its highest member): words beyond its length read as empty.
+// nodes) and a reservation book one per switch-off group, so an
+// allocation probe intersects whole words instead of asking a predicate
+// about every node. A set may be shorter than the cluster (sized to its
+// highest member): words beyond its length read as empty.
 type NodeSet []uint64
 
 // NewNodeSet returns an empty set able to hold IDs in [0, n).
@@ -38,6 +38,18 @@ func (s NodeSet) Remove(id NodeID) { s[id>>6] &^= 1 << (uint(id) & 63) }
 // Has reports membership; IDs outside the set's capacity are not members.
 func (s NodeSet) Has(id NodeID) bool {
 	return id >= 0 && int(id>>6) < len(s) && s[id>>6]&(1<<(uint(id)&63)) != 0
+}
+
+// Or adds o's members to s, growing s to o's length if it is shorter,
+// and returns the result.
+func (s NodeSet) Or(o NodeSet) NodeSet {
+	for len(s) < len(o) {
+		s = append(s, 0)
+	}
+	for w, word := range o {
+		s[w] |= word
+	}
+	return s
 }
 
 // Word returns the w-th 64-node word, zero beyond the set's length.

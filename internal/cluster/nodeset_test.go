@@ -43,7 +43,7 @@ func TestNodeSetEqual(t *testing.T) {
 }
 
 // The generation moves exactly when something a probe reads moves: a
-// candidate set, a node's free cores, a reserved flag.
+// candidate set or a node's free cores.
 func TestGenerationCountsWhatProbesSee(t *testing.T) {
 	c, err := New(Topology{Racks: 1, ChassisPerRack: 1, NodesPerChassis: 4, CoresPerNode: 4}, power.CurieProfile(), CurieOverhead())
 	if err != nil {
@@ -63,9 +63,6 @@ func TestGenerationCountsWhatProbesSee(t *testing.T) {
 		{"power off again", func() error { return c.PowerOff(1) }, false},
 		{"power on", func() error { return c.PowerOn(1) }, true},
 		{"power on again", func() error { return c.PowerOn(1) }, false},
-		{"reserve", func() error { return c.SetReserved(2, true) }, true},
-		{"reserve again", func() error { return c.SetReserved(2, true) }, false},
-		{"release", func() error { return c.SetReserved(2, false) }, true},
 	}
 	for _, s := range steps {
 		gen := c.Generation()
@@ -79,7 +76,7 @@ func TestGenerationCountsWhatProbesSee(t *testing.T) {
 }
 
 // The maintained sets must agree with the per-node state after any
-// sequence of transitions and reservation flags.
+// sequence of transitions.
 func TestCandidateSetsTrackNodeState(t *testing.T) {
 	topo := Topology{Racks: 2, ChassisPerRack: 3, NodesPerChassis: 13, CoresPerNode: 4} // 78 nodes: two words
 	c, err := New(topo, power.CurieProfile(), CurieOverhead())
@@ -89,7 +86,7 @@ func TestCandidateSetsTrackNodeState(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 4000; step++ {
 		id := NodeID(rng.Intn(topo.Nodes()))
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0:
 			_ = c.PowerOff(id)
 		case 1:
@@ -98,27 +95,17 @@ func TestCandidateSetsTrackNodeState(t *testing.T) {
 			_ = c.Occupy(id, 1+rng.Intn(topo.CoresPerNode), dvfs.F2700)
 		case 3:
 			_ = c.Vacate(id, 1+rng.Intn(topo.CoresPerNode), dvfs.F2700)
-		case 4:
-			_ = c.SetReserved(id, rng.Intn(2) == 0)
 		}
 		if step%50 != 0 {
 			continue
 		}
-		reserved := 0
 		c.ForEach(func(n NodeInfo) bool {
 			partial := n.State == StateBusy && n.UsedCores < topo.CoresPerNode
-			if c.PartialBusySet().Has(n.ID) != partial || c.IdleSet().Has(n.ID) != (n.State == StateIdle) ||
-				c.ReservedSet().Has(n.ID) != n.Reserved || c.Reserved(n.ID) != n.Reserved {
+			if c.PartialBusySet().Has(n.ID) != partial || c.IdleSet().Has(n.ID) != (n.State == StateIdle) {
 				t.Fatalf("step %d: sets disagree with node %+v", step, n)
-			}
-			if n.Reserved {
-				reserved++
 			}
 			return true
 		})
-		if reserved != c.ReservedCount() {
-			t.Fatalf("step %d: ReservedCount = %d, %d nodes flagged", step, c.ReservedCount(), reserved)
-		}
 	}
 }
 

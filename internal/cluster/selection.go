@@ -111,34 +111,20 @@ func SelectScattered(c *Cluster, want int, eligible func(NodeID) bool) []NodeID 
 // then one constant per full chassis, then one per full rack — so equal
 // sets give bit-equal results.
 func PlannedSaving(c *Cluster, ids []NodeID, busy power.Watts) power.Watts {
-	topo := c.Topology()
-	prof := c.Profile()
-	ov := c.Overhead()
-
-	inSet := NewNodeSet(topo.Nodes())
-	perChassis := make([]int, topo.Chassis())
-	distinct := 0
+	topo, prof, ov := c.Topology(), c.Profile(), c.Overhead()
+	set := NewNodeSet(topo.Nodes())
 	for _, id := range ids {
-		if c.checkID(id) != nil || inSet.Has(id) {
-			continue
-		}
-		inSet.Add(id)
-		distinct++
-		perChassis[topo.ChassisOf(id)]++
-	}
-	saving := float64(busy-prof.Down()) * float64(distinct)
-
-	fullPerRack := make([]int, topo.Racks)
-	for ch, n := range perChassis {
-		if n == topo.NodesPerChassis {
-			saving += ov.ChassisWatts + float64(prof.Down())*float64(topo.NodesPerChassis)
-			fullPerRack[ch/topo.ChassisPerRack]++
+		if c.checkID(id) == nil {
+			set.Add(id)
 		}
 	}
-	for _, n := range fullPerRack {
-		if n == topo.ChassisPerRack {
-			saving += ov.RackWatts
-		}
+	g := topo.Groups(set)
+	saving := float64(busy-prof.Down()) * float64(g.Nodes)
+	for i := 0; i < g.Chassis; i++ {
+		saving += ov.ChassisWatts + float64(prof.Down())*float64(topo.NodesPerChassis)
+	}
+	for i := 0; i < g.Racks; i++ {
+		saving += ov.RackWatts
 	}
 	return power.Watts(saving)
 }

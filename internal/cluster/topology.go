@@ -64,6 +64,35 @@ func (t Topology) RackNodes(r int) (first NodeID, n int) {
 	return NodeID(r * t.NodesPerRack()), t.NodesPerRack()
 }
 
+// Groups counts a node set's members and the chassis and racks it holds whole.
+type Groups struct{ Nodes, Chassis, Racks int }
+
+// Groups counts the members of s inside t and the groups of t it holds whole.
+func (t Topology) Groups(s NodeSet) Groups {
+	var g Groups
+	for r := 0; r < t.Racks; r++ {
+		whole := 0
+		for ch := r * t.ChassisPerRack; ch < (r+1)*t.ChassisPerRack; ch++ {
+			first, n := t.ChassisNodes(ch)
+			in := 0
+			for id := first; id < first+NodeID(n); id++ {
+				if s.Has(id) {
+					in++
+				}
+			}
+			g.Nodes += in
+			if in == n {
+				whole++
+			}
+		}
+		g.Chassis += whole
+		if whole == t.ChassisPerRack {
+			g.Racks++
+		}
+	}
+	return g
+}
+
 // Overhead is the power drawn by the shared equipment of one hierarchy
 // level while any of its children is powered, and eliminated when the whole
 // group is switched off together. Figure 2 of the paper: a chassis'

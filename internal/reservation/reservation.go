@@ -34,32 +34,37 @@ func (p PowerCap) Active(t int64) bool { return t >= p.Start && t < p.End }
 // Overlaps reports whether the window intersects [from, to).
 func (p PowerCap) Overlaps(from, to int64) bool { return p.Start < to && from < p.End }
 
-// SwitchOff is a planned group power-down over [Start, End).
+// SwitchOff is a planned group power-down over [Start, End): the group
+// Algorithm 1 picked for one powercap window, held from booking to Release.
 type SwitchOff struct {
 	ID    int
 	Start int64
 	End   int64
-	Nodes []cluster.NodeID
+	// nodes is the group, sized to its highest member: a probe decides
+	// eligibility once per window (BlockedSet), not once per node.
+	nodes    cluster.NodeSet
+	released bool
 }
 
-// Book holds all reservations of a controller.
+// Book holds all reservations of a controller, and is the one record of
+// which nodes the switch-off windows hold and until when.
 type Book struct {
+	topo   cluster.Topology
 	nextID int
 	caps   []PowerCap
 	offs   []SwitchOff
-	// offSets[i] is the node membership of offs[i] as a set sized to its
-	// highest member, so a probe decides eligibility once per window
-	// (BlockedSet) instead of once per node and group member.
-	offSets []cluster.NodeSet
+
+	held       cluster.NodeSet // union of the unreleased groups; see Held
+	heldGroups cluster.Groups  // its counts
 
 	gen uint64 // see Generation
 }
 
-// NewBook returns an empty reservation book.
-func NewBook() *Book { return &Book{nextID: 1} }
+// NewBook returns an empty reservation book for a machine of topology topo.
+func NewBook(topo cluster.Topology) *Book { return &Book{topo: topo, nextID: 1} }
 
-// Generation changes whenever a reservation is added or re-budgeted
-// (counted in AddPowerCap, AddSwitchOff and UpdateCap):
+// Generation changes whenever a reservation is added, re-budgeted or
+// released (counted in AddPowerCap, AddSwitchOff, UpdateCap and Release):
 // a conclusion drawn from the book at t0 still stands at t1 while the
 // generation does and PhaseStable(t0, t1) holds.
 func (b *Book) Generation() uint64 { return b.gen }
@@ -92,12 +97,50 @@ func (b *Book) AddSwitchOff(start, end int64, nodes []cluster.NodeID) (int, erro
 	}
 	id := b.nextID
 	b.nextID++
-	cp := make([]cluster.NodeID, len(nodes))
-	copy(cp, nodes)
-	b.gen++
-	b.offs = append(b.offs, SwitchOff{ID: id, Start: start, End: end, Nodes: cp})
-	b.offSets = append(b.offSets, cluster.NodeSetOf(cp))
+	b.offs = append(b.offs, SwitchOff{ID: id, Start: start, End: end, nodes: cluster.NodeSetOf(nodes)})
+	b.hold()
 	return id, nil
+}
+
+// Release ends the hold of switch-off reservation id, whose window has
+// closed, and returns its group: nil when id names no unreleased one.
+func (b *Book) Release(id int) cluster.NodeSet {
+	for i := range b.offs {
+		if o := &b.offs[i]; o.ID == id && !o.released {
+			o.released = true
+			b.hold()
+			return o.nodes
+		}
+	}
+	return nil
+}
+
+// hold counts a change of the hold and recomputes it into a new set.
+func (b *Book) hold() {
+	b.gen++
+	held := cluster.NewNodeSet(b.topo.Nodes())
+	for i := range b.offs {
+		if !b.offs[i].released {
+			held = held.Or(b.offs[i].nodes)
+		}
+	}
+	b.held, b.heldGroups = held, b.topo.Groups(held)
+}
+
+// Held returns the nodes the unreleased switch-off reservations hold, and
+// their counts. The set is replaced, never modified, when the hold
+// changes: callers must not modify it, and may compare it by identity.
+func (b *Book) Held() (cluster.NodeSet, cluster.Groups) { return b.held, b.heldGroups }
+
+// Draining reports whether a switch-off window open at t holds node id:
+// a busy node it holds powers off as soon as its jobs end.
+func (b *Book) Draining(id cluster.NodeID, t int64) bool {
+	for i := range b.offs {
+		if o := &b.offs[i]; !o.released && o.Start <= t && t < o.End && o.nodes.Has(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // UpdateCap re-budgets an existing powercap reservation in place: the
@@ -192,7 +235,7 @@ func (b *Book) BlockedSet(from, to int64, lead int64, scratch *cluster.NodeSet) 
 		if !b.offs[i].blocks(from, to, lead) {
 			continue
 		}
-		set := b.offSets[i]
+		set := b.offs[i].nodes
 		blocking++
 		if blocking == 1 {
 			out = set
@@ -201,12 +244,7 @@ func (b *Book) BlockedSet(from, to int64, lead int64, scratch *cluster.NodeSet) 
 		if blocking == 2 {
 			out = append((*scratch)[:0], out...) // leave the first window's set intact
 		}
-		for len(out) < len(set) {
-			out = append(out, 0)
-		}
-		for w, word := range set {
-			out[w] |= word
-		}
+		out = out.Or(set)
 		*scratch = out
 	}
 	return out

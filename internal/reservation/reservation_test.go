@@ -8,8 +8,12 @@ import (
 	"repro/internal/power"
 )
 
+// testTopo is the machine the books of these tests plan for: 270 nodes,
+// room for every node ID they name.
+var testTopo = cluster.Topology{Racks: 3, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16}
+
 func TestAddPowerCapValidation(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	if _, err := b.AddPowerCap(10, 10, power.CapWatts(100)); err == nil {
 		t.Error("empty window accepted")
 	}
@@ -29,7 +33,7 @@ func TestAddPowerCapValidation(t *testing.T) {
 }
 
 func TestCapAt(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	mustCap(t, b, 100, 200, 500)
 	mustCap(t, b, 150, 300, 300)
 
@@ -66,7 +70,7 @@ func mustCap(t *testing.T, b *Book, start, end int64, w power.Watts) int {
 // tightest window that opens after the launch instant, within the
 // planning horizon, and overlaps the job's span.
 func TestMinFutureCapOver(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	mustCap(t, b, 100, 200, 500)
 	mustCap(t, b, 400, 500, 200)
 
@@ -93,7 +97,7 @@ func TestMinFutureCapOver(t *testing.T) {
 }
 
 func TestOpenEndedCap(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	if _, err := b.AddPowerCap(100, Horizon, power.CapWatts(700)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +110,7 @@ func TestOpenEndedCap(t *testing.T) {
 }
 
 func TestSwitchOffValidationAndCopy(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	if _, err := b.AddSwitchOff(5, 5, []cluster.NodeID{1}); err == nil {
 		t.Error("empty window accepted")
 	}
@@ -118,8 +122,116 @@ func TestSwitchOffValidationAndCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[0] = 99 // the book must hold a copy
-	if len(b.offs) != 1 || b.offs[0].Nodes[0] != 1 {
-		t.Errorf("book aliases the caller's slice: %+v", b.offs)
+	if held, _ := b.Held(); !held.Has(1) || held.Has(99) {
+		t.Errorf("book aliases the caller's slice: held %v", held)
+	}
+}
+
+// members lists the IDs of s inside testTopo.
+func members(s cluster.NodeSet) []cluster.NodeID {
+	var out []cluster.NodeID
+	for id := cluster.NodeID(0); int(id) < testTopo.Nodes(); id++ {
+		if s.Has(id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+func TestHeldReleaseDraining(t *testing.T) {
+	b := NewBook(testTopo)
+	if held, g := b.Held(); len(members(held)) != 0 || g != (cluster.Groups{}) {
+		t.Fatalf("empty book holds %v, %+v", members(held), g)
+	}
+	chassis1, n := testTopo.ChassisNodes(1)
+	var group1 []cluster.NodeID
+	for id := chassis1; id < chassis1+cluster.NodeID(n); id++ {
+		group1 = append(group1, id)
+	}
+	first, err := b.AddSwitchOff(100, 200, group1) // one whole chassis
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := b.AddSwitchOff(150, 300, []cluster.NodeID{3, 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rack2, _ := testTopo.RackNodes(2)
+	var group3 []cluster.NodeID
+	for id := rack2; int(id) < testTopo.Nodes(); id++ {
+		group3 = append(group3, id)
+	}
+	open, err := b.AddSwitchOff(250, Horizon, group3) // one whole rack, never closing
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, g := b.Held()
+	if want := len(group1) + 2 + len(group3); len(members(held)) != want {
+		t.Fatalf("held %d nodes, want %d", len(members(held)), want)
+	}
+	if want := testTopo.Groups(held); g != want {
+		t.Errorf("Held counts %+v, Topology.Groups %+v", g, want)
+	}
+	if want := (cluster.Groups{Nodes: 18 + 2 + 90, Chassis: 1 + 5, Racks: 1}); g != want {
+		t.Errorf("Held counts %+v, want %+v", g, want)
+	}
+
+	drains := []struct {
+		id   cluster.NodeID
+		t    int64
+		want bool
+	}{
+		{chassis1, 99, false},       // before its window
+		{chassis1, 100, true},       // at the start
+		{chassis1, 199, true},       // last instant
+		{chassis1, 200, false},      // at the end, not yet released
+		{3, 150, true},              // the second window, on its own nodes
+		{3, 120, false},             // ... before it opens
+		{4, 160, false},             // a node no window holds
+		{rack2, 1 << 50, true},      // the open-ended window
+		{rack2 - 1, 1 << 50, false}, // next to it
+	}
+	for _, d := range drains {
+		if got := b.Draining(d.id, d.t); got != d.want {
+			t.Errorf("Draining(%d, %d) = %v, want %v", d.id, d.t, got, d.want)
+		}
+	}
+
+	gen := b.Generation()
+	if got := b.Release(first); len(members(got)) != len(group1) || !got.Has(chassis1) {
+		t.Fatalf("Release(%d) returned %v, want the chassis", first, members(got))
+	}
+	if b.Generation() == gen {
+		t.Error("Release left the generation")
+	}
+	after, g := b.Held()
+	if after.Has(chassis1) || !after.Has(3) || !after.Has(rack2) {
+		t.Errorf("held after releasing the chassis: %v", members(after))
+	}
+	if want := testTopo.Groups(after); g != want || g.Chassis != 5 || g.Racks != 1 {
+		t.Errorf("Held counts after release %+v, Topology.Groups %+v", g, want)
+	}
+	if !held.Has(chassis1) {
+		t.Error("Release modified the set Held returned before it: the set must be replaced")
+	}
+	if b.Draining(chassis1, 150) {
+		t.Error("a released window still drains its nodes")
+	}
+
+	gen = b.Generation()
+	for _, id := range []int{first, 424242, second + open} { // released, unknown, unknown
+		if got := b.Release(id); got != nil {
+			t.Errorf("Release(%d) = %v, want nil", id, members(got))
+		}
+	}
+	if b.Generation() != gen {
+		t.Error("releasing nothing moved the generation")
+	}
+	b.Release(second)
+	b.Release(open)
+	if held, g := b.Held(); len(members(held)) != 0 || g != (cluster.Groups{}) {
+		t.Errorf("every window released, still held %v, %+v", members(held), g)
 	}
 }
 
@@ -130,7 +242,7 @@ func (b *Book) nodeBlocked(id cluster.NodeID, from, to int64, lead int64) bool {
 }
 
 func TestNodeBlockedDrainSemantics(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	if _, err := b.AddSwitchOff(100, 200, []cluster.NodeID{5, 6}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +265,7 @@ func TestNodeBlockedDrainSemantics(t *testing.T) {
 }
 
 func TestNodeBlockedWithLead(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	if _, err := b.AddSwitchOff(100, 200, []cluster.NodeID{5}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +284,7 @@ func TestNodeBlockedWithLead(t *testing.T) {
 }
 
 func TestUpdateCap(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	id := mustCap(t, b, 0, Horizon, 500)
 	if err := b.UpdateCap(id, power.CapWatts(300)); err != nil {
 		t.Fatal(err)
@@ -200,15 +312,21 @@ func TestUpdateCap(t *testing.T) {
 	}
 }
 
-// nodeBlockedRef decides whether a node is blocked from the
-// reservations' node lists alone — the definition, independent of the
-// book's membership sets.
-func nodeBlockedRef(offs []SwitchOff, id cluster.NodeID, from, to, lead int64) bool {
+// booked is a switch-off as a test booked it: its span and its node list.
+type booked struct {
+	start, end int64
+	group      []cluster.NodeID
+}
+
+// nodeBlockedRef decides whether a node is blocked from the booked node
+// lists alone — the definition, independent of the book's membership
+// sets.
+func nodeBlockedRef(offs []booked, id cluster.NodeID, from, to, lead int64) bool {
 	for _, o := range offs {
-		if o.Start >= to || o.End <= from || from < o.Start-lead {
+		if o.start >= to || o.end <= from || from < o.start-lead {
 			continue
 		}
-		for _, n := range o.Nodes {
+		for _, n := range o.group {
 			if n == id {
 				return true
 			}
@@ -222,7 +340,8 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var scratch cluster.NodeSet
 	for round := 0; round < 60; round++ {
-		b := NewBook()
+		b := NewBook(testTopo)
+		var offs []booked
 		for w := 0; w < 1+rng.Intn(5); w++ {
 			start := int64(rng.Intn(1000))
 			span := 1 + rng.Intn(nodes) // highest possible member: groups differ in length
@@ -230,9 +349,11 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 			for n := 0; n < 1+rng.Intn(40); n++ {
 				group = append(group, cluster.NodeID(rng.Intn(span)))
 			}
-			if _, err := b.AddSwitchOff(start, start+1+int64(rng.Intn(500)), group); err != nil {
+			end := start + 1 + int64(rng.Intn(500))
+			if _, err := b.AddSwitchOff(start, end, group); err != nil {
 				t.Fatal(err)
 			}
+			offs = append(offs, booked{start, end, group})
 		}
 		for probe := 0; probe < 40; probe++ {
 			from := int64(rng.Intn(1600)) - 50
@@ -240,7 +361,7 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 			for _, lead := range []int64{0, 30, 1 << 40} {
 				set := b.BlockedSet(from, to, lead, &scratch)
 				for id := cluster.NodeID(-1); id <= nodes; id++ {
-					want := nodeBlockedRef(b.offs, id, from, to, lead)
+					want := nodeBlockedRef(offs, id, from, to, lead)
 					if got := set.Has(id); got != want {
 						t.Fatalf("round %d: BlockedSet(%d, %d, %d).Has(%d) = %v, want %v", round, from, to, lead, id, got, want)
 					}
@@ -253,7 +374,7 @@ func TestBlockedSetMatchesNodeBlocked(t *testing.T) {
 // A union must be written into the scratch, never into a window's own
 // membership set.
 func TestBlockedSetLeavesWindowSetsIntact(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	if _, err := b.AddSwitchOff(100, 200, []cluster.NodeID{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +445,7 @@ func TestPhaseStable(t *testing.T) {
 		{name: "cap ignores the lead", caps: []window{{1000, 2000}}, lead: 300, t0: 600, t1: 900, wantHold: true},
 	}
 	for _, tc := range cases {
-		b := NewBook()
+		b := NewBook(testTopo)
 		for _, w := range tc.caps {
 			mustCap(t, b, w.start, w.end, 500)
 		}
@@ -347,7 +468,7 @@ func TestPhaseStableMeansSameAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	stable := 0
 	for trial := 0; trial < 300; trial++ {
-		b := NewBook()
+		b := NewBook(testTopo)
 		for n := rng.Intn(3); n > 0; n-- {
 			start := int64(rng.Intn(2000))
 			end := start + 1 + int64(rng.Intn(1500))
@@ -396,7 +517,7 @@ func TestPhaseStableMeansSameAnswers(t *testing.T) {
 }
 
 func TestGenerationCountsEveryMutation(t *testing.T) {
-	b := NewBook()
+	b := NewBook(testTopo)
 	gen := b.Generation()
 	moved := func(what string) {
 		t.Helper()
@@ -407,7 +528,8 @@ func TestGenerationCountsEveryMutation(t *testing.T) {
 	}
 	idCap := mustCap(t, b, 0, 100, 500)
 	moved("AddPowerCap")
-	if _, err := b.AddSwitchOff(0, 100, []cluster.NodeID{1}); err != nil {
+	idOff, err := b.AddSwitchOff(0, 100, []cluster.NodeID{1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	moved("AddSwitchOff")
@@ -415,10 +537,15 @@ func TestGenerationCountsEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved("UpdateCap")
+	b.Release(idOff)
+	moved("Release")
 
 	_ = b.UpdateCap(424242, power.CapWatts(100))
+	b.Release(idOff)
 	b.CapAt(50)
 	b.PhaseStable(0, 50, 10)
+	b.Held()
+	b.Draining(1, 50)
 	if b.Generation() != gen {
 		t.Errorf("no-op calls and queries moved the generation %d -> %d", gen, b.Generation())
 	}

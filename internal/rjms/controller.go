@@ -36,10 +36,6 @@ type Controller struct {
 	// slices kept never outnumber the allocations that ran at once.
 	allocFree [bits.UintSize][][]job.Alloc
 
-	// offPending holds reserved nodes that were busy when their
-	// switch-off window opened; they power down as their jobs drain.
-	offPending cluster.NodeSet
-
 	// failed holds nodes taken out by an injected failure (FailNode);
 	// they stay off — windowClose must not power them back on — until
 	// RepairNode returns them. requeueSeq numbers the fresh IDs of
@@ -120,15 +116,14 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:        cfg,
-		pm:         pm,
-		clus:       clus,
-		eng:        simengine.New(0),
-		book:       reservation.NewBook(),
-		running:    map[job.ID]runState{},
-		nodeJobs:   make([][]nodeJobEntry, cfg.Topology.Nodes()),
-		offPending: cluster.NewNodeSet(cfg.Topology.Nodes()),
-		failed:     cluster.NewNodeSet(cfg.Topology.Nodes()),
+		cfg:      cfg,
+		pm:       pm,
+		clus:     clus,
+		eng:      simengine.New(0),
+		book:     reservation.NewBook(cfg.Topology),
+		running:  map[job.ID]runState{},
+		nodeJobs: make([][]nodeJobEntry, cfg.Topology.Nodes()),
+		failed:   cluster.NewNodeSet(cfg.Topology.Nodes()),
 	}
 	if cfg.MeasuredNoise > 0 {
 		c.measured = newMeasuredPower(cfg.MeasuredNoise)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/job"
 	"repro/internal/power"
+	"repro/internal/reservation"
 	"repro/internal/sched"
 )
 
@@ -389,24 +390,33 @@ func TestFitsFutureCapIsTheOptimalFrequencyRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var offs []int // the switch-offs booked and not yet released
 		for trial := 0; trial < 200; trial++ {
 			for flips := rng.Intn(40); flips > 0; flips-- {
-				if err := c.clus.SetReserved(cluster.NodeID(rng.Intn(c.clus.Nodes())), rng.Intn(2) == 0); err != nil {
+				if k := rng.Intn(len(offs) + 1); k < len(offs) && rng.Intn(2) == 0 {
+					c.book.Release(offs[k])
+					offs = append(offs[:k], offs[k+1:]...)
+					continue
+				}
+				id, err := c.book.AddSwitchOff(0, reservation.Horizon, []cluster.NodeID{cluster.NodeID(rng.Intn(c.clus.Nodes()))})
+				if err != nil {
 					t.Fatal(err)
 				}
+				offs = append(offs, id)
 			}
+			_, held := c.book.Held()
 			budget := power.CapFraction(0.05+rng.Float64(), c.clus.MaxPower())
 			optimal := c.pm.Ladder.Min()
 			for i := len(c.pm.Ladder) - 1; i >= 0; i-- {
-				if f := c.pm.Ladder[i]; budget.Allows(c.clus.SurvivorDraw(c.clus.Profile().Busy(f))) {
+				if f := c.pm.Ladder[i]; budget.Allows(c.clus.SurvivorDraw(held, c.clus.Profile().Busy(f))) {
 					optimal = f
 					break
 				}
 			}
 			for _, f := range c.pm.Ladder {
 				if got, want := c.fitsFutureCap(f, budget), f <= optimal; got != want {
-					t.Fatalf("%s, %d nodes reserved, budget %v: fitsFutureCap(%v) = %v with the optimal frequency at %v",
-						policy, c.clus.ReservedCount(), budget, f, got, optimal)
+					t.Fatalf("%s, %d nodes held, budget %v: fitsFutureCap(%v) = %v with the optimal frequency at %v",
+						policy, held.Nodes, budget, f, got, optimal)
 				}
 			}
 		}

@@ -73,7 +73,7 @@ func (c *Controller) RepairNode(id cluster.NodeID) error {
 	}
 	now := c.eng.Now()
 	c.failed.Remove(id)
-	if !c.clus.Reserved(id) {
+	if held, _ := c.book.Held(); !held.Has(id) {
 		_ = c.clus.PowerOn(id)
 	}
 	c.noteState(now)

@@ -89,11 +89,9 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 		if err := c.clus.Vacate(a.Node, a.Cores, rem); err != nil {
 			panic(fmt.Sprintf("rjms: vacate inconsistency for job %d node %d: %v", j.ID, a.Node, err))
 		}
-		// Drain-to-off: reserved node freed inside its window.
-		if c.offPending.Has(a.Node) && c.clus.State(a.Node) == cluster.StateIdle {
-			if err := c.clus.PowerOff(a.Node); err == nil {
-				c.offPending.Remove(a.Node)
-			}
+		// Drain-to-off: a held node freed inside its window.
+		if c.clus.State(a.Node) == cluster.StateIdle && c.book.Draining(a.Node, now) {
+			_ = c.clus.PowerOff(a.Node)
 		}
 	}
 	c.recycleAllocs(j)

@@ -59,8 +59,9 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 		return planned{}, false, true
 	}
 	blocked := c.blockedFor(j, now)
+	held, heldGroups := c.book.Held()
 	var found bool
-	if c.cfg.Compact && c.clus.ReservedCount() == 0 { // chassis-greedy, unless nodes are reserved
+	if c.cfg.Compact && heldGroups.Nodes == 0 { // chassis-greedy, unless nodes are held
 		pl.compact = sched.AllocateCompact(c.clus, j.Cores, blocked)
 		nodes := c.nodeBuf[:0]
 		for _, a := range pl.compact {
@@ -69,7 +70,7 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 		c.nodeBuf = nodes[:0] // same backing array; only alive within this call
 		c.planNodes, c.planIdle, found = nodes, 0, len(nodes) > 0
 	} else {
-		pl.frontier = c.frontiers.For(c.clus, blocked)
+		pl.frontier = c.frontiers.For(c.clus, blocked, held)
 		c.planNodes, c.planIdle, found = pl.frontier.Fit(j.Cores)
 	}
 	if !found {
@@ -118,14 +119,15 @@ func (c *Controller) admitAhead(f dvfs.Freq) bool {
 
 // fitsFutureCap reports whether f is at most a future window's "optimal
 // CPU frequency" (Section IV-B): the highest ladder rung at which every
-// surviving (unreserved) node could run busy within the budget, the
+// surviving node (held by no switch-off) could run busy within the budget, the
 // shared equipment of the chassis and racks that keep a survivor
 // included. Draws rise with frequency, so that is f's own projection
 // fitting. When not even the ladder minimum fits, the minimum is still
 // admitted: launches are then as conservative as the policy allows and
 // the active-cap check takes over once the window opens.
 func (c *Controller) fitsFutureCap(f dvfs.Freq, budget power.Cap) bool {
-	return f <= c.pm.Ladder.Min() || budget.Allows(c.clus.SurvivorDraw(c.clus.Profile().Busy(f)))
+	_, held := c.book.Held()
+	return f <= c.pm.Ladder.Min() || budget.Allows(c.clus.SurvivorDraw(held, c.clus.Profile().Busy(f)))
 }
 
 // viewKey is a running job's entry in the backfill view: its core count
@@ -188,9 +190,10 @@ type passMemo struct {
 // one, start nothing. A pass is a function of the machine, the book, the
 // running view, the queue and the clock, so it refuses everything again
 // when
-//   - the cluster generation stands: no node changed state, cores or
-//     reservation flag — same placements, same free-core bound;
-//   - the book generation stands: nothing reserved, re-budgeted, removed;
+//   - the cluster generation stands: no node changed state or cores —
+//     same placements, same free-core bound;
+//   - the book generation stands: nothing reserved, re-budgeted or
+//     released — same held nodes, same caps;
 //   - the view generation stands: no job started, finished or was
 //     re-clocked (the one way a node's draw moves without the cluster
 //     generation; it always moves the job's view entry);

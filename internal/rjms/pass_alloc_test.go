@@ -363,8 +363,8 @@ func TestRefusedProbesAllocateNothing(t *testing.T) {
 	if c.book.BlockedSet(now, now+narrow.Walltime, c.cfg.ReservationLeadSec, &scratch); scratch == nil {
 		t.Fatal("probe eligibility is a single window's set, want a union of two")
 	}
-	if c.clus.ReservedCount() <= c.clus.Count(cluster.StateOff) {
-		t.Fatal("no reserved node is still powered: the preference set is idle")
+	if _, held := c.book.Held(); held.Nodes <= c.clus.Count(cluster.StateOff) {
+		t.Fatal("no held node is still powered: the preference set is idle")
 	}
 
 	passes, pending := c.statPasses, len(c.pending)
@@ -456,13 +456,17 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 	if probes, starts, builds := pass(); probes != uint64(len(c.pending)) || starts != 0 || builds != 0 {
 		t.Errorf("unchanged cluster: %d probes, %d starts, %d frontier builds; want %d, 0, 0", probes, starts, builds, len(c.pending))
 	}
-	// Retire every frontier without changing what a probe decides: flip
-	// one reserved flag and flip it back.
-	flag := c.clus.Reserved(0)
-	for _, v := range []bool{!flag, flag} {
-		if err := c.clus.SetReserved(0, v); err != nil {
-			t.Fatal(err)
-		}
+	// Retire every frontier without changing what a probe decides: power
+	// an idle node off and back on.
+	idle := cluster.NodeID(0)
+	for c.clus.State(idle) != cluster.StateIdle {
+		idle++
+	}
+	if err := c.clus.PowerOff(idle); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.clus.PowerOn(idle); err != nil {
+		t.Fatal(err)
 	}
 	sets := distinctBlocked()
 	if probes, starts, builds := pass(); probes < 150 || starts != 0 || builds != uint64(sets) {

@@ -26,27 +26,23 @@ func (c *Controller) ReservePowerCapID(start, end int64, budget power.Cap) (int,
 	if err != nil {
 		return 0, core.OfflinePlan{}, err
 	}
-	eligible := func(id cluster.NodeID) bool { return !c.clus.Reserved(id) }
+	held, _ := c.book.Held()
+	eligible := func(id cluster.NodeID) bool { return !held.Has(id) }
 	plan := core.PlanOffline(c.clus, c.pm, budget, !c.cfg.Scattered, eligible)
 	if c.cfg.Policy == core.PolicyIdle {
 		// IDLE keeps nodes powered; no switch-off reservation.
 		plan.OffNodes = nil
 	}
 	if len(plan.OffNodes) > 0 {
-		if _, err := c.book.AddSwitchOff(start, end, plan.OffNodes); err != nil {
+		offID, err := c.book.AddSwitchOff(start, end, plan.OffNodes)
+		if err != nil {
 			return resID, plan, err
 		}
-		for _, id := range plan.OffNodes {
-			if err := c.clus.SetReserved(id, true); err != nil {
-				return resID, plan, err
-			}
-		}
-		offNodes := append([]cluster.NodeID(nil), plan.OffNodes...)
-		if _, err := c.eng.At(start, func(now int64) { c.windowOpen(offNodes, now) }); err != nil {
+		if _, err := c.eng.At(start, c.windowOpen); err != nil {
 			return resID, plan, err
 		}
 		if end != reservation.Horizon {
-			if _, err := c.eng.At(end, func(now int64) { c.windowClose(offNodes, now) }); err != nil {
+			if _, err := c.eng.At(end, func(now int64) { c.windowClose(offID, now) }); err != nil {
 				return resID, plan, err
 			}
 		}
@@ -103,33 +99,27 @@ func (c *Controller) capEnded(now int64) {
 	c.requestPass(now)
 }
 
-// windowOpen powers down the reserved group; busy nodes drain first.
-func (c *Controller) windowOpen(nodes []cluster.NodeID, now int64) {
-	for _, id := range nodes {
-		switch c.clus.State(id) {
-		case cluster.StateIdle:
-			if err := c.clus.PowerOff(id); err == nil {
-				continue
-			}
-		case cluster.StateBusy:
-			c.offPending.Add(id)
+// windowOpen powers down the idle nodes a window open at now holds;
+// busy ones drain to off as their jobs end (finish).
+func (c *Controller) windowOpen(now int64) {
+	for id := cluster.NodeID(0); int(id) < c.clus.Nodes(); id++ {
+		if c.clus.State(id) == cluster.StateIdle && c.book.Draining(id, now) {
+			_ = c.clus.PowerOff(id)
 		}
 	}
 	c.noteState(now)
 	c.requestPass(now)
 }
 
-// windowClose powers the group back on and releases the reservation
-// flags.
-func (c *Controller) windowClose(nodes []cluster.NodeID, now int64) {
-	for _, id := range nodes {
-		c.offPending.Remove(id)
+// windowClose releases switch-off id and powers its group back on.
+func (c *Controller) windowClose(id int, now int64) {
+	group := c.book.Release(id)
+	for n := cluster.NodeID(0); int(n) < c.clus.Nodes(); n++ {
 		// A failed node stays off past its window; RepairNode brings
 		// it back.
-		if !c.failed.Has(id) {
-			_ = c.clus.PowerOn(id)
+		if group.Has(n) && !c.failed.Has(n) {
+			_ = c.clus.PowerOn(n)
 		}
-		_ = c.clus.SetReserved(id, false)
 	}
 	c.noteState(now)
 	c.requestPass(now)

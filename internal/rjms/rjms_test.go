@@ -187,10 +187,8 @@ func TestPowercapShutPlansAndPowersOff(t *testing.T) {
 	if got := c.Cluster().Count(cluster.StateOff); got != 0 {
 		t.Errorf("off nodes after window = %d, want 0", got)
 	}
-	for id := 0; id < c.Cluster().Nodes(); id++ {
-		if c.Cluster().Reserved(cluster.NodeID(id)) {
-			t.Errorf("node %d still reserved after window", id)
-		}
+	if _, g := c.book.Held(); g.Nodes != 0 {
+		t.Errorf("%d nodes still held after window", g.Nodes)
 	}
 }
 
@@ -383,6 +381,75 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got == 0 {
 		t.Error("reserved nodes did not drain to off after their job ended")
+	}
+
+	// The window's boundaries. A long job on nodes 0–5 runs to the
+	// window's end, a short one on nodes 6–11 ends before it opens; the
+	// window [100, 400) at a 40 % cap holds nodes 0–2 and 6–11.
+	boundaries := func() (*Controller, []cluster.NodeID) {
+		c := mustNew(t, tinyConfig(core.PolicyShut))
+		jobs := []*job.Job{
+			{ID: 1, User: "long", Cores: 24, Submit: 0, Runtime: 400, Walltime: 500},
+			{ID: 2, User: "short", Cores: 24, Submit: 0, Runtime: 80, Walltime: 90},
+		}
+		if err := c.LoadWorkload(jobs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(50); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := c.ReservePowerCap(100, 400, power.CapFraction(0.4, c.Cluster().MaxPower()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, _ := c.book.Held()
+		if long := c.running[1].j; len(plan.OffNodes) != 9 || !held.Has(0) || held.Has(3) || long.Allocs[0].Node != 0 {
+			t.Fatalf("setup: window holds %v, long job on %v", plan.OffNodes, long.Allocs)
+		}
+		return c, plan.OffNodes
+	}
+	c, group := boundaries()
+	if _, err := c.Run(90); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Cluster().Count(cluster.StateOff); got != 0 {
+		t.Errorf("held nodes freed before the window opened powered off early: %d off", got)
+	}
+	if _, err := c.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Cluster().Count(cluster.StateOff); got != 6 {
+		t.Errorf("window open: %d nodes off, want the 6 idle held ones", got)
+	}
+	if _, err := c.Run(400); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range group {
+		if st := c.Cluster().State(id); st != cluster.StateIdle {
+			t.Errorf("node %d freed at the window's end is %v, want idle", id, st)
+		}
+	}
+
+	// A held node that fails and is repaired inside the window stays off
+	// until the window closes.
+	c, _ = boundaries()
+	if _, err := c.Run(200); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RepairNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Cluster().State(0); st != cluster.StateOff {
+		t.Errorf("held node repaired inside its window is %v, want off", st)
+	}
+	if _, err := c.Run(400); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Cluster().State(0); st == cluster.StateOff {
+		t.Error("window closed: the repaired held node stays off")
 	}
 }
 

@@ -74,16 +74,18 @@ var diffTopologies = []cluster.Topology{
 	cluster.CurieTopology(), // 5040 nodes
 }
 
-// randomCluster draws a machine state: off / idle / partly used / full
-// nodes at random ladder frequencies, some of them flagged reserved.
-func randomCluster(t *testing.T, rng *rand.Rand, topo cluster.Topology) *cluster.Cluster {
+// randomCluster draws a machine state — off / idle / partly used / full
+// nodes at random ladder frequencies — and a full-length set of nodes a
+// switch-off would hold.
+func randomCluster(t *testing.T, rng *rand.Rand, topo cluster.Topology) (*cluster.Cluster, cluster.NodeSet) {
 	t.Helper()
 	c, err := cluster.New(topo, power.CurieProfile(), cluster.CurieOverhead())
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := cluster.NewNodeSet(topo.Nodes())
 	ladder := dvfs.CurieLadder()
-	pOff, pBusy, pReserved := rng.Float64()*0.5, rng.Float64(), rng.Float64()*0.5
+	pOff, pBusy, pHeld := rng.Float64()*0.5, rng.Float64(), rng.Float64()*0.5
 	for id := cluster.NodeID(0); int(id) < topo.Nodes(); id++ {
 		switch r := rng.Float64(); {
 		case r < pOff:
@@ -91,14 +93,14 @@ func randomCluster(t *testing.T, rng *rand.Rand, topo cluster.Topology) *cluster
 		case r < pOff+(1-pOff)*pBusy:
 			err = c.Occupy(id, 1+rng.Intn(topo.CoresPerNode), ladder[rng.Intn(len(ladder))])
 		}
-		if err == nil && rng.Float64() < pReserved {
-			err = c.SetReserved(id, true)
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		if rng.Float64() < pHeld {
+			held.Add(id)
+		}
 	}
-	return c
+	return c, held
 }
 
 // randomFilter draws a probe filter: absent, full-length, or shorter
@@ -126,7 +128,7 @@ func TestFrontierTakeMatchesPerNodeReference(t *testing.T) {
 				rounds = 12
 			}
 			for round := 0; round < rounds; round++ {
-				c := randomCluster(t, rng, topo)
+				c, _ := randomCluster(t, rng, topo)
 				blocked, prefer := randomFilter(rng, topo.Nodes()), randomFilter(rng, topo.Nodes())
 				requests := []int{1, topo.CoresPerNode, topo.CoresPerNode + 1, topo.Cores() / 7, topo.Cores(), topo.Cores() + 1}
 				for i := 0; i < 6; i++ {

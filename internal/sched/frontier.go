@@ -18,14 +18,14 @@ import (
 //
 // First fit packs partly used nodes before idle ones (the paper: jobs
 // "filling partially used nodes will always pass the powercapping
-// criteria"), ascending ID, never off nodes; the preferred set — reserved
-// nodes, earmarked for a switch-off — goes first, so work placed there
+// criteria"), ascending ID, never off nodes; the preferred set — the
+// nodes switch-off reservations hold — goes first, so work placed there
 // drains before the window and the survivors' budget is kept for jobs
 // that outlast it.
 type Frontier struct {
 	// Validity key; blocked is an owned copy. prefer is the set build
-	// was given (the cluster's reserved set), read only while the
-	// frontier stands.
+	// was given, matched by identity (see Frontiers) and read only while
+	// the frontier stands.
 	clus            *cluster.Cluster
 	gen             uint64
 	blocked, prefer cluster.NodeSet
@@ -149,24 +149,26 @@ func (f *Frontier) Take(cores int, dst []job.Alloc) (allocs []job.Alloc, ok bool
 const frontierSlots = 4
 
 // Frontiers hands out the frontier of a cluster's current state under a
-// blocked set, preferring the cluster's reserved nodes. One is built only
-// when no slot holds that state: a slot answers while the cluster's
-// generation stands and the blocked set has the same members (compared
-// by content, so callers may pass a reused scratch set). A build
-// overwrites a slot of a past state, or — all being current — the next
-// in turn. The zero value is ready to use.
+// blocked set and a preferred set. A slot answers while the cluster's
+// generation stands, the blocked set has the same members (by content,
+// so callers may pass a reused scratch set) and the preferred set is the
+// same slice (by identity: its owner, reservation.Book.Held, replaces it
+// whenever its members change). Otherwise a build overwrites a slot of a
+// past state, or — all being current — the next in turn. The zero value
+// is ready to use.
 type Frontiers struct {
 	slots  [frontierSlots]Frontier
 	next   int
 	builds uint64
 }
 
-// For returns the frontier of c under blocked, valid until c changes.
-func (fs *Frontiers) For(c *cluster.Cluster, blocked cluster.NodeSet) *Frontier {
+// For returns the frontier of c under blocked, preferring the nodes in
+// prefer, valid until c changes or prefer is replaced.
+func (fs *Frontiers) For(c *cluster.Cluster, blocked, prefer cluster.NodeSet) *Frontier {
 	gen, victim := c.Generation(), -1
 	for i := range fs.slots {
 		f := &fs.slots[i]
-		if f.clus != c || f.gen != gen {
+		if f.clus != c || f.gen != gen || !same(f.prefer, prefer) {
 			if victim < 0 {
 				victim = i
 			}
@@ -179,8 +181,14 @@ func (fs *Frontiers) For(c *cluster.Cluster, blocked cluster.NodeSet) *Frontier 
 	}
 	f := &fs.slots[victim]
 	fs.builds++
-	f.build(c, blocked, c.ReservedSet())
+	f.build(c, blocked, prefer)
 	return f
+}
+
+// same reports whether a and b are one slice. A slot keeps its set
+// alive, so a replacement cannot reuse its address.
+func same(a, b cluster.NodeSet) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Builds returns how many frontiers have been built so far.

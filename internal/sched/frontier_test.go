@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dvfs"
 	"repro/internal/job"
+	"repro/internal/power"
 )
 
 // checkFrontier holds fr.Fit and fr.Take to allocateRef, the per-node
@@ -66,16 +67,23 @@ func checkFrontier(t *testing.T, c *cluster.Cluster, fr *Frontier, blocked, pref
 	}
 }
 
-// mutate applies one random effective cluster mutation — each kind the
-// generation must count.
-func mutate(t *testing.T, rng *rand.Rand, c *cluster.Cluster) {
+// mutate applies one random effective mutation: a cluster one, which
+// the generation must count, or what a reservation book does when a hold
+// changes — the preferred set replaced by a copy with one node flipped.
+func mutate(t *testing.T, rng *rand.Rand, c *cluster.Cluster, prefer *cluster.NodeSet) {
 	t.Helper()
 	id := cluster.NodeID(rng.Intn(c.Nodes()))
 	per := c.Topology().CoresPerNode
 	var err error
 	switch free := c.FreeCores(id); {
 	case rng.Intn(4) == 0:
-		err = c.SetReserved(id, !c.Reserved(id))
+		next := append(cluster.NodeSet(nil), *prefer...)
+		if next.Has(id) {
+			next.Remove(id)
+		} else {
+			next.Add(id)
+		}
+		*prefer = next
 	case c.State(id) == cluster.StateOff:
 		err = c.PowerOn(id)
 	case c.State(id) == cluster.StateIdle && rng.Intn(2) == 0:
@@ -96,8 +104,9 @@ func mutate(t *testing.T, rng *rand.Rand, c *cluster.Cluster) {
 // and filters (randomCluster, randomFilter: absent, full-length, shorter
 // than the cluster). Small machines are checked at every request size,
 // Curie at the small sizes and a random sample. It then mutates the
-// cluster and requires the generation to move and a Frontiers slot to
-// come back equal to a frontier built from scratch.
+// cluster or replaces the held set it prefers, and requires the
+// generation to move or the set to be new, and a Frontiers slot to come
+// back equal to a frontier built from scratch.
 func FuzzFrontierMatchesAllocate(f *testing.F) {
 	for topo := range diffTopologies {
 		f.Add(int64(topo+1), uint8(topo))
@@ -105,7 +114,7 @@ func FuzzFrontierMatchesAllocate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, machine uint8) {
 		topo := diffTopologies[int(machine)%len(diffTopologies)]
 		rng := rand.New(rand.NewSource(seed))
-		c := randomCluster(t, rng, topo)
+		c, held := randomCluster(t, rng, topo)
 		blocked, prefer := randomFilter(rng, topo.Nodes()), randomFilter(rng, topo.Nodes())
 
 		var sizes []int
@@ -129,24 +138,61 @@ func FuzzFrontierMatchesAllocate(f *testing.F) {
 		// The cache: same state and same members (in another backing
 		// array) reuse the slot; any counted mutation retires it.
 		var fs Frontiers
-		first := fs.For(c, blocked)
-		if again := fs.For(c, append(cluster.NodeSet(nil), blocked...)); again != first || fs.Builds() != 1 {
+		first := fs.For(c, blocked, held)
+		if again := fs.For(c, append(cluster.NodeSet(nil), blocked...), held); again != first || fs.Builds() != 1 {
 			t.Fatalf("unchanged cluster: %d builds, want the one frontier reused", fs.Builds())
 		}
 		for step := 0; step < 4; step++ {
-			gen := c.Generation()
-			mutate(t, rng, c)
-			if c.Generation() == gen {
-				t.Fatalf("mutation %d left the generation at %d", step, gen)
+			gen, before := c.Generation(), held
+			mutate(t, rng, c, &held)
+			if c.Generation() == gen && same(held, before) {
+				t.Fatalf("mutation %d left the generation at %d and the held set in place", step, gen)
 			}
-			reused := fs.For(c, blocked)
+			reused := fs.For(c, blocked, held)
 			var fresh Frontier
-			fresh.build(c, blocked, c.ReservedSet())
+			fresh.build(c, blocked, held)
 			if reused.split != fresh.split || reused.idle != fresh.idle ||
 				!slices.Equal(reused.ids, fresh.ids) || !slices.Equal(reused.cum, fresh.cum) {
 				t.Fatalf("mutation %d: cached frontier %+v, fresh %+v", step, reused, fresh)
 			}
 		}
-		checkFrontier(t, c, fs.For(c, blocked), blocked, c.ReservedSet(), sizes)
+		checkFrontier(t, c, fs.For(c, blocked, held), blocked, held, sizes)
 	})
+}
+
+// A reservation book replaces its held set instead of modifying it, so
+// For keys the preferred set by identity: a new set rebuilds the
+// frontier while the cluster generation stands, and the same set — or a
+// copy of the blocked set — reuses it.
+func TestFrontiersRebuildWhenPreferIsReplaced(t *testing.T) {
+	c, err := cluster.New(diffTopologies[0], power.CurieProfile(), cluster.CurieOverhead())
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := c.Topology().CoresPerNode
+	takes := func(fr *Frontier) cluster.NodeID {
+		t.Helper()
+		allocs, ok := fr.Take(per, nil)
+		if !ok || len(allocs) != 1 {
+			t.Fatalf("one node's cores: %v, %v", allocs, ok)
+		}
+		return allocs[0].Node
+	}
+	var fs Frontiers
+	gen := c.Generation()
+	prefer := cluster.NewNodeSet(c.Nodes())
+	if got := takes(fs.For(c, nil, prefer)); got != 0 {
+		t.Fatalf("nothing preferred: first fit takes node %d, want 0", got)
+	}
+	replaced := cluster.NewNodeSet(c.Nodes())
+	replaced.Add(100)
+	if got := takes(fs.For(c, nil, replaced)); got != 100 || fs.Builds() != 2 {
+		t.Fatalf("replaced preferred set: takes node %d after %d builds, want node 100 after 2", got, fs.Builds())
+	}
+	if got := takes(fs.For(c, cluster.NodeSet{}, replaced)); got != 100 || fs.Builds() != 2 {
+		t.Fatalf("same preferred set: takes node %d after %d builds, want node 100 reused", got, fs.Builds())
+	}
+	if c.Generation() != gen {
+		t.Fatal("probing moved the cluster generation")
+	}
 }
