@@ -83,6 +83,7 @@ type Controller struct {
 	frontiers  sched.Frontiers    // what first fit can take, per blocked set
 	nodeBuf    []cluster.NodeID   // node list of the current compact-placement probe
 	blockedBuf cluster.NodeSet    // union of several blocking switch-off groups
+	deferBuf   []int              // queue positions of shadow-refused candidates not yet planned
 
 	// Pre-bound closures with their parameter fields. plan() runs up to
 	// BackfillDepth times per event; literal admit closures there would

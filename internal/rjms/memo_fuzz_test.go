@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/reservation"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -244,5 +245,52 @@ func TestViewGenCountsBothMutators(t *testing.T) {
 	c.viewRemove(r)
 	if c.viewGen == gen {
 		t.Error("viewRemove left the view generation where it was")
+	}
+}
+
+// A job re-clocked up under DynamicDVFS can outlive its entry in the
+// backfill view. Once the clock passes that entry's expected end, the
+// EASY shadow is clamped to now and the cores free at it grow with the
+// clock, so a pass can start what an earlier one refused while nothing
+// else changed. Here jobs 1 and 2 start at the ladder minimum ahead of a
+// window and are boosted when it closes at t=600: their view entries end
+// at 1000 and 1050, their runs at 1232 and 1282. The pass at 600 refuses
+// job 4 behind the blocked head, job 3. Job 5 arrives at 1100 asking no
+// fewer cores than the head, so no key but the clock's breaks the memo,
+// and a pass at 1100 must start job 4, as one run in full does.
+func TestPassMemoBreaksOnPassedExpectedEnd(t *testing.T) {
+	for _, noPassMemo := range []bool{false, true} {
+		cfg := tinyConfig(core.PolicyDvfs)
+		cfg.DynamicDVFS = true
+		c := mustNew(t, cfg)
+		c.noPassMemo = noPassMemo
+		if _, err := c.ReservePowerCap(100, 600, power.CapFraction(0.1, c.clus.MaxPower())); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.LoadWorkload([]*job.Job{
+			{ID: 1, User: "a", Cores: 16, Submit: 0, Runtime: 1000, Walltime: 1000},
+			{ID: 2, User: "b", Cores: 16, Submit: 0, Runtime: 1050, Walltime: 1050},
+			{ID: 3, User: "c", Cores: 28, Submit: 0, Runtime: 100, Walltime: 100},  // head: 16 cores free
+			{ID: 4, User: "d", Cores: 8, Submit: 0, Runtime: 4000, Walltime: 5000}, // needs both ends passed
+			{ID: 5, User: "e", Cores: 48, Submit: 1100, Runtime: 10, Walltime: 10},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(5000); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Advance(600); err != nil {
+			t.Fatal(err)
+		}
+		want := []sched.RunningJob{{Cores: 16, ExpectedEnd: 1000}, {Cores: 16, ExpectedEnd: 1050}}
+		if !reflect.DeepEqual(c.viewBuf, want) || len(c.pending) != 2 {
+			t.Fatalf("at t=600: view %v with %d pending, want %v with jobs 3 and 4", c.viewBuf, len(c.pending), want)
+		}
+		if err := c.Advance(1100); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.running) != 3 || c.running[4].j == nil || c.running[4].j.StartTime != 1100 {
+			t.Errorf("noPassMemo=%v: at t=1100 running %v, want jobs 1 and 2 still and job 4 started at 1100", noPassMemo, c.running)
+		}
 	}
 }

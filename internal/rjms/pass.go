@@ -43,20 +43,20 @@ func (c *Controller) blockedFor(j *job.Job, now int64) cluster.NodeSet {
 }
 
 // plan finds a placement and a frequency for a job; ok is false when
-// there is none. allocFail reports that the failure happened while
-// finding cores (as opposed to the power check) — the scheduling pass
-// uses it to prune same-or-larger requests within the same pass.
+// there is none — no cores, or no rung Algorithm 2 admits. The
+// scheduling pass prunes same-or-larger requests after either.
 //
 // Nothing is allocated: first fit is read off the standing frontier as
 // the partly used nodes the launch would take plus a count of idle ones,
-// which is all Algorithm 2 needs to price it — most successful probes are
-// then refused by the pass's shadow check. Compact placement has no such
+// which is all Algorithm 2 needs to price it — many successful probes
+// commit nothing (the pass plans a candidate its shadow refused only to
+// learn whether it fails). Compact placement has no such
 // summary (its order depends on per-chassis totals): it builds the
 // allocation here, and a commit keeps it.
-func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool) {
+func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok bool) {
 	c.statProbes++
 	if j.Cores > c.freeCoresUpperBound() {
-		return planned{}, false, true
+		return planned{}, false
 	}
 	blocked := c.blockedFor(j, now)
 	held, heldGroups := c.book.Held()
@@ -74,17 +74,17 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 		c.planNodes, c.planIdle, found = pl.frontier.Fit(j.Cores)
 	}
 	if !found {
-		return planned{}, false, true
+		return planned{}, false
 	}
 	c.planNow = now
 	c.planJob = j
 	c.planCapNow = c.book.CapAt(now)
 	f, ok := core.SelectFreq(c.pm, c.admitDrawFn, c.admitAheadFn)
 	if !ok {
-		return planned{}, false, false
+		return planned{}, false
 	}
 	pl.nodes, pl.freq, pl.wall = len(c.planNodes)+c.planIdle, f, j.ScaledWalltime(c.pm.Deg, f)
-	return pl, true, false
+	return pl, true
 }
 
 // admitDraw and admitAhead are Algorithm 2's launch check, at frequency
@@ -175,8 +175,8 @@ func (c *Controller) viewRemove(r sched.RunningJob) {
 }
 
 // passMemo is what a scheduling pass that started nothing saw, kept as
-// a key: when it ran, the smallest core request it refused, the
-// generations of what it read and the length of the queue it walked.
+// a key: when it ran, the smallest core request it knew to be refused,
+// the generations of what it read and the length of the queue it walked.
 // Nothing invalidates it — passMemoHolds compares.
 type passMemo struct {
 	valid                     bool
@@ -200,9 +200,17 @@ type passMemo struct {
 //   - the clock crossed nothing (Book.PhaseStable): the same cap is
 //     active, the switch-off windows block the same spans, and a future
 //     cap that came nearer only refuses more;
-//   - the queue the pass walked is still there, and every job behind it —
-//     later submissions, a failed node's requeued victims — asks for at
-//     least minFail cores, which the pass's own pruning refuses unprobed.
+//   - the clock crossed no running job's expected end: a job re-clocked
+//     up under DynamicDVFS can outlive its view entry, and once the
+//     clock passes that end the shadow is clamped to now and the cores
+//     free at it (FreeCoresAt) grow with the clock. With no end in
+//     (m.now, now] the shadow point and the cores free at it are the
+//     recorded ones, and a walltime that crossed it still does;
+//   - the queue the pass walked is still there, and every job a pass
+//     would walk behind it — later submissions, a failed node's requeued
+//     victims, up to BackfillDepth, past which no pass looks — asks for
+//     at least minFail cores, which the pass's own pruning refuses
+//     unprobed.
 //
 // Measured-power mode records no memo: the estimate its cap checks read
 // drifts between samples under none of these keys.
@@ -214,7 +222,12 @@ func (c *Controller) passMemoHolds(now int64) bool {
 		!c.book.PhaseStable(m.now, now, c.cfg.ReservationLeadSec) {
 		return false
 	}
-	for _, j := range c.pending[m.queued:] {
+	v := c.viewBuf
+	if i := sort.Search(len(v), func(k int) bool { return v[k].ExpectedEnd > m.now }); i < len(v) && v[i].ExpectedEnd <= now {
+		return false
+	}
+	walked := min(len(c.pending), c.cfg.BackfillDepth)
+	for _, j := range c.pending[min(m.queued, walked):walked] {
 		if j.Cores < m.minFail {
 			return false
 		}
@@ -223,11 +236,27 @@ func (c *Controller) passMemoHolds(now int64) bool {
 }
 
 // pass runs one EASY-backfill scheduling cycle. Within one pass,
-// failures are memoized by core count: once an allocation (or the power
-// check) has refused a request of c cores, requests of >= c cores are
+// failures are memoized by core count: once a probe has refused a
+// request of c cores (no cores, or no power), requests of >= c cores are
 // pruned — the cluster state only shrinks as the pass commits jobs, so
 // the pruning is sound for allocations and a SLURM-like heuristic for
 // the power check.
+//
+// A backfill candidate whose nominal walltime already crosses the head's
+// reservation, and whose cores the reservation cannot spare, is refused
+// without a probe: no rung shortens a walltime (dvfs.ScaleDuration), so
+// the shadow check would refuse it after any plan. Its plan still counts
+// in one place: a failure lowers the prune threshold. So its queue
+// position is deferred, and the deferred plans run — in queue order,
+// under the same pruning — just before the next candidate the shadow
+// does not refuse is planned. Only such a candidate commits, so the
+// cluster, the book and the view have not changed since the deferral:
+// each deferred plan decides what it would have decided in place, and
+// every prune and every start is the one a pass planning each candidate
+// in turn makes. Plans still deferred when the pass ends could only
+// prune candidates there are none of, and are dropped: the memo records
+// the threshold the pass knows, never below the one planning them would
+// reach, which can only make the memo hold less.
 func (c *Controller) pass(now int64) {
 	if len(c.pending) == 0 {
 		return
@@ -250,23 +279,19 @@ func (c *Controller) pass(now int64) {
 	shadowAt := int64(-1)
 	shadowNeed := 0
 	freeAtShadow := 0
-	minAllocFail := math.MaxInt
-	minPowerFail := math.MaxInt
+	minFail := math.MaxInt
+	deferred := c.deferBuf[:0]
 
 	// Nothing may change the cluster between a successful tryPlan and the
 	// commit that consumes it: commit takes the allocation pl counted off
 	// the frontier pl read, which stands only while the cluster does.
 	tryPlan := func(j *job.Job) (planned, bool) {
-		if j.Cores >= minAllocFail || j.Cores >= minPowerFail {
+		if j.Cores >= minFail {
 			return planned{}, false
 		}
-		pl, ok, allocFail := c.plan(j, now)
+		pl, ok := c.plan(j, now)
 		if !ok {
-			if allocFail {
-				minAllocFail = j.Cores
-			} else {
-				minPowerFail = j.Cores
-			}
+			minFail = j.Cores
 		}
 		return pl, ok
 	}
@@ -304,11 +329,25 @@ func (c *Controller) pass(now int64) {
 		}
 
 		// Backfill candidate: must not delay the head reservation.
+		bounded := shadowAt != math.MaxInt64
+		if bounded && now+j.Walltime > shadowAt && freeAtShadow-j.Cores < shadowNeed {
+			if j.Cores < minFail {
+				deferred = append(deferred, i)
+			}
+			continue
+		}
+		if j.Cores >= minFail {
+			continue // pruned already; the deferred plans wait for a planned candidate
+		}
+		for _, k := range deferred {
+			tryPlan(c.pending[k])
+		}
+		deferred = deferred[:0]
 		pl, ok := tryPlan(j)
 		if !ok {
 			continue
 		}
-		if now+pl.wall > shadowAt && shadowAt != math.MaxInt64 {
+		if bounded && now+pl.wall > shadowAt { // the walltime at the admitted rung crosses
 			if freeAtShadow-j.Cores < shadowNeed {
 				continue
 			}
@@ -317,6 +356,7 @@ func (c *Controller) pass(now int64) {
 		c.commit(j, pl, now)
 		started(i)
 	}
+	c.deferBuf = deferred[:0]
 
 	if startedCount > 0 {
 		c.pending = dropStarted(c.pending, firstStart, lastStart, startedCount)
@@ -326,7 +366,7 @@ func (c *Controller) pass(now int64) {
 	// skip the whole probe cycle while passMemoHolds.
 	if c.measured == nil {
 		c.memo = passMemo{
-			valid: true, now: now, minFail: min(minAllocFail, minPowerFail),
+			valid: true, now: now, minFail: minFail,
 			clusGen: c.clus.Generation(), bookGen: c.book.Generation(), viewGen: c.viewGen,
 			queued: len(c.pending),
 		}

@@ -278,9 +278,12 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 //     ahead (reserved, so preferred, but not blocking);
 //   - one long job running on all but five of the nodes it may use;
 //   - pending: a head wanting every powered core (sets the shadow at the
-//     running job's end), a job the free-core bound admits but the
-//     unblocked nodes cannot hold, a two-node job the cap refuses, and
-//     150 one-node jobs whose probes succeed and then lose to the shadow.
+//     running job's end); behind it, all crossing the shadow, a job the
+//     free-core bound admits but the unblocked nodes cannot hold, a
+//     two-node job the cap refuses, and 150 one-node jobs whose probes
+//     succeed; last, a short job one core narrower than the head. The
+//     shadow refuses the 152 long ones unprobed, but not the last: the
+//     pass plans the 152 before it, then prunes it.
 func backlogged(t *testing.T) (c *Controller, capID int, wide, hot, narrow *job.Job) {
 	t.Helper()
 	c = mustNew(t, Config{
@@ -333,6 +336,7 @@ func backlogged(t *testing.T) (c *Controller, capID int, wide, hot, narrow *job.
 	for i := 0; i < 150; i++ {
 		backlog = append(backlog, &job.Job{ID: job.ID(10 + i), User: "s", Cores: per, Submit: 3, Runtime: longWall, Walltime: 2 * longWall})
 	}
+	backlog = append(backlog, &job.Job{ID: 200, User: "t", Cores: powered - 1, Submit: 3, Runtime: 10, Walltime: 10})
 	if err := c.LoadWorkload(backlog); err != nil {
 		t.Fatal(err)
 	}
@@ -350,14 +354,19 @@ func TestRefusedProbesAllocateNothing(t *testing.T) {
 	const now = 10
 
 	// The backlog really holds one refusal of each kind.
-	if _, ok, allocFail := c.plan(wide, now); ok || !allocFail || wide.Cores > c.freeCoresUpperBound() {
-		t.Fatalf("wide job: ok=%v allocFail=%v, want an allocation failure past the free-core bound", ok, allocFail)
+	fits := func(j *job.Job) bool {
+		held, _ := c.book.Held()
+		_, _, found := c.frontiers.For(c.clus, c.blockedFor(j, now), held).Fit(j.Cores)
+		return found
 	}
-	if _, ok, allocFail := c.plan(hot, now); ok || allocFail {
-		t.Fatalf("two-node job: ok=%v allocFail=%v, want a power refusal", ok, allocFail)
+	if _, ok := c.plan(wide, now); ok || fits(wide) || wide.Cores > c.freeCoresUpperBound() {
+		t.Fatalf("wide job: ok=%v fits=%v, want an allocation failure past the free-core bound", ok, fits(wide))
 	}
-	if _, ok, _ := c.plan(narrow, now); !ok {
-		t.Fatal("one-node job: probe failed, want a success the shadow check then refuses")
+	if _, ok := c.plan(hot, now); ok || !fits(hot) {
+		t.Fatalf("two-node job: ok=%v fits=%v, want a power refusal", ok, fits(hot))
+	}
+	if _, ok := c.plan(narrow, now); !ok {
+		t.Fatal("one-node job: probe failed, want a success (the shadow refuses it; the pass plans it only for pruning)")
 	}
 	var scratch cluster.NodeSet
 	if c.book.BlockedSet(now, now+narrow.Walltime, c.cfg.ReservationLeadSec, &scratch); scratch == nil {
@@ -367,7 +376,7 @@ func TestRefusedProbesAllocateNothing(t *testing.T) {
 		t.Fatal("no held node is still powered: the preference set is idle")
 	}
 
-	passes, pending := c.statPasses, len(c.pending)
+	passes, probes, pending := c.statPasses, c.statProbes, len(c.pending)
 	const runs = 20
 	allocs := testing.AllocsPerRun(runs, func() {
 		c.memo = passMemo{} // otherwise only the first pass runs its body
@@ -376,11 +385,12 @@ func TestRefusedProbesAllocateNothing(t *testing.T) {
 	if c.statPasses != passes+runs+1 {
 		t.Fatalf("%d pass bodies ran, want %d", c.statPasses-passes, runs+1)
 	}
-	if len(c.running) != 1 || len(c.pending) != pending {
-		t.Fatalf("the pass started something: %d running, %d pending", len(c.running), len(c.pending))
+	perPass := (c.statProbes - probes) / (runs + 1)
+	if len(c.running) != 1 || len(c.pending) != pending || perPass < 150 {
+		t.Fatalf("the pass started %d jobs and probed %d, want none over at least 150", len(c.running)-1, perPass)
 	}
 	if allocs != 0 {
-		t.Errorf("a pass of %d refused probes allocates %v times, want 0", pending, allocs)
+		t.Errorf("a pass of %d refused probes allocates %v times, want 0", perPass, allocs)
 	}
 }
 
@@ -453,8 +463,11 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 		return after.Probes - before.Probes, after.Starts - before.Starts, after.FrontierBuilds - before.FrontierBuilds
 	}
 
-	if probes, starts, builds := pass(); probes != uint64(len(c.pending)) || starts != 0 || builds != 0 {
-		t.Errorf("unchanged cluster: %d probes, %d starts, %d frontier builds; want %d, 0, 0", probes, starts, builds, len(c.pending))
+	// Every job but the last is probed: the head, then the 152 the
+	// shadow refused, planned when the last comes up; it is then pruned.
+	probed := uint64(len(c.pending) - 1)
+	if probes, starts, builds := pass(); probes != probed || starts != 0 || builds != 0 {
+		t.Errorf("unchanged cluster: %d probes, %d starts, %d frontier builds; want %d, 0, 0", probes, starts, builds, probed)
 	}
 	// Retire every frontier without changing what a probe decides: power
 	// an idle node off and back on.
@@ -468,6 +481,15 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 	if err := c.clus.PowerOn(idle); err != nil {
 		t.Fatal(err)
 	}
+	// Shadow-refused candidates cost no probe and no frontier build: a
+	// pass that stops before the last job probes the head alone, which
+	// the free-core bound refuses before any frontier is read.
+	depth := c.cfg.BackfillDepth
+	c.cfg.BackfillDepth = len(c.pending) - 1
+	if probes, starts, builds := pass(); probes != 1 || starts != 0 || builds != 0 {
+		t.Errorf("pass stopping before the last job: %d probes, %d starts, %d frontier builds; want 1, 0, 0", probes, starts, builds)
+	}
+	c.cfg.BackfillDepth = depth
 	sets := distinctBlocked()
 	if probes, starts, builds := pass(); probes < 150 || starts != 0 || builds != uint64(sets) {
 		t.Errorf("all-refusing pass: %d probes, %d starts, %d frontier builds; want one build for each of %d blocked sets", probes, starts, builds, sets)

@@ -160,6 +160,53 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 	}
 }
 
+// A backfill candidate the EASY shadow refuses is not probed where it
+// stands, yet its failure must prune what follows as if it had been: a
+// pass refuses job 4 exactly when a pass planning every candidate in
+// turn does. Job 3 crosses the head's reservation, and its span reaches
+// a switch-off window in its lead-in, whose group it may not use — the
+// nodes outside the group cannot hold it. Job 4 asks as many cores,
+// ends before the window opens and would fit on the group's idle nodes;
+// job 3's failed plan prunes it.
+func TestShadowRefusedFailureStillPrunes(t *testing.T) {
+	c := mustNew(t, tinyConfig(core.PolicyShut))
+	// The window opens at 1500: its lead-in (1 800 s by default) has begun.
+	if _, err := c.ReservePowerCap(1500, 8000, power.CapFraction(0.6, c.clus.MaxPower())); err != nil {
+		t.Fatal(err)
+	}
+	if _, held := c.book.Held(); held.Nodes != 6 {
+		t.Fatalf("the window holds %d nodes, want 6 (nodes outside it: 24 cores)", held.Nodes)
+	}
+	jobs := []*job.Job{
+		{ID: 1, User: "a", Cores: 8, Submit: 0, Runtime: 900, Walltime: 1000},    // on two held nodes; the shadow is its end
+		{ID: 2, User: "b", Cores: 44, Submit: 0, Runtime: 100, Walltime: 100},    // head: 40 cores free
+		{ID: 3, User: "c", Cores: 28, Submit: 0, Runtime: 9000, Walltime: 10000}, // crosses the shadow, reaches the window
+		{ID: 4, User: "d", Cores: 28, Submit: 0, Runtime: 400, Walltime: 500},    // ends before the shadow and the window
+	}
+	if err := c.LoadWorkload(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.running) != 1 || c.running[1].j == nil {
+		t.Fatalf("running = %v, want job 1 alone", c.running)
+	}
+	if got := c.SchedCounters().Probes; got != 3 {
+		t.Errorf("%d probes, want 3: job 1, the head, and job 3 planned before job 4 is", got)
+	}
+	wide, short := c.pending[1], c.pending[2]
+	if _, ok := c.plan(wide, 0); ok {
+		t.Error("job 3 plans: the scenario does not refuse it")
+	}
+	if _, ok := c.plan(short, 0); !ok {
+		t.Error("job 4 does not plan: the scenario refuses it without the pruning")
+	}
+}
+
 func TestPowercapShutPlansAndPowersOff(t *testing.T) {
 	cfg := tinyConfig(core.PolicyShut)
 	c := mustNew(t, cfg)
