@@ -96,7 +96,7 @@ func runScenario(b *testing.B, s replay.Scenario) replay.Result {
 	b.Helper()
 	var r replay.Result
 	for i := 0; i < b.N; i++ {
-		r = replay.Run(s)
+		r = replay.RunContextWith(context.Background(), s, nil)
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}
@@ -575,7 +575,7 @@ func BenchmarkSchedulePass(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := replay.Run(s)
+		res := replay.RunContextWith(context.Background(), s, nil)
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}

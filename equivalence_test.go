@@ -3,11 +3,8 @@
 // engine (binary container/heap event queue, full scheduling pass per
 // event, unmemoized power projections). Any rewrite of the hot path —
 // the 4-ary event queue, the incremental backfill pass, the pass memo —
-// must reproduce them byte-identically at every worker count.
-//
-// Regenerate (only when an intentional semantic change lands) with:
-//
-//	UPDATE_GOLDEN=1 go test -run TestEngineEquivalenceGolden .
+// must reproduce them byte-identically at every worker count. The file
+// is never regenerated.
 package repro_test
 
 import (
@@ -140,8 +137,6 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-library equivalence sweep in -short mode")
 	}
-	update := os.Getenv("UPDATE_GOLDEN") != ""
-
 	var got goldenFingerprints
 	swfDir := t.TempDir()
 	for _, workers := range equivalenceWorkerCounts() {
@@ -171,24 +166,9 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 		}
 	}
 
-	if update {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenFingerprintFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFingerprintFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden fingerprints updated: %+v", got)
-		return
-	}
-
 	b, err := os.ReadFile(goldenFingerprintFile)
 	if err != nil {
-		t.Fatalf("reading golden file (run with UPDATE_GOLDEN=1 to create it): %v", err)
+		t.Fatalf("reading golden file: %v", err)
 	}
 	var want goldenFingerprints
 	if err := json.Unmarshal(b, &want); err != nil {
@@ -208,8 +188,7 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 // cells at 56 racks. Its "written_by" names the commit whose engine
 // wrote it — the tree as it stood before the pass memo became keyed —
 // and like the first tier it is never regenerated: a later engine
-// change must reproduce it. UPDATE_GOLDEN_V2=<commit> exists to say how
-// the file came to be, not to be used again.
+// change must reproduce it.
 
 const goldenFingerprintFileV2 = "testdata/golden_fingerprints_v2.json"
 
@@ -369,23 +348,13 @@ func TestEngineEquivalenceGoldenV2(t *testing.T) {
 	}
 	got["twin/mutation-log"] = runTwinV2(t)
 	for _, s := range replay.Claims24hScenarios(0) {
-		res := replay.Run(s)
+		res := replay.RunContextWith(context.Background(), s, nil)
 		if res.Err != nil {
 			t.Fatalf("%s: %v", s.Name, res.Err)
 		}
 		got["curie/"+s.Name] = fingerprintRunV2(res.Summary, res.Samples)
 	}
 
-	if commit := os.Getenv("UPDATE_GOLDEN_V2"); commit != "" {
-		b, err := json.MarshalIndent(goldenFingerprintsV2{WrittenBy: commit, Cells: got}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFingerprintFileV2, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	b, err := os.ReadFile(goldenFingerprintFileV2)
 	if err != nil {
 		t.Fatal(err)

@@ -196,7 +196,7 @@ func TestSweepSharesWorkloadsBitIdentical(t *testing.T) {
 
 	ref := Table{Name: "shared", Workers: 1}
 	for i, sc := range scens {
-		ref.Rows = append(ref.Rows, Result{Result: replay.Run(sc), Index: i})
+		ref.Rows = append(ref.Rows, Result{Result: replay.RunContextWith(context.Background(), sc, nil), Index: i})
 	}
 	if errs := ref.Errs(); len(errs) != 0 {
 		t.Fatalf("per-cell replays failed: %v", errs)

@@ -30,7 +30,7 @@ func TestRunContextWithCancelled(t *testing.T) {
 		t.Errorf("pre-cancelled run produced output: %+v", res.Summary)
 	}
 
-	full := Run(s)
+	full := run(s)
 	ctx, cancelMid := context.WithCancel(context.Background())
 	defer cancelMid()
 	cutoff := s.Duration() / 4

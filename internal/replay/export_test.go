@@ -18,7 +18,7 @@ func TestWriteJSON(t *testing.T) {
 		Workload: shortWorkload(trace.MedianJob, 5),
 		Policy:   core.PolicyShut, CapFraction: 0.6, ScaleRacks: testRacks,
 	}
-	results := []Result{Run(s)}
+	results := []Result{run(s)}
 	if results[0].Err != nil {
 		t.Fatal(results[0].Err)
 	}
@@ -55,7 +55,7 @@ func TestWriteJSON(t *testing.T) {
 }
 
 func TestWriteJSONError(t *testing.T) {
-	bad := Run(Scenario{Workload: trace.Config{Kind: trace.MedianJob, DurationSec: -1}})
+	bad := run(Scenario{Workload: trace.Config{Kind: trace.MedianJob, DurationSec: -1}})
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, []Result{bad}); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 		Policy:   core.PolicyDvfs, CapFraction: 0.5, ScaleRacks: testRacks,
 		Options: rjms.Options{SampleEverySec: 300},
 	}
-	r := Run(s)
+	r := run(s)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

@@ -191,9 +191,6 @@ func Build(s Scenario) (ctl *rjms.Controller, cleanup func(), err error) {
 	return ctl, cleanup, nil
 }
 
-// Run executes one scenario to completion.
-func Run(s Scenario) Result { return RunContextWith(context.Background(), s, nil) }
-
 // cancelSteps bounds how stale a cancellation check can get: a replay
 // advances in duration/cancelSteps chunks of virtual time, probing ctx
 // between chunks, so a cancelled scenario returns after at most ~1/128

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,12 +17,15 @@ func shortWorkload(kind trace.Kind, seed int64) trace.Config {
 	return trace.Config{Kind: kind, Seed: seed, DurationSec: 2 * 3600}
 }
 
+// run replays one scenario to completion, uncancellable.
+func run(s Scenario) Result { return RunContextWith(context.Background(), s, nil) }
+
 // runEach replays scenarios one after another (the parallel pool lives
 // in internal/experiment, which this package cannot import).
 func runEach(scens []Scenario) []Result {
 	rs := make([]Result, len(scens))
 	for i, s := range scens {
-		rs[i] = Run(s)
+		rs[i] = run(s)
 	}
 	return rs
 }
@@ -64,7 +68,7 @@ func TestScenarioHelpers(t *testing.T) {
 }
 
 func TestRunBaselineUtilization(t *testing.T) {
-	r := Run(Scenario{
+	r := run(Scenario{
 		Name:     "baseline",
 		Workload: shortWorkload(trace.MedianJob, 11),
 		Policy:   core.PolicyNone, ScaleRacks: testRacks,
@@ -89,7 +93,7 @@ func TestRunCappedShutHoldsBudgetAfterDrain(t *testing.T) {
 		Workload: shortWorkload(trace.MedianJob, 11),
 		Policy:   core.PolicyShut, CapFraction: 0.6, ScaleRacks: testRacks,
 	}
-	r := Run(s)
+	r := run(s)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -120,7 +124,7 @@ func TestRunCappedShutHoldsBudgetAfterDrain(t *testing.T) {
 	}
 	// Work under a cap must not exceed the uncapped baseline by much
 	// (SHUT runs at nominal frequency, so no slowdown inflation).
-	base := Run(Scenario{Workload: shortWorkload(trace.MedianJob, 11), Policy: core.PolicyNone, ScaleRacks: testRacks})
+	base := run(Scenario{Workload: shortWorkload(trace.MedianJob, 11), Policy: core.PolicyNone, ScaleRacks: testRacks})
 	if base.Err != nil {
 		t.Fatal(base.Err)
 	}
@@ -139,7 +143,7 @@ func TestRunDvfsLaunchesBelowNominal(t *testing.T) {
 		Workload: shortWorkload(trace.SmallJob, 12),
 		Policy:   core.PolicyDvfs, CapFraction: 0.4, ScaleRacks: testRacks,
 	}
-	r := Run(s)
+	r := run(s)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -162,7 +166,7 @@ func TestRunDeterministic(t *testing.T) {
 		Workload: shortWorkload(trace.BigJob, 13),
 		Policy:   core.PolicyMix, CapFraction: 0.6, ScaleRacks: testRacks,
 	}
-	a, b := Run(s), Run(s)
+	a, b := run(s), run(s)
 	if a.Err != nil || b.Err != nil {
 		t.Fatal(a.Err, b.Err)
 	}
@@ -177,7 +181,7 @@ func TestRunExplicitJobs(t *testing.T) {
 		{ID: 1, User: "u", Cores: 64, Submit: 0, Runtime: 600, Walltime: 1200},
 		{ID: 2, User: "u", Cores: 64, Submit: 10, Runtime: 600, Walltime: 1200},
 	}
-	r := Run(Scenario{
+	r := run(Scenario{
 		Name:     "explicit",
 		Workload: trace.Config{Kind: trace.MedianJob, DurationSec: 3600},
 		Policy:   core.PolicyNone, ScaleRacks: testRacks,
@@ -196,7 +200,7 @@ func TestRunExplicitJobs(t *testing.T) {
 }
 
 func TestRunPropagatesWorkloadError(t *testing.T) {
-	r := Run(Scenario{Workload: trace.Config{Kind: trace.MedianJob, DurationSec: -1}})
+	r := run(Scenario{Workload: trace.Config{Kind: trace.MedianJob, DurationSec: -1}})
 	if r.Err == nil {
 		t.Error("invalid workload accepted")
 	}

@@ -65,7 +65,7 @@ func TestStreamedSWFReplayBoundedMemory(t *testing.T) {
 		ScaleRacks: 1,
 		SWF:        &trace.SWFSource{Path: path},
 	}
-	r := Run(s)
+	r := run(s)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -125,7 +125,7 @@ func TestStreamedSWFMatchesMaterialized(t *testing.T) {
 	materialized := base
 	materialized.Jobs = jobs
 
-	a, b := Run(streamed), Run(materialized)
+	a, b := run(streamed), run(materialized)
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("runs failed: %v / %v", a.Err, b.Err)
 	}
@@ -152,7 +152,7 @@ func TestFromSWFScenario(t *testing.T) {
 	if got := s.Duration(); got != 1800 {
 		t.Fatalf("Duration = %d, want 1800", got)
 	}
-	r := Run(s)
+	r := run(s)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

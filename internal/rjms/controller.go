@@ -53,10 +53,8 @@ type Controller struct {
 	loadErr error
 
 	// memo is what the last pass that started nothing saw; while it
-	// holds (passMemoHolds) the next pass is skipped. noPassMemo is set
-	// by the differential test alone and makes it never hold.
-	memo       passMemo
-	noPassMemo bool
+	// holds (passMemoHolds) the next pass is skipped.
+	memo passMemo
 
 	// Lifetime scheduling counters: full probe cycles run vs skipped by
 	// the pass memo. Plain increments on the single-threaded simulation

@@ -216,7 +216,7 @@ type passMemo struct {
 // drifts between samples under none of these keys.
 func (c *Controller) passMemoHolds(now int64) bool {
 	m := &c.memo
-	if !m.valid || c.noPassMemo ||
+	if !m.valid ||
 		m.clusGen != c.clus.Generation() || m.bookGen != c.book.Generation() || m.viewGen != c.viewGen ||
 		len(c.pending) < m.queued ||
 		!c.book.PhaseStable(m.now, now, c.cfg.ReservationLeadSec) {

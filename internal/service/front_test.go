@@ -224,3 +224,59 @@ func TestListingReportsElapsedOfRunningRun(t *testing.T) {
 		}
 	}
 }
+
+// TestListingsInSubmissionOrder lists several live entries of each
+// registry — queued and running runs on a daemon, runs routed by a
+// gateway, running twins — and pins the order each listing promises:
+// submission order for runs, start order for twins.
+func TestListingsInSubmissionOrder(t *testing.T) {
+	ctx := context.Background()
+	_, daemon := newTestServer(t, service.Config{Workers: 1})
+	gw, gateway, workers := newFleet(t, 1, service.GatewayConfig{})
+	heartbeatLoop(t, gw, workers, nil)
+	for name, c := range map[string]*service.Client{"daemon": daemon, "gateway": gateway} {
+		var ids []string
+		for seed := int64(7); seed < 11; seed++ {
+			spec := longSpec()
+			spec.Workload.Seed = seed
+			v, _, err := c.Submit(ctx, spec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			defer c.Cancel(ctx, v.ID)
+			ids = append(ids, v.ID)
+		}
+		runs, _, err := c.List(ctx, service.ListFilter{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var listed []string
+		for _, v := range runs {
+			listed = append(listed, v.ID)
+		}
+		if strings.Join(listed, ",") != strings.Join(ids, ",") {
+			t.Errorf("%s: listing = %v, want submission order %v", name, listed, ids)
+		}
+	}
+
+	var ids []string
+	for _, name := range []string{"first", "second", "third", "fourth"} {
+		v, err := daemon.StartTwin(ctx, pacedTwinSpec(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer daemon.StopTwin(ctx, v.ID)
+		ids = append(ids, v.ID)
+	}
+	twins, err := daemon.ListTwins(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, v := range twins {
+		listed = append(listed, v.ID)
+	}
+	if strings.Join(listed, ",") != strings.Join(ids, ",") {
+		t.Errorf("twin listing = %v, want start order %v", listed, ids)
+	}
+}

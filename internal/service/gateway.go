@@ -127,7 +127,6 @@ type Gateway struct {
 	mu        sync.Mutex
 	members   map[string]*member
 	runs      map[string]*gwRun
-	order     []*gwRun
 	byHash    map[string]*gwRun // latest run per hash (the dedupe index)
 	nextSeq   int
 	cacheHits int
@@ -484,12 +483,10 @@ func (g *Gateway) SubmitTraced(ctx context.Context, tenant TenantConfig, spec si
 	}
 	g.nextSeq++
 	g.runs[r.ID] = r
-	g.order = append(g.order, r)
 	g.byHash[hash] = r
 	if err := g.sched.Enqueue(r.ID); err != nil {
 		delete(g.runs, r.ID)
 		delete(g.byHash, hash)
-		g.order = g.order[:len(g.order)-1]
 		return RunView{}, false, errEnqueue(err, g.cfg.QueueDepth)
 	}
 	g.log.Info("run queued", "run", r.ID, "hash", hash[:12], "tenant", tenant.Name, "request_id", reqID)
@@ -638,8 +635,8 @@ func (g *Gateway) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 // machinery.
 func (g *Gateway) List(f ListFilter) ([]RunView, string, error) {
 	g.mu.Lock()
-	records := make([]Record, 0, len(g.order))
-	for _, r := range g.order {
+	records := make([]Record, 0, len(g.runs))
+	for _, r := range g.runs {
 		records = append(records, r.Record)
 	}
 	g.mu.Unlock()

@@ -232,7 +232,6 @@ type Server struct {
 
 	mu          sync.Mutex
 	runs        map[string]*run // live (non-terminal) runs only
-	order       []*run          // live submission order
 	byHash      map[string]*run // live dedupe index
 	draining    bool
 	nextSeq     int
@@ -250,7 +249,6 @@ type Server struct {
 	// taken while holding s.mu or a run's lock.
 	twinMu      sync.Mutex
 	twins       map[string]*twinRun
-	twinOrder   []*twinRun
 	nextTwinSeq int
 	twinWG      sync.WaitGroup
 }
@@ -430,12 +428,10 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	// the maps are consistent. A refused enqueue unwinds the
 	// registration — the run was never accepted.
 	s.runs[r.id] = r
-	s.order = append(s.order, r)
 	s.byHash[hash] = r
 	if err := s.sched.Enqueue(r.id); err != nil {
 		delete(s.runs, r.id)
 		delete(s.byHash, hash)
-		s.order = s.order[:len(s.order)-1]
 		cancel()
 		return RunView{}, false, errEnqueue(err, s.cfg.QueueDepth)
 	}
@@ -568,12 +564,6 @@ func (s *Server) retire(r *run) {
 		delete(s.runs, r.id)
 		if s.byHash[r.hash] == r {
 			delete(s.byHash, r.hash)
-		}
-		for i, cur := range s.order {
-			if cur == r {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
 		}
 	}
 	putErr := s.store.Put(rec)
@@ -724,7 +714,7 @@ func (s *Server) List(f ListFilter) ([]RunView, string, error) {
 	seen := map[string]bool{}
 	var records []Record
 	s.mu.Lock()
-	for _, r := range s.order {
+	for _, r := range s.runs {
 		r.mu.Lock()
 		rec := r.recordLocked()
 		r.mu.Unlock()

@@ -155,7 +155,6 @@ func (s *Server) StartTwinAs(tenant TenantConfig, spec twin.Spec) (TwinView, err
 
 	s.twinMu.Lock()
 	s.twins[id] = t
-	s.twinOrder = append(s.twinOrder, t)
 	s.twinMu.Unlock()
 
 	t.mu.Lock()
@@ -202,7 +201,10 @@ func (s *Server) TwinAs(tenant TenantConfig, id string) (TwinView, error) {
 // and open daemons see all).
 func (s *Server) ListTwinsAs(tenant TenantConfig) []TwinView {
 	s.twinMu.Lock()
-	order := append([]*twinRun(nil), s.twinOrder...)
+	order := make([]*twinRun, 0, len(s.twins))
+	for _, t := range s.twins {
+		order = append(order, t)
+	}
 	s.twinMu.Unlock()
 	sort.Slice(order, func(i, j int) bool { return order[i].seq < order[j].seq })
 	views := make([]TwinView, 0, len(order))

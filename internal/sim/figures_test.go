@@ -48,7 +48,7 @@ func TestReplayedFigureMatchesDirectPath(t *testing.T) {
 		t.Fatal("figure 7b produced no single-run report")
 	}
 
-	direct := replay.Run(replay.Fig7bScenario(2))
+	direct := replay.RunContextWith(context.Background(), replay.Fig7bScenario(2), nil)
 	if direct.Err != nil {
 		t.Fatal(direct.Err)
 	}

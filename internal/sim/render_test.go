@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -68,12 +69,12 @@ func TestFig5VerdictsAllShutdown(t *testing.T) {
 
 func smallRun(t *testing.T, policy core.Policy, frac float64) replay.Result {
 	t.Helper()
-	r := replay.Run(replay.Scenario{
+	r := replay.RunContextWith(context.Background(), replay.Scenario{
 		Name:     "test/" + policy.String(),
 		Workload: trace.Config{Kind: trace.MedianJob, Seed: 3, DurationSec: 3600},
 		Policy:   policy, CapFraction: frac, ScaleRacks: 1,
 		Cap: replay.CapWindow{StartSec: 1200, DurationSec: 900},
-	})
+	}, nil)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestSingleMatchesDirectReplay: the facade path must reproduce a
-// direct replay.Run bit for bit (same scenario, same export bytes).
+// direct replay.RunContextWith bit for bit (same scenario, same export bytes).
 func TestSingleMatchesDirectReplay(t *testing.T) {
 	spec := RunSpec{
 		Workload:     WorkloadSpec{Kind: "smalljob", Seed: 1002},
@@ -29,13 +29,13 @@ func TestSingleMatchesDirectReplay(t *testing.T) {
 		t.Fatalf("mode %q, single=%v", rep.Mode, rep.Single != nil)
 	}
 
-	direct := replay.Run(replay.Scenario{
+	direct := replay.RunContextWith(context.Background(), replay.Scenario{
 		Name:        "smalljob/60%/SHUT",
 		Workload:    trace.Config{Kind: trace.SmallJob, Seed: 1002},
 		Policy:      core.PolicyShut,
 		CapFraction: 0.6,
 		ScaleRacks:  2,
-	})
+	}, nil)
 	if direct.Err != nil {
 		t.Fatal(direct.Err)
 	}

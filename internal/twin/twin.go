@@ -417,8 +417,11 @@ func (s *Session) Run(ctx context.Context) error {
 	defer s.fleet.Close()
 	epoch, horizon := s.spec.EpochSec, s.spec.HorizonSec
 	s.telemetry(0)
-	for t := epoch; t <= horizon; t += epoch {
-		if err := s.pace(ctx, epoch); err != nil {
+	// Boundaries fall every epoch; the last is clamped to the horizon
+	// and paced for its real length.
+	for prev := int64(0); prev < horizon; {
+		t := min(prev+epoch, horizon)
+		if err := s.pace(ctx, t-prev); err != nil {
 			return err
 		}
 		if err := s.fleet.AdvanceAll(t); err != nil {
@@ -429,10 +432,11 @@ func (s *Session) Run(ctx context.Context) error {
 			return fmt.Errorf("twin: %w", err)
 		}
 		s.telemetry(t)
-		s.snapshot(t, t+epoch > horizon)
+		s.snapshot(t, t == horizon)
 		if s.cfg.OnEpoch != nil {
 			s.cfg.OnEpoch(s.Status())
 		}
+		prev = t
 	}
 	return nil
 }

@@ -385,6 +385,23 @@ func TestStatusDuringRun(t *testing.T) {
 	}
 }
 
+// A horizon that is not a multiple of the epoch is still reached: the
+// last boundary is clamped to it, as a federation run's last stretch is.
+func TestRunReachesHorizonBetweenEpochs(t *testing.T) {
+	spec := smallSpec()
+	spec.HorizonSec = 1000
+	s, err := New(spec, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(); !st.Finished || st.VirtualTime != 1000 {
+		t.Fatalf("status after Run = finished %v at t=%d, want finished at the horizon, t=1000", st.Finished, st.VirtualTime)
+	}
+}
+
 // TestCheckedInTwinSpecs is the twin half of the examples gate: every
 // checked-in twin_*.json must decode strictly, validate, and be stored
 // normalized (loading is a fixed point).
