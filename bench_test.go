@@ -327,10 +327,10 @@ func BenchmarkClusterPowerTransition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := cluster.NodeID(i % c.Nodes())
-		if err := c.Occupy(id, 1, dvfs.F2700); err != nil {
+		if err := c.Occupy([]cluster.Alloc{{Node: id, Cores: 1}}, dvfs.F2700); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Vacate(id, 1, 0); err != nil {
+		if err := c.Vacate([]cluster.Alloc{{Node: id, Cores: 1}}, []dvfs.Freq{0}); err != nil {
 			b.Fatal(err)
 		}
 		_ = c.Power()
@@ -381,7 +381,7 @@ func BenchmarkSelectFreqRefused(b *testing.B) {
 		if i%2 == 0 {
 			f = dvfs.F1200
 		}
-		if err := c.Occupy(nodes[i], 1, f); err != nil {
+		if err := c.Occupy([]cluster.Alloc{{Node: nodes[i], Cores: 1}}, f); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -440,7 +440,7 @@ func blockedCurie(b *testing.B) (*cluster.Cluster, *reservation.Book) {
 		case id%8 == 0:
 			used = per / 2
 		}
-		if err := c.Occupy(id, used, dvfs.F2700); err != nil {
+		if err := c.Occupy([]cluster.Alloc{{Node: id, Cores: used}}, dvfs.F2700); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,10 +8,14 @@ import (
 )
 
 // Cluster tracks the power-relevant state of every node and derives the
-// instantaneous cluster draw incrementally. All mutating operations are
-// O(1); reading the total power is O(1). Per-node state is arrays and
-// bitsets only — a job start or finish touches every node it spans, so
-// nothing on that path hashes: each node caches its own draw and the
+// instantaneous cluster draw incrementally; reading the total power is
+// O(1). A job starts and ends in one call each (Occupy, Vacate over its
+// whole allocation), O(nodes spanned): each node record is written once,
+// a whole node moves between the candidate sets by a bit, and the
+// aggregates — counts, busy cores, histogram bars, node draw, generation
+// — settle once per call. The node-level operations (PowerOff, PowerOn,
+// SetFreq) are O(1). Per-node state is arrays and bitsets only, so
+// nothing on those paths hashes: each node caches its own draw and the
 // per-frequency core histogram is a handful of scanned entries. The
 // struct is not safe for concurrent mutation; the RJMS controller
 // serializes access (the experiment harness runs many independent
@@ -37,11 +41,13 @@ type Cluster struct {
 	coresByFreq  []freqCores // allocated cores per node frequency; no zero entry
 	maxPowerOnce power.Watts
 
-	// Allocation candidate indexes, maintained by transition: busy nodes
-	// with at least one free core, and idle nodes. Allocation probes
+	// Allocation candidate indexes, maintained by every mutation: busy
+	// nodes with at least one free core, and idle nodes. Allocation probes
 	// intersect these word by word instead of scanning every node.
 	partialBusy NodeSet
 	idleSet     NodeSet
+
+	seen NodeSet // the nodes of the whole-job call being checked; empty between calls
 
 	gen uint64 // see Generation
 }
@@ -68,6 +74,7 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 		fullOffRack:     make([]bool, topo.Racks),
 		partialBusy:     NewNodeSet(topo.Nodes()),
 		idleSet:         NewNodeSet(topo.Nodes()),
+		seen:            NewNodeSet(topo.Nodes()),
 	}
 	for i := range c.nodes {
 		c.nodes[i].state = StateIdle
@@ -262,64 +269,223 @@ func (c *Cluster) PowerOn(id NodeID) error {
 	return nil
 }
 
-// Occupy allocates cores of a node to a job running at frequency f. The
-// node must be powered on and have enough free cores. While several jobs
-// share a node the node is charged at the highest frequency among them
-// (conservative, mirroring the paper's node-level power accounting).
-func (c *Cluster) Occupy(id NodeID, cores int, f dvfs.Freq) error {
-	if err := c.checkID(id); err != nil {
+// Alloc records cores taken on one node: one entry of a job's
+// allocation, and of the whole-job Occupy and Vacate calls.
+type Alloc struct {
+	Node  NodeID
+	Cores int
+}
+
+// checkAllocs validates a whole-job call before anything changes: every
+// node in range and named once, every core count positive and within
+// what the node has — free cores of a powered node to occupy, cores held
+// by a busy node to vacate. On success the nodes are marked in c.seen,
+// and the caller's apply loop clears the marks. The checks are inline;
+// only a failure calls out to build its error.
+func (c *Cluster) checkAllocs(allocs []Alloc, vacate bool) error {
+	per := c.topo.CoresPerNode
+	for i, a := range allocs {
+		ok := uint(a.Node) < uint(len(c.nodes)) && a.Cores > 0 && !c.seen.Has(a.Node)
+		if ok {
+			n := &c.nodes[a.Node]
+			if vacate {
+				ok = n.state == StateBusy && a.Cores <= n.usedCores
+			} else {
+				ok = n.state != StateOff && n.usedCores+a.Cores <= per
+			}
+		}
+		if !ok {
+			err := c.allocErr(a, vacate)
+			for _, b := range allocs[:i] {
+				c.seen.Remove(b.Node)
+			}
+			return err
+		}
+		c.seen.Add(a.Node)
+	}
+	return nil
+}
+
+// allocErr names what checkAllocs refused.
+func (c *Cluster) allocErr(a Alloc, vacate bool) error {
+	if err := c.checkID(a.Node); err != nil {
 		return err
 	}
-	if cores <= 0 {
-		return fmt.Errorf("cluster: occupy with non-positive cores %d", cores)
+	n := &c.nodes[a.Node]
+	switch {
+	case c.seen.Has(a.Node):
+		return fmt.Errorf("cluster: node %d named twice in one call", a.Node)
+	case a.Cores <= 0:
+		return fmt.Errorf("cluster: non-positive cores %d on node %d", a.Cores, a.Node)
+	case vacate && n.state != StateBusy:
+		return fmt.Errorf("cluster: vacate on non-busy node %d (%v)", a.Node, n.state)
+	case vacate && a.Cores > n.usedCores:
+		return fmt.Errorf("cluster: vacate %d cores from node %d holding %d", a.Cores, a.Node, n.usedCores)
+	case !vacate && n.state == StateOff:
+		return fmt.Errorf("cluster: node %d is off", a.Node)
 	}
-	n := &c.nodes[id]
-	if n.state == StateOff {
-		return fmt.Errorf("cluster: node %d is off", id)
+	return fmt.Errorf("cluster: node %d has %d cores free, need %d",
+		a.Node, c.topo.CoresPerNode-n.usedCores, a.Cores)
+}
+
+// barRun batches moves of the cores-by-frequency histogram: consecutive
+// moves at one frequency fold into one addFreqCores, so a whole-job call
+// — most of whose cores move at the job's frequency — settles a bar once.
+type barRun struct {
+	f dvfs.Freq
+	d int
+}
+
+func (c *Cluster) moveBar(r *barRun, f dvfs.Freq, d int) {
+	if f != r.f {
+		c.startBar(r, f)
 	}
-	if n.usedCores+cores > c.topo.CoresPerNode {
-		return fmt.Errorf("cluster: node %d has %d cores free, need %d",
-			id, c.topo.CoresPerNode-n.usedCores, cores)
+	r.d += d
+}
+
+// startBar settles r's run and starts one at f; kept out of line so that
+// moveBar inlines.
+//
+//go:noinline
+func (c *Cluster) startBar(r *barRun, f dvfs.Freq) {
+	c.flushBar(r)
+	r.f = f
+}
+
+func (c *Cluster) flushBar(r *barRun) {
+	if r.d != 0 {
+		c.addFreqCores(r.f, r.d)
+		r.d = 0
+	}
+}
+
+// Occupy starts one job on its allocation: allocs[i].Cores cores of node
+// allocs[i].Node, at frequency f (0 means nominal). Every node must be
+// powered on, named once and have the cores free; all of that is checked
+// before anything changes, so an error leaves the cluster untouched.
+// While several jobs share a node it is charged at the highest frequency
+// among them (conservative, mirroring the paper's node-level power
+// accounting).
+//
+// Each node record is written once, and the counts, busy cores,
+// histogram bars, node draw, candidate sets and generation settle once
+// per call. The draw is summed over the nodes before it is added: the
+// same value as node by node while the profile's draws are whole watts
+// (power.TestCurieProfileIntegralWatts).
+func (c *Cluster) Occupy(allocs []Alloc, f dvfs.Freq) error {
+	if err := c.checkAllocs(allocs, false); err != nil {
+		return err
 	}
 	if f == 0 {
 		f = c.profile.Nominal()
 	}
-	nf := n.freq
-	if n.state != StateBusy || f > nf {
-		if n.state != StateBusy {
-			nf = f
-		} else if f > nf {
-			nf = f
+	per, busyW := c.topo.CoresPerNode, float64(c.profile.Busy(f))
+	var bars barRun
+	watts, taken, cores := 0.0, 0, 0
+	for _, a := range allocs {
+		id, n := a.Node, &c.nodes[a.Node]
+		c.seen.Remove(id)
+		used := n.usedCores + a.Cores
+		if n.state == StateIdle {
+			taken++
+			c.idleSet.Remove(id)
+			if used < per {
+				c.partialBusy.Add(id)
+			}
+			c.moveBar(&bars, f, used)
+			watts += busyW - n.watts
+			n.state, n.freq, n.watts = StateBusy, f, busyW
+		} else {
+			// Busy with room for a.Cores: the node was partly used.
+			if used == per {
+				c.partialBusy.Remove(id)
+			}
+			if nf := max(n.freq, f); nf != n.freq {
+				c.moveBar(&bars, n.freq, -n.usedCores)
+				c.moveBar(&bars, nf, used)
+				watts += busyW - n.watts
+				n.freq, n.watts = nf, busyW
+			} else {
+				c.moveBar(&bars, nf, a.Cores)
+			}
 		}
+		n.usedCores = used
+		cores += a.Cores
 	}
-	c.transition(id, StateBusy, nf, n.usedCores+cores)
+	c.flushBar(&bars)
+	c.settle(watts, taken, cores)
 	return nil
 }
 
-// Vacate releases cores of a busy node. remainingFreq must be the highest
-// frequency among the jobs still on the node (the controller knows them);
-// it is ignored when the node becomes empty.
-func (c *Cluster) Vacate(id NodeID, cores int, remainingFreq dvfs.Freq) error {
-	if err := c.checkID(id); err != nil {
+// Vacate ends one job on its allocation, releasing allocs[i].Cores cores
+// of node allocs[i].Node. remaining[i] is the highest frequency among the
+// jobs still on that node (the controller knows them; 0 means nominal),
+// ignored when the node empties. Every node must be busy, named once and
+// hold the cores; all of that is checked before anything changes, so an
+// error leaves the cluster untouched. Like Occupy, each node record is
+// written once and the aggregates settle once per call.
+func (c *Cluster) Vacate(allocs []Alloc, remaining []dvfs.Freq) error {
+	if len(remaining) != len(allocs) {
+		return fmt.Errorf("cluster: vacate of %d nodes with %d remaining frequencies", len(allocs), len(remaining))
+	}
+	if err := c.checkAllocs(allocs, true); err != nil {
 		return err
 	}
-	n := &c.nodes[id]
-	if n.state != StateBusy {
-		return fmt.Errorf("cluster: vacate on non-busy node %d (%v)", id, n.state)
+	per, idleW := c.topo.CoresPerNode, float64(c.profile.Idle())
+	var bars barRun
+	watts, freed, cores := 0.0, 0, 0
+	for i, a := range allocs {
+		id, n := a.Node, &c.nodes[a.Node]
+		c.seen.Remove(id)
+		wasPartial := n.usedCores < per
+		left := n.usedCores - a.Cores
+		cores += a.Cores
+		if left == 0 {
+			freed++
+			c.moveBar(&bars, n.freq, -n.usedCores)
+			watts += idleW - n.watts
+			n.state, n.freq, n.usedCores, n.watts = StateIdle, 0, 0, idleW
+			c.idleSet.Add(id)
+			if wasPartial {
+				c.partialBusy.Remove(id)
+			}
+			continue
+		}
+		rf := remaining[i]
+		if rf == 0 {
+			rf = c.profile.Nominal()
+		}
+		if rf == n.freq {
+			c.moveBar(&bars, rf, -a.Cores)
+		} else {
+			c.moveBar(&bars, n.freq, -n.usedCores)
+			c.moveBar(&bars, rf, left)
+			w := float64(c.profile.Busy(rf))
+			watts += w - n.watts
+			n.freq, n.watts = rf, w
+		}
+		n.usedCores = left
+		if !wasPartial {
+			c.partialBusy.Add(id)
+		}
 	}
-	if cores <= 0 || cores > n.usedCores {
-		return fmt.Errorf("cluster: vacate %d cores from node %d holding %d", cores, id, n.usedCores)
-	}
-	left := n.usedCores - cores
-	if left == 0 {
-		c.transition(id, StateIdle, 0, 0)
-		return nil
-	}
-	if remainingFreq == 0 {
-		remainingFreq = c.profile.Nominal()
-	}
-	c.transition(id, StateBusy, remainingFreq, left)
+	c.flushBar(&bars)
+	c.settle(watts, -freed, -cores)
 	return nil
+}
+
+// settle applies what a whole-job call summed over its nodes: the change
+// in node draw, the idle nodes that turned busy (negative: busy nodes
+// freed) and the cores taken (negative: released).
+func (c *Cluster) settle(watts float64, toBusy, cores int) {
+	if cores == 0 {
+		return
+	}
+	c.nodeWatts += watts
+	c.counts[StateIdle] -= toBusy
+	c.counts[StateBusy] += toBusy
+	c.busyCores += cores
+	c.gen++
 }
 
 // SetFreq changes the charged frequency of a busy node without touching
@@ -491,9 +657,10 @@ func (c *Cluster) PartialBusySet() NodeSet { return c.partialBusy }
 func (c *Cluster) IdleSet() NodeSet { return c.idleSet }
 
 // Generation changes whenever PartialBusySet, IdleSet or a node's
-// FreeCores does (counted where they change, in transition; a re-clock
-// moves none of them), so a summary of those — sched.Frontier — is
-// current while the generation it was built at stands.
+// FreeCores does (counted where they change: once per Occupy or Vacate
+// call, and in transition; a re-clock moves none of them), so a summary
+// of those — sched.Frontier — is current while the generation it was
+// built at stands.
 func (c *Cluster) Generation() uint64 { return c.gen }
 
 // ForEach calls fn for every node in ID order; fn returning false stops the

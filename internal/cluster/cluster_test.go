@@ -152,7 +152,7 @@ func TestCurieMaxPower(t *testing.T) {
 func TestOccupyVacatePowerCycle(t *testing.T) {
 	c := small()
 	base := c.Power()
-	if err := c.Occupy(0, 4, dvfs.F2700); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 4}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Power() - base; got != 358-117 {
@@ -161,7 +161,7 @@ func TestOccupyVacatePowerCycle(t *testing.T) {
 	if c.State(0) != StateBusy || c.BusyCores() != 4 {
 		t.Errorf("state/cores = %v/%d", c.State(0), c.BusyCores())
 	}
-	if err := c.Vacate(0, 4, 0); err != nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 4}}, []dvfs.Freq{0}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Power(); got != base {
@@ -174,14 +174,14 @@ func TestOccupyVacatePowerCycle(t *testing.T) {
 
 func TestOccupySharedNodeHighestFreqWins(t *testing.T) {
 	c := small()
-	if err := c.Occupy(3, 1, dvfs.F1200); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 3, Cores: 1}}, dvfs.F1200); err != nil {
 		t.Fatal(err)
 	}
 	info, _ := c.Info(3)
 	if info.Freq != dvfs.F1200 {
 		t.Fatalf("freq = %v, want 1.2 GHz", info.Freq)
 	}
-	if err := c.Occupy(3, 1, dvfs.F2400); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 3, Cores: 1}}, dvfs.F2400); err != nil {
 		t.Fatal(err)
 	}
 	info, _ = c.Info(3)
@@ -189,7 +189,7 @@ func TestOccupySharedNodeHighestFreqWins(t *testing.T) {
 		t.Errorf("freq after second job = %v, want 2.4 GHz", info.Freq)
 	}
 	// Lower-frequency jobs never drag the node frequency down.
-	if err := c.Occupy(3, 1, dvfs.F1400); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 3, Cores: 1}}, dvfs.F1400); err != nil {
 		t.Fatal(err)
 	}
 	info, _ = c.Info(3)
@@ -203,14 +203,14 @@ func TestOccupySharedNodeHighestFreqWins(t *testing.T) {
 
 func TestVacateRemainingFreq(t *testing.T) {
 	c := small()
-	if err := c.Occupy(5, 2, dvfs.F2700); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 5, Cores: 2}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Occupy(5, 1, dvfs.F1200); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 5, Cores: 1}}, dvfs.F1200); err != nil {
 		t.Fatal(err)
 	}
 	// The 2.7 GHz job leaves; remaining job runs at 1.2 GHz.
-	if err := c.Vacate(5, 2, dvfs.F1200); err != nil {
+	if err := c.Vacate([]Alloc{{Node: 5, Cores: 2}}, []dvfs.Freq{dvfs.F1200}); err != nil {
 		t.Fatal(err)
 	}
 	info, _ := c.Info(5)
@@ -224,45 +224,45 @@ func TestVacateRemainingFreq(t *testing.T) {
 
 func TestOccupyErrors(t *testing.T) {
 	c := small()
-	if err := c.Occupy(0, 5, 0); err == nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 5}}, 0); err == nil {
 		t.Error("overcommit accepted")
 	}
-	if err := c.Occupy(0, 0, 0); err == nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 0}}, 0); err == nil {
 		t.Error("zero cores accepted")
 	}
-	if err := c.Occupy(99, 1, 0); err == nil {
+	if err := c.Occupy([]Alloc{{Node: 99, Cores: 1}}, 0); err == nil {
 		t.Error("out-of-range node accepted")
 	}
 	if err := c.PowerOff(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Occupy(1, 1, 0); err == nil {
+	if err := c.Occupy([]Alloc{{Node: 1, Cores: 1}}, 0); err == nil {
 		t.Error("occupy of off node accepted")
 	}
 }
 
 func TestVacateErrors(t *testing.T) {
 	c := small()
-	if err := c.Vacate(0, 1, 0); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 1}}, []dvfs.Freq{0}); err == nil {
 		t.Error("vacate of idle node accepted")
 	}
-	if err := c.Occupy(0, 2, 0); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 2}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Vacate(0, 3, 0); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 3}}, []dvfs.Freq{0}); err == nil {
 		t.Error("vacate more cores than held accepted")
 	}
-	if err := c.Vacate(0, 0, 0); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 0}}, []dvfs.Freq{0}); err == nil {
 		t.Error("vacate zero cores accepted")
 	}
-	if err := c.Vacate(99, 1, 0); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 99, Cores: 1}}, []dvfs.Freq{0}); err == nil {
 		t.Error("vacate out-of-range node accepted")
 	}
 }
 
 func TestPowerOffOnErrorsAndIdempotence(t *testing.T) {
 	c := small()
-	if err := c.Occupy(0, 1, 0); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PowerOff(0); err == nil {
@@ -294,7 +294,7 @@ func TestChassisBonusFigure2(t *testing.T) {
 
 	// Occupy everything at nominal: draw == MaxPower.
 	for id := 0; id < topo.Nodes(); id++ {
-		if err := c.Occupy(NodeID(id), topo.CoresPerNode, dvfs.F2700); err != nil {
+		if err := c.Occupy([]Alloc{{Node: NodeID(id), Cores: topo.CoresPerNode}}, dvfs.F2700); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +306,7 @@ func TestChassisBonusFigure2(t *testing.T) {
 	before := c.Power()
 	first, n := topo.ChassisNodes(0)
 	for i := 0; i < n; i++ {
-		if err := c.Vacate(first+NodeID(i), topo.CoresPerNode, 0); err != nil {
+		if err := c.Vacate([]Alloc{{Node: first + NodeID(i), Cores: topo.CoresPerNode}}, []dvfs.Freq{0}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.PowerOff(first + NodeID(i)); err != nil {
@@ -329,7 +329,7 @@ func TestChassisBonusFigure2(t *testing.T) {
 	for i := 0; i < nr; i++ {
 		id := firstRack + NodeID(i)
 		if c.State(id) == StateBusy {
-			if err := c.Vacate(id, topo.CoresPerNode, 0); err != nil {
+			if err := c.Vacate([]Alloc{{Node: id, Cores: topo.CoresPerNode}}, []dvfs.Freq{0}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -465,14 +465,14 @@ func TestOccupyDelta(t *testing.T) {
 		t.Errorf("delta idle->1.2 = %v, want 76", got)
 	}
 	// Busy node at equal or higher freq adds nothing.
-	if err := c.Occupy(1, 1, dvfs.F2700); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 1, Cores: 1}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.OccupyDelta([]NodeID{1}, dvfs.F2400); got != 0 {
 		t.Errorf("delta busy(2.7)->2.4 = %v, want 0", got)
 	}
 	// Busy node at lower freq pays the uplift.
-	if err := c.Occupy(2, 1, dvfs.F1200); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 2, Cores: 1}}, dvfs.F1200); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.OccupyDelta([]NodeID{2}, dvfs.F2700); got != 358-193 {
@@ -499,7 +499,7 @@ func TestOccupyDelta(t *testing.T) {
 	// OccupyDelta must match the real power change for idle nodes.
 	before := c.Power()
 	delta := c.OccupyDelta([]NodeID{0}, dvfs.F2000)
-	if err := c.Occupy(0, 1, dvfs.F2000); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 1}}, dvfs.F2000); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Power() - before; got != delta {
@@ -509,17 +509,17 @@ func TestOccupyDelta(t *testing.T) {
 
 func TestCoresByFreq(t *testing.T) {
 	c := small()
-	if err := c.Occupy(0, 4, dvfs.F2700); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 4}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Occupy(1, 2, dvfs.F2000); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 1, Cores: 2}}, dvfs.F2000); err != nil {
 		t.Fatal(err)
 	}
 	h := c.CoresByFreq()
 	if h[dvfs.F2700] != 4 || h[dvfs.F2000] != 2 {
 		t.Errorf("histogram = %v", h)
 	}
-	if err := c.Vacate(1, 2, 0); err != nil {
+	if err := c.Vacate([]Alloc{{Node: 1, Cores: 2}}, []dvfs.Freq{0}); err != nil {
 		t.Fatal(err)
 	}
 	h = c.CoresByFreq()
@@ -578,9 +578,10 @@ var curieBusyWatts = map[dvfs.Freq]float64{
 }
 
 // checkAggregatesBrute recomputes, from ForEach and the map above, every
-// aggregate the cluster maintains incrementally and every OccupyDelta it
-// would answer, and compares with ==: Curie draws are whole watts, so the
-// incremental float sums are exact.
+// aggregate the cluster maintains incrementally — the counts, both
+// candidate sets, the draw, the busy cores and the histogram — and every
+// OccupyDelta it would answer, and compares with ==: Curie draws are
+// whole watts, so the incremental float sums are exact.
 func checkAggregatesBrute(t *testing.T, c *Cluster) {
 	t.Helper()
 	const down, idle = 14.0, 117.0
@@ -598,8 +599,14 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 	watts, busyCores := 0.0, 0
 	byFreq := map[dvfs.Freq]int{}
 	offPerChassis := make([]int, topo.Chassis())
+	var counts [3]int
 	c.ForEach(func(n NodeInfo) bool {
 		nodes = append(nodes, n)
+		counts[n.State]++
+		partial := n.State == StateBusy && n.UsedCores < topo.CoresPerNode
+		if c.PartialBusySet().Has(n.ID) != partial || c.IdleSet().Has(n.ID) != (n.State == StateIdle) {
+			t.Errorf("candidate sets disagree with node %+v", n)
+		}
 		watts += draw(n)
 		if n.State == StateBusy {
 			busyCores += n.UsedCores
@@ -624,6 +631,11 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 		}
 	}
 
+	for st, n := range counts {
+		if got := c.Count(NodeState(st)); got != n {
+			t.Errorf("Count(%v) = %d, recomputed %d", NodeState(st), got, n)
+		}
+	}
 	if got := float64(c.Power()); got != watts {
 		t.Errorf("Power() = %v, recomputed %v", got, watts)
 	}
@@ -633,13 +645,15 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 	if got := c.CoresByFreq(); !reflect.DeepEqual(got, byFreq) {
 		t.Errorf("CoresByFreq() = %v, recomputed %v (no zero entries)", got, byFreq)
 	}
+	one := []NodeID{0}
 	for _, f := range dvfs.CurieLadder() {
 		for _, n := range nodes {
 			want := curieBusyWatts[f] - draw(n)
 			if n.State == StateBusy && n.Freq >= f {
 				want = 0
 			}
-			if got := float64(c.OccupyDelta([]NodeID{n.ID}, f)); got != want {
+			one[0] = n.ID
+			if got := float64(c.OccupyDelta(one, f)); got != want {
 				t.Errorf("OccupyDelta(node %d %v at %v, %v) = %v, recomputed %v", n.ID, n.State, n.Freq, f, got, want)
 			}
 		}
@@ -647,8 +661,11 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 }
 
 // Property: after any sequence of operations the incremental power equals
-// the brute-force recomputation, and no cached per-node draw or
-// histogram bar has drifted from the node states.
+// the brute-force recomputation, and no cached per-node draw, count,
+// candidate set or histogram bar has drifted from the node states. The
+// operations are the ones a controller makes (wholeJobs): multi-node
+// starts over whole idle, partly used and shared nodes at mixed rungs,
+// whole and partial finishes, and the node-level calls between them.
 func TestPowerIncrementalMatchesBrute(t *testing.T) {
 	type op struct {
 		Kind  uint8
@@ -656,51 +673,17 @@ func TestPowerIncrementalMatchesBrute(t *testing.T) {
 		Cores uint8
 		Rung  uint8
 	}
-	ladder := dvfs.CurieLadder()
 	f := func(ops []op) bool {
-		c := small()
-		held := make(map[NodeID]int)
+		w := &wholeJobs{c: small()}
 		for _, o := range ops {
-			id := NodeID(int(o.Node) % c.Nodes())
-			fr := ladder[int(o.Rung)%len(ladder)]
-			var err error
-			switch o.Kind % 5 {
-			case 0:
-				cores := int(o.Cores)%2 + 1
-				if c.FreeCores(id) >= cores && c.State(id) != StateOff {
-					err = c.Occupy(id, cores, fr)
-					held[id] += cores
-				}
-			case 1:
-				// All of the node's cores, or one of them with the rest
-				// re-charged at fr.
-				if cores := held[id]; cores > 0 {
-					if o.Cores%2 == 0 {
-						cores = 1
-					}
-					err = c.Vacate(id, cores, fr)
-					held[id] -= cores
-				}
-			case 2:
-				if c.State(id) == StateIdle {
-					err = c.PowerOff(id)
-				}
-			case 3:
-				if c.State(id) == StateOff {
-					err = c.PowerOn(id)
-				}
-			case 4:
-				if c.State(id) == StateBusy {
-					err = c.SetFreq(id, fr)
-				}
-			}
-			if err != nil {
+			if err := w.step(t, o.Kind, o.Node, o.Cores, o.Rung); err != nil {
 				t.Error(err)
 				return false
 			}
 		}
-		checkAggregatesBrute(t, c)
-		return !t.Failed() && math.Abs(float64(c.Power()-brutePower(c))) < 1e-6
+		checkAggregatesBrute(t, w.c)
+		w.checkHeld(t)
+		return !t.Failed() && math.Abs(float64(w.c.Power()-brutePower(w.c))) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -718,7 +701,7 @@ func TestCountsConsistency(t *testing.T) {
 		}
 	}
 	checkCounts()
-	if err := c.Occupy(0, 1, 0); err != nil {
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	checkCounts()
@@ -881,7 +864,7 @@ func TestOccupyDeltaMonotoneInFreq(t *testing.T) {
 					err = c.PowerOff(id)
 				case 1:
 					for k := rng.Intn(3); k >= 0 && err == nil; k-- {
-						err = c.Occupy(id, 1, ladder[rng.Intn(len(ladder))])
+						err = c.Occupy([]Alloc{{Node: id, Cores: 1}}, ladder[rng.Intn(len(ladder))])
 					}
 				}
 				if err != nil {

@@ -54,11 +54,18 @@ func TestGenerationCountsWhatProbesSee(t *testing.T) {
 		do    func() error
 		moves bool
 	}{
-		{"occupy idle", func() error { return c.Occupy(0, 2, dvfs.F2000) }, true},
-		{"occupy more", func() error { return c.Occupy(0, 1, dvfs.F2700) }, true},
+		{"occupy idle", func() error { return c.Occupy([]Alloc{{Node: 0, Cores: 2}}, dvfs.F2000) }, true},
+		{"occupy more", func() error { return c.Occupy([]Alloc{{Node: 0, Cores: 1}}, dvfs.F2700) }, true},
 		{"re-clock", func() error { return c.SetFreq(0, dvfs.F1200) }, false},
-		{"vacate part", func() error { return c.Vacate(0, 1, dvfs.F2000) }, true},
-		{"vacate rest", func() error { return c.Vacate(0, 2, 0) }, true},
+		{"vacate part", func() error { return c.Vacate([]Alloc{{Node: 0, Cores: 1}}, []dvfs.Freq{dvfs.F2000}) }, true},
+		{"vacate rest", func() error { return c.Vacate([]Alloc{{Node: 0, Cores: 2}}, []dvfs.Freq{0}) }, true},
+		{"multi-node launch", func() error {
+			return c.Occupy([]Alloc{{Node: 1, Cores: 4}, {Node: 2, Cores: 2}, {Node: 3, Cores: 1}}, dvfs.F2000)
+		}, true},
+		{"multi-node finish", func() error {
+			return c.Vacate([]Alloc{{Node: 1, Cores: 4}, {Node: 2, Cores: 2}, {Node: 3, Cores: 1}}, []dvfs.Freq{0, 0, 0})
+		}, true},
+		{"empty launch", func() error { return c.Occupy(nil, dvfs.F2000) }, false},
 		{"power off", func() error { return c.PowerOff(1) }, true},
 		{"power off again", func() error { return c.PowerOff(1) }, false},
 		{"power on", func() error { return c.PowerOn(1) }, true},
@@ -92,9 +99,9 @@ func TestCandidateSetsTrackNodeState(t *testing.T) {
 		case 1:
 			_ = c.PowerOn(id)
 		case 2:
-			_ = c.Occupy(id, 1+rng.Intn(topo.CoresPerNode), dvfs.F2700)
+			_ = c.Occupy([]Alloc{{Node: id, Cores: 1 + rng.Intn(topo.CoresPerNode)}}, dvfs.F2700)
 		case 3:
-			_ = c.Vacate(id, 1+rng.Intn(topo.CoresPerNode), dvfs.F2700)
+			_ = c.Vacate([]Alloc{{Node: id, Cores: 1 + rng.Intn(topo.CoresPerNode)}}, []dvfs.Freq{dvfs.F2700})
 		}
 		if step%50 != 0 {
 			continue

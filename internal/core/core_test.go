@@ -132,7 +132,7 @@ func TestPlanOfflineShut(t *testing.T) {
 	topo := c.Topology()
 	for id := 0; id < topo.Nodes(); id++ {
 		if c.State(cluster.NodeID(id)) == cluster.StateIdle {
-			if err := c.Occupy(cluster.NodeID(id), topo.CoresPerNode, dvfs.F2700); err != nil {
+			if err := c.Occupy([]cluster.Alloc{{Node: cluster.NodeID(id), Cores: topo.CoresPerNode}}, dvfs.F2700); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -368,7 +368,7 @@ func TestSelectFreqUsesPerFreqCap(t *testing.T) {
 func TestSelectFreqPartialNodeFreeRide(t *testing.T) {
 	c := smallCurie()
 	pm := CuriePolicyModel(PolicyShut)
-	if err := c.Occupy(0, 4, dvfs.F2700); err != nil {
+	if err := c.Occupy([]cluster.Alloc{{Node: 0, Cores: 4}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
 	// Zero headroom, but the job fills an already-busy node: allowed.

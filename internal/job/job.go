@@ -46,11 +46,9 @@ func (s State) String() string {
 	}
 }
 
-// Alloc records cores taken on one node.
-type Alloc struct {
-	Node  cluster.NodeID
-	Cores int
-}
+// Alloc records cores taken on one node; a job's allocation is what
+// cluster.Occupy and cluster.Vacate take whole.
+type Alloc = cluster.Alloc
 
 // Job is one workload entry. Times are virtual-clock seconds.
 type Job struct {

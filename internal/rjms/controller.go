@@ -28,7 +28,8 @@ type Controller struct {
 
 	pending  []*job.Job
 	running  map[job.ID]runState // the running jobs and their progress (value map, no per-job alloc)
-	nodeJobs [][]nodeJobEntry    // per-node running jobs and their frequencies (SoA, swap-removal)
+	nodeJobs [][]nodeJobEntry    // per shared node, its running jobs and their frequencies (swap-removal)
+	remBuf   []dvfs.Freq         // finish's per-node remaining frequencies, reused
 
 	// allocFree recycles the Allocs slices of finished jobs: bucket k
 	// holds slices with room for at least 1<<k entries. A start takes one

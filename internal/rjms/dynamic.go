@@ -34,9 +34,11 @@ type runState struct {
 	freqSince        int64   // when the current frequency took effect
 }
 
-// nodeJobEntry is one running job hosted on a node and the frequency it
-// runs at — the per-node slice replaces a map so re-clock and vacate walk
-// a handful of contiguous entries instead of hashing.
+// nodeJobEntry is one running job hosted on a shared node and the
+// frequency it runs at — the per-node slice replaces a map so re-clock
+// and vacate walk a handful of contiguous entries instead of hashing. A
+// job holding all of a node's cores is its only job, so it is in no list:
+// the node runs at the job's frequency.
 type nodeJobEntry struct {
 	id job.ID
 	f  dvfs.Freq
@@ -67,7 +69,7 @@ func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
 	// Re-derive each hosting node's frequency.
 	for _, a := range j.Allocs {
 		nj := c.nodeJobs[a.Node]
-		max := dvfs.Freq(0)
+		max := f
 		for k := range nj {
 			if nj[k].id == j.ID {
 				nj[k].f = f

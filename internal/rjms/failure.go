@@ -2,6 +2,7 @@ package rjms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -30,11 +31,19 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 	now := c.eng.Now()
 	// Snapshot the victims before finish() rewrites nodeJobs; sort by
 	// job ID so requeue IDs assign reproducibly regardless of the
-	// swap-removal order the list happens to be in.
+	// swap-removal order the list happens to be in. A busy node in no
+	// list is held whole by one job, found by its allocation.
 	victims := make([]*job.Job, 0, len(c.nodeJobs[id]))
 	for _, e := range c.nodeJobs[id] {
 		if rs, ok := c.running[e.id]; ok {
 			victims = append(victims, rs.j)
+		}
+	}
+	if len(victims) == 0 && c.clus.State(id) == cluster.StateBusy {
+		for _, rs := range c.running {
+			if slices.ContainsFunc(rs.j.Allocs, func(a job.Alloc) bool { return a.Node == id }) {
+				victims = append(victims, rs.j)
+			}
 		}
 	}
 	sort.Slice(victims, func(i, k int) bool { return victims[i].ID < victims[k].ID })

@@ -44,11 +44,14 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	if len(j.Allocs) != pl.nodes {
 		panic(fmt.Sprintf("rjms: job %d probed onto %d nodes, allocated on %d", j.ID, pl.nodes, len(j.Allocs)))
 	}
+	if err := c.clus.Occupy(j.Allocs, pl.freq); err != nil {
+		panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
+	}
+	per := c.clus.Topology().CoresPerNode
 	for _, a := range j.Allocs {
-		if err := c.clus.Occupy(a.Node, a.Cores, pl.freq); err != nil {
-			panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
+		if a.Cores < per {
+			c.nodeJobs[a.Node] = append(c.nodeJobs[a.Node], nodeJobEntry{id: j.ID, f: pl.freq})
 		}
-		c.nodeJobs[a.Node] = append(c.nodeJobs[a.Node], nodeJobEntry{id: j.ID, f: pl.freq})
 	}
 	j.State = job.StateRunning
 	j.Freq = pl.freq
@@ -70,9 +73,15 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 		return
 	}
 	c.viewRemove(c.viewKey(j))
+	// The frequency each node keeps is the highest among the jobs left on
+	// it; a whole node hosted j alone and is in no list.
+	rem, per := c.remBuf[:0], c.clus.Topology().CoresPerNode
 	for _, a := range j.Allocs {
-		nj := c.nodeJobs[a.Node]
-		rem := dvfs.Freq(0)
+		if a.Cores == per {
+			rem = append(rem, 0)
+			continue
+		}
+		nj, left := c.nodeJobs[a.Node], dvfs.Freq(0)
 		for k := 0; k < len(nj); {
 			if nj[k].id == j.ID {
 				last := len(nj) - 1
@@ -80,17 +89,20 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 				nj = nj[:last]
 				continue
 			}
-			if nj[k].f > rem {
-				rem = nj[k].f
-			}
+			left = max(left, nj[k].f)
 			k++
 		}
 		c.nodeJobs[a.Node] = nj
-		if err := c.clus.Vacate(a.Node, a.Cores, rem); err != nil {
-			panic(fmt.Sprintf("rjms: vacate inconsistency for job %d node %d: %v", j.ID, a.Node, err))
-		}
-		// Drain-to-off: a held node freed inside its window.
-		if c.clus.State(a.Node) == cluster.StateIdle && c.book.Draining(a.Node, now) {
+		rem = append(rem, left)
+	}
+	c.remBuf = rem
+	if err := c.clus.Vacate(j.Allocs, rem); err != nil {
+		panic(fmt.Sprintf("rjms: vacate inconsistency for job %d: %v", j.ID, err))
+	}
+	// Drain-to-off: a held node freed inside its window.
+	held, _ := c.book.Held()
+	for _, a := range j.Allocs {
+		if held.Has(a.Node) && c.clus.State(a.Node) == cluster.StateIdle && c.book.Draining(a.Node, now) {
 			_ = c.clus.PowerOff(a.Node)
 		}
 	}

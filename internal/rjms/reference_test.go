@@ -350,7 +350,7 @@ func (r *refController) commit(j *job.Job, allocs []job.Alloc, f dvfs.Freq, now 
 	r.starts++
 	j.Allocs = allocs
 	for _, a := range allocs {
-		if err := r.clus.Occupy(a.Node, a.Cores, f); err != nil {
+		if err := r.clus.Occupy([]job.Alloc{a}, f); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
 	}
@@ -380,7 +380,7 @@ func (r *refController) finish(j *job.Job, now int64, killed bool) {
 		return
 	}
 	for _, a := range j.Allocs {
-		if err := r.clus.Vacate(a.Node, a.Cores, r.nodeFreq(a.Node, j.ID)); err != nil {
+		if err := r.clus.Vacate([]job.Alloc{a}, []dvfs.Freq{r.nodeFreq(a.Node, j.ID)}); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
 		if r.clus.State(a.Node) == cluster.StateIdle && r.book.Draining(a.Node, now) {

@@ -91,7 +91,7 @@ func randomCluster(t *testing.T, rng *rand.Rand, topo cluster.Topology) (*cluste
 		case r < pOff:
 			err = c.PowerOff(id)
 		case r < pOff+(1-pOff)*pBusy:
-			err = c.Occupy(id, 1+rng.Intn(topo.CoresPerNode), ladder[rng.Intn(len(ladder))])
+			err = c.Occupy([]cluster.Alloc{{Node: id, Cores: 1 + rng.Intn(topo.CoresPerNode)}}, ladder[rng.Intn(len(ladder))])
 		}
 		if err != nil {
 			t.Fatal(err)

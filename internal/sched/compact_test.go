@@ -26,7 +26,7 @@ func TestAllocateCompactPrefersFullestChassis(t *testing.T) {
 	// cores; chassis 3 untouched has 16.
 	for ch := 0; ch < 3; ch++ {
 		first, _ := c.Topology().ChassisNodes(ch)
-		if err := c.Occupy(first, 4, dvfs.F2700); err != nil {
+		if err := c.Occupy([]cluster.Alloc{{Node: first, Cores: 4}}, dvfs.F2700); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func TestAllocateCompactBeatsFirstFit(t *testing.T) {
 			if i == 0 {
 				take = 2
 			}
-			if err := c.Occupy(id, take, dvfs.F2700); err != nil {
+			if err := c.Occupy([]cluster.Alloc{{Node: id, Cores: take}}, dvfs.F2700); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -111,7 +111,7 @@ func TestAllocateCompactProperty(t *testing.T) {
 		for i, b := range busy {
 			n := int(b) % 5
 			if n > 0 {
-				if err := c.Occupy(cluster.NodeID(i), n, dvfs.F2700); err != nil {
+				if err := c.Occupy([]cluster.Alloc{{Node: cluster.NodeID(i), Cores: n}}, dvfs.F2700); err != nil {
 					return false
 				}
 			}

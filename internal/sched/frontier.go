@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -42,33 +43,61 @@ type Frontier struct {
 
 // build summarises c under two node filters, reusing f's buffers: nodes
 // in blocked are skipped and nodes in prefer packed first (nil blocks or
-// prefers none).
+// prefers none). One pass over the words fills both classes. Idle nodes
+// are the cluster's idle count less those the filters claim, so only a
+// word that blocks or prefers a node is counted; partly used nodes fill
+// ids and cum from the front when preferred and from the back otherwise,
+// and the back run is then turned ascending and moved up behind the
+// front one.
 func (f *Frontier) build(c *cluster.Cluster, blocked, prefer cluster.NodeSet) {
 	f.clus, f.gen, f.prefer = c, c.Generation(), prefer
 	f.blocked = append(f.blocked[:0], blocked...)
-	f.ids, f.cum = f.ids[:0], f.cum[:0]
 	busy, idle := c.PartialBusySet(), c.IdleSet()
-	for class := range f.idle {
-		free, n := 0, 0
-		for w := range busy {
-			mask := prefer.Word(w)
-			if class == 1 {
-				mask = ^mask
-			}
-			mask &^= blocked.Word(w)
-			n += bits.OnesCount64(idle.Word(w) & mask)
-			for word := busy[w] & mask; word != 0; word &= word - 1 {
-				id := cluster.NodeID(w<<6 + bits.TrailingZeros64(word))
-				free += c.FreeCores(id)
-				f.ids = append(f.ids, id)
-				f.cum = append(f.cum, free)
-			}
+	ids, cum := f.ids[:cap(f.ids)], f.cum[:cap(f.ids)]
+	front, back, free := 0, cap(f.ids), [2]int{}
+	f.idle = [2]int{0, c.Count(cluster.StateIdle)}
+	for w, word := range busy {
+		p, b := prefer.Word(w), blocked.Word(w)
+		if p|b != 0 {
+			f.idle[0] += bits.OnesCount64(idle[w] & p &^ b)
+			f.idle[1] -= bits.OnesCount64(idle[w] & (p | b))
 		}
-		f.idle[class] = n
-		if class == 0 {
-			f.split = len(f.ids)
+		if word &^= b; word == 0 {
+			continue
+		}
+		if n := bits.OnesCount64(word); back-front < n {
+			ids, cum, back = grow(ids, cum, front, back, n)
+		}
+		for pw := word & p; pw != 0; pw &= pw - 1 {
+			id := cluster.NodeID(w<<6 + bits.TrailingZeros64(pw))
+			free[0] += c.FreeCores(id)
+			ids[front], cum[front] = id, free[0]
+			front++
+		}
+		for ow := word &^ p; ow != 0; ow &= ow - 1 {
+			id := cluster.NodeID(w<<6 + bits.TrailingZeros64(ow))
+			free[1] += c.FreeCores(id)
+			back--
+			ids[back], cum[back] = id, free[1]
 		}
 	}
+	slices.Reverse(ids[back:])
+	slices.Reverse(cum[back:])
+	n := front + copy(ids[front:], ids[back:])
+	copy(cum[front:], cum[back:])
+	f.ids, f.cum, f.split = ids[:n], cum[:n], front
+}
+
+// grow doubles build's two-ended buffers and adds room for need more
+// nodes, keeping the front run at the front and the back run at the end.
+func grow(ids []cluster.NodeID, cum []int, front, back, need int) ([]cluster.NodeID, []int, int) {
+	size, tail := 2*len(ids)+need, len(ids)-back
+	nids, ncum := make([]cluster.NodeID, size), make([]int, size)
+	copy(nids, ids[:front])
+	copy(ncum, cum[:front])
+	copy(nids[size-tail:], ids[back:])
+	copy(ncum[size-tail:], cum[back:])
+	return nids, ncum, size - tail
 }
 
 // Fit reports what first fit would allocate for a request of cores, at a

@@ -89,9 +89,9 @@ func mutate(t *testing.T, rng *rand.Rand, c *cluster.Cluster, prefer *cluster.No
 	case c.State(id) == cluster.StateIdle && rng.Intn(2) == 0:
 		err = c.PowerOff(id)
 	case free > 0 && (free == per || rng.Intn(2) == 0):
-		err = c.Occupy(id, 1+rng.Intn(free), dvfs.F2000)
+		err = c.Occupy([]cluster.Alloc{{Node: id, Cores: 1 + rng.Intn(free)}}, dvfs.F2000)
 	default:
-		err = c.Vacate(id, 1+rng.Intn(per-free), dvfs.F2000)
+		err = c.Vacate([]cluster.Alloc{{Node: id, Cores: 1 + rng.Intn(per-free)}}, []dvfs.Freq{dvfs.F2000})
 	}
 	if err != nil {
 		t.Fatal(err)

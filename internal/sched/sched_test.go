@@ -55,7 +55,7 @@ func TestAllocateIdleNodes(t *testing.T) {
 func TestAllocatePrefersPartiallyUsed(t *testing.T) {
 	c := testCluster()
 	// Node 3 has 2 cores busy, 2 free.
-	if err := c.Occupy(3, 2, dvfs.F2700); err != nil {
+	if err := c.Occupy([]cluster.Alloc{{Node: 3, Cores: 2}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
 	allocs := allocate(c, 2, nil)
@@ -197,7 +197,7 @@ func TestAllocateProperty(t *testing.T) {
 		for i, b := range busy {
 			n := int(b) % 5
 			if n > 0 {
-				if err := c.Occupy(cluster.NodeID(i), n, dvfs.F2700); err != nil {
+				if err := c.Occupy([]cluster.Alloc{{Node: cluster.NodeID(i), Cores: n}}, dvfs.F2700); err != nil {
 					return false
 				}
 			}

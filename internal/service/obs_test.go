@@ -349,7 +349,12 @@ func TestSSEKeepaliveGatewayRelay(t *testing.T) {
 }
 
 // TestStageTimingsOnRunView pins the per-run stage breakdown: a
-// finished run's view reports queued/setup/execute/render timings.
+// finished run's view reports queued/setup/execute/render timings. Wait
+// returns the first terminal view, which can come before retire has
+// rendered and archived the run; the run turns terminal with its
+// queued, setup and execute stages already stamped
+// (TestTerminalViewCarriesStages holds a run inside retire to show it),
+// so the view read after Wait always carries them.
 func TestStageTimingsOnRunView(t *testing.T) {
 	_, c := newTestServer(t, service.Config{Workers: 1})
 	ctx := context.Background()
@@ -372,6 +377,61 @@ func TestStageTimingsOnRunView(t *testing.T) {
 	}
 	if got.Stages.QueuedMS < 0 || got.Stages.SetupMS < 0 || got.Stages.RenderMS < 0 {
 		t.Errorf("negative stage timing: %+v", *got.Stages)
+	}
+}
+
+// gatedArchive is an archive whose Put waits for the test, holding a
+// done run inside retire: execution is over, the handoff to the store
+// tiers has not happened.
+type gatedArchive struct {
+	*service.MemStore
+	entered, release chan struct{}
+}
+
+func (g *gatedArchive) Put(rec service.Record) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.MemStore.Put(rec)
+}
+
+// A run turns terminal with its stage timings. While retire is still
+// writing the archive — after execution, before the handoff to the
+// store tiers — the run already reads done, with its execute stage and
+// no archive time; once the write is released the stored view adds it.
+func TestTerminalViewCarriesStages(t *testing.T) {
+	arch := &gatedArchive{MemStore: service.NewMemStore(0, nil), entered: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(arch.release) }) }
+	_, c := newTestServer(t, service.Config{Workers: 1, Archive: arch})
+	t.Cleanup(release) // runs before the server's shutdown, which waits on the write
+	ctx := context.Background()
+	v, _, err := c.Submit(ctx, fastSpec("gated-archive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-arch.entered
+	mid, err := c.Get(ctx, v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.State != service.StateDone || mid.Stages == nil || mid.Stages.ExecuteMS <= 0 || mid.Stages.ArchiveMS != 0 {
+		t.Fatalf("run inside retire reads %s with stages %+v, want done with an execute stage and no archive time", mid.State, mid.Stages)
+	}
+	release()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		got, err := c.Get(ctx, v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stages == nil || got.Stages.ExecuteMS != mid.Stages.ExecuteMS {
+			t.Fatalf("stages went from %+v to %+v", *mid.Stages, got.Stages)
+		}
+		if got.Stages.ArchiveMS > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no archive time 10 s after the write was released: %+v", *got.Stages)
+		}
 	}
 }
 

@@ -150,6 +150,9 @@ type run struct {
 	// must not re-serialize hundreds of cells per request.
 	reportJSON []byte
 	errMsg     string
+	// stages is set as the run turns terminal — queued, setup and
+	// execute — and replaced by retire's, render and archive included.
+	stages *StageTimings
 }
 
 // recordLocked builds the run's Record — the one row shape every view,
@@ -175,6 +178,7 @@ func (r *run) recordLocked() Record {
 		CellsDone:  r.done,
 		CellsTotal: r.total,
 		Spec:       r.spec,
+		Stages:     r.stages,
 	}
 }
 
@@ -559,6 +563,7 @@ func (s *Server) retire(r *run) {
 	s.mu.Lock()
 	r.mu.Lock()
 	rec.CacheHits = r.hits
+	r.stages = rec.Stages
 	r.mu.Unlock()
 	if s.runs[r.id] == r {
 		delete(s.runs, r.id)
@@ -571,9 +576,10 @@ func (s *Server) retire(r *run) {
 	_ = putErr
 }
 
-// stageTimings assembles the run's pipeline stage breakdown at retire
-// time. Runs cancelled while queued have no execute stage; ArchiveMS
-// is stamped by retire after the durable write it times.
+// stageTimings assembles the run's pipeline stage breakdown from its
+// record: at the terminal transition (renderDur 0), then at retire.
+// Runs cancelled while queued have no execute stage; ArchiveMS is
+// stamped by retire after the durable write it times.
 func (r *run) stageTimings(rec Record, renderDur time.Duration) *StageTimings {
 	ms := func(d time.Duration) float64 {
 		if d <= 0 {
@@ -779,6 +785,7 @@ func (s *Server) cancel(r *run, msg string) RunView {
 		r.state = StateCancelled
 		r.finished = time.Now()
 		r.errMsg = msg
+		r.stages = r.stageTimings(r.recordLocked(), 0)
 		r.appendLocked("cancelled", Event{Error: msg})
 	}
 	v := r.viewLocked(false, false)
@@ -844,6 +851,10 @@ func (s *Server) execute(r *run) {
 	if rep.Single != nil || rep.Table != nil || rep.FederationTable != nil {
 		r.report = &rep
 	}
+	// A terminal view always carries stage timings: what is known now —
+	// queued, setup, execute — goes in with the state; retire adds the
+	// render and the archive write.
+	r.stages = r.stageTimings(r.recordLocked(), 0)
 	ctxErr := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	// A cancellation that raced in after every cell completed leaves a
 	// ctx error but an error-free report — the work is all there, so

@@ -12,7 +12,8 @@ import (
 // milliseconds: queued (submission to worker pickup), setup
 // (validation + normalization + hashing), execute (sim.RunObserved),
 // render (sink renderings at retire) and archive (the durable
-// write-through; 0 with no archive). Recorded when the run retires.
+// write-through; 0 with no archive). Queued, setup and execute are
+// recorded as the run turns terminal, render and archive as it retires.
 type StageTimings struct {
 	QueuedMS  float64 `json:"queued_ms"`
 	SetupMS   float64 `json:"setup_ms"`
@@ -55,8 +56,10 @@ type RunView struct {
 	// terminal); 0 while queued.
 	ElapsedMS float64 `json:"elapsed_ms"`
 
-	// Stages is the per-stage timing breakdown, present once the run has
-	// retired into the store tiers.
+	// Stages is the per-stage timing breakdown, present on every
+	// terminal view: queued, setup and execute from the moment the run
+	// turns terminal, render and archive once it has retired into the
+	// store tiers.
 	Stages *StageTimings `json:"stages,omitempty"`
 
 	// Report carries the json-sink encoding of the finished run's
