@@ -27,6 +27,7 @@ type Controller struct {
 	rec  *metrics.Recorder
 
 	pending  []*job.Job
+	queueBuf []*job.Job          // pending's backing array from its first slot (enqueue reuses its front)
 	running  map[job.ID]runState // the running jobs and their progress (value map, no per-job alloc)
 	nodeJobs [][]nodeJobEntry    // per shared node, its running jobs and their frequencies (swap-removal)
 	remBuf   []dvfs.Freq         // finish's per-node remaining frequencies, reused
@@ -97,7 +98,13 @@ type Controller struct {
 	planIdle     int
 	admitDrawFn  func(dvfs.Freq) bool
 	admitAheadFn func(dvfs.Freq) bool
-	passFn       simengine.Handler
+
+	// Event handlers, bound once in New. What differs between two events
+	// of one kind travels as the event's argument — the job that ends,
+	// the stream a submission pulls from, the switch-off window that
+	// closes — so scheduling an event allocates nothing.
+	passFn, endFn, submitFn, sampleFn                    simengine.Handler
+	windowOpenFn, windowCloseFn, capBoundaryFn, capEndFn simengine.Handler
 }
 
 // New builds a controller at virtual time 0.
@@ -131,10 +138,17 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.rec = metrics.NewRecorder(0, clus.Power(), 0)
 	c.admitDrawFn, c.admitAheadFn = c.admitDraw, c.admitAhead
-	c.passFn = func(t int64) {
+	c.passFn = func(t int64, _ any) {
 		c.passQueued = false
 		c.pass(t)
 	}
+	c.endFn = func(t int64, j any) { c.finish(j.(*job.Job), t, false) }
+	c.submitFn = func(t int64, st any) { c.submitStream(st.(*stream), t) }
+	c.sampleFn = func(t int64, _ any) { c.sampleTick(t) }
+	c.windowOpenFn = func(t int64, _ any) { c.windowOpen(t) }
+	c.windowCloseFn = func(t int64, id any) { c.windowClose(id.(int), t) }
+	c.capBoundaryFn = func(t int64, _ any) { c.capBoundary(t) }
+	c.capEndFn = func(t int64, _ any) { c.capEnded(t) }
 	return c, nil
 }
 
@@ -181,7 +195,7 @@ func (c *Controller) Start(until int64) error {
 		// The sample count is known up front — pre-size the series so
 		// long replays don't regrow the buffer dozens of times.
 		c.rec.Reserve(int(until/c.cfg.SampleEverySec) + 2)
-		if _, err := c.eng.At(0, c.sampleTick); err != nil {
+		if _, err := c.eng.At(0, c.sampleFn, nil); err != nil {
 			return err
 		}
 	}
@@ -219,7 +233,7 @@ func (c *Controller) requestPass(now int64) {
 		return
 	}
 	c.passQueued = true
-	if _, err := c.eng.At(now, c.passFn); err != nil {
+	if _, err := c.eng.At(now, c.passFn, nil); err != nil {
 		panic(fmt.Sprintf("rjms: pass scheduling: %v", err))
 	}
 }

@@ -203,6 +203,62 @@ func TestDropStartedMatchesFilter(t *testing.T) {
 	}
 }
 
+// enqueue moves a full queue back over the front slack dropStarted left
+// once that slack is a quarter of the array — same array, arrival order
+// kept, no job left in a slot outside the queue — and grows the array
+// when the slack is smaller.
+func TestEnqueueReusesFrontSlack(t *testing.T) {
+	c := &Controller{}
+	var all []*job.Job
+	push := func(n int) {
+		for ; n > 0; n-- {
+			j := &job.Job{ID: job.ID(len(all))}
+			all = append(all, j)
+			c.enqueue(j)
+		}
+	}
+	// start runs the first n queued jobs and removes them as a pass does.
+	start := func(n int) {
+		for _, j := range c.pending[:n] {
+			j.State = job.StateRunning
+		}
+		c.pending = dropStarted(c.pending, 0, n-1, n)
+	}
+	check := func(what string, first int) {
+		t.Helper()
+		if !reflect.DeepEqual(c.pending, all[first:]) {
+			t.Fatalf("%s: queue holds %d jobs out of arrival order", what, len(c.pending))
+		}
+		off := cap(c.queueBuf) - cap(c.pending)
+		for k, j := range c.queueBuf {
+			if (k < off || k >= off+len(c.pending)) && j != nil {
+				t.Fatalf("%s: slot %d, outside the queue, still holds job %d", what, k, j.ID)
+			}
+		}
+	}
+	push(64)
+	for len(c.pending) < cap(c.pending) {
+		push(1)
+	}
+	array, size := &c.queueBuf[0], cap(c.queueBuf)
+
+	quarter := size / 4
+	start(quarter)
+	push(1)
+	if &c.queueBuf[0] != array || cap(c.queueBuf) != size || &c.pending[0] != array {
+		t.Fatalf("a full queue with a quarter of its %d slots free at the front did not move back over them", size)
+	}
+	check("after the move", quarter)
+
+	push(quarter - 1)
+	start(1)
+	push(1)
+	if cap(c.queueBuf) <= size || &c.pending[0] != &c.queueBuf[0] {
+		t.Fatalf("a full queue with 1 of its %d slots free at the front did not grow", size)
+	}
+	check("after the growth", quarter+1)
+}
+
 func TestNodeSharingAcrossJobs(t *testing.T) {
 	c := mustNew(t, tinyConfig(core.PolicyNone))
 	// Two 2-core jobs share one 4-core node.

@@ -87,7 +87,7 @@ func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
 	// rounded up so the job never finishes with work outstanding.
 	c.eng.Cancel(rs.endEv)
 	left := int64(rs.remainingNominal*c.pm.Deg.Factor(f) + 0.999999)
-	ev, err := c.eng.At(now+left, func(t int64) { c.finish(j, t, false) })
+	ev, err := c.eng.At(now+left, c.endFn, j)
 	if err != nil {
 		panic(fmt.Sprintf("rjms: reclock end scheduling for job %d: %v", j.ID, err))
 	}

@@ -6,26 +6,44 @@ import (
 	"slices"
 
 	"repro/internal/job"
-	"repro/internal/trace"
 )
 
 // LoadWorkload loads a caller-owned workload: every job is checked up
 // front (a bad one anywhere in the list is this call's error, not a
-// mid-Run one) and cloned, the clones are put in submit order — stably,
-// so equal-time jobs keep their list order — and handed to
-// LoadWorkloadStream, the one ingestion mechanism. A list the caller
-// gives up and that is already in submit order (trace.Generate's) goes
-// to LoadWorkloadStream directly, through trace.FromSlice.
+// mid-Run one) and copied into one slab of len(jobs) jobs the controller
+// owns, put in submit order — stably, so equal-time jobs keep their list
+// order, and only when the list is not in that order already — and
+// streamed from the slab through LoadWorkloadStream, the one ingestion
+// mechanism. A list the caller gives up and that is already in submit
+// order (trace.Generate's) goes to LoadWorkloadStream directly, through
+// trace.FromSlice.
 func (c *Controller) LoadWorkload(jobs []*job.Job) error {
-	owned := make([]*job.Job, len(jobs))
+	slab, sorted := make(slabSource, len(jobs)), true
 	for i, j := range jobs {
 		if err := c.checkJob(j); err != nil {
 			return err
 		}
-		owned[i] = j.Clone()
+		slab[i] = *j
+		slab[i].Allocs = slices.Clone(j.Allocs)
+		sorted = sorted && (i == 0 || jobs[i-1].Submit <= j.Submit)
 	}
-	slices.SortStableFunc(owned, func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) })
-	return c.LoadWorkloadStream(trace.FromSlice(owned))
+	if !sorted {
+		slices.SortStableFunc(slab, func(a, b job.Job) int { return cmp.Compare(a.Submit, b.Submit) })
+	}
+	return c.LoadWorkloadStream(&slab)
+}
+
+// slabSource streams a slab of jobs in order, handing out pointers into
+// it: the jobs of one LoadWorkload are one allocation, not one each.
+type slabSource []job.Job
+
+func (s *slabSource) Next() (*job.Job, error) {
+	if len(*s) == 0 {
+		return nil, nil
+	}
+	j := &(*s)[0]
+	*s = (*s)[1:]
+	return j, nil
 }
 
 // checkJob rejects jobs the machine cannot run.
@@ -61,7 +79,16 @@ func (c *Controller) LoadWorkloadStream(src JobSource) error {
 	if err != nil || j == nil {
 		return err
 	}
-	return c.scheduleStream(src, j)
+	_, err = c.eng.At(j.Submit, c.submitFn, &stream{src: src, next: j})
+	return err
+}
+
+// stream is the cursor of one LoadWorkloadStream call, the argument of
+// each of its submission events: the source and the job it pulled last,
+// which the pending event submits first.
+type stream struct {
+	src  JobSource
+	next *job.Job
 }
 
 // pullStream fetches and validates the next streamed job.
@@ -76,42 +103,59 @@ func (c *Controller) pullStream(src JobSource) (*job.Job, error) {
 	return j, nil
 }
 
-// scheduleStream schedules j's submission; the event submits every
-// following job with the same timestamp too, then schedules the next
-// strictly-later one.
-func (c *Controller) scheduleStream(src JobSource, j *job.Job) error {
-	_, err := c.eng.At(j.Submit, func(now int64) {
-		c.submit(j, now)
-		for c.loadErr == nil {
-			next, err := c.pullStream(src)
-			if err != nil {
-				c.loadErr = err
-				return
-			}
-			if next == nil {
-				return
-			}
-			if next.Submit < now {
-				c.loadErr = fmt.Errorf("rjms: stream out of order: job %d submits at %d, clock at %d",
-					next.ID, next.Submit, now)
-				return
-			}
-			if next.Submit == now {
-				c.submit(next, now)
-				continue
-			}
-			if err := c.scheduleStream(src, next); err != nil {
-				c.loadErr = err
-			}
+// submitStream is a submission event: it submits st.next and every
+// following job with the same timestamp, then schedules the stream's
+// next event at the first strictly later one.
+func (c *Controller) submitStream(st *stream, now int64) {
+	c.submit(st.next, now)
+	for c.loadErr == nil {
+		next, err := c.pullStream(st.src)
+		if err != nil {
+			c.loadErr = err
 			return
 		}
-	})
-	return err
+		if next == nil {
+			return
+		}
+		if next.Submit < now {
+			c.loadErr = fmt.Errorf("rjms: stream out of order: job %d submits at %d, clock at %d",
+				next.ID, next.Submit, now)
+			return
+		}
+		if next.Submit == now {
+			c.submit(next, now)
+			continue
+		}
+		st.next = next
+		if _, err := c.eng.At(next.Submit, c.submitFn, st); err != nil {
+			c.loadErr = err
+		}
+		return
+	}
 }
 
 func (c *Controller) submit(j *job.Job, now int64) {
 	j.State = job.StatePending
-	c.pending = append(c.pending, j)
+	c.enqueue(j)
 	c.rec.NoteSubmit()
 	c.requestPass(now)
+}
+
+// enqueue appends j to the pending queue. A full queue whose backing
+// array has front slack — the slots dropStarted re-slices away — of at
+// least a quarter of the array moves back over it instead of growing:
+// each such move frees at least that many slots, so it costs a constant
+// per submission, and a queue that stays the same length keeps one array.
+func (c *Controller) enqueue(j *job.Job) {
+	q := c.pending
+	if len(q) == cap(q) {
+		if slack := cap(c.queueBuf) - cap(q); slack > 0 && 4*slack >= cap(c.queueBuf) {
+			q = c.queueBuf[:copy(c.queueBuf, q)]
+			clear(c.queueBuf[len(q):])
+		} else {
+			q = slices.Grow(q, 1)
+			c.queueBuf = q[:cap(q)]
+		}
+	}
+	c.pending = append(q, j)
 }

@@ -60,7 +60,7 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	c.rec.NoteLaunch(pl.freq, now-j.Submit)
 
 	runFor := j.ScaledRuntime(c.pm.Deg, pl.freq)
-	ev, err := c.eng.At(now+runFor, func(t int64) { c.finish(j, t, false) })
+	ev, err := c.eng.At(now+runFor, c.endFn, j)
 	if err != nil {
 		panic(fmt.Sprintf("rjms: end scheduling for job %d: %v", j.ID, err))
 	}

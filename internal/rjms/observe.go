@@ -92,7 +92,7 @@ func (c *Controller) sampleTick(now int64) {
 	c.addSample(now)
 	next := now + c.cfg.SampleEverySec
 	if next <= c.horizon {
-		if _, err := c.eng.At(next, c.sampleTick); err != nil {
+		if _, err := c.eng.At(next, c.sampleFn, nil); err != nil {
 			panic(fmt.Sprintf("rjms: sample scheduling: %v", err))
 		}
 	}

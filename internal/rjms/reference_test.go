@@ -104,7 +104,7 @@ func newRef(cfg Config) (*refController, error) {
 
 // at schedules fn; the reference never schedules into the past.
 func (r *refController) at(t int64, fn func(now int64)) simengine.EventID {
-	ev, err := r.eng.At(t, fn)
+	ev, err := r.eng.At(t, func(now int64, _ any) { fn(now) }, nil)
 	if err != nil {
 		panic(fmt.Sprintf("reference: %v", err))
 	}

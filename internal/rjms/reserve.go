@@ -38,22 +38,22 @@ func (c *Controller) ReservePowerCapID(start, end int64, budget power.Cap) (int,
 		if err != nil {
 			return resID, plan, err
 		}
-		if _, err := c.eng.At(start, c.windowOpen); err != nil {
+		if _, err := c.eng.At(start, c.windowOpenFn, nil); err != nil {
 			return resID, plan, err
 		}
 		if end != reservation.Horizon {
-			if _, err := c.eng.At(end, func(now int64) { c.windowClose(offID, now) }); err != nil {
+			if _, err := c.eng.At(end, c.windowCloseFn, offID); err != nil {
 				return resID, plan, err
 			}
 		}
 	}
 	// Wake the scheduler at the cap boundaries even without shutdowns:
 	// budgets change what may launch.
-	if _, err := c.eng.At(start, func(now int64) { c.capBoundary(now) }); err != nil {
+	if _, err := c.eng.At(start, c.capBoundaryFn, nil); err != nil {
 		return resID, plan, err
 	}
 	if end != reservation.Horizon {
-		if _, err := c.eng.At(end, func(now int64) { c.capEnded(now) }); err != nil {
+		if _, err := c.eng.At(end, c.capEndFn, nil); err != nil {
 			return resID, plan, err
 		}
 	}

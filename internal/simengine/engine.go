@@ -17,6 +17,12 @@
 // smaller seq than any lane event. Fired events return to a free list and
 // Cancel is a tombstone checked against a per-slot generation counter, so
 // the steady state allocates nothing and cancellation is O(1).
+//
+// An event carries one argument for its handler (At's arg), so a caller
+// binds each handler once and schedules the per-event value — a job, a
+// cursor — beside it, instead of allocating a closure over that value
+// for every event. A slot drops its argument when it fires or is
+// cancelled: a tombstone waiting in the heap keeps nothing alive.
 package simengine
 
 import (
@@ -26,14 +32,16 @@ import (
 // Time is virtual time in seconds since the start of the simulation.
 type Time = int64
 
-// Handler is an event callback; it receives the current virtual time.
-type Handler func(now Time)
+// Handler is an event callback; it receives the current virtual time and
+// the argument the event was scheduled with.
+type Handler func(now Time, arg any)
 
 type event struct {
 	at       Time
 	seq      uint64 // FIFO tie-break for equal timestamps
 	gen      uint64 // incremented on recycle; stale EventIDs no-op
 	fn       Handler
+	arg      any
 	canceled bool
 }
 
@@ -134,7 +142,7 @@ func (e *Engine) heapPop() *event {
 // slot it is firing from is safe.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.arg = nil, nil
 	ev.canceled = false
 	e.free = append(e.free, ev)
 }
@@ -173,10 +181,10 @@ func (e *Engine) pop(ev *event) {
 	e.heapPop()
 }
 
-// At schedules fn at absolute time at. Scheduling in the past (before the
-// current clock) is an error: a simulator that silently reorders causality
-// produces wrong replays.
-func (e *Engine) At(at Time, fn Handler) (EventID, error) {
+// At schedules fn(at, arg) at absolute time at. Scheduling in the past
+// (before the current clock) is an error: a simulator that silently
+// reorders causality produces wrong replays.
+func (e *Engine) At(at Time, fn Handler, arg any) (EventID, error) {
 	if fn == nil {
 		return EventID{}, fmt.Errorf("simengine: nil handler")
 	}
@@ -193,7 +201,7 @@ func (e *Engine) At(at Time, fn Handler) (EventID, error) {
 	}
 	ev.at = at
 	ev.seq = e.seq
-	ev.fn = fn
+	ev.fn, ev.arg = fn, arg
 	e.seq++
 	if at == e.now && (e.laneOff >= len(e.lane) || e.lane[len(e.lane)-1].at == at) {
 		// Same-time events fire after every pending heap event at this
@@ -211,12 +219,14 @@ func (e *Engine) At(at Time, fn Handler) (EventID, error) {
 // Cancel prevents a scheduled event from firing. Cancelling an already
 // fired or already cancelled event is a harmless no-op (the generation
 // check catches IDs whose slot has been recycled). The tombstoned slot
-// is reclaimed when the queue reaches its timestamp.
+// is reclaimed when the queue reaches its timestamp; its handler and
+// argument are dropped now.
 func (e *Engine) Cancel(id EventID) {
 	if id.ev == nil || id.ev.gen != id.gen || id.ev.canceled {
 		return
 	}
 	id.ev.canceled = true
+	id.ev.fn, id.ev.arg = nil, nil
 }
 
 // Run executes events in timestamp order until the queue drains or the
@@ -243,9 +253,9 @@ func (e *Engine) Run(horizon Time) error {
 		e.pop(ev)
 		e.now = ev.at
 		e.fired++
-		fn := ev.fn
+		fn, arg := ev.fn, ev.arg
 		e.recycle(ev)
-		fn(e.now)
+		fn(e.now, arg)
 	}
 	if horizon >= 0 && e.now < horizon {
 		e.now = horizon

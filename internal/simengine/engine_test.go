@@ -11,7 +11,7 @@ func TestRunOrders(t *testing.T) {
 	var got []int64
 	for _, at := range []Time{30, 10, 20} {
 		at := at
-		if _, err := e.At(at, func(now Time) { got = append(got, now) }); err != nil {
+		if _, err := e.At(at, func(now Time, _ any) { got = append(got, now) }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		if _, err := e.At(5, func(Time) { got = append(got, i) }); err != nil {
+		if _, err := e.At(5, func(Time, any) { got = append(got, i) }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,16 +52,16 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestSchedulingFromHandler(t *testing.T) {
 	e := New(0)
 	var hits []Time
-	if _, err := e.At(1, func(now Time) {
+	if _, err := e.At(1, func(now Time, _ any) {
 		hits = append(hits, now)
-		if _, err := e.At(now+2, func(now Time) { hits = append(hits, now) }); err != nil {
+		if _, err := e.At(now+2, func(now Time, _ any) { hits = append(hits, now) }, nil); err != nil {
 			t.Error(err)
 		}
 		// Same-time chaining is allowed.
-		if _, err := e.At(now, func(now Time) { hits = append(hits, now) }); err != nil {
+		if _, err := e.At(now, func(now Time, _ any) { hits = append(hits, now) }, nil); err != nil {
 			t.Error(err)
 		}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(-1); err != nil {
@@ -75,10 +75,10 @@ func TestSchedulingFromHandler(t *testing.T) {
 
 func TestPastSchedulingRejected(t *testing.T) {
 	e := New(100)
-	if _, err := e.At(99, func(Time) {}); err == nil {
+	if _, err := e.At(99, func(Time, any) {}, nil); err == nil {
 		t.Error("past event accepted")
 	}
-	if _, err := e.At(100, nil); err == nil {
+	if _, err := e.At(100, nil, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestPastSchedulingRejected(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := New(0)
 	fired := false
-	id, err := e.At(5, func(Time) { fired = true })
+	id, err := e.At(5, func(Time, any) { fired = true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestHorizon(t *testing.T) {
 	e := New(0)
 	var fired []Time
 	for _, at := range []Time{5, 15, 25} {
-		if _, err := e.At(at, func(now Time) { fired = append(fired, now) }); err != nil {
+		if _, err := e.At(at, func(now Time, _ any) { fired = append(fired, now) }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestStep(t *testing.T) {
 	e := New(0)
 	n := 0
 	for i := Time(1); i <= 3; i++ {
-		if _, err := e.At(i, func(Time) { n++ }); err != nil {
+		if _, err := e.At(i, func(Time, any) { n++ }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,8 +167,8 @@ func TestStep(t *testing.T) {
 func TestStepSkipsCancelled(t *testing.T) {
 	e := New(0)
 	fired := false
-	id, _ := e.At(1, func(Time) { t.Error("cancelled event fired") })
-	if _, err := e.At(2, func(Time) { fired = true }); err != nil {
+	id, _ := e.At(1, func(Time, any) { t.Error("cancelled event fired") }, nil)
+	if _, err := e.At(2, func(Time, any) { fired = true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Cancel(id)
@@ -183,7 +183,7 @@ func TestStepSkipsCancelled(t *testing.T) {
 func TestRunReentry(t *testing.T) {
 	e := New(0)
 	var inner error
-	if _, err := e.At(1, func(Time) { inner = e.Run(-1) }); err != nil {
+	if _, err := e.At(1, func(Time, any) { inner = e.Run(-1) }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(-1); err != nil {
@@ -200,7 +200,7 @@ func TestFiringOrderProperty(t *testing.T) {
 		e := New(0)
 		var fired []Time
 		for _, at := range times {
-			if _, err := e.At(Time(at), func(now Time) { fired = append(fired, now) }); err != nil {
+			if _, err := e.At(Time(at), func(now Time, _ any) { fired = append(fired, now) }, nil); err != nil {
 				return false
 			}
 		}
@@ -229,7 +229,7 @@ func TestPendingExactUnderCancel(t *testing.T) {
 	e := New(0)
 	ids := make([]EventID, 10)
 	for i := range ids {
-		id, err := e.At(Time(i+1), func(Time) {})
+		id, err := e.At(Time(i+1), func(Time, any) {}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestPendingExactUnderCancel(t *testing.T) {
 // whose slot has fired and been reused must not cancel the new tenant.
 func TestStaleCancelAfterRecycle(t *testing.T) {
 	e := New(0)
-	stale, err := e.At(1, func(Time) {})
+	stale, err := e.At(1, func(Time, any) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestStaleCancelAfterRecycle(t *testing.T) {
 	}
 	// The slot is free; the next At reuses it.
 	fired := false
-	if _, err := e.At(2, func(Time) { fired = true }); err != nil {
+	if _, err := e.At(2, func(Time, any) { fired = true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Cancel(stale) // stale generation: must be a no-op
@@ -286,24 +286,24 @@ func TestStaleCancelAfterRecycle(t *testing.T) {
 func TestSameTimeLaneOrder(t *testing.T) {
 	e := New(0)
 	var got []int
-	rec := func(i int) Handler { return func(Time) { got = append(got, i) } }
-	if _, err := e.At(5, func(now Time) {
+	rec := func(i int) Handler { return func(Time, any) { got = append(got, i) } }
+	if _, err := e.At(5, func(now Time, _ any) {
 		got = append(got, 0)
 		// Chained same-time events: must fire after every pre-scheduled
 		// t=5 event, in this order.
-		if _, err := e.At(now, rec(3)); err != nil {
+		if _, err := e.At(now, rec(3), nil); err != nil {
 			t.Error(err)
 		}
-		if _, err := e.At(now, rec(4)); err != nil {
+		if _, err := e.At(now, rec(4), nil); err != nil {
 			t.Error(err)
 		}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.At(5, rec(1)); err != nil {
+	if _, err := e.At(5, rec(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.At(5, rec(2)); err != nil {
+	if _, err := e.At(5, rec(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(-1); err != nil {
@@ -325,9 +325,9 @@ func TestSameTimeLaneOrder(t *testing.T) {
 // the controller drives.
 func TestSteadyStateAllocFree(t *testing.T) {
 	e := New(0)
-	fn := func(Time) {}
+	fn := func(Time, any) {}
 	cycle := func() {
-		if _, err := e.At(e.Now()+1, fn); err != nil {
+		if _, err := e.At(e.Now()+1, fn, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Run(-1); err != nil {
@@ -340,5 +340,51 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, cycle)
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+fire allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestRecycledEventDropsItsArgument pins that the engine keeps no
+// argument alive once its event is done with: an event that fired, and
+// one cancelled while its tombstone still waits in the heap, hold none —
+// a finished job is the collector's as soon as its end event is.
+func TestRecycledEventDropsItsArgument(t *testing.T) {
+	e := New(0)
+	held := func(arg any) bool {
+		for _, evs := range [][]*event{e.heap, e.lane, e.free} {
+			for _, ev := range evs {
+				if ev != nil && ev.arg == arg {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	fired, cancelled := new(int), new(int)
+	var got any
+	if _, err := e.At(1, func(_ Time, arg any) { got = arg }, fired); err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.At(5, func(Time, any) { t.Error("cancelled event fired") }, cancelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !held(fired) || !held(cancelled) {
+		t.Fatal("a scheduled event does not hold its argument")
+	}
+	e.Cancel(id)
+	if len(e.heap) != 2 {
+		t.Fatalf("%d heap events after the cancel, want the tombstone still there", len(e.heap))
+	}
+	if held(cancelled) {
+		t.Error("a cancelled event still holds its argument")
+	}
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if got != fired {
+		t.Fatalf("handler got %v, want the event's argument", got)
+	}
+	if held(fired) {
+		t.Error("a fired event still holds its argument")
 	}
 }
