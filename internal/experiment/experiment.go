@@ -254,7 +254,8 @@ func (r Runner) Run(name string, scenarios []replay.Scenario) Table {
 // sharedWorkload is one synthetic workload several cells of a sweep
 // replay, generated by whichever of them runs first. The list is
 // read-only once generated: each cell loads it through Scenario.Jobs,
-// which clones.
+// and a controller reads jobs and never writes them, so the cells
+// replay the one list concurrently and copy none of it.
 type sharedWorkload struct {
 	cfg  trace.Config
 	once sync.Once

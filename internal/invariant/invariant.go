@@ -13,11 +13,12 @@
 //  2. Node sanity — no node holds more cores than it has, no
 //     powered-off node holds any, and the per-node core bookkeeping
 //     matches the sum of the running jobs' allocations exactly.
-//  3. Lifecycle legality — the jobs visible in the pending queue and
-//     the running set carry the matching state, their timestamps are
-//     ordered (submit <= start <= now), running allocations cover the
-//     requested cores, and no job ever moves backwards (running to
-//     pending, or terminal back to active).
+//  3. Lifecycle legality — the jobs the controller shows
+//     (rjms.Controller.SnapshotJobs: the pending queue and the running
+//     set) carry a state it tracks, their timestamps are ordered
+//     (submit <= start <= now), running allocations cover the requested
+//     cores, and no job ever moves backwards (running to pending, or
+//     terminal back to active).
 //
 // The checks run against the exact power bookkeeping; attach only to
 // controllers without measurement noise (MeasuredPowerNoise = 0),
@@ -54,13 +55,16 @@ type Checker struct {
 	prevPower power.Watts
 	prevCap   power.Watts
 
-	// seen maps every job ID ever observed to its last observed state;
-	// jobs that vanish from the active sets are tombstoned terminal.
-	seen map[job.ID]job.State
+	// seen maps every job ID ever observed to its last observed state
+	// and the sample that showed it; jobs that vanish from the active
+	// sets are tombstoned terminal. sample counts the checks.
+	seen   map[job.ID]sighting
+	sample uint64
 	// lastActive holds the IDs active at the previous sample — the only
 	// candidates for tombstoning, so the per-sample sweep is O(active),
 	// not O(every job ever seen).
 	lastActive []job.ID
+	views      []rjms.JobView // the last sample's jobs, whose array the next reuses
 
 	errs    []error
 	dropped int
@@ -72,7 +76,7 @@ type Checker struct {
 // runs behind any observer already attached (a telemetry collector),
 // so the two compose.
 func Attach(ctl *rjms.Controller, name string) *Checker {
-	k := &Checker{name: name, ctl: ctl, seen: map[job.ID]job.State{}}
+	k := &Checker{name: name, ctl: ctl, seen: map[job.ID]sighting{}}
 	ctl.AddObserver(k.check)
 	return k
 }
@@ -109,9 +113,9 @@ func (k *Checker) check(now int64) {
 	}
 	s := samples[len(samples)-1]
 	k.checkCap(now, s)
-	jobs := k.ctl.SnapshotJobs()
-	k.checkJobs(now, jobs)
-	k.checkNodes(now, jobs)
+	k.views = k.ctl.SnapshotJobs(k.views)
+	k.checkJobs(now, k.views)
+	k.checkNodes(now, k.views)
 }
 
 // checkCap enforces the monotone cap-approach rule between consecutive
@@ -150,58 +154,65 @@ func maxWatts(a, b power.Watts) power.Watts {
 	return b
 }
 
+// sighting is a job's state at the last sample that showed it.
+type sighting struct {
+	state  job.State
+	sample uint64
+}
+
 // checkJobs validates the visible job states and their transitions
-// since the previous sample.
-func (k *Checker) checkJobs(now int64, jobs []*job.Job) {
-	current := make(map[job.ID]job.State, len(jobs))
-	for _, j := range jobs {
-		if _, dup := current[j.ID]; dup {
+// since the previous sample. One map serves both: a job the current
+// sample already showed is a duplicate, and one the previous sample
+// showed that this one does not has vanished.
+func (k *Checker) checkJobs(now int64, jobs []rjms.JobView) {
+	k.sample++
+	for i := range jobs {
+		j := &jobs[i]
+		prev, ok := k.seen[j.ID]
+		if ok && prev.sample == k.sample {
 			k.violatef(now, "job %d appears twice in the active sets", j.ID)
 			continue
 		}
-		current[j.ID] = j.State
 
 		switch j.State {
 		case job.StatePending:
 			// Nothing beyond the transition check: a regression from
 			// running back to pending is caught below.
 		case job.StateRunning:
-			if j.StartTime < j.Submit {
-				k.violatef(now, "job %d started at %d before its submission %d", j.ID, j.StartTime, j.Submit)
+			if j.Start < j.Submit {
+				k.violatef(now, "job %d started at %d before its submission %d", j.ID, j.Start, j.Submit)
 			}
-			if j.StartTime > now {
-				k.violatef(now, "job %d start time %d in the future", j.ID, j.StartTime)
+			if j.Start > now {
+				k.violatef(now, "job %d start time %d in the future", j.ID, j.Start)
 			}
-			if got := allocatedCores(j); got != j.Cores {
+			if got := allocatedCores(*j); got != j.Cores {
 				k.violatef(now, "job %d runs on %d cores, requested %d", j.ID, got, j.Cores)
 			}
 		default:
 			k.violatef(now, "job %d in the active sets with terminal state %v", j.ID, j.State)
 		}
 
-		if from, ok := k.seen[j.ID]; ok && !LegalObserved(from, j.State) {
-			k.violatef(now, "job %d moved %v -> %v", j.ID, from, j.State)
+		if ok && !LegalObserved(prev.state, j.State) {
+			k.violatef(now, "job %d moved %v -> %v", j.ID, prev.state, j.State)
 		}
-		k.seen[j.ID] = j.State
+		k.seen[j.ID] = sighting{j.State, k.sample}
 	}
 	// Jobs that vanished from the active sets are terminal; tombstone
 	// them so a reappearance is caught. Only last sample's active jobs
 	// can vanish, so the sweep stays proportional to the active set.
 	for _, id := range k.lastActive {
-		if _, ok := current[id]; !ok {
-			if st := k.seen[id]; st == job.StatePending || st == job.StateRunning {
-				k.seen[id] = job.StateCompleted
-			}
+		if s := k.seen[id]; s.sample != k.sample && (s.state == job.StatePending || s.state == job.StateRunning) {
+			k.seen[id] = sighting{job.StateCompleted, s.sample}
 		}
 	}
 	k.lastActive = k.lastActive[:0]
-	for _, j := range jobs {
-		k.lastActive = append(k.lastActive, j.ID)
+	for i := range jobs {
+		k.lastActive = append(k.lastActive, jobs[i].ID)
 	}
 }
 
 // allocatedCores sums j's allocation.
-func allocatedCores(j *job.Job) int {
+func allocatedCores(j rjms.JobView) int {
 	n := 0
 	for _, a := range j.Allocs {
 		n += a.Cores
@@ -227,7 +238,7 @@ func LegalObserved(from, to job.State) bool {
 
 // checkNodes validates per-node core accounting against the running
 // jobs' allocations.
-func (k *Checker) checkNodes(now int64, jobs []*job.Job) {
+func (k *Checker) checkNodes(now int64, jobs []rjms.JobView) {
 	clus := k.ctl.Cluster()
 	perNode := make(map[cluster.NodeID]int)
 	for _, j := range jobs {

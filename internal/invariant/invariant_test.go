@@ -118,6 +118,38 @@ func TestLegalObserved(t *testing.T) {
 	}
 }
 
+// TestCheckJobsTracksSightings drives checkJobs with crafted snapshots:
+// legal moves pass, and a job shown twice in one sample, one moving back
+// to pending, and one reappearing after it vanished (it ended) are each
+// reported.
+func TestCheckJobsTracksSightings(t *testing.T) {
+	a, b := &job.Job{ID: 1, Cores: 4}, &job.Job{ID: 2, Cores: 4}
+	pending := func(j *job.Job) rjms.JobView { return rjms.JobView{Job: j, State: job.StatePending} }
+	running := func(j *job.Job) rjms.JobView {
+		return rjms.JobView{Job: j, State: job.StateRunning, Allocs: []job.Alloc{{Node: 0, Cores: 4}}}
+	}
+	k := &Checker{name: "sightings", seen: map[job.ID]sighting{}}
+	k.checkJobs(0, []rjms.JobView{pending(a), pending(b)})
+	k.checkJobs(1, []rjms.JobView{running(a)}) // a started, b ran and ended in between
+	if err := k.Err(); err != nil {
+		t.Fatalf("legal moves reported: %v", err)
+	}
+	for _, bad := range []struct {
+		what string
+		jobs []rjms.JobView
+	}{
+		{"shown twice", []rjms.JobView{running(a), running(a)}},
+		{"back to pending", []rjms.JobView{pending(a)}},
+		{"back after it ended", []rjms.JobView{pending(b)}},
+	} {
+		n := len(k.Violations())
+		k.checkJobs(2, bad.jobs)
+		if len(k.Violations()) == n {
+			t.Errorf("a job %s not reported", bad.what)
+		}
+	}
+}
+
 // TestCapRule drives checkCap directly with crafted samples to pin the
 // monotone cap-approach rule, including the violations no healthy run
 // produces.
@@ -129,7 +161,7 @@ func TestCapRule(t *testing.T) {
 	}
 	cap := power.Watts(1000)
 
-	k := &Checker{name: "rule", seen: map[job.ID]job.State{}}
+	k := &Checker{name: "rule", seen: map[job.ID]sighting{}}
 	feed(k,
 		metrics.Sample{Power: 800, Cap: cap},
 		metrics.Sample{Power: 950, Cap: cap},  // rising under the cap: fine
@@ -139,7 +171,7 @@ func TestCapRule(t *testing.T) {
 		t.Error("crossing above the cap not reported")
 	}
 
-	k = &Checker{name: "drain", seen: map[job.ID]job.State{}}
+	k = &Checker{name: "drain", seen: map[job.ID]sighting{}}
 	feed(k,
 		metrics.Sample{Power: 1500, Cap: 0},   // uncapped
 		metrics.Sample{Power: 1400, Cap: cap}, // window opened over running work: tolerated
@@ -150,7 +182,7 @@ func TestCapRule(t *testing.T) {
 		t.Error("rising above the cap not reported")
 	}
 
-	k = &Checker{name: "tighten", seen: map[job.ID]job.State{}}
+	k = &Checker{name: "tighten", seen: map[job.ID]sighting{}}
 	feed(k,
 		metrics.Sample{Power: 900, Cap: cap},
 		metrics.Sample{Power: 900, Cap: 700}, // cap tightened over the draw: tolerated once
@@ -163,7 +195,7 @@ func TestCapRule(t *testing.T) {
 }
 
 func TestAllocatedCores(t *testing.T) {
-	j := &job.Job{Allocs: []job.Alloc{{Node: 0, Cores: 16}, {Node: 1, Cores: 16}}}
+	j := rjms.JobView{Allocs: []job.Alloc{{Node: 0, Cores: 16}, {Node: 1, Cores: 16}}}
 	if got := allocatedCores(j); got != 32 {
 		t.Errorf("allocatedCores = %d", got)
 	}

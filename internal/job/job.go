@@ -1,8 +1,11 @@
-// Package job defines the job records flowing through the RJMS: core
-// counts, user runtime estimates (walltimes), the actual runtimes the
+// Package job defines the job requests flowing through the RJMS: core
+// counts, user runtime estimates (walltimes) and the actual runtimes the
 // replay engine uses in place of real executions (the paper's "sleep"
-// jobs), and the DVFS frequency assigned at launch, which stretches the
-// runtime by the degradation model of Section V.
+// jobs), which the DVFS frequency chosen at launch stretches by the
+// degradation model of Section V. A request is what a user submitted;
+// the controller reads it and never writes it. What happens to a job
+// once it runs — its frequency, launch time and allocation — is the
+// controller's, kept only while the job runs.
 package job
 
 import (
@@ -15,7 +18,8 @@ import (
 // ID identifies a job within one workload.
 type ID int64
 
-// State is the lifecycle state of a job.
+// State is the lifecycle state of a job, as the controller reports it
+// (rjms.JobView); a request does not carry it.
 type State int
 
 const (
@@ -50,7 +54,9 @@ func (s State) String() string {
 // cluster.Occupy and cluster.Vacate take whole.
 type Alloc = cluster.Alloc
 
-// Job is one workload entry. Times are virtual-clock seconds.
+// Job is one workload entry: a request, never written once submitted,
+// so one list may back several controllers at once. Times are
+// virtual-clock seconds.
 type Job struct {
 	ID     ID
 	User   string
@@ -67,19 +73,8 @@ type Job struct {
 	// scheduler must trust for backfilling; on Curie it overestimates
 	// Runtime by a median factor of about 12000). When a job launches
 	// below nominal frequency the controller extends the walltime by
-	// the same degradation factor (Section V).
+	// the same degradation factor (Section V): ScaledWalltime.
 	Walltime int64
-
-	// Mutable scheduling state, owned by the controller.
-	State     State
-	Freq      dvfs.Freq // frequency assigned at launch (0 until then)
-	StartTime int64     // launch time (meaningful once running)
-	EndTime   int64     // completion/kill time (once terminated)
-	// Allocs is the node/core allocation, valid while the job runs and
-	// only then: the controller builds it at start in a slice it recycles
-	// at finish, when the field goes back to nil. Whoever needs it past
-	// the job's end copies it while the job is running (Clone does).
-	Allocs []Alloc
 }
 
 // Validate reports structural problems with a job record.
@@ -108,15 +103,4 @@ func (j *Job) ScaledRuntime(deg *dvfs.Degradation, f dvfs.Freq) int64 {
 // respectively", Section V).
 func (j *Job) ScaledWalltime(deg *dvfs.Degradation, f dvfs.Freq) int64 {
 	return deg.ScaleDuration(j.Walltime, f)
-}
-
-// Clone returns a deep copy (fresh Allocs slice) so replays can reuse an
-// immutable workload across runs.
-func (j *Job) Clone() *Job {
-	cp := *j
-	if j.Allocs != nil {
-		cp.Allocs = make([]Alloc, len(j.Allocs))
-		copy(cp.Allocs, j.Allocs)
-	}
-	return &cp
 }

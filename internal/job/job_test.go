@@ -3,7 +3,6 @@ package job
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/dvfs"
 )
 
@@ -41,20 +40,6 @@ func TestScaledRuntimeAndWalltime(t *testing.T) {
 	}
 	if got := j.ScaledWalltime(deg, dvfs.F1200); got != 5868 {
 		t.Errorf("min-freq walltime = %d, want 5868", got)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	j := valid()
-	j.Allocs = []Alloc{{Node: cluster.NodeID(3), Cores: 4}}
-	cp := j.Clone()
-	cp.Allocs[0].Cores = 99
-	if j.Allocs[0].Cores == 99 {
-		t.Error("Clone shares the Allocs slice")
-	}
-	j2 := &Job{}
-	if cp2 := j2.Clone(); cp2.Allocs != nil {
-		t.Error("Clone invented an Allocs slice")
 	}
 }
 

@@ -46,7 +46,8 @@ type Scenario struct {
 	// Jobs replaces the synthetic workload with an explicit job list
 	// (e.g. parsed from a real SWF trace); Workload.Kind still labels
 	// the run and Duration()/DurationSec must be set to the interval
-	// length when the default kind duration does not apply.
+	// length when the default kind duration does not apply. The replay
+	// reads the list and never writes it, so cells may share one.
 	Jobs []*job.Job
 
 	// SWF streams the workload from an SWF trace file through the
@@ -173,19 +174,15 @@ func Build(s Scenario) (ctl *rjms.Controller, cleanup func(), err error) {
 		}
 		return ctl, func() { stream.Close() }, nil
 	}
-	if s.Jobs != nil {
-		err = ctl.LoadWorkload(s.Jobs)
-	} else {
-		// A generated list is this call's own and already in (Submit, ID)
-		// order, so the controller takes it as it is: no clone, no sort.
+	jobs := s.Jobs
+	if jobs == nil {
 		wl := s.Workload
 		wl.Cores = topo.Cores()
-		var jobs []*job.Job
-		if jobs, err = trace.Generate(wl); err == nil {
-			err = ctl.LoadWorkloadStream(trace.FromSlice(jobs))
+		if jobs, err = trace.Generate(wl); err != nil {
+			return nil, cleanup, err
 		}
 	}
-	if err != nil {
+	if err := ctl.LoadWorkload(jobs); err != nil {
 		return nil, cleanup, err
 	}
 	return ctl, cleanup, nil

@@ -27,10 +27,19 @@ type Controller struct {
 	rec  *metrics.Recorder
 
 	pending  []*job.Job
-	queueBuf []*job.Job          // pending's backing array from its first slot (enqueue reuses its front)
-	running  map[job.ID]runState // the running jobs and their progress (value map, no per-job alloc)
-	nodeJobs [][]nodeJobEntry    // per shared node, its running jobs and their frequencies (swap-removal)
-	remBuf   []dvfs.Freq         // finish's per-node remaining frequencies, reused
+	queueBuf []*job.Job // pending's backing array from its first slot (enqueue reuses its front)
+
+	// The running table: a job's run state lives here while it runs and
+	// only then — the controller never writes a job and keeps no record
+	// of one that ended. running maps each running job to its slot in
+	// runs; a finish frees the slot (runFree) and the next commit reuses
+	// it, so the map's values stay small and runs as long as the most
+	// jobs that ran at once.
+	running  map[job.ID]int
+	runs     []run
+	runFree  []int
+	nodeJobs [][]nodeJobEntry // per shared node, its running jobs and their frequencies (swap-removal)
+	remBuf   []dvfs.Freq      // finish's per-node remaining frequencies, reused
 
 	// allocFree recycles the Allocs slices of finished jobs: bucket k
 	// holds slices with room for at least 1<<k entries. A start takes one
@@ -41,7 +50,7 @@ type Controller struct {
 	// failed holds nodes taken out by an injected failure (FailNode);
 	// they stay off — windowClose must not power them back on — until
 	// RepairNode returns them. requeueSeq numbers the fresh IDs of
-	// requeued victim clones deterministically.
+	// requeued victims deterministically.
 	failed     cluster.NodeSet
 	requeueSeq int64
 
@@ -84,6 +93,7 @@ type Controller struct {
 	nodeBuf    []cluster.NodeID   // node list of the current compact-placement probe
 	blockedBuf cluster.NodeSet    // union of several blocking switch-off groups
 	deferBuf   []int              // queue positions of shadow-refused candidates not yet planned
+	startBuf   []int              // queue positions the current pass started, ascending
 
 	// Pre-bound closures with their parameter fields. plan() runs up to
 	// BackfillDepth times per event; literal admit closures there would
@@ -128,7 +138,7 @@ func New(cfg Config) (*Controller, error) {
 		clus:     clus,
 		eng:      simengine.New(0),
 		book:     reservation.NewBook(cfg.Topology),
-		running:  map[job.ID]runState{},
+		running:  map[job.ID]int{},
 		nodeJobs: make([][]nodeJobEntry, cfg.Topology.Nodes()),
 		failed:   cluster.NewNodeSet(cfg.Topology.Nodes()),
 	}

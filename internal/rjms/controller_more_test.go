@@ -75,7 +75,7 @@ func TestPendingWalkedInArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect([]job.ID{3, 2, 4, 7, requeued}, []job.ID{6})
-	// The victim's clone backfills from the back (it ends before job 6
+	// The victim's requeued request backfills from the back (it ends before job 6
 	// frees the head's cores at t=5040); 7 is still held behind the head.
 	check(101, []job.ID{3, 2, 4, 7}, []job.ID{6, requeued})
 
@@ -181,25 +181,20 @@ func TestDropStartedMatchesFilter(t *testing.T) {
 	for mask := 1; mask < 1<<n; mask++ {
 		q := make([]*job.Job, n, n+2)
 		var want []*job.Job
-		first, last, started := -1, 0, 0
+		var started []int
 		for i := range q {
 			q[i] = &job.Job{ID: job.ID(i)}
 			if mask&(1<<i) != 0 {
-				q[i].State = job.StateRunning
-				if first < 0 {
-					first = i
-				}
-				last = i
-				started++
+				started = append(started, i)
 			} else {
 				want = append(want, q[i])
 			}
 		}
-		got := dropStarted(q, first, last, started)
+		got := dropStarted(q, started)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("starts %0*b: kept %v, want %v", n, mask, got, want)
 		}
-		compactedInPlace(t, q, first, last, got)
+		compactedInPlace(t, q, started[0], started[len(started)-1], got)
 	}
 }
 
@@ -219,10 +214,11 @@ func TestEnqueueReusesFrontSlack(t *testing.T) {
 	}
 	// start runs the first n queued jobs and removes them as a pass does.
 	start := func(n int) {
-		for _, j := range c.pending[:n] {
-			j.State = job.StateRunning
+		started := make([]int, n)
+		for i := range started {
+			started[i] = i
 		}
-		c.pending = dropStarted(c.pending, 0, n-1, n)
+		c.pending = dropStarted(c.pending, started)
 	}
 	check := func(what string, first int) {
 		t.Helper()
@@ -423,11 +419,11 @@ func TestCompactPlacementReducesChassisSpan(t *testing.T) {
 		if _, err := c.Run(100); err != nil {
 			t.Fatal(err)
 		}
-		wide := c.running[99].j
-		if wide == nil || wide.State != job.StateRunning {
+		wide := c.runOf(99)
+		if wide == nil {
 			t.Fatal("wide job not running")
 		}
-		return sched.ChassisSpan(c.Cluster().Topology(), wide.Allocs)
+		return sched.ChassisSpan(c.Cluster().Topology(), wide.allocs)
 	}
 	// Note: the fragmenting jobs land per first-fit/compact order too;
 	// the wide job's span must not be worse under compact placement.

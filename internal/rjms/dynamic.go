@@ -7,7 +7,6 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/job"
 	"repro/internal/power"
-	"repro/internal/simengine"
 )
 
 // Dynamic DVFS of running jobs — the paper's first future-work item
@@ -25,15 +24,6 @@ import (
 // degradation factor of the frequency it ran at, and its completion
 // event is rescheduled accordingly.
 
-// runState is one running job, its completion event and its progress
-// for re-clocking.
-type runState struct {
-	j                *job.Job
-	endEv            simengine.EventID
-	remainingNominal float64 // nominal-frequency seconds of work left at freqSince
-	freqSince        int64   // when the current frequency took effect
-}
-
 // nodeJobEntry is one running job hosted on a shared node and the
 // frequency it runs at — the per-node slice replaces a map so re-clock
 // and vacate walk a handful of contiguous entries instead of hashing. A
@@ -46,28 +36,28 @@ type nodeJobEntry struct {
 
 // reclock moves a running job to frequency f at time now, updating the
 // job's nodes, its remaining-work accounting and its completion event.
-func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
-	rs, ok := c.running[j.ID]
-	if !ok || j.State != job.StateRunning || f == j.Freq {
+func (c *Controller) reclock(r *run, now int64, f dvfs.Freq) {
+	if f == r.freq {
 		return
 	}
 	// Consume the progress made at the old frequency.
-	elapsed := now - rs.freqSince
+	elapsed := now - r.freqSince
 	if elapsed > 0 {
-		rs.remainingNominal -= float64(elapsed) / c.pm.Deg.Factor(j.Freq)
-		if rs.remainingNominal < 0 {
-			rs.remainingNominal = 0
+		r.remainingNominal -= float64(elapsed) / c.pm.Deg.Factor(r.freq)
+		if r.remainingNominal < 0 {
+			r.remainingNominal = 0
 		}
 	}
-	rs.freqSince = now
+	r.freqSince = now
 	// The backfill view keys on the walltime scaled by the job's current
 	// frequency — move the entry to its new position.
-	c.viewRemove(c.viewKey(j))
-	j.Freq = f
-	c.viewInsert(c.viewKey(j))
+	c.viewRemove(c.viewKey(r))
+	r.freq = f
+	c.viewInsert(c.viewKey(r))
 
 	// Re-derive each hosting node's frequency.
-	for _, a := range j.Allocs {
+	j := r.j
+	for _, a := range r.allocs {
 		nj := c.nodeJobs[a.Node]
 		max := f
 		for k := range nj {
@@ -85,24 +75,25 @@ func (c *Controller) reclock(j *job.Job, now int64, f dvfs.Freq) {
 
 	// Reschedule completion: remaining work stretched by the new factor,
 	// rounded up so the job never finishes with work outstanding.
-	c.eng.Cancel(rs.endEv)
-	left := int64(rs.remainingNominal*c.pm.Deg.Factor(f) + 0.999999)
+	c.eng.Cancel(r.endEv)
+	left := int64(r.remainingNominal*c.pm.Deg.Factor(f) + 0.999999)
 	ev, err := c.eng.At(now+left, c.endFn, j)
 	if err != nil {
 		panic(fmt.Sprintf("rjms: reclock end scheduling for job %d: %v", j.ID, err))
 	}
-	rs.endEv = ev
-	c.running[j.ID] = rs
+	r.endEv = ev
 	c.rec.NoteRescale()
 	c.noteState(now)
 }
 
-// sortedRunning returns the running jobs in a deterministic order chosen
-// by less.
-func (c *Controller) sortedRunning(less func(a, b *job.Job) bool) []*job.Job {
-	out := make([]*job.Job, 0, len(c.running))
-	for _, rs := range c.running {
-		out = append(out, rs.j)
+// sortedRunning returns the running jobs' records in a deterministic
+// order chosen by less. The pointers stand until the next commit.
+func (c *Controller) sortedRunning(less func(a, b *run) bool) []*run {
+	out := make([]*run, 0, len(c.running))
+	for k := range c.runs {
+		if c.runs[k].j != nil {
+			out = append(out, &c.runs[k])
+		}
 	}
 	sort.Slice(out, func(i, k int) bool { return less(out[i], out[k]) })
 	return out
@@ -116,32 +107,32 @@ func (c *Controller) throttleRunning(now int64) {
 	if !budget.IsSet() || budget.Allows(c.observedPower()) {
 		return
 	}
-	jobs := c.sortedRunning(func(a, b *job.Job) bool {
-		if a.Freq != b.Freq {
-			return a.Freq > b.Freq
+	runs := c.sortedRunning(func(a, b *run) bool {
+		if a.freq != b.freq {
+			return a.freq > b.freq
 		}
-		if a.StartTime != b.StartTime {
-			return a.StartTime > b.StartTime
+		if a.start != b.start {
+			return a.start > b.start
 		}
-		return a.ID > b.ID
+		return a.j.ID > b.j.ID
 	})
 	floor := c.pm.Ladder.Min()
 	// Round-robin rung-by-rung so the slowdown spreads fairly instead of
 	// pinning a few victims to the floor.
 	for rung := 0; rung < len(c.pm.Ladder); rung++ {
 		changed := false
-		for _, j := range jobs {
+		for _, r := range runs {
 			if budget.Allows(c.observedPower()) {
 				return
 			}
-			if j.State != job.StateRunning || j.Freq <= floor {
+			if r.freq <= floor {
 				continue
 			}
-			below, ok := c.pm.Ladder.Below(j.Freq)
+			below, ok := c.pm.Ladder.Below(r.freq)
 			if !ok {
 				continue
 			}
-			c.reclock(j, now, below)
+			c.reclock(r, now, below)
 			changed = true
 		}
 		if !changed {
@@ -156,47 +147,47 @@ func (c *Controller) throttleRunning(now int64) {
 // time after a powercap period is over".
 func (c *Controller) boostRunning(now int64) {
 	budget := c.book.CapAt(now)
-	jobs := c.sortedRunning(func(a, b *job.Job) bool {
-		if a.StartTime != b.StartTime {
-			return a.StartTime < b.StartTime
+	runs := c.sortedRunning(func(a, b *run) bool {
+		if a.start != b.start {
+			return a.start < b.start
 		}
-		return a.ID < b.ID
+		return a.j.ID < b.j.ID
 	})
 	nominal := c.pm.Ladder.Max()
-	for _, j := range jobs {
-		if j.State != job.StateRunning || j.Freq >= nominal {
+	for _, r := range runs {
+		if r.freq >= nominal {
 			continue
 		}
 		target := nominal
-		for target > j.Freq {
-			if !budget.IsSet() || budget.Allows(c.observedPower()+c.upliftDelta(j, target)) {
+		for target > r.freq {
+			if !budget.IsSet() || budget.Allows(c.observedPower()+c.upliftDelta(r, target)) {
 				break
 			}
 			below, ok := c.pm.Ladder.Below(target)
-			if !ok || below <= j.Freq {
-				target = j.Freq
+			if !ok || below <= r.freq {
+				target = r.freq
 				break
 			}
 			target = below
 		}
-		if target > j.Freq {
-			c.reclock(j, now, target)
+		if target > r.freq {
+			c.reclock(r, now, target)
 		}
 	}
 }
 
 // upliftDelta computes the extra draw of raising one running job to
 // frequency f, given the other jobs sharing its nodes.
-func (c *Controller) upliftDelta(j *job.Job, f dvfs.Freq) (d power.Watts) {
+func (c *Controller) upliftDelta(r *run, f dvfs.Freq) (d power.Watts) {
 	prof := c.clus.Profile()
-	for _, a := range j.Allocs {
+	for _, a := range r.allocs {
 		info, err := c.clus.Info(a.Node)
 		if err != nil {
 			continue
 		}
 		maxOther := dvfs.Freq(0)
 		for _, e := range c.nodeJobs[a.Node] {
-			if e.id != j.ID && e.f > maxOther {
+			if e.id != r.j.ID && e.f > maxOther {
 				maxOther = e.f
 			}
 		}

@@ -29,8 +29,8 @@ func startLongJob(t *testing.T, cfg Config, runtime int64) *Controller {
 
 func runningFreq(t *testing.T, c *Controller) dvfs.Freq {
 	t.Helper()
-	for _, rs := range c.running {
-		return rs.j.Freq
+	for _, k := range c.running {
+		return c.runs[k].freq
 	}
 	t.Fatal("no running job")
 	return 0
@@ -177,9 +177,9 @@ func TestDynamicThrottleSpreadsFairly(t *testing.T) {
 	if _, err := c.Run(150); err != nil {
 		t.Fatal(err)
 	}
-	for _, rs := range c.running {
-		if j := rs.j; j.Freq != dvfs.F2400 {
-			t.Errorf("job %d at %v, want both at 2.4 GHz (fair spread)", j.ID, j.Freq)
+	for _, k := range c.running {
+		if r := c.runs[k]; r.freq != dvfs.F2400 {
+			t.Errorf("job %d at %v, want both at 2.4 GHz (fair spread)", r.j.ID, r.freq)
 		}
 	}
 }

@@ -10,13 +10,14 @@ import (
 )
 
 // requeueIDBase offsets the IDs of requeued failure victims into a
-// range no workload generator occupies, so a clone can never collide
-// with a yet-unsubmitted trace job.
+// range no workload generator occupies, so a requeued request can never
+// collide with a yet-unsubmitted trace job.
 const requeueIDBase = int64(1) << 40
 
 // FailNode injects a node failure at the current virtual time: every
 // job with an allocation on the node is killed and requeued as a fresh
-// pending clone (new deterministic ID, Submit = now), and the node
+// request (the victim's, with a new deterministic ID and Submit = now;
+// the victim itself is left as it was), and the node
 // powers off and stays off — excluded from scheduling and from
 // reservation window reopenings — until RepairNode. Like
 // AdjustPowerCap it is a between-Advance hook (the twin's mutation
@@ -35,14 +36,14 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 	// list is held whole by one job, found by its allocation.
 	victims := make([]*job.Job, 0, len(c.nodeJobs[id]))
 	for _, e := range c.nodeJobs[id] {
-		if rs, ok := c.running[e.id]; ok {
-			victims = append(victims, rs.j)
+		if r := c.runOf(e.id); r != nil {
+			victims = append(victims, r.j)
 		}
 	}
 	if len(victims) == 0 && c.clus.State(id) == cluster.StateBusy {
-		for _, rs := range c.running {
-			if slices.ContainsFunc(rs.j.Allocs, func(a job.Alloc) bool { return a.Node == id }) {
-				victims = append(victims, rs.j)
+		for k := range c.runs {
+			if r := &c.runs[k]; r.j != nil && slices.ContainsFunc(r.allocs, func(a job.Alloc) bool { return a.Node == id }) {
+				victims = append(victims, r.j)
 			}
 		}
 	}
@@ -51,15 +52,9 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 		c.finish(j, now, true)
 	}
 	for _, j := range victims {
-		clone := j.Clone()
 		c.requeueSeq++
-		clone.ID = job.ID(requeueIDBase + c.requeueSeq)
-		clone.Submit = now
-		clone.StartTime = 0
-		clone.EndTime = 0
-		clone.Freq = 0
-		clone.Allocs = nil
-		c.submit(clone, now)
+		c.submit(&job.Job{ID: job.ID(requeueIDBase + c.requeueSeq), User: j.User, Cores: j.Cores,
+			Submit: now, Runtime: j.Runtime, Walltime: j.Walltime}, now)
 	}
 	if err := c.clus.PowerOff(id); err != nil {
 		return fmt.Errorf("rjms: fail node %d: %w", id, err)

@@ -6,44 +6,31 @@ import (
 	"slices"
 
 	"repro/internal/job"
+	"repro/internal/trace"
 )
 
-// LoadWorkload loads a caller-owned workload: every job is checked up
-// front (a bad one anywhere in the list is this call's error, not a
-// mid-Run one) and copied into one slab of len(jobs) jobs the controller
-// owns, put in submit order — stably, so equal-time jobs keep their list
-// order, and only when the list is not in that order already — and
-// streamed from the slab through LoadWorkloadStream, the one ingestion
-// mechanism. A list the caller gives up and that is already in submit
-// order (trace.Generate's) goes to LoadWorkloadStream directly, through
-// trace.FromSlice.
+// LoadWorkload loads a workload list: every job is checked up front (a
+// bad one anywhere in the list is this call's error, not a mid-Run one)
+// and the list is streamed as it is through LoadWorkloadStream, the one
+// ingestion mechanism. The controller reads the jobs and never writes
+// them, so the list stays the caller's and may back several controllers
+// at once — a sweep's cells share one generated workload — as long as
+// nobody writes it while they run. A list out of submit order is
+// streamed from a sorted copy of its pointers: stably, so equal-time
+// jobs keep their list order.
 func (c *Controller) LoadWorkload(jobs []*job.Job) error {
-	slab, sorted := make(slabSource, len(jobs)), true
+	sorted := true
 	for i, j := range jobs {
 		if err := c.checkJob(j); err != nil {
 			return err
 		}
-		slab[i] = *j
-		slab[i].Allocs = slices.Clone(j.Allocs)
 		sorted = sorted && (i == 0 || jobs[i-1].Submit <= j.Submit)
 	}
 	if !sorted {
-		slices.SortStableFunc(slab, func(a, b job.Job) int { return cmp.Compare(a.Submit, b.Submit) })
+		jobs = slices.Clone(jobs)
+		slices.SortStableFunc(jobs, func(a, b *job.Job) int { return cmp.Compare(a.Submit, b.Submit) })
 	}
-	return c.LoadWorkloadStream(&slab)
-}
-
-// slabSource streams a slab of jobs in order, handing out pointers into
-// it: the jobs of one LoadWorkload are one allocation, not one each.
-type slabSource []job.Job
-
-func (s *slabSource) Next() (*job.Job, error) {
-	if len(*s) == 0 {
-		return nil, nil
-	}
-	j := &(*s)[0]
-	*s = (*s)[1:]
-	return j, nil
+	return c.LoadWorkloadStream(trace.FromSlice(jobs))
 }
 
 // checkJob rejects jobs the machine cannot run.
@@ -71,9 +58,9 @@ type JobSource interface {
 // (all equal-time submissions enter the queue before the scheduling
 // pass they trigger). Memory stays bounded by the jobs pending or
 // running in the simulated machine, not by the trace length.
-// The source must yield jobs in nondecreasing submit order and hands
-// over ownership of each job. Errors found mid-replay stop ingestion and
-// surface from Run.
+// The source must yield jobs in nondecreasing submit order; the
+// controller reads each job and never writes it. Errors found mid-replay
+// stop ingestion and surface from Run.
 func (c *Controller) LoadWorkloadStream(src JobSource) error {
 	j, err := c.pullStream(src)
 	if err != nil || j == nil {
@@ -135,7 +122,6 @@ func (c *Controller) submitStream(st *stream, now int64) {
 }
 
 func (c *Controller) submit(j *job.Job, now int64) {
-	j.State = job.StatePending
 	c.enqueue(j)
 	c.rec.NoteSubmit()
 	c.requestPass(now)

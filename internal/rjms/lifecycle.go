@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dvfs"
 	"repro/internal/job"
+	"repro/internal/simengine"
 )
 
 // takeAllocs returns an empty slice with room for n entries, off the
@@ -21,42 +22,63 @@ func (c *Controller) takeAllocs(n int) []job.Alloc {
 	return make([]job.Alloc, 0, 1<<k)
 }
 
-// recycleAllocs ends a running job's allocation: the slice goes back to
-// the free list, filed under the largest class it can serve (the compact
-// allocator's slices have any capacity), and the job forgets it.
-func (c *Controller) recycleAllocs(j *job.Job) {
-	k := bits.Len(uint(cap(j.Allocs))) - 1
-	c.allocFree[k] = append(c.allocFree[k], j.Allocs[:0])
-	j.Allocs = nil
+// recycleAllocs takes back a finished job's allocation: the slice goes
+// to the free list, filed under the largest class it can serve (the
+// compact allocator's slices have any capacity).
+func (c *Controller) recycleAllocs(allocs []job.Alloc) {
+	k := bits.Len(uint(cap(allocs))) - 1
+	c.allocFree[k] = append(c.allocFree[k], allocs[:0])
+}
+
+// run is one running job as the controller keeps it, in its running
+// table and only while the job runs: the request, the frequency it runs
+// at, when it launched, its allocation, its completion event and its
+// progress for re-clocking.
+type run struct {
+	j                *job.Job
+	freq             dvfs.Freq
+	start            int64
+	allocs           []job.Alloc // built at commit in a slice recycleAllocs takes back at finish
+	endEv            simengine.EventID
+	remainingNominal float64 // nominal-frequency seconds of work left at freqSince
+	freqSince        int64   // when the current frequency took effect
+}
+
+// runOf returns the record of job id's run, or nil when the job is not
+// running. The pointer stands until the next commit.
+func (c *Controller) runOf(id job.ID) *run {
+	if k, ok := c.running[id]; ok {
+		return &c.runs[k]
+	}
+	return nil
 }
 
 // commit starts j as planned. The placement is the probe's: a first-fit
 // allocation is taken off the frontier the probe read, straight into a
-// slice the job owns until it finishes, and a compact one is kept as the
+// slice the run keeps until it finishes, and a compact one is kept as the
 // probe built it. It must span the nodes the probe counted and occupy
-// cleanly — anything else is a bug.
+// cleanly — anything else is a bug. The run goes into a free slot of the
+// running table, so a replay's records are as many as ran at once.
 func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	c.statStarts++
-	j.Allocs = pl.compact
+	allocs := pl.compact
 	if pl.frontier != nil {
-		j.Allocs, _ = pl.frontier.Take(j.Cores, c.takeAllocs(pl.nodes))
+		allocs, _ = pl.frontier.Take(j.Cores, c.takeAllocs(pl.nodes))
 	}
-	if len(j.Allocs) != pl.nodes {
-		panic(fmt.Sprintf("rjms: job %d probed onto %d nodes, allocated on %d", j.ID, pl.nodes, len(j.Allocs)))
+	if len(allocs) != pl.nodes {
+		panic(fmt.Sprintf("rjms: job %d probed onto %d nodes, allocated on %d", j.ID, pl.nodes, len(allocs)))
 	}
-	if err := c.clus.Occupy(j.Allocs, pl.freq); err != nil {
+	if err := c.clus.Occupy(allocs, pl.freq); err != nil {
 		panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
 	}
 	per := c.clus.Topology().CoresPerNode
-	for _, a := range j.Allocs {
+	for _, a := range allocs {
 		if a.Cores < per {
 			c.nodeJobs[a.Node] = append(c.nodeJobs[a.Node], nodeJobEntry{id: j.ID, f: pl.freq})
 		}
 	}
-	j.State = job.StateRunning
-	j.Freq = pl.freq
-	j.StartTime = now
-	c.viewInsert(c.viewKey(j))
+	r := run{j: j, freq: pl.freq, start: now, allocs: allocs, remainingNominal: float64(j.Runtime), freqSince: now}
+	c.viewInsert(c.viewKey(&r))
 	c.rec.NoteLaunch(pl.freq, now-j.Submit)
 
 	runFor := j.ScaledRuntime(c.pm.Deg, pl.freq)
@@ -64,19 +86,33 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	if err != nil {
 		panic(fmt.Sprintf("rjms: end scheduling for job %d: %v", j.ID, err))
 	}
-	c.running[j.ID] = runState{j: j, endEv: ev, remainingNominal: float64(j.Runtime), freqSince: now}
+	r.endEv = ev
+	if n := len(c.runFree); n > 0 {
+		k := c.runFree[n-1]
+		c.runFree = c.runFree[:n-1]
+		c.runs[k] = r
+		c.running[j.ID] = k
+	} else {
+		c.running[j.ID] = len(c.runs)
+		c.runs = append(c.runs, r)
+	}
 	c.noteState(now)
 }
 
+// finish ends j's run, if it is running. Its slot in the running table
+// is freed: the record lets go of the job and the allocation, and keeps
+// its other fields until a commit reuses it.
 func (c *Controller) finish(j *job.Job, now int64, killed bool) {
-	if j.State != job.StateRunning {
+	k, ok := c.running[j.ID]
+	if !ok {
 		return
 	}
-	c.viewRemove(c.viewKey(j))
+	r := &c.runs[k]
+	c.viewRemove(c.viewKey(r))
 	// The frequency each node keeps is the highest among the jobs left on
 	// it; a whole node hosted j alone and is in no list.
 	rem, per := c.remBuf[:0], c.clus.Topology().CoresPerNode
-	for _, a := range j.Allocs {
+	for _, a := range r.allocs {
 		if a.Cores == per {
 			rem = append(rem, 0)
 			continue
@@ -96,30 +132,24 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 		rem = append(rem, left)
 	}
 	c.remBuf = rem
-	if err := c.clus.Vacate(j.Allocs, rem); err != nil {
+	if err := c.clus.Vacate(r.allocs, rem); err != nil {
 		panic(fmt.Sprintf("rjms: vacate inconsistency for job %d: %v", j.ID, err))
 	}
 	// Drain-to-off: a held node freed inside its window.
 	held, _ := c.book.Held()
-	for _, a := range j.Allocs {
+	for _, a := range r.allocs {
 		if held.Has(a.Node) && c.clus.State(a.Node) == cluster.StateIdle && c.book.Draining(a.Node, now) {
 			_ = c.clus.PowerOff(a.Node)
 		}
 	}
-	c.recycleAllocs(j)
-	if killed {
-		j.State = job.StateKilled
-	} else {
-		j.State = job.StateCompleted
-	}
-	j.EndTime = now
-	if rs, ok := c.running[j.ID]; ok {
-		c.eng.Cancel(rs.endEv)
-		delete(c.running, j.ID)
-	}
+	c.recycleAllocs(r.allocs)
+	c.eng.Cancel(r.endEv)
+	r.j, r.allocs = nil, nil
+	delete(c.running, j.ID)
+	c.runFree = append(c.runFree, k)
 	c.rec.NoteCompletion(killed)
 	if !killed {
-		c.rec.NoteJobDone(j.StartTime-j.Submit, now-j.StartTime)
+		c.rec.NoteJobDone(r.start-j.Submit, now-r.start)
 	}
 	c.noteState(now)
 	c.requestPass(now)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cluster"
+	"repro/internal/dvfs"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/power"
@@ -56,17 +58,39 @@ func (c *Controller) PendingCores() int {
 	return n
 }
 
+// JobView is one job the controller tracks, as it stands at one instant:
+// the request and its state and, for a running job, the frequency it
+// runs at, its launch time and its allocation. Allocs aliases the live
+// allocation, valid until the next event; copy it to keep it.
+type JobView struct {
+	*job.Job
+	State  job.State // pending or running: the controller tracks no other
+	Freq   dvfs.Freq
+	Start  int64
+	Allocs []job.Alloc
+}
+
 // SnapshotJobs returns the jobs the controller currently tracks:
 // first the pending queue in its (deterministic) queue order, then the
 // running set sorted by ID. The order is reproducible across replays
 // but is not globally ID-sorted — sorting the whole backlog at every
-// probe would dominate sampled-checker runs. The pointers alias live
-// scheduling state: callers must treat them as read-only (the
-// invariant checker's contract).
-func (c *Controller) SnapshotJobs() []*job.Job {
-	out := make([]*job.Job, 0, len(c.pending)+len(c.running))
-	out = append(out, c.pending...)
-	return append(out, c.sortedRunning(func(a, b *job.Job) bool { return a.ID < b.ID })...)
+// probe would dominate sampled-checker runs. The requests are the
+// caller's own; a finished job is tracked no more. The views are
+// written over buf, grown when it is short: a caller sampling at every
+// tick passes back what it got last time, so a backlog of thousands
+// costs no new array per sample.
+func (c *Controller) SnapshotJobs(buf []JobView) []JobView {
+	out := slices.Grow(buf[:0], len(c.pending)+len(c.running))
+	for _, j := range c.pending {
+		out = append(out, JobView{Job: j, State: job.StatePending})
+	}
+	for _, r := range c.sortedRunning(func(a, b *run) bool { return a.j.ID < b.j.ID }) {
+		out = append(out, JobView{Job: r.j, State: job.StateRunning, Freq: r.freq, Start: r.start, Allocs: r.allocs})
+	}
+	if len(buf) > len(out) {
+		clear(buf[len(out):]) // no view left over from a longer snapshot keeps a job alive
+	}
+	return out
 }
 
 // AddObserver registers fn to run after every metrics sample is

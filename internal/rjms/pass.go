@@ -133,10 +133,10 @@ func (c *Controller) fitsFutureCap(f dvfs.Freq, budget power.Cap) bool {
 // viewKey is a running job's entry in the backfill view: its core count
 // and the time the scheduler must assume it ends (start + walltime
 // scaled by the frequency it currently runs at).
-func (c *Controller) viewKey(j *job.Job) sched.RunningJob {
+func (c *Controller) viewKey(r *run) sched.RunningJob {
 	return sched.RunningJob{
-		Cores:       j.Cores,
-		ExpectedEnd: j.StartTime + j.ScaledWalltime(c.pm.Deg, j.Freq),
+		Cores:       r.j.Cores,
+		ExpectedEnd: r.start + r.j.ScaledWalltime(c.pm.Deg, r.freq),
 	}
 }
 
@@ -266,15 +266,7 @@ func (c *Controller) pass(now int64) {
 		return
 	}
 	c.statPasses++
-	startedCount := 0
-	firstStart, lastStart := 0, 0 // queue positions of the first and last start
-	started := func(i int) {
-		if startedCount == 0 {
-			firstStart = i
-		}
-		lastStart = i
-		startedCount++
-	}
+	started := c.startBuf[:0] // queue positions, ascending
 
 	shadowAt := int64(-1)
 	shadowNeed := 0
@@ -308,7 +300,7 @@ func (c *Controller) pass(now int64) {
 		if shadowAt < 0 {
 			if pl, ok := tryPlan(j); ok {
 				c.commit(j, pl, now)
-				started(i)
+				started = append(started, i)
 				continue
 			}
 			// Head blocked: set up the EASY reservation. The view is
@@ -354,12 +346,13 @@ func (c *Controller) pass(now int64) {
 			freeAtShadow -= j.Cores
 		}
 		c.commit(j, pl, now)
-		started(i)
+		started = append(started, i)
 	}
 	c.deferBuf = deferred[:0]
+	c.startBuf = started[:0]
 
-	if startedCount > 0 {
-		c.pending = dropStarted(c.pending, firstStart, lastStart, startedCount)
+	if len(started) > 0 {
+		c.pending = dropStarted(c.pending, started)
 		return
 	}
 	// Nothing launched: record what this pass saw, so the next one can
@@ -373,22 +366,25 @@ func (c *Controller) pass(now int64) {
 	}
 }
 
-// dropStarted removes a pass's n starts from the pending queue q, keeping
-// the rest in arrival order. commit flipped them to StateRunning, so they
-// are found by state, and they all lie in q[first:last+1]. The gaps
-// inside that span close first; then whichever side of it is shorter
-// moves over what is left — the suffix toward the front, or the prefix
-// toward the back with the front re-sliced away. A backlogged queue is
-// mostly an untouched tail, and moving it pointer by pointer under the
-// collector's write barrier after every starting pass was 16 % of a
-// sweep's CPU; the cost is now the span plus the shorter side. Vacated
-// slots are cleared, so no slot of the backing array outside the queue
-// keeps a job alive.
-func dropStarted(q []*job.Job, first, last, n int) []*job.Job {
+// dropStarted removes a pass's starts — their queue positions, ascending
+// and non-empty — from the pending queue q, keeping the rest in arrival
+// order. The starts all lie in q[first:last+1], first and last being the
+// outermost positions. The gaps inside that span close first; then
+// whichever side of it is shorter moves over what is left — the suffix
+// toward the front, or the prefix toward the back with the front
+// re-sliced away. A backlogged queue is mostly an untouched tail, and
+// moving it pointer by pointer under the collector's write barrier after
+// every starting pass was 16 % of a sweep's CPU; the cost is now the span
+// plus the shorter side. Vacated slots are cleared, so no slot of the
+// backing array outside the queue keeps a job alive.
+func dropStarted(q []*job.Job, started []int) []*job.Job {
+	n := len(started)
+	first, last := started[0], started[n-1]
 	if first < len(q)-1-last {
-		w := last
+		w, s := last, n-1
 		for r := last; r >= first; r-- {
-			if q[r].State != job.StatePending {
+			if s >= 0 && started[s] == r {
+				s--
 				continue
 			}
 			if w != r {
@@ -400,9 +396,10 @@ func dropStarted(q []*job.Job, first, last, n int) []*job.Job {
 		clear(q[:n])
 		return q[n:]
 	}
-	w := first
+	w, s := first, 0
 	for r := first; r <= last; r++ {
-		if q[r].State != job.StatePending {
+		if s < n && started[s] == r {
+			s++
 			continue
 		}
 		if w != r {

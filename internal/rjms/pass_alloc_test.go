@@ -14,7 +14,7 @@ import (
 )
 
 // Probes build no allocation; commit builds the one the probe counted,
-// straight into a slice the started job owns until it finishes — sized to
+// straight into a slice the started job's run keeps until it finishes — sized to
 // the power-of-two class of its node count, out of reach of every later
 // probe, and untouched when another job's finish hands its own slice to a
 // later start.
@@ -37,13 +37,13 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	if err := c.Advance(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.running) != 2 || c.running[1].j == nil || c.running[4].j == nil {
+	if len(c.running) != 2 || c.runOf(1) == nil || c.runOf(4) == nil {
 		t.Fatalf("running = %v, want jobs 1 and 4", c.running)
 	}
 	check := func(when string, want map[job.ID][]job.Alloc) {
 		t.Helper()
 		for id, allocs := range want {
-			got := c.running[id].j.Allocs
+			got := c.runOf(id).allocs
 			if !reflect.DeepEqual(got, allocs) {
 				t.Errorf("%s: job %d allocs = %v, want %v", when, id, got, allocs)
 			}
@@ -61,21 +61,21 @@ func TestCommittedAllocsSurviveLaterProbes(t *testing.T) {
 	c.memo = passMemo{}
 	c.pass(0)
 	check("after later probes", started)
-	if a, b := c.running[1].j.Allocs, c.running[4].j.Allocs; &a[0] == &b[0] {
+	if a, b := c.runOf(1).allocs, c.runOf(4).allocs; &a[0] == &b[0] {
 		t.Error("two started jobs share one allocation array")
 	}
 
 	// Job 4 ends at t=20; job 6 arrives at t=30 and takes over its node —
 	// and its slice.
-	freed := &c.running[4].j.Allocs[0]
+	freed := &c.runOf(4).allocs[0]
 	if err := c.Advance(30); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.running) != 2 || c.running[6].j == nil {
+	if len(c.running) != 2 || c.runOf(6) == nil {
 		t.Fatalf("running = %v, want jobs 1 and 6", c.running)
 	}
 	check("after a finish and a later start", map[job.ID][]job.Alloc{1: head, 6: {{Node: 3, Cores: 4}}})
-	if &c.running[6].j.Allocs[0] != freed {
+	if &c.runOf(6).allocs[0] != freed {
 		t.Error("the later start did not reuse the slice the finished job gave back")
 	}
 }
@@ -92,8 +92,9 @@ func freeAllocs(c *Controller) []*job.Alloc {
 }
 
 // A job's allocation is valid while it runs and recycled when it ends:
-// once the free list is warm no start allocates a slice, a finished or
-// killed job keeps none, and no two running jobs ever share one.
+// once the free list is warm no start allocates a slice, the slot of a
+// finished or killed job's run keeps none, and no two running jobs ever
+// share one.
 func TestStartFinishRecyclesAllocs(t *testing.T) {
 	t.Run("steady stream", func(t *testing.T) {
 		c := mustNew(t, tinyConfig(core.PolicyNone))
@@ -116,21 +117,19 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 			}
 			c.pass(now)
 			for _, j := range last {
-				if j.State != job.StateRunning || len(j.Allocs) != 3 {
-					t.Fatalf("job %d is %v on %d nodes, want running on 3", j.ID, j.State, len(j.Allocs))
-				}
-				if warm != nil && !warm[&j.Allocs[0]] {
+				if r := c.runOf(j.ID); r == nil || len(r.allocs) != 3 {
+					t.Fatalf("job %d is not running on 3 nodes", j.ID)
+				} else if warm != nil && !warm[&r.allocs[0]] {
 					t.Fatalf("job %d did not start on a recycled slice", j.ID)
 				}
 			}
 			if err := c.Advance(now + 10); err != nil {
 				t.Fatal(err)
 			}
-			for _, j := range last {
-				if j.State != job.StateCompleted || j.Allocs != nil {
-					t.Fatalf("finished job %d is %v with allocs %v, want completed with none", j.ID, j.State, j.Allocs)
-				}
+			if len(c.running) != 0 {
+				t.Fatalf("%d jobs still running after their end", len(c.running))
 			}
+			noFreeSlotAllocs(t, c)
 		}
 		cycle() // three class-4 slices end up on the free list
 		warm = map[*job.Alloc]bool{}
@@ -152,8 +151,7 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 			}
 		}
 		// What a start/finish still allocates is the job record this test
-		// builds and the end-event closure; a slice per start would make
-		// it three objects a job.
+		// builds; a slice per start would make it three objects a job.
 		t.Logf("a cycle of 3 jobs allocates %v objects", perCycle)
 		if perCycle >= 3*3 {
 			t.Errorf("a cycle of 3 jobs allocates %v objects, want fewer than %d", perCycle, 3*3)
@@ -185,8 +183,9 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 			}
 			seen := map[*job.Alloc]job.ID{}
 			perNode := make([]int, topo.Nodes())
-			for id, rs := range c.running {
-				p := &rs.j.Allocs[0]
+			for id, k := range c.running {
+				r := &c.runs[k]
+				p := &r.allocs[0]
 				if other, dup := seen[p]; dup {
 					t.Errorf("t=%d: running jobs %d and %d share one allocation array", now, id, other)
 				}
@@ -195,7 +194,7 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 					reused++
 				}
 				owner[p] = id
-				for _, a := range rs.j.Allocs {
+				for _, a := range r.allocs {
 					perNode[a.Node] += a.Cores
 				}
 			}
@@ -234,16 +233,17 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 		if len(c.running) != 3 || len(freeAllocs(c)) != 0 {
 			t.Fatalf("%d running, %d free slices; want 3 and 0", len(c.running), len(freeAllocs(c)))
 		}
-		held := map[*job.Alloc]bool{&victims[0].Allocs[0]: true, &victims[1].Allocs[0]: true}
-		kept := append([]job.Alloc(nil), bystander.Allocs...)
+		held := map[*job.Alloc]bool{&c.runOf(1).allocs[0]: true, &c.runOf(2).allocs[0]: true}
+		kept := append([]job.Alloc(nil), c.runOf(3).allocs...)
 		if err := c.FailNode(0); err != nil {
 			t.Fatal(err)
 		}
 		for _, j := range victims {
-			if j.State != job.StateKilled || j.Allocs != nil {
-				t.Errorf("victim %d is %v with allocs %v, want killed with none", j.ID, j.State, j.Allocs)
+			if c.runOf(j.ID) != nil {
+				t.Errorf("victim %d still runs", j.ID)
 			}
 		}
+		noFreeSlotAllocs(t, c)
 		free := freeAllocs(c)
 		if len(free) != len(victims) {
 			t.Errorf("%d slices on the free list, want one per victim (%d)", len(free), len(victims))
@@ -257,15 +257,32 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 		if len(c.pending) != len(victims) {
 			t.Fatalf("%d jobs requeued, want %d", len(c.pending), len(victims))
 		}
-		for _, j := range c.pending {
-			if j.State != job.StatePending || j.Allocs != nil {
-				t.Errorf("requeued clone %d is %v with allocs %v, want pending with none", j.ID, j.State, j.Allocs)
+		for i, j := range c.pending {
+			v := victims[i]
+			want := job.Job{ID: job.ID(requeueIDBase + int64(i) + 1), User: v.User, Cores: v.Cores, Submit: 0, Runtime: v.Runtime, Walltime: v.Walltime}
+			if *j != want {
+				t.Errorf("requeued request %+v, want %+v", *j, want)
 			}
 		}
-		if bystander.State != job.StateRunning || !reflect.DeepEqual(bystander.Allocs, kept) {
-			t.Errorf("bystander is %v on %v, want running on %v", bystander.State, bystander.Allocs, kept)
+		if r := c.runOf(3); r == nil || !reflect.DeepEqual(r.allocs, kept) {
+			t.Errorf("bystander is not running on %v", kept)
 		}
 	})
+}
+
+// noFreeSlotAllocs fails when a free slot of the running table still
+// holds a job or an allocation.
+func noFreeSlotAllocs(t *testing.T, c *Controller) {
+	t.Helper()
+	busy := map[int]bool{}
+	for _, k := range c.running {
+		busy[k] = true
+	}
+	for k, r := range c.runs {
+		if !busy[k] && (r.j != nil || r.allocs != nil) {
+			t.Fatalf("free slot %d holds job %v and allocation %v", k, r.j, r.allocs)
+		}
+	}
 }
 
 // backlogged builds a 180-node SHUT controller at t=10 whose pass probes
@@ -524,8 +541,10 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 // generation included as there. 105 547 objects before the probes
 // stopped copying, 21 478 after, 17 572 once submissions were always
 // streamed, 15.7 k once a start took its allocation off the free list,
-// 4 560 now that the clones are one slab and no event is a closure; the
-// ceiling keeps the diet from regressing silently.
+// 4 560 once the clones were one slab and no event was a closure, 4 588
+// now that no job is copied at all and its run state has a slot of the
+// running table (the table's own growth); the ceiling keeps the diet
+// from regressing silently.
 func TestSchedulePassAllocCeiling(t *testing.T) {
 	const ceiling = 5900
 	topo := cluster.CurieTopology()
@@ -558,9 +577,9 @@ func TestSchedulePassAllocCeiling(t *testing.T) {
 // TestReplayAllocatesPerCellNotPerJob pins what a simulated job costs the
 // heap: nothing of its own. One 2-rack MIX cell under a cap runs through
 // LoadWorkload + Run on the first n and then the first 2n jobs of the
-// same workload over the same horizon. The n added jobs share the slab
-// their clones go into, their end events and submissions carry them as
-// an argument instead of a closure, and the queue reuses its array; what
+// same workload over the same horizon. The n added jobs are not copied,
+// their end events and submissions carry them as an argument instead of
+// a closure, and the queue reuses its array; what
 // is left of the difference follows the load, not the job count — a few
 // more per-node lists, recycled allocation slices and event slots at a
 // higher peak, and sample histograms over busier hours — so n is large

@@ -2,6 +2,7 @@ package rjms
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -151,19 +152,23 @@ func (sc memoScenario) overlapsOpen(k int) bool {
 // snapJob is what SnapshotJobs shows of one job at a sample.
 type snapJob struct {
 	id     job.ID
+	state  job.State
 	freq   dvfs.Freq
+	start  int64
 	allocs []job.Alloc
 }
 
-func snapOf(jobs []*job.Job) []snapJob {
+func snapOf(jobs []JobView) []snapJob {
 	out := make([]snapJob, len(jobs))
 	for i, j := range jobs {
-		out[i] = snapJob{id: j.ID, freq: j.Freq, allocs: append([]job.Alloc(nil), j.Allocs...)}
+		out[i] = snapJob{id: j.ID, state: j.State, freq: j.Freq, start: j.Start, allocs: append([]job.Alloc(nil), j.Allocs...)}
 	}
 	return out
 }
 
-// jobEnd is a workload job's final scheduling state.
+// jobEnd is how a workload job stands at the horizon: how it ended, or
+// since when and at what frequency it runs; the zero value is a job
+// still waiting, or never submitted.
 type jobEnd struct {
 	state      job.State
 	start, end int64
@@ -223,48 +228,99 @@ func (sc memoScenario) drive(c scenarioCalls) ([]string, error) {
 	return refusals, c.advance(sc.horizon)
 }
 
-func jobEnds(jobs []*job.Job) []jobEnd {
+// endLog collects how the shipped controller's jobs end from outside
+// it, since it keeps no record of an ended job. A job ends in one of
+// three places: its end event, which the log wraps; a cap boundary's
+// kills, in the boundary event, which it also wraps, or in
+// AdjustPowerCap; a failed node's kills, in FailNode. Around a call that
+// kills, a job gone from the running table was killed, and its freed
+// slot still holds its launch time and last frequency: nothing commits
+// inside such a call.
+type endLog struct {
+	c    *Controller
+	ends map[job.ID]jobEnd
+}
+
+func newEndLog(c *Controller) *endLog {
+	l := &endLog{c: c, ends: map[job.ID]jobEnd{}}
+	end, boundary := c.endFn, c.capBoundaryFn
+	c.endFn = func(t int64, arg any) {
+		if r := c.runOf(arg.(*job.Job).ID); r != nil {
+			l.ends[r.j.ID] = jobEnd{state: job.StateCompleted, start: r.start, end: t, freq: r.freq}
+		}
+		end(t, arg)
+	}
+	c.capBoundaryFn = func(t int64, arg any) { l.around(func() error { boundary(t, arg); return nil }) }
+	return l
+}
+
+// around runs call and logs the jobs it killed.
+func (l *endLog) around(call func() error) error {
+	before := maps.Clone(l.c.running)
+	err := call()
+	for id, k := range before {
+		if _, ok := l.c.running[id]; !ok {
+			r := l.c.runs[k]
+			l.ends[id] = jobEnd{state: job.StateKilled, start: r.start, end: l.c.eng.Now(), freq: r.freq}
+		}
+	}
+	return err
+}
+
+// outcome is how job j stands.
+func (l *endLog) outcome(j *job.Job) jobEnd {
+	if r := l.c.runOf(j.ID); r != nil {
+		return jobEnd{state: job.StateRunning, start: r.start, freq: r.freq}
+	}
+	return l.ends[j.ID]
+}
+
+func jobEnds(jobs []*job.Job, outcome func(*job.Job) jobEnd) []jobEnd {
 	out := make([]jobEnd, len(jobs))
 	for i, j := range jobs {
-		out[i] = jobEnd{state: j.State, start: j.StartTime, end: j.EndTime, freq: j.Freq}
+		out[i] = outcome(j)
 	}
 	return out
 }
 
-// runShipped runs the scenario on the shipped controller, which takes
-// ownership of the scenario's jobs.
+// runShipped runs the scenario on the shipped controller.
 func runShipped(sc memoScenario) (out scenarioOutcome, err error) {
 	ctl, err := New(sc.cfg)
 	if err != nil {
 		return out, err
 	}
+	log := newEndLog(ctl)
 	if err := ctl.LoadWorkloadStream(trace.FromSlice(sc.jobs)); err != nil {
 		return out, err
 	}
-	ctl.AddObserver(func(int64) { out.snaps = append(out.snaps, snapOf(ctl.SnapshotJobs())) })
+	ctl.AddObserver(func(int64) { out.snaps = append(out.snaps, snapOf(ctl.SnapshotJobs(nil))) })
 	out.refusals, err = sc.drive(scenarioCalls{
 		maxPower: ctl.Cluster().MaxPower(),
 		reserve: func(start, end int64, budget power.Cap) (int, error) {
 			id, _, err := ctl.ReservePowerCapID(start, end, budget)
 			return id, err
 		},
-		adjust: ctl.AdjustPowerCap, fail: ctl.FailNode, repair: ctl.RepairNode, start: ctl.Start, advance: ctl.Advance,
+		adjust: func(id int, budget power.Cap) error {
+			return log.around(func() error { return ctl.AdjustPowerCap(id, budget) })
+		},
+		fail:   func(id cluster.NodeID) error { return log.around(func() error { return ctl.FailNode(id) }) },
+		repair: ctl.RepairNode, start: ctl.Start, advance: ctl.Advance,
 	})
 	if err != nil {
 		return out, err
 	}
 	out.summary, out.samples, out.counters = ctl.Finish(), ctl.Samples(), ctl.SchedCounters()
-	out.starts, out.jobs = out.counters.Starts, jobEnds(sc.jobs)
+	out.starts, out.jobs = out.counters.Starts, jobEnds(sc.jobs, log.outcome)
 	return out, nil
 }
 
-// runReference runs the scenario on the reference controller, over jobs.
-func runReference(sc memoScenario, jobs []*job.Job) (out scenarioOutcome, err error) {
+// runReference runs the scenario on the reference controller.
+func runReference(sc memoScenario) (out scenarioOutcome, err error) {
 	r, err := newRef(sc.cfg)
 	if err != nil {
 		return out, err
 	}
-	r.load(jobs)
+	r.load(sc.jobs)
 	r.observer = func(int64) { out.snaps = append(out.snaps, snapOf(r.snapshot())) }
 	out.refusals, err = sc.drive(scenarioCalls{
 		maxPower: r.clus.MaxPower(), reserve: r.reserve, adjust: r.adjust,
@@ -273,27 +329,24 @@ func runReference(sc memoScenario, jobs []*job.Job) (out scenarioOutcome, err er
 	if err != nil {
 		return out, err
 	}
-	out.summary, out.samples, out.starts, out.jobs = r.finishRun(), r.rec.Samples(), r.starts, jobEnds(jobs)
+	out.summary, out.samples, out.starts, out.jobs = r.finishRun(), r.rec.Samples(), r.starts, jobEnds(sc.jobs, r.outcome)
 	return out, nil
 }
 
 // referenceDiff draws a scenario, runs it on the shipped controller and
-// on the reference, and reports the first thing that differs. It returns
-// the scenario and the shipped run.
+// on the reference — over the one job list, which neither writes — and
+// reports the first thing that differs. It returns the scenario and the
+// shipped run.
 func referenceDiff(seed int64, machine uint8) (memoScenario, scenarioOutcome, error) {
 	sc, err := drawMemoScenario(seed, machine)
 	if err != nil {
 		return sc, scenarioOutcome{}, err
 	}
-	jobs := make([]*job.Job, len(sc.jobs))
-	for i, j := range sc.jobs {
-		jobs[i] = j.Clone()
-	}
 	got, err := runShipped(sc)
 	if err != nil {
 		return sc, got, err
 	}
-	want, err := runReference(sc, jobs)
+	want, err := runReference(sc)
 	if err != nil {
 		return sc, got, err
 	}
@@ -434,7 +487,7 @@ func TestViewGenCountsBothMutators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.viewKey(&job.Job{Cores: 4, Walltime: 100})
+	r := c.viewKey(&run{j: &job.Job{Cores: 4, Walltime: 100}})
 	gen := c.viewGen
 	c.viewInsert(r)
 	if c.viewGen == gen {
@@ -472,9 +525,9 @@ func TestPassMemoKeysViewAndQueueLength(t *testing.T) {
 	if !c.passMemoHolds(10) {
 		t.Fatal("the pass at t=10 started nothing, yet its memo does not hold")
 	}
-	j := c.running[1].j
-	below, _ := c.pm.Ladder.Below(j.Freq)
-	c.reclock(j, 10, below)
+	r := c.runOf(1)
+	below, _ := c.pm.Ladder.Below(r.freq)
+	c.reclock(r, 10, below)
 	if c.passMemoHolds(10) {
 		t.Error("the memo holds after a re-clock moved the running view")
 	}
@@ -543,10 +596,10 @@ func TestPassMemoBreaksOnPassedExpectedEnd(t *testing.T) {
 	if err := ref.eng.Run(1100); err != nil {
 		t.Fatal(err)
 	}
-	if jobs[3].StartTime != 1100 {
-		t.Fatalf("the reference started job 4 at %d (state %v), want 1100", jobs[3].StartTime, jobs[3].State)
+	if got := ref.outcome(jobs[3]); got.state != job.StateRunning || got.start != 1100 {
+		t.Fatalf("the reference has job 4 %+v, want it started at 1100", got)
 	}
-	if len(c.running) != 3 || c.running[4].j == nil || c.running[4].j.StartTime != 1100 {
+	if r := c.runOf(4); len(c.running) != 3 || r == nil || r.start != 1100 {
 		t.Errorf("at t=1100 running %v, want jobs 1 and 2 still and job 4 started at 1100, as the reference", c.running)
 	}
 }

@@ -34,8 +34,9 @@ import (
 // engine, the cluster's transitions and plain reads, the reservation
 // book's window calls, Algorithm 1 (core.PlanOffline), compact
 // placement, the EASY shadow arithmetic, the metrics recorder, the
-// measured-power sensor and the job methods. FuzzControllerAgainstReference
-// holds the shipped controller to it.
+// measured-power sensor and the job methods. Like the shipped one it
+// never writes a job: its run records and the way each job ended are its
+// own. FuzzControllerAgainstReference holds the shipped controller to it.
 type refController struct {
 	cfg      Config
 	pm       core.PolicyModel
@@ -48,6 +49,7 @@ type refController struct {
 
 	pending    []*job.Job
 	running    map[job.ID]*refRun
+	ends       map[job.ID]jobEnd     // the jobs that ended, and how
 	classes    [4][]cluster.NodeInfo // firstFit's scratch
 	offs       []refOff              // switch-offs not yet released
 	failed     map[cluster.NodeID]bool
@@ -59,9 +61,13 @@ type refController struct {
 	observer   func(now int64)
 }
 
-// refRun is one running job, its completion event and its progress.
+// refRun is one running job: its frequency, launch time, allocation,
+// completion event and progress.
 type refRun struct {
 	j         *job.Job
+	freq      dvfs.Freq
+	start     int64
+	allocs    []job.Alloc
 	endEv     simengine.EventID
 	remaining float64 // nominal-frequency seconds of work left at since
 	since     int64
@@ -93,6 +99,7 @@ func newRef(cfg Config) (*refController, error) {
 		book:    reservation.NewBook(cfg.Topology),
 		rec:     metrics.NewRecorder(0, clus.Power(), 0),
 		running: map[job.ID]*refRun{},
+		ends:    map[job.ID]jobEnd{},
 		failed:  map[cluster.NodeID]bool{},
 	}
 	if cfg.MeasuredNoise > 0 {
@@ -130,7 +137,6 @@ func (r *refController) submitFrom(jobs []*job.Job, now int64) {
 }
 
 func (r *refController) submit(j *job.Job, now int64) {
-	j.State = job.StatePending
 	r.pending = append(r.pending, j)
 	r.rec.NoteSubmit()
 	r.requestPass(now)
@@ -149,8 +155,23 @@ func (r *refController) finishRun() metrics.Summary {
 }
 
 // snapshot is SnapshotJobs: the queue in order, then the running jobs by ID.
-func (r *refController) snapshot() []*job.Job {
-	return append(append([]*job.Job{}, r.pending...), r.sortedRunning(func(a, b *job.Job) bool { return a.ID < b.ID })...)
+func (r *refController) snapshot() []JobView {
+	var out []JobView
+	for _, j := range r.pending {
+		out = append(out, JobView{Job: j, State: job.StatePending})
+	}
+	for _, run := range r.sortedRunning(func(a, b *refRun) bool { return a.j.ID < b.j.ID }) {
+		out = append(out, JobView{Job: run.j, State: job.StateRunning, Freq: run.freq, Start: run.start, Allocs: run.allocs})
+	}
+	return out
+}
+
+// outcome is how job j stands: how it ended, or that it runs or waits.
+func (r *refController) outcome(j *job.Job) jobEnd {
+	if run := r.running[j.ID]; run != nil {
+		return jobEnd{state: job.StateRunning, start: run.start, freq: run.freq}
+	}
+	return r.ends[j.ID]
 }
 
 func (r *refController) requestPass(now int64) {
@@ -207,7 +228,7 @@ func (r *refController) pass(now int64) {
 func (r *refController) shadow(need int, now int64) (at int64, _ int, freeAt int) {
 	var view []sched.RunningJob
 	for _, run := range r.running {
-		view = append(view, sched.RunningJob{Cores: run.j.Cores, ExpectedEnd: r.expectedEnd(run.j)})
+		view = append(view, sched.RunningJob{Cores: run.j.Cores, ExpectedEnd: r.expectedEnd(run)})
 	}
 	slices.SortFunc(view, func(a, b sched.RunningJob) int { return cmp.Compare(a.ExpectedEnd, b.ExpectedEnd) })
 	free := r.freeCores()
@@ -218,8 +239,8 @@ func (r *refController) shadow(need int, now int64) (at int64, _ int, freeAt int
 	return at, need, sched.FreeCoresAt(view, free, at)
 }
 
-func (r *refController) expectedEnd(j *job.Job) int64 {
-	return j.StartTime + j.ScaledWalltime(r.pm.Deg, j.Freq)
+func (r *refController) expectedEnd(run *refRun) int64 {
+	return run.start + run.j.ScaledWalltime(r.pm.Deg, run.freq)
 }
 
 // held marks the nodes of the switch-off groups not yet released.
@@ -348,16 +369,14 @@ func (r *refController) observedPower() power.Watts {
 
 func (r *refController) commit(j *job.Job, allocs []job.Alloc, f dvfs.Freq, now int64) {
 	r.starts++
-	j.Allocs = allocs
 	for _, a := range allocs {
 		if err := r.clus.Occupy([]job.Alloc{a}, f); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
 	}
-	j.State, j.Freq, j.StartTime = job.StateRunning, f, now
 	r.rec.NoteLaunch(f, now-j.Submit)
 	ev := r.at(now+j.ScaledRuntime(r.pm.Deg, f), func(t int64) { r.finish(j, t, false) })
-	r.running[j.ID] = &refRun{j: j, endEv: ev, remaining: float64(j.Runtime), since: now}
+	r.running[j.ID] = &refRun{j: j, freq: f, start: now, allocs: allocs, endEv: ev, remaining: float64(j.Runtime), since: now}
 	r.noteState(now)
 }
 
@@ -366,9 +385,9 @@ func (r *refController) commit(j *job.Job, allocs []job.Alloc, f dvfs.Freq, now 
 func (r *refController) nodeFreq(id cluster.NodeID, skip job.ID) dvfs.Freq {
 	f := dvfs.Freq(0)
 	for _, run := range r.running {
-		for _, a := range run.j.Allocs {
+		for _, a := range run.allocs {
 			if a.Node == id && run.j.ID != skip {
-				f = max(f, run.j.Freq)
+				f = max(f, run.freq)
 			}
 		}
 	}
@@ -376,10 +395,11 @@ func (r *refController) nodeFreq(id cluster.NodeID, skip job.ID) dvfs.Freq {
 }
 
 func (r *refController) finish(j *job.Job, now int64, killed bool) {
-	if j.State != job.StateRunning {
+	run := r.running[j.ID]
+	if run == nil {
 		return
 	}
-	for _, a := range j.Allocs {
+	for _, a := range run.allocs {
 		if err := r.clus.Vacate([]job.Alloc{a}, []dvfs.Freq{r.nodeFreq(a.Node, j.ID)}); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
@@ -387,16 +407,16 @@ func (r *refController) finish(j *job.Job, now int64, killed bool) {
 			_ = r.clus.PowerOff(a.Node)
 		}
 	}
-	j.Allocs = nil
-	j.State, j.EndTime = job.StateCompleted, now
+	end := jobEnd{state: job.StateCompleted, start: run.start, end: now, freq: run.freq}
 	if killed {
-		j.State = job.StateKilled
+		end.state = job.StateKilled
 	}
-	r.eng.Cancel(r.running[j.ID].endEv)
+	r.ends[j.ID] = end
+	r.eng.Cancel(run.endEv)
 	delete(r.running, j.ID)
 	r.rec.NoteCompletion(killed)
 	if !killed {
-		r.rec.NoteJobDone(j.StartTime-j.Submit, now-j.StartTime)
+		r.rec.NoteJobDone(run.start-j.Submit, now-run.start)
 	}
 	r.noteState(now)
 	r.requestPass(now)
@@ -405,17 +425,17 @@ func (r *refController) finish(j *job.Job, now int64, killed bool) {
 // reclock moves a running job to f: the work done at the old frequency
 // is consumed, its nodes are re-charged and its end is rescheduled for
 // the work left, stretched at f and rounded up.
-func (r *refController) reclock(j *job.Job, now int64, f dvfs.Freq) {
-	run := r.running[j.ID]
-	if run == nil || f == j.Freq {
+func (r *refController) reclock(run *refRun, now int64, f dvfs.Freq) {
+	if f == run.freq {
 		return
 	}
 	if elapsed := now - run.since; elapsed > 0 {
-		run.remaining = max(0, run.remaining-float64(elapsed)/r.pm.Deg.Factor(j.Freq))
+		run.remaining = max(0, run.remaining-float64(elapsed)/r.pm.Deg.Factor(run.freq))
 	}
 	run.since = now
-	j.Freq = f
-	for _, a := range j.Allocs {
+	run.freq = f
+	j := run.j
+	for _, a := range run.allocs {
 		if err := r.clus.SetFreq(a.Node, r.nodeFreq(a.Node, -1)); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
@@ -426,10 +446,10 @@ func (r *refController) reclock(j *job.Job, now int64, f dvfs.Freq) {
 	r.noteState(now)
 }
 
-func (r *refController) sortedRunning(less func(a, b *job.Job) bool) []*job.Job {
-	var out []*job.Job
+func (r *refController) sortedRunning(less func(a, b *refRun) bool) []*refRun {
+	var out []*refRun
 	for _, run := range r.running {
-		out = append(out, run.j)
+		out = append(out, run)
 	}
 	sort.Slice(out, func(a, b int) bool { return less(out[a], out[b]) })
 	return out
@@ -442,23 +462,23 @@ func (r *refController) throttle(now int64) {
 	if !budget.IsSet() || budget.Allows(r.observedPower()) {
 		return
 	}
-	jobs := r.sortedRunning(func(a, b *job.Job) bool {
-		if a.Freq != b.Freq {
-			return a.Freq > b.Freq
+	runs := r.sortedRunning(func(a, b *refRun) bool {
+		if a.freq != b.freq {
+			return a.freq > b.freq
 		}
-		if a.StartTime != b.StartTime {
-			return a.StartTime > b.StartTime
+		if a.start != b.start {
+			return a.start > b.start
 		}
-		return a.ID > b.ID
+		return a.j.ID > b.j.ID
 	})
 	for range r.pm.Ladder {
 		changed := false
-		for _, j := range jobs {
+		for _, run := range runs {
 			if budget.Allows(r.observedPower()) {
 				return
 			}
-			if below, ok := r.pm.Ladder.Below(j.Freq); ok && j.State == job.StateRunning && j.Freq > r.pm.Ladder.Min() {
-				r.reclock(j, now, below)
+			if below, ok := r.pm.Ladder.Below(run.freq); ok && run.freq > r.pm.Ladder.Min() {
+				r.reclock(run, now, below)
 				changed = true
 			}
 		}
@@ -473,34 +493,35 @@ func (r *refController) throttle(now int64) {
 func (r *refController) boost(now int64) {
 	budget := r.book.CapAt(now)
 	nominal := r.pm.Ladder.Max()
-	for _, j := range r.sortedRunning(func(a, b *job.Job) bool {
-		if a.StartTime != b.StartTime {
-			return a.StartTime < b.StartTime
+	for _, run := range r.sortedRunning(func(a, b *refRun) bool {
+		if a.start != b.start {
+			return a.start < b.start
 		}
-		return a.ID < b.ID
+		return a.j.ID < b.j.ID
 	}) {
-		if j.State != job.StateRunning || j.Freq >= nominal {
+		if run.freq >= nominal {
 			continue
 		}
 		target := nominal
-		for target > j.Freq && budget.IsSet() && !budget.Allows(r.observedPower()+r.uplift(j, target)) {
+		for target > run.freq && budget.IsSet() && !budget.Allows(r.observedPower()+r.uplift(run, target)) {
 			below, ok := r.pm.Ladder.Below(target)
-			if !ok || below <= j.Freq {
-				target = j.Freq
+			if !ok || below <= run.freq {
+				target = run.freq
 				break
 			}
 			target = below
 		}
-		if target > j.Freq {
-			r.reclock(j, now, target)
+		if target > run.freq {
+			r.reclock(run, now, target)
 		}
 	}
 }
 
-// uplift is the extra draw of running j at f, given its nodes' other jobs.
-func (r *refController) uplift(j *job.Job, f dvfs.Freq) (d power.Watts) {
-	for _, a := range j.Allocs {
-		cur, to := r.nodeFreq(a.Node, -1), max(f, r.nodeFreq(a.Node, j.ID))
+// uplift is the extra draw of running run's job at f, given its nodes'
+// other jobs.
+func (r *refController) uplift(run *refRun, f dvfs.Freq) (d power.Watts) {
+	for _, a := range run.allocs {
+		cur, to := r.nodeFreq(a.Node, -1), max(f, r.nodeFreq(a.Node, run.j.ID))
 		if to > cur {
 			d += r.prof.Busy(to) - r.prof.Busy(cur)
 		}
@@ -510,16 +531,16 @@ func (r *refController) uplift(j *job.Job, f dvfs.Freq) (d power.Watts) {
 
 func (r *refController) killToFit(now int64) {
 	budget := r.book.CapAt(now)
-	for _, v := range r.sortedRunning(func(a, b *job.Job) bool {
-		if a.StartTime != b.StartTime {
-			return a.StartTime > b.StartTime
+	for _, v := range r.sortedRunning(func(a, b *refRun) bool {
+		if a.start != b.start {
+			return a.start > b.start
 		}
-		return a.ID > b.ID
+		return a.j.ID > b.j.ID
 	}) {
 		if !budget.IsSet() || budget.Allows(r.observedPower()) {
 			return
 		}
-		r.finish(v, now, true)
+		r.finish(v.j, now, true)
 	}
 }
 
@@ -610,10 +631,10 @@ func (r *refController) failNode(id cluster.NodeID) error {
 	}
 	now := r.eng.Now()
 	var victims []*job.Job
-	for _, j := range r.sortedRunning(func(a, b *job.Job) bool { return a.ID < b.ID }) {
-		for _, a := range j.Allocs {
+	for _, run := range r.sortedRunning(func(a, b *refRun) bool { return a.j.ID < b.j.ID }) {
+		for _, a := range run.allocs {
 			if a.Node == id {
-				victims = append(victims, j)
+				victims = append(victims, run.j)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package rjms
 import (
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/job"
 	"repro/internal/power"
 	"repro/internal/reservation"
 )
@@ -132,16 +131,16 @@ func (c *Controller) killToFit(now int64) {
 	if !budget.IsSet() || budget.Allows(c.observedPower()) {
 		return
 	}
-	victims := c.sortedRunning(func(a, b *job.Job) bool {
-		if a.StartTime != b.StartTime {
-			return a.StartTime > b.StartTime
+	victims := c.sortedRunning(func(a, b *run) bool {
+		if a.start != b.start {
+			return a.start > b.start
 		}
-		return a.ID > b.ID
+		return a.j.ID > b.j.ID
 	})
 	for _, v := range victims {
 		if budget.Allows(c.observedPower()) {
 			return
 		}
-		c.finish(v, now, true)
+		c.finish(v.j, now, true)
 	}
 }

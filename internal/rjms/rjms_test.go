@@ -192,7 +192,7 @@ func TestShadowRefusedFailureStillPrunes(t *testing.T) {
 	if err := c.Advance(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.running) != 1 || c.running[1].j == nil {
+	if len(c.running) != 1 || c.runOf(1) == nil {
 		t.Fatalf("running = %v, want job 1 alone", c.running)
 	}
 	if got := c.SchedCounters().Probes; got != 3 {
@@ -450,8 +450,8 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		held, _ := c.book.Held()
-		if long := c.running[1].j; len(plan.OffNodes) != 9 || !held.Has(0) || held.Has(3) || long.Allocs[0].Node != 0 {
-			t.Fatalf("setup: window holds %v, long job on %v", plan.OffNodes, long.Allocs)
+		if long := c.runOf(1); len(plan.OffNodes) != 9 || !held.Has(0) || held.Has(3) || long.allocs[0].Node != 0 {
+			t.Fatalf("setup: window holds %v, long job on %v", plan.OffNodes, long.allocs)
 		}
 		return c, plan.OffNodes
 	}

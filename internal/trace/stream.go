@@ -19,9 +19,9 @@ import (
 // to schedule submissions lazily.
 //
 // A Stream hands over ownership of every job it yields: transforms
-// rewrite fields in place and consumers mutate scheduling state, so a
-// yielded job must not be aliased by anything upstream (Scanner builds
-// fresh jobs).
+// rewrite fields in place, so a job a transform reads must not be
+// aliased by anything upstream (Scanner builds fresh jobs). A controller
+// only reads what it pulls.
 type Stream interface {
 	Next() (*job.Job, error)
 }
@@ -32,9 +32,10 @@ type streamFunc func() (*job.Job, error)
 func (f streamFunc) Next() (*job.Job, error) { return f() }
 
 // FromSlice streams jobs in slice order — the bridge into the pipeline
-// for a materialized list. The caller hands over the jobs with it, so
-// they must be owned (fresh from Generate, or cloned) and, for a
-// controller, already in nondecreasing Submit order.
+// for a materialized list. A transform over it rewrites the jobs, so
+// they must then be owned (fresh from Generate, or copied); a controller
+// reads them and writes nothing, and needs them in nondecreasing Submit
+// order.
 func FromSlice(jobs []*job.Job) Stream {
 	return streamFunc(func() (*job.Job, error) {
 		if len(jobs) == 0 {

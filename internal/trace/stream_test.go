@@ -34,12 +34,13 @@ func seqJobs(n int, submitStep int64) []*job.Job {
 	return out
 }
 
-// clonedStream yields clones of the given jobs in slice order: the
+// clonedStream yields copies of the given jobs in slice order: the
 // transforms under test rewrite what they are handed in place.
 func clonedStream(jobs []*job.Job) Stream {
 	owned := make([]*job.Job, len(jobs))
 	for i, j := range jobs {
-		owned[i] = j.Clone()
+		cp := *j
+		owned[i] = &cp
 	}
 	return FromSlice(owned)
 }

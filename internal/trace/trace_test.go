@@ -81,8 +81,10 @@ func TestGenerateBitIdentical(t *testing.T) {
 			}
 			h := sha256.New()
 			for _, j := range jobs {
-				fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d|%d|%d|%d|%d|%v\n", j.ID, j.User, j.Cores, j.Submit, j.Runtime,
-					j.Walltime, j.State, j.Freq, j.StartTime, j.EndTime, j.Allocs)
+				// The trailing zeros stand where a job once printed its
+				// run state, unset in a generated job, so the pinned
+				// hashes still hold.
+				fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d|0|0|0|0|[]\n", j.ID, j.User, j.Cores, j.Submit, j.Runtime, j.Walltime)
 			}
 			w := want[cfg.Kind][racks]
 			if got := fmt.Sprintf("%x", h.Sum(nil)); len(jobs) != w.jobs || got != w.sha {
