@@ -265,11 +265,13 @@ func sweepBenchGrid() experiment.Grid {
 // each of the two workloads was generated once per sweep and a replay
 // kept the list it generated, 10.7 MB once a cell's clones were one
 // slab, no event was a closure and the pending queue reused its array,
-// 3.92 MB now that a controller never writes a job and a cell copies
-// none of the list it shares. The ceiling keeps that from regressing
+// 3.92 MB once a controller never wrote a job and a cell copied none of
+// the list it shares, 3.48 MB now that the controller keeps no per-node
+// job lists (the cluster counts each node's cores per rung in one slice
+// it allocates up front). The ceiling keeps that from regressing
 // silently.
 func TestSweepAllocCeiling(t *testing.T) {
-	const ceilingMB = 4.5
+	const ceilingMB = 4.0
 	grid := sweepBenchGrid()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -333,7 +335,7 @@ func BenchmarkClusterPowerTransition(b *testing.B) {
 		if err := c.Occupy([]cluster.Alloc{{Node: id, Cores: 1}}, dvfs.F2700); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Vacate([]cluster.Alloc{{Node: id, Cores: 1}}, []dvfs.Freq{0}); err != nil {
+		if err := c.Vacate([]cluster.Alloc{{Node: id, Cores: 1}}, dvfs.F2700); err != nil {
 			b.Fatal(err)
 		}
 		_ = c.Power()

@@ -9,23 +9,32 @@ import (
 
 // Cluster tracks the power-relevant state of every node and derives the
 // instantaneous cluster draw incrementally; reading the total power is
-// O(1). A job starts and ends in one call each (Occupy, Vacate over its
-// whole allocation), O(nodes spanned): each node record is written once,
-// a whole node moves between the candidate sets by a bit, and the
-// aggregates — counts, busy cores, histogram bars, node draw, generation
-// — settle once per call. The node-level operations (PowerOff, PowerOn,
-// SetFreq) are O(1). Per-node state is arrays and bitsets only, so
-// nothing on those paths hashes: each node caches its own draw and the
-// per-frequency core histogram is a handful of scanned entries. The
-// struct is not safe for concurrent mutation; the RJMS controller
-// serializes access (the experiment harness runs many independent
-// Clusters in parallel instead).
+// O(1). A job starts, changes frequency and ends in one call each
+// (Occupy, Reclock, Vacate over its whole allocation), O(nodes spanned):
+// each node record is written once, a whole node moves between the
+// candidate sets by a bit, and the aggregates — counts, busy cores,
+// histogram bars, node draw, generation — settle once per call. The
+// cluster owns the shared-node rule: it counts each node's cores per
+// profile rung, and a busy node is charged at the highest rung it holds
+// cores at. Switching a node off or on (PowerOff, PowerOn) is O(1).
+// Per-node state is arrays and bitsets only, so nothing on those paths
+// hashes: each node caches its own draw and the per-frequency core
+// histogram is a handful of scanned entries. The struct is not safe for
+// concurrent mutation; the RJMS controller serializes access (the
+// experiment harness runs many independent Clusters in parallel instead).
 type Cluster struct {
 	topo     Topology
 	profile  *power.Profile
 	overhead Overhead
 
 	nodes []node
+
+	// rungs are the profile's frequencies, ascending; held counts each
+	// node's allocated cores per rung, node id's row being
+	// held[id*len(rungs):][:len(rungs)] (Topology.Validate bounds a node's
+	// cores to what a uint8 holds).
+	rungs []dvfs.Freq
+	held  []uint8
 
 	// Incrementally maintained aggregates.
 	nodeWatts       float64 // sum of per-node draws, before group bonuses
@@ -63,11 +72,14 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 	if overhead.ChassisWatts < 0 || overhead.RackWatts < 0 {
 		return nil, fmt.Errorf("cluster: negative overhead %+v", overhead)
 	}
+	rungs := profile.Frequencies()
 	c := &Cluster{
 		topo:            topo,
 		profile:         profile,
 		overhead:        overhead,
 		nodes:           make([]node, topo.Nodes()),
+		rungs:           rungs,
+		held:            make([]uint8, topo.Nodes()*len(rungs)),
 		offPerChassis:   make([]int, topo.Chassis()),
 		fullOffChassis:  make([]bool, topo.Chassis()),
 		offChassisCount: make([]int, topo.Racks),
@@ -128,17 +140,34 @@ func (c *Cluster) errID(id NodeID) error {
 	return fmt.Errorf("cluster: node %d out of range [0,%d)", id, len(c.nodes))
 }
 
-// stateDraw returns what a node in state st, charged at f while busy,
-// contributes before group bonuses — the value node.watts caches.
-func (c *Cluster) stateDraw(st NodeState, f dvfs.Freq) float64 {
-	switch st {
-	case StateOff:
-		return float64(c.profile.Down())
-	case StateIdle:
-		return float64(c.profile.Idle())
-	default:
-		return float64(c.profile.Busy(f))
+// rungOf returns the index of f among the profile's rungs, 0 meaning
+// nominal, or an error for a frequency that is not a rung.
+func (c *Cluster) rungOf(f dvfs.Freq) (int, error) {
+	if f == 0 {
+		return len(c.rungs) - 1, nil
 	}
+	for k := len(c.rungs) - 1; k >= 0; k-- { // nominal is the common case
+		if c.rungs[k] == f {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("cluster: %v is not a rung of the profile %v", f, c.rungs)
+}
+
+// row returns the per-rung core counts of node id.
+func (c *Cluster) row(id NodeID) []uint8 {
+	r := len(c.rungs)
+	return c.held[int(id)*r : int(id)*r+r]
+}
+
+// topRung returns the highest rung a row holds cores at; 0 for none.
+func (c *Cluster) topRung(row []uint8) dvfs.Freq {
+	for k := len(row) - 1; k >= 0; k-- {
+		if row[k] > 0 {
+			return c.rungs[k]
+		}
+	}
+	return 0
 }
 
 // freqCores is one bar of the cores-by-frequency histogram.
@@ -165,77 +194,49 @@ func (c *Cluster) addFreqCores(f dvfs.Freq, d int) {
 	c.coresByFreq = append(h, freqCores{freq: f, cores: d})
 }
 
-// transition moves node id to a new (state, freq) pair and maintains all
-// aggregates, including the chassis/rack full-off bonuses.
-func (c *Cluster) transition(id NodeID, st NodeState, f dvfs.Freq, usedCores int) {
+// transition switches an idle node off (st == StateOff) or an off node
+// back to idle and maintains the aggregates, including the chassis/rack
+// full-off bonuses; the whole-job calls move nodes in and out of busy.
+func (c *Cluster) transition(id NodeID, st NodeState) {
 	n := &c.nodes[id]
-	before := n.watts
-	wasOff := n.state == StateOff
-	wasIdle := n.state == StateIdle
-	wasPartialBusy := n.state == StateBusy && n.usedCores < c.topo.CoresPerNode
-
-	// Core accounting keyed by node frequency.
-	if n.state == StateBusy {
-		c.addFreqCores(n.freq, -n.usedCores)
-		c.busyCores -= n.usedCores
+	off := st == StateOff
+	w := float64(c.profile.Idle())
+	if off {
+		w = float64(c.profile.Down())
+		c.idleSet.Remove(id)
+	} else {
+		c.idleSet.Add(id)
 	}
 	c.counts[n.state]--
-	if st != n.state || usedCores != n.usedCores {
-		c.gen++
-	}
-	if st != n.state || f != n.freq {
-		n.watts = c.stateDraw(st, f)
-	}
-
-	n.state, n.freq, n.usedCores = st, f, usedCores
-
 	c.counts[st]++
-	if st == StateBusy {
-		c.addFreqCores(f, usedCores)
-		c.busyCores += usedCores
-	}
-	if isIdle := st == StateIdle; isIdle != wasIdle {
-		if isIdle {
-			c.idleSet.Add(id)
-		} else {
-			c.idleSet.Remove(id)
-		}
-	}
-	if isPartialBusy := st == StateBusy && usedCores < c.topo.CoresPerNode; isPartialBusy != wasPartialBusy {
-		if isPartialBusy {
-			c.partialBusy.Add(id)
-		} else {
-			c.partialBusy.Remove(id)
-		}
-	}
-	c.nodeWatts += n.watts - before
+	c.gen++
+	c.nodeWatts += w - n.watts
+	n.state, n.watts = st, w
 
-	if isOff := st == StateOff; isOff != wasOff {
-		ch := c.topo.ChassisOf(id)
-		if isOff {
-			c.offPerChassis[ch]++
+	ch := c.topo.ChassisOf(id)
+	if off {
+		c.offPerChassis[ch]++
+	} else {
+		c.offPerChassis[ch]--
+	}
+	full := c.offPerChassis[ch] == c.topo.NodesPerChassis
+	if full != c.fullOffChassis[ch] {
+		c.fullOffChassis[ch] = full
+		r := c.topo.RackOf(id)
+		if full {
+			c.nFullOffChassis++
+			c.offChassisCount[r]++
 		} else {
-			c.offPerChassis[ch]--
+			c.nFullOffChassis--
+			c.offChassisCount[r]--
 		}
-		full := c.offPerChassis[ch] == c.topo.NodesPerChassis
-		if full != c.fullOffChassis[ch] {
-			c.fullOffChassis[ch] = full
-			r := c.topo.RackOf(id)
-			if full {
-				c.nFullOffChassis++
-				c.offChassisCount[r]++
+		rackFull := c.offChassisCount[r] == c.topo.ChassisPerRack
+		if rackFull != c.fullOffRack[r] {
+			c.fullOffRack[r] = rackFull
+			if rackFull {
+				c.nFullOffRacks++
 			} else {
-				c.nFullOffChassis--
-				c.offChassisCount[r]--
-			}
-			rackFull := c.offChassisCount[r] == c.topo.ChassisPerRack
-			if rackFull != c.fullOffRack[r] {
-				c.fullOffRack[r] = rackFull
-				if rackFull {
-					c.nFullOffRacks++
-				} else {
-					c.nFullOffRacks--
-				}
+				c.nFullOffRacks--
 			}
 		}
 	}
@@ -253,7 +254,7 @@ func (c *Cluster) PowerOff(id NodeID) error {
 	case StateBusy:
 		return fmt.Errorf("cluster: cannot power off busy node %d", id)
 	}
-	c.transition(id, StateOff, 0, 0)
+	c.transition(id, StateOff)
 	return nil
 }
 
@@ -265,12 +266,12 @@ func (c *Cluster) PowerOn(id NodeID) error {
 	if c.nodes[id].state != StateOff {
 		return nil
 	}
-	c.transition(id, StateIdle, 0, 0)
+	c.transition(id, StateIdle)
 	return nil
 }
 
 // Alloc records cores taken on one node: one entry of a job's
-// allocation, and of the whole-job Occupy and Vacate calls.
+// allocation, and of the whole-job Occupy, Reclock and Vacate calls.
 type Alloc struct {
 	Node  NodeID
 	Cores int
@@ -278,24 +279,25 @@ type Alloc struct {
 
 // checkAllocs validates a whole-job call before anything changes: every
 // node in range and named once, every core count positive and within
-// what the node has — free cores of a powered node to occupy, cores held
-// by a busy node to vacate. On success the nodes are marked in c.seen,
-// and the caller's apply loop clears the marks. The checks are inline;
-// only a failure calls out to build its error.
-func (c *Cluster) checkAllocs(allocs []Alloc, vacate bool) error {
-	per := c.topo.CoresPerNode
+// what the node has — free cores of a powered node to occupy (k < 0),
+// cores the node holds at rung k to vacate or re-clock. On success the
+// nodes are marked in c.seen, and the caller's apply loop clears the
+// marks. The checks are inline; only a failure calls out to build its
+// error.
+func (c *Cluster) checkAllocs(allocs []Alloc, k int) error {
+	per, r := c.topo.CoresPerNode, len(c.rungs)
 	for i, a := range allocs {
 		ok := uint(a.Node) < uint(len(c.nodes)) && a.Cores > 0 && !c.seen.Has(a.Node)
 		if ok {
-			n := &c.nodes[a.Node]
-			if vacate {
-				ok = n.state == StateBusy && a.Cores <= n.usedCores
-			} else {
+			if k < 0 {
+				n := &c.nodes[a.Node]
 				ok = n.state != StateOff && n.usedCores+a.Cores <= per
+			} else {
+				ok = a.Cores <= int(c.held[int(a.Node)*r+k])
 			}
 		}
 		if !ok {
-			err := c.allocErr(a, vacate)
+			err := c.allocErr(a, k)
 			for _, b := range allocs[:i] {
 				c.seen.Remove(b.Node)
 			}
@@ -307,7 +309,7 @@ func (c *Cluster) checkAllocs(allocs []Alloc, vacate bool) error {
 }
 
 // allocErr names what checkAllocs refused.
-func (c *Cluster) allocErr(a Alloc, vacate bool) error {
+func (c *Cluster) allocErr(a Alloc, k int) error {
 	if err := c.checkID(a.Node); err != nil {
 		return err
 	}
@@ -317,11 +319,10 @@ func (c *Cluster) allocErr(a Alloc, vacate bool) error {
 		return fmt.Errorf("cluster: node %d named twice in one call", a.Node)
 	case a.Cores <= 0:
 		return fmt.Errorf("cluster: non-positive cores %d on node %d", a.Cores, a.Node)
-	case vacate && n.state != StateBusy:
-		return fmt.Errorf("cluster: vacate on non-busy node %d (%v)", a.Node, n.state)
-	case vacate && a.Cores > n.usedCores:
-		return fmt.Errorf("cluster: vacate %d cores from node %d holding %d", a.Cores, a.Node, n.usedCores)
-	case !vacate && n.state == StateOff:
+	case k >= 0:
+		return fmt.Errorf("cluster: node %d (%v) holds %d cores at %v, not %d",
+			a.Node, n.state, c.row(a.Node)[k], c.rungs[k], a.Cores)
+	case n.state == StateOff:
 		return fmt.Errorf("cluster: node %d is off", a.Node)
 	}
 	return fmt.Errorf("cluster: node %d has %d cores free, need %d",
@@ -359,13 +360,30 @@ func (c *Cluster) flushBar(r *barRun) {
 	}
 }
 
+// recharge charges busy node n, holding row, at its highest held rung —
+// the node-level rule of Section V: while several jobs share a node it
+// is charged at the highest frequency among them (conservative, like
+// the paper's node-level power accounting). The node's cores move
+// between histogram bars with it; the change in draw is returned.
+func (c *Cluster) recharge(n *node, row []uint8, bars *barRun) float64 {
+	nf := c.topRung(row)
+	if nf == n.freq {
+		return 0
+	}
+	c.moveBar(bars, n.freq, -n.usedCores)
+	c.moveBar(bars, nf, n.usedCores)
+	w := float64(c.profile.Busy(nf))
+	d := w - n.watts
+	n.freq, n.watts = nf, w
+	return d
+}
+
 // Occupy starts one job on its allocation: allocs[i].Cores cores of node
-// allocs[i].Node, at frequency f (0 means nominal). Every node must be
-// powered on, named once and have the cores free; all of that is checked
-// before anything changes, so an error leaves the cluster untouched.
-// While several jobs share a node it is charged at the highest frequency
-// among them (conservative, mirroring the paper's node-level power
-// accounting).
+// allocs[i].Node, at frequency f (0 means nominal), which must be a rung
+// of the profile. Every node must be powered on, named once and have the
+// cores free; all of that is checked before anything changes, so an
+// error leaves the cluster untouched. A shared node is charged at the
+// highest rung it holds cores at.
 //
 // Each node record is written once, and the counts, busy cores,
 // histogram bars, node draw, candidate sets and generation settle once
@@ -373,44 +391,41 @@ func (c *Cluster) flushBar(r *barRun) {
 // same value as node by node while the profile's draws are whole watts
 // (power.TestCurieProfileIntegralWatts).
 func (c *Cluster) Occupy(allocs []Alloc, f dvfs.Freq) error {
-	if err := c.checkAllocs(allocs, false); err != nil {
+	k, err := c.rungOf(f)
+	if err != nil {
 		return err
 	}
-	if f == 0 {
-		f = c.profile.Nominal()
+	if err = c.checkAllocs(allocs, -1); err != nil {
+		return err
 	}
+	f = c.rungs[k]
 	per, busyW := c.topo.CoresPerNode, float64(c.profile.Busy(f))
 	var bars barRun
 	watts, taken, cores := 0.0, 0, 0
 	for _, a := range allocs {
 		id, n := a.Node, &c.nodes[a.Node]
 		c.seen.Remove(id)
-		used := n.usedCores + a.Cores
+		row := c.row(id)
+		row[k] += uint8(a.Cores)
+		n.usedCores += a.Cores
+		cores += a.Cores
 		if n.state == StateIdle {
 			taken++
 			c.idleSet.Remove(id)
-			if used < per {
+			if n.usedCores < per {
 				c.partialBusy.Add(id)
 			}
-			c.moveBar(&bars, f, used)
+			c.moveBar(&bars, f, n.usedCores)
 			watts += busyW - n.watts
 			n.state, n.freq, n.watts = StateBusy, f, busyW
-		} else {
-			// Busy with room for a.Cores: the node was partly used.
-			if used == per {
-				c.partialBusy.Remove(id)
-			}
-			if nf := max(n.freq, f); nf != n.freq {
-				c.moveBar(&bars, n.freq, -n.usedCores)
-				c.moveBar(&bars, nf, used)
-				watts += busyW - n.watts
-				n.freq, n.watts = nf, busyW
-			} else {
-				c.moveBar(&bars, nf, a.Cores)
-			}
+			continue
 		}
-		n.usedCores = used
-		cores += a.Cores
+		// Busy with room for a.Cores: the node was partly used.
+		if n.usedCores == per {
+			c.partialBusy.Remove(id)
+		}
+		c.moveBar(&bars, n.freq, a.Cores)
+		watts += c.recharge(n, row, &bars)
 	}
 	c.flushBar(&bars)
 	c.settle(watts, taken, cores)
@@ -418,53 +433,43 @@ func (c *Cluster) Occupy(allocs []Alloc, f dvfs.Freq) error {
 }
 
 // Vacate ends one job on its allocation, releasing allocs[i].Cores cores
-// of node allocs[i].Node. remaining[i] is the highest frequency among the
-// jobs still on that node (the controller knows them; 0 means nominal),
-// ignored when the node empties. Every node must be busy, named once and
-// hold the cores; all of that is checked before anything changes, so an
-// error leaves the cluster untouched. Like Occupy, each node record is
-// written once and the aggregates settle once per call.
-func (c *Cluster) Vacate(allocs []Alloc, remaining []dvfs.Freq) error {
-	if len(remaining) != len(allocs) {
-		return fmt.Errorf("cluster: vacate of %d nodes with %d remaining frequencies", len(allocs), len(remaining))
+// of node allocs[i].Node that the job held at frequency f (0 means
+// nominal) — the frequency it was occupied or last re-clocked at. Every
+// node must be named once and hold that many cores at f; all of that is
+// checked before anything changes, so an error leaves the cluster
+// untouched. A node left busy is charged at the highest rung it still
+// holds cores at. Like Occupy, each node record is written once and the
+// aggregates settle once per call.
+func (c *Cluster) Vacate(allocs []Alloc, f dvfs.Freq) error {
+	k, err := c.rungOf(f)
+	if err != nil {
+		return err
 	}
-	if err := c.checkAllocs(allocs, true); err != nil {
+	if err = c.checkAllocs(allocs, k); err != nil {
 		return err
 	}
 	per, idleW := c.topo.CoresPerNode, float64(c.profile.Idle())
 	var bars barRun
 	watts, freed, cores := 0.0, 0, 0
-	for i, a := range allocs {
+	for _, a := range allocs {
 		id, n := a.Node, &c.nodes[a.Node]
 		c.seen.Remove(id)
+		row := c.row(id)
+		row[k] -= uint8(a.Cores)
 		wasPartial := n.usedCores < per
-		left := n.usedCores - a.Cores
 		cores += a.Cores
-		if left == 0 {
+		c.moveBar(&bars, n.freq, -a.Cores)
+		if n.usedCores -= a.Cores; n.usedCores == 0 {
 			freed++
-			c.moveBar(&bars, n.freq, -n.usedCores)
 			watts += idleW - n.watts
-			n.state, n.freq, n.usedCores, n.watts = StateIdle, 0, 0, idleW
+			n.state, n.freq, n.watts = StateIdle, 0, idleW
 			c.idleSet.Add(id)
 			if wasPartial {
 				c.partialBusy.Remove(id)
 			}
 			continue
 		}
-		rf := remaining[i]
-		if rf == 0 {
-			rf = c.profile.Nominal()
-		}
-		if rf == n.freq {
-			c.moveBar(&bars, rf, -a.Cores)
-		} else {
-			c.moveBar(&bars, n.freq, -n.usedCores)
-			c.moveBar(&bars, rf, left)
-			w := float64(c.profile.Busy(rf))
-			watts += w - n.watts
-			n.freq, n.watts = rf, w
-		}
-		n.usedCores = left
+		watts += c.recharge(n, row, &bars)
 		if !wasPartial {
 			c.partialBusy.Add(id)
 		}
@@ -472,6 +477,77 @@ func (c *Cluster) Vacate(allocs []Alloc, remaining []dvfs.Freq) error {
 	c.flushBar(&bars)
 	c.settle(watts, -freed, -cores)
 	return nil
+}
+
+// Reclock moves one running job from frequency from to frequency to (0
+// means nominal for either; both must be rungs) without touching its
+// allocation: the allocs[i].Cores cores node allocs[i].Node holds at
+// from are held at to, and each node is charged at its highest held
+// rung. Every node must be named once and hold the cores at from; all of
+// that is checked before anything changes. A re-clock moves no core
+// between nodes, so the candidate sets, the free cores and the
+// generation stand.
+func (c *Cluster) Reclock(allocs []Alloc, from, to dvfs.Freq) error {
+	kf, err := c.rungOf(from)
+	if err != nil {
+		return err
+	}
+	kt, err := c.rungOf(to)
+	if err != nil {
+		return err
+	}
+	if err = c.checkAllocs(allocs, kf); err != nil {
+		return err
+	}
+	var bars barRun
+	watts := 0.0
+	for _, a := range allocs {
+		c.seen.Remove(a.Node)
+		row := c.row(a.Node)
+		row[kf] -= uint8(a.Cores)
+		row[kt] += uint8(a.Cores)
+		watts += c.recharge(&c.nodes[a.Node], row, &bars)
+	}
+	c.flushBar(&bars)
+	c.nodeWatts += watts
+	return nil
+}
+
+// ReclockDelta returns the change in draw Reclock(allocs, from, to)
+// would make, without changing anything: per node, the busy draw at the
+// highest rung it would hold cores at minus its draw now, summed in
+// allocation order. Entries Reclock would refuse — a node out of range,
+// not holding the cores at from — add nothing, and neither does a
+// frequency that is not a rung.
+func (c *Cluster) ReclockDelta(allocs []Alloc, from, to dvfs.Freq) power.Watts {
+	kf, errFrom := c.rungOf(from)
+	kt, errTo := c.rungOf(to)
+	if errFrom != nil || errTo != nil {
+		return 0
+	}
+	var d float64
+	for _, a := range allocs {
+		if c.checkID(a.Node) != nil || a.Cores <= 0 {
+			continue
+		}
+		row := c.row(a.Node)
+		if a.Cores > int(row[kf]) {
+			continue
+		}
+		nf := c.rungs[kt] // the node holds a.Cores at to after the move
+		for k := len(row) - 1; k > kt; k-- {
+			held := int(row[k])
+			if k == kf {
+				held -= a.Cores
+			}
+			if held > 0 {
+				nf = c.rungs[k]
+				break
+			}
+		}
+		d += float64(c.profile.Busy(nf)) - c.nodes[a.Node].watts
+	}
+	return power.Watts(d)
 }
 
 // settle applies what a whole-job call summed over its nodes: the change
@@ -488,27 +564,6 @@ func (c *Cluster) settle(watts float64, toBusy, cores int) {
 	c.gen++
 }
 
-// SetFreq changes the charged frequency of a busy node without touching
-// its allocation — the dynamic-DVFS extension re-clocks running jobs and
-// re-derives each node's frequency from the jobs it hosts.
-func (c *Cluster) SetFreq(id NodeID, f dvfs.Freq) error {
-	if err := c.checkID(id); err != nil {
-		return err
-	}
-	n := &c.nodes[id]
-	if n.state != StateBusy {
-		return fmt.Errorf("cluster: SetFreq on non-busy node %d (%v)", id, n.state)
-	}
-	if f == 0 {
-		f = c.profile.Nominal()
-	}
-	if f == n.freq {
-		return nil
-	}
-	c.transition(id, StateBusy, f, n.usedCores)
-	return nil
-}
-
 // SurvivorDraw returns what the machine draws once every node held is
 // down and every other node runs busy at busy watts: the survivors, plus
 // the shared equipment of each chassis and rack that keeps at least one
@@ -519,15 +574,6 @@ func (c *Cluster) SurvivorDraw(held Groups, busy power.Watts) power.Watts {
 	shared := c.overhead.ChassisWatts*float64(c.topo.Chassis()-held.Chassis) +
 		c.overhead.RackWatts*float64(c.topo.Racks-held.Racks)
 	return power.Watts(float64(len(c.nodes)-held.Nodes)*float64(busy)) + power.Watts(shared)
-}
-
-// Info returns a read-only snapshot of one node.
-func (c *Cluster) Info(id NodeID) (NodeInfo, error) {
-	if err := c.checkID(id); err != nil {
-		return NodeInfo{}, err
-	}
-	n := &c.nodes[id]
-	return NodeInfo{ID: id, State: n.state, Freq: n.freq, UsedCores: n.usedCores}, nil
 }
 
 // State returns the state of node id; out-of-range IDs report StateOff.

@@ -38,15 +38,15 @@ func brutePower(c *Cluster) power.Watts {
 			chassisOff := true
 			chassisSum := 0.0
 			for i := 0; i < n; i++ {
-				info, _ := c.Info(first + NodeID(i))
-				switch info.State {
+				info := c.nodes[first+NodeID(i)]
+				switch info.state {
 				case StateOff:
 					chassisSum += float64(prof.Down())
 				case StateIdle:
 					chassisSum += float64(prof.Idle())
 					chassisOff = false
 				case StateBusy:
-					chassisSum += float64(prof.Busy(info.Freq))
+					chassisSum += float64(prof.Busy(info.freq))
 					chassisOff = false
 				}
 			}
@@ -112,6 +112,18 @@ func TestTopologyValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero racks accepted")
 	}
+	// A node's per-rung core counts are bytes.
+	wide := Topology{Racks: 1, ChassisPerRack: 1, NodesPerChassis: 2, CoresPerNode: 255}
+	if err := wide.Validate(); err != nil {
+		t.Errorf("255 cores per node refused: %v", err)
+	}
+	wide.CoresPerNode = 256
+	if err := wide.Validate(); err == nil {
+		t.Error("256 cores per node accepted")
+	}
+	if _, err := New(wide, power.CurieProfile(), CurieOverhead()); err == nil {
+		t.Error("New accepted 256 cores per node")
+	}
 }
 
 func TestNewRejects(t *testing.T) {
@@ -161,7 +173,7 @@ func TestOccupyVacatePowerCycle(t *testing.T) {
 	if c.State(0) != StateBusy || c.BusyCores() != 4 {
 		t.Errorf("state/cores = %v/%d", c.State(0), c.BusyCores())
 	}
-	if err := c.Vacate([]Alloc{{Node: 0, Cores: 4}}, []dvfs.Freq{0}); err != nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 4}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Power(); got != base {
@@ -177,24 +189,21 @@ func TestOccupySharedNodeHighestFreqWins(t *testing.T) {
 	if err := c.Occupy([]Alloc{{Node: 3, Cores: 1}}, dvfs.F1200); err != nil {
 		t.Fatal(err)
 	}
-	info, _ := c.Info(3)
-	if info.Freq != dvfs.F1200 {
-		t.Fatalf("freq = %v, want 1.2 GHz", info.Freq)
+	if f := c.nodes[3].freq; f != dvfs.F1200 {
+		t.Fatalf("freq = %v, want 1.2 GHz", f)
 	}
 	if err := c.Occupy([]Alloc{{Node: 3, Cores: 1}}, dvfs.F2400); err != nil {
 		t.Fatal(err)
 	}
-	info, _ = c.Info(3)
-	if info.Freq != dvfs.F2400 {
-		t.Errorf("freq after second job = %v, want 2.4 GHz", info.Freq)
+	if f := c.nodes[3].freq; f != dvfs.F2400 {
+		t.Errorf("freq after second job = %v, want 2.4 GHz", f)
 	}
 	// Lower-frequency jobs never drag the node frequency down.
 	if err := c.Occupy([]Alloc{{Node: 3, Cores: 1}}, dvfs.F1400); err != nil {
 		t.Fatal(err)
 	}
-	info, _ = c.Info(3)
-	if info.Freq != dvfs.F2400 {
-		t.Errorf("freq after low-freq third job = %v, want 2.4 GHz", info.Freq)
+	if f := c.nodes[3].freq; f != dvfs.F2400 {
+		t.Errorf("freq after low-freq third job = %v, want 2.4 GHz", f)
 	}
 	if got, want := c.Power(), brutePower(c); got != want {
 		t.Errorf("Power = %v, want %v", got, want)
@@ -209,13 +218,13 @@ func TestVacateRemainingFreq(t *testing.T) {
 	if err := c.Occupy([]Alloc{{Node: 5, Cores: 1}}, dvfs.F1200); err != nil {
 		t.Fatal(err)
 	}
-	// The 2.7 GHz job leaves; remaining job runs at 1.2 GHz.
-	if err := c.Vacate([]Alloc{{Node: 5, Cores: 2}}, []dvfs.Freq{dvfs.F1200}); err != nil {
+	// The 2.7 GHz job leaves; the node is charged at the 1.2 GHz job's
+	// rung, the highest it still holds.
+	if err := c.Vacate([]Alloc{{Node: 5, Cores: 2}}, dvfs.F2700); err != nil {
 		t.Fatal(err)
 	}
-	info, _ := c.Info(5)
-	if info.State != StateBusy || info.Freq != dvfs.F1200 || info.UsedCores != 1 {
-		t.Errorf("after vacate: %+v", info)
+	if n := c.nodes[5]; n.state != StateBusy || n.freq != dvfs.F1200 || n.usedCores != 1 {
+		t.Errorf("after vacate: %+v", n)
 	}
 	if got, want := c.Power(), brutePower(c); got != want {
 		t.Errorf("Power = %v, want %v", got, want)
@@ -243,20 +252,30 @@ func TestOccupyErrors(t *testing.T) {
 
 func TestVacateErrors(t *testing.T) {
 	c := small()
-	if err := c.Vacate([]Alloc{{Node: 0, Cores: 1}}, []dvfs.Freq{0}); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 1}}, 0); err == nil {
 		t.Error("vacate of idle node accepted")
 	}
 	if err := c.Occupy([]Alloc{{Node: 0, Cores: 2}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Vacate([]Alloc{{Node: 0, Cores: 3}}, []dvfs.Freq{0}); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 3}}, 0); err == nil {
 		t.Error("vacate more cores than held accepted")
 	}
-	if err := c.Vacate([]Alloc{{Node: 0, Cores: 0}}, []dvfs.Freq{0}); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 0}}, 0); err == nil {
 		t.Error("vacate zero cores accepted")
 	}
-	if err := c.Vacate([]Alloc{{Node: 99, Cores: 1}}, []dvfs.Freq{0}); err == nil {
+	if err := c.Vacate([]Alloc{{Node: 99, Cores: 1}}, 0); err == nil {
 		t.Error("vacate out-of-range node accepted")
+	}
+	// The cores were occupied at nominal: a vacate must name that rung.
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 1}}, dvfs.F2400); err == nil {
+		t.Error("vacate of cores the node holds at another rung accepted")
+	}
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 1}}, 2650); err == nil {
+		t.Error("vacate at a frequency off the profile's rungs accepted")
+	}
+	if err := c.Vacate([]Alloc{{Node: 0, Cores: 2}}, dvfs.F2700); err != nil {
+		t.Errorf("vacate at the rung the cores were occupied at: %v", err)
 	}
 }
 
@@ -306,7 +325,7 @@ func TestChassisBonusFigure2(t *testing.T) {
 	before := c.Power()
 	first, n := topo.ChassisNodes(0)
 	for i := 0; i < n; i++ {
-		if err := c.Vacate([]Alloc{{Node: first + NodeID(i), Cores: topo.CoresPerNode}}, []dvfs.Freq{0}); err != nil {
+		if err := c.Vacate([]Alloc{{Node: first + NodeID(i), Cores: topo.CoresPerNode}}, dvfs.F2700); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.PowerOff(first + NodeID(i)); err != nil {
@@ -329,7 +348,7 @@ func TestChassisBonusFigure2(t *testing.T) {
 	for i := 0; i < nr; i++ {
 		id := firstRack + NodeID(i)
 		if c.State(id) == StateBusy {
-			if err := c.Vacate([]Alloc{{Node: id, Cores: topo.CoresPerNode}}, []dvfs.Freq{0}); err != nil {
+			if err := c.Vacate([]Alloc{{Node: id, Cores: topo.CoresPerNode}}, dvfs.F2700); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -519,7 +538,7 @@ func TestCoresByFreq(t *testing.T) {
 	if h[dvfs.F2700] != 4 || h[dvfs.F2000] != 2 {
 		t.Errorf("histogram = %v", h)
 	}
-	if err := c.Vacate([]Alloc{{Node: 1, Cores: 2}}, []dvfs.Freq{0}); err != nil {
+	if err := c.Vacate([]Alloc{{Node: 1, Cores: 2}}, dvfs.F2000); err != nil {
 		t.Fatal(err)
 	}
 	h = c.CoresByFreq()
@@ -549,9 +568,6 @@ func TestStateAndFreeCoresOutOfRange(t *testing.T) {
 	}
 	if c.FreeCores(-1) != 0 {
 		t.Error("out-of-range FreeCores should be 0")
-	}
-	if _, err := c.Info(-1); err == nil {
-		t.Error("out-of-range Info accepted")
 	}
 	if err := c.PowerOff(0); err != nil {
 		t.Fatal(err)

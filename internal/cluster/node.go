@@ -39,9 +39,9 @@ func (s NodeState) String() string {
 // node is the internal per-node record.
 type node struct {
 	state     NodeState
-	freq      dvfs.Freq // frequency charged while busy (highest among jobs)
+	freq      dvfs.Freq // frequency charged while busy: the highest rung it holds cores at
 	usedCores int       // cores currently allocated
-	watts     float64   // draw before group bonuses; transition rewrites it when state or freq changes
+	watts     float64   // draw before group bonuses, rewritten whenever state or freq changes
 }
 
 // NodeInfo is the read-only view of one node handed to callers.

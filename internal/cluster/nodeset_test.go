@@ -56,14 +56,14 @@ func TestGenerationCountsWhatProbesSee(t *testing.T) {
 	}{
 		{"occupy idle", func() error { return c.Occupy([]Alloc{{Node: 0, Cores: 2}}, dvfs.F2000) }, true},
 		{"occupy more", func() error { return c.Occupy([]Alloc{{Node: 0, Cores: 1}}, dvfs.F2700) }, true},
-		{"re-clock", func() error { return c.SetFreq(0, dvfs.F1200) }, false},
-		{"vacate part", func() error { return c.Vacate([]Alloc{{Node: 0, Cores: 1}}, []dvfs.Freq{dvfs.F2000}) }, true},
-		{"vacate rest", func() error { return c.Vacate([]Alloc{{Node: 0, Cores: 2}}, []dvfs.Freq{0}) }, true},
+		{"re-clock", func() error { return c.Reclock([]Alloc{{Node: 0, Cores: 1}}, dvfs.F2700, dvfs.F1200) }, false},
+		{"vacate part", func() error { return c.Vacate([]Alloc{{Node: 0, Cores: 1}}, dvfs.F1200) }, true},
+		{"vacate rest", func() error { return c.Vacate([]Alloc{{Node: 0, Cores: 2}}, dvfs.F2000) }, true},
 		{"multi-node launch", func() error {
 			return c.Occupy([]Alloc{{Node: 1, Cores: 4}, {Node: 2, Cores: 2}, {Node: 3, Cores: 1}}, dvfs.F2000)
 		}, true},
 		{"multi-node finish", func() error {
-			return c.Vacate([]Alloc{{Node: 1, Cores: 4}, {Node: 2, Cores: 2}, {Node: 3, Cores: 1}}, []dvfs.Freq{0, 0, 0})
+			return c.Vacate([]Alloc{{Node: 1, Cores: 4}, {Node: 2, Cores: 2}, {Node: 3, Cores: 1}}, dvfs.F2000)
 		}, true},
 		{"empty launch", func() error { return c.Occupy(nil, dvfs.F2000) }, false},
 		{"power off", func() error { return c.PowerOff(1) }, true},
@@ -101,7 +101,7 @@ func TestCandidateSetsTrackNodeState(t *testing.T) {
 		case 2:
 			_ = c.Occupy([]Alloc{{Node: id, Cores: 1 + rng.Intn(topo.CoresPerNode)}}, dvfs.F2700)
 		case 3:
-			_ = c.Vacate([]Alloc{{Node: id, Cores: 1 + rng.Intn(topo.CoresPerNode)}}, []dvfs.Freq{dvfs.F2700})
+			_ = c.Vacate([]Alloc{{Node: id, Cores: 1 + rng.Intn(topo.CoresPerNode)}}, dvfs.F2700)
 		}
 		if step%50 != 0 {
 			continue

@@ -7,7 +7,10 @@
 // to read and O(1) to update on any state transition.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeID identifies a node; IDs are dense, 0..N-1, laid out in topology
 // order: consecutive IDs share a chassis, consecutive chassis share a rack.
@@ -27,10 +30,14 @@ func CurieTopology() Topology {
 	return Topology{Racks: 56, ChassisPerRack: 5, NodesPerChassis: 18, CoresPerNode: 16}
 }
 
-// Validate reports whether every dimension is positive.
+// Validate reports whether every dimension is positive and a node has
+// at most 255 cores, what the cluster's per-rung core counts hold.
 func (t Topology) Validate() error {
 	if t.Racks <= 0 || t.ChassisPerRack <= 0 || t.NodesPerChassis <= 0 || t.CoresPerNode <= 0 {
 		return fmt.Errorf("cluster: invalid topology %+v (all dimensions must be positive)", t)
+	}
+	if t.CoresPerNode > math.MaxUint8 {
+		return fmt.Errorf("cluster: invalid topology %+v (at most %d cores per node)", t, math.MaxUint8)
 	}
 	return nil
 }

@@ -35,11 +35,9 @@ type Controller struct {
 	// runs; a finish frees the slot (runFree) and the next commit reuses
 	// it, so the map's values stay small and runs as long as the most
 	// jobs that ran at once.
-	running  map[job.ID]int
-	runs     []run
-	runFree  []int
-	nodeJobs [][]nodeJobEntry // per shared node, its running jobs and their frequencies (swap-removal)
-	remBuf   []dvfs.Freq      // finish's per-node remaining frequencies, reused
+	running map[job.ID]int
+	runs    []run
+	runFree []int
 
 	// allocFree recycles the Allocs slices of finished jobs: bucket k
 	// holds slices with room for at least 1<<k entries. A start takes one
@@ -58,10 +56,11 @@ type Controller struct {
 	sampling   bool
 	passQueued bool
 
-	// loadErr records a streaming-workload failure (parse error,
-	// invalid or out-of-order job) raised inside an event handler; Run
-	// surfaces it.
-	loadErr error
+	// runErr records a failure raised inside an event handler — a
+	// streaming-workload error (parse error, invalid or out-of-order
+	// job) or a start refused for a repeated job ID; Advance returns it,
+	// and a run that failed starts no more jobs.
+	runErr error
 
 	// memo is what the last pass that started nothing saw; while it
 	// holds (passMemoHolds) the next pass is skipped.
@@ -133,14 +132,13 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:      cfg,
-		pm:       pm,
-		clus:     clus,
-		eng:      simengine.New(0),
-		book:     reservation.NewBook(cfg.Topology),
-		running:  map[job.ID]int{},
-		nodeJobs: make([][]nodeJobEntry, cfg.Topology.Nodes()),
-		failed:   cluster.NewNodeSet(cfg.Topology.Nodes()),
+		cfg:     cfg,
+		pm:      pm,
+		clus:    clus,
+		eng:     simengine.New(0),
+		book:    reservation.NewBook(cfg.Topology),
+		running: map[job.ID]int{},
+		failed:  cluster.NewNodeSet(cfg.Topology.Nodes()),
 	}
 	if cfg.MeasuredNoise > 0 {
 		c.measured = newMeasuredPower(cfg.MeasuredNoise)
@@ -227,7 +225,7 @@ func (c *Controller) Advance(until int64) error {
 	if err := c.eng.Run(until); err != nil {
 		return err
 	}
-	return c.loadErr
+	return c.runErr
 }
 
 // Finish closes the run at the Start horizon and returns its summary.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -275,10 +276,8 @@ func TestNodeSharingAcrossJobs(t *testing.T) {
 	if _, err := c.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.Cluster().Info(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var info cluster.NodeInfo
+	c.Cluster().ForEach(func(n cluster.NodeInfo) bool { info = n; return false })
 	if info.State != cluster.StateBusy || info.UsedCores != 2 {
 		t.Errorf("node 0 after partial vacate: %+v", info)
 	}
@@ -472,5 +471,38 @@ func TestFitsFutureCapIsTheOptimalFrequencyRule(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The running table keys runs by job ID, and a trace may repeat one. Two
+// jobs with one ID that would run at once stop the run with an error
+// naming the ID, and the machine is left as the jobs that did start
+// hold it; the same ID on jobs that never overlap is no error.
+func TestRepeatedRunningIDIsAnError(t *testing.T) {
+	cfg := Config{Topology: cluster.Topology{Racks: 1, ChassisPerRack: 1, NodesPerChassis: 3, CoresPerNode: 16}, Policy: core.PolicyNone}
+	twin := func(secondAt int64) []*job.Job {
+		return []*job.Job{
+			{ID: 7, Cores: 8, Submit: 0, Runtime: 100, Walltime: 200},
+			{ID: 7, Cores: 8, Submit: secondAt, Runtime: 100, Walltime: 200},
+		}
+	}
+	c := mustNew(t, cfg)
+	if err := c.LoadWorkload(twin(0)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Run(1000)
+	if err == nil || !strings.Contains(err.Error(), "job 7 ") {
+		t.Fatalf("Run with job 7 started twice at once = %v, want an error naming job 7", err)
+	}
+	if busy, running := c.Cluster().BusyCores(), c.RunningCount(); busy != 0 || running != 0 {
+		t.Errorf("after the run: %d cores busy, %d jobs running; want 0 and 0", busy, running)
+	}
+
+	c = mustNew(t, cfg)
+	if err := c.LoadWorkload(twin(500)); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := c.Run(1000); err != nil || sum.JobsCompleted != 2 {
+		t.Fatalf("job 7 run twice in turn: %d completed, error %v; want 2 and none", sum.JobsCompleted, err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/dvfs"
-	"repro/internal/job"
 	"repro/internal/power"
 )
 
@@ -24,16 +23,6 @@ import (
 // degradation factor of the frequency it ran at, and its completion
 // event is rescheduled accordingly.
 
-// nodeJobEntry is one running job hosted on a shared node and the
-// frequency it runs at — the per-node slice replaces a map so re-clock
-// and vacate walk a handful of contiguous entries instead of hashing. A
-// job holding all of a node's cores is its only job, so it is in no list:
-// the node runs at the job's frequency.
-type nodeJobEntry struct {
-	id job.ID
-	f  dvfs.Freq
-}
-
 // reclock moves a running job to frequency f at time now, updating the
 // job's nodes, its remaining-work accounting and its completion event.
 func (c *Controller) reclock(r *run, now int64, f dvfs.Freq) {
@@ -49,29 +38,17 @@ func (c *Controller) reclock(r *run, now int64, f dvfs.Freq) {
 		}
 	}
 	r.freqSince = now
+	// The job's cores move to the new rung; the cluster re-charges each
+	// node at the highest rung it holds.
+	j := r.j
+	if err := c.clus.Reclock(r.allocs, r.freq, f); err != nil {
+		panic(fmt.Sprintf("rjms: reclock job %d: %v", j.ID, err))
+	}
 	// The backfill view keys on the walltime scaled by the job's current
 	// frequency — move the entry to its new position.
 	c.viewRemove(c.viewKey(r))
 	r.freq = f
 	c.viewInsert(c.viewKey(r))
-
-	// Re-derive each hosting node's frequency.
-	j := r.j
-	for _, a := range r.allocs {
-		nj := c.nodeJobs[a.Node]
-		max := f
-		for k := range nj {
-			if nj[k].id == j.ID {
-				nj[k].f = f
-			}
-			if nj[k].f > max {
-				max = nj[k].f
-			}
-		}
-		if err := c.clus.SetFreq(a.Node, max); err != nil {
-			panic(fmt.Sprintf("rjms: reclock job %d node %d: %v", j.ID, a.Node, err))
-		}
-	}
 
 	// Reschedule completion: remaining work stretched by the new factor,
 	// rounded up so the job never finishes with work outstanding.
@@ -178,26 +155,6 @@ func (c *Controller) boostRunning(now int64) {
 
 // upliftDelta computes the extra draw of raising one running job to
 // frequency f, given the other jobs sharing its nodes.
-func (c *Controller) upliftDelta(r *run, f dvfs.Freq) (d power.Watts) {
-	prof := c.clus.Profile()
-	for _, a := range r.allocs {
-		info, err := c.clus.Info(a.Node)
-		if err != nil {
-			continue
-		}
-		maxOther := dvfs.Freq(0)
-		for _, e := range c.nodeJobs[a.Node] {
-			if e.id != r.j.ID && e.f > maxOther {
-				maxOther = e.f
-			}
-		}
-		newF := f
-		if maxOther > newF {
-			newF = maxOther
-		}
-		if newF > info.Freq {
-			d += prof.Busy(newF) - prof.Busy(info.Freq)
-		}
-	}
-	return d
+func (c *Controller) upliftDelta(r *run, f dvfs.Freq) power.Watts {
+	return c.clus.ReclockDelta(r.allocs, r.freq, f)
 }

@@ -23,28 +23,20 @@ const requeueIDBase = int64(1) << 40
 // AdjustPowerCap it is a between-Advance hook (the twin's mutation
 // queue), never called from inside an event handler.
 func (c *Controller) FailNode(id cluster.NodeID) error {
-	if int(id) < 0 || int(id) >= len(c.nodeJobs) {
+	if int(id) < 0 || int(id) >= c.clus.Nodes() {
 		return fmt.Errorf("rjms: fail node %d: no such node", id)
 	}
 	if c.failed.Has(id) {
 		return fmt.Errorf("rjms: fail node %d: already failed", id)
 	}
 	now := c.eng.Now()
-	// Snapshot the victims before finish() rewrites nodeJobs; sort by
-	// job ID so requeue IDs assign reproducibly regardless of the
-	// swap-removal order the list happens to be in. A busy node in no
-	// list is held whole by one job, found by its allocation.
-	victims := make([]*job.Job, 0, len(c.nodeJobs[id]))
-	for _, e := range c.nodeJobs[id] {
-		if r := c.runOf(e.id); r != nil {
+	// The victims are the running jobs whose allocation names the node,
+	// collected before finish() frees their slots and sorted by job ID so
+	// requeue IDs assign reproducibly whatever slots they ran in.
+	var victims []*job.Job
+	for k := range c.runs {
+		if r := &c.runs[k]; r.j != nil && slices.ContainsFunc(r.allocs, func(a job.Alloc) bool { return a.Node == id }) {
 			victims = append(victims, r.j)
-		}
-	}
-	if len(victims) == 0 && c.clus.State(id) == cluster.StateBusy {
-		for k := range c.runs {
-			if r := &c.runs[k]; r.j != nil && slices.ContainsFunc(r.allocs, func(a job.Alloc) bool { return a.Node == id }) {
-				victims = append(victims, r.j)
-			}
 		}
 	}
 	sort.Slice(victims, func(i, k int) bool { return victims[i].ID < victims[k].ID })
@@ -69,7 +61,7 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 // (unless a reservation window currently holds it off) and rejoins the
 // schedulable pool at the current virtual time.
 func (c *Controller) RepairNode(id cluster.NodeID) error {
-	if int(id) < 0 || int(id) >= len(c.nodeJobs) {
+	if int(id) < 0 || int(id) >= c.clus.Nodes() {
 		return fmt.Errorf("rjms: repair node %d: no such node", id)
 	}
 	if !c.failed.Has(id) {

@@ -95,17 +95,17 @@ func (c *Controller) pullStream(src JobSource) (*job.Job, error) {
 // next event at the first strictly later one.
 func (c *Controller) submitStream(st *stream, now int64) {
 	c.submit(st.next, now)
-	for c.loadErr == nil {
+	for c.runErr == nil {
 		next, err := c.pullStream(st.src)
 		if err != nil {
-			c.loadErr = err
+			c.runErr = err
 			return
 		}
 		if next == nil {
 			return
 		}
 		if next.Submit < now {
-			c.loadErr = fmt.Errorf("rjms: stream out of order: job %d submits at %d, clock at %d",
+			c.runErr = fmt.Errorf("rjms: stream out of order: job %d submits at %d, clock at %d",
 				next.ID, next.Submit, now)
 			return
 		}
@@ -115,7 +115,7 @@ func (c *Controller) submitStream(st *stream, now int64) {
 		}
 		st.next = next
 		if _, err := c.eng.At(next.Submit, c.submitFn, st); err != nil {
-			c.loadErr = err
+			c.runErr = err
 		}
 		return
 	}

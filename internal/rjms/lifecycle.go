@@ -59,7 +59,15 @@ func (c *Controller) runOf(id job.ID) *run {
 // probe built it. It must span the nodes the probe counted and occupy
 // cleanly — anything else is a bug. The run goes into a free slot of the
 // running table, so a replay's records are as many as ran at once.
-func (c *Controller) commit(j *job.Job, pl planned, now int64) {
+//
+// The table keys runs by job ID, so a job whose ID a running job holds —
+// a trace may repeat one — is refused: commit reports false, and the run
+// fails with an error naming the ID, which Advance returns.
+func (c *Controller) commit(j *job.Job, pl planned, now int64) bool {
+	if _, dup := c.running[j.ID]; dup {
+		c.runErr = fmt.Errorf("rjms: job %d starts while another job with its ID runs", j.ID)
+		return false
+	}
 	c.statStarts++
 	allocs := pl.compact
 	if pl.frontier != nil {
@@ -70,12 +78,6 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	}
 	if err := c.clus.Occupy(allocs, pl.freq); err != nil {
 		panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
-	}
-	per := c.clus.Topology().CoresPerNode
-	for _, a := range allocs {
-		if a.Cores < per {
-			c.nodeJobs[a.Node] = append(c.nodeJobs[a.Node], nodeJobEntry{id: j.ID, f: pl.freq})
-		}
 	}
 	r := run{j: j, freq: pl.freq, start: now, allocs: allocs, remainingNominal: float64(j.Runtime), freqSince: now}
 	c.viewInsert(c.viewKey(&r))
@@ -97,6 +99,7 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 		c.runs = append(c.runs, r)
 	}
 	c.noteState(now)
+	return true
 }
 
 // finish ends j's run, if it is running. Its slot in the running table
@@ -109,30 +112,7 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 	}
 	r := &c.runs[k]
 	c.viewRemove(c.viewKey(r))
-	// The frequency each node keeps is the highest among the jobs left on
-	// it; a whole node hosted j alone and is in no list.
-	rem, per := c.remBuf[:0], c.clus.Topology().CoresPerNode
-	for _, a := range r.allocs {
-		if a.Cores == per {
-			rem = append(rem, 0)
-			continue
-		}
-		nj, left := c.nodeJobs[a.Node], dvfs.Freq(0)
-		for k := 0; k < len(nj); {
-			if nj[k].id == j.ID {
-				last := len(nj) - 1
-				nj[k] = nj[last]
-				nj = nj[:last]
-				continue
-			}
-			left = max(left, nj[k].f)
-			k++
-		}
-		c.nodeJobs[a.Node] = nj
-		rem = append(rem, left)
-	}
-	c.remBuf = rem
-	if err := c.clus.Vacate(r.allocs, rem); err != nil {
+	if err := c.clus.Vacate(r.allocs, r.freq); err != nil {
 		panic(fmt.Sprintf("rjms: vacate inconsistency for job %d: %v", j.ID, err))
 	}
 	// Drain-to-off: a held node freed inside its window.

@@ -258,7 +258,7 @@ func (c *Controller) passMemoHolds(now int64) bool {
 // the threshold the pass knows, never below the one planning them would
 // reach, which can only make the memo hold less.
 func (c *Controller) pass(now int64) {
-	if len(c.pending) == 0 {
+	if len(c.pending) == 0 || c.runErr != nil {
 		return
 	}
 	if c.passMemoHolds(now) {
@@ -299,7 +299,9 @@ func (c *Controller) pass(now int64) {
 
 		if shadowAt < 0 {
 			if pl, ok := tryPlan(j); ok {
-				c.commit(j, pl, now)
+				if !c.commit(j, pl, now) {
+					break
+				}
 				started = append(started, i)
 				continue
 			}
@@ -345,7 +347,9 @@ func (c *Controller) pass(now int64) {
 			}
 			freeAtShadow -= j.Cores
 		}
-		c.commit(j, pl, now)
+		if !c.commit(j, pl, now) {
+			break
+		}
 		started = append(started, i)
 	}
 	c.deferBuf = deferred[:0]

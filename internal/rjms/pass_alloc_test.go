@@ -542,11 +542,12 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 // stopped copying, 21 478 after, 17 572 once submissions were always
 // streamed, 15.7 k once a start took its allocation off the free list,
 // 4 560 once the clones were one slab and no event was a closure, 4 588
-// now that no job is copied at all and its run state has a slot of the
-// running table (the table's own growth); the ceiling keeps the diet
-// from regressing silently.
+// once no job was copied at all and its run state had a slot of the
+// running table (the table's own growth), 3 937 now that the controller
+// keeps no per-node job lists; the ceiling keeps the diet from
+// regressing silently.
 func TestSchedulePassAllocCeiling(t *testing.T) {
-	const ceiling = 5900
+	const ceiling = 4600
 	topo := cluster.CurieTopology()
 	topo.Racks = 4
 	wl := trace.Config{Kind: trace.MedianJob, Seed: 3, Cores: topo.Cores()}

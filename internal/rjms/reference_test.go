@@ -24,10 +24,11 @@ import (
 // DynamicDVFS, KillOnOverrun, drain-to-off and node failures, as the
 // shipped Controller runs them. It keeps none of the shipped one's
 // optimisations: no pass memo, no generations, no frontier, no running
-// view, no per-node job lists, no free list and no shadow deferral. Every
-// pass plans each candidate in queue order, first fit walks the nodes,
-// a node's frequency is the maximum over the running jobs found on it,
-// the running jobs are sorted whenever an order is needed, and the
+// view, no free list and no shadow deferral. Every pass plans each
+// candidate in queue order, first fit walks the nodes, a node's
+// frequency is the maximum over the running jobs found on it (nodeFreq,
+// which every sample holds the cluster's charged frequency to), the
+// running jobs are sorted whenever an order is needed, and the
 // future-cap rule prices the survivors node by node.
 //
 // It reuses what is stateless or has an oracle of its own: the event
@@ -381,7 +382,9 @@ func (r *refController) commit(j *job.Job, allocs []job.Alloc, f dvfs.Freq, now 
 }
 
 // nodeFreq is the highest frequency among the running jobs on node id,
-// leaving out job skip; 0 when there are none.
+// leaving out job skip; 0 when there are none. It is the shared-node
+// rule stated plainly: sampleTick holds the cluster's charged frequency
+// of every busy node to it, and uplift prices a re-clock with it.
 func (r *refController) nodeFreq(id cluster.NodeID, skip job.ID) dvfs.Freq {
 	f := dvfs.Freq(0)
 	for _, run := range r.running {
@@ -400,7 +403,7 @@ func (r *refController) finish(j *job.Job, now int64, killed bool) {
 		return
 	}
 	for _, a := range run.allocs {
-		if err := r.clus.Vacate([]job.Alloc{a}, []dvfs.Freq{r.nodeFreq(a.Node, j.ID)}); err != nil {
+		if err := r.clus.Vacate([]job.Alloc{a}, run.freq); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
 		if r.clus.State(a.Node) == cluster.StateIdle && r.book.Draining(a.Node, now) {
@@ -433,13 +436,13 @@ func (r *refController) reclock(run *refRun, now int64, f dvfs.Freq) {
 		run.remaining = max(0, run.remaining-float64(elapsed)/r.pm.Deg.Factor(run.freq))
 	}
 	run.since = now
-	run.freq = f
 	j := run.j
 	for _, a := range run.allocs {
-		if err := r.clus.SetFreq(a.Node, r.nodeFreq(a.Node, -1)); err != nil {
+		if err := r.clus.Reclock([]job.Alloc{a}, run.freq, f); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
 	}
+	run.freq = f
 	r.eng.Cancel(run.endEv)
 	run.endEv = r.at(now+int64(run.remaining*r.pm.Deg.Factor(f)+0.999999), func(t int64) { r.finish(j, t, false) })
 	r.rec.NoteRescale()
@@ -706,6 +709,15 @@ func (r *refController) freeCores() (free int) {
 }
 
 func (r *refController) sampleTick(now int64) {
+	r.clus.ForEach(func(n cluster.NodeInfo) bool {
+		if n.State != cluster.StateBusy {
+			return true
+		}
+		if f := r.nodeFreq(n.ID, -1); n.Freq != f {
+			panic(fmt.Sprintf("reference: t=%d: node %d charged at %v, its jobs' highest frequency is %v", now, n.ID, n.Freq, f))
+		}
+		return true
+	})
 	capW := power.Watts(0)
 	if b := r.book.CapAt(now); b.IsSet() {
 		capW = b.Watts()

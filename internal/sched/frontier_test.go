@@ -91,7 +91,10 @@ func mutate(t *testing.T, rng *rand.Rand, c *cluster.Cluster, prefer *cluster.No
 	case free > 0 && (free == per || rng.Intn(2) == 0):
 		err = c.Occupy([]cluster.Alloc{{Node: id, Cores: 1 + rng.Intn(free)}}, dvfs.F2000)
 	default:
-		err = c.Vacate([]cluster.Alloc{{Node: id, Cores: 1 + rng.Intn(per-free)}}, []dvfs.Freq{dvfs.F2000})
+		// A core of those the node holds at the rung it is charged at.
+		var f dvfs.Freq
+		c.ForEach(func(n cluster.NodeInfo) bool { f = n.Freq; return n.ID < id })
+		err = c.Vacate([]cluster.Alloc{{Node: id, Cores: 1}}, f)
 	}
 	if err != nil {
 		t.Fatal(err)
