@@ -271,11 +271,13 @@ func runCellV2(t *testing.T, name string, opts rjms.Options, policy core.Policy,
 			t.Fatalf("%s: window %d: %v", name, w, err)
 		}
 	}
-	sum, err := ctl.Run(s.Duration())
-	if err != nil {
+	if err := ctl.Start(s.Duration()); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return fingerprintRunV2(sum, ctl.Samples())
+	if err := ctl.Advance(s.Duration()); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return fingerprintRunV2(ctl.Finish(), ctl.Samples())
 }
 
 // hashSink fingerprints a twin's telemetry as the stream of points it

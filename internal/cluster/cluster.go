@@ -655,7 +655,9 @@ func (c *Cluster) IdlePower() power.Watts {
 // The delta is ≥ 0 and nondecreasing along the ladder: every term is,
 // and float sums of nondecreasing terms in a fixed order are. Algorithm
 // 2's draw check relies on it to search the ladder instead of walking it
-// (core.SelectFreq); TestOccupyDeltaMonotoneInFreq pins it.
+// (core.SelectFreq); TestOccupyDeltaMonotoneInFreq pins it. A frequency
+// that is not a rung panics (power.Profile.Busy): no probe prices what
+// Occupy refuses.
 func (c *Cluster) OccupyDelta(ids []NodeID, f dvfs.Freq) power.Watts {
 	if f == 0 {
 		f = c.profile.Nominal()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -523,6 +524,30 @@ func TestOccupyDelta(t *testing.T) {
 	}
 	if got := c.Power() - before; got != delta {
 		t.Errorf("actual delta %v != predicted %v", got, delta)
+	}
+}
+
+// TestDeltasPanicOffRung: a probe prices only what a commit accepts.
+// Occupy refuses 2.5 GHz, which is no rung of the Curie profile, so the
+// draw it would add has no price either.
+func TestDeltasPanicOffRung(t *testing.T) {
+	c := small()
+	if err := c.Occupy([]Alloc{{Node: 0, Cores: 1}}, 2500); err == nil {
+		t.Fatal("Occupy accepted 2.5 GHz")
+	}
+	for name, price := range map[string]func(){
+		"Busy":            func() { c.Profile().Busy(2500) },
+		"OccupyDelta":     func() { c.OccupyDelta([]NodeID{0}, 2500) },
+		"IdleOccupyDelta": func() { c.IdleOccupyDelta(1, 2500) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "2.5 GHz is not a rung") {
+					t.Errorf("%s at 2.5 GHz: recovered %v, want a panic naming the frequency", name, r)
+				}
+			}()
+			price()
+		}()
 	}
 }
 

@@ -36,7 +36,7 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 
 // TestLockstepMatchesSingleRun pins the broker's core premise: driving
 // a controller with Start + epoch-sized Advance steps + Finish replays
-// the exact event sequence of one Run call.
+// the exact event sequence of one Advance to the horizon.
 func TestLockstepMatchesSingleRun(t *testing.T) {
 	s := replay.FederationMembers(1, 2)[0]
 	dur := s.Duration()
@@ -46,10 +46,13 @@ func TestLockstepMatchesSingleRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup1()
-	sumOne, err := one.Run(dur)
-	if err != nil {
+	if err := one.Start(dur); err != nil {
 		t.Fatal(err)
 	}
+	if err := one.Advance(dur); err != nil {
+		t.Fatal(err)
+	}
+	sumOne := one.Finish()
 
 	stepped, cleanup2, err := replay.Build(s)
 	if err != nil {

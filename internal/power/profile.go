@@ -9,10 +9,10 @@ import (
 
 // Profile holds the per-node power draws the controller is configured with:
 // the SLURM parameters DownWatts, IdleWatts, MaxWatts and CpuFreqXWatts of
-// Section V of the paper. Draws for intermediate frequencies that were not
-// measured are linearly interpolated between the nearest configured rungs.
-// The rungs are two short parallel slices, not a map: Busy runs for every
-// node a job start, finish or power check touches.
+// Section V of the paper. A busy draw is priced at the configured rungs
+// only: a frequency between or beyond them has no draw, and Busy panics on
+// it. The rungs are two short parallel slices, not a map: Busy runs for
+// every node a job start, finish or power check touches.
 type Profile struct {
 	down  Watts       // node switched off (BMC still powered)
 	idle  Watts       // node powered on, no job
@@ -98,29 +98,22 @@ func (p *Profile) Frequencies() []dvfs.Freq {
 	return out
 }
 
-// Busy returns the draw of a node running at frequency f. Frequencies
-// outside the configured range clamp to the nearest rung; intermediate
-// frequencies interpolate linearly. f == 0 means nominal frequency.
+// Busy returns the draw of a node running at frequency f, which must be
+// one of the profile's rungs; f == 0 means nominal frequency. Any other
+// frequency panics, naming f and the rungs: nothing prices a frequency
+// that Cluster.Occupy would refuse to commit.
 func (p *Profile) Busy(f dvfs.Freq) Watts {
 	if f == 0 {
 		return p.Max()
 	}
 	// Scan from the top: nominal is the common case and there are at most
-	// a handful of rungs. i ends at the highest rung not above f.
-	i := len(p.order) - 1
-	for i >= 0 && p.order[i] > f {
-		i--
+	// a handful of rungs.
+	for i := len(p.order) - 1; i >= 0; i-- {
+		if p.order[i] == f {
+			return p.watts[i]
+		}
 	}
-	if i < 0 {
-		return p.watts[0]
-	}
-	if p.order[i] == f || i == len(p.order)-1 {
-		return p.watts[i]
-	}
-	a, b := p.order[i], p.order[i+1]
-	wa, wb := p.watts[i], p.watts[i+1]
-	t := float64(f-a) / float64(b-a)
-	return wa + Watts(t*float64(wb-wa))
+	panic(fmt.Sprintf("power: %v is not a rung of the profile %v", f, p.order))
 }
 
 // Ladder returns the profile's frequencies as a dvfs.Ladder.

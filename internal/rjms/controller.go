@@ -176,21 +176,6 @@ func (c *Controller) Cluster() *cluster.Cluster { return c.clus }
 // RunningCount returns the dispatched-job count.
 func (c *Controller) RunningCount() int { return len(c.running) }
 
-// Run drives the simulation until the given horizon and returns the
-// run's summary. Pending events beyond the horizon stay unfired.
-// Equivalent to Start + one Advance to the horizon + Finish; callers
-// that interleave external control between epochs (the federation
-// broker) use those pieces directly.
-func (c *Controller) Run(until int64) (metrics.Summary, error) {
-	if err := c.Start(until); err != nil {
-		return metrics.Summary{}, err
-	}
-	if err := c.Advance(until); err != nil {
-		return metrics.Summary{}, err
-	}
-	return c.Finish(), nil
-}
-
 // Start fixes the run's horizon and arms the metrics sampling chain.
 // It fires no events; follow with Advance calls up to the horizon.
 func (c *Controller) Start(until int64) error {
@@ -212,7 +197,7 @@ func (c *Controller) Start(until int64) error {
 
 // Advance drives the simulation to virtual time until (at most the
 // Start horizon), firing every event at or before it. Repeated calls
-// with nondecreasing times run the same event sequence as one Run to
+// with nondecreasing times run the same event sequence as one Advance to
 // the horizon — the lockstep primitive of the federation broker, which
 // inspects and re-budgets the controller between Advance calls.
 func (c *Controller) Advance(until int64) error {

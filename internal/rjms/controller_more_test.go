@@ -58,7 +58,7 @@ func TestPendingWalkedInArrivalOrder(t *testing.T) {
 	}
 	check := func(until int64, pending, running []job.ID) {
 		t.Helper()
-		if _, err := c.Run(until); err != nil {
+		if _, err := runTo(c, until); err != nil {
 			t.Fatal(err)
 		}
 		expect(pending, running)
@@ -266,14 +266,14 @@ func TestNodeSharingAcrossJobs(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(50); err != nil {
+	if _, err := runTo(c, 50); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateBusy); got != 1 {
 		t.Fatalf("busy nodes = %d, want 1 (packing)", got)
 	}
 	// Job 2 ends at ~101; node must stay busy with job 1's cores.
-	if _, err := c.Run(200); err != nil {
+	if _, err := runTo(c, 200); err != nil {
 		t.Fatal(err)
 	}
 	var info cluster.NodeInfo
@@ -281,7 +281,7 @@ func TestNodeSharingAcrossJobs(t *testing.T) {
 	if info.State != cluster.StateBusy || info.UsedCores != 2 {
 		t.Errorf("node 0 after partial vacate: %+v", info)
 	}
-	if _, err := c.Run(600); err != nil {
+	if _, err := runTo(c, 600); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateBusy); got != 0 {
@@ -308,7 +308,7 @@ func TestBackfillDepthLimitsThroughput(t *testing.T) {
 		if err := c.LoadWorkload(jobs); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := c.Run(300)
+		sum, err := runTo(c, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,10 +323,10 @@ func TestBackfillDepthLimitsThroughput(t *testing.T) {
 
 func TestRunRejectsBadHorizon(t *testing.T) {
 	c := mustNew(t, tinyConfig(core.PolicyNone))
-	if _, err := c.Run(0); err == nil {
+	if _, err := runTo(c, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := c.Run(-5); err == nil {
+	if _, err := runTo(c, -5); err == nil {
 		t.Error("negative horizon accepted")
 	}
 }
@@ -378,7 +378,7 @@ func TestLaunchedByFreqAccounting(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(1000)
+	sum, err := runTo(c, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestCompactPlacementReducesChassisSpan(t *testing.T) {
 		if err := c.LoadWorkload(jobs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Run(100); err != nil {
+		if _, err := runTo(c, 100); err != nil {
 			t.Fatal(err)
 		}
 		wide := c.runOf(99)
@@ -490,7 +490,7 @@ func TestRepeatedRunningIDIsAnError(t *testing.T) {
 	if err := c.LoadWorkload(twin(0)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Run(1000)
+	_, err := runTo(c, 1000)
 	if err == nil || !strings.Contains(err.Error(), "job 7 ") {
 		t.Fatalf("Run with job 7 started twice at once = %v, want an error naming job 7", err)
 	}
@@ -502,7 +502,7 @@ func TestRepeatedRunningIDIsAnError(t *testing.T) {
 	if err := c.LoadWorkload(twin(500)); err != nil {
 		t.Fatal(err)
 	}
-	if sum, err := c.Run(1000); err != nil || sum.JobsCompleted != 2 {
+	if sum, err := runTo(c, 1000); err != nil || sum.JobsCompleted != 2 {
 		t.Fatalf("job 7 run twice in turn: %d completed, error %v; want 2 and none", sum.JobsCompleted, err)
 	}
 }

@@ -18,7 +18,7 @@ func startLongJob(t *testing.T, cfg Config, runtime int64) *Controller {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(50); err != nil {
+	if _, err := runTo(c, 50); err != nil {
 		t.Fatal(err)
 	}
 	if c.RunningCount() != 1 {
@@ -47,7 +47,7 @@ func TestDynamicThrottleMeetsCap(t *testing.T) {
 	if _, err := c.ReservePowerCap(100, 2000, budget); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(150); err != nil {
+	if _, err := runTo(c, 150); err != nil {
 		t.Fatal(err)
 	}
 	if got := clus.Power(); !budget.Allows(got) {
@@ -56,7 +56,7 @@ func TestDynamicThrottleMeetsCap(t *testing.T) {
 	if f := runningFreq(t, c); f != dvfs.F1800 {
 		t.Errorf("running job at %v, want 1.8 GHz", f)
 	}
-	sum, err := c.Run(151)
+	sum, err := runTo(c, 151)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDynamicBoostAfterWindow(t *testing.T) {
 	if _, err := c.ReservePowerCap(100, 2000, budget); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(2100); err != nil {
+	if _, err := runTo(c, 2100); err != nil {
 		t.Fatal(err)
 	}
 	if f := runningFreq(t, c); f != dvfs.F2700 {
@@ -91,7 +91,7 @@ func TestDynamicBoostAfterWindow(t *testing.T) {
 	factor := 1 + (dvfs.DegMinCommon-1)*float64(dvfs.F2700-dvfs.F1800)/float64(dvfs.F2700-dvfs.F1200)
 	doneByWindowEnd := 100 + 1900/factor
 	wantEnd := 2000 + (float64(runtime) - doneByWindowEnd)
-	sum, err := c.Run(int64(wantEnd) + 10)
+	sum, err := runTo(c, int64(wantEnd)+10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDynamicCompletionAccountingExact(t *testing.T) {
 	}
 	// Job: 100 s at nominal (100 work), then 1.2 GHz until done:
 	// remaining 900 work x 1.63 = 1467 s; ends at 100 + 1467 = 1567.
-	sum, err := c.Run(1568)
+	sum, err := runTo(c, 1568)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDynamicCompletionAccountingExact(t *testing.T) {
 	if _, err := c2.ReservePowerCap(100, 100000, budget); err != nil {
 		t.Fatal(err)
 	}
-	sum2, err := c2.Run(1565)
+	sum2, err := runTo(c2, 1565)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDynamicDisabledForShut(t *testing.T) {
 	if _, err := c.ReservePowerCap(100, 500, budget); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(600)
+	sum, err := runTo(c, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestDynamicThrottleSpreadsFairly(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(50); err != nil {
+	if _, err := runTo(c, 50); err != nil {
 		t.Fatal(err)
 	}
 	// Budget one rung down for everyone: 2.4 GHz.
@@ -174,7 +174,7 @@ func TestDynamicThrottleSpreadsFairly(t *testing.T) {
 	if _, err := c.ReservePowerCap(100, 2000, budget); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(150); err != nil {
+	if _, err := runTo(c, 150); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range c.running {
@@ -188,7 +188,7 @@ func TestDynamicNoCapNoAction(t *testing.T) {
 	cfg := tinyConfig(core.PolicyMix)
 	cfg.DynamicDVFS = true
 	c := startLongJob(t, cfg, 500)
-	sum, err := c.Run(1000)
+	sum, err := runTo(c, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestDynamicMixRespectsFloor(t *testing.T) {
 	if _, err := c.ReservePowerCap(100, 2000, budget); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(150); err != nil {
+	if _, err := runTo(c, 150); err != nil {
 		t.Fatal(err)
 	}
 	if f := runningFreq(t, c); f != dvfs.F2000 {

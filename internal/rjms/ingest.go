@@ -10,7 +10,7 @@ import (
 )
 
 // LoadWorkload loads a workload list: every job is checked up front (a
-// bad one anywhere in the list is this call's error, not a mid-Run one)
+// bad one anywhere in the list is this call's error, not a mid-replay one)
 // and the list is streamed as it is through LoadWorkloadStream, the one
 // ingestion mechanism. The controller reads the jobs and never writes
 // them, so the list stays the caller's and may back several controllers
@@ -60,7 +60,7 @@ type JobSource interface {
 // running in the simulated machine, not by the trace length.
 // The source must yield jobs in nondecreasing submit order; the
 // controller reads each job and never writes it. Errors found mid-replay
-// stop ingestion and surface from Run.
+// stop ingestion and surface from Advance.
 func (c *Controller) LoadWorkloadStream(src JobSource) error {
 	j, err := c.pullStream(src)
 	if err != nil || j == nil {

@@ -36,7 +36,7 @@ func TestMeasuredModeDeterministic(t *testing.T) {
 		if err := c.LoadWorkload(jobs); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := c.Run(2000)
+		sum, err := runTo(c, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestMeasuredModeConservative(t *testing.T) {
 		if err := c.LoadWorkload(jobs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Run(5000); err != nil {
+		if _, err := runTo(c, 5000); err != nil {
 			t.Fatal(err)
 		}
 		return c, budget

@@ -205,7 +205,7 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 				return !t.Failed()
 			})
 		})
-		sum, err := c.Run(dur)
+		sum, err := runTo(c, dur)
 		if err != nil || sum.JobsCompleted == 0 {
 			t.Fatalf("replay completed %d jobs, err %v", sum.JobsCompleted, err)
 		}
@@ -564,7 +564,7 @@ func TestSchedulePassAllocCeiling(t *testing.T) {
 		if _, err := c.ReservePowerCap((dur-3600)/2, (dur+3600)/2, power.CapFraction(0.5, c.clus.MaxPower())); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := c.Run(dur)
+		sum, err := runTo(c, dur)
 		if err != nil || sum.JobsCompleted == 0 {
 			t.Fatalf("replay completed %d jobs, err %v", sum.JobsCompleted, err)
 		}
@@ -609,7 +609,7 @@ func TestReplayAllocatesPerCellNotPerJob(t *testing.T) {
 			if _, err := c.ReservePowerCap(dur/4, 3*dur/4, power.CapFraction(0.6, c.clus.MaxPower())); err != nil {
 				t.Fatal(err)
 			}
-			sum, err := c.Run(dur)
+			sum, err := runTo(c, dur)
 			if err != nil || sum.JobsCompleted < len(jobs)/2 {
 				t.Fatalf("replay of %d jobs completed %d, err %v", len(jobs), sum.JobsCompleted, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/reservation"
 )
@@ -18,6 +19,17 @@ func tinyConfig(policy core.Policy) Config {
 		Topology: cluster.Topology{Racks: 2, ChassisPerRack: 2, NodesPerChassis: 3, CoresPerNode: 4},
 		Policy:   policy,
 	}
+}
+
+// runTo drives c to the horizon in one step: Start, one Advance, Finish.
+func runTo(c *Controller, until int64) (metrics.Summary, error) {
+	if err := c.Start(until); err != nil {
+		return metrics.Summary{}, err
+	}
+	if err := c.Advance(until); err != nil {
+		return metrics.Summary{}, err
+	}
+	return c.Finish(), nil
 }
 
 func mustNew(t *testing.T, cfg Config) *Controller {
@@ -47,7 +59,7 @@ func TestSingleJobLifecycle(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(1000)
+	sum, err := runTo(c, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +110,10 @@ func TestFCFSAndBackfill(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(1000); err != nil {
+	if _, err := runTo(c, 1000); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(1001)
+	sum, err := runTo(c, 1001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +135,14 @@ func TestBackfillFillsHoles(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(50); err != nil {
+	if _, err := runTo(c, 50); err != nil {
 		t.Fatal(err)
 	}
 	// At t=50 job 3 must already be done (backfilled at t=2, ran 40 s).
 	if got := c.RunningCount(); got != 1 {
 		t.Errorf("running at t=50 = %d, want only job 1", got)
 	}
-	sum, err := c.Run(2000)
+	sum, err := runTo(c, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +164,7 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(500); err != nil {
+	if _, err := runTo(c, 500); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.RunningCount(); got != 1 {
@@ -219,7 +231,7 @@ func TestPowercapShutPlansAndPowersOff(t *testing.T) {
 	if len(plan.OffNodes) == 0 {
 		t.Fatal("offline plan reserved no nodes at a 60% cap")
 	}
-	if _, err := c.Run(150); err != nil {
+	if _, err := runTo(c, 150); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got != len(plan.OffNodes) {
@@ -228,7 +240,7 @@ func TestPowercapShutPlansAndPowersOff(t *testing.T) {
 	if got := c.Cluster().Power(); !budget.Allows(got) {
 		t.Errorf("draw %v exceeds cap %v during window", got, budget)
 	}
-	if _, err := c.Run(250); err != nil {
+	if _, err := runTo(c, 250); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got != 0 {
@@ -250,7 +262,7 @@ func TestPowercapShutKeepsJobsAtNominal(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(500)
+	sum, err := runTo(c, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +290,7 @@ func TestPowercapDvfsDownclocksUnderTightCap(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(400)
+	sum, err := runTo(c, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +339,7 @@ func TestPowercapMixCombinedRegime(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(400)
+	sum, err := runTo(c, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +372,7 @@ func TestPowercapIdlePolicyLeavesNodesOn(t *testing.T) {
 	if plan.OffNodes != nil {
 		t.Errorf("IDLE policy planned a shutdown")
 	}
-	if _, err := c.Run(100); err != nil {
+	if _, err := runTo(c, 100); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got != 0 {
@@ -381,13 +393,13 @@ func TestJobsPendUnderCapAndResumeAfter(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(499); err != nil {
+	if _, err := runTo(c, 499); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.pending) != 1 {
 		t.Fatalf("job ran under an impossible cap (pending=%d)", len(c.pending))
 	}
-	sum, err := c.Run(1000)
+	sum, err := runTo(c, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +419,7 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 	// Start the job first, then reserve: the node group is busy when the
 	// window opens (a reservation created earlier would have blocked the
 	// overlapping job from those nodes in the first place).
-	if _, err := c.Run(50); err != nil {
+	if _, err := runTo(c, 50); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.RunningCount(); got != 1 {
@@ -417,13 +429,13 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 	if _, err := c.ReservePowerCap(100, 400, budget); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(120); err != nil {
+	if _, err := runTo(c, 120); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got != 0 {
 		t.Errorf("busy reserved nodes powered off early: %d", got)
 	}
-	if _, err := c.Run(200); err != nil {
+	if _, err := runTo(c, 200); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got == 0 {
@@ -442,7 +454,7 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 		if err := c.LoadWorkload(jobs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Run(50); err != nil {
+		if _, err := runTo(c, 50); err != nil {
 			t.Fatal(err)
 		}
 		plan, err := c.ReservePowerCap(100, 400, power.CapFraction(0.4, c.Cluster().MaxPower()))
@@ -456,19 +468,19 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 		return c, plan.OffNodes
 	}
 	c, group := boundaries()
-	if _, err := c.Run(90); err != nil {
+	if _, err := runTo(c, 90); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got != 0 {
 		t.Errorf("held nodes freed before the window opened powered off early: %d off", got)
 	}
-	if _, err := c.Run(100); err != nil {
+	if _, err := runTo(c, 100); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Cluster().Count(cluster.StateOff); got != 6 {
 		t.Errorf("window open: %d nodes off, want the 6 idle held ones", got)
 	}
-	if _, err := c.Run(400); err != nil {
+	if _, err := runTo(c, 400); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range group {
@@ -480,7 +492,7 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 	// A held node that fails and is repaired inside the window stays off
 	// until the window closes.
 	c, _ = boundaries()
-	if _, err := c.Run(200); err != nil {
+	if _, err := runTo(c, 200); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.FailNode(0); err != nil {
@@ -492,7 +504,7 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 	if st := c.Cluster().State(0); st != cluster.StateOff {
 		t.Errorf("held node repaired inside its window is %v, want off", st)
 	}
-	if _, err := c.Run(400); err != nil {
+	if _, err := runTo(c, 400); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Cluster().State(0); st == cluster.StateOff {
@@ -510,14 +522,14 @@ func TestKillOnOverrun(t *testing.T) {
 	}
 	// Let the job start, then spring a cap below the running draw: the
 	// job is killed ("extreme actions", Section IV-B).
-	if _, err := c.Run(50); err != nil {
+	if _, err := runTo(c, 50); err != nil {
 		t.Fatal(err)
 	}
 	budget := power.CapWatts(c.Cluster().IdlePower() + 100)
 	if _, err := c.ReservePowerCap(100, 500, budget); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(600)
+	sum, err := runTo(c, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,14 +548,14 @@ func TestNoKillWithoutFlag(t *testing.T) {
 	if err := c.LoadWorkload(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(50); err != nil {
+	if _, err := runTo(c, 50); err != nil {
 		t.Fatal(err)
 	}
 	budget := power.CapWatts(c.Cluster().IdlePower() + 100)
 	if _, err := c.ReservePowerCap(100, 500, budget); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(600)
+	sum, err := runTo(c, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +571,7 @@ func TestSamplesRecorded(t *testing.T) {
 	cfg := tinyConfig(core.PolicyNone)
 	cfg.SampleEverySec = 50
 	c := mustNew(t, cfg)
-	if _, err := c.Run(200); err != nil {
+	if _, err := runTo(c, 200); err != nil {
 		t.Fatal(err)
 	}
 	got := len(c.Samples())
@@ -595,7 +607,7 @@ func TestDeterministicReplay(t *testing.T) {
 		if err := c.LoadWorkload(jobs); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := c.Run(1000)
+		sum, err := runTo(c, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestLoadWorkloadStreamMatchesPreload(t *testing.T) {
 		if _, err := c.ReservePowerCap(1200, 2400, power.CapFraction(0.6, c.Cluster().MaxPower())); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := c.Run(3600)
+		sum, err := runTo(c, 3600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestLoadWorkloadRejectsAnyJobUpfront(t *testing.T) {
 		if err := c.LoadWorkload([]*job.Job{ok, bad}); err == nil {
 			t.Errorf("%s job at index 1 accepted by LoadWorkload", name)
 		}
-		sum, err := c.Run(1000)
+		sum, err := runTo(c, 1000)
 		if err != nil {
 			t.Errorf("%s: rejected load left an error for Run: %v", name, err)
 		}
@@ -91,7 +91,7 @@ func TestLoadWorkloadSortsBySubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := c.Run(1000)
+	sum, err := runTo(c, 1000)
 	if err != nil {
 		t.Fatalf("unsorted list failed the replay: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestLoadWorkloadStreamMidStreamErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(1000); err == nil {
+	if _, err := runTo(c, 1000); err == nil {
 		t.Fatal("out-of-order stream not reported")
 	}
 	// A job wider than the machine mid-stream likewise.
@@ -140,7 +140,7 @@ func TestLoadWorkloadStreamMidStreamErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(1000); err == nil {
+	if _, err := runTo(c, 1000); err == nil {
 		t.Fatal("too-wide streamed job not reported")
 	}
 }
@@ -162,7 +162,7 @@ func TestLoadWorkloadStreamSourceError(t *testing.T) {
 	if err := c.LoadWorkloadStream(&errSource{n: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(1000); err == nil {
+	if _, err := runTo(c, 1000); err == nil {
 		t.Fatal("source error not reported")
 	}
 }

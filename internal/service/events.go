@@ -20,25 +20,24 @@ type Event struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// eventLog is the lifecycle state and append-only event log of one live
-// run or twin session, with the replay-then-follow loop its SSE stream
-// rides on. mu also guards the embedding type's other mutable fields;
-// call init before use.
+// eventLog is the append-only event log of one live run or twin
+// session, with the replay-then-follow loop its SSE stream rides on.
+// The log closes on its terminal event: done, failed or cancelled is
+// appended exactly as the owner's state turns terminal, and is the last
+// event. mu also guards the embedding type's mutable fields; call init
+// before use.
 type eventLog struct {
 	mu     sync.Mutex
-	cond   *sync.Cond // signals event appends and state changes
-	state  State
+	cond   *sync.Cond // signals event appends
 	events []Event
 }
 
-func (l *eventLog) init(state State) {
+func (l *eventLog) init() {
 	l.cond = sync.NewCond(&l.mu)
-	l.state = state
 }
 
 // appendLocked stamps and appends one event and wakes the followers;
-// l.mu must be held. State changes go in before their event, so a
-// follower woken by the terminal event also sees the terminal state.
+// l.mu must be held.
 func (l *eventLog) appendLocked(typ string, e Event) {
 	e.Seq = len(l.events)
 	e.Type = typ
@@ -46,16 +45,15 @@ func (l *eventLog) appendLocked(typ string, e Event) {
 	l.cond.Broadcast()
 }
 
-// current reads the state under the lock.
-func (l *eventLog) current() State {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.state
+// closedLocked reports whether the log holds its terminal event; l.mu
+// must be held.
+func (l *eventLog) closedLocked() bool {
+	return len(l.events) > 0 && State(l.events[len(l.events)-1].Type).Terminal()
 }
 
 // follow replays the log from seq 0 and then follows live appends,
-// invoking fn per event in order (outside the lock), until the state is
-// terminal and every event is delivered, fn errors, or ctx ends.
+// invoking fn per event in order (outside the lock), until the terminal
+// event is delivered, fn errors, or ctx ends.
 func (l *eventLog) follow(ctx context.Context, fn func(Event) error) error {
 	stop := context.AfterFunc(ctx, func() {
 		l.mu.Lock()
@@ -76,7 +74,7 @@ func (l *eventLog) follow(ctx context.Context, fn func(Event) error) error {
 			}
 			l.mu.Lock()
 		}
-		if l.state.Terminal() {
+		if l.closedLocked() {
 			l.mu.Unlock()
 			return nil
 		}

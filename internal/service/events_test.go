@@ -12,7 +12,7 @@ import (
 func TestEventLog(t *testing.T) {
 	newLog := func(types ...string) *eventLog {
 		l := &eventLog{}
-		l.init(StateRunning)
+		l.init()
 		l.mu.Lock()
 		for _, typ := range types {
 			l.appendLocked(typ, Event{})
@@ -22,7 +22,6 @@ func TestEventLog(t *testing.T) {
 	}
 	finish := func(l *eventLog) {
 		l.mu.Lock()
-		l.state = StateDone
 		l.appendLocked("done", Event{})
 		l.mu.Unlock()
 	}

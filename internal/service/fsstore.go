@@ -108,33 +108,10 @@ func (st *FSStore) path(hash string) string {
 	return filepath.Join(st.dir, hash+".json")
 }
 
-// recordMeta is the archived form of a Record's service-level metadata
-// — the envelope's opaque Meta payload.
-type recordMeta struct {
-	ID         string    `json:"id"`
-	Seq        int       `json:"seq"`
-	Tenant     string    `json:"tenant,omitempty"`
-	Name       string    `json:"name,omitempty"`
-	Mode       sim.Mode  `json:"mode"`
-	Policies   []string  `json:"policies,omitempty"`
-	Kinds      []string  `json:"kinds,omitempty"`
-	State      State     `json:"state"`
-	Error      string    `json:"error,omitempty"`
-	Submitted  time.Time `json:"submitted_at"`
-	Started    time.Time `json:"started_at,omitempty"`
-	Finished   time.Time `json:"finished_at,omitempty"`
-	CacheHits  int       `json:"cache_hits"`
-	CellsDone  int       `json:"cells_done"`
-	CellsTotal int       `json:"cells_total"`
-	// Stages is absent in archives written before stage timing existed;
-	// those decode with a nil pointer, not an error.
-	Stages *StageTimings `json:"stages,omitempty"`
-	Events []Event       `json:"events,omitempty"`
-}
-
-// encodeRecord builds the archive envelope for a record. The live
-// Report pointer is process state and is deliberately not encoded; the
-// Renders carry what readers consume.
+// encodeRecord builds the archive envelope for a record: the record's
+// own JSON form is the envelope's Meta. The live Report pointer is
+// process state and is deliberately not encoded; the Renders carry what
+// readers consume.
 func encodeRecord(rec Record) (sim.Envelope, error) {
 	env, err := sim.NewEnvelope(rec.Spec)
 	if err != nil {
@@ -144,16 +121,7 @@ func encodeRecord(rec Record) (sim.Envelope, error) {
 		return sim.Envelope{}, fmt.Errorf("service: record %s claims hash %.12s but its spec hashes to %.12s",
 			rec.ID, rec.SpecHash, env.SpecHash)
 	}
-	meta := recordMeta{
-		ID: rec.ID, Seq: rec.Seq, Tenant: rec.Tenant,
-		Name: rec.Name, Mode: rec.Mode,
-		Policies: rec.Policies, Kinds: rec.Kinds,
-		State: rec.State, Error: rec.Error,
-		Submitted: rec.Submitted, Started: rec.Started, Finished: rec.Finished,
-		CacheHits: rec.CacheHits, CellsDone: rec.CellsDone, CellsTotal: rec.CellsTotal,
-		Stages: rec.Stages, Events: rec.Events,
-	}
-	if env.Meta, err = json.Marshal(meta); err != nil {
+	if env.Meta, err = json.Marshal(rec); err != nil {
 		return sim.Envelope{}, err
 	}
 	env.Renders = rec.Renders
@@ -167,27 +135,17 @@ func encodeRecord(rec Record) (sim.Envelope, error) {
 
 // decodeRecord rebuilds a Record from a verified envelope.
 func decodeRecord(env sim.Envelope) (Record, error) {
-	var meta recordMeta
+	var rec Record
 	if len(env.Meta) == 0 {
 		return Record{}, fmt.Errorf("service: archive envelope carries no run metadata")
 	}
-	if err := json.Unmarshal(env.Meta, &meta); err != nil {
+	if err := json.Unmarshal(env.Meta, &rec); err != nil {
 		return Record{}, fmt.Errorf("service: archive metadata: %w", err)
 	}
-	if meta.ID == "" {
+	if rec.ID == "" {
 		return Record{}, fmt.Errorf("service: archive metadata names no run id")
 	}
-	rec := Record{
-		ID: meta.ID, Seq: meta.Seq, Tenant: meta.Tenant,
-		SpecHash: env.SpecHash, Name: meta.Name, Mode: meta.Mode,
-		Policies: meta.Policies, Kinds: meta.Kinds,
-		State: meta.State, Error: meta.Error,
-		Submitted: meta.Submitted, Started: meta.Started, Finished: meta.Finished,
-		CacheHits: meta.CacheHits, CellsDone: meta.CellsDone, CellsTotal: meta.CellsTotal,
-		Stages: meta.Stages, Events: meta.Events,
-		Spec: env.Spec,
-	}
-	rec.Renders = env.Renders
+	rec.SpecHash, rec.Spec, rec.Renders = env.SpecHash, env.Spec, env.Renders
 	if len(env.Telemetry) > 0 {
 		var snap tsdb.Snapshot
 		if err := json.Unmarshal(env.Telemetry, &snap); err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/service"
-	"repro/internal/service/storetest"
 )
 
 // FuzzParseListFilter pins the list API's parameter handling on
@@ -54,7 +53,7 @@ func FuzzParseListFilter(f *testing.F) {
 		}
 		// An accepted filter must execute: Match on a sample record and
 		// List against a populated store, both without error.
-		rec := storetest.SampleRecord(t, "fuzz", 7)
+		rec := sampleRecord(t, "fuzz", 7)
 		filter.Match(rec)
 		store := service.NewMemStore(0, nil)
 		if err := store.Put(rec); err != nil {

@@ -464,22 +464,9 @@ func (g *Gateway) SubmitTraced(ctx context.Context, tenant TenantConfig, spec si
 	}); apiErr != nil {
 		return RunView{}, false, apiErr
 	}
-	policies, kinds := derivePolicyKinds(norm)
 	r := &gwRun{
-		Record: Record{
-			ID:        fmt.Sprintf("g%06d", g.nextSeq+1),
-			Seq:       g.nextSeq,
-			Tenant:    tenant.Name,
-			SpecHash:  hash,
-			Name:      norm.Name,
-			Mode:      norm.Mode,
-			Policies:  policies,
-			Kinds:     kinds,
-			State:     StateQueued,
-			Submitted: time.Now(),
-			Spec:      norm,
-		},
-		reqID: reqID,
+		Record: newRecord(fmt.Sprintf("g%06d", g.nextSeq+1), g.nextSeq, tenant.Name, hash, norm),
+		reqID:  reqID,
 	}
 	g.nextSeq++
 	g.runs[r.ID] = r

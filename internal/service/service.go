@@ -114,19 +114,13 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// run is the server-side record of one live (queued or running)
-// submission. Terminal runs are retired into the store tiers and no
-// longer live here.
+// run is one live (queued or running) submission: its Record, plus
+// what only a live run has. Terminal runs are retired into the store
+// tiers and no longer live here.
 type run struct {
-	id     string
-	hash   string
-	spec   sim.RunSpec // normalized, sweep pool clamped
-	seq    int         // submission order
-	tenant string
-	// policies/kinds are the spec's derived filter columns, computed
-	// once at submission.
-	policies []string
-	kinds    []string
+	// Record is the run's one row: every view and listing renders from
+	// it, and retire hands it to the store tiers. eventLog.mu guards it.
+	Record
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -137,49 +131,14 @@ type run struct {
 	reqID    string
 	setupDur time.Duration
 
-	eventLog  // state + events; its mu guards the fields below
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	hits      int // deduped identical submissions after the first
-	done      int // finished sweep cells
-	total     int
-	report    *sim.Report
-	// reportJSON caches the json-sink encoding of report, built on the
-	// first view that asks for it — a poll loop on a finished sweep
-	// must not re-serialize hundreds of cells per request.
-	reportJSON []byte
-	errMsg     string
-	// stages is set as the run turns terminal — queued, setup and
-	// execute — and replaced by retire's, render and archive included.
-	stages *StageTimings
+	eventLog // the events retire copies into Record.Events
 }
 
-// recordLocked builds the run's Record — the one row shape every view,
-// listing and store tier renders from — out of its current fields; r.mu
-// must be held. Heavy payloads (events copy, report, renders, telemetry)
-// are attached by retire.
-func (r *run) recordLocked() Record {
-	return Record{
-		ID:         r.id,
-		Seq:        r.seq,
-		Tenant:     r.tenant,
-		SpecHash:   r.hash,
-		Name:       r.spec.Name,
-		Mode:       r.spec.Mode,
-		Policies:   r.policies,
-		Kinds:      r.kinds,
-		State:      r.state,
-		Error:      r.errMsg,
-		Submitted:  r.submitted,
-		Started:    r.started,
-		Finished:   r.finished,
-		CacheHits:  r.hits,
-		CellsDone:  r.done,
-		CellsTotal: r.total,
-		Spec:       r.spec,
-		Stages:     r.stages,
-	}
+// current reads the run's state under its lock.
+func (r *run) current() State {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.State
 }
 
 // Stats are the server-wide counters the cache-hit story is measured
@@ -394,7 +353,7 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	// A fresh execution: this is the submission quotas bill.
 	if apiErr := overQuota(s.cfg.Auth, tenant, func() (live int) {
 		for _, r := range s.runs {
-			if r.tenant == tenant.Name && !r.current().Terminal() {
+			if r.Tenant == tenant.Name && !r.current().Terminal() {
 				live++
 			}
 		}
@@ -403,24 +362,16 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 		return RunView{}, false, apiErr
 	}
 
-	policies, kinds := derivePolicyKinds(norm)
 	runCtx, cancel := context.WithCancel(s.baseCtx)
 	r := &run{
-		id:        fmt.Sprintf("r%06d", s.nextSeq+1),
-		hash:      hash,
-		spec:      norm,
-		seq:       s.nextSeq,
-		tenant:    tenant.Name,
-		policies:  policies,
-		kinds:     kinds,
-		ctx:       runCtx,
-		cancel:    cancel,
-		reqID:     reqID,
-		setupDur:  setupDur,
-		submitted: time.Now(),
+		Record:   newRecord(fmt.Sprintf("r%06d", s.nextSeq+1), s.nextSeq, tenant.Name, hash, norm),
+		ctx:      runCtx,
+		cancel:   cancel,
+		reqID:    reqID,
+		setupDur: setupDur,
 	}
 	s.nextSeq++
-	r.init(StateQueued)
+	r.init()
 	// The queued event lands before the run is visible to any worker,
 	// so the event log always starts queued -> started.
 	r.mu.Lock()
@@ -431,15 +382,15 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	// through s.runs, and s.mu (held here) keeps it from looking before
 	// the maps are consistent. A refused enqueue unwinds the
 	// registration — the run was never accepted.
-	s.runs[r.id] = r
+	s.runs[r.ID] = r
 	s.byHash[hash] = r
-	if err := s.sched.Enqueue(r.id); err != nil {
-		delete(s.runs, r.id)
+	if err := s.sched.Enqueue(r.ID); err != nil {
+		delete(s.runs, r.ID)
 		delete(s.byHash, hash)
 		cancel()
 		return RunView{}, false, errEnqueue(err, s.cfg.QueueDepth)
 	}
-	s.log.Info("run queued", "run", r.id, "hash", hash[:12], "tenant", tenant.Name,
+	s.log.Info("run queued", "run", r.ID, "hash", hash[:12], "tenant", tenant.Name,
 		"mode", string(norm.Mode), "request_id", reqID)
 	return v, false, nil
 }
@@ -451,9 +402,8 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 func (s *Server) cacheHitLocked(hash, reqID string) (RunView, bool) {
 	if prev := s.byHash[hash]; prev != nil {
 		prev.mu.Lock()
-		st := prev.state
-		if st != StateFailed && st != StateCancelled {
-			prev.hits++
+		if st := prev.State; st != StateFailed && st != StateCancelled {
+			prev.CacheHits++
 			s.cacheHits++
 			s.met.tierLive.Inc()
 			v := prev.viewLocked(false, false)
@@ -516,17 +466,20 @@ func (s *Server) storeMeta(id string) (Record, bool) {
 // lands between the count copy and the put.
 func (s *Server) retire(r *run) {
 	r.mu.Lock()
-	rec := r.recordLocked()
+	rec := r.Record
 	rec.Events = append([]Event(nil), r.events...)
-	rec.Report = r.report
 	r.mu.Unlock()
 
 	renderStart := time.Now()
 	if rec.Report != nil {
 		rec.Renders = renderAll(*rec.Report)
+		// Views of the still-live run serve these from now on.
+		r.mu.Lock()
+		r.Renders = rec.Renders
+		r.mu.Unlock()
 	}
 	renderDur := time.Since(renderStart)
-	if rs := s.tsdb.Lookup(r.id); rs != nil {
+	if rs := s.tsdb.Lookup(r.ID); rs != nil {
 		rec.Telemetry = rs.Snapshot()
 	}
 	rec.Stages = r.stageTimings(rec, renderDur)
@@ -554,7 +507,7 @@ func (s *Server) retire(r *run) {
 			s.mu.Lock()
 			s.archiveErrs++
 			s.mu.Unlock()
-			s.log.Warn("archive write failed", "run", r.id, "error", err,
+			s.log.Warn("archive write failed", "run", r.ID, "error", err,
 				"request_id", r.reqID)
 		}
 	}
@@ -562,13 +515,13 @@ func (s *Server) retire(r *run) {
 
 	s.mu.Lock()
 	r.mu.Lock()
-	rec.CacheHits = r.hits
-	r.stages = rec.Stages
+	rec.CacheHits = r.CacheHits
+	r.Stages = rec.Stages
 	r.mu.Unlock()
-	if s.runs[r.id] == r {
-		delete(s.runs, r.id)
-		if s.byHash[r.hash] == r {
-			delete(s.byHash, r.hash)
+	if s.runs[r.ID] == r {
+		delete(s.runs, r.ID)
+		if s.byHash[r.SpecHash] == r {
+			delete(s.byHash, r.SpecHash)
 		}
 	}
 	putErr := s.store.Put(rec)
@@ -626,7 +579,7 @@ func (s *Server) GetAs(tenant TenantConfig, id string, withReport bool) (RunView
 	r := s.runs[id]
 	s.mu.Unlock()
 	if r != nil {
-		if !owns(s.cfg.Auth, tenant, r.tenant) {
+		if !owns(s.cfg.Auth, tenant, r.Tenant) {
 			return RunView{}, errUnknownRun(id)
 		}
 		r.mu.Lock()
@@ -652,7 +605,7 @@ func (s *Server) owner(id string) (string, bool) {
 	r := s.runs[id]
 	s.mu.Unlock()
 	if r != nil {
-		return r.tenant, true
+		return r.Tenant, true
 	}
 	rec, ok := s.storeMeta(id)
 	return rec.Tenant, ok
@@ -680,7 +633,7 @@ func (s *Server) RenderReport(id, format string, opt sim.SinkOptions, w io.Write
 	s.mu.Unlock()
 	if r != nil {
 		r.mu.Lock()
-		state, rep, errMsg := r.state, r.report, r.errMsg
+		state, rep, errMsg := r.State, r.Report, r.Error
 		r.mu.Unlock()
 		if !state.Terminal() {
 			return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s is %s; report not ready", id, state)}
@@ -722,7 +675,7 @@ func (s *Server) List(f ListFilter) ([]RunView, string, error) {
 	s.mu.Lock()
 	for _, r := range s.runs {
 		r.mu.Lock()
-		rec := r.recordLocked()
+		rec := r.Record
 		r.mu.Unlock()
 		records = append(records, rec)
 		seen[rec.ID] = true
@@ -767,7 +720,7 @@ func (s *Server) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 		}
 		return RunView{}, errUnknownRun(id)
 	}
-	if !owns(s.cfg.Auth, tenant, r.tenant) {
+	if !owns(s.cfg.Auth, tenant, r.Tenant) {
 		return RunView{}, errUnknownRun(id)
 	}
 	return s.cancel(r, context.Canceled.Error()), nil
@@ -780,12 +733,12 @@ func (s *Server) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 func (s *Server) cancel(r *run, msg string) RunView {
 	r.cancel()
 	r.mu.Lock()
-	queued := r.state == StateQueued
+	queued := r.State == StateQueued
 	if queued {
-		r.state = StateCancelled
-		r.finished = time.Now()
-		r.errMsg = msg
-		r.stages = r.stageTimings(r.recordLocked(), 0)
+		r.State = StateCancelled
+		r.Finished = time.Now()
+		r.Error = msg
+		r.Stages = r.stageTimings(r.Record, 0)
 		r.appendLocked("cancelled", Event{Error: msg})
 	}
 	v := r.viewLocked(false, false)
@@ -826,66 +779,66 @@ func (s *Server) execute(r *run) {
 	// over, or a long-lived daemon leaks one context per finished run.
 	defer r.cancel()
 	r.mu.Lock()
-	if r.state != StateQueued {
+	if r.State != StateQueued {
 		r.mu.Unlock()
 		return // cancelled while queued (that path retires the run)
 	}
-	r.state = StateRunning
-	r.started = time.Now()
-	wait := r.started.Sub(r.submitted)
+	r.State = StateRunning
+	r.Started = time.Now()
+	wait := r.Started.Sub(r.Submitted)
 	r.appendLocked("started", Event{})
 	r.mu.Unlock()
 
 	s.met.schedWait.Observe(wait.Seconds())
-	s.log.Debug("run started", "run", r.id, "wait", wait.Round(time.Microsecond),
+	s.log.Debug("run started", "run", r.ID, "wait", wait.Round(time.Microsecond),
 		"request_id", r.reqID)
 
 	s.mu.Lock()
 	s.executions++
 	s.mu.Unlock()
 
-	rep, err := sim.RunObserved(r.ctx, r.spec, s.progressFn(r), s.observeFn(r))
+	rep, err := sim.RunObserved(r.ctx, r.Spec, s.progressFn(r), s.observeFn(r))
 
 	r.mu.Lock()
-	r.finished = time.Now()
+	r.Finished = time.Now()
 	if rep.Single != nil || rep.Table != nil || rep.FederationTable != nil {
-		r.report = &rep
+		r.Report = &rep
 	}
 	// A terminal view always carries stage timings: what is known now —
 	// queued, setup, execute — goes in with the state; retire adds the
 	// render and the archive write.
-	r.stages = r.stageTimings(r.recordLocked(), 0)
+	r.Stages = r.stageTimings(r.Record, 0)
 	ctxErr := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	// A cancellation that raced in after every cell completed leaves a
 	// ctx error but an error-free report — the work is all there, so
 	// classify by the result, not the race: only an *incomplete* run is
 	// cancelled (the sweep pools stamp ctx.Err() into unrun cells, so
 	// completeness is exactly "payload present, no cell errors").
-	complete := r.report != nil && len(rep.Errs()) == 0
+	complete := r.Report != nil && len(rep.Errs()) == 0
 	switch {
 	case ctxErr && !complete:
-		r.state = StateCancelled
-		r.errMsg = err.Error()
-		r.appendLocked("cancelled", Event{Error: r.errMsg})
+		r.State = StateCancelled
+		r.Error = err.Error()
+		r.appendLocked("cancelled", Event{Error: r.Error})
 	case err != nil && !ctxErr:
-		r.state = StateFailed
-		r.errMsg = err.Error()
-		r.appendLocked("failed", Event{Error: r.errMsg})
+		r.State = StateFailed
+		r.Error = err.Error()
+		r.appendLocked("failed", Event{Error: r.Error})
 	default:
-		r.state = StateDone
+		r.State = StateDone
 		if errs := rep.Errs(); len(errs) > 0 {
 			// Cell-level failures keep the run inspectable but mark it
 			// failed: a cached result must never silently hide errors.
-			r.state = StateFailed
-			r.errMsg = errs[0].Error()
-			r.appendLocked("failed", Event{Error: r.errMsg})
+			r.State = StateFailed
+			r.Error = errs[0].Error()
+			r.appendLocked("failed", Event{Error: r.Error})
 		} else {
-			r.appendLocked("done", Event{Done: r.done, Total: r.total})
+			r.appendLocked("done", Event{Done: r.CellsDone, Total: r.CellsTotal})
 		}
 	}
-	state, errMsg, elapsed := r.state, r.errMsg, r.finished.Sub(r.started)
+	state, errMsg, elapsed := r.State, r.Error, r.Finished.Sub(r.Started)
 	r.mu.Unlock()
-	s.log.Info("run finished", "run", r.id, "state", string(state),
+	s.log.Info("run finished", "run", r.ID, "state", string(state),
 		"elapsed", elapsed.Round(time.Millisecond), "error", errMsg,
 		"request_id", r.reqID)
 	s.retire(r)
@@ -899,7 +852,7 @@ func (s *Server) progressFn(r *run) sim.Progress {
 			e.Error = err.Error()
 		}
 		r.mu.Lock()
-		r.done, r.total = done, total
+		r.CellsDone, r.CellsTotal = done, total
 		r.appendLocked("cell", e)
 		r.mu.Unlock()
 	}
@@ -916,8 +869,8 @@ func (s *Server) progressFn(r *run) sim.Progress {
 // order follows pool scheduling, so the suffixes are stable only for
 // deterministic label sets; deduped telemetry beats dropped telemetry).
 func (s *Server) observeFn(r *run) sim.Observer {
-	rs := s.tsdb.Run(r.id)
-	single := r.spec.Mode == sim.ModeSingle
+	rs := s.tsdb.Run(r.ID)
+	single := r.Spec.Mode == sim.ModeSingle
 	var (
 		mu   sync.Mutex
 		seen = map[string]int{}
@@ -988,7 +941,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	sort.Slice(queued, func(i, j int) bool { return queued[i].seq < queued[j].seq })
+	sort.Slice(queued, func(i, j int) bool { return queued[i].Seq < queued[j].Seq })
 	for _, r := range queued {
 		s.cancel(r, "service: shut down before the run started")
 	}

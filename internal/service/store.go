@@ -13,58 +13,63 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Record is one completed run as the persistence layer stores it: the
-// normalized spec with its content address, the lifecycle metadata and
-// event log, the report rendered through every sink, and the
-// downsampled telemetry snapshot. Policies and Kinds are derived from
-// the spec at record-build time so list filters match without
-// re-walking spec structure per request.
+// Record is one run as the service holds it: the normalized spec with
+// its content address, the lifecycle metadata and event log, the report
+// rendered through every sink, and the downsampled telemetry snapshot.
+// A live daemon run embeds one (the gateway's routing entry too), the
+// store tiers keep completed ones, and every view and listing renders
+// from it. Policies and Kinds are derived from the spec at submission
+// so list filters match without re-walking spec structure per request.
 //
+// The JSON form is the archive envelope's run metadata. The envelope
+// carries the spec, its hash, the renders and the telemetry itself, and
 // Report is process-local: it embeds live engine state and is carried
-// only by in-memory stores (the filesystem archive drops it and serves
-// Renders instead). Everything else round-trips through the archive
-// envelope.
+// only by in-memory stores (the filesystem archive serves Renders
+// instead).
 type Record struct {
-	ID     string
-	Seq    int
-	Tenant string
+	ID     string `json:"id"`
+	Seq    int    `json:"seq"`
+	Tenant string `json:"tenant,omitempty"`
 
-	SpecHash string
-	Name     string
-	Mode     sim.Mode
+	SpecHash string   `json:"-"`
+	Name     string   `json:"name,omitempty"`
+	Mode     sim.Mode `json:"mode"`
 	// Policies/Kinds are the canonical policy and workload-kind names
 	// the spec touches (spec-level axes plus explicit cells), sorted.
-	Policies []string
-	Kinds    []string
+	Policies []string `json:"policies,omitempty"`
+	Kinds    []string `json:"kinds,omitempty"`
 
-	State State
-	Error string
+	State State  `json:"state"`
+	Error string `json:"error,omitempty"`
 
-	Submitted time.Time
-	Started   time.Time
-	Finished  time.Time
+	Submitted time.Time `json:"submitted_at"`
+	Started   time.Time `json:"started_at,omitempty"`
+	Finished  time.Time `json:"finished_at,omitempty"`
 
-	CacheHits  int
-	CellsDone  int
-	CellsTotal int
+	CacheHits  int `json:"cache_hits"`
+	CellsDone  int `json:"cells_done"`
+	CellsTotal int `json:"cells_total"`
 
-	// Stages breaks the run's wall-clock into pipeline stages; set when
-	// the run retires (nil for runs archived before stage timing
-	// existed).
-	Stages *StageTimings
+	// Stages breaks the run's wall-clock into pipeline stages; set as
+	// the run turns terminal and again as it retires (nil for runs
+	// archived before stage timing existed).
+	Stages *StageTimings `json:"stages,omitempty"`
 
-	Events []Event
-	Spec   sim.RunSpec
+	// Events is the run's event log; a live run keeps it in its
+	// eventLog and copies it in as it retires.
+	Events []Event     `json:"events,omitempty"`
+	Spec   sim.RunSpec `json:"-"`
 
 	// Renders maps sink names to the rendered report (nil for runs that
-	// produced none).
-	Renders map[string][]byte
+	// produced none). A live run holds them from the moment retire has
+	// rendered them.
+	Renders map[string][]byte `json:"-"`
 	// Telemetry is the run's downsampled telemetry snapshot.
-	Telemetry *tsdb.Snapshot
+	Telemetry *tsdb.Snapshot `json:"-"`
 
 	// Report is the live report of a run completed in this process;
 	// never persisted.
-	Report *sim.Report
+	Report *sim.Report `json:"-"`
 }
 
 // light returns the record stripped to its list-view metadata — the
@@ -245,8 +250,8 @@ func pageRecords(records []Record, f ListFilter) ([]Record, string, error) {
 // are Put once terminal and served from the store from then on. Two
 // implementations ship — the in-memory store the daemon always fronts
 // with, and the filesystem archive that survives restarts — and any
-// future backend (sqlite, badger, ...) must pass the storetest
-// conformance suite, which pins these semantics:
+// future backend (sqlite, badger, ...) must pass the conformance suite
+// in store_conformance_test.go, which pins these semantics:
 //
 //   - Put upserts by spec hash: at most one record per hash (the result
 //     cache invariant); re-putting a hash replaces the prior record and
@@ -430,6 +435,25 @@ func (m *MemStore) MaxSeq() (int, error) {
 
 // Close releases the store (a no-op for memory).
 func (m *MemStore) Close() error { return nil }
+
+// newRecord is the row of a fresh submission of the normalized spec,
+// queued now.
+func newRecord(id string, seq int, tenant, hash string, spec sim.RunSpec) Record {
+	policies, kinds := derivePolicyKinds(spec)
+	return Record{
+		ID:        id,
+		Seq:       seq,
+		Tenant:    tenant,
+		SpecHash:  hash,
+		Name:      spec.Name,
+		Mode:      spec.Mode,
+		Policies:  policies,
+		Kinds:     kinds,
+		State:     StateQueued,
+		Submitted: time.Now(),
+		Spec:      spec,
+	}
+}
 
 // derivePolicyKinds extracts the sorted canonical policy and
 // workload-kind names a normalized spec touches — the derived filter

@@ -1,21 +1,22 @@
-// Package storetest is the cross-backend conformance suite for
-// service.RunStore implementations. Both shipped backends — the
-// in-memory hot tier and the filesystem archive — run the same suite,
-// and any future backend (sqlite, badger, ...) must pass it before the
-// daemon will treat it as a persistence tier: the suite pins exactly
-// the semantics internal/service relies on (one record per spec hash,
-// Seq-ordered listing with cursor pagination, Meta answering an id's
-// listing row, oldest-first eviction that never evicts the record just
-// put, concurrent-put convergence).
+// The cross-backend conformance suite for service.RunStore
+// implementations. Both shipped backends — the in-memory hot tier and
+// the filesystem archive — run the same suite, and any future backend
+// (sqlite, badger, ...) must pass it before the daemon will treat it as
+// a persistence tier: the suite pins exactly the semantics
+// internal/service relies on (one record per spec hash, Seq-ordered
+// listing with cursor pagination, Meta answering an id's listing row,
+// oldest-first eviction that never evicts the record just put,
+// concurrent-put convergence).
 //
-// Usage, from a backend's own test file:
+// A new backend adds its own test to this package:
 //
 //	func TestMyStoreConformance(t *testing.T) {
-//		storetest.Run(t, func(t *testing.T, opt storetest.Options) service.RunStore {
+//		runStoreConformance(t, func(t *testing.T, opt storeOptions) service.RunStore {
 //			return newMyStore(t, opt.MaxRecords)
 //		})
 //	}
-package storetest
+
+package service_test
 
 import (
 	"fmt"
@@ -29,25 +30,25 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Options carry the bounds a conformance subtest wants the store under
-// test constructed with.
-type Options struct {
+// storeOptions carry the bounds a conformance subtest wants the store
+// under test constructed with.
+type storeOptions struct {
 	// MaxRecords caps the store (0 = unbounded).
 	MaxRecords int
 	// MaxAge expires records older than this (0 = keep forever). Only
-	// exercised by RunAgeExpiry; backends without age support skip
+	// exercised by runStoreAgeExpiry; backends without age support skip
 	// that suite.
 	MaxAge time.Duration
 }
 
-// Factory builds a fresh, empty store for one subtest. The factory owns
-// cleanup (use t.Cleanup); the suite still calls Close and expects it
-// to succeed.
-type Factory func(t *testing.T, opt Options) service.RunStore
+// storeFactory builds a fresh, empty store for one subtest. The factory
+// owns cleanup (use t.Cleanup); the suite still calls Close and expects
+// it to succeed.
+type storeFactory func(t *testing.T, opt storeOptions) service.RunStore
 
-// Run exercises the full conformance suite against the factory's
-// stores.
-func Run(t *testing.T, factory Factory) {
+// runStoreConformance exercises the full conformance suite against the
+// factory's stores.
+func runStoreConformance(t *testing.T, factory storeFactory) {
 	t.Run("PutGetRoundtrip", func(t *testing.T) { testRoundtrip(t, factory) })
 	t.Run("UpsertByHash", func(t *testing.T) { testUpsert(t, factory) })
 	t.Run("MetaIsTheListRow", func(t *testing.T) { testMeta(t, factory) })
@@ -58,30 +59,30 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("LenMaxSeq", func(t *testing.T) { testLenMaxSeq(t, factory) })
 }
 
-// RunAgeExpiry exercises the optional age-bound contract: records
+// runStoreAgeExpiry exercises the optional age-bound contract: records
 // whose Finished time (Submitted when never finished) is older than
-// Options.MaxAge are expired by later puts, and the record a Put just
-// wrote is never its own victim. Backends
-// without age support don't call this.
-func RunAgeExpiry(t *testing.T, factory Factory) {
+// storeOptions.MaxAge are expired by later puts, and the record a Put
+// just wrote is never its own victim. Backends without age support
+// don't call this.
+func runStoreAgeExpiry(t *testing.T, factory storeFactory) {
 	t.Run("ExpiredByLaterPut", func(t *testing.T) {
-		st := factory(t, Options{MaxAge: 30 * 24 * time.Hour})
+		st := factory(t, storeOptions{MaxAge: 30 * 24 * time.Hour})
 
 		// The suite's base timestamps (January 2026) are far past any
 		// reasonable MaxAge; stale carries them as-is.
-		stale := record(t, "age-stale", 0)
+		stale := sampleRecord(t, "age-stale", 0)
 		mustPut(t, st, stale)
 		if _, ok, _ := st.Get(stale.ID); !ok {
 			t.Fatal("record expired by its own put")
 		}
 
 		// A record that never finished ages from Submitted.
-		unfinished := record(t, "age-unfinished", 1)
+		unfinished := sampleRecord(t, "age-unfinished", 1)
 		unfinished.State = service.StateFailed
 		unfinished.Finished = time.Time{}
 		mustPut(t, st, unfinished)
 
-		fresh := record(t, "age-fresh", 2)
+		fresh := sampleRecord(t, "age-fresh", 2)
 		fresh.Submitted = time.Now()
 		fresh.Started = fresh.Submitted
 		fresh.Finished = fresh.Submitted
@@ -100,19 +101,19 @@ func RunAgeExpiry(t *testing.T, factory Factory) {
 		}
 	})
 	t.Run("UnboundedKeepsEverything", func(t *testing.T) {
-		st := factory(t, Options{})
-		old := record(t, "age-forever", 0)
+		st := factory(t, storeOptions{})
+		old := sampleRecord(t, "age-forever", 0)
 		mustPut(t, st, old)
-		mustPut(t, st, record(t, "age-forever-2", 1))
+		mustPut(t, st, sampleRecord(t, "age-forever-2", 1))
 		if n, _ := st.Len(); n != 2 {
 			t.Errorf("MaxAge 0 expired records: Len = %d, want 2", n)
 		}
 	})
 }
 
-// spec builds a distinct valid normalized spec per name; distinct names
+// sampleSpec builds a distinct valid normalized spec per name; distinct names
 // hash differently, which is what gives each record its own address.
-func spec(name string) sim.RunSpec {
+func sampleSpec(name string) sim.RunSpec {
 	return sim.RunSpec{
 		Name:         name,
 		Workload:     sim.WorkloadSpec{Kind: "smalljob", Seed: 42, DurationSec: 3600},
@@ -122,20 +123,12 @@ func spec(name string) sim.RunSpec {
 	}.Normalize()
 }
 
-// SampleRecord builds a well-formed stored-run record for the named
-// spec at the given sequence number — exported so backend test files
-// can pin backend-specific behavior (reopen, corruption) on the same
-// shape the suite uses.
-func SampleRecord(t *testing.T, name string, seq int) service.Record {
+// sampleRecord builds a well-formed stored-run record for the named
+// spec at the given sequence number — the shape the suite stores, also
+// used by the backends' own tests (reopen, corruption).
+func sampleRecord(t *testing.T, name string, seq int) service.Record {
 	t.Helper()
-	return record(t, name, seq)
-}
-
-// record builds a stored-run record for the named spec at the given
-// sequence number.
-func record(t *testing.T, name string, seq int) service.Record {
-	t.Helper()
-	sp := spec(name)
+	sp := sampleSpec(name)
 	hash, err := sim.SpecHash(sp)
 	if err != nil {
 		t.Fatalf("hashing spec %q: %v", name, err)
@@ -174,9 +167,9 @@ func mustPut(t *testing.T, st service.RunStore, rec service.Record) {
 	}
 }
 
-func testRoundtrip(t *testing.T, factory Factory) {
-	st := factory(t, Options{})
-	rec := record(t, "roundtrip", 0)
+func testRoundtrip(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{})
+	rec := sampleRecord(t, "roundtrip", 0)
 	mustPut(t, st, rec)
 
 	for _, lookup := range []struct {
@@ -221,15 +214,15 @@ func testRoundtrip(t *testing.T, factory Factory) {
 	}
 }
 
-func testUpsert(t *testing.T, factory Factory) {
-	st := factory(t, Options{})
+func testUpsert(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{})
 
-	first := record(t, "upsert", 0)
+	first := sampleRecord(t, "upsert", 0)
 	mustPut(t, st, first)
 
 	// Same spec hash, new run id: the replacement wins and the old id is
 	// retired — the store holds at most one record per hash.
-	second := record(t, "upsert", 5)
+	second := sampleRecord(t, "upsert", 5)
 	second.CacheHits = 99
 	mustPut(t, st, second)
 
@@ -263,9 +256,9 @@ func testUpsert(t *testing.T, factory Factory) {
 
 // testMeta pins Meta as the one-id form of List: the same metadata-only
 // row, resolvable exactly while the id is stored.
-func testMeta(t *testing.T, factory Factory) {
-	st := factory(t, Options{})
-	a, b := record(t, "meta-a", 0), record(t, "meta-b", 1)
+func testMeta(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{})
+	a, b := sampleRecord(t, "meta-a", 0), sampleRecord(t, "meta-b", 1)
 	for _, rec := range []*service.Record{&a, &b} {
 		// Heavy payloads Meta must strip (a durable store drops the live
 		// Report on its own).
@@ -300,7 +293,7 @@ func testMeta(t *testing.T, factory Factory) {
 	}
 
 	// Upsert by hash: the replaced id goes, the new one resolves.
-	replacement := record(t, "meta-b", 7)
+	replacement := sampleRecord(t, "meta-b", 7)
 	mustPut(t, st, replacement)
 	if _, ok, err := st.Meta(b.ID); err != nil || ok {
 		t.Errorf("Meta(replaced %s) = ok:%v err:%v, want miss", b.ID, ok, err)
@@ -311,11 +304,11 @@ func testMeta(t *testing.T, factory Factory) {
 	checkRows("after upsert")
 }
 
-func testListFilters(t *testing.T, factory Factory) {
-	st := factory(t, Options{})
+func testListFilters(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{})
 	recs := make([]service.Record, 6)
 	for i := range recs {
-		recs[i] = record(t, fmt.Sprintf("list-%d", i), i)
+		recs[i] = sampleRecord(t, fmt.Sprintf("list-%d", i), i)
 	}
 	recs[1].State = service.StateFailed
 	recs[2].Tenant = "tenant-b"
@@ -379,11 +372,11 @@ func ids(recs ...service.Record) []string {
 	return out
 }
 
-func testPagination(t *testing.T, factory Factory) {
-	st := factory(t, Options{})
+func testPagination(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{})
 	const n = 7
 	for i := 0; i < n; i++ {
-		mustPut(t, st, record(t, fmt.Sprintf("page-%d", i), i))
+		mustPut(t, st, sampleRecord(t, fmt.Sprintf("page-%d", i), i))
 	}
 
 	// Walk the listing two records at a time; the pages must tile the
@@ -441,11 +434,11 @@ func testPagination(t *testing.T, factory Factory) {
 	}
 }
 
-func testEviction(t *testing.T, factory Factory) {
-	st := factory(t, Options{MaxRecords: 3})
+func testEviction(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{MaxRecords: 3})
 
 	for i := 0; i < 5; i++ {
-		mustPut(t, st, record(t, fmt.Sprintf("evict-%d", i), i))
+		mustPut(t, st, sampleRecord(t, fmt.Sprintf("evict-%d", i), i))
 		if n, _ := st.Len(); n > 3 {
 			t.Fatalf("after put %d, Len = %d > cap 3", i, n)
 		}
@@ -463,15 +456,15 @@ func testEviction(t *testing.T, factory Factory) {
 	}
 	// The record just put is never the victim, even when it is the
 	// oldest in the store.
-	mustPut(t, st, record(t, "evict-late", 0))
+	mustPut(t, st, sampleRecord(t, "evict-late", 0))
 	if _, ok, _ := st.Get("r000001"); !ok {
 		t.Error("record just put was evicted by its own put")
 	}
 }
 
-func testConcurrent(t *testing.T, factory Factory) {
-	st := factory(t, Options{})
-	rec := record(t, "concurrent", 0)
+func testConcurrent(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{})
+	rec := sampleRecord(t, "concurrent", 0)
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -499,8 +492,8 @@ func testConcurrent(t *testing.T, factory Factory) {
 	}
 }
 
-func testLenMaxSeq(t *testing.T, factory Factory) {
-	st := factory(t, Options{})
+func testLenMaxSeq(t *testing.T, factory storeFactory) {
+	st := factory(t, storeOptions{})
 	if max, err := st.MaxSeq(); err != nil || max != -1 {
 		t.Errorf("empty MaxSeq = %d, %v; want -1", max, err)
 	}
@@ -508,8 +501,8 @@ func testLenMaxSeq(t *testing.T, factory Factory) {
 		t.Errorf("empty Len = %d, %v", n, err)
 	}
 
-	mustPut(t, st, record(t, "seq-a", 3))
-	mustPut(t, st, record(t, "seq-b", 8))
+	mustPut(t, st, sampleRecord(t, "seq-a", 3))
+	mustPut(t, st, sampleRecord(t, "seq-b", 8))
 	if max, _ := st.MaxSeq(); max != 8 {
 		t.Errorf("MaxSeq = %d, want 8", max)
 	}

@@ -12,13 +12,12 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/service/storetest"
 	"repro/internal/sim"
 )
 
 // TestMemStoreConformance runs the cross-backend suite on the hot tier.
 func TestMemStoreConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T, opt storetest.Options) service.RunStore {
+	runStoreConformance(t, func(t *testing.T, opt storeOptions) service.RunStore {
 		return service.NewMemStore(opt.MaxRecords, nil)
 	})
 }
@@ -37,9 +36,9 @@ func TestMemStoreEvictHook(t *testing.T) {
 		}
 	}
 
-	first := storetest.SampleRecord(t, "upsert", 0)
+	first := sampleRecord(t, "upsert", 0)
 	put(first)
-	second := storetest.SampleRecord(t, "upsert", 5)
+	second := sampleRecord(t, "upsert", 5)
 	put(second)
 	if !reflect.DeepEqual(evicted, []string{first.ID}) {
 		t.Fatalf("replacing put: hook saw %v, want exactly the replaced record %s", evicted, first.ID)
@@ -52,7 +51,7 @@ func TestMemStoreEvictHook(t *testing.T) {
 
 	evicted = nil
 	for i := 0; i < 4; i++ {
-		put(storetest.SampleRecord(t, fmt.Sprintf("evict-%d", i), 10+i))
+		put(sampleRecord(t, fmt.Sprintf("evict-%d", i), 10+i))
 	}
 	if want := []string{second.ID, "r000011"}; !reflect.DeepEqual(evicted, want) {
 		t.Errorf("capacity evictions: hook saw %v, want oldest-first %v", evicted, want)
@@ -62,10 +61,10 @@ func TestMemStoreEvictHook(t *testing.T) {
 // TestFSStoreConformance runs the same suite on the filesystem archive:
 // identical semantics, durable medium.
 func TestFSStoreConformance(t *testing.T) {
-	storetest.Run(t, fsFactory)
+	runStoreConformance(t, fsFactory)
 }
 
-func fsFactory(t *testing.T, opt storetest.Options) service.RunStore {
+func fsFactory(t *testing.T, opt storeOptions) service.RunStore {
 	st, err := service.OpenFSStore(t.TempDir(), service.FSOptions{
 		MaxRecords: opt.MaxRecords,
 		MaxAge:     opt.MaxAge,
@@ -79,7 +78,7 @@ func fsFactory(t *testing.T, opt storetest.Options) service.RunStore {
 // TestFSStoreAgeExpiry runs the optional age-bound suite on the
 // archive (the only shipped backend with an age sweep).
 func TestFSStoreAgeExpiry(t *testing.T) {
-	storetest.RunAgeExpiry(t, fsFactory)
+	runStoreAgeExpiry(t, fsFactory)
 }
 
 // TestFSStoreAgeSweepAtOpen pins the boot-time half of the age bound:
@@ -91,8 +90,8 @@ func TestFSStoreAgeSweepAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := storetest.SampleRecord(t, "open-stale", 0) // January 2026 timestamps
-	fresh := storetest.SampleRecord(t, "open-fresh", 1)
+	stale := sampleRecord(t, "open-stale", 0) // January 2026 timestamps
+	fresh := sampleRecord(t, "open-fresh", 1)
 	fresh.Submitted = time.Now()
 	fresh.Started = fresh.Submitted
 	fresh.Finished = fresh.Submitted
@@ -130,7 +129,7 @@ func TestFSStoreReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := storetest.SampleRecord(t, "reopen", 41)
+	rec := sampleRecord(t, "reopen", 41)
 	if err := first.Put(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestFSStoreMetaReadsNoFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := storetest.SampleRecord(t, "meta-no-file", 3)
+	rec := sampleRecord(t, "meta-no-file", 3)
 	if err := st.Put(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +259,11 @@ func TestFSStoreCorruptFileSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := storetest.SampleRecord(t, "survivor", 0)
+	good := sampleRecord(t, "survivor", 0)
 	if err := st.Put(good); err != nil {
 		t.Fatal(err)
 	}
-	bad := storetest.SampleRecord(t, "corrupted", 1)
+	bad := sampleRecord(t, "corrupted", 1)
 	if err := st.Put(bad); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,8 @@ type twinRun struct {
 	session *twin.Session
 	cancel  context.CancelFunc
 
-	eventLog  // state + events; its mu guards the fields below
+	eventLog  // its mu guards the fields below
+	state     State
 	errMsg    string
 	submitted time.Time
 	finished  time.Time
@@ -57,6 +58,13 @@ type TwinView struct {
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
+}
+
+// current reads the twin's state under its lock.
+func (t *twinRun) current() State {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state
 }
 
 // view renders the twin; full attaches the spec and mutation log (the
@@ -129,8 +137,8 @@ func (s *Server) StartTwinAs(tenant TenantConfig, spec twin.Spec) (TwinView, err
 	s.nextTwinSeq++
 	s.twinMu.Unlock()
 
-	t := &twinRun{id: id, seq: seq, tenant: tenant.Name, submitted: time.Now()}
-	t.init(StateRunning)
+	t := &twinRun{id: id, seq: seq, tenant: tenant.Name, state: StateRunning, submitted: time.Now()}
+	t.init()
 	sink := s.tsdb.Run(id)
 	session, err := twin.New(spec, twin.Config{
 		Sink: sink,

@@ -72,28 +72,17 @@ func (v RunView) Terminal() bool { return v.State.Terminal() }
 
 // viewLocked renders the run; r.mu must be held. withSpec embeds the
 // full normalized spec (the single-run GET), withReport the encoded
-// report payload — present only between execution and retirement, while
-// the run is terminal but still live.
+// report payload — present only once the run is terminal.
 func (r *run) viewLocked(withReport, withSpec bool) RunView {
-	v := viewFromRecord(r.recordLocked(), time.Now(), false, withSpec)
-	if withReport && r.report != nil {
-		if r.reportJSON == nil {
-			var buf bytes.Buffer
-			if err := sim.Export(&buf, "json", *r.report, sim.SinkOptions{}); err == nil {
-				r.reportJSON = buf.Bytes()
-			}
-		}
-		v.Report = json.RawMessage(r.reportJSON)
-	}
-	return v
+	return viewFromRecord(r.Record, time.Now(), withReport, withSpec)
 }
 
 // viewFromRecord is the one Record -> RunView renderer: live daemon
 // runs, gateway routing entries and stored records all render through
 // it, so clients cannot tell which tier (or which front) answered. now
 // closes the elapsed-time interval of a run still executing. The report
-// payload comes from the stored json rendering when present, else is
-// rendered from the hot tier's live Report.
+// payload comes from the json rendering when present (stored, or cached
+// on a live run as it retires), else is rendered from the live Report.
 func viewFromRecord(rec Record, now time.Time, withReport, withSpec bool) RunView {
 	v := RunView{
 		ID:          rec.ID,

@@ -48,7 +48,7 @@ import (
 
 const (
 	apiModule       = "repro"
-	apiAllowListMax = 15
+	apiAllowListMax = 12
 )
 
 // stdlibInterfaces are the standard-library interfaces whose methods
@@ -388,9 +388,10 @@ func apiAudit(files []srcFile, allow map[string]string) (apiReport, error) {
 	return m.audit(allow)
 }
 
-// repoAudit loads the repository and the allow-list and runs both scans
-// once per test binary; each test reports its share.
-var repoAudit = sync.OnceValues(func() (apiReport, error) {
+// repoSources reads every .go file of the repository (test files and
+// the bench/ module included; testdata and dot directories skipped)
+// once per test binary.
+var repoSources = sync.OnceValues(func() ([]srcFile, error) {
 	var files []srcFile
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -412,6 +413,23 @@ var repoAudit = sync.OnceValues(func() (apiReport, error) {
 		files = append(files, srcFile{filepath.ToSlash(p), src})
 		return nil
 	})
+	return files, err
+})
+
+// repoModule type-checks the repository's non-test code once per test
+// binary; the API audit and the architecture name check share it.
+var repoModule = sync.OnceValues(func() (*module, error) {
+	files, err := repoSources()
+	if err != nil {
+		return nil, err
+	}
+	return loadModule(files)
+})
+
+// repoAudit runs both scans against the allow-list once per test
+// binary; each test reports its share.
+var repoAudit = sync.OnceValues(func() (apiReport, error) {
+	m, err := repoModule()
 	if err != nil {
 		return apiReport{}, err
 	}
@@ -419,7 +437,7 @@ var repoAudit = sync.OnceValues(func() (apiReport, error) {
 	if err != nil {
 		return apiReport{}, err
 	}
-	return apiAudit(files, allow)
+	return m.audit(allow)
 })
 
 func readAllowList() (map[string]string, error) {

@@ -12,7 +12,9 @@ import (
 
 // BENCH_e2e.json is the committed performance trajectory: one row per
 // set of alternating parent/change pairs (bench/run.sh, one workload),
-// or per set of tier-1 wall-time pairs. A row records what was measured
+// per set of pairs of one commit against itself (the box's noise floor
+// on that workload), or per set of tier-1 wall-time pairs. A row records
+// what was measured
 // — medians and quartiles per metric, how many pairs the change won —
 // and never a ratio: ratios are computed from the medians, here.
 type trajectory struct {
@@ -25,7 +27,7 @@ type trajectory struct {
 
 type trajectoryRow struct {
 	PR          int    `json:"pr"`
-	Kind        string `json:"kind"` // "pairs" or "tier1_wall"
+	Kind        string `json:"kind"` // "pairs", "noise" or "tier1_wall"
 	FromChanges bool   `json:"from_changes"`
 	// StartsChain says why the row's parent is no earlier row's change.
 	StartsChain string `json:"starts_chain"`
@@ -61,10 +63,12 @@ type trajectorySide struct {
 // TestBenchTrajectoryChains holds BENCH_e2e.json to its rules: each
 // row's parent is an earlier row's change (through same_code), or an
 // earlier row measured the same two commits, or the row says why it
-// starts a chain; a change-better count never exceeds
-// the pairs; every metric is one BENCHMARK.json names; no row carries a
-// ratio; and every number on a README line citing the file is in it.
-// It logs the ratios, per claim and chained along each workload's rows.
+// starts a chain; a pairs or tier-1 row measures two commits and a noise
+// row one commit against itself, with no claim; a change-better count
+// never exceeds the pairs; every metric is one BENCHMARK.json names; no
+// row carries a ratio; and every number on a README line citing the
+// file is in it. It logs the ratios, per claim and chained along each
+// workload's rows, noise rows left out.
 func TestBenchTrajectoryChains(t *testing.T) {
 	raw, err := os.ReadFile("BENCH_e2e.json")
 	if err != nil {
@@ -86,7 +90,7 @@ func TestBenchTrajectoryChains(t *testing.T) {
 	changes, measured := map[string]bool{}, map[[2]string]bool{}
 	for i, r := range tr.Rows {
 		where := "row " + strconv.Itoa(i) + " (PR " + strconv.Itoa(r.PR) + " " + r.Kind + " " + r.Workload + ")"
-		if r.Parent == "" || r.Change == "" || r.Parent == r.Change || r.Parent == "this" {
+		if r.Parent == "" || r.Change == "" || r.Parent == "this" || (r.Parent == r.Change) != (r.Kind == "noise") {
 			t.Errorf("%s: parent %q, change %q", where, r.Parent, r.Change)
 		}
 		if r.Change == "this" && r.PR != last {
@@ -108,9 +112,12 @@ func TestBenchTrajectoryChains(t *testing.T) {
 			t.Errorf("%s: go %q, cores %d, pairs %d, %d metrics", where, r.Go, r.Cores, r.Pairs, len(r.Metrics))
 		}
 		switch r.Kind {
-		case "pairs":
+		case "pairs", "noise":
 			if !bench.workloads[r.Workload] {
 				t.Errorf("%s: workload %q is not in BENCHMARK.json", where, r.Workload)
+			}
+			if r.Kind == "noise" && r.Claim != "" {
+				t.Errorf("%s: a noise row claims nothing", where)
 			}
 		case "tier1_wall":
 		default:
@@ -120,7 +127,7 @@ func TestBenchTrajectoryChains(t *testing.T) {
 			t.Errorf("%s: claimed metric %q not measured", where, r.Claim)
 		}
 		for name, m := range r.Metrics {
-			if r.Kind == "pairs" && bench.better[name] == "" || r.Kind == "tier1_wall" && !strings.HasSuffix(name, "_s") {
+			if r.Kind != "tier1_wall" && bench.better[name] == "" || r.Kind == "tier1_wall" && !strings.HasSuffix(name, "_s") {
 				t.Errorf("%s: metric %q is not a %s metric", where, name, r.Kind)
 			}
 			if m.ChangeBetter != nil && (*m.ChangeBetter < 0 || *m.ChangeBetter > r.Pairs) {
@@ -153,6 +160,9 @@ func TestBenchTrajectoryChains(t *testing.T) {
 	}
 	steps := map[string]map[int]step{}
 	for _, r := range tr.Rows {
+		if r.Kind == "noise" {
+			continue
+		}
 		for name, m := range r.Metrics {
 			key := r.Kind + " " + r.Workload + " " + name
 			if steps[key] == nil {
