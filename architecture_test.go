@@ -22,8 +22,9 @@ var runtimeSymbols = map[string]bool{
 
 // TestArchitectureNamesExist holds ARCHITECTURE.md's code names to the
 // code: every backticked Go identifier or dotted path outside fenced
-// blocks must name something a .go file of the repository, or a
-// standard-library package it imports, declares.
+// blocks, and every dotted path inside them that starts with one of the
+// module's packages, must name something a .go file of the repository,
+// or a standard-library package it imports, declares.
 //
 // A backticked span is treated as a name when, after one leading `*` or
 // `&` and one trailing `()` are dropped, it is identifiers joined by
@@ -61,8 +62,9 @@ func TestArchitectureNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prose, fenced := splitFenced(string(raw))
 	var missing []string
-	for _, tok := range backtickedNames(string(raw)) {
+	for _, tok := range append(backtickedNames(prose), fencedNames(fenced, ix.pkgs)...) {
 		if parts := strings.Split(tok, "."); !runtimeSymbols[tok] && !ix.resolves(parts) && !ix.inStdlib(parts) {
 			missing = append(missing, tok)
 		}
@@ -78,28 +80,54 @@ var (
 	fileSuffix   = regexp.MustCompile(`\.(go|json|md|sh|yml|yaml|csv|txt|swf|mod)$`)
 )
 
-// backtickedNames returns the distinct backticked spans of a markdown
-// document that read as Go names (see TestArchitectureNamesExist),
-// fenced blocks skipped.
-func backtickedNames(doc string) []string {
-	var prose strings.Builder
-	fenced := false
+// splitFenced splits a markdown document into its prose and the text of
+// its fenced blocks.
+func splitFenced(doc string) (prose, fenced string) {
+	var out [2]strings.Builder
+	in := 0
 	for _, line := range strings.Split(doc, "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			fenced = !fenced
+			in = 1 - in
 			continue
 		}
-		if !fenced {
-			prose.WriteString(line)
-			prose.WriteByte('\n')
-		}
+		out[in].WriteString(line)
+		out[in].WriteByte('\n')
 	}
+	return out[0].String(), out[1].String()
+}
+
+// backtickedNames returns the distinct backticked spans of markdown
+// prose that read as Go names (see TestArchitectureNamesExist).
+func backtickedNames(prose string) []string {
 	seen := map[string]bool{}
 	var names []string
-	for _, m := range backtickSpan.FindAllStringSubmatch(prose.String(), -1) {
+	for _, m := range backtickSpan.FindAllStringSubmatch(prose, -1) {
 		tok := strings.TrimSuffix(strings.TrimLeft(m[1], "*&"), "()")
 		if !dottedName.MatchString(tok) || fileSuffix.MatchString(tok) ||
 			strings.ToLower(tok) == tok || strings.ToUpper(tok) == tok || seen[tok] {
+			continue
+		}
+		seen[tok] = true
+		names = append(names, tok)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// fencedPath is a dotted path in a diagram or listing, not part of a
+// longer word, a file path or a file name.
+var fencedPath = regexp.MustCompile(`(^|[^A-Za-z0-9_./])([a-z][a-z0-9]*(\.[A-Za-z_][A-Za-z0-9_]*)+)`)
+
+// fencedNames returns the distinct dotted paths in fenced blocks whose
+// first part is a package of the module (`rjms.Controller.Start`,
+// `sim.RunObserved`): diagrams name code too, and a path into one of
+// the module's packages is never prose.
+func fencedNames(fenced string, pkgs map[string]map[string]bool) []string {
+	seen := map[string]bool{}
+	var names []string
+	for _, m := range fencedPath.FindAllStringSubmatch(fenced, -1) {
+		tok := m[2]
+		if pkgs[tok[:strings.IndexByte(tok, '.')]] == nil || fileSuffix.MatchString(tok) || seen[tok] {
 			continue
 		}
 		seen[tok] = true

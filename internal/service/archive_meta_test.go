@@ -15,7 +15,8 @@ import (
 // TestArchiveMetaBytes pins the bytes of an archive envelope's run
 // metadata, the part of the file the service writes itself: a record
 // decoded from the pinned envelope re-encodes to the file's meta
-// exactly (compacted), and a record with every metadata field set
+// exactly (compacted) and carries the file's telemetry snapshot
+// byte for byte (compacted), and a record with every metadata field set
 // encodes to a literal written by the format's first encoder and
 // decodes back to itself. A renamed tag, a reordered field or a lost
 // omitempty fails here before it reaches a single archive.
@@ -26,7 +27,7 @@ func TestArchiveMetaBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := sim.DecodeEnvelope(bytes.NewReader(raw))
+		env, err := sim.DecodeEnvelope(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,6 +45,23 @@ func TestArchiveMetaBytes(t *testing.T) {
 		}
 		if !bytes.Equal(back.Meta, want.Bytes()) {
 			t.Errorf("re-encoded meta:\n%s\nwant the file's:\n%s", back.Meta, want.Bytes())
+		}
+		// The telemetry snapshot is carried as the file holds it: written
+		// back, it is the file's telemetry, compacted.
+		var line bytes.Buffer
+		if err := back.Encode(&line); err != nil {
+			t.Fatal(err)
+		}
+		again, err := sim.DecodeEnvelope(line.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Reset()
+		if err := json.Compact(&want, env.Telemetry); err != nil {
+			t.Fatal(err)
+		}
+		if len(env.Telemetry) == 0 || !bytes.Equal(again.Telemetry, want.Bytes()) {
+			t.Errorf("re-encoded telemetry:\n%.300s\nwant the file's:\n%.300s", again.Telemetry, want.Bytes())
 		}
 	})
 

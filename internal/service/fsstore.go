@@ -3,9 +3,9 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -126,14 +126,16 @@ func encodeRecord(rec Record) (sim.Envelope, error) {
 	}
 	env.Renders = rec.Renders
 	if rec.Telemetry != nil {
-		if env.Telemetry, err = json.Marshal(rec.Telemetry); err != nil {
+		// The snapshot is its own encoding: no second marshal.
+		if env.Telemetry, err = rec.Telemetry.MarshalJSON(); err != nil {
 			return sim.Envelope{}, err
 		}
 	}
 	return env, nil
 }
 
-// decodeRecord rebuilds a Record from a verified envelope.
+// decodeRecord rebuilds a Record from a verified envelope. The
+// telemetry snapshot stays encoded: only a series query restores it.
 func decodeRecord(env sim.Envelope) (Record, error) {
 	var rec Record
 	if len(env.Meta) == 0 {
@@ -147,23 +149,34 @@ func decodeRecord(env sim.Envelope) (Record, error) {
 	}
 	rec.SpecHash, rec.Spec, rec.Renders = env.SpecHash, env.Spec, env.Renders
 	if len(env.Telemetry) > 0 {
-		var snap tsdb.Snapshot
-		if err := json.Unmarshal(env.Telemetry, &snap); err != nil {
+		rec.Telemetry = new(tsdb.Snapshot)
+		if err := rec.Telemetry.UnmarshalJSON(env.Telemetry); err != nil {
 			return Record{}, fmt.Errorf("service: archive telemetry snapshot: %w", err)
 		}
-		rec.Telemetry = &snap
 	}
 	return rec, nil
 }
 
-// readFile decodes and verifies one archive file.
+// readFile decodes and verifies one archive file, read whole in one
+// read of exactly its size.
 func (st *FSStore) readFile(path string) (Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Record{}, err
 	}
 	defer f.Close()
-	env, err := sim.DecodeEnvelope(f)
+	info, err := f.Stat()
+	if err != nil {
+		return Record{}, err
+	}
+	if info.Size() > sim.MaxEnvelopeBytes {
+		return Record{}, fmt.Errorf("service: archive file of %d bytes exceeds %d", info.Size(), sim.MaxEnvelopeBytes)
+	}
+	data := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return Record{}, err
+	}
+	env, err := sim.DecodeEnvelope(data)
 	if err != nil {
 		return Record{}, err
 	}
@@ -285,6 +298,11 @@ func (st *FSStore) Get(id string) (Record, bool, error) {
 		}
 		return Record{}, false, fmt.Errorf("service: reading archived run %s: %w", id, err)
 	}
+	if rec.ID != id {
+		// Another process sharing the directory re-put the spec: the
+		// file under the hash now holds a different run.
+		return Record{}, false, nil
+	}
 	return rec, true, nil
 }
 
@@ -318,16 +336,26 @@ func (st *FSStore) ByHash(hash string) (Record, bool, error) {
 }
 
 // List answers from the in-memory metadata index — no file reads, so
-// paging a large archive stays cheap.
+// paging a large archive stays cheap — and copies only the page's rows.
 func (st *FSStore) List(f ListFilter) ([]Record, string, error) {
-	st.mu.Lock()
-	records := make([]Record, 0, len(st.meta))
-	for _, rec := range st.meta {
-		records = append(records, rec)
+	after, err := parseCursor(f.Cursor)
+	if err != nil {
+		return nil, "", err
 	}
-	st.mu.Unlock()
-	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
-	return pageRecords(records, f)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var keys []seqKey
+	for hash, rec := range st.meta {
+		if rec.Seq > after && f.Match(rec) {
+			keys = append(keys, seqKey{rec.Seq, hash})
+		}
+	}
+	keys, next := pageKeys(keys, f.Limit)
+	out := make([]Record, len(keys))
+	for i, k := range keys {
+		out[i] = st.meta[k.key]
+	}
+	return out, next, nil
 }
 
 // Len counts the archived records.

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 // TestSeriesEndpointLive pins the single-metric telemetry endpoint
@@ -259,5 +263,64 @@ func TestGatewayRefusesOversizedWorkerBody(t *testing.T) {
 	status, body := fetch(t, c.Base, "/v1/runs/"+v.ID+"/metrics?series=power")
 	if status != http.StatusBadGateway || !bytes.Contains(body, []byte("worker response exceeds")) {
 		t.Errorf("oversized worker body relayed as %d with %d bytes (%.80s), want the 502 JSON error", status, len(body), body)
+	}
+}
+
+// TestSeriesOfNonSnapshotTelemetry pins what an archived run whose
+// telemetry is valid JSON but not a snapshot serves. The archive keeps
+// the snapshot encoded until a series query restores it, so such a
+// file opens like any other: its report and its cache hits are served,
+// and only its series query fails, with the restore's 500.
+func TestSeriesOfNonSnapshotTelemetry(t *testing.T) {
+	const hash = "fb518e50d40b7acce493955d4212ff2a6694c974f1ae884ed98f7fa3773e0791"
+	raw, err := os.ReadFile(filepath.Join("testdata", "archive", hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := sim.DecodeEnvelope(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Telemetry = []byte(`{"series":"not a list of series"}`)
+	var meta struct{ ID string }
+	if err := json.Unmarshal(env.Meta, &meta); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var file bytes.Buffer
+	if err := env.Encode(&file); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, hash+".json"), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := service.OpenFSStore(dir, service.FSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped := st.Skipped(); len(skipped) != 0 {
+		t.Fatalf("skipped at open: %v", skipped)
+	}
+
+	s, c := newTestServer(t, service.Config{Workers: 1, Archive: st})
+	ctx := context.Background()
+	v, hit, err := c.Submit(ctx, env.Spec)
+	if err != nil || !hit || v.ID != meta.ID {
+		t.Fatalf("resubmission = %s hit:%v err:%v, want a hit on %s", v.ID, hit, err, meta.ID)
+	}
+	if n := s.Stats().Executions; n != 0 {
+		t.Errorf("serving the archived run executed %d runs", n)
+	}
+	var report bytes.Buffer
+	if err := c.WriteReport(ctx, v.ID, "json", sim.SinkOptions{}, &report); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(report.Bytes(), env.Renders["json"]) {
+		t.Errorf("report is not the archived rendering")
+	}
+	_, err = c.Series(ctx, v.ID, "power", service.SeriesQuery{})
+	var apiErr *service.Error
+	if !errors.As(err, &apiErr) || apiErr.Status != 500 || !strings.Contains(apiErr.Msg, "restoring archived telemetry") {
+		t.Errorf("series query = %v, want the 500 of a failed restore", err)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -663,41 +664,59 @@ func (s *Server) RenderReport(id, format string, opt sim.SinkOptions, w io.Write
 // the cursor of the next page ("" when exhausted). Ids are unique
 // across tiers (the archive seeds the id sequence at boot), with the
 // freshest tier winning when a record exists in several.
+//
+// Each tier is asked for one row more than the page, after the cursor,
+// and the merge keeps the first Limit distinct ids by Seq. That is the
+// page a merge of everything would give: a row among the union's first
+// Limit+1 distinct ids has at most Limit rows before it in any tier
+// holding it, so that tier returned it; and an id's Seq and filter
+// fields are the same in every tier (the id is derived from the Seq).
 func (s *Server) List(f ListFilter) ([]RunView, string, error) {
-	// Stores are asked for everything matching (no cursor/limit):
-	// paging must happen once, over the merged set, or page boundaries
-	// would drift between tiers.
-	base := f
-	base.Cursor, base.Limit = "", 0
+	after, err := parseCursor(f.Cursor)
+	if err != nil {
+		return nil, "", err
+	}
+	tierF := f
+	if f.Limit > 0 {
+		tierF.Limit = f.Limit + 1
+	}
 
-	seen := map[string]bool{}
-	var records []Record
+	var live []Record
 	s.mu.Lock()
 	for _, r := range s.runs {
 		r.mu.Lock()
-		rec := r.Record
+		if r.Seq > after && f.Match(r.Record) {
+			live = append(live, r.Record.light())
+		}
 		r.mu.Unlock()
-		records = append(records, rec)
-		seen[rec.ID] = true
 	}
 	s.mu.Unlock()
-
-	for _, tier := range s.tiers {
-		stored, _, err := tier.List(base)
-		if err != nil {
+	tierRows := make([][]Record, len(s.tiers))
+	n := len(live)
+	for i, tier := range s.tiers {
+		if tierRows[i], _, err = tier.List(tierF); err != nil {
 			return nil, "", err
 		}
-		for _, rec := range stored {
-			if !seen[rec.ID] {
-				records = append(records, rec)
-				seen[rec.ID] = true
-			}
+		n += len(tierRows[i])
+	}
+	records := append(make([]Record, 0, n), live...)
+	for _, rows := range tierRows {
+		records = append(records, rows...)
+	}
+
+	// Stable: of one id's rows, adjacent (an id is its Seq), the
+	// freshest tier's stays first.
+	sort.SliceStable(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
+	page := records[:0]
+	for _, rec := range records {
+		if n := len(page); n == 0 || page[n-1].ID != rec.ID {
+			page = append(page, rec)
 		}
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
-	page, next, err := pageRecords(records, f)
-	if err != nil {
-		return nil, "", err
+	next := ""
+	if f.Limit > 0 && len(page) > f.Limit {
+		page = page[:f.Limit]
+		next = strconv.Itoa(page[f.Limit-1].Seq)
 	}
 	return viewsFromRecords(page), next, nil
 }

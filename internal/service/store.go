@@ -245,6 +245,25 @@ func pageRecords(records []Record, f ListFilter) ([]Record, string, error) {
 	return out, next, nil
 }
 
+// seqKey locates one row of a store's index by its sequence number.
+type seqKey struct {
+	seq int
+	key string
+}
+
+// pageKeys sorts the keys of the rows after the cursor that match a
+// filter by Seq and cuts them to the page: the first limit of them
+// (limit 0: all), plus the next cursor ("" on the final page). A store
+// keys its rows first and copies only the page's.
+func pageKeys(keys []seqKey, limit int) ([]seqKey, string) {
+	sort.Slice(keys, func(i, j int) bool { return keys[i].seq < keys[j].seq })
+	if limit > 0 && len(keys) > limit {
+		keys = keys[:limit]
+		return keys, strconv.Itoa(keys[limit-1].seq)
+	}
+	return keys, ""
+}
+
 // RunStore is the persistence seam of the service: completed runs
 // (their reports rendered through every sink, plus telemetry snapshots)
 // are Put once terminal and served from the store from then on. Two
@@ -403,14 +422,24 @@ func (m *MemStore) ByHash(hash string) (Record, bool, error) {
 // List returns the metadata-only records matching the filter in Seq
 // order with cursor pagination.
 func (m *MemStore) List(f ListFilter) ([]Record, string, error) {
-	m.mu.Lock()
-	records := make([]Record, 0, len(m.byID))
-	for _, id := range m.order {
-		records = append(records, m.byID[id])
+	after, err := parseCursor(f.Cursor)
+	if err != nil {
+		return nil, "", err
 	}
-	m.mu.Unlock()
-	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
-	return pageRecords(records, f)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var keys []seqKey
+	for _, id := range m.order {
+		if rec := m.byID[id]; rec.Seq > after && f.Match(rec) {
+			keys = append(keys, seqKey{rec.Seq, id})
+		}
+	}
+	keys, next := pageKeys(keys, f.Limit)
+	out := make([]Record, len(keys))
+	for i, k := range keys {
+		out[i] = m.byID[k.key].light()
+	}
+	return out, next, nil
 }
 
 // Len counts the stored records.

@@ -188,6 +188,41 @@ func TestFSStoreMetaReadsNoFile(t *testing.T) {
 	}
 }
 
+// TestFSStoreGetRefusesReplacedRun pins Get to the run it is asked for
+// when a second process shares the archive directory: that process
+// re-puts the same spec as another run, so the file under the hash now
+// holds the other run while this store's index still maps the old id to
+// the hash. Get must miss rather than answer with the other tenant's
+// run and event log (Meta, which reads no file, still answers the
+// indexed row).
+func TestFSStoreGetRefusesReplacedRun(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := service.OpenFSStore(dir, service.FSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := service.OpenFSStore(dir, service.FSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sampleRecord(t, "shared-spec", 0)
+	if err := st1.Put(first); err != nil {
+		t.Fatal(err)
+	}
+	other := sampleRecord(t, "shared-spec", 5)
+	other.Tenant = "tenant-b"
+	if err := st2.Put(other); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok, err := st1.Get(first.ID); err != nil || ok {
+		t.Errorf("Get(%s) = %s/%s ok:%v err:%v, want a miss: the file holds %s now",
+			first.ID, rec.ID, rec.Tenant, ok, err, other.ID)
+	}
+	if rec, ok, err := st2.Get(other.ID); err != nil || !ok || rec.ID != other.ID || rec.Tenant != "tenant-b" {
+		t.Errorf("Get(%s) = %s/%s ok:%v err:%v, want the run the file holds", other.ID, rec.ID, rec.Tenant, ok, err)
+	}
+}
+
 // TestFSStoreServesParentWrittenEnvelope opens an archive written by
 // the simd binary that predates the shared rjms.Options struct
 // (testdata/archive, one single run with every option and the cap

@@ -11,10 +11,11 @@ import (
 // future format is an error, never a silently misread file.
 const EnvelopeVersion = 1
 
-// maxEnvelopeBytes bounds a decoded envelope. Archive files are written
-// by the service itself and top out well under this; the bound keeps a
-// corrupt or hostile file from ballooning memory during decode.
-const maxEnvelopeBytes = 64 << 20
+// MaxEnvelopeBytes bounds an archive file a reader loads to decode.
+// Archive files are written by the service itself and top out well
+// under this; the bound keeps a corrupt or hostile file from ballooning
+// memory.
+const MaxEnvelopeBytes = 64 << 20
 
 // Envelope is the versioned on-disk form of one archived run: the
 // normalized spec with its content address, plus the layers above's
@@ -60,16 +61,18 @@ func (e Envelope) Encode(w io.Writer) error {
 	return json.NewEncoder(w).Encode(e)
 }
 
-// DecodeEnvelope reads one envelope from r, verifying version and
+// DecodeEnvelope decodes one envelope from data, verifying version and
 // content address. Corrupt, truncated or tampered input returns an
 // error; the decoder never panics (the archive fuzz target pins this).
 // The spec-hash check recomputes the address from the decoded spec, so
 // an envelope whose spec was edited in place no longer matches its
-// claimed hash and is rejected — the archive's integrity seal.
-func DecodeEnvelope(r io.Reader) (Envelope, error) {
+// claimed hash and is rejected — the archive's integrity seal. data is
+// exactly one JSON value, surrounding whitespace aside: what Encode
+// writes is one value and a newline, and bytes after the value — a
+// second envelope, a torn append — are an error, not ignored.
+func DecodeEnvelope(data []byte) (Envelope, error) {
 	var e Envelope
-	dec := json.NewDecoder(io.LimitReader(r, maxEnvelopeBytes))
-	if err := dec.Decode(&e); err != nil {
+	if err := json.Unmarshal(data, &e); err != nil {
 		return Envelope{}, fmt.Errorf("sim: decoding archive envelope: %w", err)
 	}
 	if err := e.check(); err != nil {

@@ -54,7 +54,7 @@ func TestEnvelopeEncodesCompact(t *testing.T) {
 	if !bytes.Equal(compact.Bytes(), bytes.TrimSuffix(line, []byte("\n"))) {
 		t.Fatalf("Encode is not compact:\n%s", line)
 	}
-	got, err := sim.DecodeEnvelope(bytes.NewReader(line))
+	got, err := sim.DecodeEnvelope(line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestEnvelopeEncodesCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := sim.DecodeEnvelope(bytes.NewReader(indented))
+	old, err := sim.DecodeEnvelope(indented)
 	if err != nil {
 		t.Fatalf("indented envelope does not decode: %v", err)
 	}
@@ -85,8 +85,9 @@ func TestEnvelopeEncodesCompact(t *testing.T) {
 // (seed corpus inline plus the checked-in files under testdata/fuzz/):
 // corrupt, truncated or tampered envelopes return an error — never a
 // panic, and never a silently misread record — while anything accepted
-// must hold a verified seal and re-encode losslessly. The checked-in
-// files are indented, the inline seeds compact: the decoder reads both.
+// must hold a verified seal, be exactly one JSON value (bytes after the
+// envelope are refused) and re-encode losslessly. The checked-in files
+// are indented, the inline seeds compact: the decoder reads both.
 func FuzzEnvelopeDecode(f *testing.F) {
 	env := fuzzEnvelope(f)
 	var valid bytes.Buffer
@@ -106,14 +107,21 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		[]byte(`[1,2,3]`),
 		[]byte("\x00\x01\x02"),
 		[]byte(`{"version":1,"spec_hash":` + "\x00" + `}`),
+		append(bytes.Clone(valid.Bytes()), valid.Bytes()...), // two envelopes
+		append(bytes.Clone(valid.Bytes()), "garbage"...),     // torn append
+		append([]byte("\n\t "), valid.Bytes()...),            // whitespace is not trailing data
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := sim.DecodeEnvelope(bytes.NewReader(data))
+		got, err := sim.DecodeEnvelope(data)
 		if err != nil {
 			return // rejected: exactly what corrupt input should get
+		}
+		// Accepted input is one JSON value: nothing trails the envelope.
+		if !json.Valid(data) {
+			t.Fatalf("accepted an envelope followed by other bytes: %q", data)
 		}
 		// Accepted envelopes hold a verified seal: the spec re-hashes
 		// to the claimed address...
@@ -126,7 +134,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		if err := got.Encode(&buf); err != nil {
 			t.Fatalf("accepted envelope does not re-encode: %v", err)
 		}
-		again, err := sim.DecodeEnvelope(&buf)
+		again, err := sim.DecodeEnvelope(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded envelope does not decode: %v", err)
 		}

@@ -1,73 +1,114 @@
 package tsdb
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 )
 
-// SeriesSnapshot is the serializable form of one series' level pyramid:
-// every retained point per level (oldest first), the in-flight cascade
-// aggregates, and the monotonicity watermark. It is exactly the state a
-// Restore needs to continue appending where the snapshot left off.
-type SeriesSnapshot struct {
-	Name string `json:"name"`
-	// Levels holds each ring's live points, level 0 first, oldest point
-	// first within a level.
-	Levels [][]Point `json:"levels"`
-	// Pending carries the partial cascade batch per level (zero-Count
-	// entries are idle).
-	Pending []Point `json:"pending,omitempty"`
-	LastT   int64   `json:"last_t"`
-	Any     bool    `json:"any"`
-}
-
-// Snapshot is the serializable form of one run's whole series set — the
-// payload the service's durable run archive stores next to a report so
-// downsampled telemetry survives daemon restarts. Series are sorted by
-// name, so encoding a snapshot is deterministic.
+// Snapshot is one run's whole series set in its archive form: the JSON
+// the service's durable run archive stores next to a report so
+// downsampled telemetry survives daemon restarts. It holds the encoded
+// bytes and nothing else — an archived run is read far more often for
+// its report than for its telemetry, so only Restore pays to decode it.
+// Series are sorted by name, so a run's snapshot is deterministic.
 type Snapshot struct {
-	Options Options          `json:"options"`
-	Series  []SeriesSnapshot `json:"series"`
-	Dropped []string         `json:"dropped,omitempty"`
+	data []byte
+	// err is why the run did not encode (a NaN or infinite sample):
+	// MarshalJSON and Restore return it.
+	err error
 }
 
-// Snapshot captures the run's current state. The snapshot shares
-// nothing with the live run (points are copied), so it stays valid
-// however the run is appended to afterwards.
+// snapshotJSON is a snapshot's wire form.
+type snapshotJSON struct {
+	Options Options      `json:"options"`
+	Series  []seriesJSON `json:"series"`
+	Dropped []string     `json:"dropped,omitempty"`
+}
+
+// seriesJSON is one series' level pyramid on the wire: every retained
+// point per level (level 0 first, oldest point first), the in-flight
+// cascade aggregates (zero-Count entries are idle) and the monotonicity
+// watermark — exactly the state Restore needs to continue appending
+// where the snapshot left off.
+type seriesJSON struct {
+	Name    string    `json:"name"`
+	Levels  [][]Point `json:"levels"`
+	Pending []Point   `json:"pending,omitempty"`
+	LastT   int64     `json:"last_t"`
+	Any     bool      `json:"any"`
+}
+
+// maxRestorePoints bounds the ring points one Restore allocates across
+// all series: 16 times what a run at the default options (128 series of
+// 4 x 512 points) can hold. A snapshot is untrusted input, and its
+// options size the rings before a single point is read.
+const maxRestorePoints = 1 << 22
+
+// Snapshot captures the run's current state, encoded once. The
+// snapshot shares nothing with the live run, so it stays valid however
+// the run is appended to afterwards.
 func (r *Run) Snapshot() *Snapshot {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	snap := &Snapshot{Options: r.opt}
+	wire := snapshotJSON{Options: r.opt}
+	if len(r.series) > 0 {
+		wire.Series = make([]seriesJSON, 0, len(r.series))
+	}
 	for _, name := range r.seriesNamesLocked() {
 		s := r.series[name]
-		ss := SeriesSnapshot{
+		ss := seriesJSON{
 			Name:    name,
 			Levels:  make([][]Point, len(s.levels)),
-			Pending: append([]Point(nil), s.pending...),
+			Pending: s.pending,
 			LastT:   s.lastT,
 			Any:     s.any,
 		}
 		for i := range s.levels {
 			lv := &s.levels[i]
 			pts := make([]Point, lv.n)
-			for j := 0; j < lv.n; j++ {
+			for j := range pts {
 				pts[j] = lv.at(j)
 			}
 			ss.Levels[i] = pts
 		}
-		snap.Series = append(snap.Series, ss)
+		wire.Series = append(wire.Series, ss)
 	}
 	for name := range r.dropped {
-		snap.Dropped = append(snap.Dropped, name)
+		wire.Dropped = append(wire.Dropped, name)
 	}
-	sort.Strings(snap.Dropped)
-	return snap
+	sort.Strings(wire.Dropped)
+	// The pending slices are the live ones: encode before unlocking.
+	data, err := json.Marshal(wire)
+	r.mu.RUnlock()
+	if err != nil {
+		return &Snapshot{err: fmt.Errorf("tsdb: encoding snapshot: %w", err)}
+	}
+	return &Snapshot{data: data}
+}
+
+// MarshalJSON returns the snapshot's encoded bytes; the zero Snapshot
+// encodes as the snapshot of an empty run.
+func (s *Snapshot) MarshalJSON() ([]byte, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	if len(s.data) == 0 {
+		return json.Marshal(snapshotJSON{})
+	}
+	return s.data, nil
+}
+
+// UnmarshalJSON keeps a copy of the encoded snapshot. Nothing is
+// checked until Restore decodes it.
+func (s *Snapshot) UnmarshalJSON(b []byte) error {
+	s.data, s.err = append([]byte(nil), b...), nil
+	return nil
 }
 
 // Restore rebuilds a live Run from the snapshot: ring contents, cascade
 // state and watermarks land exactly where Snapshot captured them, so
 // queries answer identically and later appends continue the cascade
-// seamlessly. Snapshots from decoded JSON may be hostile or truncated;
+// seamlessly. Snapshots from an archive may be hostile or truncated;
 // Restore validates shape and returns errors, never panics. Points
 // beyond a level's ring capacity keep only the newest (the ring's own
 // overwrite rule).
@@ -75,9 +116,24 @@ func (s *Snapshot) Restore() (*Run, error) {
 	if s == nil {
 		return nil, fmt.Errorf("tsdb: nil snapshot")
 	}
-	opt := s.Options.withDefaults()
+	if s.err != nil {
+		return nil, s.err
+	}
+	var wire snapshotJSON
+	if len(s.data) > 0 {
+		if err := json.Unmarshal(s.data, &wire); err != nil {
+			return nil, fmt.Errorf("tsdb: decoding snapshot: %w", err)
+		}
+	}
+	opt := wire.Options.withDefaults()
 	run := &Run{opt: opt, series: map[string]*series{}}
-	for i, ss := range s.Series {
+	perSeries := opt.Levels * opt.PointsPerLevel
+	if opt.Levels > maxRestorePoints || opt.PointsPerLevel > maxRestorePoints ||
+		len(wire.Series) > maxRestorePoints/perSeries {
+		return nil, fmt.Errorf("tsdb: snapshot of %d series at %d levels of %d points exceeds %d restored points",
+			len(wire.Series), opt.Levels, opt.PointsPerLevel, maxRestorePoints)
+	}
+	for i, ss := range wire.Series {
 		if ss.Name == "" {
 			return nil, fmt.Errorf("tsdb: snapshot series %d has no name", i)
 		}
@@ -102,7 +158,7 @@ func (s *Snapshot) Restore() (*Run, error) {
 		sr.lastT, sr.any = ss.LastT, ss.Any
 		run.series[ss.Name] = sr
 	}
-	for _, name := range s.Dropped {
+	for _, name := range wire.Dropped {
 		if run.dropped == nil {
 			run.dropped = map[string]bool{}
 		}
