@@ -149,10 +149,9 @@ func decodeRecord(env sim.Envelope) (Record, error) {
 	}
 	rec.SpecHash, rec.Spec, rec.Renders = env.SpecHash, env.Spec, env.Renders
 	if len(env.Telemetry) > 0 {
-		rec.Telemetry = new(tsdb.Snapshot)
-		if err := rec.Telemetry.UnmarshalJSON(env.Telemetry); err != nil {
-			return Record{}, fmt.Errorf("service: archive telemetry snapshot: %w", err)
-		}
+		// Decoding the envelope copied these bytes out of the file
+		// already: the snapshot adopts them.
+		rec.Telemetry = tsdb.SnapshotFromJSON(env.Telemetry)
 	}
 	return rec, nil
 }

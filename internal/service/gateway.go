@@ -619,19 +619,25 @@ func (g *Gateway) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 }
 
 // List pages the gateway's routed runs with the shared filter
-// machinery.
+// machinery, copying only the page's rows.
 func (g *Gateway) List(f ListFilter) ([]RunView, string, error) {
-	g.mu.Lock()
-	records := make([]Record, 0, len(g.runs))
-	for _, r := range g.runs {
-		records = append(records, r.Record)
-	}
-	g.mu.Unlock()
-	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
-	page, next, err := pageRecords(records, f)
+	after, err := parseCursor(f.Cursor)
 	if err != nil {
 		return nil, "", err
 	}
+	g.mu.Lock()
+	var keys []seqKey
+	for id, r := range g.runs {
+		if r.Seq > after && f.Match(r.Record) {
+			keys = append(keys, seqKey{r.Seq, id})
+		}
+	}
+	keys, next := pageKeys(keys, f.Limit)
+	page := make([]Record, len(keys))
+	for i, k := range keys {
+		page[i] = g.runs[k.key].light()
+	}
+	g.mu.Unlock()
 	return viewsFromRecords(page), next, nil
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -602,36 +600,12 @@ func writeSeries(w http.ResponseWriter, q url.Values, id string, rs *tsdb.Run) {
 	writeJSON(w, 200, resp)
 }
 
-// jsonResponse is a pooled indenting encoder and the buffer it encodes
-// into: a response reuses both instead of growing new ones.
-type jsonResponse struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// maxPooledResponse caps the buffer a pooled encoder keeps; one large
-// listing must not pin its memory for the pool's lifetime.
-const maxPooledResponse = 256 << 10
-
-var jsonResponses = sync.Pool{New: func() any {
-	r := new(jsonResponse)
-	r.enc = json.NewEncoder(&r.buf)
-	r.enc.SetIndent("", "  ")
-	return r
-}}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	r := jsonResponses.Get().(*jsonResponse)
-	r.buf.Reset()
-	err := r.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err == nil {
-		_, _ = w.Write(r.buf.Bytes())
-	}
-	if r.buf.Cap() <= maxPooledResponse {
-		jsonResponses.Put(r)
-	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, err error) {

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -713,11 +712,7 @@ func (s *Server) List(f ListFilter) ([]RunView, string, error) {
 			page = append(page, rec)
 		}
 	}
-	next := ""
-	if f.Limit > 0 && len(page) > f.Limit {
-		page = page[:f.Limit]
-		next = strconv.Itoa(page[f.Limit-1].Seq)
-	}
+	page, next := cutPage(page, f.Limit, func(rec Record) int { return rec.Seq })
 	return viewsFromRecords(page), next, nil
 }
 

@@ -217,34 +217,6 @@ func parseCursor(cursor string) (int, error) {
 	return n, nil
 }
 
-// pageRecords applies cursor-and-limit paging to filtered records:
-// records must be sorted by Seq ascending; the page starts after the
-// cursor's seq and holds at most Limit records; nextCursor is empty on
-// the final page. A cursor past the end yields an empty page — the
-// natural "you have read everything" answer, not an error.
-func pageRecords(records []Record, f ListFilter) ([]Record, string, error) {
-	after, err := parseCursor(f.Cursor)
-	if err != nil {
-		return nil, "", err
-	}
-	out := make([]Record, 0, len(records))
-	for _, rec := range records {
-		if rec.Seq <= after {
-			continue
-		}
-		if !f.Match(rec) {
-			continue
-		}
-		out = append(out, rec.light())
-	}
-	next := ""
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[:f.Limit]
-		next = strconv.Itoa(out[len(out)-1].Seq)
-	}
-	return out, next, nil
-}
-
 // seqKey locates one row of a store's index by its sequence number.
 type seqKey struct {
 	seq int
@@ -252,16 +224,24 @@ type seqKey struct {
 }
 
 // pageKeys sorts the keys of the rows after the cursor that match a
-// filter by Seq and cuts them to the page: the first limit of them
-// (limit 0: all), plus the next cursor ("" on the final page). A store
-// keys its rows first and copies only the page's.
+// filter by Seq and cuts them to the page. A store keys its rows first
+// and copies only the page's. A cursor past the end leaves no keys: an
+// empty page, the natural "you have read everything" answer, not an
+// error.
 func pageKeys(keys []seqKey, limit int) ([]seqKey, string) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i].seq < keys[j].seq })
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-		return keys, strconv.Itoa(keys[limit-1].seq)
+	return cutPage(keys, limit, func(k seqKey) int { return k.seq })
+}
+
+// cutPage cuts rows sorted by Seq to a page: the first limit of them
+// (limit 0: all), plus the next cursor — the Seq of the last row kept,
+// "" on the final page.
+func cutPage[T any](rows []T, limit int, seq func(T) int) ([]T, string) {
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
+		return rows, strconv.Itoa(seq(rows[limit-1]))
 	}
-	return keys, ""
+	return rows, ""
 }
 
 // RunStore is the persistence seam of the service: completed runs

@@ -42,7 +42,8 @@ type seriesJSON struct {
 // maxRestorePoints bounds the ring points one Restore allocates across
 // all series: 16 times what a run at the default options (128 series of
 // 4 x 512 points) can hold. A snapshot is untrusted input, and its
-// options size the rings before a single point is read.
+// options size the rings before a single point is read. Store.Restore
+// raises the bound to what the store itself is configured to hold.
 const maxRestorePoints = 1 << 22
 
 // Snapshot captures the run's current state, encoded once. The
@@ -105,6 +106,11 @@ func (s *Snapshot) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// SnapshotFromJSON wraps a snapshot's encoded bytes without copying
+// them: the snapshot owns data from then on, and the caller must not
+// modify it. Like UnmarshalJSON, it checks nothing until Restore.
+func SnapshotFromJSON(data []byte) *Snapshot { return &Snapshot{data: data} }
+
 // Restore rebuilds a live Run from the snapshot: ring contents, cascade
 // state and watermarks land exactly where Snapshot captured them, so
 // queries answer identically and later appends continue the cascade
@@ -112,7 +118,10 @@ func (s *Snapshot) UnmarshalJSON(b []byte) error {
 // Restore validates shape and returns errors, never panics. Points
 // beyond a level's ring capacity keep only the newest (the ring's own
 // overwrite rule).
-func (s *Snapshot) Restore() (*Run, error) {
+func (s *Snapshot) Restore() (*Run, error) { return s.restore(maxRestorePoints) }
+
+// restore is Restore with its bound on the ring points allocated.
+func (s *Snapshot) restore(limit int) (*Run, error) {
 	if s == nil {
 		return nil, fmt.Errorf("tsdb: nil snapshot")
 	}
@@ -127,11 +136,10 @@ func (s *Snapshot) Restore() (*Run, error) {
 	}
 	opt := wire.Options.withDefaults()
 	run := &Run{opt: opt, series: map[string]*series{}}
-	perSeries := opt.Levels * opt.PointsPerLevel
-	if opt.Levels > maxRestorePoints || opt.PointsPerLevel > maxRestorePoints ||
-		len(wire.Series) > maxRestorePoints/perSeries {
+	if opt.Levels > limit || opt.PointsPerLevel > limit/opt.Levels ||
+		len(wire.Series) > limit/(opt.Levels*opt.PointsPerLevel) {
 		return nil, fmt.Errorf("tsdb: snapshot of %d series at %d levels of %d points exceeds %d restored points",
-			len(wire.Series), opt.Levels, opt.PointsPerLevel, maxRestorePoints)
+			len(wire.Series), opt.Levels, opt.PointsPerLevel, limit)
 	}
 	for i, ss := range wire.Series {
 		if ss.Name == "" {
@@ -169,9 +177,12 @@ func (s *Snapshot) Restore() (*Run, error) {
 
 // Restore installs a run restored from the snapshot under the given id,
 // replacing any prior entry — the store-level hook the service uses
-// when an archived run's telemetry is queried after a restart.
+// when an archived run's telemetry is queried after a restart. A run
+// as large as the store's own options allow always restores, whatever
+// the fixed bound.
 func (st *Store) Restore(id string, snap *Snapshot) (*Run, error) {
-	r, err := snap.Restore()
+	held := st.opt.Levels * st.opt.PointsPerLevel * st.opt.MaxSeriesPerRun
+	r, err := snap.restore(max(maxRestorePoints, held))
 	if err != nil {
 		return nil, err
 	}

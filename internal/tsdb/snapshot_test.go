@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -334,5 +335,48 @@ func TestStoreRestoreInstalls(t *testing.T) {
 	gotPts, _, _ := got.Query("power", 0, 0, 0)
 	if !reflect.DeepEqual(gotPts, wantPts) {
 		t.Errorf("installed run answers %v, want %v", gotPts, wantPts)
+	}
+}
+
+// TestStoreRestoresItsOwnOptions pins the restore bound to the store's
+// configuration: a run filled to options past the fixed bound (a
+// 17-cell sweep's 68 series at 16384 points per level) restores through
+// a store configured alike, while the bare Restore and a store at the
+// default options still refuse it, and a store still refuses a snapshot
+// past its own options. The rings are allocated but barely written, so
+// the test touches little memory.
+func TestStoreRestoresItsOwnOptions(t *testing.T) {
+	opts := Options{PointsPerLevel: 1 << 14, Levels: 4, MaxSeriesPerRun: 68}
+	if held := opts.Levels * opts.PointsPerLevel * opts.MaxSeriesPerRun; held <= maxRestorePoints {
+		t.Fatalf("options hold %d points, not past the bound %d", held, maxRestorePoints)
+	}
+	r := New(opts).Run("sweep")
+	for i := 0; i < opts.MaxSeriesPerRun; i++ {
+		appendRamp(t, r, fmt.Sprintf("cell%02d/power", i), fanout+1, 10)
+	}
+	snap := r.Snapshot()
+	if _, err := snap.Restore(); err == nil {
+		t.Fatal("the bare Restore accepted a snapshot past its fixed bound")
+	}
+	got, err := New(opts).Restore("sweep", snap)
+	if err != nil {
+		t.Fatalf("a store configured like the run refuses its snapshot: %v", err)
+	}
+	for _, name := range r.Series() {
+		want, _, _ := r.Query(name, 0, 0, 0)
+		pts, _, _ := got.Query(name, 0, 0, 0)
+		if !reflect.DeepEqual(pts, want) {
+			t.Fatalf("%s restores as %v, want %v", name, pts, want)
+		}
+	}
+	if _, err := New(Options{}).Restore("sweep", snap); err == nil {
+		t.Error("a store at the default options restored a snapshot past the fixed bound")
+	}
+	var hostile Snapshot
+	if err := json.Unmarshal([]byte(`{"options":{"PointsPerLevel":1000000000},"series":[{"name":"power"}]}`), &hostile); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(opts).Restore("hostile", &hostile); err == nil {
+		t.Error("a snapshot past the store's own options restored")
 	}
 }
