@@ -53,7 +53,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		workers      = fs.Int("workers", 2, "concurrent run executions")
 		sweepWorkers = fs.Int("sweep-workers", 0, "per-run sweep pool clamp (0 = leave specs as submitted)")
 		queueDepth   = fs.Int("queue", 256, "pending-submission queue bound")
-		maxRuns      = fs.Int("max-runs", 1024, "retained run records before terminal runs are evicted")
+		maxRuns      = fs.Int("max-runs", 1024, "retired runs held in memory before the oldest is evicted")
 		points       = fs.Int("tsdb-points", 512, "telemetry ring capacity per series level")
 		levels       = fs.Int("tsdb-levels", 4, "telemetry downsampling levels")
 		maxSeries    = fs.Int("tsdb-series", 128, "telemetry series cap per run (4 per sweep cell; wider sweeps report dropped_series)")

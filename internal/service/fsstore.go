@@ -337,24 +337,9 @@ func (st *FSStore) ByHash(hash string) (Record, bool, error) {
 // List answers from the in-memory metadata index — no file reads, so
 // paging a large archive stays cheap — and copies only the page's rows.
 func (st *FSStore) List(f ListFilter) ([]Record, string, error) {
-	after, err := parseCursor(f.Cursor)
-	if err != nil {
-		return nil, "", err
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var keys []seqKey
-	for hash, rec := range st.meta {
-		if rec.Seq > after && f.Match(rec) {
-			keys = append(keys, seqKey{rec.Seq, hash})
-		}
-	}
-	keys, next := pageKeys(keys, f.Limit)
-	out := make([]Record, len(keys))
-	for i, k := range keys {
-		out[i] = st.meta[k.key]
-	}
-	return out, next, nil
+	return listPage(st.meta, f, storedRow)
 }
 
 // Len counts the archived records.

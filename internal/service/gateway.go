@@ -621,23 +621,12 @@ func (g *Gateway) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 // List pages the gateway's routed runs with the shared filter
 // machinery, copying only the page's rows.
 func (g *Gateway) List(f ListFilter) ([]RunView, string, error) {
-	after, err := parseCursor(f.Cursor)
+	g.mu.Lock()
+	page, next, err := listPage(g.runs, f, func(r *gwRun) Record { return r.Record })
+	g.mu.Unlock()
 	if err != nil {
 		return nil, "", err
 	}
-	g.mu.Lock()
-	var keys []seqKey
-	for id, r := range g.runs {
-		if r.Seq > after && f.Match(r.Record) {
-			keys = append(keys, seqKey{r.Seq, id})
-		}
-	}
-	keys, next := pageKeys(keys, f.Limit)
-	page := make([]Record, len(keys))
-	for i, k := range keys {
-		page[i] = g.runs[k.key].light()
-	}
-	g.mu.Unlock()
 	return viewsFromRecords(page), next, nil
 }
 

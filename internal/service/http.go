@@ -445,9 +445,10 @@ type seriesResult struct {
 	Points      []tsdb.Point `json:"points"`
 }
 
-// runSeries resolves a run's telemetry wherever it lives: the hot tier,
-// or — for runs evicted from it (or completed by an earlier process) —
-// the archived snapshot, restored into the live store on first query.
+// runSeries resolves a run's telemetry wherever it lives: the live
+// store, or — for runs adopted from the archive, evicted from the table
+// or completed by an earlier process — the snapshot the held run or the
+// archive keeps, restored into the live store on first query.
 func (s *Server) runSeries(id string) (*tsdb.Run, error) {
 	for {
 		if rs := s.tsdb.Lookup(id); rs != nil {
@@ -477,7 +478,7 @@ func (s *Server) runSeries(id string) (*tsdb.Run, error) {
 			if rs := s.tsdb.Lookup(id); rs != nil {
 				return rs, nil
 			}
-			rec, ok := s.storeRecord(id)
+			_, rec, ok := s.find(id, true)
 			if !ok || rec.Telemetry == nil {
 				return nil, nil
 			}
@@ -575,11 +576,10 @@ type SeriesResponse struct {
 
 // writeSeries answers a series query (?metric=&res=&from=&to=) over one
 // run's or twin's telemetry, wherever the caller found it — the live
-// store for in-flight runs and twins, the hot tier for recent runs, or
-// the archive snapshot restored on first touch — so a dashboard needs no
-// knowledge of the lifecycle stage. Without ?metric= it enumerates the
-// recorded metrics; malformed res/from/to are 400s; an unknown metric
-// is a 404 naming the miss.
+// store for held runs and twins, or a snapshot restored on first touch
+// — so a dashboard needs no knowledge of the lifecycle stage. Without
+// ?metric= it enumerates the recorded metrics; malformed res/from/to
+// are 400s; an unknown metric is a 404 naming the miss.
 func writeSeries(w http.ResponseWriter, q url.Values, id string, rs *tsdb.Run) {
 	resp := SeriesResponse{Run: id, DroppedSeries: rs.Dropped()}
 	if resp.Metric = q.Get("metric"); resp.Metric == "" {

@@ -11,18 +11,18 @@ import (
 	"time"
 )
 
-// fullMerge is the listing as a merge of everything: every tier's whole
-// matching listing, ids deduplicated with the first tier (live, hot,
-// archive) winning, sorted by Seq, then paged once.
-func fullMerge(live []Record, tiers [][]Record, f ListFilter) ([]Record, string) {
+// fullMerge is the listing as a merge of everything: the held table's
+// and the archive's whole matching listings, ids deduplicated with the
+// held run winning, sorted by Seq, then paged once.
+func fullMerge(held, archive []Record, f ListFilter) ([]Record, string) {
 	after := -1
 	if f.Cursor != "" {
 		after, _ = strconv.Atoi(f.Cursor)
 	}
 	seen := map[string]bool{}
 	var merged []Record
-	for _, tier := range append([][]Record{live}, tiers...) {
-		for _, rec := range tier {
+	for _, src := range [][]Record{held, archive} {
+		for _, rec := range src {
 			if seen[rec.ID] || !f.Match(rec) {
 				continue
 			}
@@ -44,20 +44,20 @@ func fullMerge(live []Record, tiers [][]Record, f ListFilter) ([]Record, string)
 	return page, ""
 }
 
-// TestListMatchesFullMerge pins Server.List, which asks each tier for
-// one row past the page, to the merge of every tier's whole listing,
-// over drawn tier contents: ids held by one, two or all three tiers
-// (each tier's copy told apart by its cache-hit count), drawn filters,
-// cursors and limits. Pages and next cursors must be identical.
+// TestListMatchesFullMerge pins Server.List, which asks the held table
+// and the archive for one row past the page, to the merge of both whole
+// listings, over drawn contents: ids held by the table, the archive or
+// both (each copy told apart by its cache-hit count), held runs in
+// every state, drawn filters, cursors and limits. Pages and next
+// cursors must be identical.
 func TestListMatchesFullMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	states := []State{StateDone, StateFailed, StateRunning, StateQueued}
+	states := []State{StateDone, StateFailed, StateRunning, StateQueued, StateCancelled}
 	for draw := 0; draw < 60; draw++ {
 		archive := NewMemStore(0, nil)
 		s := New(Config{Workers: 1, Archive: archive})
 		n := rng.Intn(40)
-		var live []Record
-		tiers := make([][]Record, 2)
+		var held, archived []Record
 		for seq := 0; seq < n; seq++ {
 			rec := Record{
 				ID:        fmt.Sprintf("r%06d", seq+1),
@@ -70,21 +70,19 @@ func TestListMatchesFullMerge(t *testing.T) {
 				State:     states[rng.Intn(len(states))],
 				Submitted: time.Date(2026, 1, 1, 0, seq, 0, 0, time.UTC),
 			}
-			in := rng.Intn(7) + 1 // a nonempty subset of live, hot, archive
+			in := rng.Intn(3) + 1 // a nonempty subset of held, archive
 			if in&1 != 0 {
 				r := rec
 				r.CacheHits = 100
-				live = append(live, r)
+				held = append(held, r)
 				s.runs[r.ID] = &run{Record: r}
 			}
-			for i, tier := range []RunStore{s.store, archive} {
-				if in&(2<<i) != 0 {
-					r := rec
-					r.CacheHits = 200 + 100*i
-					tiers[i] = append(tiers[i], r)
-					if err := tier.Put(r); err != nil {
-						t.Fatal(err)
-					}
+			if in&2 != 0 {
+				r := rec
+				r.CacheHits = 200
+				archived = append(archived, r)
+				if err := archive.Put(r); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -105,7 +103,7 @@ func TestListMatchesFullMerge(t *testing.T) {
 			}
 			f.Limit = rng.Intn(n + 2)
 
-			wantRows, wantNext := fullMerge(live, tiers, f)
+			wantRows, wantNext := fullMerge(held, archived, f)
 			want := viewsFromRecords(wantRows)
 			got, gotNext, err := s.List(f)
 			if err != nil {
@@ -127,7 +125,7 @@ func TestListMatchesFullMerge(t *testing.T) {
 	}
 }
 
-// listIDs names a page's rows with the tier each came from.
+// listIDs names a page's rows with the source each came from.
 func listIDs(views []RunView) []string {
 	out := make([]string, len(views))
 	for i, v := range views {

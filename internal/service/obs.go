@@ -61,7 +61,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.engineEvents = reg.Counter("simd_engine_events_total",
 		"Simulation engine events fired across all runs.")
 	tiers := reg.CounterVec("simd_cache_tier_hits_total",
-		"Spec-hash cache hits, by the tier that answered.", "tier")
+		"Spec-hash cache hits, by what answered: a run not yet retired (live), a retired held run (hot), the archive.", "tier")
 	m.tierLive = tiers.With("live")
 	m.tierHot = tiers.With("hot")
 	m.tierArchive = tiers.With("archive")
@@ -76,7 +76,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	st := func(f func(Stats) float64) func() float64 {
 		return func() float64 { return f(m.stats()) }
 	}
-	reg.GaugeFunc("simd_runs", "Process-visible runs (live plus hot tier).",
+	reg.GaugeFunc("simd_runs", "Runs the daemon holds, from submission to eviction.",
 		st(func(v Stats) float64 { return float64(v.Runs) }))
 	reg.GaugeFunc("simd_runs_queued", "Runs waiting for a worker.",
 		st(func(v Stats) float64 { return float64(v.Queued) }))

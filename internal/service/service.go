@@ -12,13 +12,13 @@
 // service adds queueing, dedup, telemetry and lifecycle, never a second
 // result format.
 //
-// Completed runs move out of the live registry into the persistence
-// tier: always the in-memory MemStore (the hot tier, bounded by
-// Config.MaxRuns), and — when Config.Archive is set — a write-through
-// RunStore that survives restarts (cmd/simd wires the filesystem
-// archive there). Reads fall through live -> hot -> archive, so a
-// rebooted daemon still serves yesterday's reports and dedupes
-// resubmissions of archived specs into cache hits.
+// The daemon holds a run in one table, under its id, from submission
+// through its terminal state until it is the oldest of more than
+// Config.MaxRuns retired runs. When Config.Archive is set, done runs are
+// written through to a RunStore that survives restarts (cmd/simd wires
+// the filesystem archive there). Reads answer from the table, else from
+// the archive, so a rebooted daemon still serves yesterday's reports
+// and dedupes resubmissions of archived specs into cache hits.
 //
 // Layering (see ARCHITECTURE.md "Service layer" and "Persistence &
 // tenancy"):
@@ -26,7 +26,7 @@
 //	cmd/simd                     HTTP + signals + archive/tokens wiring
 //	        v
 //	internal/service             queue, spec-hash cache, events, drain
-//	        |                    auth/quotas, MemStore + archive tiers
+//	        |                    auth/quotas, run table + archive
 //	        |            sim.RunObserved(ctx, spec, progress, observe)
 //	        v
 //	internal/sim -> experiment/replay/federation -> rjms
@@ -66,14 +66,13 @@ type Config struct {
 	SweepWorkers int
 	// TSDB bounds the telemetry store (per-series ring sizes).
 	TSDB tsdb.Options
-	// MaxRuns caps the hot tier's retained run records; when exceeded,
-	// the oldest records (and their live telemetry) are evicted
+	// MaxRuns caps the retired runs the server holds; beyond it the
+	// oldest retired run leaves the table with its live telemetry
 	// (default 1024). Archived copies survive eviction.
 	MaxRuns int
-	// Archive, when non-nil, is the durable store completed runs are
-	// written through to and read back from after hot-tier eviction or
-	// a restart. The server owns it from New on and closes it in
-	// Shutdown.
+	// Archive, when non-nil, is the durable store done runs are written
+	// through to and read back from after eviction or a restart. The
+	// server owns it from New on and closes it in Shutdown.
 	Archive RunStore
 	// Auth, when non-nil, turns on bearer-token authentication and
 	// per-tenant quotas; nil runs the daemon open (single-user
@@ -114,16 +113,20 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// run is one live (queued or running) submission: its Record, plus
-// what only a live run has. Terminal runs are retired into the store
-// tiers and no longer live here.
+// run is one run the server holds, from submission to eviction: its
+// Record, plus what the daemon keeps beside it. A run adopted from the
+// archive has no context; it is retired from the start.
 type run struct {
 	// Record is the run's one row: every view and listing renders from
-	// it, and retire hands it to the store tiers. eventLog.mu guards it.
+	// it, and retire writes a copy of it to the archive. eventLog.mu
+	// guards it and retired.
 	Record
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	// retired is set once retire has rendered the run's report, taken
+	// its telemetry snapshot and added it to the server's retired list.
+	retired bool
 
 	// reqID is the X-Request-ID of the submission that created the run,
 	// stamped into its lifecycle log lines; setupDur is the
@@ -131,7 +134,7 @@ type run struct {
 	reqID    string
 	setupDur time.Duration
 
-	eventLog // the events retire copies into Record.Events
+	eventLog // the run's events; Record.Events stays nil on a held run
 }
 
 // current reads the run's state under its lock.
@@ -144,7 +147,8 @@ func (r *run) current() State {
 // Stats are the server-wide counters the cache-hit story is measured
 // by.
 type Stats struct {
-	// Runs counts the process-visible runs: live plus the hot tier.
+	// Runs counts the runs the server holds, from submission to
+	// eviction.
 	Runs       int  `json:"runs"`
 	Queued     int  `json:"queued"`
 	Running    int  `json:"running"`
@@ -164,17 +168,13 @@ type Stats struct {
 	TwinsTotal int `json:"twins_total,omitempty"`
 }
 
-// Server is the daemon core: the live run registry, the spec-hash
-// result cache, the FIFO worker scheduler, the telemetry store and the
-// persistence tiers. Construct with New; serve its HTTP API via
-// Handler; stop with Shutdown.
+// Server is the daemon core: the run table, the spec-hash result cache,
+// the FIFO worker scheduler, the telemetry store and the archive.
+// Construct with New; serve its HTTP API via Handler; stop with
+// Shutdown.
 type Server struct {
-	cfg   Config
-	tsdb  *tsdb.Store
-	store *MemStore // hot tier: terminal runs completed in this process
-	// tiers is the store read order: the hot tier, then the archive when
-	// one is configured.
-	tiers []RunStore
+	cfg  Config
+	tsdb *tsdb.Store
 
 	// met is the metric registry and instruments (always present); log
 	// is the component-scoped logger (nil-safe when Config.Logger is
@@ -193,9 +193,14 @@ type Server struct {
 	// final.
 	sched *fifo
 
-	mu          sync.Mutex
-	runs        map[string]*run // live (non-terminal) runs only
-	byHash      map[string]*run // live dedupe index
+	// mu guards the run table; a run's own lock is taken after it.
+	mu   sync.Mutex
+	runs map[string]*run // every held run, by id
+	// byHash is the dedupe index: the newest held run of each spec hash.
+	byHash map[string]*run
+	// retired lists the retired runs in the order they retired (or were
+	// adopted from the archive): eviction takes the front.
+	retired     []*run
 	draining    bool
 	nextSeq     int
 	executions  int
@@ -233,12 +238,7 @@ func New(cfg Config) *Server {
 		restoring:    map[string]chan struct{}{},
 		twins:        map[string]*twinRun{},
 	}
-	// Hot-tier eviction drops the run's live telemetry with it; the
-	// archived copy keeps a snapshot for later restore.
-	s.store = NewMemStore(cfg.MaxRuns, func(rec Record) { s.tsdb.Drop(rec.ID) })
-	s.tiers = []RunStore{s.store}
 	if cfg.Archive != nil {
-		s.tiers = append(s.tiers, cfg.Archive)
 		if max, err := cfg.Archive.MaxSeq(); err == nil && max >= 0 {
 			s.nextSeq = max + 1
 		}
@@ -249,9 +249,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// executeID is the scheduler's executor: resolve the id to its live run
-// and execute it. Ids whose runs were cancelled while queued (or
-// already retired) are cheap no-ops — the scheduler stays free of run
+// executeID is the scheduler's executor: resolve the id to its run and
+// execute it. Ids whose runs were cancelled while queued (or already
+// evicted) are cheap no-ops — the scheduler stays free of run
 // lifecycle knowledge.
 func (s *Server) executeID(id string) error {
 	s.mu.Lock()
@@ -263,8 +263,53 @@ func (s *Server) executeID(id string) error {
 	return nil
 }
 
-// Store exposes the hot-tier run store (tests and tooling).
-func (s *Server) Store() RunStore { return s.store }
+// Store returns a MemStore holding a copy of each retired run the
+// server holds, events included (tests and tooling). The copy is put
+// in retire order, so of two retired runs of one spec it keeps the
+// later one.
+func (s *Server) Store() RunStore {
+	m := NewMemStore(0, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.retired {
+		r.mu.Lock()
+		rec := r.Record
+		rec.Events = r.events
+		r.mu.Unlock()
+		_ = m.Put(rec)
+	}
+	return m
+}
+
+// find resolves a run id to its record: a copy of the held run's,
+// events included, else the archive's — whole when payload is set (the
+// file is read and decoded), else its index row, with no file read. r
+// is the held run itself while it has not retired, the one state in
+// which it still changes; nil otherwise.
+func (s *Server) find(id string, payload bool) (r *run, rec Record, ok bool) {
+	s.mu.Lock()
+	held := s.runs[id]
+	s.mu.Unlock()
+	if held != nil {
+		held.mu.Lock()
+		defer held.mu.Unlock()
+		rec = held.Record
+		rec.Events = held.events
+		if !held.retired {
+			r = held
+		}
+		return r, rec, true
+	}
+	if s.cfg.Archive == nil {
+		return nil, Record{}, false
+	}
+	get := s.cfg.Archive.Meta
+	if payload {
+		get = s.cfg.Archive.Get
+	}
+	rec, ok, err := get(id)
+	return nil, rec, ok && err == nil
+}
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
@@ -287,9 +332,6 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	s.mu.Unlock()
-	if n, err := s.store.Len(); err == nil {
-		st.Runs += n
-	}
 	if s.cfg.Archive != nil {
 		if n, err := s.cfg.Archive.Len(); err == nil {
 			st.Archived = n
@@ -301,7 +343,7 @@ func (s *Server) Stats() Stats {
 
 // SubmitTraced validates, normalizes and content-addresses a spec on
 // behalf of a tenant. An identical spec already queued, running or done
-// — live, hot or archived — dedupes into that run and reports cacheHit
+// — held or archived — dedupes into that run and reports cacheHit
 // true; the result cache is shared across tenants (identical physics is
 // identical physics), while quotas bill only fresh executions. Failed
 // and cancelled runs never serve as cache entries: resubmitting their
@@ -332,7 +374,10 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	}
 	// The archive decodes a file: ask it with s.mu released, so every
 	// other request proceeds meanwhile, then look again — a concurrent
-	// submission may have started or warmed the run in the meantime.
+	// submission may have started or adopted the run in the meantime.
+	// An archived done run is adopted into the table as a retired run,
+	// unless the table already holds its id (another daemon sharing the
+	// archive issued it): then the spec executes afresh.
 	if s.cfg.Archive != nil {
 		s.mu.Unlock()
 		rec, ok, err := s.cfg.Archive.ByHash(hash)
@@ -343,10 +388,16 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 		if v, ok := s.cacheHitLocked(hash, reqID); ok {
 			return v, true, nil
 		}
-		if err == nil && ok && rec.State == StateDone {
-			if v, ok := s.storeHitLocked(rec, "archive", s.met.tierArchive, reqID); ok {
-				return v, true, nil
-			}
+		if err == nil && ok && rec.State == StateDone && s.runs[rec.ID] == nil {
+			r := &run{Record: rec, retired: true}
+			r.init()
+			r.events, r.Events = rec.Events, nil
+			s.runs[r.ID] = r
+			s.byHash[hash] = r
+			s.holdRetiredLocked(r)
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return s.hitLocked(r, "archive", s.met.tierArchive, reqID), true, nil
 		}
 	}
 
@@ -381,7 +432,8 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	// Register before enqueueing: a scheduler slot resolves the id
 	// through s.runs, and s.mu (held here) keeps it from looking before
 	// the maps are consistent. A refused enqueue unwinds the
-	// registration — the run was never accepted.
+	// registration — the run was never accepted, and a run byHash named
+	// before had failed or been cancelled, so no cache entry is lost.
 	s.runs[r.ID] = r
 	s.byHash[hash] = r
 	if err := s.sched.Enqueue(r.ID); err != nil {
@@ -395,85 +447,55 @@ func (s *Server) SubmitTraced(ctx context.Context, tenant TenantConfig, spec sim
 	return v, false, nil
 }
 
-// cacheHitLocked answers a spec hash from what the server holds in
-// memory: a live run that has not failed or been cancelled, else a done
-// record in the hot tier. s.mu must be held: it serializes the hit-count
-// updates (stores do no read-modify-write of their own).
+// cacheHitLocked answers a spec hash from the run table: the newest
+// held run of the hash, unless it failed or was cancelled. A hit on a
+// run that has not yet retired counts for the live tier, on a retired
+// one for the hot tier. s.mu must be held: it serializes the hit
+// counts.
 func (s *Server) cacheHitLocked(hash, reqID string) (RunView, bool) {
-	if prev := s.byHash[hash]; prev != nil {
-		prev.mu.Lock()
-		if st := prev.State; st != StateFailed && st != StateCancelled {
-			prev.CacheHits++
-			s.cacheHits++
-			s.met.tierLive.Inc()
-			v := prev.viewLocked(false, false)
-			prev.mu.Unlock()
-			s.log.Debug("cache hit", "run", v.ID, "tier", "live", "request_id", reqID)
-			return v, true
-		}
-		prev.mu.Unlock()
-	}
-	if rec, ok, err := s.store.ByHash(hash); err == nil && ok && rec.State == StateDone {
-		return s.storeHitLocked(rec, "hot", s.met.tierHot, reqID)
-	}
-	return RunView{}, false
-}
-
-// storeHitLocked counts a cache hit on a stored done record — the
-// durable half of the result cache — and re-puts it into the hot tier,
-// which warms an archive-only record back into memory; s.mu must be
-// held.
-func (s *Server) storeHitLocked(rec Record, tier string, hits *obs.Counter, reqID string) (RunView, bool) {
-	rec.CacheHits++
-	s.cacheHits++
-	hits.Inc()
-	if err := s.store.Put(rec); err != nil {
+	r := s.byHash[hash]
+	if r == nil {
 		return RunView{}, false
 	}
-	v := viewFromRecord(rec, time.Now(), false, false)
-	s.log.Debug("cache hit", "run", v.ID, "tier", tier, "request_id", reqID)
-	return v, true
-}
-
-// storeRecord resolves a run id through the store tiers, payload and
-// all: the archive reads and decodes the run's file.
-func (s *Server) storeRecord(id string) (Record, bool) {
-	for _, tier := range s.tiers {
-		if rec, ok, err := tier.Get(id); err == nil && ok {
-			return rec, true
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case r.State == StateFailed || r.State == StateCancelled:
+		return RunView{}, false
+	case r.retired:
+		return s.hitLocked(r, "hot", s.met.tierHot, reqID), true
 	}
-	return Record{}, false
+	return s.hitLocked(r, "live", s.met.tierLive, reqID), true
 }
 
-// storeMeta resolves a run id's metadata-only record through the store
-// tiers, from their indexes: no file is read.
-func (s *Server) storeMeta(id string) (Record, bool) {
-	for _, tier := range s.tiers {
-		if rec, ok, err := tier.Meta(id); err == nil && ok {
-			return rec, true
-		}
-	}
-	return Record{}, false
+// hitLocked counts one cache hit on a held run for the tier that
+// answered; s.mu and r.mu must be held.
+func (s *Server) hitLocked(r *run, tier string, hits *obs.Counter, reqID string) RunView {
+	r.CacheHits++
+	s.cacheHits++
+	hits.Inc()
+	s.log.Debug("cache hit", "run", r.ID, "tier", tier, "request_id", reqID)
+	return r.viewLocked(false, false)
 }
 
-// retire moves a terminal run out of the live registry into the store
-// tiers: hot always, archive (write-through) for done runs. The record
-// is built outside the server lock (rendering a big sweep's sinks is
-// the expensive part), then the handoff — final hit count, live-index
-// removal, hot-tier put — is atomic under s.mu, so a concurrent Submit
-// sees the run either live or stored, never neither, and no cache hit
-// lands between the count copy and the put.
+// retire finishes a terminal run where it is held: it renders the
+// report through every sink, snapshots the telemetry, writes a done
+// run through to the archive and adds the run to the retired list,
+// which evicts the oldest retired run beyond Config.MaxRuns. The run
+// stays under its id throughout, so the order in which runs retire
+// changes nothing a reader sees. Rendering and the archive write happen
+// outside the server lock.
 func (s *Server) retire(r *run) {
+	// The log closed on the terminal event: the copy shares it.
 	r.mu.Lock()
 	rec := r.Record
-	rec.Events = append([]Event(nil), r.events...)
+	rec.Events = r.events
 	r.mu.Unlock()
 
 	renderStart := time.Now()
 	if rec.Report != nil {
 		rec.Renders = renderAll(*rec.Report)
-		// Views of the still-live run serve these from now on.
+		// Views of the run serve these from now on.
 		r.mu.Lock()
 		r.Renders = rec.Renders
 		r.mu.Unlock()
@@ -487,16 +509,12 @@ func (s *Server) retire(r *run) {
 	// Only done runs are worth durable bytes: failures and
 	// cancellations are not reusable results, and archiving them would
 	// shadow (by spec hash) a later successful run of the same spec
-	// written by another process sharing the directory. The write
-	// happens before the live→hot handoff so its duration lands in the
-	// hot record's stage timings; the run is still live (and deduping)
-	// meanwhile. The archived copy itself carries ArchiveMS 0 — it was
-	// serialized mid-write — and a hit count that may trail the hot
-	// tier's by the hits landing during the write; both keep accruing
-	// only in the hot tier afterwards anyway. The archive's index keeps
-	// the record it was handed (Meta answers from it), so the hot copy
-	// gets its own stage timings rather than a write through the shared
-	// pointer.
+	// written by another process sharing the directory. The archived
+	// copy carries ArchiveMS 0 — it was serialized mid-write — and the
+	// hit count of the moment it was taken; both keep accruing only on
+	// the held run. The archive's index keeps the record it was handed
+	// (Meta answers from it), so the held run gets its own stage timings
+	// rather than a write through the shared pointer.
 	if s.cfg.Archive != nil && rec.State == StateDone {
 		archiveStart := time.Now()
 		err := s.cfg.Archive.Put(rec)
@@ -514,19 +532,29 @@ func (s *Server) retire(r *run) {
 	s.met.observeStages(rec.Stages)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	r.mu.Lock()
-	rec.CacheHits = r.CacheHits
-	r.Stages = rec.Stages
+	r.Telemetry, r.Stages, r.retired = rec.Telemetry, rec.Stages, true
 	r.mu.Unlock()
-	if s.runs[r.ID] == r {
-		delete(s.runs, r.ID)
-		if s.byHash[r.SpecHash] == r {
-			delete(s.byHash, r.SpecHash)
+	s.holdRetiredLocked(r)
+}
+
+// holdRetiredLocked appends a retired run to the retired list and
+// evicts the oldest retired runs beyond Config.MaxRuns from the table,
+// dropping their live telemetry with them (an archived copy keeps a
+// snapshot for later restore); s.mu must be held.
+func (s *Server) holdRetiredLocked(r *run) {
+	s.retired = append(s.retired, r)
+	for len(s.retired) > s.cfg.MaxRuns {
+		old := s.retired[0]
+		s.retired[0] = nil
+		s.retired = s.retired[1:]
+		delete(s.runs, old.ID)
+		if s.byHash[old.SpecHash] == old {
+			delete(s.byHash, old.SpecHash)
 		}
+		s.tsdb.Drop(old.ID)
 	}
-	putErr := s.store.Put(rec)
-	s.mu.Unlock()
-	_ = putErr
 }
 
 // stageTimings assembles the run's pipeline stage breakdown from its
@@ -568,46 +596,25 @@ func renderAll(rep sim.Report) map[string][]byte {
 }
 
 // GetAs returns one run's view (withReport controls the heavy payload),
-// resolving live runs first, then the store tiers, with the caller's
+// resolving held runs first, then the archive, with the caller's
 // tenancy applied: on an authenticated daemon a non-admin tenant
 // resolves only its own runs, and anyone else's run answers the exact
 // 404 an id that never existed answers — a 403 would confirm the id is
 // taken, handing a tenant walking the sequential id space an existence
-// oracle.
+// oracle. A status poll needs only the metadata; the report payload is
+// what makes an archived run worth reading from disk.
 func (s *Server) GetAs(tenant TenantConfig, id string, withReport bool) (RunView, error) {
-	s.mu.Lock()
-	r := s.runs[id]
-	s.mu.Unlock()
-	if r != nil {
-		if !owns(s.cfg.Auth, tenant, r.Tenant) {
-			return RunView{}, errUnknownRun(id)
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.viewLocked(withReport, true), nil
+	_, rec, ok := s.find(id, withReport)
+	if !ok || !owns(s.cfg.Auth, tenant, rec.Tenant) {
+		return RunView{}, errUnknownRun(id)
 	}
-	// A status poll needs only the metadata; the report payload is what
-	// makes a stored run worth reading from disk.
-	lookup := s.storeMeta
-	if withReport {
-		lookup = s.storeRecord
-	}
-	if rec, ok := lookup(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
-		return viewFromRecord(rec, time.Now(), withReport, true), nil
-	}
-	return RunView{}, errUnknownRun(id)
+	return viewFromRecord(rec, time.Now(), withReport, true), nil
 }
 
 // owner names the tenant a run belongs to, wherever the run lives; false
-// when no tier knows the id.
+// when neither the table nor the archive knows the id.
 func (s *Server) owner(id string) (string, bool) {
-	s.mu.Lock()
-	r := s.runs[id]
-	s.mu.Unlock()
-	if r != nil {
-		return r.Tenant, true
-	}
-	rec, ok := s.storeMeta(id)
+	_, rec, ok := s.find(id, false)
 	return rec.Tenant, ok
 }
 
@@ -620,91 +627,72 @@ func errUnknownRun(id string) *Error {
 
 // RenderReport writes the run's report in the named sink format — the
 // report endpoint's engine. Runs with a live Report render on demand
-// with the requested options; archive-only records serve the rendering
-// captured at completion (default options), so a restarted daemon still
-// answers byte-identically for the formats it stored. A stored run is
-// resolved once: the one record read serves either form.
+// with the requested options; runs adopted from the archive, and runs
+// the server no longer holds, serve the rendering captured at
+// completion (default options), so a restarted daemon still answers
+// byte-identically for the formats it stored. An archived run is read
+// once: the one record read serves either form.
 func (s *Server) RenderReport(id, format string, opt sim.SinkOptions, w io.Writer) error {
 	if _, err := sim.Sinks.Lookup(format); err != nil {
 		return &Error{Status: 400, Msg: err.Error()}
 	}
-	s.mu.Lock()
-	r := s.runs[id]
-	s.mu.Unlock()
-	if r != nil {
-		r.mu.Lock()
-		state, rep, errMsg := r.State, r.Report, r.Error
-		r.mu.Unlock()
-		if !state.Terminal() {
-			return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s is %s; report not ready", id, state)}
-		}
-		if rep == nil {
-			return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s (%s) produced no report: %s", id, state, errMsg)}
-		}
-		return sim.Export(w, format, *rep, opt)
-	}
-	rec, ok := s.storeRecord(id)
+	r, rec, ok := s.find(id, true)
 	if !ok {
 		return errUnknownRun(id)
+	}
+	if !rec.State.Terminal() {
+		return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s is %s; report not ready", id, rec.State)}
 	}
 	if rec.Report != nil {
 		return sim.Export(w, format, *rec.Report, opt)
 	}
-	b, ok := rec.Renders[format]
-	if !ok {
-		return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s (%s) stored no %s rendering", id, rec.State, format)}
+	if b, ok := rec.Renders[format]; ok {
+		_, err := w.Write(b)
+		return err
 	}
-	_, werr := w.Write(b)
-	return werr
+	if r != nil {
+		return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s (%s) produced no report: %s", id, rec.State, rec.Error)}
+	}
+	return &Error{Status: 409, Msg: fmt.Sprintf("service: run %s (%s) stored no %s rendering", id, rec.State, format)}
 }
 
 // List returns the run views matching the filter in submission order
-// across every tier — live runs, the hot tier and the archive — plus
-// the cursor of the next page ("" when exhausted). Ids are unique
-// across tiers (the archive seeds the id sequence at boot), with the
-// freshest tier winning when a record exists in several.
+// across the run table and the archive, plus the cursor of the next
+// page ("" when exhausted). Ids are unique across both (the archive
+// seeds the id sequence at boot), and the held run wins when an id is
+// in both.
 //
-// Each tier is asked for one row more than the page, after the cursor,
-// and the merge keeps the first Limit distinct ids by Seq. That is the
-// page a merge of everything would give: a row among the union's first
-// Limit+1 distinct ids has at most Limit rows before it in any tier
-// holding it, so that tier returned it; and an id's Seq and filter
-// fields are the same in every tier (the id is derived from the Seq).
+// Each source is asked for one row more than the page, after the
+// cursor, and the merge keeps the first Limit distinct ids by Seq. That
+// is the page a merge of everything would give: a row among the union's
+// first Limit+1 distinct ids has at most Limit rows before it in any
+// source holding it, so that source returned it; and an id's Seq and
+// filter fields are the same in both (the id is derived from the Seq).
 func (s *Server) List(f ListFilter) ([]RunView, string, error) {
-	after, err := parseCursor(f.Cursor)
+	srcF := f
+	if f.Limit > 0 {
+		srcF.Limit = f.Limit + 1
+	}
+	s.mu.Lock()
+	records, _, err := listPage(s.runs, srcF, func(r *run) Record {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.Record
+	})
+	s.mu.Unlock()
 	if err != nil {
 		return nil, "", err
 	}
-	tierF := f
-	if f.Limit > 0 {
-		tierF.Limit = f.Limit + 1
-	}
-
-	var live []Record
-	s.mu.Lock()
-	for _, r := range s.runs {
-		r.mu.Lock()
-		if r.Seq > after && f.Match(r.Record) {
-			live = append(live, r.Record.light())
-		}
-		r.mu.Unlock()
-	}
-	s.mu.Unlock()
-	tierRows := make([][]Record, len(s.tiers))
-	n := len(live)
-	for i, tier := range s.tiers {
-		if tierRows[i], _, err = tier.List(tierF); err != nil {
+	if s.cfg.Archive != nil {
+		rows, _, err := s.cfg.Archive.List(srcF)
+		if err != nil {
 			return nil, "", err
 		}
-		n += len(tierRows[i])
-	}
-	records := append(make([]Record, 0, n), live...)
-	for _, rows := range tierRows {
 		records = append(records, rows...)
 	}
 
-	// Stable: of one id's rows, adjacent (an id is its Seq), the
-	// freshest tier's stays first.
+	// Stable: of one id's rows, adjacent (an id is its Seq), the held
+	// run's stays first.
 	sort.SliceStable(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
 	page := records[:0]
 	for _, rec := range records {
@@ -724,18 +712,13 @@ func (s *Server) List(f ListFilter) ([]RunView, string, error) {
 // only its own runs unless marked admin; anyone else's run answers the
 // unknown-run 404, exactly like a read.
 func (s *Server) CancelAs(tenant TenantConfig, id string) (RunView, error) {
-	s.mu.Lock()
-	r := s.runs[id]
-	s.mu.Unlock()
-	if r == nil {
-		if rec, ok := s.storeMeta(id); ok && owns(s.cfg.Auth, tenant, rec.Tenant) {
-			// Already terminal: cancelling is a no-op.
-			return viewFromRecord(rec, time.Now(), false, false), nil
-		}
+	r, rec, ok := s.find(id, false)
+	if !ok || !owns(s.cfg.Auth, tenant, rec.Tenant) {
 		return RunView{}, errUnknownRun(id)
 	}
-	if !owns(s.cfg.Auth, tenant, r.Tenant) {
-		return RunView{}, errUnknownRun(id)
+	if r == nil {
+		// Retired or archived, so terminal: cancelling is a no-op.
+		return viewFromRecord(rec, time.Now(), false, false), nil
 	}
 	return s.cancel(r, context.Canceled.Error()), nil
 }
@@ -765,18 +748,15 @@ func (s *Server) cancel(r *run, msg string) RunView {
 
 // Follow replays a run's event log from the start and then follows live
 // appends, invoking fn per event in order, until the run is terminal
-// and fully delivered, fn errors, or ctx ends — the SSE loop. Stored
-// (terminal) runs replay their archived log and return.
+// and fully delivered, fn errors, or ctx ends — the SSE loop. A retired
+// run, held or archived, replays its log and returns.
 func (s *Server) Follow(ctx context.Context, id string, fn func(Event) error) error {
-	s.mu.Lock()
-	r := s.runs[id]
-	s.mu.Unlock()
-	if r != nil {
-		return r.follow(ctx, fn)
-	}
-	rec, ok := s.storeRecord(id)
+	r, rec, ok := s.find(id, true)
 	if !ok {
 		return errUnknownRun(id)
+	}
+	if r != nil {
+		return r.follow(ctx, fn)
 	}
 	for _, e := range rec.Events {
 		if err := fn(e); err != nil {
@@ -934,9 +914,9 @@ func (s *Server) observeFn(r *run) sim.Observer {
 
 // Shutdown drains the server: submissions are refused, queued runs are
 // cancelled (they never started; re-submitting later re-executes), and
-// the workers finish their in-flight runs — whose results land in the
-// store tiers, so an archive-backed daemon hands its successor
-// everything that completed. If ctx ends first, the in-flight runs are
+// the workers finish their in-flight runs — whose results are written
+// through to the archive, so an archive-backed daemon hands its
+// successor everything that completed. If ctx ends first, the in-flight runs are
 // hard-cancelled through their contexts and Shutdown still waits for
 // the pool to unwind (no goroutine outlives it) before returning ctx's
 // error. The archive is closed last.

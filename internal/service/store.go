@@ -16,10 +16,10 @@ import (
 // Record is one run as the service holds it: the normalized spec with
 // its content address, the lifecycle metadata and event log, the report
 // rendered through every sink, and the downsampled telemetry snapshot.
-// A live daemon run embeds one (the gateway's routing entry too), the
-// store tiers keep completed ones, and every view and listing renders
-// from it. Policies and Kinds are derived from the spec at submission
-// so list filters match without re-walking spec structure per request.
+// A daemon run embeds one (the gateway's routing entry too), the
+// stores keep completed ones, and every view and listing renders from
+// it. Policies and Kinds are derived from the spec at submission so
+// list filters match without re-walking spec structure per request.
 //
 // The JSON form is the archive envelope's run metadata. The envelope
 // carries the spec, its hash, the renders and the telemetry itself, and
@@ -55,13 +55,13 @@ type Record struct {
 	// archived before stage timing existed).
 	Stages *StageTimings `json:"stages,omitempty"`
 
-	// Events is the run's event log; a live run keeps it in its
-	// eventLog and copies it in as it retires.
+	// Events is the run's event log; a held daemon run keeps it in its
+	// eventLog instead, and copies it in for the archive.
 	Events []Event     `json:"events,omitempty"`
 	Spec   sim.RunSpec `json:"-"`
 
 	// Renders maps sink names to the rendered report (nil for runs that
-	// produced none). A live run holds them from the moment retire has
+	// produced none). A daemon run holds them from the moment retire has
 	// rendered them.
 	Renders map[string][]byte `json:"-"`
 	// Telemetry is the run's downsampled telemetry snapshot.
@@ -217,21 +217,41 @@ func parseCursor(cursor string) (int, error) {
 	return n, nil
 }
 
-// seqKey locates one row of a store's index by its sequence number.
+// seqKey locates one row of a run table by its sequence number.
 type seqKey struct {
 	seq int
 	key string
 }
 
-// pageKeys sorts the keys of the rows after the cursor that match a
-// filter by Seq and cuts them to the page. A store keys its rows first
-// and copies only the page's. A cursor past the end leaves no keys: an
-// empty page, the natural "you have read everything" answer, not an
-// error.
-func pageKeys(keys []seqKey, limit int) ([]seqKey, string) {
+// listPage pages a run table: the rows after the filter's cursor that
+// it matches, in Seq order, cut to its limit, plus the next page's
+// cursor. row reads one entry's record (under whatever lock the entry
+// needs). The matching rows are keyed first and only the page's are
+// copied out, metadata only, so a listing costs its page, not the
+// table. A cursor past the end leaves an empty page, the natural "you
+// have read everything" answer, not an error.
+func listPage[V any](table map[string]V, f ListFilter, row func(V) Record) ([]Record, string, error) {
+	after, err := parseCursor(f.Cursor)
+	if err != nil {
+		return nil, "", err
+	}
+	keys := make([]seqKey, 0, len(table))
+	for key, v := range table {
+		if rec := row(v); rec.Seq > after && f.Match(rec) {
+			keys = append(keys, seqKey{rec.Seq, key})
+		}
+	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].seq < keys[j].seq })
-	return cutPage(keys, limit, func(k seqKey) int { return k.seq })
+	keys, next := cutPage(keys, f.Limit, func(k seqKey) int { return k.seq })
+	page := make([]Record, len(keys))
+	for i, k := range keys {
+		page[i] = row(table[k.key]).light()
+	}
+	return page, next, nil
 }
+
+// storedRow is listPage's row for a table of records.
+func storedRow(rec Record) Record { return rec }
 
 // cutPage cuts rows sorted by Seq to a page: the first limit of them
 // (limit 0: all), plus the next cursor — the Seq of the last row kept,
@@ -244,11 +264,11 @@ func cutPage[T any](rows []T, limit int, seq func(T) int) ([]T, string) {
 	return rows, ""
 }
 
-// RunStore is the persistence seam of the service: completed runs
-// (their reports rendered through every sink, plus telemetry snapshots)
-// are Put once terminal and served from the store from then on. Two
-// implementations ship — the in-memory store the daemon always fronts
-// with, and the filesystem archive that survives restarts — and any
+// RunStore is the persistence seam of the service: the daemon's done
+// runs (their reports rendered through every sink, plus telemetry
+// snapshots) are Put as they retire, and read back once the daemon no
+// longer holds them. Two implementations ship — the filesystem archive
+// that survives restarts, and the in-memory MemStore — and any
 // future backend (sqlite, badger, ...) must pass the conformance suite
 // in store_conformance_test.go, which pins these semantics:
 //
@@ -288,11 +308,12 @@ type RunStore interface {
 	Close() error
 }
 
-// MemStore is the in-memory RunStore: the daemon's hot tier (and the
-// whole persistence layer when no archive is configured). It holds full
-// records — including the process-local live Report — bounded by
-// MaxRecords with oldest-first eviction, which is exactly the retention
-// the pre-store daemon applied to terminal runs.
+// MemStore is the in-memory RunStore: full records, the process-local
+// live Report included, bounded by MaxRecords with oldest-first
+// eviction. The daemon holds its runs in its own table and does not use
+// one; Server.Store hands out a MemStore copy of its retired runs, and
+// the store conformance suite and the benchmarks drive it beside the
+// filesystem archive.
 type MemStore struct {
 	max     int
 	onEvict func(Record)
@@ -305,8 +326,7 @@ type MemStore struct {
 
 // NewMemStore builds a memory store keeping at most max records
 // (0 = unbounded). onEvict, when non-nil, observes each evicted or
-// replaced record (the daemon drops the evicted run's live telemetry
-// there).
+// replaced record.
 func NewMemStore(max int, onEvict func(Record)) *MemStore {
 	return &MemStore{
 		max:     max,
@@ -402,24 +422,9 @@ func (m *MemStore) ByHash(hash string) (Record, bool, error) {
 // List returns the metadata-only records matching the filter in Seq
 // order with cursor pagination.
 func (m *MemStore) List(f ListFilter) ([]Record, string, error) {
-	after, err := parseCursor(f.Cursor)
-	if err != nil {
-		return nil, "", err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var keys []seqKey
-	for _, id := range m.order {
-		if rec := m.byID[id]; rec.Seq > after && f.Match(rec) {
-			keys = append(keys, seqKey{rec.Seq, id})
-		}
-	}
-	keys, next := pageKeys(keys, f.Limit)
-	out := make([]Record, len(keys))
-	for i, k := range keys {
-		out[i] = m.byID[k.key].light()
-	}
-	return out, next, nil
+	return listPage(m.byID, f, storedRow)
 }
 
 // Len counts the stored records.

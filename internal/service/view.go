@@ -58,8 +58,7 @@ type RunView struct {
 
 	// Stages is the per-stage timing breakdown, present on every
 	// terminal view: queued, setup and execute from the moment the run
-	// turns terminal, render and archive once it has retired into the
-	// store tiers.
+	// turns terminal, render and archive once it has retired.
 	Stages *StageTimings `json:"stages,omitempty"`
 
 	// Report carries the json-sink encoding of the finished run's
@@ -108,7 +107,7 @@ func viewFromRecord(rec Record, now time.Time, withReport, withSpec bool) RunVie
 		if end.IsZero() {
 			end = now
 		}
-		// Wall readings on both ends: the hot tier's record keeps the
+		// Wall readings on both ends: a held run's record keeps the
 		// monotonic clock, the archive's decoded one does not, and the
 		// two must render the same elapsed time.
 		v.ElapsedMS = float64(end.Round(0).Sub(rec.Started.Round(0)).Microseconds()) / 1000

@@ -79,12 +79,13 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 type module struct {
 	paths []string               // import paths, sorted
 	files map[string][]*ast.File // import path -> its non-test files
+	fset  *token.FileSet         // positions name files by repository path
 	info  *types.Info
 }
 
 func loadModule(files []srcFile) (*module, error) {
 	fset := token.NewFileSet()
-	m := &module{files: map[string][]*ast.File{}, info: &types.Info{
+	m := &module{files: map[string][]*ast.File{}, fset: fset, info: &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
