@@ -32,6 +32,7 @@ import (
 	"repro/internal/reservation"
 	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/signal"
 	"repro/internal/sim"
 	"repro/internal/simengine"
 	"repro/internal/trace"
@@ -266,12 +267,13 @@ func sweepBenchGrid() experiment.Grid {
 // kept the list it generated, 10.7 MB once a cell's clones were one
 // slab, no event was a closure and the pending queue reused its array,
 // 3.92 MB once a controller never wrote a job and a cell copied none of
-// the list it shares, 3.48 MB now that the controller keeps no per-node
-// job lists (the cluster counts each node's cores per rung in one slice
-// it allocates up front). The ceiling keeps that from regressing
-// silently.
+// the list it shares, 3.48 MB once the controller kept no per-node job
+// lists (the cluster counts each node's cores per rung in one slice it
+// allocates up front), 2.92 MB now that a metrics sample builds no map,
+// a workload's user names come from one table and the running table
+// grows in blocks. The ceiling keeps that from regressing silently.
 func TestSweepAllocCeiling(t *testing.T) {
-	const ceilingMB = 4.0
+	const ceilingMB = 3.4
 	grid := sweepBenchGrid()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -284,6 +286,45 @@ func TestSweepAllocCeiling(t *testing.T) {
 	t.Logf("one sweep of %d cells allocates %.2f MB (ceiling %.1f MB)", len(tab.Rows), mb, ceilingMB)
 	if mb > ceilingMB {
 		t.Errorf("one sweep of %d cells allocates %.2f MB, ceiling %.1f MB", len(tab.Rows), mb, ceilingMB)
+	}
+}
+
+// TestFederationAllocCeiling bounds the bytes one operation of the
+// benchmark's federation_epochs workload allocates: entry 0 of its pool
+// (bench/replay.go federationPool), a four-cell federated sweep — {2, 4}
+// members x {prorata, demand} on 4-rack machines under a 50 % site
+// budget following a diurnal signal, 300 s epochs — run through sim.Run
+// as the benchmark runs it. 3.42 MB while every metrics sample built a
+// map of its cores by frequency, every workload built its user names
+// anew and the running table grew by copying, 2.70 MB now. The ceiling
+// keeps that from regressing silently.
+func TestFederationAllocCeiling(t *testing.T) {
+	const ceilingMB = 2.8
+	spec := sim.RunSpec{
+		Racks:        4,
+		CapFractions: []float64{0.5},
+		Workers:      1,
+		Federation: &sim.FederationSpec{
+			MemberCounts: []int{2, 4},
+			Divisions:    []string{"prorata", "demand"},
+			EpochSec:     300,
+			Signal:       &signal.Spec{Kind: "diurnal", Amplitude: 0.3},
+		},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := sim.Run(context.Background(), spec)
+	runtime.ReadMemStats(&after)
+	if err == nil && len(rep.Errs()) > 0 {
+		err = rep.Errs()[0]
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("one federation_epochs operation allocates %.2f MB (ceiling %.1f MB)", mb, ceilingMB)
+	if mb > ceilingMB {
+		t.Errorf("one federation_epochs operation allocates %.2f MB, ceiling %.1f MB", mb, ceilingMB)
 	}
 }
 

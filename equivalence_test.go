@@ -246,9 +246,15 @@ func fingerprintRunV2(sum metrics.Summary, samples []metrics.Sample) string {
 		sum.JobsSubmitted, sum.JobsLaunched, sum.JobsCompleted, sum.JobsKilled, sum.Rescales,
 		sum.MeanWaitSec, sum.MeanBSLD, sum.MaxBSLD, sum.NormEnergy, sum.NormWork, sum.NormLaunched)
 	byFreq(sum.LaunchedByFreq)
+	ladder := dvfs.CurieLadder()
 	for _, s := range samples {
 		fmt.Fprint(h, s.T, s.BusyNodes, s.IdleNodes, s.OffNodes, s.OffCores, float64(s.Power), float64(s.Cap), float64(s.Bonus))
-		byFreq(s.CoresByFreq)
+		for i, n := range s.CoresByFreq { // ascending, zero slots skipped: the bytes the sorted map wrote
+			if n != 0 {
+				fmt.Fprintf(h, " %d:%d", int(ladder[i]), n)
+			}
+		}
+		fmt.Fprintln(h)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

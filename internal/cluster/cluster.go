@@ -607,12 +607,19 @@ func (c *Cluster) Count(st NodeState) int {
 // BusyCores returns the total allocated core count.
 func (c *Cluster) BusyCores() int { return c.busyCores }
 
-// CoresByFreq returns a copy of the allocated-cores histogram keyed by the
-// node frequency they are charged at (the Figure 6/7 core series).
-func (c *Cluster) CoresByFreq() map[dvfs.Freq]int {
-	out := make(map[dvfs.Freq]int, len(c.coresByFreq))
+// CurieCores returns the allocated cores by the Curie rung they are
+// charged at (the Figure 6/7 core series), filled from the live bars
+// without allocating. The cluster must run the Curie profile, the only
+// one a controller builds: a bar at any other frequency has no slot,
+// and panics.
+func (c *Cluster) CurieCores() dvfs.CurieCores {
+	var out dvfs.CurieCores
 	for _, e := range c.coresByFreq {
-		out[e.freq] = e.cores
+		i, ok := dvfs.CurieSlot(e.freq)
+		if !ok {
+			panic(fmt.Sprintf("cluster: %v cores at %v, off the Curie ladder", e.cores, e.freq))
+		}
+		out[i] = int32(e.cores)
 	}
 	return out
 }
@@ -637,11 +644,7 @@ func (c *Cluster) Power() power.Watts {
 func (c *Cluster) MaxPower() power.Watts { return c.maxPowerOnce }
 
 // IdlePower returns the draw with every node powered on and idle.
-func (c *Cluster) IdlePower() power.Watts {
-	return power.Watts(float64(c.profile.Idle())*float64(c.topo.Nodes()) +
-		c.overhead.ChassisWatts*float64(c.topo.Chassis()) +
-		c.overhead.RackWatts*float64(c.topo.Racks))
-}
+func (c *Cluster) IdlePower() power.Watts { return c.SurvivorDraw(Groups{}, c.profile.Idle()) }
 
 // OccupyDelta returns the extra draw caused by occupying the given nodes
 // with a job at frequency f, without mutating anything. Nodes already busy

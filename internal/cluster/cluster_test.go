@@ -559,17 +559,26 @@ func TestCoresByFreq(t *testing.T) {
 	if err := c.Occupy([]Alloc{{Node: 1, Cores: 2}}, dvfs.F2000); err != nil {
 		t.Fatal(err)
 	}
-	h := c.CoresByFreq()
-	if h[dvfs.F2700] != 4 || h[dvfs.F2000] != 2 {
+	h := c.CurieCores()
+	if h.At(dvfs.F2700) != 4 || h.At(dvfs.F2000) != 2 {
 		t.Errorf("histogram = %v", h)
 	}
 	if err := c.Vacate([]Alloc{{Node: 1, Cores: 2}}, dvfs.F2000); err != nil {
 		t.Fatal(err)
 	}
-	h = c.CoresByFreq()
-	if _, ok := h[dvfs.F2000]; ok {
-		t.Errorf("empty bucket kept: %v", h)
+	if h = c.CurieCores(); h.At(dvfs.F2000) != 0 || len(c.coresByFreq) != 1 {
+		t.Errorf("emptied bar kept: %v, live bars %v", h, c.coresByFreq)
 	}
+}
+
+// liveBars is the cores-by-frequency histogram as a map, for any
+// profile: CurieCores has slots for the Curie rungs only.
+func liveBars(c *Cluster) map[dvfs.Freq]int {
+	out := make(map[dvfs.Freq]int, len(c.coresByFreq))
+	for _, e := range c.coresByFreq {
+		out[e.freq] = e.cores
+	}
+	return out
 }
 
 func TestForEach(t *testing.T) {
@@ -683,8 +692,8 @@ func checkAggregatesBrute(t *testing.T, c *Cluster) {
 	if got := c.BusyCores(); got != busyCores {
 		t.Errorf("BusyCores() = %d, recomputed %d", got, busyCores)
 	}
-	if got := c.CoresByFreq(); !reflect.DeepEqual(got, byFreq) {
-		t.Errorf("CoresByFreq() = %v, recomputed %v (no zero entries)", got, byFreq)
+	if got := liveBars(c); !reflect.DeepEqual(got, byFreq) {
+		t.Errorf("cores-by-frequency bars = %v, recomputed %v (no zero entries)", got, byFreq)
 	}
 	one := []NodeID{0}
 	for _, f := range dvfs.CurieLadder() {

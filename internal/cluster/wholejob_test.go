@@ -244,7 +244,7 @@ func snapshot(c *Cluster) clusterState {
 	s := clusterState{
 		power:     c.Power(),
 		busyCores: c.BusyCores(),
-		byFreq:    c.CoresByFreq(),
+		byFreq:    liveBars(c),
 		partial:   slices.Clone(c.PartialBusySet()),
 		idle:      slices.Clone(c.IdleSet()),
 		gen:       c.Generation(),

@@ -104,11 +104,7 @@ func PlanOffline(c *cluster.Cluster, pm PolicyModel, cap power.Cap, grouped bool
 // wattsAllBusy returns the cluster draw with every node busy at the given
 // per-node wattage, all shared equipment powered.
 func wattsAllBusy(c *cluster.Cluster, busy power.Watts) power.Watts {
-	topo := c.Topology()
-	ov := c.Overhead()
-	return power.Watts(float64(busy)*float64(topo.Nodes()) +
-		ov.ChassisWatts*float64(topo.Chassis()) +
-		ov.RackWatts*float64(topo.Racks))
+	return c.SurvivorDraw(cluster.Groups{}, busy)
 }
 
 // selectForSaving grows a switch-off group until it sheds at least `need`

@@ -46,10 +46,41 @@ func (f Freq) String() string {
 // Ladder is an ordered set of available frequencies, ascending.
 type Ladder []Freq
 
+// curieRungs is the Curie ladder as an array: the slot order of
+// CurieCores.
+var curieRungs = [...]Freq{F1200, F1400, F1600, F1800, F2000, F2200, F2400, F2700}
+
 // CurieLadder returns the eight P-states of a Curie compute node,
 // ascending from 1.2 GHz to the nominal 2.7 GHz.
 func CurieLadder() Ladder {
-	return Ladder{F1200, F1400, F1600, F1800, F2000, F2200, F2400, F2700}
+	return Ladder(curieRungs[:]).Clone()
+}
+
+// CurieCores counts cores at each rung of the Curie ladder, slot i
+// holding the cores at CurieLadder()[i]: the Figure 6/7 cores-by-
+// frequency value of one metrics sample. It is a fixed-size array, so a
+// sample carries it by value and recording one allocates nothing. It
+// has slots for the Curie rungs only, which holds because the Curie
+// profile is the only one a controller builds (rjms.New).
+type CurieCores [len(curieRungs)]int32
+
+// CurieSlot returns f's slot in a CurieCores, and false for a frequency
+// off the Curie ladder.
+func CurieSlot(f Freq) (int, bool) {
+	for i, r := range curieRungs {
+		if r == f {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// At returns the cores counted at f; 0 for a frequency off the ladder.
+func (c CurieCores) At(f Freq) int {
+	if i, ok := CurieSlot(f); ok {
+		return int(c[i])
+	}
+	return 0
 }
 
 // MixLadder returns the restricted ladder used by the MIX policy

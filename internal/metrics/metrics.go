@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dvfs"
 	"repro/internal/power"
@@ -15,8 +14,8 @@ import (
 
 // Sample is one point of the Figure 6/7 time series.
 type Sample struct {
-	T           int64             // virtual time (s)
-	CoresByFreq map[dvfs.Freq]int // busy cores keyed by node frequency
+	T           int64           // virtual time (s)
+	CoresByFreq dvfs.CurieCores // busy cores by the rung their node is charged at
 	BusyNodes   int
 	IdleNodes   int
 	OffNodes    int
@@ -205,19 +204,20 @@ func (r *Recorder) Finalize(start, end int64, maxPower power.Watts, totalCores i
 // FreqsUsed returns the frequencies appearing in the series, ascending —
 // the legend of the Figure 6/7 plots.
 func FreqsUsed(samples []Sample) []dvfs.Freq {
-	set := map[dvfs.Freq]bool{}
+	var used [len(dvfs.CurieCores{})]bool
 	for _, s := range samples {
-		for f, n := range s.CoresByFreq {
+		for i, n := range s.CoresByFreq {
 			if n > 0 {
-				set[f] = true
+				used[i] = true
 			}
 		}
 	}
-	out := make([]dvfs.Freq, 0, len(set))
-	for f := range set {
-		out = append(out, f)
+	var out []dvfs.Freq
+	for i, f := range dvfs.CurieLadder() {
+		if used[i] {
+			out = append(out, f)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

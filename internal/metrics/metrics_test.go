@@ -70,8 +70,12 @@ func TestFinalizeZeroDivisors(t *testing.T) {
 
 func TestSamplesAndFreqsUsed(t *testing.T) {
 	r := NewRecorder(0, 0, 0)
-	r.AddSample(Sample{T: 0, CoresByFreq: map[dvfs.Freq]int{dvfs.F2700: 10}})
-	r.AddSample(Sample{T: 60, CoresByFreq: map[dvfs.Freq]int{dvfs.F2000: 5, dvfs.F1200: 0}})
+	slot := func(f dvfs.Freq) int { i, _ := dvfs.CurieSlot(f); return i }
+	var first, second dvfs.CurieCores
+	first[slot(dvfs.F2700)] = 10
+	second[slot(dvfs.F2000)] = 5
+	r.AddSample(Sample{T: 0, CoresByFreq: first})
+	r.AddSample(Sample{T: 60, CoresByFreq: second})
 	if len(r.Samples()) != 2 {
 		t.Fatalf("samples = %d", len(r.Samples()))
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -102,7 +101,6 @@ func WriteJSON(w io.Writer, results []Result) error {
 func WriteSeriesCSV(w io.Writer, samples []metrics.Sample) error {
 	cw := csv.NewWriter(w)
 	freqs := metrics.FreqsUsed(samples)
-	sort.Slice(freqs, func(i, j int) bool { return freqs[i] < freqs[j] })
 	header := []string{"t_sec", "power_w", "cap_w", "bonus_w", "busy_nodes", "idle_nodes", "off_nodes", "off_cores"}
 	for _, f := range freqs {
 		header = append(header, fmt.Sprintf("cores_%dmhz", int(f)))
@@ -124,7 +122,7 @@ func WriteSeriesCSV(w io.Writer, samples []metrics.Sample) error {
 			strconv.Itoa(s.OffCores),
 		)
 		for _, f := range freqs {
-			row = append(row, strconv.Itoa(s.CoresByFreq[f]))
+			row = append(row, strconv.Itoa(s.CoresByFreq.At(f)))
 		}
 		if err := cw.Write(row); err != nil {
 			return err

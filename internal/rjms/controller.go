@@ -31,12 +31,14 @@ type Controller struct {
 
 	// The running table: a job's run state lives here while it runs and
 	// only then — the controller never writes a job and keeps no record
-	// of one that ended. running maps each running job to its slot in
-	// runs; a finish frees the slot (runFree) and the next commit reuses
-	// it, so the map's values stay small and runs as long as the most
-	// jobs that ran at once.
+	// of one that ended. running maps each running job to its slot; a
+	// finish frees the slot (runFree) and the next commit reuses it, so
+	// the map's values stay small and the nRuns slots handed out are as
+	// many as the most jobs that ran at once. The slots come in blocks of
+	// runBlock records (slot), so the table grows without copying one.
 	running map[job.ID]int
-	runs    []run
+	runs    []*[runBlock]run
+	nRuns   int
 	runFree []int
 
 	// allocFree recycles the Allocs slices of finished jobs: bucket k

@@ -64,12 +64,12 @@ func (c *Controller) reclock(r *run, now int64, f dvfs.Freq) {
 }
 
 // sortedRunning returns the running jobs' records in a deterministic
-// order chosen by less. The pointers stand until the next commit.
+// order chosen by less.
 func (c *Controller) sortedRunning(less func(a, b *run) bool) []*run {
 	out := make([]*run, 0, len(c.running))
-	for k := range c.runs {
-		if c.runs[k].j != nil {
-			out = append(out, &c.runs[k])
+	for k := 0; k < c.nRuns; k++ {
+		if r := c.slot(k); r.j != nil {
+			out = append(out, r)
 		}
 	}
 	sort.Slice(out, func(i, k int) bool { return less(out[i], out[k]) })

@@ -30,7 +30,7 @@ func startLongJob(t *testing.T, cfg Config, runtime int64) *Controller {
 func runningFreq(t *testing.T, c *Controller) dvfs.Freq {
 	t.Helper()
 	for _, k := range c.running {
-		return c.runs[k].freq
+		return c.slot(k).freq
 	}
 	t.Fatal("no running job")
 	return 0
@@ -178,7 +178,7 @@ func TestDynamicThrottleSpreadsFairly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range c.running {
-		if r := c.runs[k]; r.freq != dvfs.F2400 {
+		if r := c.slot(k); r.freq != dvfs.F2400 {
 			t.Errorf("job %d at %v, want both at 2.4 GHz (fair spread)", r.j.ID, r.freq)
 		}
 	}

@@ -34,8 +34,8 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 	// collected before finish() frees their slots and sorted by job ID so
 	// requeue IDs assign reproducibly whatever slots they ran in.
 	var victims []*job.Job
-	for k := range c.runs {
-		if r := &c.runs[k]; r.j != nil && slices.ContainsFunc(r.allocs, func(a job.Alloc) bool { return a.Node == id }) {
+	for k := 0; k < c.nRuns; k++ {
+		if r := c.slot(k); r.j != nil && slices.ContainsFunc(r.allocs, func(a job.Alloc) bool { return a.Node == id }) {
 			victims = append(victims, r.j)
 		}
 	}

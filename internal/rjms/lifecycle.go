@@ -44,11 +44,17 @@ type run struct {
 	freqSince        int64   // when the current frequency took effect
 }
 
+// runBlock is how many records one block of the running table holds.
+const runBlock = 64
+
+// slot returns the record in slot k of the running table, k < nRuns.
+func (c *Controller) slot(k int) *run { return &c.runs[k/runBlock][k%runBlock] }
+
 // runOf returns the record of job id's run, or nil when the job is not
-// running. The pointer stands until the next commit.
+// running.
 func (c *Controller) runOf(id job.ID) *run {
 	if k, ok := c.running[id]; ok {
-		return &c.runs[k]
+		return c.slot(k)
 	}
 	return nil
 }
@@ -89,15 +95,18 @@ func (c *Controller) commit(j *job.Job, pl planned, now int64) bool {
 		panic(fmt.Sprintf("rjms: end scheduling for job %d: %v", j.ID, err))
 	}
 	r.endEv = ev
+	k := c.nRuns
 	if n := len(c.runFree); n > 0 {
-		k := c.runFree[n-1]
+		k = c.runFree[n-1]
 		c.runFree = c.runFree[:n-1]
-		c.runs[k] = r
-		c.running[j.ID] = k
 	} else {
-		c.running[j.ID] = len(c.runs)
-		c.runs = append(c.runs, r)
+		if k%runBlock == 0 {
+			c.runs = append(c.runs, new([runBlock]run))
+		}
+		c.nRuns++
 	}
+	*c.slot(k) = r
+	c.running[j.ID] = k
 	c.noteState(now)
 	return true
 }
@@ -110,7 +119,7 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 	if !ok {
 		return
 	}
-	r := &c.runs[k]
+	r := c.slot(k)
 	c.viewRemove(c.viewKey(r))
 	if err := c.clus.Vacate(r.allocs, r.freq); err != nil {
 		panic(fmt.Sprintf("rjms: vacate inconsistency for job %d: %v", j.ID, err))

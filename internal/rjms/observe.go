@@ -129,7 +129,7 @@ func (c *Controller) addSample(now int64) {
 	}
 	c.rec.AddSample(metrics.Sample{
 		T:           now,
-		CoresByFreq: c.clus.CoresByFreq(),
+		CoresByFreq: c.clus.CurieCores(),
 		BusyNodes:   c.clus.Count(cluster.StateBusy),
 		IdleNodes:   c.clus.Count(cluster.StateIdle),
 		OffNodes:    c.clus.Count(cluster.StateOff),

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dvfs"
 	"repro/internal/job"
 	"repro/internal/power"
 	"repro/internal/reservation"
@@ -184,7 +185,7 @@ func TestStartFinishRecyclesAllocs(t *testing.T) {
 			seen := map[*job.Alloc]job.ID{}
 			perNode := make([]int, topo.Nodes())
 			for id, k := range c.running {
-				r := &c.runs[k]
+				r := c.slot(k)
 				p := &r.allocs[0]
 				if other, dup := seen[p]; dup {
 					t.Errorf("t=%d: running jobs %d and %d share one allocation array", now, id, other)
@@ -278,8 +279,8 @@ func noFreeSlotAllocs(t *testing.T, c *Controller) {
 	for _, k := range c.running {
 		busy[k] = true
 	}
-	for k, r := range c.runs {
-		if !busy[k] && (r.j != nil || r.allocs != nil) {
+	for k := 0; k < c.nRuns; k++ {
+		if r := c.slot(k); !busy[k] && (r.j != nil || r.allocs != nil) {
 			t.Fatalf("free slot %d holds job %v and allocation %v", k, r.j, r.allocs)
 		}
 	}
@@ -408,6 +409,22 @@ func TestRefusedProbesAllocateNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a pass of %d refused probes allocates %v times, want 0", perPass, allocs)
+	}
+}
+
+// TestSampleAllocatesNothing pins that recording one metrics sample — a
+// point of the Figure 6/7 series — allocates nothing once the series is
+// reserved: the cores-by-frequency value is copied out of the cluster's
+// live bars, not built as a map.
+func TestSampleAllocatesNothing(t *testing.T) {
+	c, _, _, _, _ := backlogged(t)
+	const now, runs = 10, 50
+	if c.clus.CurieCores() == (dvfs.CurieCores{}) || !c.book.CapAt(now).IsSet() {
+		t.Fatal("setup: want busy cores and an active cap to sample")
+	}
+	c.rec.Reserve(len(c.Samples()) + runs + 1)
+	if allocs := testing.AllocsPerRun(runs, func() { c.addSample(now) }); allocs != 0 {
+		t.Errorf("recording a sample allocates %v times, want 0", allocs)
 	}
 }
 
@@ -543,11 +560,12 @@ func TestFrontierBuildsScaleWithStartsNotProbes(t *testing.T) {
 // streamed, 15.7 k once a start took its allocation off the free list,
 // 4 560 once the clones were one slab and no event was a closure, 4 588
 // once no job was copied at all and its run state had a slot of the
-// running table (the table's own growth), 3 937 now that the controller
-// keeps no per-node job lists; the ceiling keeps the diet from
-// regressing silently.
+// running table (the table's own growth), 3 937 once the controller
+// kept no per-node job lists, 3 421 now that a metrics sample builds no
+// map and the running table grows in blocks; the ceiling keeps the diet
+// from regressing silently.
 func TestSchedulePassAllocCeiling(t *testing.T) {
-	const ceiling = 4600
+	const ceiling = 3700
 	topo := cluster.CurieTopology()
 	topo.Racks = 4
 	wl := trace.Config{Kind: trace.MedianJob, Seed: 3, Cores: topo.Cores()}
@@ -582,11 +600,13 @@ func TestSchedulePassAllocCeiling(t *testing.T) {
 // their end events and submissions carry them as an argument instead of
 // a closure, and the queue reuses its array; what
 // is left of the difference follows the load, not the job count — a few
-// more per-node lists, recycled allocation slices and event slots at a
-// higher peak, and sample histograms over busier hours — so n is large
-// enough for both runs to keep the machine busy for hours. Each added job
-// cost 2.33 objects here while its clone, its end event and its
-// submission time were allocations of their own.
+// more recycled allocation slices, event slots and running-table blocks
+// at a higher peak — so n is large enough for both runs to keep the
+// machine busy for hours. Each added job cost 2.33 objects here while
+// its clone, its end event and its submission time were allocations of
+// their own. A cell of n jobs allocated 837 objects while every metrics
+// sample built a map of its cores by frequency and the running table
+// grew by copying, 532 now.
 func TestReplayAllocatesPerCellNotPerJob(t *testing.T) {
 	topo := cluster.CurieTopology()
 	topo.Racks = 2

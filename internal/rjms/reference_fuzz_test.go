@@ -260,7 +260,7 @@ func (l *endLog) around(call func() error) error {
 	err := call()
 	for id, k := range before {
 		if _, ok := l.c.running[id]; !ok {
-			r := l.c.runs[k]
+			r := *l.c.slot(k)
 			l.ends[id] = jobEnd{state: job.StateKilled, start: r.start, end: l.c.eng.Now(), freq: r.freq}
 		}
 	}

@@ -724,7 +724,7 @@ func (r *refController) sampleTick(now int64) {
 	}
 	off := r.clus.Count(cluster.StateOff)
 	r.rec.AddSample(metrics.Sample{
-		T: now, CoresByFreq: r.clus.CoresByFreq(),
+		T: now, CoresByFreq: r.clus.CurieCores(),
 		BusyNodes: r.clus.Count(cluster.StateBusy), IdleNodes: r.clus.Count(cluster.StateIdle),
 		OffNodes: off, OffCores: off * r.cfg.Topology.CoresPerNode,
 		Power: r.clus.Power(), Cap: capW, Bonus: r.clus.BonusWatts(),

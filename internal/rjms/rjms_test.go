@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/reservation"
+	"repro/internal/trace"
 )
 
 // tiny returns a 2x2x3 = 12-node machine (4 cores per node, 48 cores)
@@ -616,5 +617,85 @@ func TestDeterministicReplay(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("replay not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestReservedAheadOpensAtCap pins a known breach of the guarantee that
+// power stays at or under the cap inside a reservation window: a window
+// booked two hours ahead opens well over its cap under every policy.
+// Bursty seed 1006 on 2 racks, one 50 % window (34 360 W) over
+// [7 200, 10 800) reserved at t = 0, default options, a sample every
+// 120 s. Per policy the test reads, off the samples, the draw at the
+// first in-window sample, when the first in-window sample at or under
+// the cap comes (seconds into the window, -1 for never) and how many of
+// the 30 in-window samples are over the cap.
+//
+// The cause is the ahead check (admitAhead, fitsFutureCap): it admits
+// any launch at the ladder's minimum rung and never projects the
+// aggregate draw at the window's start, so jobs launched after the
+// window was booked fill the survivors. ROADMAP item 14 makes that
+// check a projection; when it lands, these rows must move to the first
+// in-window sample at or under the cap, and this test with them.
+func TestReservedAheadOpensAtCap(t *testing.T) {
+	type row struct {
+		firstW    power.Watts
+		underAt   int64
+		overCount int
+	}
+	want := map[core.Policy]row{
+		core.PolicyShut: {49800, 2040, 17},
+		core.PolicyMix:  {48735, 3120, 26},
+		core.PolicyDvfs: {47600, -1, 30},
+		core.PolicyIdle: {68720, -1, 30},
+	}
+	topo := cluster.CurieTopology()
+	topo.Racks = 2
+	wl := trace.Config{Kind: trace.Bursty, Seed: 1006, Cores: topo.Cores()}
+	jobs, err := trace.Generate(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur := wl.Kind.Duration()
+	const start, end = 7200, 10800
+	for _, p := range []core.Policy{core.PolicyShut, core.PolicyMix, core.PolicyDvfs, core.PolicyIdle} {
+		c := mustNew(t, Config{Topology: topo, Policy: p})
+		if err := c.LoadWorkload(jobs); err != nil {
+			t.Fatal(err)
+		}
+		budget := power.CapFraction(0.5, c.clus.MaxPower())
+		if budget.Watts() != 34360 {
+			t.Fatalf("50 %% of the 2-rack machine is %v, want 34 360 W", budget.Watts())
+		}
+		if _, err := c.ReservePowerCap(start, end, budget); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runTo(c, dur); err != nil {
+			t.Fatal(err)
+		}
+		got := row{underAt: -1}
+		var inWindow int
+		for _, s := range c.Samples() {
+			if s.T < start || s.T >= end {
+				continue
+			}
+			if inWindow++; inWindow == 1 {
+				got.firstW = s.Power
+			}
+			if s.Cap != budget.Watts() {
+				t.Fatalf("%v: sample at t=%d reads cap %v, want %v", p, s.T, s.Cap, budget.Watts())
+			}
+			if s.Power > s.Cap {
+				got.overCount++
+			} else if got.underAt < 0 {
+				got.underAt = s.T - start
+			}
+		}
+		if inWindow != 30 {
+			t.Fatalf("%v: %d in-window samples, want 30", p, inWindow)
+		}
+		if got != want[p] {
+			t.Errorf("%v: first in-window draw %v, first at or under the cap %d s in, %d/30 over; want %v, %d s, %d/30",
+				p, got.firstW, got.underAt, got.overCount, want[p].firstW, want[p].underAt, want[p].overCount)
+		}
 	}
 }

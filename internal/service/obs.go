@@ -121,24 +121,25 @@ func (m *serverMetrics) stats() Stats {
 	return m.lastStats
 }
 
-// observeStages feeds the terminal run's stage timings into the stage
-// histogram (milliseconds on the record, seconds on the wire).
-func (m *serverMetrics) observeStages(st *StageTimings) {
-	if st == nil {
-		return
-	}
-	for _, s := range []struct {
-		name string
-		ms   float64
-	}{
-		{"queued", st.QueuedMS},
-		{"setup", st.SetupMS},
-		{"execute", st.ExecuteMS},
-		{"render", st.RenderMS},
-		{"archive", st.ArchiveMS},
-	} {
-		if s.ms > 0 {
-			m.runStage.With(s.name).Observe(s.ms / 1000)
-		}
+// observeTerminalStages feeds the stages a run's terminal timings
+// already hold — queued, setup, execute — into the stage histogram
+// (milliseconds on the record, seconds on the wire). Callers run it
+// before the terminal state is visible, so a reader that saw the state
+// sees them.
+func (m *serverMetrics) observeTerminalStages(st *StageTimings) {
+	m.observeStage("queued", st.QueuedMS)
+	m.observeStage("setup", st.SetupMS)
+	m.observeStage("execute", st.ExecuteMS)
+}
+
+// observeRetireStages feeds the stages retire adds: render and archive.
+func (m *serverMetrics) observeRetireStages(st *StageTimings) {
+	m.observeStage("render", st.RenderMS)
+	m.observeStage("archive", st.ArchiveMS)
+}
+
+func (m *serverMetrics) observeStage(name string, ms float64) {
+	if ms > 0 {
+		m.runStage.With(name).Observe(ms / 1000)
 	}
 }

@@ -529,7 +529,7 @@ func (s *Server) retire(r *run) {
 				"request_id", r.reqID)
 		}
 	}
-	s.met.observeStages(rec.Stages)
+	s.met.observeRetireStages(rec.Stages)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -736,6 +736,7 @@ func (s *Server) cancel(r *run, msg string) RunView {
 		r.Finished = time.Now()
 		r.Error = msg
 		r.Stages = r.stageTimings(r.Record, 0)
+		s.met.observeTerminalStages(r.Stages)
 		r.appendLocked("cancelled", Event{Error: msg})
 	}
 	v := r.viewLocked(false, false)
@@ -799,9 +800,11 @@ func (s *Server) execute(r *run) {
 		r.Report = &rep
 	}
 	// A terminal view always carries stage timings: what is known now —
-	// queued, setup, execute — goes in with the state; retire adds the
-	// render and the archive write.
+	// queued, setup, execute — goes in with the state, and into the stage
+	// histogram before the state is visible; retire adds the render and
+	// the archive write.
 	r.Stages = r.stageTimings(r.Record, 0)
+	s.met.observeTerminalStages(r.Stages)
 	ctxErr := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	// A cancellation that raced in after every cell completed leaves a
 	// ctx error but an error-free report — the work is all there, so

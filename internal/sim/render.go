@@ -126,7 +126,7 @@ func timeSeries(r replay.Result, width, height int) string {
 	for _, f := range freqs {
 		vals := make([]float64, len(samples))
 		for i, s := range samples {
-			vals[i] = float64(s.CoresByFreq[f])
+			vals[i] = float64(s.CoresByFreq.At(f))
 		}
 		rn, ok := runeFor[f]
 		if !ok {

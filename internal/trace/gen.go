@@ -136,7 +136,7 @@ func (c Config) withDefaults() Config {
 		c.BacklogFraction = 0.3
 	}
 	if c.Users == 0 {
-		c.Users = 150
+		c.Users = defaultUsers
 	}
 	return c
 }
@@ -177,10 +177,9 @@ func Generate(cfg Config) ([]*job.Job, error) {
 	// exact sampler and RNG call sequence below, so their workloads (and
 	// every downstream sweep fingerprint) are bit-identical across
 	// library growth.
-	users := userNames{}
-	sample := func() *job.Job { return sampleJob(rng, c, m, hugeThreshold, users) }
+	sample := func() *job.Job { return sampleJob(rng, c, m, hugeThreshold) }
 	if c.Kind == HeavyTail {
-		sample = func() *job.Job { return sampleHeavyTail(rng, c, users) }
+		sample = func() *job.Job { return sampleHeavyTail(rng, c) }
 	}
 
 	var jobs []*job.Job
@@ -272,24 +271,32 @@ func pickWalltime(rng *rand.Rand, min int64) int64 {
 	return min
 }
 
-// userNames hands out the "userN" names of one Generate call, building
-// each once so the jobs of a user share one string. A map, not a slice:
-// Users is caller-sized.
-type userNames map[int]string
+// defaultUsers is Config.Users' default.
+const defaultUsers = 150
 
-func (u userNames) draw(rng *rand.Rand, users int) string {
-	i := rng.Intn(users)
-	name, ok := u[i]
-	if !ok {
-		name = "user" + strconv.Itoa(i)
-		u[i] = name
+// userTable holds the "userN" names of the default users, built once,
+// so every Generate call hands the jobs of a user one shared string. It
+// is never written after init.
+var userTable = func() []string {
+	t := make([]string, defaultUsers)
+	for i := range t {
+		t[i] = "user" + strconv.Itoa(i)
 	}
-	return name
+	return t
+}()
+
+// drawUser draws a job's user; a draw past the table builds its name.
+func drawUser(rng *rand.Rand, users int) string {
+	i := rng.Intn(users)
+	if i < len(userTable) {
+		return userTable[i]
+	}
+	return "user" + strconv.Itoa(i)
 }
 
-func sampleJob(rng *rand.Rand, c Config, m mix, hugeThreshold float64, users userNames) *job.Job {
+func sampleJob(rng *rand.Rand, c Config, m mix, hugeThreshold float64) *job.Job {
 	u := rng.Float64()
-	j := &job.Job{User: users.draw(rng, c.Users)}
+	j := &job.Job{User: drawUser(rng, c.Users)}
 	// Size classes scale with the machine so reduced-scale replays keep
 	// the Curie shape: "small" tops out at 512 cores of 80640 (0.64%),
 	// "medium" spans roughly 0.64%-10% of the machine.
@@ -344,8 +351,8 @@ func sampleJob(rng *rand.Rand, c Config, m mix, hugeThreshold float64, users use
 // (alpha ~1.2, so single-core jobs dominate but the widest jobs span a
 // large machine fraction), runtime log-uniform from seconds to hours, and
 // the usual over-requested walltime menu.
-func sampleHeavyTail(rng *rand.Rand, c Config, users userNames) *job.Job {
-	j := &job.Job{User: users.draw(rng, c.Users)}
+func sampleHeavyTail(rng *rand.Rand, c Config) *job.Job {
+	j := &job.Job{User: drawUser(rng, c.Users)}
 	const alpha = 1.2
 	u := rng.Float64()
 	// Clip the unbounded tail exactly where the machine cap sits, so the
