@@ -45,10 +45,9 @@ type Cluster struct {
 	nFullOffChassis int
 	nFullOffRacks   int
 
-	counts       [3]int      // nodes per NodeState
-	busyCores    int         // cores currently allocated
-	coresByFreq  []freqCores // allocated cores per node frequency; no zero entry
-	maxPowerOnce power.Watts
+	counts      [3]int      // nodes per NodeState
+	busyCores   int         // cores currently allocated
+	coresByFreq []freqCores // allocated cores per node frequency; no zero entry
 
 	// Allocation candidate indexes, maintained by every mutation: busy
 	// nodes with at least one free core, and idle nodes. Allocation probes
@@ -95,9 +94,6 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 	}
 	c.counts[StateIdle] = topo.Nodes()
 	c.nodeWatts = float64(profile.Idle()) * float64(topo.Nodes())
-	c.maxPowerOnce = power.Watts(float64(profile.Max())*float64(topo.Nodes())) +
-		power.Watts(overhead.ChassisWatts*float64(topo.Chassis())) +
-		power.Watts(overhead.RackWatts*float64(topo.Racks))
 	return c, nil
 }
 
@@ -641,7 +637,7 @@ func (c *Cluster) Power() power.Watts {
 
 // MaxPower returns the draw with every node busy at nominal frequency —
 // the reference against which powercap percentages are expressed.
-func (c *Cluster) MaxPower() power.Watts { return c.maxPowerOnce }
+func (c *Cluster) MaxPower() power.Watts { return c.SurvivorDraw(Groups{}, c.profile.Max()) }
 
 // IdlePower returns the draw with every node powered on and idle.
 func (c *Cluster) IdlePower() power.Watts { return c.SurvivorDraw(Groups{}, c.profile.Idle()) }

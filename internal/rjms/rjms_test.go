@@ -622,13 +622,14 @@ func TestDeterministicReplay(t *testing.T) {
 
 // TestReservedAheadOpensAtCap pins a known breach of the guarantee that
 // power stays at or under the cap inside a reservation window: a window
-// booked two hours ahead opens well over its cap under every policy.
-// Bursty seed 1006 on 2 racks, one 50 % window (34 360 W) over
-// [7 200, 10 800) reserved at t = 0, default options, a sample every
-// 120 s. Per policy the test reads, off the samples, the draw at the
-// first in-window sample, when the first in-window sample at or under
-// the cap comes (seconds into the window, -1 for never) and how many of
-// the 30 in-window samples are over the cap.
+// booked two hours ahead opens well over its cap under every policy, on
+// 2 racks and on 8. Bursty seed 1006, one 50 % window (34 360 W on 2
+// racks, 137 440 W on 8) over [7 200, 10 800) reserved at t = 0,
+// default options, a sample every 120 s. Per machine and policy the test
+// reads, off the samples, the draw at the first in-window sample, when
+// the first in-window sample at or under the cap comes (seconds into the
+// window, -1 for never) and how many of the 30 in-window samples are
+// over the cap.
 //
 // The cause is the ahead check (admitAhead, fitsFutureCap): it admits
 // any launch at the ladder's minimum rung and never projects the
@@ -642,60 +643,73 @@ func TestReservedAheadOpensAtCap(t *testing.T) {
 		underAt   int64
 		overCount int
 	}
-	want := map[core.Policy]row{
-		core.PolicyShut: {49800, 2040, 17},
-		core.PolicyMix:  {48735, 3120, 26},
-		core.PolicyDvfs: {47600, -1, 30},
-		core.PolicyIdle: {68720, -1, 30},
-	}
-	topo := cluster.CurieTopology()
-	topo.Racks = 2
-	wl := trace.Config{Kind: trace.Bursty, Seed: 1006, Cores: topo.Cores()}
-	jobs, err := trace.Generate(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dur := wl.Kind.Duration()
-	const start, end = 7200, 10800
-	for _, p := range []core.Policy{core.PolicyShut, core.PolicyMix, core.PolicyDvfs, core.PolicyIdle} {
-		c := mustNew(t, Config{Topology: topo, Policy: p})
-		if err := c.LoadWorkload(jobs); err != nil {
+	for _, m := range []struct {
+		racks int
+		capW  power.Watts
+		want  map[core.Policy]row
+	}{
+		{2, 34360, map[core.Policy]row{
+			core.PolicyShut: {49800, 2040, 17},
+			core.PolicyMix:  {48735, 3120, 26},
+			core.PolicyDvfs: {47600, -1, 30},
+			core.PolicyIdle: {68720, -1, 30},
+		}},
+		{8, 137440, map[core.Policy]row{
+			core.PolicyShut: {170656, 840, 7},
+			core.PolicyMix:  {169520, 1320, 11},
+			core.PolicyDvfs: {156004, 720, 6},
+			core.PolicyIdle: {274639, 2040, 17},
+		}},
+	} {
+		topo := cluster.CurieTopology()
+		topo.Racks = m.racks
+		wl := trace.Config{Kind: trace.Bursty, Seed: 1006, Cores: topo.Cores()}
+		jobs, err := trace.Generate(wl)
+		if err != nil {
 			t.Fatal(err)
 		}
-		budget := power.CapFraction(0.5, c.clus.MaxPower())
-		if budget.Watts() != 34360 {
-			t.Fatalf("50 %% of the 2-rack machine is %v, want 34 360 W", budget.Watts())
-		}
-		if _, err := c.ReservePowerCap(start, end, budget); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := runTo(c, dur); err != nil {
-			t.Fatal(err)
-		}
-		got := row{underAt: -1}
-		var inWindow int
-		for _, s := range c.Samples() {
-			if s.T < start || s.T >= end {
-				continue
+		dur := wl.Kind.Duration()
+		const start, end = 7200, 10800
+		for _, p := range []core.Policy{core.PolicyShut, core.PolicyMix, core.PolicyDvfs, core.PolicyIdle} {
+			c := mustNew(t, Config{Topology: topo, Policy: p})
+			if err := c.LoadWorkload(jobs); err != nil {
+				t.Fatal(err)
 			}
-			if inWindow++; inWindow == 1 {
-				got.firstW = s.Power
+			budget := power.CapFraction(0.5, c.clus.MaxPower())
+			if budget.Watts() != m.capW {
+				t.Fatalf("50 %% of the %d-rack machine is %v, want %v", m.racks, budget.Watts(), m.capW)
 			}
-			if s.Cap != budget.Watts() {
-				t.Fatalf("%v: sample at t=%d reads cap %v, want %v", p, s.T, s.Cap, budget.Watts())
+			if _, err := c.ReservePowerCap(start, end, budget); err != nil {
+				t.Fatal(err)
 			}
-			if s.Power > s.Cap {
-				got.overCount++
-			} else if got.underAt < 0 {
-				got.underAt = s.T - start
+			if _, err := runTo(c, dur); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if inWindow != 30 {
-			t.Fatalf("%v: %d in-window samples, want 30", p, inWindow)
-		}
-		if got != want[p] {
-			t.Errorf("%v: first in-window draw %v, first at or under the cap %d s in, %d/30 over; want %v, %d s, %d/30",
-				p, got.firstW, got.underAt, got.overCount, want[p].firstW, want[p].underAt, want[p].overCount)
+			got := row{underAt: -1}
+			var inWindow int
+			for _, s := range c.Samples() {
+				if s.T < start || s.T >= end {
+					continue
+				}
+				if inWindow++; inWindow == 1 {
+					got.firstW = s.Power
+				}
+				if s.Cap != budget.Watts() {
+					t.Fatalf("%d racks, %v: sample at t=%d reads cap %v, want %v", m.racks, p, s.T, s.Cap, budget.Watts())
+				}
+				if s.Power > s.Cap {
+					got.overCount++
+				} else if got.underAt < 0 {
+					got.underAt = s.T - start
+				}
+			}
+			if inWindow != 30 {
+				t.Fatalf("%d racks, %v: %d in-window samples, want 30", m.racks, p, inWindow)
+			}
+			if want := m.want[p]; got != want {
+				t.Errorf("%d racks, %v: first in-window draw %v, first at or under the cap %d s in, %d/30 over; want %v, %d s, %d/30",
+					m.racks, p, got.firstW, got.underAt, got.overCount, want.firstW, want.underAt, want.overCount)
+			}
 		}
 	}
 }

@@ -118,10 +118,12 @@ func SnapshotFromJSON(data []byte) *Snapshot { return &Snapshot{data: data} }
 // Restore validates shape and returns errors, never panics. Points
 // beyond a level's ring capacity keep only the newest (the ring's own
 // overwrite rule).
-func (s *Snapshot) Restore() (*Run, error) { return s.restore(maxRestorePoints) }
+func (s *Snapshot) Restore() (*Run, error) { return s.restore(maxRestorePoints, nil) }
 
-// restore is Restore with its bound on the ring points allocated.
-func (s *Snapshot) restore(limit int) (*Run, error) {
+// restore is Restore with its bound on the ring points allocated. A
+// snapshot taken at home's options restores into series of home's pool
+// and returns them there on Drop; one at other options touches no pool.
+func (s *Snapshot) restore(limit int, home *Store) (*Run, error) {
 	if s == nil {
 		return nil, fmt.Errorf("tsdb: nil snapshot")
 	}
@@ -136,6 +138,9 @@ func (s *Snapshot) restore(limit int) (*Run, error) {
 	}
 	opt := wire.Options.withDefaults()
 	run := &Run{opt: opt, series: map[string]*series{}}
+	if home != nil && opt == home.opt {
+		run.free = &home.free
+	}
 	if opt.Levels > limit || opt.PointsPerLevel > limit/opt.Levels ||
 		len(wire.Series) > limit/(opt.Levels*opt.PointsPerLevel) {
 		return nil, fmt.Errorf("tsdb: snapshot of %d series at %d levels of %d points exceeds %d restored points",
@@ -156,7 +161,7 @@ func (s *Snapshot) restore(limit int) (*Run, error) {
 			return nil, fmt.Errorf("tsdb: series %q snapshots %d pending batches, store holds %d levels",
 				ss.Name, len(ss.Pending), opt.Levels)
 		}
-		sr := newSeries(opt)
+		sr := newSeries(opt, run.free)
 		for l, pts := range ss.Levels {
 			for _, p := range pts {
 				sr.levels[l].push(p)
@@ -179,10 +184,11 @@ func (s *Snapshot) restore(limit int) (*Run, error) {
 // replacing any prior entry — the store-level hook the service uses
 // when an archived run's telemetry is queried after a restart. A run
 // as large as the store's own options allow always restores, whatever
-// the fixed bound.
+// the fixed bound. A snapshot taken at the store's options fills the
+// rings of dropped runs before it allocates any.
 func (st *Store) Restore(id string, snap *Snapshot) (*Run, error) {
 	held := st.opt.Levels * st.opt.PointsPerLevel * st.opt.MaxSeriesPerRun
-	r, err := snap.restore(max(maxRestorePoints, held))
+	r, err := snap.restore(max(maxRestorePoints, held), st)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,14 @@ type series struct {
 	any     bool
 }
 
-func newSeries(o Options) *series {
+// newSeries returns an empty series at o: one from free, the store's
+// pool of dropped series, when it holds one, else a new one.
+func newSeries(o Options, free *sync.Pool) *series {
+	if free != nil {
+		if s, ok := free.Get().(*series); ok {
+			return s
+		}
+	}
 	s := &series{levels: make([]ring, o.Levels), pending: make([]Point, o.Levels)}
 	for i := range s.levels {
 		s.levels[i] = ring{buf: make([]Point, o.PointsPerLevel)}
@@ -105,14 +112,53 @@ func newSeries(o Options) *series {
 	return s
 }
 
+// compact returns a copy of s whose rings hold exactly its live points,
+// oldest first, in one allocation with its pending batches. The copy
+// shares nothing with s and answers every read as s does; it is never
+// appended to.
+func (s *series) compact() *series {
+	total := len(s.pending)
+	for i := range s.levels {
+		total += s.levels[i].n
+	}
+	pts := make([]Point, total)
+	c := &series{levels: make([]ring, len(s.levels)), lastT: s.lastT, any: s.any}
+	c.pending, pts = pts[:len(s.pending):len(s.pending)], pts[len(s.pending):]
+	copy(c.pending, s.pending)
+	for i := range s.levels {
+		lv := &s.levels[i]
+		buf := pts[:lv.n:lv.n]
+		pts = pts[lv.n:]
+		for j := range buf {
+			buf[j] = lv.at(j)
+		}
+		c.levels[i] = ring{buf: buf, n: lv.n}
+	}
+	return c
+}
+
+// reset empties s in place, keeping its rings for the next run.
+func (s *series) reset() {
+	for i := range s.levels {
+		s.levels[i].start, s.levels[i].n = 0, 0
+	}
+	clear(s.pending)
+	s.lastT, s.any = 0, false
+}
+
 // Run is the series set of one simulation run. All methods are safe for
 // concurrent use.
 type Run struct {
 	opt Options
+	// free is the pool of the store whose options this run shares: its
+	// series come from there and go back on Drop. Nil for a run built
+	// at other options.
+	free *sync.Pool
 
-	mu      sync.RWMutex
-	series  map[string]*series
-	dropped map[string]bool // series refused by the per-run cap
+	mu       sync.RWMutex
+	series   map[string]*series
+	dropped  map[string]bool // series refused by the per-run cap
+	released bool            // Drop let the run go: appends are refused
 }
 
 // Store holds the runs. The zero value is not usable; construct with
@@ -122,6 +168,10 @@ type Store struct {
 
 	mu   sync.RWMutex
 	runs map[string]*Run
+	// free holds the emptied series of dropped runs, all built at opt,
+	// for the next run to fill. A sync.Pool, so what it keeps is the
+	// collector's to bound.
+	free sync.Pool
 }
 
 // New builds an empty store.
@@ -135,7 +185,7 @@ func (st *Store) Run(id string) *Run {
 	defer st.mu.Unlock()
 	r := st.runs[id]
 	if r == nil {
-		r = &Run{opt: st.opt, series: map[string]*series{}}
+		r = &Run{opt: st.opt, free: &st.free, series: map[string]*series{}}
 		st.runs[id] = r
 	}
 	return r
@@ -149,11 +199,30 @@ func (st *Store) Lookup(id string) *Run {
 	return st.runs[id]
 }
 
-// Drop releases a run's telemetry (a cache eviction or cancelled run).
+// Drop releases a run's telemetry (a cache eviction or cancelled run)
+// and recycles its rings. A reader that still holds the run answers as
+// before: each series is swapped for a compact copy of its live points,
+// and the full series, emptied, goes back to the store for the next run
+// to fill. Appends to a dropped run are refused.
 func (st *Store) Drop(id string) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
+	r := st.runs[id]
 	delete(st.runs, id)
+	st.mu.Unlock()
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.released = true
+	if r.free == nil {
+		return
+	}
+	for name, s := range r.series {
+		r.series[name] = s.compact()
+		s.reset()
+		r.free.Put(s)
+	}
 }
 
 // Append records one raw sample. Appends must be nondecreasing in t per
@@ -162,6 +231,9 @@ func (st *Store) Drop(id string) {
 func (r *Run) Append(name string, t int64, v float64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.released {
+		return fmt.Errorf("tsdb: run dropped; %q not recorded", name)
+	}
 	s := r.series[name]
 	if s == nil {
 		if len(r.series) >= r.opt.MaxSeriesPerRun {
@@ -171,7 +243,7 @@ func (r *Run) Append(name string, t int64, v float64) error {
 			r.dropped[name] = true
 			return fmt.Errorf("tsdb: run already holds %d series; %q dropped", len(r.series), name)
 		}
-		s = newSeries(r.opt)
+		s = newSeries(r.opt, r.free)
 		r.series[name] = s
 	}
 	if s.any && t < s.lastT {

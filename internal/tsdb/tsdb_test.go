@@ -3,6 +3,8 @@ package tsdb
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -205,5 +207,189 @@ func TestConcurrentAppend(t *testing.T) {
 		if n := len(st.Run(id).Series()); n != 4 {
 			t.Errorf("%s holds %d series, want 4", id, n)
 		}
+	}
+}
+
+// TestDroppedRunReadsUnchanged holds a run across Drop while another
+// run refills the series Drop recycled: every read of the held run —
+// queries at several resolutions, its series and refused names, its
+// snapshot bytes — answers as before, also from a reader racing the
+// drop and the refill, and an append to it is refused without a write.
+func TestDroppedRunReadsUnchanged(t *testing.T) {
+	const step = 60
+	st := New(Options{PointsPerLevel: 64, Levels: 3, MaxSeriesPerRun: 4})
+	old := st.Run("old")
+	names := []string{"cap", "pending_cores", "power", "running_jobs"}
+	for i, name := range names {
+		// Past 64 points level 0 wraps; the counts differ so each
+		// series stops mid-batch at a different level.
+		appendRamp(t, old, name, 300+7*i, step)
+	}
+	if err := old.Append("extra", 0, 0); err == nil {
+		t.Fatal("a fifth series was accepted past MaxSeriesPerRun 4")
+	}
+
+	type view struct {
+		Series, Dropped []string
+		Points          [][]Point
+		Per             []int
+		Snapshot        []byte
+	}
+	look := func(r *Run) (view, error) {
+		v := view{Series: r.Series(), Dropped: r.Dropped()}
+		for _, name := range names {
+			for _, q := range [][3]int64{{0, 0, 0}, {0, 0, fanout * step}, {0, 0, fanout * fanout * step}, {100 * step, 200 * step, 0}} {
+				pts, per, err := r.Query(name, q[0], q[1], q[2])
+				if err != nil {
+					return v, err
+				}
+				v.Points, v.Per = append(v.Points, pts), append(v.Per, per)
+			}
+		}
+		var err error
+		v.Snapshot, err = r.Snapshot().MarshalJSON()
+		return v, err
+	}
+	want, err := look(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[*series]bool{}
+	for _, s := range old.series {
+		held[s] = true
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got, err := look(old); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("a concurrent read of the dropped run changed (err %v)", err)
+				return
+			}
+		}
+	}()
+	st.Drop("old")
+	fresh, ref := st.Run("fresh"), New(st.opt).Run("fresh")
+	for i, name := range names {
+		for j := 0; j < 500; j++ {
+			for _, r := range []*Run{fresh, ref} {
+				if err := r.Append(name, int64(j)*step/2, -float64(i+j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	close(stop)
+	<-done
+	refView, err := look(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := look(fresh); err != nil || !reflect.DeepEqual(got, refView) {
+		t.Errorf("a run refilling recycled series reads unlike one on new series (err %v)", err)
+	}
+	recycled := 0
+	for _, s := range fresh.series {
+		if held[s] {
+			recycled++
+		}
+	}
+	t.Logf("the refill took %d of the dropped run's %d series", recycled, len(held))
+
+	if got, err := look(old); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reads of the dropped run changed after the refill (err %v)", err)
+	}
+	if err := old.Append("power", 1<<40, 1); err == nil {
+		t.Error("an append to a dropped run was accepted")
+	}
+	if got, err := look(old); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("a refused append changed the dropped run (err %v)", err)
+	}
+}
+
+// TestRecycleKeepsToStoreOptions pins who shares the pool: a snapshot
+// restored at the store's own options fills a dropped run's series, and
+// one restored at other options neither takes the store's series nor
+// gives back its own when dropped.
+func TestRecycleKeepsToStoreOptions(t *testing.T) {
+	o := smallOpts()
+	st := New(o)
+	appendRamp(t, st.Run("own"), "power", 10, 1)
+	snap := st.Lookup("own").Snapshot()
+	dropped := st.Lookup("own").series["power"]
+	st.Drop("own")
+
+	foreign := New(Options{PointsPerLevel: 8, Levels: 3, MaxSeriesPerRun: 3}).Run("x")
+	appendRamp(t, foreign, "power", 10, 1)
+	fr, err := st.Restore("foreign", foreign.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.series["power"] == dropped {
+		t.Error("a snapshot at other options took the store's dropped series")
+	}
+	restored, err := st.Restore("own", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raceEnabled && restored.series["power"] != dropped {
+		t.Error("a snapshot at the store's options did not fill the dropped series")
+	}
+
+	foreignSeries := fr.series["power"]
+	st.Drop("foreign")
+	appendRamp(t, st.Run("next"), "power", 10, 1)
+	next := st.Lookup("next").series["power"]
+	if next == foreignSeries {
+		t.Error("a new run took the series a foreign snapshot's run gave back")
+	}
+	if len(next.levels[0].buf) != o.PointsPerLevel {
+		t.Errorf("a new run's rings hold %d points, want %d", len(next.levels[0].buf), o.PointsPerLevel)
+	}
+}
+
+// TestRecycledRunAllocCeiling gates the recycling: once a run has been
+// dropped, the daemon's four series at 31 points each — one service_cold
+// run — written into a new run and dropped again allocate under 16 kB,
+// the run itself and the compact copies Drop leaves a reader. With
+// every series built afresh it was 330 kB.
+func TestRecycledRunAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
+	}
+	const ceilingKB = 16
+	// The collector empties a sync.Pool; keep it off while counting.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st := New(Options{})
+	names := []string{"power", "cap", "pending_cores", "running_jobs"}
+	cycle := func() {
+		r := st.Run("run")
+		for i := 0; i < 31; i++ {
+			for _, name := range names {
+				if err := r.Append(name, int64(i)*60, float64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st.Drop("run")
+	}
+	cycle()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e3
+	t.Logf("a recycled run of 4 series x 31 points allocates %.2f kB (ceiling %d kB)", kb, ceilingKB)
+	if kb > ceilingKB {
+		t.Errorf("a recycled run of 4 series x 31 points allocates %.2f kB, ceiling %d kB", kb, ceilingKB)
 	}
 }
