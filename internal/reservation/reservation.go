@@ -103,16 +103,15 @@ func (b *Book) AddSwitchOff(start, end int64, nodes []cluster.NodeID) (int, erro
 }
 
 // Release ends the hold of switch-off reservation id, whose window has
-// closed, and returns its group: nil when id names no unreleased one.
-func (b *Book) Release(id int) cluster.NodeSet {
+// closed; an id that names no unreleased one changes nothing.
+func (b *Book) Release(id int) {
 	for i := range b.offs {
 		if o := &b.offs[i]; o.ID == id && !o.released {
 			o.released = true
 			b.hold()
-			return o.nodes
+			return
 		}
 	}
-	return nil
 }
 
 // hold counts a change of the hold and recomputes it into a new set.
@@ -131,6 +130,21 @@ func (b *Book) hold() {
 // their counts. The set is replaced, never modified, when the hold
 // changes: callers must not modify it, and may compare it by identity.
 func (b *Book) Held() (cluster.NodeSet, cluster.Groups) { return b.held, b.heldGroups }
+
+// Holes returns the nodes a switch-off planned over [start, end) may not
+// take: those the unreleased switch-offs hold, less the groups of the
+// windows that close inside it (start <= End <= end), which the new
+// window may keep down past their close. A group whose window outlasts
+// the new one, or closes before it opens, stays out of its plan.
+func (b *Book) Holes(start, end int64) cluster.NodeSet {
+	out := cluster.NewNodeSet(b.topo.Nodes())
+	for i := range b.offs {
+		if o := &b.offs[i]; !o.released && (o.End < start || o.End > end) {
+			out = out.Or(o.nodes)
+		}
+	}
+	return out
+}
 
 // Draining reports whether a switch-off window open at t holds node id:
 // a busy node it holds powers off as soon as its jobs end.

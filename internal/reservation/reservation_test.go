@@ -199,9 +199,7 @@ func TestHeldReleaseDraining(t *testing.T) {
 	}
 
 	gen := b.Generation()
-	if got := b.Release(first); len(members(got)) != len(group1) || !got.Has(chassis1) {
-		t.Fatalf("Release(%d) returned %v, want the chassis", first, members(got))
-	}
+	b.Release(first)
 	if b.Generation() == gen {
 		t.Error("Release left the generation")
 	}
@@ -221,17 +219,55 @@ func TestHeldReleaseDraining(t *testing.T) {
 
 	gen = b.Generation()
 	for _, id := range []int{first, 424242, second + open} { // released, unknown, unknown
-		if got := b.Release(id); got != nil {
-			t.Errorf("Release(%d) = %v, want nil", id, members(got))
-		}
+		b.Release(id)
 	}
-	if b.Generation() != gen {
-		t.Error("releasing nothing moved the generation")
+	if now, _ := b.Held(); b.Generation() != gen || !now.Equal(after) {
+		t.Errorf("releasing nothing moved the generation or the hold: %v", members(now))
 	}
 	b.Release(second)
 	b.Release(open)
 	if held, g := b.Held(); len(members(held)) != 0 || g != (cluster.Groups{}) {
 		t.Errorf("every window released, still held %v, %+v", members(held), g)
+	}
+}
+
+// A new window's plan may take the group of a window that closes inside
+// it, and no other held node.
+func TestHoles(t *testing.T) {
+	b := NewBook(testTopo)
+	for _, w := range []struct {
+		start, end int64
+		node       cluster.NodeID
+	}{
+		{0, 99, 1},      // closes before the new window opens
+		{0, 100, 2},     // closes as it opens
+		{50, 150, 3},    // closes inside it
+		{120, 200, 4},   // inside it, closing at its end
+		{150, 201, 5},   // outlasts it
+		{0, Horizon, 6}, // never closes
+		{300, 400, 7},   // opens after it
+		{100, 200, 8},   // released below
+	} {
+		id, err := b.AddSwitchOff(w.start, w.end, []cluster.NodeID{w.node})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.node == 8 {
+			b.Release(id)
+		}
+	}
+	held, _ := b.Held()
+	holes := b.Holes(100, 200)
+	for _, want := range []struct {
+		node cluster.NodeID
+		hole bool
+	}{{1, true}, {2, false}, {3, false}, {4, false}, {5, true}, {6, true}, {7, true}, {8, false}, {9, false}} {
+		if got := holes.Has(want.node); got != want.hole {
+			t.Errorf("Holes(100, 200).Has(%d) = %v, want %v", want.node, got, want.hole)
+		}
+	}
+	if now, _ := b.Held(); !now.Equal(held) || !held.Has(3) {
+		t.Errorf("Holes changed the hold: %v", members(now))
 	}
 }
 

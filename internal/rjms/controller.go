@@ -48,8 +48,8 @@ type Controller struct {
 	allocFree [bits.UintSize][][]job.Alloc
 
 	// failed holds nodes taken out by an injected failure (FailNode);
-	// they stay off — windowClose must not power them back on — until
-	// RepairNode returns them. requeueSeq numbers the fresh IDs of
+	// they stay off — settle leaves them be — until RepairNode returns
+	// them. requeueSeq numbers the fresh IDs of
 	// requeued victims deterministically.
 	failed     cluster.NodeSet
 	requeueSeq int64
@@ -155,7 +155,7 @@ func New(cfg Config) (*Controller, error) {
 	c.endFn = func(t int64, j any) { c.finish(j.(*job.Job), t, false) }
 	c.submitFn = func(t int64, st any) { c.submitStream(st.(*stream), t) }
 	c.sampleFn = func(t int64, _ any) { c.sampleTick(t) }
-	c.windowOpenFn = func(t int64, _ any) { c.windowOpen(t) }
+	c.windowOpenFn = func(t int64, _ any) { c.settle(t) }
 	c.windowCloseFn = func(t int64, id any) { c.windowClose(id.(int), t) }
 	c.capBoundaryFn = func(t int64, _ any) { c.capBoundary(t) }
 	c.capEndFn = func(t int64, _ any) { c.capEnded(t) }

@@ -57,9 +57,9 @@ func (c *Controller) FailNode(id cluster.NodeID) error {
 	return nil
 }
 
-// RepairNode returns a failed node to service: it powers back on
-// (unless a reservation window currently holds it off) and rejoins the
-// schedulable pool at the current virtual time.
+// RepairNode returns a failed node to service at the current virtual
+// time: it powers back on, unless a window open now holds it (settle),
+// and rejoins the schedulable pool.
 func (c *Controller) RepairNode(id cluster.NodeID) error {
 	if int(id) < 0 || int(id) >= c.clus.Nodes() {
 		return fmt.Errorf("rjms: repair node %d: no such node", id)
@@ -67,13 +67,8 @@ func (c *Controller) RepairNode(id cluster.NodeID) error {
 	if !c.failed.Has(id) {
 		return fmt.Errorf("rjms: repair node %d: not failed", id)
 	}
-	now := c.eng.Now()
 	c.failed.Remove(id)
-	if held, _ := c.book.Held(); !held.Has(id) {
-		_ = c.clus.PowerOn(id)
-	}
-	c.noteState(now)
-	c.requestPass(now)
+	c.settle(c.eng.Now())
 	return nil
 }
 

@@ -76,8 +76,19 @@ type refRun struct {
 
 // refOff is a switch-off reservation whose window has not closed.
 type refOff struct {
-	id    int
-	nodes []cluster.NodeID
+	id         int
+	start, end int64
+	nodes      []cluster.NodeID
+}
+
+// heldOpen reports whether a switch-off window open at now holds node id.
+func (r *refController) heldOpen(id cluster.NodeID, now int64) bool {
+	for _, o := range r.offs {
+		if o.start <= now && now < o.end && slices.Contains(o.nodes, id) {
+			return true
+		}
+	}
+	return false
 }
 
 func newRef(cfg Config) (*refController, error) {
@@ -406,7 +417,7 @@ func (r *refController) finish(j *job.Job, now int64, killed bool) {
 		if err := r.clus.Vacate([]job.Alloc{a}, run.freq); err != nil {
 			panic(fmt.Sprintf("reference: job %d: %v", j.ID, err))
 		}
-		if r.clus.State(a.Node) == cluster.StateIdle && r.book.Draining(a.Node, now) {
+		if r.clus.State(a.Node) == cluster.StateIdle && r.heldOpen(a.Node, now) {
 			_ = r.clus.PowerOff(a.Node)
 		}
 	}
@@ -552,15 +563,24 @@ func (r *refController) reserve(start, end int64, budget power.Cap) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	held := r.held()
-	plan := core.PlanOffline(r.clus, r.pm, budget, !r.cfg.Scattered, func(id cluster.NodeID) bool { return !held[id] })
-	if r.cfg.Policy != core.PolicyIdle && len(plan.OffNodes) > 0 {
+	// A plan may take the group of a window that closes inside its own,
+	// and no other held node.
+	hole := make([]bool, r.clus.Nodes())
+	for _, o := range r.offs {
+		if o.end < start || o.end > end {
+			for _, id := range o.nodes {
+				hole[id] = true
+			}
+		}
+	}
+	plan := core.PlanOffline(r.clus, r.pm, budget, !r.cfg.Scattered, func(id cluster.NodeID) bool { return !hole[id] })
+	if len(plan.OffNodes) > 0 {
 		offID, err := r.book.AddSwitchOff(start, end, plan.OffNodes)
 		if err != nil {
 			return resID, err
 		}
-		r.offs = append(r.offs, refOff{id: offID, nodes: plan.OffNodes})
-		r.at(start, r.windowOpen)
+		r.offs = append(r.offs, refOff{id: offID, start: start, end: end, nodes: plan.OffNodes})
+		r.at(start, r.settle)
 		if end != reservation.Horizon {
 			r.at(end, func(now int64) { r.windowClose(offID, now) })
 		}
@@ -597,29 +617,27 @@ func (r *refController) capEnded(now int64) {
 	r.requestPass(now)
 }
 
-func (r *refController) windowOpen(now int64) {
-	for id := cluster.NodeID(0); int(id) < r.clus.Nodes(); id++ {
-		if r.clus.State(id) == cluster.StateIdle && r.book.Draining(id, now) {
-			_ = r.clus.PowerOff(id)
-		}
-	}
-	r.noteState(now)
-	r.requestPass(now)
-}
-
 func (r *refController) windowClose(id int, now int64) {
 	r.book.Release(id)
-	for k, o := range r.offs {
-		if o.id != id {
+	r.offs = slices.DeleteFunc(r.offs, func(o refOff) bool { return o.id == id })
+	r.settle(now)
+}
+
+// settle powers each node that has not failed off exactly while a window
+// that holds it is open: idle ones at once, busy ones as they drain
+// (finish).
+func (r *refController) settle(now int64) {
+	for id := cluster.NodeID(0); int(id) < r.clus.Nodes(); id++ {
+		if r.failed[id] {
 			continue
 		}
-		r.offs = append(r.offs[:k:k], r.offs[k+1:]...)
-		for _, n := range o.nodes {
-			if !r.failed[n] {
-				_ = r.clus.PowerOn(n)
+		if r.heldOpen(id, now) {
+			if r.clus.State(id) == cluster.StateIdle {
+				_ = r.clus.PowerOff(id)
 			}
+		} else if r.clus.State(id) == cluster.StateOff {
+			_ = r.clus.PowerOn(id)
 		}
-		break
 	}
 	r.noteState(now)
 	r.requestPass(now)
@@ -666,11 +684,7 @@ func (r *refController) repairNode(id cluster.NodeID) error {
 		return fmt.Errorf("rjms: repair node %d: not failed", id)
 	}
 	delete(r.failed, id)
-	if !r.held()[id] {
-		_ = r.clus.PowerOn(id)
-	}
-	r.noteState(r.eng.Now())
-	r.requestPass(r.eng.Now())
+	r.settle(r.eng.Now())
 	return nil
 }
 

@@ -9,8 +9,9 @@ import (
 
 // ReservePowerCap registers a powercap reservation over [start, end)
 // (reservation.Horizon for open-ended) with the given budget, runs the
-// offline planning of Algorithm 1, and schedules the window's switch-off
-// and wake-up actions. It returns the offline plan for inspection.
+// offline planning of Algorithm 1 over the nodes the book's Holes leave
+// it, and schedules the window's switch-off and wake-up actions. It
+// returns the offline plan for inspection.
 func (c *Controller) ReservePowerCap(start, end int64, budget power.Cap) (core.OfflinePlan, error) {
 	_, plan, err := c.ReservePowerCapID(start, end, budget)
 	return plan, err
@@ -25,13 +26,8 @@ func (c *Controller) ReservePowerCapID(start, end int64, budget power.Cap) (int,
 	if err != nil {
 		return 0, core.OfflinePlan{}, err
 	}
-	held, _ := c.book.Held()
-	eligible := func(id cluster.NodeID) bool { return !held.Has(id) }
-	plan := core.PlanOffline(c.clus, c.pm, budget, !c.cfg.Scattered, eligible)
-	if c.cfg.Policy == core.PolicyIdle {
-		// IDLE keeps nodes powered; no switch-off reservation.
-		plan.OffNodes = nil
-	}
+	holes := c.book.Holes(start, end)
+	plan := core.PlanOffline(c.clus, c.pm, budget, !c.cfg.Scattered, func(id cluster.NodeID) bool { return !holes.Has(id) })
 	if len(plan.OffNodes) > 0 {
 		offID, err := c.book.AddSwitchOff(start, end, plan.OffNodes)
 		if err != nil {
@@ -98,26 +94,26 @@ func (c *Controller) capEnded(now int64) {
 	c.requestPass(now)
 }
 
-// windowOpen powers down the idle nodes a window open at now holds;
-// busy ones drain to off as their jobs end (finish).
-func (c *Controller) windowOpen(now int64) {
-	for id := cluster.NodeID(0); int(id) < c.clus.Nodes(); id++ {
-		if c.clus.State(id) == cluster.StateIdle && c.book.Draining(id, now) {
-			_ = c.clus.PowerOff(id)
-		}
-	}
-	c.noteState(now)
-	c.requestPass(now)
+// windowClose releases switch-off id and settles the machine: the nodes
+// a window still open holds stay off.
+func (c *Controller) windowClose(id int, now int64) {
+	c.book.Release(id)
+	c.settle(now)
 }
 
-// windowClose releases switch-off id and powers its group back on.
-func (c *Controller) windowClose(id int, now int64) {
-	group := c.book.Release(id)
-	for n := cluster.NodeID(0); int(n) < c.clus.Nodes(); n++ {
-		// A failed node stays off past its window; RepairNode brings
-		// it back.
-		if group.Has(n) && !c.failed.Has(n) {
-			_ = c.clus.PowerOn(n)
+// settle applies the power rule: a node that has not failed is off
+// exactly while a switch-off window that holds it is open. An idle node
+// goes off at once and an off one comes back on; a busy node a window
+// holds drains to off as its jobs end (finish). The window events and
+// RepairNode call it.
+func (c *Controller) settle(now int64) {
+	for id := cluster.NodeID(0); int(id) < c.clus.Nodes(); id++ {
+		switch held, state := c.book.Draining(id, now), c.clus.State(id); {
+		case c.failed.Has(id): // off until RepairNode
+		case held && state == cluster.StateIdle:
+			_ = c.clus.PowerOff(id)
+		case !held && state == cluster.StateOff:
+			_ = c.clus.PowerOn(id)
 		}
 	}
 	c.noteState(now)
