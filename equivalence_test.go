@@ -188,7 +188,8 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 // cells at 56 racks. Its "written_by" names the commit whose engine
 // wrote it — the tree as it stood before the pass memo became keyed —
 // and like the first tier it is never regenerated: a later engine
-// change must reproduce it.
+// change must reproduce it, or supersede the cells it moves in the
+// third file below.
 
 const goldenFingerprintFileV2 = "testdata/golden_fingerprints_v2.json"
 
@@ -197,6 +198,22 @@ type goldenFingerprintsV2 struct {
 	// Cells maps a cell name to the SHA-256 of its summary and sample
 	// series (runFingerprintV2), or of its telemetry stream (the twin).
 	Cells map[string]string `json:"cells"`
+}
+
+// testdata/golden_fingerprints_v3.json pins the cells a deliberate
+// behaviour change moved, and only those: it names each in "supersedes",
+// holds its new hash in "cells", and its "written_by" names the commit
+// whose engine wrote them. TestEngineEquivalenceGoldenV2 checks a
+// superseded cell against it instead of v2, and fails if it names a cell
+// v2 does not pin. The first change it records is the power rule of
+// rjms's settle with the planning rule of reservation.Book.Holes: the 22
+// SHUT and MIX two-window cells.
+const goldenFingerprintFileV3 = "testdata/golden_fingerprints_v3.json"
+
+type goldenFingerprintsV3 struct {
+	WrittenBy  string            `json:"written_by"`
+	Supersedes []string          `json:"supersedes"`
+	Cells      map[string]string `json:"cells"`
 }
 
 type optionVariantV2 struct {
@@ -363,20 +380,43 @@ func TestEngineEquivalenceGoldenV2(t *testing.T) {
 		got["curie/"+s.Name] = fingerprintRunV2(res.Summary, res.Samples)
 	}
 
-	b, err := os.ReadFile(goldenFingerprintFileV2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want goldenFingerprintsV2
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("decoding %s: %v", goldenFingerprintFileV2, err)
-	}
+	var v3 goldenFingerprintsV3
+	readGolden(t, goldenFingerprintFileV2, &want)
+	readGolden(t, goldenFingerprintFileV3, &v3)
 	if len(got) != len(want.Cells) {
 		t.Errorf("%d cells run, %d in %s", len(got), len(want.Cells), goldenFingerprintFileV2)
 	}
-	for name, fp := range got {
-		if fp != want.Cells[name] {
-			t.Errorf("%s diverges from the engine of %s:\n got  %s\n want %s", name, want.WrittenBy, fp, want.Cells[name])
+	if len(v3.Supersedes) != len(v3.Cells) {
+		t.Errorf("%s supersedes %d cells and pins %d", goldenFingerprintFileV3, len(v3.Supersedes), len(v3.Cells))
+	}
+	superseded := map[string]bool{}
+	for _, name := range v3.Supersedes {
+		_, inV2 := want.Cells[name]
+		_, inV3 := v3.Cells[name]
+		if !inV2 || !inV3 {
+			t.Errorf("%s supersedes %s, which is pinned in v2: %v, in v3: %v", goldenFingerprintFileV3, name, inV2, inV3)
 		}
+		superseded[name] = true
+	}
+	for name, fp := range got {
+		pin, by := want.Cells[name], want.WrittenBy
+		if superseded[name] {
+			pin, by = v3.Cells[name], v3.WrittenBy
+		}
+		if fp != pin {
+			t.Errorf("%s diverges from the engine of %s:\n got  %s\n want %s", name, by, fp, pin)
+		}
+	}
+}
+
+func readGolden(t *testing.T, path string, into any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, into); err != nil {
+		t.Fatalf("decoding %s: %v", path, err)
 	}
 }

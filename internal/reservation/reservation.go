@@ -135,9 +135,10 @@ func (b *Book) Held() (cluster.NodeSet, cluster.Groups) { return b.held, b.heldG
 // take: those the unreleased switch-offs hold, less the groups of the
 // windows that close inside it (start <= End <= end), which the new
 // window may keep down past their close. A group whose window outlasts
-// the new one, or closes before it opens, stays out of its plan.
+// the new one, or closes before it opens, stays out of its plan. The set
+// is new, or nil when there is no hole.
 func (b *Book) Holes(start, end int64) cluster.NodeSet {
-	out := cluster.NewNodeSet(b.topo.Nodes())
+	var out cluster.NodeSet
 	for i := range b.offs {
 		if o := &b.offs[i]; !o.released && (o.End < start || o.End > end) {
 			out = out.Or(o.nodes)

@@ -156,7 +156,10 @@ func New(cfg Config) (*Controller, error) {
 	c.submitFn = func(t int64, st any) { c.submitStream(st.(*stream), t) }
 	c.sampleFn = func(t int64, _ any) { c.sampleTick(t) }
 	c.windowOpenFn = func(t int64, _ any) { c.settle(t) }
-	c.windowCloseFn = func(t int64, id any) { c.windowClose(id.(int), t) }
+	c.windowCloseFn = func(t int64, id any) {
+		c.book.Release(id.(int))
+		c.settle(t)
+	}
 	c.capBoundaryFn = func(t int64, _ any) { c.capBoundary(t) }
 	c.capEndFn = func(t int64, _ any) { c.capEnded(t) }
 	return c, nil

@@ -124,10 +124,9 @@ func (c *Controller) finish(j *job.Job, now int64, killed bool) {
 	if err := c.clus.Vacate(r.allocs, r.freq); err != nil {
 		panic(fmt.Sprintf("rjms: vacate inconsistency for job %d: %v", j.ID, err))
 	}
-	// Drain-to-off: a held node freed inside its window.
-	held, _ := c.book.Held()
+	// Drain-to-off: a node freed inside a window that holds it (settle).
 	for _, a := range r.allocs {
-		if held.Has(a.Node) && c.clus.State(a.Node) == cluster.StateIdle && c.book.Draining(a.Node, now) {
+		if c.clus.State(a.Node) == cluster.StateIdle && c.book.Draining(a.Node, now) {
 			_ = c.clus.PowerOff(a.Node)
 		}
 	}

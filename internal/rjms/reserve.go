@@ -94,18 +94,11 @@ func (c *Controller) capEnded(now int64) {
 	c.requestPass(now)
 }
 
-// windowClose releases switch-off id and settles the machine: the nodes
-// a window still open holds stay off.
-func (c *Controller) windowClose(id int, now int64) {
-	c.book.Release(id)
-	c.settle(now)
-}
-
 // settle applies the power rule: a node that has not failed is off
 // exactly while a switch-off window that holds it is open. An idle node
 // goes off at once and an off one comes back on; a busy node a window
-// holds drains to off as its jobs end (finish). The window events and
-// RepairNode call it.
+// holds drains to off as its jobs end (finish). A window's open and its
+// close (after Release) and RepairNode call it.
 func (c *Controller) settle(now int64) {
 	for id := cluster.NodeID(0); int(id) < c.clus.Nodes(); id++ {
 		switch held, state := c.book.Draining(id, now), c.clus.State(id); {

@@ -511,6 +511,25 @@ func TestDrainToOffDuringWindow(t *testing.T) {
 	if st := c.Cluster().State(0); st == cluster.StateOff {
 		t.Error("window closed: the repaired held node stays off")
 	}
+
+	// One repaired before its window opens comes back on, and goes off
+	// with the other idle held nodes when the window opens.
+	c, _ = boundaries()
+	if err := c.FailNode(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RepairNode(6); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Cluster().State(6); st != cluster.StateIdle {
+		t.Errorf("held node repaired before its window opens is %v, want idle", st)
+	}
+	if _, err := runTo(c, 100); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Cluster().State(6); st != cluster.StateOff {
+		t.Errorf("window open: the held node repaired before it is %v, want off", st)
+	}
 }
 
 func TestKillOnOverrun(t *testing.T) {
