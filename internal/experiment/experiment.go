@@ -28,6 +28,7 @@ package experiment
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,17 +252,18 @@ func (r Runner) Run(name string, scenarios []replay.Scenario) Table {
 	return t
 }
 
-// sharedWorkload is one synthetic workload several cells of a sweep
-// replay, generated by whichever of them runs first. The list is
-// read-only once generated: each cell loads it through Scenario.Jobs,
-// and a controller reads jobs and never writes them, so the cells
-// replay the one list concurrently and copy none of it.
+// sharedWorkload is one synthetic workload several scenarios of a sweep
+// replay — sweep cells, or members of federation cells — generated by
+// whichever of them loads first. The list is read-only once generated:
+// each scenario loads it through Scenario.Jobs, and a controller reads
+// jobs and never writes them, so the scenarios replay the one list
+// concurrently and copy none of it.
 type sharedWorkload struct {
 	cfg  trace.Config
 	once sync.Once
 	jobs []*job.Job
 	err  error
-	left atomic.Int32 // cells yet to load the list
+	left atomic.Int32 // scenarios yet to load the list
 }
 
 func (w *sharedWorkload) get() ([]*job.Job, error) {
@@ -269,17 +271,18 @@ func (w *sharedWorkload) get() ([]*job.Job, error) {
 	return w.jobs, w.err
 }
 
-// loaded records that one cell is done with the list; the last one lets
-// it go, so a sweep holds only the workloads it has still to replay.
+// loaded records that one scenario is done with the list; the last one
+// lets it go, so a sweep holds only the workloads it has still to
+// replay.
 func (w *sharedWorkload) loaded() {
 	if w.left.Add(-1) == 0 {
 		w.jobs = nil
 	}
 }
 
-// generatedWorkload is what a cell's synthetic workload is a function
-// of: its trace.Config on its machine's core count. It is false for a
-// cell that replays an explicit list or an SWF stream.
+// generatedWorkload is what a scenario's synthetic workload is a
+// function of: its trace.Config on its machine's core count. It is
+// false for a scenario that replays an explicit list or an SWF stream.
 func generatedWorkload(sc replay.Scenario) (trace.Config, bool) {
 	if sc.Jobs != nil || sc.SWF != nil {
 		return trace.Config{}, false
@@ -289,25 +292,66 @@ func generatedWorkload(sc replay.Scenario) (trace.Config, bool) {
 	return k, true
 }
 
-// shareWorkloads gives the cells that would generate the same workload
-// one sharedWorkload; a cell whose workload is its own gets nil.
-func shareWorkloads(scenarios []replay.Scenario) []*sharedWorkload {
+// shareWorkloads gives the scenarios that would generate the same
+// workload one sharedWorkload. cells[i] lists the scenarios cell i
+// replays — a sweep cell's one, a federation cell's members — and
+// shared[i][m] is the entry of its m-th, nil where the workload is its
+// own.
+func shareWorkloads(cells [][]replay.Scenario) [][]*sharedWorkload {
 	byKey := map[trace.Config]*sharedWorkload{}
-	for _, sc := range scenarios {
-		if k, ok := generatedWorkload(sc); ok {
-			if byKey[k] == nil {
-				byKey[k] = &sharedWorkload{cfg: k}
+	for _, scens := range cells {
+		for _, sc := range scens {
+			if k, ok := generatedWorkload(sc); ok {
+				if byKey[k] == nil {
+					byKey[k] = &sharedWorkload{cfg: k}
+				}
+				byKey[k].left.Add(1)
 			}
-			byKey[k].left.Add(1)
 		}
 	}
-	shared := make([]*sharedWorkload, len(scenarios))
-	for i, sc := range scenarios {
-		if k, ok := generatedWorkload(sc); ok && byKey[k].left.Load() >= 2 {
-			shared[i] = byKey[k]
+	shared := make([][]*sharedWorkload, len(cells))
+	for i, scens := range cells {
+		shared[i] = make([]*sharedWorkload, len(scens))
+		for m, sc := range scens {
+			if k, ok := generatedWorkload(sc); ok && byKey[k].left.Load() >= 2 {
+				shared[i][m] = byKey[k]
+			}
 		}
 	}
 	return shared
+}
+
+// loadShared runs one cell on its scenarios with every shared workload
+// loaded from its one list instead of generated anew. run sees a copy
+// of scenarios whose shared entries carry the list in Scenario.Jobs, so
+// the caller's scenarios never hold one, and each list is let go once
+// the cell is done with it. A cell that starts after ctx is cancelled
+// loads nothing; a list that fails to generate ends the cell with
+// failed(err).
+func loadShared[Row any](ctx context.Context, scenarios []replay.Scenario, shared []*sharedWorkload,
+	run func([]replay.Scenario) Row, failed func(error) Row) Row {
+	if ctx.Err() != nil {
+		return run(scenarios)
+	}
+	var loaded []replay.Scenario
+	for m, w := range shared {
+		if w == nil {
+			continue
+		}
+		defer w.loaded()
+		jobs, err := w.get()
+		if err != nil {
+			return failed(err)
+		}
+		if loaded == nil {
+			loaded = slices.Clone(scenarios)
+		}
+		loaded[m].Jobs = jobs
+	}
+	if loaded == nil {
+		loaded = scenarios
+	}
+	return run(loaded)
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled the pool
@@ -322,12 +366,22 @@ func shareWorkloads(scenarios []replay.Scenario) []*sharedWorkload {
 // parallel; the rows are bit-identical to cells that each generate their
 // own, and carry the caller's scenario, not the shared list.
 func (r Runner) RunContext(ctx context.Context, name string, scenarios []replay.Scenario) (Table, error) {
-	return r.runShared(ctx, name, scenarios, shareWorkloads(scenarios))
+	return r.runShared(ctx, name, scenarios, shareWorkloads(singleCells(scenarios)))
 }
 
-// runShared is RunContext over the given shareWorkloads entries, one per
-// cell.
-func (r Runner) runShared(ctx context.Context, name string, scenarios []replay.Scenario, shared []*sharedWorkload) (Table, error) {
+// singleCells lists a sweep's scenarios as shareWorkloads cells, one
+// scenario each.
+func singleCells(scenarios []replay.Scenario) [][]replay.Scenario {
+	cells := make([][]replay.Scenario, len(scenarios))
+	for i := range scenarios {
+		cells[i] = scenarios[i : i+1 : i+1]
+	}
+	return cells
+}
+
+// runShared is RunContext over the given shareWorkloads entries, one
+// list per cell.
+func (r Runner) runShared(ctx context.Context, name string, scenarios []replay.Scenario, shared [][]*sharedWorkload) (Table, error) {
 	start := time.Now()
 	workers := poolSize(r.Workers, len(scenarios))
 	rows, err := runCells(ctx, len(scenarios), workers, r.OnResult,
@@ -337,18 +391,15 @@ func (r Runner) runShared(ctx context.Context, name string, scenarios []replay.S
 			if r.Observe != nil {
 				observe = func(ctl *rjms.Controller) { r.Observe(i, scenarios[i], ctl) }
 			}
-			sc := scenarios[i]
-			if w := shared[i]; w != nil && ctx.Err() == nil {
-				defer w.loaded()
-				jobs, err := w.get()
-				if err != nil {
-					return Result{Result: replay.Result{Scenario: sc, Err: err}, Index: i, Elapsed: time.Since(t0)}
-				}
-				sc.Jobs = jobs
-			}
-			res := replay.RunContextWith(ctx, sc, observe)
-			res.Scenario = scenarios[i]
-			return Result{Result: res, Index: i, Elapsed: time.Since(t0)}
+			return loadShared(ctx, scenarios[i:i+1], shared[i],
+				func(sc []replay.Scenario) Result {
+					res := replay.RunContextWith(ctx, sc[0], observe)
+					res.Scenario = scenarios[i]
+					return Result{Result: res, Index: i, Elapsed: time.Since(t0)}
+				},
+				func(err error) Result {
+					return Result{Result: replay.Result{Scenario: scenarios[i], Err: err}, Index: i, Elapsed: time.Since(t0)}
+				})
 		},
 		func(i int, err error) Result {
 			return Result{Result: replay.Result{Scenario: scenarios[i], Err: err}, Index: i}

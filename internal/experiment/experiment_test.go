@@ -225,9 +225,13 @@ func TestSweepSharesWorkloadsBitIdentical(t *testing.T) {
 
 		// ...and leaves the list as it found it: held here, outside the
 		// sweep, it hashes the same afterwards.
-		shared := shareWorkloads(scens)
+		shared := shareWorkloads(singleCells(scens))
 		lists := map[*sharedWorkload][]*job.Job{}
-		for i, w := range shared {
+		for i, ws := range shared {
+			if len(ws) != 1 {
+				t.Fatalf("cell %d (%s): %d shared entries, want 1", i, scens[i].Name, len(ws))
+			}
+			w := ws[0]
 			if (w == nil) != (i == len(scens)-1) {
 				t.Fatalf("cell %d (%s): shared = %v", i, scens[i].Name, w != nil)
 			}

@@ -101,7 +101,28 @@ func (r FederationRunner) Run(name string, scenarios []replay.FederationScenario
 // cancelled cells carry their scenario and ctx.Err(), finished cells
 // are identical to an uncancelled run's, and the pool is fully drained
 // before it returns.
+//
+// A member workload several cells replay is generated once per sweep,
+// by the first of its cells to run, the way Runner shares a sweep's
+// workloads; the rows are bit-identical to cells that each generate
+// their own, and carry the caller's scenario, not the shared lists.
 func (r FederationRunner) RunContext(ctx context.Context, name string, scenarios []replay.FederationScenario) (FederationTable, error) {
+	return r.runShared(ctx, name, scenarios, shareWorkloads(memberCells(scenarios)))
+}
+
+// memberCells lists a federated sweep's cells for shareWorkloads, each
+// as its members.
+func memberCells(scenarios []replay.FederationScenario) [][]replay.Scenario {
+	cells := make([][]replay.Scenario, len(scenarios))
+	for i, fs := range scenarios {
+		cells[i] = fs.Members
+	}
+	return cells
+}
+
+// runShared is RunContext over the given shareWorkloads entries, one
+// list per cell.
+func (r FederationRunner) runShared(ctx context.Context, name string, scenarios []replay.FederationScenario, shared [][]*sharedWorkload) (FederationTable, error) {
 	start := time.Now()
 	workers := poolSize(r.Workers, len(scenarios))
 	rows, err := runCells(ctx, len(scenarios), workers, r.OnResult,
@@ -111,8 +132,17 @@ func (r FederationRunner) RunContext(ctx context.Context, name string, scenarios
 			if r.Observe != nil {
 				observe = func(mi int, name string, ctl *rjms.Controller) { r.Observe(i, mi, name, ctl) }
 			}
-			res := federation.RunContext(ctx, scenarios[i], observe)
-			return FederationResult{Result: res, Index: i, Elapsed: time.Since(t0)}
+			return loadShared(ctx, scenarios[i].Members, shared[i],
+				func(members []replay.Scenario) FederationResult {
+					fs := scenarios[i]
+					fs.Members = members
+					res := federation.RunContext(ctx, fs, observe)
+					res.Scenario = scenarios[i]
+					return FederationResult{Result: res, Index: i, Elapsed: time.Since(t0)}
+				},
+				func(err error) FederationResult {
+					return FederationResult{Result: federation.Result{Scenario: scenarios[i], Err: err}, Index: i, Elapsed: time.Since(t0)}
+				})
 		},
 		func(i int, err error) FederationResult {
 			return FederationResult{Result: federation.Result{Scenario: scenarios[i], Err: err}, Index: i}

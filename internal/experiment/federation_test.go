@@ -2,12 +2,18 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/federation"
+	"repro/internal/job"
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 // testFedGrid is a small (member-count x cap x division) grid: every
@@ -120,5 +126,102 @@ func TestFederationExports(t *testing.T) {
 	ascii := tab.ASCII(80)
 	if !strings.Contains(ascii, "fed2/50%/demand") || !strings.Contains(ascii, "bsld") {
 		t.Errorf("ASCII missing cell or header:\n%s", ascii)
+	}
+}
+
+// TestFederationSharesMemberWorkloadsBitIdentical: members that replay
+// the same synthetic workload — the same slot of federations of other
+// sizes or divisions — share one generated list across the sweep's
+// cells, and every row is still the one its federation run alone would
+// give, at any worker count. The rows carry the caller's scenarios, a
+// member with an explicit list keeps its own, and neither the shared
+// lists nor the explicit one are changed by the sweep.
+func TestFederationSharesMemberWorkloadsBitIdentical(t *testing.T) {
+	scens := testFedGrid().Scenarios() // {2, 3} members x 2 divisions
+	m1 := scens[0].Members[1]
+	cfg := m1.Workload
+	cfg.Cores = m1.Machine().Cores()
+	explicit, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := scens[0]
+	own.Name += "/explicit"
+	own.Members = slices.Clone(own.Members)
+	own.Members[1].Jobs = explicit
+	scens = append(scens, own)
+	explicitHash := hashJobs(explicit)
+	// Member slots 0 and 1 run in every cell, slot 2 in the two
+	// three-member ones; the explicit member shares nothing.
+	wantShared := [][]bool{{true, true}, {true, true}, {true, true, true}, {true, true, true}, {true, false}}
+
+	ref := FederationTable{Name: "shared", Workers: 1}
+	for i, fs := range scens {
+		res := federation.RunContext(context.Background(), fs, nil)
+		if res.Err != nil {
+			t.Fatalf("cell %d (%s) alone: %v", i, fs.Name, res.Err)
+		}
+		ref.Rows = append(ref.Rows, FederationResult{Result: res, Index: i})
+	}
+
+	check := func(workers int, got FederationTable) {
+		t.Helper()
+		if fp, want := got.Fingerprint(), ref.Fingerprint(); fp != want {
+			t.Fatalf("%d workers: fingerprint %s, per-cell runs %s", workers, fp, want)
+		}
+		for i, row := range got.Rows {
+			if !reflect.DeepEqual(row.Result, ref.Rows[i].Result) {
+				t.Errorf("%d workers, cell %d (%s): differs from its run alone", workers, i, row.Scenario.Name)
+			}
+			if &row.Scenario.Members[0] != &scens[i].Members[0] {
+				t.Errorf("%d workers, cell %d (%s): row carries a copy of its members, want the caller's", workers, i, row.Scenario.Name)
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		// The pool generates each shared member workload in the first
+		// cell that needs it...
+		check(workers, FederationRunner{Workers: workers}.Run("shared", scens))
+
+		// ...and leaves the list as it found it: held here, outside the
+		// sweep, it hashes the same afterwards.
+		shared := shareWorkloads(memberCells(scens))
+		lists := map[*sharedWorkload][]*job.Job{}
+		for i, ws := range shared {
+			for m, w := range ws {
+				if (w != nil) != wantShared[i][m] {
+					t.Fatalf("cell %d (%s) member %d: shared = %v", i, scens[i].Name, m, w != nil)
+				}
+				if w != nil && lists[w] == nil {
+					if lists[w], err = w.get(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if len(lists) != 3 {
+			t.Fatalf("%d shared member workloads, want 3", len(lists))
+		}
+		hashes := map[*sharedWorkload]string{}
+		for w, jobs := range lists {
+			hashes[w] = hashJobs(jobs)
+		}
+
+		got, err := FederationRunner{Workers: workers}.runShared(context.Background(), "shared", scens, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(workers, got)
+		for w, jobs := range lists {
+			if hashJobs(jobs) != hashes[w] {
+				t.Errorf("%d workers: the sweep changed the shared %v workload", workers, w.cfg.Kind)
+			}
+			if w.jobs != nil {
+				t.Errorf("%d workers: the shared %v workload is still held after its last cell", workers, w.cfg.Kind)
+			}
+		}
+		if hashJobs(explicit) != explicitHash {
+			t.Errorf("%d workers: the sweep changed the caller's explicit list", workers)
+		}
 	}
 }

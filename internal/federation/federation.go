@@ -142,6 +142,11 @@ func RunContext(ctx context.Context, fs replay.FederationScenario, observe Obser
 	}
 	defer fleet.Close()
 	res.GlobalBudgetW, _ = fleet.BudgetAt(0)
+	// A division is recorded at every boundary strictly inside the
+	// horizon: epoch, 2*epoch, ... below duration.
+	if k := (duration - 1) / epoch; k > 0 {
+		res.Epochs = make([]EpochShares, 0, k)
+	}
 
 	// Lockstep epochs: advance every member to the boundary, then
 	// redistribute; the last stretch runs to the horizon undivided.
@@ -362,6 +367,9 @@ func aggregate(res *Result) {
 	// GlobalBudgetW until the first recorded boundary, then each
 	// boundary's BudgetW. Samples arrive in time order, so one cursor
 	// over the epoch records prices every sample.
+	if n > 0 {
+		res.Global = make([]GlobalSample, 0, n)
+	}
 	ep := 0
 	capAt := func(t int64) power.Watts {
 		for ep < len(res.Epochs) && res.Epochs[ep].T <= t {

@@ -203,3 +203,28 @@ func TestEpochBoundaryCount(t *testing.T) {
 		t.Errorf("epochs recorded = %d, want %d", len(r.Epochs), want)
 	}
 }
+
+// TestRecordsSizedUpFront: a run sizes its division records and its site
+// series to their exact counts before it fills them, so neither grows
+// by copying — whether the horizon is a multiple of the epoch (its last
+// boundary is the horizon, where nothing is divided) or not.
+func TestRecordsSizedUpFront(t *testing.T) {
+	for _, duration := range []int64{4 * 900, 4*900 + 450} {
+		fs := testScenario(replay.DivideDemand)
+		fs.EpochSec = 900
+		fs.DurationSec = duration
+		r := RunWith(fs, nil)
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if want := int(math.Ceil(float64(duration)/900)) - 1; len(r.Epochs) != want {
+			t.Errorf("duration %d: %d epochs recorded, want %d", duration, len(r.Epochs), want)
+		}
+		if cap(r.Epochs) != len(r.Epochs) {
+			t.Errorf("duration %d: epochs len %d, cap %d", duration, len(r.Epochs), cap(r.Epochs))
+		}
+		if len(r.Global) == 0 || cap(r.Global) != len(r.Global) {
+			t.Errorf("duration %d: site series len %d, cap %d", duration, len(r.Global), cap(r.Global))
+		}
+	}
+}

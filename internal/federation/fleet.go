@@ -41,6 +41,9 @@ type Fleet struct {
 	sig      signal.Source
 	horizon  int64
 	observe  Observer
+	// states is Rebudget's scratch input to Divide, reused across
+	// boundaries; the record keeps only the shares and pending cores.
+	states []MemberState
 }
 
 // NewFleet assembles the members of fs, reserves every member's
@@ -221,14 +224,14 @@ func (f *Fleet) AdvanceAll(t int64) error {
 // re-budgets every member whose share moved. It returns the division
 // record; the first failing member aborts the redistribution.
 func (f *Fleet) Rebudget(t int64) (EpochShares, error) {
-	states := make([]MemberState, len(f.members))
+	f.states = f.states[:0]
 	pending := make([]int, len(f.members))
 	for i, m := range f.members {
 		pending[i] = m.Ctl.PendingCores()
-		states[i] = MemberState{MaxPower: m.MaxPower, Draw: m.Ctl.Cluster().Power(), PendingCores: pending[i]}
+		f.states = append(f.states, MemberState{MaxPower: m.MaxPower, Draw: m.Ctl.Cluster().Power(), PendingCores: pending[i]})
 	}
 	budget, _ := f.BudgetAt(t)
-	rec := EpochShares{T: t, BudgetW: budget, CapW: Divide(f.division, budget, states), PendingCores: pending}
+	rec := EpochShares{T: t, BudgetW: budget, CapW: Divide(f.division, budget, f.states), PendingCores: pending}
 	for i, m := range f.members {
 		if rec.CapW[i] != m.capW {
 			m.capW = rec.CapW[i]
